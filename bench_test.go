@@ -13,9 +13,9 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"performa/internal/avail"
@@ -232,32 +232,6 @@ func BenchmarkE9Quantile(b *testing.B) {
 	b.ReportMetric(p95, "p95-min")
 }
 
-// BenchmarkE10SparseChain measures the sparse first-passage solve on a
-// 2500-state synthetic chain.
-func BenchmarkE10SparseChain(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	big := syntheticBenchChain(2500, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := big.MeanTurnaround(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func syntheticBenchChain(n int, rng *rand.Rand) *ctmc.BigChain {
-	c := &ctmc.BigChain{Arcs: make([][]ctmc.Arc, n+1), H: make([]float64, n+1)}
-	for i := 0; i < n; i++ {
-		c.H[i] = 0.5 + rng.Float64()
-		if i > 1 && rng.Float64() < 0.2 {
-			c.Arcs[i] = []ctmc.Arc{{To: i + 1, Prob: 0.8}, {To: i - 1, Prob: 0.2}}
-		} else {
-			c.Arcs[i] = []ctmc.Arc{{To: i + 1, Prob: 1}}
-		}
-	}
-	return c
-}
-
 // BenchmarkE11Planners measures branch-and-bound against the exhaustive
 // baseline (see BenchmarkE6* for greedy and exhaustive).
 func BenchmarkE11BranchAndBound(b *testing.B) {
@@ -414,11 +388,19 @@ func BenchmarkA2AvailabilitySolvers(b *testing.B) {
 	}
 }
 
-// BenchmarkFirstPassage measures the Section 4.1 linear solve on the EP
-// chain.
+// BenchmarkFirstPassage measures the Section 4.1 linear solve on the
+// largest chain the corpus serves (genome-sequencing, 961 states).
 func BenchmarkFirstPassage(b *testing.B) {
-	env := workload.PaperEnvironment()
-	m, err := spec.Build(workload.EPWorkflow(1), env)
+	f, err := os.Open("corpus/systems/genome-sequencing.wfjson")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	env, flows, err := wfjson.Decode(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := spec.Build(flows[0], env)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -428,6 +410,7 @@ func BenchmarkFirstPassage(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(m.Chain.N()), "states")
 }
 
 // BenchmarkSteadyState measures the availability steady-state solve at a

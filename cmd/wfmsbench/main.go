@@ -108,7 +108,6 @@ func run() int {
 			return experiments.E8Calibration(experiments.E8Options{Seed: *seed})
 		},
 		"e9":  experiments.E9Distribution,
-		"e10": experiments.E10Scalability,
 		"e11": experiments.E11Planners,
 		"e12": experiments.E12Extended,
 		"e13": func() (*experiments.Table, error) { return experiments.E13Discovery(*seed) },
@@ -140,7 +139,7 @@ func run() int {
 		"a6": experiments.AblationTransient,
 		"a7": func() (*experiments.Table, error) { return experiments.AblationPooling(*seed) },
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e16", "e17", "e18", "e19", "e20",
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e16", "e17", "e18", "e19", "e20",
 		"a1", "a2", "a3", "a4", "a5", "a6", "a7"}
 
 	var ids []string

@@ -21,9 +21,9 @@ func (c *Chain) DOT() string {
 		fmt.Fprintf(&b, "  %d [label=\"%s\\nH=%.4g\"];\n", i, dotEscape(c.Name(i)), c.H[i])
 	}
 	for i := 0; i < abs; i++ {
-		for j, p := range c.P.Row(i) {
-			if p > 0 {
-				fmt.Fprintf(&b, "  %d -> %d [label=\"%.3g\", fontsize=8];\n", i, j, p)
+		for _, a := range c.Arcs[i] {
+			if a.Prob > 0 {
+				fmt.Fprintf(&b, "  %d -> %d [label=\"%.3g\", fontsize=8];\n", i, a.To, a.Prob)
 			}
 		}
 	}

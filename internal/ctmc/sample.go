@@ -23,25 +23,7 @@ func SampleTurnaround(c *Chain, rng *dist.RNG, maxSteps int) (float64, error) {
 			return total, nil
 		}
 		total += rng.Exp(1 / c.H[state])
-		state = sampleNext(c, state, rng)
+		state = c.Next(state, rng.Float64())
 	}
 	return 0, fmt.Errorf("ctmc: sample walk exceeded %d steps without absorbing", maxSteps)
-}
-
-func sampleNext(c *Chain, state int, rng *dist.RNG) int {
-	u := rng.Float64()
-	row := c.P.Row(state)
-	var cum float64
-	lastPositive := c.Absorbing()
-	for j, p := range row {
-		if p == 0 {
-			continue
-		}
-		cum += p
-		lastPositive = j
-		if u < cum {
-			return j
-		}
-	}
-	return lastPositive
 }

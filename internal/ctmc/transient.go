@@ -3,6 +3,7 @@ package ctmc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"performa/internal/linalg"
 	"performa/internal/wfmserr"
@@ -20,27 +21,7 @@ func FirstPassageTimes(c *Chain) (linalg.Vector, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	abs := c.Absorbing()
-	// Build (I - P_T) m = H over the transient states.
-	a := linalg.NewMatrix(abs, abs)
-	b := linalg.NewVector(abs)
-	for i := 0; i < abs; i++ {
-		for j := 0; j < abs; j++ {
-			v := -c.P.At(i, j)
-			if i == j {
-				v += 1
-			}
-			a.Set(i, j, v)
-		}
-		b[i] = c.H[i]
-	}
-	m, err := linalg.Solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("ctmc: first-passage solve: %w", err)
-	}
-	out := linalg.NewVector(c.N())
-	copy(out, m)
-	return out, nil
+	return c.Absorb(c.H)
 }
 
 // MeanTurnaround returns R_t, the mean turnaround time of a workflow
@@ -67,62 +48,55 @@ func ExpectedVisits(c *Chain) (linalg.Vector, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	abs := c.Absorbing()
-	a := linalg.NewMatrix(abs, abs)
-	b := linalg.NewVector(abs)
-	for i := 0; i < abs; i++ {
-		for j := 0; j < abs; j++ {
-			v := -c.P.At(j, i) // transpose
-			if i == j {
-				v += 1
-			}
-			a.Set(i, j, v)
-		}
-	}
-	b[0] = 1
-	n, err := linalg.Solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("ctmc: expected-visits solve: %w", err)
-	}
-	out := linalg.NewVector(c.N())
-	copy(out, n)
-	return out, nil
+	// The transposed system runs over the incoming arcs, and a state's
+	// predecessors come first in the opposite of the successors-first
+	// order.
+	order := c.successorsFirst()
+	slices.Reverse(order)
+	e0 := linalg.NewVector(c.N())
+	e0[0] = 1
+	return absorb(c.reversed(), e0, order)
 }
 
-// TurnaroundVariance returns Var[T], the variance of the first-passage
-// time from state 0 into the absorbing state. With exponential residence
+// TurnaroundMoments returns the mean E[T] and variance Var[T] of the
+// first-passage time from state 0 into the absorbing state, validating
+// and ordering the chain once for both. With exponential residence
 // times the second moments s_i = E[T_i²] satisfy
 //
 //	s_i = 2H_i² + 2H_i Σ_j p_ij m_j + Σ_j p_ij s_j
 //
 // (condition on the residence R_i ~ Exp(1/H_i) and the next state), i.e.
-// (I - P_T) s = 2H∘H + 2H∘(P m), another dense solve over the transient
-// states. The variance is s_0 - m_0².
-func TurnaroundVariance(c *Chain) (float64, error) {
-	m, err := FirstPassageTimes(c) // validates the chain
-	if err != nil {
-		return 0, err
+// the first-passage system again with right-hand side 2H∘H + 2H∘(P m).
+// The variance is s_0 - m_0².
+func TurnaroundMoments(c *Chain) (mean, variance float64, err error) {
+	if err := c.Validate(); err != nil {
+		return 0, 0, err
 	}
-	abs := c.Absorbing()
-	a := linalg.NewMatrix(abs, abs)
-	b := linalg.NewVector(abs)
-	for i := 0; i < abs; i++ {
-		var next float64 // Σ_j p_ij m_j over transient j (m[abs] = 0)
-		for j := 0; j < abs; j++ {
-			v := -c.P.At(i, j)
-			if i == j {
-				v += 1
-			}
-			a.Set(i, j, v)
-			next += c.P.At(i, j) * m[j]
+	order := c.successorsFirst()
+	m, err := absorb(c.Arcs, c.H, order)
+	if err != nil {
+		return 0, 0, err
+	}
+	rhs := linalg.NewVector(c.N())
+	for _, i := range order {
+		var next float64 // Σ_j p_ij m_j (m is zero in the absorbing state)
+		for _, a := range c.Arcs[i] {
+			next += a.Prob * m[a.To]
 		}
-		b[i] = 2*c.H[i]*c.H[i] + 2*c.H[i]*next
+		rhs[i] = 2*c.H[i]*c.H[i] + 2*c.H[i]*next
 	}
-	s, err := linalg.Solve(a, b)
+	s, err := absorb(c.Arcs, rhs, order)
 	if err != nil {
-		return 0, fmt.Errorf("ctmc: second-moment solve: %w", err)
+		return 0, 0, err
 	}
-	return s[0] - m[0]*m[0], nil
+	return m[0], s[0] - m[0]*m[0], nil
+}
+
+// TurnaroundVariance returns Var[T], the variance of the first-passage
+// time from state 0 into the absorbing state (see TurnaroundMoments).
+func TurnaroundVariance(c *Chain) (float64, error) {
+	_, variance, err := TurnaroundMoments(c)
+	return variance, err
 }
 
 // SeriesOptions controls the truncated uniformized series of Section
@@ -168,6 +142,46 @@ type SeriesResult struct {
 	ResidualMass float64
 }
 
+// uniformized is the chain uniformized at its maximum rate v (Section
+// 4.2.1): a discrete-time chain with one-step probabilities
+//
+//	p̄_ab = (v_a / v) p_ab          for b != a
+//	p̄_aa = 1 - v_a / v
+//
+// in which the absorbing state keeps its mass. Only the jump fractions
+// v_a / v are stored; a step walks the arc lists.
+type uniformized struct {
+	c    *Chain
+	rate float64
+	jump linalg.Vector
+}
+
+func (c *Chain) uniformize() uniformized {
+	u := uniformized{c: c, rate: c.MaxRate(), jump: linalg.NewVector(c.N())}
+	for a := 0; a < c.Absorbing(); a++ {
+		u.jump[a] = 1 / c.H[a] / u.rate
+	}
+	return u
+}
+
+// step advances the distribution src by one uniformized step into dst
+// (Chapman-Kolmogorov: dst_b = Σ_a src_a p̄_ab). dst must not alias src.
+func (u uniformized) step(dst, src linalg.Vector) {
+	dst.Fill(0)
+	abs := u.c.Absorbing()
+	for a := 0; a < abs; a++ {
+		sa := src[a]
+		if sa == 0 {
+			continue
+		}
+		dst[a] += sa * (1 - u.jump[a])
+		for _, arc := range u.c.Arcs[a] {
+			dst[arc.To] += sa * (u.jump[a] * arc.Prob)
+		}
+	}
+	dst[abs] += src[abs]
+}
+
 // ExpectedVisitsSeries computes expected visit counts by the paper's
 // uniformized taboo-probability recursion (Section 4.2.1): the taboo
 // probabilities p̄_0a(z) are iterated via the Chapman-Kolmogorov
@@ -180,20 +194,15 @@ func ExpectedVisitsSeries(c *Chain, opts SeriesOptions) (*SeriesResult, error) {
 	}
 	opts = opts.withDefaults()
 	abs := c.Absorbing()
-	pbar, v := c.Uniformized()
+	uni := c.uniformize()
 
 	visits := linalg.NewVector(c.N())
 	visits[0] = 1 // the initial entry into state 0
 
-	// u holds p̄_0a(z); start with z = 0: all mass on state 0.
-	u := linalg.NewVector(abs)
+	// u[:abs] holds p̄_0a(z); start with z = 0: all mass on state 0.
+	u, next := linalg.NewVector(c.N()), linalg.NewVector(c.N())
 	u[0] = 1
 
-	// Precompute per-state transition rates q_ab = v_a p_ab for the
-	// real-jump accumulation. A real jump a→b (b≠a, b transient)
-	// happens during a uniformized step with probability (v_a/v)·p_ab,
-	// so the expected number of entries into b contributed at step z is
-	// Σ_a p̄_0a(z)·(v_a/v)·p_ab — exactly the paper's (1/v)·p̄_0a(z)·q_ab.
 	steps := 0
 	residual := 1.0
 	for z := 0; ; z++ {
@@ -208,26 +217,25 @@ func ExpectedVisitsSeries(c *Chain, opts SeriesOptions) (*SeriesResult, error) {
 				"uniformized series did not absorb %.4g of the mass within the step budget", residual).
 				With("steps", opts.HardCap)
 		}
+		// A real jump a→b (b transient) happens during a uniformized
+		// step with probability (v_a/v)·p_ab, so the expected number of
+		// entries into b contributed at step z is Σ_a p̄_0a(z)·(v_a/v)·p_ab
+		// — exactly the paper's (1/v)·p̄_0a(z)·q_ab.
 		for a := 0; a < abs; a++ {
 			ua := u[a]
 			if ua == 0 {
 				continue
 			}
-			va := 1 / c.H[a]
-			for b := 0; b < abs; b++ {
-				if b == a {
-					continue
-				}
-				if p := c.P.At(a, b); p > 0 {
-					visits[b] += ua * (va / v) * p
+			for _, arc := range c.Arcs[a] {
+				if arc.To != abs {
+					visits[arc.To] += ua * uni.jump[a] * arc.Prob
 				}
 			}
 		}
-		// Advance the taboo distribution one uniformized step:
-		// p̄_0b(z+1) = Σ_a p̄_0a(z) p̄_ab.
-		u = pbar.VecMul(u)
+		uni.step(next, u)
+		u, next = next, u
 		steps = z + 1
-		residual = u.Sum()
+		residual = u[:abs].Sum()
 	}
 	return &SeriesResult{Visits: visits, Steps: steps, ResidualMass: residual}, nil
 }

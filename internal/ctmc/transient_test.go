@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"performa/internal/dist"
 	"performa/internal/linalg"
+	"performa/internal/wfmserr"
 )
 
 func TestFirstPassageTwoState(t *testing.T) {
@@ -205,10 +207,9 @@ func TestPoissonQuantile(t *testing.T) {
 
 // randomChain builds a random valid absorbing chain with n states.
 func randomChain(rng *rand.Rand, n int) *Chain {
-	p := linalg.NewMatrix(n, n)
-	h := linalg.NewVector(n)
+	c := NewChain(n)
 	for i := 0; i < n-1; i++ {
-		h[i] = 0.1 + rng.Float64()*5
+		c.H[i] = 0.1 + rng.Float64()*5
 		// Random weights to all other states, guaranteeing some
 		// absorption mass so the chain terminates.
 		weights := make([]float64, n)
@@ -226,11 +227,11 @@ func randomChain(rng *rand.Rand, n int) *Chain {
 		}
 		for j := 0; j < n; j++ {
 			if weights[j] > 0 {
-				p.Set(i, j, weights[j]/sum)
+				c.AddArc(i, j, weights[j]/sum)
 			}
 		}
 	}
-	return &Chain{P: p, H: h}
+	return c
 }
 
 func TestQuickSeriesAgreesWithExactOnRandomChains(t *testing.T) {
@@ -290,13 +291,12 @@ func TestQuickTurnaroundEqualsVisitWeightedResidence(t *testing.T) {
 // erlangChain returns k chained states, each with residence h: the
 // turnaround is Erlang-k with mean k·h and variance k·h².
 func erlangChain(k int, h float64) *Chain {
-	p := linalg.NewMatrix(k+1, k+1)
-	hs := make(linalg.Vector, k+1)
+	c := NewChain(k + 1)
 	for i := 0; i < k; i++ {
-		p.Set(i, i+1, 1)
-		hs[i] = h
+		c.AddArc(i, i+1, 1)
+		c.H[i] = h
 	}
-	return &Chain{P: p, H: hs}
+	return c
 }
 
 func TestTurnaroundVarianceExact(t *testing.T) {
@@ -358,5 +358,124 @@ func TestTurnaroundVarianceMatchesMonteCarlo(t *testing.T) {
 func TestTurnaroundVarianceRejectsInvalidChain(t *testing.T) {
 	if _, err := TurnaroundVariance(twoState(-1)); err == nil {
 		t.Error("invalid chain accepted")
+	}
+}
+
+// sequentialChain builds an n-state forward chain with skip arcs and
+// occasional back arcs.
+func sequentialChain(n int, rng *rand.Rand) *Chain {
+	c := NewChain(n + 1)
+	for i := 0; i < n; i++ {
+		c.H[i] = 0.5 + rng.Float64()
+		switch {
+		case i > 1 && rng.Float64() < 0.2:
+			c.AddArc(i, i+1, 0.8)
+			c.AddArc(i, i-1, 0.2)
+		case i+2 <= n && rng.Float64() < 0.3:
+			c.AddArc(i, i+1, 0.6)
+			c.AddArc(i, i+2, 0.4)
+		default:
+			c.AddArc(i, i+1, 1)
+		}
+	}
+	return c
+}
+
+func TestChainLargeSolve(t *testing.T) {
+	c := sequentialChain(3000, rand.New(rand.NewSource(17)))
+	r, err := MeanTurnaround(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Forward chain of ~3000 states with mean residence ~1: turnaround
+	// in the low thousands.
+	if r < 1000 || r > 10000 {
+		t.Errorf("turnaround = %v", r)
+	}
+	visits, err := ExpectedVisits(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(visits[0]-1) > 0.3 {
+		t.Errorf("visits[0] = %v (only back arcs can revisit the start)", visits[0])
+	}
+	// Identity: R = Σ visits·H.
+	var sum float64
+	for i := 0; i < c.Absorbing(); i++ {
+		sum += visits[i] * c.H[i]
+	}
+	if math.Abs(sum-r)/r > 1e-10 {
+		t.Errorf("R = %v but Σ visits·H = %v", r, sum)
+	}
+}
+
+// solverDelta runs f and returns what it added to the named
+// process-wide solver counter.
+func solverDelta(name string, f func()) linalg.SolverCounter {
+	before := linalg.SolverCounters()
+	f()
+	return linalg.SolverCountersDelta(before)[name]
+}
+
+// TestAcyclicChainSolvesInTwoSweeps pins the sweep order: successors
+// first, an acyclic chain is exact after one sweep and the second only
+// confirms a zero update — front to back it would take one sweep per
+// state.
+func TestAcyclicChainSolvesInTwoSweeps(t *testing.T) {
+	c := erlangChain(500, 0.25)
+	c.Arcs[3] = nil
+	c.AddArc(3, 4, 0.5)
+	c.AddArc(3, 200, 0.5) // a skip keeps it acyclic
+	got := solverDelta("gauss_seidel", func() {
+		if _, _, err := TurnaroundMoments(c); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ExpectedVisits(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got.Solves != 3 || got.Iterations != 6 || got.Fallbacks != 0 {
+		t.Errorf("counters = %+v, want 3 solves of 2 sweeps each", got)
+	}
+}
+
+// TestNearCertainLoopFallsBackToLU: a two-state loop that returns with
+// probability 1−1e-7 converges far too slowly for the sweep budget, so
+// the direct solve must produce the closed form H/(1−p) and be counted
+// as exactly one fallback.
+func TestNearCertainLoopFallsBackToLU(t *testing.T) {
+	const p = 1 - 1e-7
+	c := NewChain(3)
+	c.H[0], c.H[1] = 2, 3
+	c.AddArc(0, 1, 1)
+	c.AddArc(1, 0, p)
+	c.AddArc(1, 2, 1-p)
+	var m linalg.Vector
+	got := solverDelta("lu", func() {
+		var err error
+		if m, err = FirstPassageTimes(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got.Solves != 1 || got.Fallbacks != 1 {
+		t.Errorf("lu counters = %+v, want exactly one fallback solve", got)
+	}
+	want := (c.H[0] + c.H[1]) / (1 - p)
+	if math.Abs(m[0]-want) > 1e-6*want {
+		t.Errorf("m[0] = %v, want H/(1-p) = %v", m[0], want)
+	}
+}
+
+// TestNoConvergenceBeyondDenseBudget: the same loop on a chain too large
+// for a direct solve is a typed no_convergence error, not a wrong answer.
+func TestNoConvergenceBeyondDenseBudget(t *testing.T) {
+	const p = 1 - 1e-7
+	n := wfmserr.Default.MaxMatrixDim + 1
+	c := erlangChain(n-1, 1)
+	c.Arcs[n-2] = nil
+	c.AddArc(n-2, 0, p)
+	c.AddArc(n-2, n-1, 1-p)
+	if _, err := FirstPassageTimes(c); !errors.Is(err, wfmserr.ErrNoConvergence) {
+		t.Errorf("err = %v, want no_convergence", err)
 	}
 }

@@ -20,43 +20,38 @@ func TransientDistribution(c *Chain, t float64) (linalg.Vector, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	return c.uniformize().distributionAt(t)
+}
+
+// distributionAt is TransientDistribution on an already validated and
+// uniformized chain, so CDF sweeps and quantile bisection pay for
+// neither again at every time point.
+func (u uniformized) distributionAt(t float64) (linalg.Vector, error) {
 	if t < 0 || math.IsNaN(t) {
 		return nil, fmt.Errorf("ctmc: transient distribution at invalid time %v", t)
 	}
-	n := c.N()
-	pi := linalg.NewVector(n)
+	pi := linalg.NewVector(u.c.N())
 	pi[0] = 1
-	if t == 0 {
-		return pi, nil
-	}
+	return poissonMixture(pi, u.rate*t, u.step)
+}
 
-	// Uniformized one-step matrix over ALL states (absorbing included,
-	// with a self-loop of probability one).
-	lambda := c.MaxRate()
-	pbar := linalg.NewMatrix(n, n)
-	abs := c.Absorbing()
-	for a := 0; a < abs; a++ {
-		va := 1 / c.H[a]
-		for b := 0; b < n; b++ {
-			if b == a {
-				pbar.Set(a, a, 1-va/lambda)
-			} else {
-				pbar.Set(a, b, va/lambda*c.P.At(a, b))
-			}
-		}
+// poissonMixture returns Σ_k Poisson(mean; k) · pi0 P̄^k, the
+// uniformization series, where step advances a distribution by one
+// application of P̄. The powers are evaluated incrementally; pi0 is
+// overwritten.
+func poissonMixture(pi0 linalg.Vector, mean float64, step func(dst, src linalg.Vector)) (linalg.Vector, error) {
+	if mean == 0 {
+		return pi0, nil
 	}
-	pbar.Set(abs, abs, 1)
-
-	// Poisson-weighted sum of powers, evaluated incrementally.
-	mean := lambda * t
-	out := linalg.NewVector(n)
+	out := linalg.NewVector(len(pi0))
+	cur, next := pi0, linalg.NewVector(len(pi0))
 	logw := -mean // log Poisson(mean; 0)
 	cum := 0.0
-	cur := pi
 	for k := 0; ; k++ {
 		if k > 0 {
 			logw += math.Log(mean) - math.Log(float64(k))
-			cur = pbar.VecMul(cur)
+			step(next, cur)
+			cur, next = next, cur
 		}
 		w := math.Exp(logw)
 		cum += w
@@ -100,9 +95,6 @@ func TransientGenerator(q *linalg.Matrix, pi0 linalg.Vector, t float64) (linalg.
 	if t < 0 || math.IsNaN(t) {
 		return nil, fmt.Errorf("ctmc: transient solution at invalid time %v", t)
 	}
-	if t == 0 {
-		return pi0.Clone(), nil
-	}
 	// Uniformization rate: max departure rate.
 	var lambda float64
 	for i := 0; i < n; i++ {
@@ -113,60 +105,33 @@ func TransientGenerator(q *linalg.Matrix, pi0 linalg.Vector, t float64) (linalg.
 	if lambda == 0 {
 		return pi0.Clone(), nil // no transitions at all
 	}
-	// P̄ = I + Q/Λ.
-	pbar := linalg.NewMatrix(n, n)
+	// P̄ᵀ = (I + Q/Λ)ᵀ, so that one step π·P̄ is a matrix-vector product
+	// into a reused buffer.
+	pbarT := q.Transpose()
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := q.At(i, j) / lambda
-			if i == j {
-				v += 1
-			}
-			pbar.Set(i, j, v)
+		row := pbarT.Row(i)
+		for j := range row {
+			row[j] /= lambda
 		}
+		row[i] += 1
 	}
-	mean := lambda * t
-	out := linalg.NewVector(n)
-	cur := pi0.Clone()
-	logw := -mean
-	cum := 0.0
-	for k := 0; ; k++ {
-		if k > 0 {
-			logw += math.Log(mean) - math.Log(float64(k))
-			cur = pbar.VecMul(cur)
-		}
-		w := math.Exp(logw)
-		cum += w
-		out.AddScaled(w, cur)
-		if cum >= 1-1e-12 {
-			break
-		}
-		// Past the Poisson mode the weights decay geometrically; once
-		// they underflow, the remaining mass is round-off and the
-		// current iterate approximates the tail.
-		if float64(k) > mean && w < 1e-18 {
-			break
-		}
-		if k > 10_000_000 {
-			return nil, fmt.Errorf("ctmc: uniformization series did not converge (Λt = %v)", mean)
-		}
-	}
-	if rest := 1 - cum; rest > 0 {
-		out.AddScaled(rest, cur)
-	}
-	return out, nil
+	return poissonMixture(pi0.Clone(), lambda*t, func(dst, src linalg.Vector) { pbarT.MulVecInto(dst, src) })
 }
 
 // TurnaroundCDF returns P(turnaround ≤ t) for each requested time: the
 // probability that the chain has been absorbed by t.
 func TurnaroundCDF(c *Chain, times []float64) ([]float64, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	uni := c.uniformize()
 	out := make([]float64, len(times))
-	abs := c.Absorbing()
 	for i, t := range times {
-		pi, err := TransientDistribution(c, t)
+		pi, err := uni.distributionAt(t)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = pi[abs]
+		out[i] = pi[c.Absorbing()]
 	}
 	return out, nil
 }
@@ -177,12 +142,13 @@ func TurnaroundQuantile(c *Chain, q float64) (float64, error) {
 	if q <= 0 || q >= 1 {
 		return 0, fmt.Errorf("ctmc: quantile level %v must be in (0,1)", q)
 	}
-	mean, err := MeanTurnaround(c)
+	mean, err := MeanTurnaround(c) // validates the chain
 	if err != nil {
 		return 0, err
 	}
+	uni := c.uniformize()
 	cdfAt := func(t float64) (float64, error) {
-		pi, err := TransientDistribution(c, t)
+		pi, err := uni.distributionAt(t)
 		if err != nil {
 			return 0, err
 		}

@@ -3,8 +3,6 @@ package ctmc
 import (
 	"math"
 	"testing"
-
-	"performa/internal/linalg"
 )
 
 func TestTransientDistributionTwoState(t *testing.T) {
@@ -29,10 +27,7 @@ func TestTransientDistributionTwoState(t *testing.T) {
 func TestTransientDistributionErlangChain(t *testing.T) {
 	// Two sequential exponential stages of mean 1 each: absorption time
 	// is Erlang-2(1), CDF = 1 − e^{−t}(1 + t).
-	p := linalg.NewMatrix(3, 3)
-	p.Set(0, 1, 1)
-	p.Set(1, 2, 1)
-	c := &Chain{P: p, H: linalg.Vector{1, 1, 0}}
+	c := erlangChain(2, 1)
 	for _, tt := range []float64{0.5, 1, 2, 4} {
 		pi, err := TransientDistribution(c, tt)
 		if err != nil {

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"time"
 
 	"performa/internal/config"
 	"performa/internal/ctmc"
 	"performa/internal/dist"
-	"performa/internal/linalg"
 	"performa/internal/perf"
 	"performa/internal/spec"
 	"performa/internal/workload"
@@ -68,80 +65,6 @@ func E9Distribution() (*Table, error) {
 		fmt.Sprintf("mean turnaround is %.3f min for both variants (phase expansion preserves all mean-value metrics)", expModel.Turnaround()),
 		"Erlang-4 activity durations cut the tail percentiles: the distribution, not the mean, is what a percentile SLA buys")
 	return t, nil
-}
-
-// E10Scalability measures dense versus sparse workflow-chain solvers on
-// synthetic chains of growing size, the scalability story behind the
-// hand-built Markov machinery.
-func E10Scalability() (*Table, error) {
-	t := &Table{
-		ID:      "E10",
-		Title:   "dense versus sparse workflow-chain solvers (synthetic forward chains)",
-		Columns: []string{"states", "turnaround (sparse)", "dense solve", "sparse solve", "agree"},
-	}
-	rng := rand.New(rand.NewSource(99))
-	for _, n := range []int{100, 500, 1000, 2500} {
-		big := syntheticBigChain(n, rng)
-		if err := big.Validate(); err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		sparseR, err := big.MeanTurnaround()
-		if err != nil {
-			return nil, err
-		}
-		sparseD := time.Since(t0)
-
-		denseCell := "-"
-		agree := "-"
-		if n <= 1000 { // dense is O(n²) memory, O(n·iters) GS sweeps
-			dense := bigToDense(big)
-			t1 := time.Now()
-			denseR, err := ctmc.MeanTurnaround(dense)
-			if err != nil {
-				return nil, err
-			}
-			denseCell = time.Since(t1).Round(time.Microsecond).String()
-			if abs(denseR-sparseR) < 1e-6*(1+denseR) {
-				agree = "yes"
-			} else {
-				agree = fmt.Sprintf("NO (%v vs %v)", denseR, sparseR)
-			}
-		}
-		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.2f", sparseR),
-			denseCell, sparseD.Round(time.Microsecond).String(), agree)
-	}
-	t.Notes = append(t.Notes,
-		"sparse Gauss-Seidel scales with the transition count (≈2 per state here); the dense path scales with n² per sweep")
-	return t, nil
-}
-
-func syntheticBigChain(n int, rng *rand.Rand) *ctmc.BigChain {
-	c := &ctmc.BigChain{Arcs: make([][]ctmc.Arc, n+1), H: linalg.NewVector(n + 1)}
-	for i := 0; i < n; i++ {
-		c.H[i] = 0.5 + rng.Float64()
-		next := i + 1
-		switch {
-		case i > 1 && rng.Float64() < 0.2:
-			c.Arcs[i] = []ctmc.Arc{{To: next, Prob: 0.8}, {To: i - 1, Prob: 0.2}}
-		case i+2 <= n && rng.Float64() < 0.3:
-			c.Arcs[i] = []ctmc.Arc{{To: next, Prob: 0.6}, {To: i + 2, Prob: 0.4}}
-		default:
-			c.Arcs[i] = []ctmc.Arc{{To: next, Prob: 1}}
-		}
-	}
-	return c
-}
-
-func bigToDense(big *ctmc.BigChain) *ctmc.Chain {
-	n := big.N()
-	p := linalg.NewMatrix(n, n)
-	for i, arcs := range big.Arcs {
-		for _, a := range arcs {
-			p.Set(i, a.To, a.Prob)
-		}
-	}
-	return &ctmc.Chain{P: p, H: big.H.Clone()}
 }
 
 // E11Planners compares all four configuration-search algorithms: the

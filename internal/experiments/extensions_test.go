@@ -34,21 +34,6 @@ func TestE9DistributionAccuracy(t *testing.T) {
 	}
 }
 
-func TestE10ScalabilityAgreement(t *testing.T) {
-	tbl, err := E10Scalability()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range tbl.Rows {
-		if row[4] != "yes" && row[4] != "-" {
-			t.Errorf("row %d: solvers disagree: %s", i, row[4])
-		}
-	}
-	if len(tbl.Rows) < 4 {
-		t.Errorf("rows = %d", len(tbl.Rows))
-	}
-}
-
 func TestE11PlannersOptimality(t *testing.T) {
 	tbl, err := E11Planners()
 	if err != nil {

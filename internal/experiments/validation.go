@@ -209,7 +209,6 @@ func All() ([]*Table, error) {
 		func() (*Table, error) { return E7Validation(E7Options{Seed: 42}) },
 		func() (*Table, error) { return E8Calibration(E8Options{Seed: 42}) },
 		E9Distribution,
-		E10Scalability,
 		E11Planners,
 		E12Extended,
 		func() (*Table, error) { return E13Discovery(42) },

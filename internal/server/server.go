@@ -189,6 +189,7 @@ type Server struct {
 
 // New builds the service.
 func New(opts Options) *Server {
+	heapFloorOnce.Do(holdHeapFloor)
 	workers := opts.Workers
 	if workers == 0 {
 		workers = runtime.NumCPU()

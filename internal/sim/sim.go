@@ -639,27 +639,9 @@ func (r *runner) enterState(i int, m *spec.Model, state int, born float64, inst 
 			r.recordActivity(audit.ActivityCompleted, i, inst, state)
 			r.recordState(audit.StateLeft, i, inst, state)
 		}
-		next := r.pickNext(m, state)
+		next := m.Chain.Next(state, r.rng.Float64())
 		r.enterState(i, m, next, born, inst)
 	})
-}
-
-func (r *runner) pickNext(m *spec.Model, state int) int {
-	u := r.rng.Float64()
-	var cum float64
-	row := m.Chain.P.Row(state)
-	last := m.Chain.Absorbing()
-	for j, p := range row {
-		if p == 0 {
-			continue
-		}
-		cum += p
-		last = j
-		if u < cum {
-			return j
-		}
-	}
-	return last
 }
 
 // dispatch routes a new service request to an up server of the type,

@@ -45,6 +45,7 @@ type Model struct {
 	StateNames []string
 
 	turnaround    float64
+	variance      float64
 	requests      linalg.Vector
 	visits        linalg.Vector
 	clampedStages int
@@ -193,11 +194,7 @@ func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, en
 			clampedStages += subModel.clampedStages
 		}
 		if dominant != nil && info.maxR > 0 {
-			variance, err := ctmc.TurnaroundVariance(dominant.Chain)
-			if err != nil {
-				return nil, fmt.Errorf("spec: chart %q state %q: %w", chart.Name, name, err)
-			}
-			if k, clamped, ok := collapseStages(info.maxR, variance); ok {
+			if k, clamped, ok := collapseStages(info.maxR, dominant.variance); ok {
 				info.stages = k
 				if clamped {
 					clampedStages++
@@ -246,19 +243,20 @@ func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, en
 	abs := total
 	n := total + 1 // + absorbing state
 
-	// Pre-flight: the chart maps to dense n×n matrices (including the
-	// Erlang stage expansion, which multiplies states by DurationStages),
-	// so the dimension must fit the budget before anything is allocated.
+	// Pre-flight: the chain's dimension (including the Erlang stage
+	// expansion, which multiplies states by DurationStages) must fit the
+	// budget before anything is allocated.
 	if err := wfmserr.Default.CheckMatrixDim("spec", n); err != nil {
 		return nil, wfmserr.Wrap(err, wfmserr.CodeOf(err), "spec",
 			"chart %q expands to too many CTMC states", chart.Name)
 	}
 
-	p := linalg.NewMatrix(n, n)
-	h := linalg.NewVector(n)
+	chain := ctmc.NewChain(n)
+	h := chain.H
 	load := linalg.NewMatrix(env.K(), n)
 	names := make([]string, n)
 	names[abs] = "s_A"
+	chain.Names = names
 
 	// Residence times, per-visit loads, and intra-activity stage
 	// chaining.
@@ -269,7 +267,7 @@ func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, en
 		names[i] = name
 		for stage := 1; stage < k; stage++ {
 			names[i+stage] = fmt.Sprintf("%s#%d", name, stage+1)
-			p.Set(i+stage-1, i+stage, 1)
+			chain.AddArc(i+stage-1, i+stage, 1)
 		}
 		switch {
 		case s.Activity != "":
@@ -328,19 +326,15 @@ func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, en
 			// classifyStates guarantees this cannot happen.
 			return nil, fmt.Errorf("spec: internal error: transition into pseudo-state %q", t.To)
 		}
-		p.Add(from, to, t.Prob)
+		chain.AddArc(from, to, t.Prob)
 	}
 	// A real final state (an activity state with no outgoing chart
 	// transitions) absorbs with probability one.
 	if real[chart.Final] {
-		p.Set(last[chart.Final], abs, 1)
+		chain.AddArc(last[chart.Final], abs, 1)
 	}
 
-	chain := &ctmc.Chain{P: p, H: h, Names: names}
-	if err := chain.Validate(); err != nil {
-		return nil, fmt.Errorf("spec: chart %q maps to an invalid CTMC: %w", chart.Name, err)
-	}
-	turnaround, err := ctmc.MeanTurnaround(chain)
+	turnaround, variance, err := ctmc.TurnaroundMoments(chain)
 	if err != nil {
 		return nil, fmt.Errorf("spec: chart %q: %w", chart.Name, err)
 	}
@@ -361,6 +355,7 @@ func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, en
 		Load:          load,
 		StateNames:    names,
 		turnaround:    turnaround,
+		variance:      variance,
 		requests:      requests,
 		visits:        visits,
 		clampedStages: clampedStages,

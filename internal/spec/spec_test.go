@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"performa/internal/ctmc"
 	"performa/internal/statechart"
 )
 
@@ -219,6 +220,52 @@ func TestBuildBranchAndLoop(t *testing.T) {
 	}
 	if r[0] != 0 {
 		t.Errorf("orb requests = %v, want 0", r[0])
+	}
+}
+
+// TestBuildMergesParallelTransitions: two chart transitions between the
+// same pair of states (distinct events, same target) become ONE arc of
+// the summed probability, sorted into target order — the simulator's
+// next-state draw walks the arcs cumulatively, so a split or reordered
+// arc would change every seeded run.
+func TestBuildMergesParallelTransitions(t *testing.T) {
+	env := testEnv(t)
+	chart := statechart.NewBuilder("merge").
+		Initial("init").
+		Activity("work", "Work").
+		Activity("fix", "Fix").
+		Final("done").
+		Transition("init", "work", 1).
+		Transition("work", "done", 0.25).
+		Transition("work", "fix", 0.125).
+		Transition("work", "done", 0.5).
+		Transition("work", "fix", 0.125).
+		Transition("fix", "done", 1).
+		MustBuild()
+	w := &Workflow{
+		Chart: chart,
+		Profiles: map[string]ActivityProfile{
+			"Work": {Name: "Work", MeanDuration: 1},
+			"Fix":  {Name: "Fix", MeanDuration: 2},
+		},
+	}
+	m, err := Build(w, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// States: work=0, fix=1, s_A=2.
+	want := []ctmc.Arc{{To: 1, Prob: 0.25}, {To: 2, Prob: 0.75}}
+	got := m.Chain.Arcs[0]
+	if len(got) != len(want) {
+		t.Fatalf("arcs out of work = %v, want %v", got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("arc %d = %v, want %v", k, got[k], want[k])
+		}
+	}
+	if got, want := m.Turnaround(), 1+0.25*2; math.Abs(got-want) > 1e-12 {
+		t.Errorf("turnaround = %v, want %v", got, want)
 	}
 }
 

@@ -1,9 +1,9 @@
 package wfnet
 
 import (
-	"math"
 	"math/bits"
 
+	"performa/internal/ctmc"
 	"performa/internal/wfmserr"
 )
 
@@ -18,25 +18,6 @@ type Result struct {
 	// Tangible counts markings in which time passes; the rest are
 	// vanishing (resolved by immediate transitions in zero time).
 	Tangible int
-}
-
-// solver tuning for the cyclic marking-graph case (charts with loops).
-const (
-	gsTol       = 1e-13
-	gsMaxSweeps = 200_000
-)
-
-// edge is one marking-graph transition with its routing probability.
-type edge struct {
-	to int
-	p  float64
-}
-
-// marking-graph node: residence time (0 for vanishing markings) and
-// outgoing probability edges. A node with no edges is the final marking.
-type node struct {
-	h    float64
-	succ []edge
 }
 
 // Expected computes the exact expected execution time of the net by
@@ -55,10 +36,13 @@ func Expected(n *Net, budget wfmserr.Budget) (*Result, error) {
 	mark := make([]uint64, words)
 	setBit(mark, n.Initial)
 
+	// The marking graph is collected directly as an absorbing chain:
+	// one arc list per marking and its mean residence, zero for
+	// vanishing markings.
 	ids := map[string]int{markKey(mark): 0}
 	markings := [][]uint64{append([]uint64(nil), mark...)}
-	nodes := []node{{}}
-	final := -1
+	graph := ctmc.NewChain(1)
+	final, tangible := -1, 0
 
 	for i := 0; i < len(markings); i++ {
 		m := markings[i]
@@ -118,7 +102,6 @@ func Expected(n *Net, budget wfmserr.Budget) (*Result, error) {
 			for _, ti := range fire {
 				probs = append(probs, n.Transitions[ti].Weight/wsum)
 			}
-			nodes[i].h = 0
 		} else {
 			// Tangible marking: the enabled timed transitions race.
 			var rsum float64
@@ -129,7 +112,8 @@ func Expected(n *Net, budget wfmserr.Budget) (*Result, error) {
 			for _, ti := range enabled {
 				probs = append(probs, n.Transitions[ti].Rate/rsum)
 			}
-			nodes[i].h = 1 / rsum
+			graph.H[i] = 1 / rsum
+			tangible++
 		}
 
 		for fi, ti := range fire {
@@ -156,9 +140,10 @@ func Expected(n *Net, budget wfmserr.Budget) (*Result, error) {
 				}
 				ids[key] = j
 				markings = append(markings, next)
-				nodes = append(nodes, node{})
+				graph.Arcs = append(graph.Arcs, nil)
+				graph.H = append(graph.H, 0)
 			}
-			nodes[i].succ = append(nodes[i].succ, edge{to: j, p: probs[fi]})
+			graph.AddArc(i, j, probs[fi])
 		}
 	}
 
@@ -166,146 +151,30 @@ func Expected(n *Net, budget wfmserr.Budget) (*Result, error) {
 		return nil, wfmserr.New(wfmserr.CodeInvalidModel, "wfnet",
 			"net is unsound: the final marking is unreachable")
 	}
+	// The chain's absorbing state is its last: append the artificial
+	// s_A and let the final marking enter it in zero time.
+	graph.Arcs = append(graph.Arcs, nil)
+	graph.H = append(graph.H, 0)
+	graph.AddArc(final, len(markings), 1)
+
 	// Weak soundness: every reachable marking must be able to reach the
-	// final marking (otherwise the expected time diverges). Backward BFS
-	// over the marking graph.
-	if bad, ok := unreachableFromFinal(nodes, final); !ok {
+	// final marking (otherwise the expected time diverges).
+	if bad := graph.Stuck(); bad >= 0 {
 		return nil, wfmserr.New(wfmserr.CodeInvalidModel, "wfnet",
 			"net is unsound: a reachable marking cannot reach completion").
 			With("marking", markingString(n, markings[bad]))
 	}
 
-	tau, err := absorptionTimes(nodes, final)
+	tau, err := graph.Absorb(graph.H)
 	if err != nil {
 		return nil, err
 	}
-	tangible := 0
-	for i := range nodes {
-		if nodes[i].h > 0 {
-			tangible++
-		}
-	}
-	return &Result{Mean: tau[0], Markings: len(nodes), Tangible: tangible}, nil
+	return &Result{Mean: tau[0], Markings: len(markings), Tangible: tangible}, nil
 }
 
 // ExpectedDefault computes Expected under the process-wide budget.
 func ExpectedDefault(n *Net) (*Result, error) {
 	return Expected(n, wfmserr.Default)
-}
-
-// unreachableFromFinal returns (index, false) for some marking that
-// cannot reach the final marking, or (0, true) if all can.
-func unreachableFromFinal(nodes []node, final int) (int, bool) {
-	pred := make([][]int, len(nodes))
-	for i := range nodes {
-		for _, e := range nodes[i].succ {
-			pred[e.to] = append(pred[e.to], i)
-		}
-	}
-	seen := make([]bool, len(nodes))
-	queue := []int{final}
-	seen[final] = true
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		for _, j := range pred[i] {
-			if !seen[j] {
-				seen[j] = true
-				queue = append(queue, j)
-			}
-		}
-	}
-	for i := range nodes {
-		if !seen[i] {
-			return i, false
-		}
-	}
-	return 0, true
-}
-
-// absorptionTimes solves τ = H + P·τ with τ(final) = 0. When the
-// marking graph is acyclic (fork-join blocks without chart loops) a
-// single backward pass in topological order is exact; otherwise
-// Gauss-Seidel iterates to gsTol, which converges because P restricted
-// to non-final markings is strictly substochastic in the limit (the
-// final marking is reachable from everywhere, checked above).
-func absorptionTimes(nodes []node, final int) ([]float64, error) {
-	n := len(nodes)
-	tau := make([]float64, n)
-	if order, ok := topoOrder(nodes); ok {
-		// Process in reverse topological order: successors first.
-		for k := n - 1; k >= 0; k-- {
-			i := order[k]
-			if i == final {
-				continue
-			}
-			t := nodes[i].h
-			for _, e := range nodes[i].succ {
-				t += e.p * tau[e.to]
-			}
-			tau[i] = t
-		}
-		return tau, nil
-	}
-	for sweep := 0; sweep < gsMaxSweeps; sweep++ {
-		var maxDelta, maxTau float64
-		// Sweep from the back: later-discovered markings tend to be
-		// closer to absorption, so updating them first propagates values
-		// toward the initial marking within one sweep.
-		for i := n - 1; i >= 0; i-- {
-			if i == final {
-				continue
-			}
-			t := nodes[i].h
-			for _, e := range nodes[i].succ {
-				t += e.p * tau[e.to]
-			}
-			if d := math.Abs(t - tau[i]); d > maxDelta {
-				maxDelta = d
-			}
-			tau[i] = t
-			if a := math.Abs(t); a > maxTau {
-				maxTau = a
-			}
-		}
-		if maxDelta <= gsTol*math.Max(1, maxTau) {
-			return tau, nil
-		}
-	}
-	return nil, wfmserr.New(wfmserr.CodeNoConvergence, "wfnet",
-		"marking-graph absorption solve did not converge").
-		With("sweeps", gsMaxSweeps).With("markings", n)
-}
-
-// topoOrder returns a topological order of the marking graph, or
-// ok=false when it contains a cycle (chart loops).
-func topoOrder(nodes []node) ([]int, bool) {
-	n := len(nodes)
-	indeg := make([]int, n)
-	for i := range nodes {
-		for _, e := range nodes[i].succ {
-			indeg[e.to]++
-		}
-	}
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, e := range nodes[i].succ {
-			indeg[e.to]--
-			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	return order, len(order) == n
 }
 
 // bitset helpers over []uint64 markings.

@@ -249,6 +249,31 @@ func TestDeadlockRejected(t *testing.T) {
 	}
 }
 
+// TestLivelockRejected: one branch of a choice cycles forever between
+// two places. Nothing deadlocks and the final marking is reachable, but
+// a reachable marking cannot reach it; the finding names that marking.
+func TestLivelockRejected(t *testing.T) {
+	n := &wfnet.Net{
+		PlaceNames: []string{"src", "sink", "ping", "pong"},
+		Initial:    0,
+		Final:      1,
+		Transitions: []wfnet.Transition{
+			{Name: "finish", In: []int{0}, Out: []int{1}, Rate: 1},
+			{Name: "stray", In: []int{0}, Out: []int{2}, Rate: 1},
+			{Name: "to", In: []int{2}, Out: []int{3}, Rate: 1},
+			{Name: "fro", In: []int{3}, Out: []int{2}, Rate: 1},
+		},
+	}
+	_, err := wfnet.ExpectedDefault(n)
+	if !errors.Is(err, wfmserr.ErrInvalidModel) {
+		t.Fatalf("want invalid_model for a livelocking net, got %v", err)
+	}
+	var e *wfmserr.Error
+	if !errors.As(err, &e) || e.Detail["marking"] != "{ping}" {
+		t.Fatalf("finding should name the first stuck marking {ping}, got %v", err)
+	}
+}
+
 // TestImproperCompletionRejected: completing leaves a token behind.
 func TestImproperCompletionRejected(t *testing.T) {
 	n := &wfnet.Net{
@@ -321,5 +346,59 @@ func TestErlangStagesKeepMean(t *testing.T) {
 	}
 	if math.Abs(m1-1.5*d) > 1e-12 {
 		t.Fatalf("m1 = %v, want 3d/2 = %v", m1, 1.5*d)
+	}
+}
+
+// TestExpectedPinnedAcrossSolvers pins Expected on the two marking-graph
+// shapes the solver has to handle — a fork-join (vanishing fork/join
+// markings of zero residence, acyclic) and a chart loop around a
+// fork-join (cyclic) — to the values the package's former private
+// topological-pass/Gauss-Seidel solver produced, so the shared ctmc
+// kernel is a drop-in replacement.
+func TestExpectedPinnedAcrossSolvers(t *testing.T) {
+	forkJoin := andChart("fork3", 3, "a1")
+	forkJoin.States["par"].Subcharts[1] = linearChart("fork3_long", "a1", "a2")
+
+	par := &statechart.State{Name: "par"}
+	par.Subcharts = append(par.Subcharts, linearChart("lb_a", "a1"), linearChart("lb_b", "a1", "a2"))
+	loop := &statechart.Chart{
+		Name: "loopfork",
+		States: map[string]*statechart.State{
+			"init": {Name: "init"}, "par": par, "check": {Name: "check", Activity: "a2"}, "final": {Name: "final"},
+		},
+		Initial: "init",
+		Final:   "final",
+		Transitions: []*statechart.Transition{
+			{From: "init", To: "par", Prob: 1},
+			{From: "par", To: "check", Prob: 1},
+			{From: "check", To: "par", Prob: 0.3},
+			{From: "check", To: "final", Prob: 0.7},
+		},
+	}
+
+	for _, tc := range []struct {
+		name               string
+		chart              *statechart.Chart
+		mean               float64
+		markings, tangible int
+	}{
+		{"fork-join", forkJoin, 3.3346193415637853, 52, 44},
+		{"loop", loop, 6.6964285714284006, 23, 16},
+	} {
+		net, err := wfnet.FromChart(tc.chart, profiles(1.5, 2, "a1", "a2"))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := wfnet.ExpectedDefault(net)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rel := math.Abs(res.Mean-tc.mean) / tc.mean; rel > 1e-12 {
+			t.Errorf("%s: mean %.17g, want %.17g (rel %v)", tc.name, res.Mean, tc.mean, rel)
+		}
+		if res.Markings != tc.markings || res.Tangible != tc.tangible {
+			t.Errorf("%s: %d markings (%d tangible), want %d (%d)",
+				tc.name, res.Markings, res.Tangible, tc.markings, tc.tangible)
+		}
 	}
 }
