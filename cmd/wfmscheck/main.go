@@ -42,7 +42,7 @@ func main() {
 		out          = flag.String("out", "", "directory for shrunk reproducer corpus files (empty: don't write)")
 		replications = flag.Int("replications", 0, "performance-route simulation replications (default 5)")
 		mutate       = flag.Bool("mutate", false, "mutation self-test: inject a fault into the analytic route and require the harness to detect it")
-		faultName    = flag.String("fault", "service-moment", "fault injected by -mutate: arrival-rate, service-moment, or collapse-bias (the last needs -net)")
+		faultName    = flag.String("fault", "service-moment", "fault injected by -mutate: arrival-rate, service-moment, drop-renormalisation, or collapse-bias (the last needs -net)")
 		replay       = flag.String("replay", "", "re-check a corpus file instead of generating systems")
 		corpusDir    = flag.String("corpus", "", "check every wfjson system under this directory's systems/ instead of generating")
 		solverDiff   = flag.Bool("solver-diff", false, "solver-differential mode: cross-check dense vs sparse steady-state solvers only (deterministic, no simulation)")

@@ -159,10 +159,6 @@ func run() int {
 
 	fmt.Printf("recommended configuration: %s  (cost: %d servers, %d candidate evaluations)\n",
 		rec.Config, rec.Cost, rec.Evaluations)
-	if total := rec.Cache.Hits + rec.Cache.Misses; total > 0 {
-		fmt.Printf("degraded-state cache: %d of %d state evaluations served from cache (%d model solves)\n",
-			rec.Cache.Hits, total, rec.Cache.Misses)
-	}
 	for x := 0; x < sys.Env().K(); x++ {
 		fmt.Printf("  %-12s × %d\n", sys.Env().Type(x).Name, rec.Config.Replicas[x])
 	}

@@ -94,8 +94,10 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestPlannersCancelMidSearch cancels each planner while its search is
-// in flight — deterministically, after a handful of successful context
-// polls — and requires context.Canceled back promptly. Crucially, the
+// in flight — deterministically, on the poll inside the second
+// candidate's evaluation (an assessment polls twice: engine, then
+// evaluator; greedy finishes this search in a handful of candidates) —
+// and requires context.Canceled back promptly. Crucially, the
 // interrupted run must leave the shared evaluator reusable: the
 // follow-up search over the same evaluator reproduces the
 // fresh-evaluator result bit for bit.
@@ -118,7 +120,7 @@ func TestPlannersCancelMidSearch(t *testing.T) {
 			}
 			opts.Evaluator = ev
 
-			rec, err := p.run(newCountdownCtx(10), opts)
+			rec, err := p.run(newCountdownCtx(3), opts)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -126,7 +128,7 @@ func TestPlannersCancelMidSearch(t *testing.T) {
 				t.Fatal("canceled search returned a recommendation")
 			}
 
-			// The evaluator the canceled search warmed stays consistent:
+			// The evaluator the canceled search used stays consistent:
 			// a greedy run over it matches the fresh-evaluator result
 			// exactly.
 			after, err := Greedy(a, goals, Constraints{}, opts)

@@ -156,17 +156,15 @@ type Options struct {
 	Performability performability.Options
 	// MaxIterations bounds the greedy loop; zero means 1000.
 	MaxIterations int
-	// Workers sizes the planners' worker pools: 0 means
-	// runtime.NumCPU(), 1 forces the fully sequential path, larger
-	// values cap the pool explicitly. Exhaustive spreads candidate
-	// configurations over the pool; the other planners spread the
-	// per-system-state evaluations inside each candidate. Results are
-	// bit-identical across worker counts (the reductions run in a
-	// deterministic order), so this only trades wall-clock for cores.
+	// Workers sizes Exhaustive's candidate pool: 0 means
+	// runtime.NumCPU(), 1 forces the sequential scan, larger values cap
+	// the pool explicitly. The other planners walk sequentially (one
+	// evaluation is a handful of formulas). Results are bit-identical
+	// across worker counts.
 	Workers int
-	// Evaluator optionally supplies a pre-warmed shared performability
-	// evaluator (performability.NewEvaluator) so several searches over
-	// one analysis share one degraded-state cache. It must have been
+	// Evaluator optionally supplies a shared performability evaluator
+	// (performability.NewEvaluator) so several searches over one
+	// analysis share one availability-marginal cache. It must have been
 	// built against the same analysis with the same Performability
 	// options; the planners reject mismatches. nil builds a fresh
 	// evaluator per search.
@@ -259,11 +257,6 @@ type Recommendation struct {
 	Trace []Step
 	// Evaluations counts how many candidates were assessed.
 	Evaluations int
-	// Cache reports the shared degraded-state cache's effectiveness
-	// over this search: Misses is the number of performance-model
-	// solves actually performed, Hits the number served from cache. The
-	// sequential pre-cache planner performed Hits+Misses solves.
-	Cache performability.CacheStats
 	// Solvers reports, per linear-system solver, how many steady-state
 	// and first-passage solves ran during this search, their iteration
 	// totals, and how many were fallbacks after a preferred solver
@@ -282,13 +275,13 @@ func Assess(a *perf.Analysis, cfg perf.Config, goals Goals, opts Options) (*Asse
 	return AssessContext(context.Background(), a, cfg, goals, opts)
 }
 
-// AssessContext is Assess with cancellation: a done context aborts the
-// per-state solves and returns ctx.Err().
+// AssessContext is Assess with cancellation: a done context returns
+// ctx.Err().
 func AssessContext(ctx context.Context, a *perf.Analysis, cfg perf.Config, goals Goals, opts Options) (*Assessment, error) {
 	if err := goals.validate(a.Env().K()); err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(a, goals, opts.withDefaults(), opts.workerCount())
+	eng, err := newEngine(a, goals, opts.withDefaults())
 	if err != nil {
 		return nil, err
 	}
@@ -307,9 +300,8 @@ func Greedy(a *perf.Analysis, goals Goals, cons Constraints, opts Options) (*Rec
 }
 
 // GreedyContext is Greedy with cancellation: a done context makes the
-// search return ctx.Err() promptly, discarding any partial trace. The
-// shared evaluator (Options.Evaluator) keeps every per-state vector that
-// completed before the cancellation and stays reusable.
+// search return ctx.Err() promptly, discarding any partial trace; a
+// shared evaluator (Options.Evaluator) stays reusable.
 //
 // With Constraints.StartFrom set the search warm-starts at that
 // configuration (clamped into the bounds) and, once the candidate is
@@ -331,7 +323,7 @@ func GreedyContext(ctx context.Context, a *perf.Analysis, goals Goals, cons Cons
 		return nil, err
 	}
 
-	eng, err := newEngine(a, goals, opts, opts.workerCount())
+	eng, err := newEngine(a, goals, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -623,9 +615,7 @@ func ExhaustiveContext(ctx context.Context, a *perf.Analysis, goals Goals, cons 
 		maxTotal += hi[x]
 	}
 	workers := opts.workerCount()
-	// Candidate-level parallelism: per-state pools inside each
-	// assessment stay sequential to avoid oversubscription.
-	eng, err := newEngine(a, goals, opts, 1)
+	eng, err := newEngine(a, goals, opts)
 	if err != nil {
 		return nil, err
 	}

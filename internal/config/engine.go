@@ -2,6 +2,7 @@ package config
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,8 @@ import (
 )
 
 // engine is the shared assessment engine behind all four planners and
-// the exported Assess: one performability evaluator (whose degraded-state
-// cache is keyed by the system state X and therefore shared across every
-// candidate Y the search visits) plus a memo of whole-candidate
-// assessments keyed by the same compact encoding. It is safe for
+// the exported Assess: one performability evaluator plus a memo of
+// whole-candidate assessments keyed by memoKey(Y). It is safe for
 // concurrent use, so Exhaustive can fan candidates out over a worker
 // pool while Greedy and BranchAndBound walk sequentially.
 type engine struct {
@@ -24,13 +23,6 @@ type engine struct {
 	goals Goals
 	opts  Options
 	ev    *performability.Evaluator
-	// stateWorkers is the worker-pool width for the per-state
-	// evaluations inside one candidate; planners that parallelize across
-	// candidates set it to 1 to avoid oversubscription.
-	stateWorkers int
-	// start snapshots the evaluator's cache counters at engine creation
-	// so stamp reports per-search deltas even on a shared evaluator.
-	start performability.CacheStats
 	// solverStart snapshots the process-wide solver counters so stamp
 	// can report which linear solvers this search exercised.
 	solverStart map[string]linalg.SolverCounter
@@ -43,7 +35,7 @@ type engine struct {
 
 // newEngine builds the engine, creating a fresh evaluator or validating
 // the caller-supplied shared one.
-func newEngine(a *perf.Analysis, goals Goals, opts Options, stateWorkers int) (*engine, error) {
+func newEngine(a *perf.Analysis, goals Goals, opts Options) (*engine, error) {
 	ev := opts.Evaluator
 	if ev == nil {
 		var err error
@@ -61,24 +53,34 @@ func newEngine(a *perf.Analysis, goals Goals, opts Options, stateWorkers int) (*
 	}
 	return &engine{
 		a: a, goals: goals, opts: opts,
-		ev:           ev,
-		stateWorkers: stateWorkers,
-		start:        ev.Stats(),
-		solverStart:  linalg.SolverCounters(),
-		memo:         make(map[string]*Assessment),
+		ev:          ev,
+		solverStart: linalg.SolverCounters(),
+		memo:        make(map[string]*Assessment),
 	}, nil
+}
+
+// memoKey returns a compact, unambiguous byte-string key for a
+// replication vector: the uvarint concatenation of its components.
+// Uvarint is a prefix code, so distinct vectors (of any arity) never
+// collide.
+func memoKey(y []int) string {
+	buf := make([]byte, 0, 2*len(y))
+	for _, v := range y {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	return string(buf)
 }
 
 // assess evaluates the candidate replication vector y against the goals,
 // memoized. Returned assessments are shared — treat them as read-only.
 // A done context makes it return ctx.Err() promptly; the memo only ever
 // stores completed assessments, so a canceled search leaves the engine
-// (and the shared evaluator behind it) consistent and reusable.
+// consistent and reusable.
 func (e *engine) assess(ctx context.Context, y []int) (*Assessment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := performability.StateKey(y)
+	key := memoKey(y)
 	e.mu.Lock()
 	as, ok := e.memo[key]
 	e.mu.Unlock()
@@ -109,7 +111,7 @@ func (e *engine) assessConfig(ctx context.Context, cfg perf.Config) (*Assessment
 // compute runs the performability model and checks the goals — the body
 // of the former sequential assess().
 func (e *engine) compute(ctx context.Context, cfg perf.Config) (*Assessment, error) {
-	res, err := e.ev.EvaluateContext(ctx, cfg, e.stateWorkers)
+	res, err := e.ev.EvaluateContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -152,10 +154,9 @@ func (e *engine) compute(ctx context.Context, cfg perf.Config) (*Assessment, err
 	return out, nil
 }
 
-// stamp writes the engine's cache counters onto a finished
+// stamp writes the search's solver counters onto a finished
 // recommendation.
 func (e *engine) stamp(rec *Recommendation) {
-	rec.Cache = e.ev.Stats().Sub(e.start)
 	rec.Solvers = linalg.SolverCountersDelta(e.solverStart)
 }
 

@@ -114,10 +114,11 @@ func TestPlannersParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedEvaluatorWarmCache verifies the cache-correctness contract
-// at the planner level: re-running a search against a fully warmed
-// shared evaluator performs zero new model solves and returns the exact
-// cold-run recommendation.
+// TestSharedEvaluatorWarmCache verifies the shared-evaluator contract
+// at the planner level: a search through a caller-supplied evaluator
+// returns exactly the fresh-evaluator recommendation, and re-running it
+// (or another planner) over the now-warm evaluator returns it again
+// without solving a single new availability marginal.
 func TestSharedEvaluatorWarmCache(t *testing.T) {
 	a := workloadAnalysis(t, workload.EPWorkflow(5))
 	goals := Goals{MaxWaiting: 0.002, MaxUnavailability: 1e-5}
@@ -139,8 +140,9 @@ func TestSharedEvaluatorWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertRecommendationsIdentical(t, "shared-vs-fresh", fresh, cold)
-	if cold.Cache.Misses == 0 {
-		t.Fatal("cold run reported zero model solves")
+	marginals := ev.Marginals().Size()
+	if marginals == 0 {
+		t.Fatal("cold run solved no availability marginal through the shared evaluator")
 	}
 
 	warm, err := Exhaustive(a, goals, cons, shared)
@@ -148,23 +150,20 @@ func TestSharedEvaluatorWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertRecommendationsIdentical(t, "warm-vs-cold", cold, warm)
-	if warm.Cache.Misses != 0 {
-		t.Errorf("warmed search performed %d model solves, want 0", warm.Cache.Misses)
-	}
-	if warm.Cache.Hits == 0 {
-		t.Error("warmed search reported no cache hits")
-	}
 
-	// A warmed cache also serves a different planner over the same space.
-	greedy, err := Greedy(a, goals, Constraints{}, shared)
+	// The warm evaluator also serves a different planner over the same space.
+	greedy, err := Greedy(a, goals, cons, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Greedy(a, goals, Constraints{}, DefaultOptions())
+	ref, err := Greedy(a, goals, cons, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertRecommendationsIdentical(t, "greedy-warm-vs-fresh", ref, greedy)
+	if got := ev.Marginals().Size(); got != marginals {
+		t.Errorf("warm searches grew the marginal cache from %d to %d", marginals, got)
+	}
 }
 
 // TestSharedEvaluatorMismatchRejected pins the validation of
@@ -193,30 +192,6 @@ func TestSharedEvaluatorMismatchRejected(t *testing.T) {
 	opts.Evaluator = ev
 	if _, err := Greedy(a, goals, Constraints{}, opts); err == nil {
 		t.Error("evaluator with differing performability options accepted")
-	}
-}
-
-// TestExhaustiveCacheReduction asserts the headline work-avoidance
-// claim: across an exhaustive search the shared degraded-state cache
-// serves at least 4 of every 5 state evaluations, i.e. the number of
-// actual model solves drops by ≥ 5×.
-func TestExhaustiveCacheReduction(t *testing.T) {
-	a := workloadAnalysis(t, workload.EPWorkflow(5))
-	goals := Goals{MaxWaiting: 0.002, MaxUnavailability: 1e-5}
-	rec, err := Exhaustive(a, goals, Constraints{MaxReplicas: []int{6, 6, 6}}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := rec.Cache.Hits + rec.Cache.Misses
-	if total == 0 {
-		t.Fatal("no cache traffic recorded")
-	}
-	if rec.Cache.Misses == 0 {
-		t.Fatal("zero model solves on a fresh cache")
-	}
-	if ratio := float64(total) / float64(rec.Cache.Misses); ratio < 5 {
-		t.Errorf("cache reduced model solves only %.1f× (%d of %d served from cache), want ≥ 5×",
-			ratio, rec.Cache.Hits, total)
 	}
 }
 

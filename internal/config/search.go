@@ -52,10 +52,9 @@ func BranchAndBoundContext(ctx context.Context, a *perf.Analysis, goals Goals, c
 	bestCost := math.MaxInt
 	var best *Assessment
 
-	// The engine memoizes assessments under the shared compact state
-	// key (the feasibility probe and the leaf test revisit vectors) and
-	// parallelizes the per-state evaluations inside each candidate.
-	eng, err := newEngine(a, goals, opts, opts.workerCount())
+	// The engine memoizes assessments (the feasibility probe and the
+	// leaf test revisit vectors).
+	eng, err := newEngine(a, goals, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +178,7 @@ func SimulatedAnnealingContext(ctx context.Context, a *perf.Analysis, goals Goal
 	}
 	rng := dist.NewRNG(sa.Seed)
 
-	eng, err := newEngine(a, goals, opts, opts.workerCount())
+	eng, err := newEngine(a, goals, opts)
 	if err != nil {
 		return nil, err
 	}

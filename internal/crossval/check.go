@@ -36,6 +36,12 @@ const (
 	// (CheckNet), whose free-choice-net oracle and true-concurrency
 	// simulator bypass the collapse entirely, can detect it.
 	FaultCollapseBias
+	// FaultDropRenormalisation makes the performability route read the
+	// evaluator's ExcludeDown waiting times as if the per-type division
+	// by P_x(ok) had been forgotten (the unconditioned partial sum). It
+	// touches no input, so every other route stays honest; only the
+	// joint-enumeration oracle can see it.
+	FaultDropRenormalisation
 )
 
 // collapseBiasScale is the residence perturbation FaultCollapseBias
@@ -63,6 +69,8 @@ func (f Fault) String() string {
 		return "service-moment"
 	case FaultCollapseBias:
 		return "collapse-bias"
+	case FaultDropRenormalisation:
+		return "drop-renormalisation"
 	default:
 		return fmt.Sprintf("Fault(%d)", int(f))
 	}
@@ -114,7 +122,7 @@ var (
 	tolTurnaround  = Tol{Z: 4, Rel: 0.03, Abs: 0.05}
 	tolUnavail     = Tol{Z: 4, Rel: 0.10, Abs: 0.002}
 	tolExact       = Tol{Rel: 1e-9, Abs: 1e-12}
-	tolPerfy       = Tol{Rel: 1e-9, Abs: 1e-9}
+	tolPerfy       = Tol{Rel: 1e-12}
 )
 
 // minWaitingSamples is the expected request count below which the
@@ -136,8 +144,10 @@ func Check(sys *System, opt Options) ([]Disagreement, error) {
 	// simulator always runs the honest system. FaultCollapseBias is the
 	// exception: a shared-build-path fault applies to BOTH routes (they
 	// keep agreeing — the blindness CheckNet exists to break).
+	// FaultDropRenormalisation perturbs no input at all; the
+	// performability route applies it to the evaluator's answer.
 	analytic := sys
-	if opt.Fault != FaultNone && opt.Fault != FaultCollapseBias {
+	if opt.Fault == FaultArrivalRate || opt.Fault == FaultServiceMoment {
 		var err error
 		analytic, err = applyFault(sys, opt.Fault)
 		if err != nil {
@@ -464,25 +474,14 @@ func availRoute(ds []Disagreement, sys, analytic *System, opt Options) ([]Disagr
 	return ds, nil
 }
 
-// performabilityRoute compares the evaluator's Markov-reward expectation
-// against a direct independent enumeration over the product of per-type
-// marginals, using the same per-state waiting arithmetic but none of the
-// evaluator's caching or state bookkeeping.
+// performabilityRoute compares the evaluator's per-type reduction of the
+// Markov-reward expectation, under each saturation policy, against the
+// literal Section 6 sum: a mixed-radix sweep over every joint system
+// state weighted by the product of the per-type marginals — the only
+// joint enumeration in the repository. The two share the marginal solver
+// and the per-state waiting arithmetic, nothing else, and differ only in
+// summation order, so they must agree to rounding.
 func performabilityRoute(ds []Disagreement, analytic *System, analysis *perf.Analysis, opt Options) ([]Disagreement, error) {
-	opts := performability.Options{
-		Policy:       performability.Penalty,
-		PenaltyValue: opt.Penalty,
-		Discipline:   avail.IndependentRepair,
-	}
-	ev, err := performability.NewEvaluator(analysis, opts)
-	if err != nil {
-		return nil, fmt.Errorf("crossval: evaluator: %w", err)
-	}
-	res, err := ev.Evaluate(perf.Config{Replicas: analytic.Replicas})
-	if err != nil {
-		return nil, fmt.Errorf("crossval: performability evaluate: %w", err)
-	}
-
 	params, err := avail.ParamsFromEnvironment(analytic.Env, analytic.Replicas)
 	if err != nil {
 		return nil, err
@@ -497,33 +496,79 @@ func performabilityRoute(ds []Disagreement, analytic *System, analysis *perf.Ana
 		marginals[x] = m
 	}
 
-	// Mixed-radix sweep over all degraded states X ≤ Y.
+	for _, opts := range []performability.Options{
+		{Policy: performability.Strict},
+		{Policy: performability.Penalty, PenaltyValue: opt.Penalty},
+		{Policy: performability.ExcludeDown},
+	} {
+		opts.Discipline = avail.IndependentRepair
+		res, err := performability.Evaluate(analysis, perf.Config{Replicas: analytic.Replicas}, opts)
+		if err != nil {
+			return nil, fmt.Errorf("crossval: performability evaluate (%v): %w", opts.Policy, err)
+		}
+		got := res.Waiting
+		if opt.Fault == FaultDropRenormalisation && opts.Policy == performability.ExcludeDown {
+			for x := range got {
+				var ok float64 // P_x(ok)
+				for j, p := range marginals[x] {
+					if !math.IsInf(analysis.LevelWaiting(x, j), 1) {
+						ok += p
+					}
+				}
+				got[x] *= ok
+			}
+		}
+		want, err := jointExpectation(analysis, marginals, analytic.Replicas, opts)
+		if err != nil {
+			return nil, err
+		}
+		for x := 0; x < k; x++ {
+			ds = compare(ds, "performability",
+				fmt.Sprintf("waiting[%s,%v]", analytic.Env.Type(x).Name, opts.Policy),
+				want[x], got[x], 0, tolPerfy)
+		}
+	}
+	return ds, nil
+}
+
+// jointExpectation sweeps all degraded states X ≤ Y in mixed-radix order
+// and returns Σ_X π_X·w^X with the saturation policy applied per state.
+func jointExpectation(analysis *perf.Analysis, marginals [][]float64, replicas []int, opts performability.Options) ([]float64, error) {
+	k := len(replicas)
 	want := make([]float64, k)
 	state := make([]int, k)
 	var w []float64
+	var included float64
 	for {
 		p := 1.0
 		for x := 0; x < k; x++ {
 			p *= marginals[x][state[x]]
 		}
 		if p > 0 {
+			var err error
 			w, err = analysis.DegradedWaiting(state, w)
 			if err != nil {
 				return nil, err
 			}
-			for x := 0; x < k; x++ {
-				wx := w[x]
-				if math.IsInf(wx, 1) {
-					wx = opt.Penalty
+			saturated := false
+			for _, wx := range w {
+				saturated = saturated || math.IsInf(wx, 1)
+			}
+			if !(saturated && opts.Policy == performability.ExcludeDown) {
+				included += p
+				for x, wx := range w {
+					if opts.Policy == performability.Penalty && math.IsInf(wx, 1) {
+						wx = opts.PenaltyValue
+					}
+					want[x] += p * wx
 				}
-				want[x] += p * wx
 			}
 		}
 		// increment the mixed-radix counter
 		x := 0
 		for ; x < k; x++ {
 			state[x]++
-			if state[x] <= analytic.Replicas[x] {
+			if state[x] <= replicas[x] {
 				break
 			}
 			state[x] = 0
@@ -532,13 +577,16 @@ func performabilityRoute(ds []Disagreement, analytic *System, analysis *perf.Ana
 			break
 		}
 	}
-
-	for x := 0; x < k; x++ {
-		name := analytic.Env.Type(x).Name
-		ds = compare(ds, "performability", fmt.Sprintf("waiting[%s]", name),
-			want[x], res.Waiting[x], 0, tolPerfy)
+	if opts.Policy == performability.ExcludeDown {
+		for x := range want {
+			if included == 0 {
+				want[x] = math.Inf(1)
+			} else {
+				want[x] /= included
+			}
+		}
 	}
-	return ds, nil
+	return want, nil
 }
 
 // oracleRoute checks the analytic stack against textbook closed forms on

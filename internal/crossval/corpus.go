@@ -27,18 +27,19 @@ type CorpusFile struct {
 
 // faultByName maps corpus fault names back to Fault values.
 var faultByName = map[string]Fault{
-	"none":           FaultNone,
-	"arrival-rate":   FaultArrivalRate,
-	"service-moment": FaultServiceMoment,
-	"collapse-bias":  FaultCollapseBias,
+	"none":                 FaultNone,
+	"arrival-rate":         FaultArrivalRate,
+	"service-moment":       FaultServiceMoment,
+	"collapse-bias":        FaultCollapseBias,
+	"drop-renormalisation": FaultDropRenormalisation,
 }
 
 // FaultByName resolves a fault name ("none", "arrival-rate",
-// "service-moment", "collapse-bias").
+// "service-moment", "collapse-bias", "drop-renormalisation").
 func FaultByName(name string) (Fault, error) {
 	f, ok := faultByName[name]
 	if !ok {
-		return FaultNone, fmt.Errorf("crossval: unknown fault %q (want none, arrival-rate, service-moment, or collapse-bias)", name)
+		return FaultNone, fmt.Errorf("crossval: unknown fault %q (want none, arrival-rate, service-moment, collapse-bias, or drop-renormalisation)", name)
 	}
 	return f, nil
 }

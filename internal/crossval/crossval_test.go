@@ -106,7 +106,7 @@ func TestCheckCleanSystems(t *testing.T) {
 // (otherwise the oracle would also be blind to real model bugs of the
 // same shape).
 func TestMutationDetected(t *testing.T) {
-	for _, fault := range []Fault{FaultServiceMoment, FaultArrivalRate} {
+	for _, fault := range []Fault{FaultServiceMoment, FaultArrivalRate, FaultDropRenormalisation} {
 		detected := 0
 		for seed := uint64(1); seed <= 8; seed++ {
 			sys, err := Generate(seed)

@@ -416,10 +416,9 @@ func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
 
 // DegradedWaiting computes just the waiting-time vector w^X of a plain
 // replication vector (no co-location, no per-replica speeds) into dst,
-// which is grown as needed and returned. It performs the same arithmetic
-// as Evaluate's homogeneous path — bit-identical results — but skips the
-// full Report, so the performability model can sweep thousands of
-// degraded system states without per-state allocations.
+// which is grown as needed and returned: LevelWaiting per type, the same
+// arithmetic as Evaluate's homogeneous path. The joint-enumeration
+// oracle in internal/crossval sweeps degraded states through it.
 func (a *Analysis) DegradedWaiting(replicas []int, dst []float64) ([]float64, error) {
 	k := a.env.K()
 	if len(replicas) != k {
@@ -433,18 +432,26 @@ func (a *Analysis) DegradedWaiting(replicas []int, dst []float64) ([]float64, er
 		if replicas[x] < 0 {
 			return nil, wfmserr.New(wfmserr.CodeInvalidModel, "perf", "negative replication degree Y[%d] = %d", x, replicas[x])
 		}
-		st := a.env.Type(x)
-		lx := a.arrivalRates[x]
-		y := float64(replicas[x])
-		var lambda float64
-		if y > 0 {
-			lambda = lx / y
-		} else if lx > 0 {
-			lambda = math.Inf(1)
-		}
-		dst[x] = mg1Wait(lambda, st.MeanService, st.ServiceSecondMoment)
+		dst[x] = a.LevelWaiting(x, replicas[x])
 	}
 	return dst, nil
+}
+
+// LevelWaiting returns w_x(j): the M/G/1 waiting time at server type x
+// when j ≥ 0 of its replicas are available, each taking l_x / j of the
+// type's load. It depends on no other type, which is what lets the
+// performability model reduce W^Y type by type. A type with load and no
+// replica waits +Inf; a type without load waits 0 at every level.
+func (a *Analysis) LevelWaiting(x, j int) float64 {
+	st := a.env.Type(x)
+	lx := a.arrivalRates[x]
+	var lambda float64
+	if j > 0 {
+		lambda = lx / float64(j)
+	} else if lx > 0 {
+		lambda = math.Inf(1)
+	}
+	return mg1Wait(lambda, st.MeanService, st.ServiceSecondMoment)
 }
 
 // heteroQueue evaluates a heterogeneous replica set: requests split

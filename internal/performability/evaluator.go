@@ -2,122 +2,68 @@ package performability
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"performa/internal/avail"
-	"performa/internal/ctmc"
-	"performa/internal/linalg"
 	"performa/internal/perf"
 	"performa/internal/wfmserr"
 )
 
-// StateKey returns a compact, unambiguous byte-string key for a system
-// state or replication vector: the uvarint concatenation of its
-// components. Uvarint is a prefix code, so distinct vectors (of any
-// arity) never collide, unlike the fmt.Sprint keys this replaces. The
-// key is the shared currency of the cross-configuration caches: the
-// degraded-state waiting vector w^X depends only on X (and the workload
-// mix), so one key space serves every candidate Y.
-func StateKey(x []int) string {
-	buf := make([]byte, 0, 2*len(x))
-	for _, v := range x {
-		buf = binary.AppendUvarint(buf, uint64(v))
-	}
-	return string(buf)
-}
-
-// CacheStats reports the work avoidance of an Evaluator's shared
-// degraded-state cache.
+// CacheStats is the evaluator's work counter, in the shape the
+// benchmark harness reads.
+//
+// Deprecated: nothing is cached per system state any more; the type
+// stays until bench/ stops reading it (ROADMAP, benchmark follow-up).
 type CacheStats struct {
-	// Hits is the number of per-state waiting-time vectors served from
-	// the cache instead of being recomputed.
+	// Hits is always 0: there is no degraded-state cache to hit.
+	//
+	// Deprecated: constant.
 	Hits uint64
-	// Misses is the number of performance-model solves actually
-	// performed (one per distinct system state X).
+	// Misses is the number of per-type level waiting times w_x(j) the
+	// evaluator has reduced (one M/G/1 formula each).
 	Misses uint64
 }
 
-// Add returns the component-wise sum s + t.
-func (s CacheStats) Add(t CacheStats) CacheStats {
-	return CacheStats{Hits: s.Hits + t.Hits, Misses: s.Misses + t.Misses}
-}
-
 // Sub returns the component-wise difference s − t (for delta reporting
-// against a snapshot taken before a search).
+// against an earlier snapshot).
 func (s CacheStats) Sub(t CacheStats) CacheStats {
 	return CacheStats{Hits: s.Hits - t.Hits, Misses: s.Misses - t.Misses}
 }
 
 // Evaluator evaluates the performability of candidate configurations
-// over one analysis, sharing work across candidates:
+// over one analysis. Both factors of the Section 6 reward sum
+// W^Y = Σ_i π_i · w^i are separable by server type — failures and
+// repairs never couple types, so π_i is a product of per-type marginals,
+// and the waiting time of type x in state i depends on X_x alone — so
+// the sum is reduced type by type in O(Σ_x Y_x) M/G/1 formulas and the
+// joint state space is never enumerated. The only memo is the per-type
+// availability marginal cache (avail.MarginalCache), shared across
+// candidates and derived evaluators.
 //
-//   - the degraded-state waiting vectors w^X depend only on the system
-//     state X and the workload mix, never on the candidate Y, so they
-//     are memoized under StateKey(X) and served to every candidate that
-//     can reach state X;
-//   - the per-type availability marginals depend only on one type's
-//     replica count and failure/repair parameters, so they are memoized
-//     too (avail.MarginalCache).
-//
-// An Evaluator is safe for concurrent use; a configuration search (or
-// several, via config.Options.Evaluator) should create one Evaluator and
-// route every candidate through it.
+// An Evaluator is safe for concurrent use.
 type Evaluator struct {
 	a         *perf.Analysis
 	opts      Options
 	marginals *avail.MarginalCache
-	states    *stateCache
+	levels    atomic.Uint64 // w_x(j) terms reduced so far
 }
 
-// stateCache is the memo of degraded-state waiting vectors, split out of
-// the Evaluator so derived evaluators (Derive) can share it when the
-// perturbation provably leaves every w^X unchanged.
-type stateCache struct {
-	mu sync.RWMutex
-	m  map[string][]float64 // StateKey(X) → w^X, read-only once stored
-
-	hits, misses atomic.Uint64
-}
-
-func newStateCache() *stateCache {
-	return &stateCache{m: make(map[string][]float64)}
-}
-
-// NewEvaluator validates the options and returns an empty-cache
-// evaluator over the analysis.
+// NewEvaluator validates the options and returns an evaluator over the
+// analysis with an empty marginal cache.
 func NewEvaluator(a *perf.Analysis, opts Options) (*Evaluator, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return &Evaluator{
-		a:         a,
-		opts:      opts,
-		marginals: avail.NewMarginalCache(),
-		states:    newStateCache(),
-	}, nil
+	return &Evaluator{a: a, opts: opts, marginals: avail.NewMarginalCache()}, nil
 }
 
-// Derive returns an evaluator over a perturbed analysis that reuses this
-// evaluator's warm caches where sharing is sound:
-//
-//   - the availability-marginal cache is always shared — its entries are
-//     keyed by the full per-type parameter set, so a perturbed type
-//     simply misses and solves fresh while unperturbed types keep
-//     hitting;
-//   - the degraded-state waiting cache is shared only when shareStates
-//     is true, which is sound exactly when the perturbation leaves w^X
-//     unchanged for every state X: failure- and repair-rate changes
-//     qualify (w^X never reads them), service moments and arrival rates
-//     do not.
-//
-// Sharing the state cache with a perturbation that does change w^X
-// silently corrupts both evaluators' results; callers own that proof.
-func (e *Evaluator) Derive(a *perf.Analysis, shareStates bool) (*Evaluator, error) {
+// Derive returns an evaluator over a perturbed analysis that shares this
+// evaluator's availability-marginal cache. Sharing is always sound: the
+// cache is keyed by the full per-type parameter set, so a perturbed type
+// misses and solves fresh while unperturbed types keep hitting.
+func (e *Evaluator) Derive(a *perf.Analysis) (*Evaluator, error) {
 	if a == nil {
 		return nil, fmt.Errorf("performability: derive needs an analysis")
 	}
@@ -125,11 +71,7 @@ func (e *Evaluator) Derive(a *perf.Analysis, shareStates bool) (*Evaluator, erro
 		return nil, fmt.Errorf("performability: derived analysis has %d server types, want %d",
 			a.Env().K(), e.a.Env().K())
 	}
-	d := &Evaluator{a: a, opts: e.opts, marginals: e.marginals, states: newStateCache()}
-	if shareStates {
-		d.states = e.states
-	}
-	return d, nil
+	return &Evaluator{a: a, opts: e.opts, marginals: e.marginals}, nil
 }
 
 // Analysis returns the analysis the evaluator was built against.
@@ -139,320 +81,123 @@ func (e *Evaluator) Analysis() *perf.Analysis { return e.a }
 func (e *Evaluator) Options() Options { return e.opts }
 
 // Marginals returns the evaluator's per-type availability marginal
-// cache, so long-lived owners (the advisory server) can report its size
-// alongside the degraded-state counters.
+// cache, so long-lived owners (the advisory server) can report its size.
 func (e *Evaluator) Marginals() *avail.MarginalCache { return e.marginals }
 
-// CachedStates returns the number of distinct system states whose
-// waiting vectors are currently memoized.
-func (e *Evaluator) CachedStates() int {
-	e.states.mu.RLock()
-	defer e.states.mu.RUnlock()
-	return len(e.states.m)
-}
+// CachedStates is always 0.
+//
+// Deprecated: no per-state vectors are memoized; kept for bench/.
+func (e *Evaluator) CachedStates() int { return 0 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the work counter.
+//
+// Deprecated: see CacheStats; kept for bench/.
 func (e *Evaluator) Stats() CacheStats {
-	return CacheStats{Hits: e.states.hits.Load(), Misses: e.states.misses.Load()}
+	return CacheStats{Misses: e.levels.Load()}
 }
 
-// Evaluate computes W^Y for one candidate, equivalent to the package
-// function Evaluate but with the caches applied. Per-state evaluations
-// run sequentially; see EvaluateParallel.
+// Evaluate computes W^Y for one candidate.
 func (e *Evaluator) Evaluate(cfg perf.Config) (*Result, error) {
-	return e.EvaluateParallel(cfg, 1)
+	return e.EvaluateContext(context.Background(), cfg)
 }
 
-// EvaluateParallel is Evaluate with the uncached per-state performance
-// evaluations spread over a pool of workers (≤ 1 or 0 means sequential;
-// negative means runtime.NumCPU()). The reduction into W^Y always runs
-// sequentially in state-code order, so the result is bit-identical to
-// the sequential path regardless of the worker count.
-func (e *Evaluator) EvaluateParallel(cfg perf.Config, workers int) (*Result, error) {
-	return e.EvaluateContext(context.Background(), cfg, workers)
-}
-
-// EvaluateContext is EvaluateParallel with cancellation: the resolve
-// phase checks ctx between per-state solves and returns ctx.Err()
-// promptly once the context is done. A canceled evaluation writes no
-// partial result anywhere — every state vector that did complete is
-// individually consistent and stays cached, so the evaluator remains
-// valid for (and warmed up for) later evaluations.
-func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config, workers int) (*Result, error) {
+// EvaluateContext is Evaluate with cancellation: a done context returns
+// ctx.Err() and no result. The evaluator keeps no per-evaluation state,
+// so a canceled call cannot affect later ones.
+//
+// Per type x with marginal π_x over j = 0..Y_x available replicas and
+// level waiting times w_x(j) (levels with zero mass are skipped, so
+// 0·Inf never forms):
+//
+//	Strict       W_x = Σ_j π_x(j)·w_x(j)            (+Inf propagates)
+//	Penalty      the same sum with PenaltyValue for +Inf
+//	ExcludeDown  W_x = Σ_{j ok} π_x(j)·w_x(j) / P_x(ok),  ok = {j : w_x(j) finite}
+//
+// ExcludeDown conditions on every type being operational; that event is
+// a product of per-type events, so the other types' factors cancel —
+// unless some type has P_y(ok) = 0, in which case no operational state
+// exists and every entry is +Inf.
+func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Result, error) {
 	if len(cfg.Colocated) > 0 {
 		return nil, fmt.Errorf("performability: co-located configurations are not supported")
 	}
 	if cfg.Speeds != nil {
 		return nil, fmt.Errorf("performability: heterogeneous replica speeds are not supported (degraded states cannot tell which replica failed)")
 	}
-	// Pre-flight: the encoder overflow check runs against the nominal
-	// state space before anything is allocated; the budget check below
-	// runs against the product-form SUPPORT (states with positive
-	// probability), which is what the evaluation actually enumerates —
-	// a configuration with never-failing types only pays for its
-	// reachable states.
-	if _, err := ctmc.StateSpaceSize(cfg.Replicas); err != nil {
-		return nil, err
-	}
-	env := e.a.Env()
-	params, err := avail.ParamsFromEnvironment(env, cfg.Replicas)
-	if err != nil {
-		return nil, err
-	}
-	// Product-form fast path: the per-type marginals are exact here
-	// (failures and repairs never couple types), so the joint chain is
-	// never built or solved — and since the joint distribution is a
-	// product, it is swept lazily below instead of being materialized.
-	availRep, err := avail.EvaluateProductFormSolver(params, e.opts.Discipline, false, e.marginals, e.opts.Solver)
-	if err != nil {
-		return nil, err
-	}
-	support, err := avail.ProductFormSupportSize(availRep.TypeMarginals)
-	if err != nil {
-		return nil, err
-	}
-	if err := wfmserr.Default.CheckStates("performability", support); err != nil {
-		return nil, err
-	}
-
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	fullUp, err := e.stateWaiting(cfg.Replicas)
+	params, err := avail.ParamsFromEnvironment(e.a.Env(), cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
 
-	k := env.K()
+	k := len(params)
 	res := &Result{
-		Config:        cfg.Clone(),
-		FullUpWaiting: append([]float64(nil), fullUp...),
-		Availability:  availRep.Availability,
+		Config:          cfg.Clone(),
+		Waiting:         make([]float64, k),
+		FullUpWaiting:   make([]float64, k),
+		Availability:    1,
+		StatesEvaluated: 1,
 	}
-
-	enc, err := ctmc.NewStateEncoderChecked(cfg.Replicas)
-	if err != nil {
-		return nil, err
-	}
-	fullCode := enc.Encode(cfg.Replicas)
-
-	// Phase 1: resolve w^X for every positive-probability state, from the
-	// cache where possible and via the worker pool otherwise. The lazy
-	// sweep visits states in ascending code order, so the support lists
-	// are ordered exactly like the historical full-vector scan.
-	states := make([]weightedState, 0, support)
-	ws := make([][]float64, 0, support)
-	var misses []int // positions in states needing a fresh solve, in code order
-	avail.EachProductState(availRep.TypeMarginals, func(code int, x []int, p float64) {
-		if p == 0 {
-			return // marginal product underflowed; same skip as the materialized path
-		}
-		states = append(states, weightedState{code: code, p: p})
-		if code == fullCode {
-			ws = append(ws, fullUp)
-			return
-		}
-		if w, ok := e.lookup(StateKey(x)); ok {
-			ws = append(ws, w)
-			return
-		}
-		ws = append(ws, nil)
-		misses = append(misses, len(states)-1)
-	})
-	if err := e.solveStates(ctx, enc, states, misses, ws, workers); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: deterministic reduction in state-code order — the same
-	// float operations in the same order as the sequential sweep.
-	waiting := linalg.NewVector(k)
-	var included float64
-	for i, st := range states {
-		w := ws[i]
-		if w == nil {
-			continue
-		}
-		code, pi := st.code, st.p
-		if code != fullCode {
-			res.DegradationShare += pi
-		}
-		res.StatesEvaluated++
-
-		switch e.opts.Policy {
-		case ExcludeDown:
-			saturated := false
-			for _, wx := range w {
-				if math.IsInf(wx, 1) {
-					saturated = true
-					break
-				}
-			}
-			if saturated {
-				continue // skip this state entirely
-			}
-			included += pi
-			for xIdx := range w {
-				waiting[xIdx] += pi * w[xIdx]
-			}
-		case Penalty:
-			included += pi
-			for xIdx, wx := range w {
-				if math.IsInf(wx, 1) {
-					wx = e.opts.PenaltyValue
-				}
-				waiting[xIdx] += pi * wx
-			}
-		default: // Strict
-			included += pi
-			for xIdx, wx := range w {
-				waiting[xIdx] += pi * wx
-			}
-		}
-	}
-
-	if e.opts.Policy == ExcludeDown {
-		if included == 0 {
-			// No operational state at all: the conditional metric is
-			// undefined; report +Inf.
-			for x := range waiting {
-				waiting[x] = math.Inf(1)
-			}
-		} else {
-			waiting.Scale(1 / included)
-		}
-	}
-	res.Waiting = waiting
-	return res, nil
-}
-
-// lookup fetches a cached w^X and counts the hit.
-func (e *Evaluator) lookup(key string) ([]float64, bool) {
-	e.states.mu.RLock()
-	w, ok := e.states.m[key]
-	e.states.mu.RUnlock()
-	if ok {
-		e.states.hits.Add(1)
-	}
-	return w, ok
-}
-
-// stateWaiting returns the memoized w^X for one state, solving the
-// performance model on a miss.
-func (e *Evaluator) stateWaiting(x []int) ([]float64, error) {
-	key := StateKey(x)
-	if w, ok := e.lookup(key); ok {
-		return w, nil
-	}
-	w, err := e.a.DegradedWaiting(x, nil)
-	if err != nil {
-		return nil, err
-	}
-	e.states.misses.Add(1)
-	e.states.mu.Lock()
-	e.states.m[key] = w
-	e.states.mu.Unlock()
-	return w, nil
-}
-
-// weightedState is one positive-probability joint state of the lazy
-// product-form sweep: its mixed-radix code and probability.
-type weightedState struct {
-	code int
-	p    float64
-}
-
-// solveStates fills ws[idx] for every support-list position in misses,
-// spreading the solves over the worker pool. Errors are reported
-// deterministically: the one attached to the lowest state code wins,
-// except that a context cancellation always wins (the remaining solves
-// were abandoned, so any later per-state error is an artifact of where
-// the workers stopped).
-func (e *Evaluator) solveStates(ctx context.Context, enc *ctmc.StateEncoder, states []weightedState, misses []int, ws [][]float64, workers int) error {
-	if len(misses) == 0 {
-		return nil
-	}
-	if workers < 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	if workers <= 1 {
-		for i, idx := range misses {
-			if err := ctx.Err(); err != nil {
-				return e.interrupted(err, i, len(misses))
-			}
-			w, err := e.solveOne(enc, states[idx].code)
-			if err != nil {
-				return err
-			}
-			ws[idx] = w
-		}
-		return nil
-	}
-	errs := make([]error, len(misses))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				j := int(next.Add(1)) - 1
-				if j >= len(misses) {
-					return
-				}
-				w, err := e.solveOne(enc, states[misses[j]].code)
-				if err != nil {
-					errs[j] = err
-					continue
-				}
-				ws[misses[j]] = w
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		done := 0
-		for _, idx := range misses {
-			if ws[idx] != nil {
-				done++
-			}
-		}
-		return e.interrupted(err, done, len(misses))
-	}
-	for _, err := range errs {
+	fullUp := 1.0 // Π_x π_x(Y_x)
+	operational := true
+	var levels uint64
+	for x, p := range params {
+		// The marginal is the cache's shared vector: read-only here.
+		pi, err := e.marginals.TypeMarginalSolver(p, e.opts.Discipline, e.opts.Solver)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("avail: type %d: %w", x, err)
+		}
+		y := p.Replicas
+		res.Availability *= 1 - pi[0]
+		fullUp *= pi[y]
+		res.FullUpWaiting[x] = e.a.LevelWaiting(x, y)
+
+		var sum, ok float64
+		support := 0
+		for j, pj := range pi {
+			if pj == 0 {
+				continue
+			}
+			support++
+			w := e.a.LevelWaiting(x, j)
+			if math.IsInf(w, 1) {
+				switch e.opts.Policy {
+				case ExcludeDown:
+					continue
+				case Penalty:
+					w = e.opts.PenaltyValue
+				}
+			}
+			ok += pj
+			sum += pj * w
+		}
+		if support == 0 {
+			return nil, wfmserr.New(wfmserr.CodeInvalidModel, "performability",
+				"type %d marginal has no positive mass", x)
+		}
+		if e.opts.Policy == ExcludeDown {
+			if ok == 0 {
+				operational = false
+			} else {
+				sum /= ok
+			}
+		}
+		res.Waiting[x] = sum
+		levels += uint64(support)
+		if res.StatesEvaluated > math.MaxInt/support {
+			res.StatesEvaluated = math.MaxInt // saturate: only a size indication
+		} else {
+			res.StatesEvaluated *= support
 		}
 	}
-	return nil
-}
-
-// solveOne resolves w^X for one state code, containing any panic that
-// escapes the analytic stack: a panicking worker goroutine would kill
-// the whole process (no recover() middleware can reach it), so it is
-// converted here into a typed internal error and reported like any
-// other per-state failure.
-func (e *Evaluator) solveOne(enc *ctmc.StateEncoder, code int) (w []float64, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = wfmserr.New(wfmserr.CodeInternal, "performability",
-				"panic while solving degraded state %v: %v", enc.Decode(code), p)
+	if !operational {
+		for x := range res.Waiting {
+			res.Waiting[x] = math.Inf(1)
 		}
-	}()
-	return e.stateWaiting(enc.Decode(code))
-}
-
-// interrupted wraps a context error with partial-progress information:
-// the evaluation stopped cleanly (all workers joined), done of total
-// degraded-state solves finished, and those stay cached for the next
-// attempt. The cause remains visible to errors.Is, so deadline and
-// cancellation mappings still work.
-func (e *Evaluator) interrupted(cause error, done, total int) error {
-	return wfmserr.Wrap(cause, wfmserr.CodeBudgetExceeded, "performability",
-		"evaluation interrupted after %d of %d degraded-state solves; completed states stay cached", done, total)
+	}
+	res.DegradationShare = 1 - fullUp
+	e.levels.Add(levels)
+	return res, nil
 }

@@ -1,31 +1,16 @@
 package performability
 
 import (
+	"sync"
 	"testing"
 
+	"performa/internal/avail"
 	"performa/internal/perf"
 )
 
-func TestStateKeyUnambiguous(t *testing.T) {
-	// fmt.Sprint-style keys collide across arities and digit boundaries;
-	// the uvarint prefix code must not.
-	cases := [][]int{
-		{}, {0}, {1}, {12}, {1, 2}, {2, 1}, {1, 2, 3}, {12, 3}, {1, 23},
-		{127}, {128}, {128, 0}, {0, 128},
-	}
-	seen := make(map[string][]int)
-	for _, x := range cases {
-		k := StateKey(x)
-		if prev, ok := seen[k]; ok {
-			t.Errorf("StateKey collision: %v and %v both map to %q", prev, x, k)
-		}
-		seen[k] = x
-	}
-}
-
-// TestEvaluatorMatchesPackageEvaluate pins the cached evaluator to the
-// reference implementation: same waiting vector, availability, and state
-// accounting, bit for bit.
+// TestEvaluatorMatchesPackageEvaluate pins the long-lived evaluator to
+// the one-shot package function: same waiting vector, availability, and
+// state accounting, bit for bit.
 func TestEvaluatorMatchesPackageEvaluate(t *testing.T) {
 	env := failingEnv(t)
 	a := analysis(t, env, 1)
@@ -50,9 +35,33 @@ func TestEvaluatorMatchesPackageEvaluate(t *testing.T) {
 	}
 }
 
-// TestEvaluatorWarmCacheIdentical verifies the cache-correctness
-// contract: re-evaluating against a fully warmed cache performs zero
-// model solves and reproduces the cold results exactly.
+// supportLevels returns Σ_x |{j : π_x(j) > 0}| for a configuration,
+// from marginals solved outside the evaluator.
+func supportLevels(t *testing.T, a *perf.Analysis, y []int, discipline avail.RepairDiscipline) uint64 {
+	t.Helper()
+	params, err := avail.ParamsFromEnvironment(a.Env(), y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n uint64
+	for _, p := range params {
+		pi, err := avail.TypeMarginal(p, discipline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pj := range pi {
+			if pj > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestEvaluatorWarmCacheIdentical: re-evaluating against the warm
+// marginal cache reproduces the first results exactly and solves no new
+// marginal, and every evaluation — first or repeated — reduces exactly
+// Σ_x |{j : π_x(j) > 0}| level waiting times.
 func TestEvaluatorWarmCacheIdentical(t *testing.T) {
 	env := failingEnv(t)
 	a := analysis(t, env, 1)
@@ -63,57 +72,99 @@ func TestEvaluatorWarmCacheIdentical(t *testing.T) {
 	cfgs := []perf.Config{
 		{Replicas: []int{2, 2, 3}},
 		{Replicas: []int{3, 3, 3}},
-		{Replicas: []int{2, 3, 3}}, // shares most states with the others
+		{Replicas: []int{2, 3, 3}},
 	}
-	cold := make([]*Result, len(cfgs))
+	first := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		if cold[i], err = ev.Evaluate(cfg); err != nil {
+		before := ev.Stats()
+		if first[i], err = ev.Evaluate(cfg); err != nil {
 			t.Fatal(err)
 		}
+		want := supportLevels(t, a, cfg.Replicas, avail.IndependentRepair)
+		if d := ev.Stats().Sub(before); d.Misses != want || d.Hits != 0 {
+			t.Errorf("%v: first evaluation counted %+v, want %d level computations and no hits", cfg, d, want)
+		}
 	}
-	warmed := ev.Stats()
-	if warmed.Misses == 0 || warmed.Hits == 0 {
-		t.Fatalf("implausible cold stats %+v", warmed)
-	}
+	marginals := ev.Marginals().Size()
 	for i, cfg := range cfgs {
-		warm, err := ev.Evaluate(cfg)
+		before := ev.Stats()
+		again, err := ev.Evaluate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertResultsIdentical(t, cfg.String(), cold[i], warm)
+		assertResultsIdentical(t, cfg.String(), first[i], again)
+		want := supportLevels(t, a, cfg.Replicas, avail.IndependentRepair)
+		if d := ev.Stats().Sub(before); d.Misses != want {
+			t.Errorf("%v: repeated evaluation counted %d level computations, want %d", cfg, d.Misses, want)
+		}
 	}
-	if d := ev.Stats().Sub(warmed); d.Misses != 0 {
-		t.Errorf("warm re-evaluation performed %d model solves, want 0", d.Misses)
+	if got := ev.Marginals().Size(); got != marginals {
+		t.Errorf("repeated evaluations grew the marginal cache from %d to %d", marginals, got)
+	}
+	if ev.CachedStates() != 0 {
+		t.Errorf("CachedStates = %d, want 0 (nothing is cached per state)", ev.CachedStates())
 	}
 }
 
-// TestEvaluateParallelBitIdentical verifies the determinism contract:
-// any worker count produces exactly the sequential result.
-func TestEvaluateParallelBitIdentical(t *testing.T) {
+// TestEvaluateConcurrentBitIdentical: concurrent evaluations on one
+// evaluator (cold marginal cache, so the goroutines race to fill it)
+// all equal the sequential result bit for bit.
+func TestEvaluateConcurrentBitIdentical(t *testing.T) {
 	env := failingEnv(t)
 	a := analysis(t, env, 1)
 	cfg := perf.Config{Replicas: []int{3, 3, 4}}
 	for _, policy := range []SaturationPolicy{Strict, ExcludeDown} {
 		opts := Options{Policy: policy}
-		seqEv, err := NewEvaluator(a, opts)
+		want, err := Evaluate(a, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := seqEv.EvaluateParallel(cfg, 1)
+		ev, err := NewEvaluator(a, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 7, -1} {
-			parEv, err := NewEvaluator(a, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := parEv.EvaluateParallel(cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsIdentical(t, policy.String(), want, got)
+		const goroutines = 8
+		got := make([]*Result, goroutines)
+		errs := make([]error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g], errs[g] = ev.Evaluate(cfg)
+			}(g)
 		}
+		wg.Wait()
+		for g := range got {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			assertResultsIdentical(t, policy.String(), want, got[g])
+		}
+	}
+}
+
+// TestEvaluateAllocationCeiling: a warm evaluation allocates the result
+// and its slices (result, config copy, two waiting vectors, the
+// per-type parameter list) and nothing per level or per state.
+func TestEvaluateAllocationCeiling(t *testing.T) {
+	env := failingEnv(t)
+	a := analysis(t, env, 1)
+	ev, err := NewEvaluator(a, Options{Policy: ExcludeDown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := perf.Config{Replicas: []int{6, 6, 6}}
+	if _, err := ev.Evaluate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ev.Evaluate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("warm Evaluate allocates %v objects, want ≤ 6", allocs)
 	}
 }
 

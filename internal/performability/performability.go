@@ -92,8 +92,9 @@ type Result struct {
 	// than the fully-up configuration — the mass over which degraded
 	// waiting times are averaged.
 	DegradationShare float64
-	// StatesEvaluated is the number of system states with positive
-	// probability for which the performance model was evaluated.
+	// StatesEvaluated is the number of system states the expectation
+	// ranges over: Π_x |{j : π_x(j) > 0}|, saturating at math.MaxInt.
+	// The evaluation itself touches only Σ_x of those level counts.
 	StatesEvaluated int
 }
 
@@ -114,9 +115,7 @@ func (r *Result) Degradation() []float64 {
 }
 
 // Evaluate computes W^Y = Σ_i π_i · w^i over the availability CTMC's
-// system states (Section 6). The performance model is evaluated once per
-// reachable system state i, with the state's available-replica vector X^i
-// substituted for the configured replication vector.
+// system states (Section 6), reduced per server type (see Evaluator).
 //
 // Co-located configurations are not supported here: a partially failed
 // co-location group has no well-defined shared queue in the paper's

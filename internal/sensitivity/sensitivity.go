@@ -8,14 +8,12 @@
 // Derivatives are central differences with an adaptive step: each side
 // is evaluated on a perturbed copy of the analysis routed through an
 // evaluator derived from the caller's warm one
-// (performability.Evaluator.Derive), so availability marginals are
-// always reused and degraded-state solves are reused whenever the
-// perturbed parameter provably leaves them unchanged (failure and
-// repair rates). When a side is infeasible — a negative rate, a second
-// moment dipping below the squared mean — the difference falls back to
-// one-sided, and the step shrinks before the parameter is declared
-// unevaluable. Replica counts are discrete, so their "derivative" is a
-// ±1 difference.
+// (performability.Evaluator.Derive), so the availability marginals of
+// every unperturbed type are reused. When a side is infeasible — a
+// negative rate, a second moment dipping below the squared mean — the
+// difference falls back to one-sided, and the step shrinks before the
+// parameter is declared unevaluable. Replica counts are discrete, so
+// their "derivative" is a ±1 difference.
 //
 // The result is a table ranked by elasticity (relative metric change
 // per relative parameter change), each entry carrying a human-readable
@@ -149,10 +147,9 @@ type paramSpec struct {
 	eval   func(ctx context.Context, theta float64) (point, error)
 }
 
-// Compute builds the sensitivity table for cfg through the given warm
-// evaluator. The evaluator's caches are reused wherever sharing is
-// sound, so a table over a model whose configuration-search states are
-// already cached costs only the genuinely new perturbed solves.
+// Compute builds the sensitivity table for cfg through the given
+// evaluator, whose availability-marginal cache every perturbed
+// evaluation shares.
 func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config, opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	a := ev.Analysis()
@@ -172,7 +169,7 @@ func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config,
 
 	// Continuous parameters, fanned out over the worker pool. Each
 	// entry's evaluations are independent; derived evaluators share the
-	// concurrency-safe caches.
+	// concurrency-safe marginal cache.
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, opts.Workers)
 	for i, ps := range specs {
@@ -185,7 +182,7 @@ func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config,
 		}(i, ps)
 	}
 	// Replica counts, through the base evaluator itself (same model,
-	// different Y — exactly what its caches exist for).
+	// different Y).
 	for x := 0; x < k; x++ {
 		wg.Add(1)
 		go func(x int) {
@@ -222,18 +219,18 @@ func paramSpecs(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config)
 	var specs []paramSpec
 	for x := 0; x < env.K(); x++ {
 		st := env.Type(x)
-		mut := func(x int, set func(*spec.ServerType, float64), shareStates bool) func(context.Context, float64) (point, error) {
-			return envEval(ev, a, cfg, x, set, shareStates)
+		mut := func(set func(*spec.ServerType, float64)) func(context.Context, float64) (point, error) {
+			return envEval(ev, a, cfg, x, set)
 		}
 		specs = append(specs,
 			paramSpec{FailureRate, x, st.Name, st.FailureRate,
-				mut(x, func(s *spec.ServerType, v float64) { s.FailureRate = v }, true)},
+				mut(func(s *spec.ServerType, v float64) { s.FailureRate = v })},
 			paramSpec{RepairRate, x, st.Name, st.RepairRate,
-				mut(x, func(s *spec.ServerType, v float64) { s.RepairRate = v }, true)},
+				mut(func(s *spec.ServerType, v float64) { s.RepairRate = v })},
 			paramSpec{MeanService, x, st.Name, st.MeanService,
-				mut(x, func(s *spec.ServerType, v float64) { s.MeanService = v }, false)},
+				mut(func(s *spec.ServerType, v float64) { s.MeanService = v })},
 			paramSpec{ServiceSecondMoment, x, st.Name, st.ServiceSecondMoment,
-				mut(x, func(s *spec.ServerType, v float64) { s.ServiceSecondMoment = v }, false)},
+				mut(func(s *spec.ServerType, v float64) { s.ServiceSecondMoment = v })},
 		)
 	}
 	for t, m := range a.Models() {
@@ -247,7 +244,7 @@ func paramSpecs(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config)
 // The perturbed environment revalidates, so infeasible values (negative
 // rates, a second moment below the squared mean) surface as errors the
 // adaptive stepping treats as a missing side.
-func envEval(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config, x int, set func(*spec.ServerType, float64), shareStates bool) func(context.Context, float64) (point, error) {
+func envEval(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config, x int, set func(*spec.ServerType, float64)) func(context.Context, float64) (point, error) {
 	return func(ctx context.Context, theta float64) (point, error) {
 		types := a.Env().Types()
 		set(&types[x], theta)
@@ -259,7 +256,7 @@ func envEval(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config, x 
 		if err != nil {
 			return point{}, err
 		}
-		ev2, err := ev.Derive(a2, shareStates)
+		ev2, err := ev.Derive(a2)
 		if err != nil {
 			return point{}, err
 		}
@@ -285,7 +282,7 @@ func arrivalEval(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config
 		if err != nil {
 			return point{}, err
 		}
-		ev2, err := ev.Derive(a2, false)
+		ev2, err := ev.Derive(a2)
 		if err != nil {
 			return point{}, err
 		}
@@ -295,7 +292,7 @@ func arrivalEval(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config
 
 // evalPoint runs one evaluation and reduces it to the three metrics.
 func evalPoint(ctx context.Context, ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config) (point, error) {
-	res, err := ev.EvaluateContext(ctx, cfg, 1)
+	res, err := ev.EvaluateContext(ctx, cfg)
 	if err != nil {
 		return point{}, err
 	}

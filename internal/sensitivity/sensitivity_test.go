@@ -238,10 +238,10 @@ func closeRel(got, want, tol float64) bool {
 	return math.Abs(got-want) <= tol*scale
 }
 
-// Derived evaluators must share caches soundly: a failure-rate
-// perturbation (states shared) and a service perturbation (states not
-// shared) both agree with fresh evaluators, and the base evaluator's
-// cache keeps serving the original model correctly afterwards.
+// Derived evaluators must share the marginal cache soundly: a
+// failure-rate perturbation (one type's marginal changes) and a service
+// perturbation (no marginal changes) both agree with fresh evaluators,
+// and the base evaluator keeps answering the original model unchanged.
 func TestDeriveSharesCachesSoundly(t *testing.T) {
 	a := testAnalysis(t, 1)
 	ev := testEvaluator(t, a)
@@ -265,47 +265,54 @@ func TestDeriveSharesCachesSoundly(t *testing.T) {
 		return a2
 	}
 
-	// Failure-rate change: shared states are sound, and the derived
-	// evaluation must hit the warm state cache rather than re-solving.
+	// Failure-rate change: exactly the perturbed type's marginal is
+	// solved anew, into the cache both evaluators share.
 	aFail := perturb(func(s *spec.ServerType) { s.FailureRate *= 2 })
-	dFail, err := ev.Derive(aFail, true)
+	dFail, err := ev.Derive(aFail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	missesBefore := dFail.Stats().Misses
+	if dFail.Marginals() != ev.Marginals() {
+		t.Fatal("derived evaluator does not share the base marginal cache")
+	}
+	marginals := ev.Marginals().Size()
 	gotFail, err := dFail.Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dFail.Stats().Misses != missesBefore {
-		t.Errorf("shared-state derive re-solved %d states", dFail.Stats().Misses-missesBefore)
+	if got := ev.Marginals().Size(); got != marginals+1 {
+		t.Errorf("failure-rate derive solved %d new marginals, want 1", got-marginals)
 	}
 	wantFail, err := testEvaluator(t, aFail).Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotFail.Availability != wantFail.Availability || !closeRel(gotFail.MaxWaiting(), wantFail.MaxWaiting(), 0) {
-		t.Errorf("shared-state derive: got A=%v W=%v, fresh A=%v W=%v",
+		t.Errorf("failure-rate derive: got A=%v W=%v, fresh A=%v W=%v",
 			gotFail.Availability, gotFail.MaxWaiting(), wantFail.Availability, wantFail.MaxWaiting())
 	}
 
-	// Service change: states must NOT be shared; results still agree
-	// with a fresh evaluator.
+	// Service change: every marginal is a hit; the waiting times still
+	// agree with a fresh evaluator.
 	aSvc := perturb(func(s *spec.ServerType) { s.MeanService *= 2; s.ServiceSecondMoment *= 4 })
-	dSvc, err := ev.Derive(aSvc, false)
+	dSvc, err := ev.Derive(aSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	marginals = ev.Marginals().Size()
 	gotSvc, err := dSvc.Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := ev.Marginals().Size(); got != marginals {
+		t.Errorf("service derive solved %d new marginals, want 0", got-marginals)
 	}
 	wantSvc, err := testEvaluator(t, aSvc).Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !closeRel(gotSvc.MaxWaiting(), wantSvc.MaxWaiting(), 0) {
-		t.Errorf("unshared derive: W=%v, fresh W=%v", gotSvc.MaxWaiting(), wantSvc.MaxWaiting())
+		t.Errorf("service derive: W=%v, fresh W=%v", gotSvc.MaxWaiting(), wantSvc.MaxWaiting())
 	}
 
 	// The base evaluator still answers the original model unchanged.

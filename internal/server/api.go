@@ -308,21 +308,14 @@ type TraceStepJSON struct {
 	Reason         string  `json:"reason,omitempty"`
 }
 
-// CacheStatsJSON mirrors performability.CacheStats.
-type CacheStatsJSON struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-}
-
 // RecommendResponse is the /v1/recommend reply.
 type RecommendResponse struct {
-	Fingerprint string         `json:"fingerprint"`
-	Planner     string         `json:"planner"`
-	ServerTypes []string       `json:"server_types"`
-	Config      []int          `json:"config"`
-	Cost        int            `json:"cost"`
-	Evaluations int            `json:"evaluations"`
-	Cache       CacheStatsJSON `json:"cache"`
+	Fingerprint string   `json:"fingerprint"`
+	Planner     string   `json:"planner"`
+	ServerTypes []string `json:"server_types"`
+	Config      []int    `json:"config"`
+	Cost        int      `json:"cost"`
+	Evaluations int      `json:"evaluations"`
 	// Solvers traces which linear-system solvers ran during this
 	// search (process-global counters, delta over the request).
 	Solvers    map[string]linalg.SolverCounter `json:"solvers,omitempty"`
@@ -574,10 +567,7 @@ type TenantStatsJSON struct {
 
 // EvaluatorStatsJSON reports one warm model entry on /v1/stats.
 type EvaluatorStatsJSON struct {
-	Fingerprint string         `json:"fingerprint"`
-	States      CacheStatsJSON `json:"state_cache"`
-	// CachedStates is the number of memoized degraded-state vectors.
-	CachedStates int `json:"cached_states"`
+	Fingerprint string `json:"fingerprint"`
 	// Marginals is the number of memoized availability marginals.
 	Marginals int `json:"marginals"`
 }

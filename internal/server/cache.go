@@ -16,8 +16,7 @@ import (
 
 // modelEntry is one warm system model: the analysis built from a
 // decoded wfjson document plus the shared performability evaluator
-// (which owns the degraded-state cache and the availability-marginal
-// cache) every request over the same system routes through. Entries are
+// (which owns the availability-marginal cache) every request over the same system routes through. Entries are
 // immutable once ready; the evaluator inside is concurrency-safe.
 type modelEntry struct {
 	// key is the cache key: the wfjson system fingerprint extended with

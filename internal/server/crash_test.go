@@ -20,8 +20,10 @@ import (
 
 	"performa/internal/config"
 	"performa/internal/perf"
+	"performa/internal/spec"
 	"performa/internal/wfjson"
 	"performa/internal/wfmserr"
+	"performa/internal/workload"
 )
 
 // postRaw posts a raw body and returns the status plus the decoded
@@ -111,6 +113,45 @@ func TestAssessOversizedStateSpace(t *testing.T) {
 	if stats.Errors[string(wfmserr.CodeStateSpaceTooLarge)] == 0 {
 		t.Errorf("error counters missing %s: %v", wfmserr.CodeStateSpaceTooLarge, stats.Errors)
 	}
+}
+
+// TestAssessLargeHarmlessConfig: twelve replicas of each of the seven
+// extended-environment types span 13^7 > 2^23 joint states, which the
+// former product-support budget refused as state_space_too_large; the
+// answer is 91 M/G/1 formulas and must come back 200, equal to the
+// direct assessment.
+func TestAssessLargeHarmlessConfig(t *testing.T) {
+	env := workload.ExtendedEnvironment()
+	flow := workload.EPDistributed(5)
+	doc, err := wfjson.ToDocument(env, []*spec.Workflow{flow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spec.Build(flow, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := perf.NewAnalysis(env, []*spec.Model{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas := []int{12, 12, 12, 12, 12, 12, 12}
+	goals := config.Goals{MaxWaiting: 0.005, MaxUnavailability: 1e-5}
+	want, err := config.Assess(a, perf.Config{Replicas: replicas}, goals, directOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Options{Workers: 2})
+	var resp AssessResponse
+	if status := postJSON(t, ts.URL+"/v1/assess", AssessRequest{
+		System: *doc,
+		Config: replicas,
+		Goals:  GoalsJSON{MaxWaiting: 0.005, MaxUnavailability: 1e-5},
+	}, &resp); status != http.StatusOK {
+		t.Fatalf("status = %d, want 200", status)
+	}
+	assertAssessmentMatches(t, "large config", resp.Assessment, want)
 }
 
 // TestAssessDegenerateRates pins the former linalg.Normalize panic

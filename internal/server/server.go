@@ -21,15 +21,14 @@
 //	GET  /healthz             liveness
 //
 // Systems ride in requests as wfjson documents. The server keys warm
-// performability evaluators (degraded-state cache + availability
-// marginals) by the system's fingerprint in a bounded LRU, so repeated
-// what-if queries over the same system skip the degraded-state solves
+// models (the built analysis plus a performability evaluator holding the
+// availability marginals) by the system's fingerprint in a bounded LRU,
+// so repeated what-if queries over the same system skip the model build
 // entirely, and admits planner work through a weighted semaphore sized
 // off Options.Workers so concurrent recommendations cannot oversubscribe
 // the worker pools. Request contexts thread through the planners: a
 // client disconnect or timeout cancels the in-flight search promptly,
-// discarding partial results while keeping every completed per-state
-// solve cached.
+// discarding partial results.
 package server
 
 import (
@@ -619,7 +618,6 @@ func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool,
 		Config:      rec.Config.Replicas,
 		Cost:        rec.Cost,
 		Evaluations: rec.Evaluations,
-		Cache:       CacheStatsJSON{Hits: rec.Cache.Hits, Misses: rec.Cache.Misses},
 		Solvers:     rec.Solvers,
 		Assessment:  assessmentJSON(rec.Assessment),
 		CacheWarm:   warm,
@@ -781,12 +779,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.ModelCache.Misses = s.models.misses.Load()
 	resp.ModelCache.Evictions = s.models.evictions.Load()
 	for _, e := range s.models.snapshot() {
-		st := e.ev.Stats()
 		resp.Evaluators = append(resp.Evaluators, EvaluatorStatsJSON{
-			Fingerprint:  e.fingerprint,
-			States:       CacheStatsJSON{Hits: st.Hits, Misses: st.Misses},
-			CachedStates: e.ev.CachedStates(),
-			Marginals:    e.ev.Marginals().Size(),
+			Fingerprint: e.fingerprint,
+			Marginals:   e.ev.Marginals().Size(),
 		})
 	}
 	resp.Admission = AdmissionStatsJSON{
@@ -849,17 +844,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "wfmsd_model_cache_misses_total %d\n", s.models.misses.Load())
 	fmt.Fprintf(&b, "# TYPE wfmsd_model_cache_evictions_total counter\n")
 	fmt.Fprintf(&b, "wfmsd_model_cache_evictions_total %d\n", s.models.evictions.Load())
-	var hits, misses uint64
-	for _, e := range s.models.snapshot() {
-		st := e.ev.Stats()
-		hits += st.Hits
-		misses += st.Misses
-	}
-	fmt.Fprintf(&b, "# HELP wfmsd_evaluator_state_hits_total Degraded-state vectors served from warm caches.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_evaluator_state_hits_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_evaluator_state_hits_total %d\n", hits)
-	fmt.Fprintf(&b, "# TYPE wfmsd_evaluator_state_misses_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_evaluator_state_misses_total %d\n", misses)
 	fmt.Fprintf(&b, "# HELP wfmsd_events_ingested_total Audit records ingested via /v1/events.\n")
 	fmt.Fprintf(&b, "# TYPE wfmsd_events_ingested_total counter\n")
 	fmt.Fprintf(&b, "wfmsd_events_ingested_total %d\n", s.eventsIngested.Load())

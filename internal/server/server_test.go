@@ -345,8 +345,8 @@ func TestConcurrentRequestsBitIdentical(t *testing.T) {
 	}
 
 	// Every request shares one warm model entry; 15 of the 16 found it
-	// resident, and the planners racing over the shared evaluator must
-	// have served repeated degraded states from its cache.
+	// resident, and the planners racing over the shared evaluator filled
+	// its availability-marginal cache.
 	var stats StatsResponse
 	if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
 		t.Fatalf("stats status = %d", status)
@@ -360,8 +360,8 @@ func TestConcurrentRequestsBitIdentical(t *testing.T) {
 	if len(stats.Evaluators) != 1 {
 		t.Fatalf("stats lists %d evaluators, want 1", len(stats.Evaluators))
 	}
-	if stats.Evaluators[0].States.Hits == 0 {
-		t.Error("warm evaluator reported zero state-cache hits")
+	if stats.Evaluators[0].Marginals == 0 {
+		t.Error("warm evaluator reported an empty marginal cache")
 	}
 	if stats.Endpoints["/v1/recommend"].Requests == 0 || stats.Endpoints["/v1/assess"].Requests == 0 {
 		t.Errorf("endpoint stats missing traffic: %+v", stats.Endpoints)
@@ -646,7 +646,6 @@ func TestMetricsAndHealthz(t *testing.T) {
 		`wfmsd_requests_total{endpoint="/v1/assess",code="200"} 1`,
 		`wfmsd_request_duration_seconds_count{endpoint="/v1/assess"} 1`,
 		"wfmsd_model_cache_entries 1",
-		"wfmsd_evaluator_state_misses_total",
 		"wfmsd_admission_in_use 0",
 	} {
 		if !strings.Contains(text, series) {

@@ -331,8 +331,8 @@ func chartFromJSON(c *Chart) (*statechart.Chart, error) {
 // systems share a fingerprint exactly when their canonical documents
 // (ToDocument output, which orders states, transitions, and activities
 // deterministically) are byte-identical, so the digest is a safe cache
-// key for model state derived purely from the system: analyses,
-// degraded-state caches, availability marginals.
+// key for model state derived purely from the system: analyses and
+// availability marginals.
 func Fingerprint(env *spec.Environment, flows []*spec.Workflow) (string, error) {
 	doc, err := ToDocument(env, flows)
 	if err != nil {

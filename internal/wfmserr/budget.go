@@ -6,8 +6,9 @@ package wfmserr
 // or simply over-ambitious model is rejected with a typed error instead
 // of exhausting memory or CPU. A zero field disables that check.
 type Budget struct {
-	// MaxStates caps the size of an enumerated degraded-state or joint
-	// availability state space, Π_x (Y_x + 1).
+	// MaxStates caps the size of an enumerated state space: one type's
+	// availability levels Y_x + 1 (or phase expansion), or a joint
+	// availability space Π_x (Y_x + 1) where one is materialized.
 	MaxStates int
 	// MaxMatrixDim caps the dimension of any dense linear system
 	// (workflow-chart generators including Erlang stage expansion,

@@ -27,7 +27,7 @@ const (
 	// non-finite rates, degenerate transition structure, impossible
 	// moments. The request can never succeed as written.
 	CodeInvalidModel Code = "invalid_model"
-	// CodeStateSpaceTooLarge marks a degraded-state space (or other
+	// CodeStateSpaceTooLarge marks an availability state space (or other
 	// enumerated space) whose size exceeds what the encoder or the
 	// configured budget admits.
 	CodeStateSpaceTooLarge Code = "state_space_too_large"
