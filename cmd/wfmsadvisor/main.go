@@ -22,7 +22,6 @@ import (
 	"performa/internal/audit"
 	"performa/internal/calibrate"
 	"performa/internal/config"
-	"performa/internal/ctmc"
 	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/wfjson"
@@ -48,7 +47,6 @@ func main() {
 		smoothing   = flag.Float64("smoothing", 0.5, "Laplace smoothing for recalibrated branch probabilities")
 		minObs      = flag.Int("min-observations", 50, "minimum completed instances before a trail is trusted")
 		workers     = flag.Int("workers", 0, "planner worker-pool size (0 = all CPUs, 1 = sequential)")
-		solverName  = flag.String("solver", "auto", "steady-state solver strategy: auto, dense, gauss_seidel, jacobi, power, or bicgstab")
 	)
 	flag.Parse()
 	if *specFile == "" || *configSpec == "" {
@@ -66,14 +64,10 @@ func main() {
 		fail(err)
 	}
 
-	solver, err := ctmc.ParseSolverStrategy(*solverName)
-	if err != nil {
-		fail(err)
-	}
 	adv, err := advisor.New(env, flows, advisor.Options{
 		Goals: config.Goals{MaxWaiting: *maxWait, MaxUnavailability: *maxUnavail},
 		Planner: config.Options{
-			Performability: performability.Options{Policy: performability.ExcludeDown, Solver: solver},
+			Performability: performability.Options{Policy: performability.ExcludeDown},
 			Workers:        *workers,
 		},
 		Calibration:          calibrate.Options{Smoothing: *smoothing},

@@ -36,8 +36,7 @@ func run() int {
 		workers        = flag.Int("workers", 0, "planner worker-pool size (0 = all CPUs, 1 = sequential)")
 		solverJSON     = flag.String("solver-json", "", "run only the E16 solver-scaling bench and write its rows as JSON to this file")
 		solverReduced  = flag.Bool("solver-reduced", false, "with -solver-json: the reduced sweep (CI smoke sizes)")
-		corpusJSON     = flag.String("corpus-json", "", "run only the E17 corpus solver sweep and write its rows as JSON to this file")
-		corpusDir      = flag.String("corpus-dir", "corpus", "imported-workflow corpus directory for E17/E18/E19")
+		corpusDir      = flag.String("corpus-dir", "corpus", "imported-workflow corpus directory for E18/E19/E20")
 		servingJSON    = flag.String("serving-json", "", "run only the E18 serving bench and write its rows as JSON to this file")
 		servingReduced = flag.Bool("serving-reduced", false, "with -serving-json: the reduced sweep (CI smoke sizes)")
 		reconfigJSON   = flag.String("reconfig-json", "", "run only the E19 reconfiguration-loop bench and write its rows as JSON to this file")
@@ -81,9 +80,6 @@ func run() int {
 	if *solverJSON != "" {
 		return runSolverBench(*solverJSON, *solverReduced)
 	}
-	if *corpusJSON != "" {
-		return runCorpusBench(*corpusJSON, *corpusDir)
-	}
 	if *servingJSON != "" {
 		return runServingBench(*servingJSON, *corpusDir, *servingReduced)
 	}
@@ -115,10 +111,6 @@ func run() int {
 			_, t, err := experiments.SolverBench(false)
 			return t, err
 		},
-		"e17": func() (*experiments.Table, error) {
-			_, t, err := experiments.CorpusBench(*corpusDir, 0)
-			return t, err
-		},
 		"e18": func() (*experiments.Table, error) {
 			_, t, err := experiments.ServingBench(*corpusDir, false)
 			return t, err
@@ -139,7 +131,7 @@ func run() int {
 		"a6": experiments.AblationTransient,
 		"a7": func() (*experiments.Table, error) { return experiments.AblationPooling(*seed) },
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e16", "e17", "e18", "e19", "e20",
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e16", "e18", "e19", "e20",
 		"a1", "a2", "a3", "a4", "a5", "a6", "a7"}
 
 	var ids []string
@@ -243,29 +235,6 @@ func runReconfigBench(path, dir string, reduced bool) int {
 // and writes the raw rows as JSON (BENCH_netdiff.json).
 func runNetDiffBench(path, dir string, reduced bool) int {
 	rows, tbl, err := experiments.NetDiffBench(dir, reduced)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	fmt.Print(tbl.Format())
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	fmt.Printf("wrote %d rows to %s\n", len(rows), path)
-	return 0
-}
-
-// runCorpusBench runs the E17 corpus solver sweep, prints the table, and
-// writes the raw measurement rows as JSON (BENCH_corpus.json).
-func runCorpusBench(path, dir string) int {
-	rows, tbl, err := experiments.CorpusBench(dir, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
 		return 1

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"performa"
-	"performa/internal/ctmc"
 	"performa/internal/performability"
 	"performa/internal/spec"
 	"performa/internal/wfjson"
@@ -64,7 +63,6 @@ func run() int {
 		exhaustive   = flag.Bool("exhaustive", false, "use the exhaustive optimal search instead of the greedy heuristic")
 		maxReplicas  = flag.Int("max-replicas", 8, "per-type replication cap for the search")
 		workers      = flag.Int("workers", 0, "assessment worker-pool size (0 = all CPUs, 1 = sequential)")
-		solverName   = flag.String("solver", "auto", "steady-state solver strategy: auto, dense, gauss_seidel, jacobi, power, or bicgstab")
 		exportSpec   = flag.Bool("export-spec", false, "print the selected built-in workload as a JSON spec and exit")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -130,10 +128,6 @@ func run() int {
 		return assess(sys, cfg)
 	}
 
-	solver, err := ctmc.ParseSolverStrategy(*solverName)
-	if err != nil {
-		return fail(err)
-	}
 	goals := performa.Goals{MaxWaiting: *maxWait, MaxUnavailability: *maxUnavail}
 	cons := performa.Constraints{}
 	if *maxReplicas > 0 {
@@ -144,7 +138,7 @@ func run() int {
 		cons.MaxReplicas = caps
 	}
 	opts := performa.PlannerOptions{
-		Performability: performability.Options{Policy: performability.ExcludeDown, Solver: solver},
+		Performability: performability.Options{Policy: performability.ExcludeDown},
 		Workers:        *workers,
 	}
 	var rec *performa.Recommendation

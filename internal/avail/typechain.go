@@ -184,13 +184,15 @@ func erlangSingleCrewMarginal(p TypeParams, solver ctmc.SolverStrategy) (linalg.
 	lambda, mu := p.FailureRate, p.RepairRate
 	stageRate := float64(k) * mu
 
-	// State encoding: (y, idle) is state 0; (j, ph) for j = 0..y-1,
-	// ph = 1..k is state 1 + j·k + (ph-1).
+	// State encoding: (j, ph) for j = 0..y-1, ph = 1..k is state
+	// j·k + (ph-1); (y, idle) is the last state, y·k — the row the
+	// normalized system pins, which is where the mass sits when λ < μ
+	// and what lets the Gauss-Seidel sweep converge.
 	idx := func(j, ph int) int {
 		if j == y {
-			return 0
+			return y * k
 		}
-		return 1 + j*k + (ph - 1)
+		return j*k + (ph - 1)
 	}
 	// Pre-flight: the dimension must be overflow-safe and fit the budget
 	// matching the solve path before any allocation happens.
@@ -207,12 +209,12 @@ func erlangSingleCrewMarginal(p TypeParams, solver ctmc.SolverStrategy) (linalg.
 		return nil, err
 	}
 	q := ctmc.GeneratorCSR(n, func(i int, emit func(to int, rate float64)) {
-		if i == 0 {
+		if i == y*k {
 			// Full state: failures only.
 			emit(idx(y-1, 1), float64(y)*lambda)
 			return
 		}
-		j, ph := (i-1)/k, (i-1)%k+1
+		j, ph := i/k, i%k+1
 		if j > 0 {
 			emit(idx(j-1, ph), float64(j)*lambda)
 		}
@@ -234,7 +236,7 @@ func erlangSingleCrewMarginal(p TypeParams, solver ctmc.SolverStrategy) (linalg.
 		return nil, fmt.Errorf("avail: phase-expanded chain: %w", err)
 	}
 	out := linalg.NewVector(y + 1)
-	out[y] = pi[0]
+	out[y] = pi[y*k]
 	for j := 0; j < y; j++ {
 		for ph := 1; ph <= k; ph++ {
 			out[j] += pi[idx(j, ph)]

@@ -13,7 +13,6 @@ import (
 	"runtime"
 
 	"performa/internal/avail"
-	"performa/internal/linalg"
 	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/wfmserr"
@@ -257,14 +256,6 @@ type Recommendation struct {
 	Trace []Step
 	// Evaluations counts how many candidates were assessed.
 	Evaluations int
-	// Solvers reports, per linear-system solver, how many steady-state
-	// and first-passage solves ran during this search, their iteration
-	// totals, and how many were fallbacks after a preferred solver
-	// failed. The counters are process-global underneath, so on a
-	// server handling concurrent searches the delta may attribute an
-	// overlapping request's solves here too; it is a diagnostic trace,
-	// not an exact accounting.
-	Solvers map[string]linalg.SolverCounter
 }
 
 // Assess evaluates one candidate configuration against the goals — the
@@ -348,7 +339,6 @@ func GreedyContext(ctx context.Context, a *perf.Analysis, goals Goals, cons Cons
 		rec.Config = cfg.Clone()
 		rec.Cost = cfg.TotalServers()
 		rec.Assessment = as
-		eng.stamp(rec)
 		return rec
 	}
 	for iter := 0; iter < opts.MaxIterations; iter++ {
@@ -647,7 +637,6 @@ func ExhaustiveContext(ctx context.Context, a *perf.Analysis, goals Goals, cons 
 			rec.Config = found.Config.Clone()
 			rec.Cost = found.Config.TotalServers()
 			rec.Assessment = found
-			eng.stamp(rec)
 			return rec, nil
 		}
 	}

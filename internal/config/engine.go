@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"performa/internal/linalg"
 	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/wfmserr"
@@ -23,9 +22,6 @@ type engine struct {
 	goals Goals
 	opts  Options
 	ev    *performability.Evaluator
-	// solverStart snapshots the process-wide solver counters so stamp
-	// can report which linear solvers this search exercised.
-	solverStart map[string]linalg.SolverCounter
 
 	mu   sync.Mutex
 	memo map[string]*Assessment
@@ -53,9 +49,8 @@ func newEngine(a *perf.Analysis, goals Goals, opts Options) (*engine, error) {
 	}
 	return &engine{
 		a: a, goals: goals, opts: opts,
-		ev:          ev,
-		solverStart: linalg.SolverCounters(),
-		memo:        make(map[string]*Assessment),
+		ev:   ev,
+		memo: make(map[string]*Assessment),
 	}, nil
 }
 
@@ -152,12 +147,6 @@ func (e *engine) compute(ctx context.Context, cfg perf.Config) (*Assessment, err
 		out.AvailOK = true
 	}
 	return out, nil
-}
-
-// stamp writes the search's solver counters onto a finished
-// recommendation.
-func (e *engine) stamp(rec *Recommendation) {
-	rec.Solvers = linalg.SolverCountersDelta(e.solverStart)
 }
 
 // assessContained is assess with panic containment for worker

@@ -113,7 +113,6 @@ func BranchAndBoundContext(ctx context.Context, a *perf.Analysis, goals Goals, c
 	rec.Cost = best.Config.TotalServers()
 	rec.Assessment = best
 	rec.Evaluations = int(eng.computed.Load())
-	eng.stamp(rec)
 	return rec, nil
 }
 
@@ -268,6 +267,5 @@ func SimulatedAnnealingContext(ctx context.Context, a *perf.Analysis, goals Goal
 	rec.Config = best.Config.Clone()
 	rec.Cost = best.Config.TotalServers()
 	rec.Assessment = best
-	eng.stamp(rec)
 	return rec, nil
 }

@@ -25,16 +25,12 @@ var (
 // and forced-dense must agree bit for bit there.
 const solverAutoDenseLimit = 512
 
-// powerStateLimit caps the chain size on which the power-iteration
-// comparison runs: the uniformized iteration needs O(Λ/gap) sweeps and
-// is a diagnostic solver, not a production path.
-const powerStateLimit = 512
-
 // CheckSolvers runs only the solver-differential route over the system:
-// the same availability CTMC solved dense, Gauss-Seidel, Jacobi,
-// BiCGSTAB, power, and product form, plus rejection-parity probes on
-// reducible and ill-conditioned chains. It is fully deterministic — no
-// simulation — so it is cheap enough to sweep many systems.
+// the same availability CTMC solved dense, Gauss-Seidel, and auto, the
+// Erlang phase-expanded product form with dense and Gauss-Seidel
+// marginals, plus rejection-parity probes on reducible and
+// ill-conditioned chains. It is fully deterministic — no simulation —
+// so it is cheap enough to sweep many systems.
 func CheckSolvers(sys *System, opt Options) ([]Disagreement, error) {
 	opt.setDefaults()
 	return solverRoute(nil, sys, opt)
@@ -66,59 +62,53 @@ func solverRoute(ds []Disagreement, analytic *System, opt Options) ([]Disagreeme
 	ds = compare(ds, "solver", "unavailability[dense-repeat]",
 		dense.Unavailability, repeat.Unavailability, 0, tolBitwise)
 
-	n := len(dense.StateProbs)
-	type probe struct {
+	autoTol := tolSolver
+	if len(dense.StateProbs) <= solverAutoDenseLimit {
+		// Below the cutover SolverAuto IS the dense path: bit-identical.
+		autoTol = tolBitwise
+	}
+	for _, p := range []struct {
 		strategy ctmc.SolverStrategy
 		tol      Tol
-		// optional reports whether a no_convergence outcome is tolerated:
-		// Jacobi and power iteration are diagnostic solvers without a
-		// convergence guarantee on every chain the dense path handles.
-		optional bool
-		run      bool
-	}
-	probes := []probe{
-		{strategy: ctmc.SolverAuto, tol: tolSolver, run: true},
-		{strategy: ctmc.SolverGaussSeidel, tol: tolSolver, run: true},
-		{strategy: ctmc.SolverJacobi, tol: tolSolver, optional: true, run: true},
-		{strategy: ctmc.SolverBiCGSTAB, tol: tolSolver, run: true},
-		{strategy: ctmc.SolverPower, tol: tolSolver, optional: true, run: n <= powerStateLimit},
-	}
-	if n <= solverAutoDenseLimit {
-		// Below the cutover SolverAuto IS the dense path: bit-identical.
-		probes[0].tol = tolBitwise
-	}
-	for _, p := range probes {
-		if !p.run {
-			continue
-		}
+	}{
+		{ctmc.SolverAuto, autoTol},
+		{ctmc.SolverGaussSeidel, tolSolver},
+	} {
 		rep, err := avail.EvaluateSolver(params, avail.IndependentRepair, p.strategy)
 		if err != nil {
-			if p.optional && wfmserr.CodeOf(err) == wfmserr.CodeNoConvergence {
-				continue // a diagnostic solver timing out is not a disagreement
-			}
 			return nil, fmt.Errorf("crossval: solver route %v: %w", p.strategy, err)
 		}
-		tag := p.strategy.String()
-		ds = compare(ds, "solver", fmt.Sprintf("unavailability[%s-vs-dense]", tag),
+		ds = compare(ds, "solver", fmt.Sprintf("unavailability[%v-vs-dense]", p.strategy),
 			dense.Unavailability, rep.Unavailability, 0, p.tol)
-		ds = compare(ds, "solver", fmt.Sprintf("statevec-maxdiff[%s-vs-dense]", tag),
+		ds = compare(ds, "solver", fmt.Sprintf("statevec-maxdiff[%v-vs-dense]", p.strategy),
 			0, maxAbsDiff(dense.StateProbs, rep.StateProbs), 0, p.tol)
 	}
 
-	// Product form under a forced sparse marginal solver must match the
-	// dense-marginal product form: the per-type chains are tiny, so every
-	// strategy is obliged to solve them.
-	pfDense, err := avail.EvaluateProductFormSolver(params, avail.IndependentRepair, false, nil, ctmc.SolverDense)
+	// The one marginal that solves a system instead of evaluating a
+	// formula is the Erlang phase expansion under a single crew, so the
+	// product-form leg runs there: 2–4 repair stages per type, picked
+	// from the seed, Gauss-Seidel marginals against dense ones.
+	erlang := append([]avail.TypeParams(nil), params...)
+	for x := range erlang {
+		erlang[x].RepairStages = 2 + int((analytic.Seed+uint64(x))%3)
+	}
+	pfDense, err := avail.EvaluateProductFormSolver(erlang, avail.SingleCrew, false, nil, ctmc.SolverDense)
 	if err != nil {
 		return nil, fmt.Errorf("crossval: solver route product form dense: %w", err)
 	}
-	for _, s := range []ctmc.SolverStrategy{ctmc.SolverGaussSeidel, ctmc.SolverBiCGSTAB} {
-		pf, err := avail.EvaluateProductFormSolver(params, avail.IndependentRepair, false, nil, s)
-		if err != nil {
-			return nil, fmt.Errorf("crossval: solver route product form %v: %w", s, err)
-		}
-		ds = compare(ds, "solver", fmt.Sprintf("pf-unavailability[%v-vs-dense]", s),
-			pfDense.Unavailability, pf.Unavailability, 0, tolSolver)
+	before := linalg.SolverCounters()
+	pf, err := avail.EvaluateProductFormSolver(erlang, avail.SingleCrew, false, nil, ctmc.SolverGaussSeidel)
+	if err != nil {
+		return nil, fmt.Errorf("crossval: solver route product form %v: %w", ctmc.SolverGaussSeidel, err)
+	}
+	if linalg.SolverCountersDelta(before)["sparse_gauss_seidel"].Solves == 0 {
+		ds = append(ds, Disagreement{Route: "solver", Metric: "pf-erlang-solves[gauss_seidel]", Ref: float64(len(erlang))})
+	}
+	ds = compare(ds, "solver", "pf-erlang-unavailability[gauss_seidel-vs-dense]",
+		pfDense.Unavailability, pf.Unavailability, 0, tolSolver)
+	for x := range erlang {
+		ds = compare(ds, "solver", fmt.Sprintf("pf-erlang-marginal-maxdiff[type%d,gauss_seidel-vs-dense]", x),
+			0, maxAbsDiff(pfDense.TypeMarginals[x], pf.TypeMarginals[x]), 0, tolSolver)
 	}
 
 	return rejectionParity(ds), nil
@@ -145,22 +135,18 @@ func maxAbsDiff(a, b linalg.Vector) float64 {
 
 // rejectionParity probes fixed degenerate chains on which the dense and
 // sparse paths must agree about solvability: a chain with two
-// disconnected recurrent classes (every path must reject — BiCGSTAB
-// would otherwise converge silently to an arbitrary mixture of the two
-// classes) and an ill-conditioned but irreducible chain (the paths must
-// agree on whether it is solvable, and on the dominant entry when it
-// is). The probes are deterministic and a handful of states, so running
-// them on every check costs nothing.
+// disconnected recurrent classes (every path must reject — an iterative
+// solver could otherwise converge silently to an arbitrary mixture of
+// the two classes) and an ill-conditioned but irreducible chain (the
+// paths must agree on whether it is solvable, and on the dominant entry
+// when it is). The probes are deterministic and a handful of states, so
+// running them on every check costs nothing.
 func rejectionParity(ds []Disagreement) []Disagreement {
-	strategies := []ctmc.SolverStrategy{
-		ctmc.SolverDense, ctmc.SolverGaussSeidel, ctmc.SolverJacobi, ctmc.SolverBiCGSTAB, ctmc.SolverPower,
-	}
-
 	// Two disconnected 2-cycles: 0↔1 and 2↔3.
 	reducible := ctmc.GeneratorCSR(4, func(i int, emit func(j int, rate float64)) {
 		emit(i^1, 1)
 	})
-	for _, s := range strategies {
+	for _, s := range []ctmc.SolverStrategy{ctmc.SolverAuto, ctmc.SolverDense, ctmc.SolverGaussSeidel} {
 		if _, err := ctmc.SteadyStateCSR(reducible, ctmc.SparseOptions{Strategy: s}); err == nil {
 			ds = append(ds, Disagreement{
 				Route: "solver-reject", Metric: fmt.Sprintf("reducible[%v]", s), Ref: 1, Obs: 0,
@@ -186,18 +172,16 @@ func rejectionParity(ds []Disagreement) []Disagreement {
 		}
 	})
 	denseV, denseErr := ctmc.SteadyStateCSR(stiff, ctmc.SparseOptions{Strategy: ctmc.SolverDense})
-	for _, s := range []ctmc.SolverStrategy{ctmc.SolverGaussSeidel, ctmc.SolverBiCGSTAB} {
-		v, err := ctmc.SteadyStateCSR(stiff, ctmc.SparseOptions{Strategy: s})
-		switch {
-		case (err == nil) != (denseErr == nil):
-			ds = append(ds, Disagreement{
-				Route: "solver-reject", Metric: fmt.Sprintf("ill-conditioned[%v-vs-dense]", s),
-				Ref: flag(denseErr == nil), Obs: flag(err == nil),
-			})
-		case err == nil:
-			ds = compare(ds, "solver", fmt.Sprintf("ill-conditioned-dominant[%v-vs-dense]", s),
-				denseV[2], v[2], 0, tolSolver)
-		}
+	v, err := ctmc.SteadyStateCSR(stiff, ctmc.SparseOptions{Strategy: ctmc.SolverGaussSeidel})
+	switch {
+	case (err == nil) != (denseErr == nil):
+		ds = append(ds, Disagreement{
+			Route: "solver-reject", Metric: "ill-conditioned[gauss_seidel-vs-dense]",
+			Ref: flag(denseErr == nil), Obs: flag(err == nil),
+		})
+	case err == nil:
+		ds = compare(ds, "solver", "ill-conditioned-dominant[gauss_seidel-vs-dense]",
+			denseV[2], v[2], 0, tolSolver)
 	}
 	return ds
 }

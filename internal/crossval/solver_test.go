@@ -3,10 +3,10 @@ package crossval
 import "testing"
 
 // TestCheckSolversCleanSystems runs the deterministic solver-
-// differential route on generated systems: dense, sparse iterative, and
-// product-form solves of the same availability CTMC must agree, the
-// dense repeat must be bit-identical, and the rejection-parity probes
-// (reducible chain, stiff chain) must hold. No simulation is involved,
+// differential route on generated systems: dense and Gauss-Seidel solves
+// of the same availability CTMC and of the Erlang phase-expanded
+// marginals must agree, the dense repeat must be bit-identical, and the
+// rejection-parity probes (reducible chain, stiff chain) must hold. No simulation is involved,
 // so more systems than the full Check can afford are cheap.
 func TestCheckSolversCleanSystems(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}

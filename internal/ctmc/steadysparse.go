@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"performa/internal/linalg"
 	"performa/internal/wfmserr"
@@ -13,26 +12,20 @@ import (
 // SolverStrategy selects how steady-state systems are solved. The zero
 // value (SolverAuto) picks the dense direct path for small systems —
 // keeping exact agreement with the historical solver where it is cheap —
-// and the sparse Gauss-Seidel iteration with a BiCGSTAB fallback beyond
-// that.
+// and the sparse Gauss-Seidel iteration beyond that.
 type SolverStrategy int
 
 const (
-	// SolverAuto picks dense for small systems, sparse Gauss-Seidel
-	// with a BiCGSTAB fallback for large ones.
+	// SolverAuto picks dense up to denseAutoCutover states and sparse
+	// Gauss-Seidel above; a miss is a typed no_convergence error.
 	SolverAuto SolverStrategy = iota
 	// SolverDense forces the dense transpose-and-eliminate path
-	// (subject to the MaxMatrixDim budget).
+	// (subject to the MaxMatrixDim budget): the reference crossval and
+	// wfmscheck -solver-diff compare against.
 	SolverDense
-	// SolverGaussSeidel forces the sparse Gauss-Seidel iteration.
+	// SolverGaussSeidel forces the sparse Gauss-Seidel iteration, the
+	// only path beyond MaxMatrixDim.
 	SolverGaussSeidel
-	// SolverJacobi forces the sparse Jacobi iteration.
-	SolverJacobi
-	// SolverPower forces power iteration on the uniformized chain.
-	SolverPower
-	// SolverBiCGSTAB forces the diagonally preconditioned BiCGSTAB
-	// Krylov iteration.
-	SolverBiCGSTAB
 )
 
 // denseAutoCutover is the dimension up to which SolverAuto stays on the
@@ -40,7 +33,7 @@ const (
 // serves as the crossval reference.
 const denseAutoCutover = 512
 
-// String returns the canonical flag spelling of the strategy.
+// String returns the canonical spelling of the strategy.
 func (s SolverStrategy) String() string {
 	switch s {
 	case SolverAuto:
@@ -49,12 +42,6 @@ func (s SolverStrategy) String() string {
 		return "dense"
 	case SolverGaussSeidel:
 		return "gauss_seidel"
-	case SolverJacobi:
-		return "jacobi"
-	case SolverPower:
-		return "power"
-	case SolverBiCGSTAB:
-		return "bicgstab"
 	default:
 		return fmt.Sprintf("solver(%d)", int(s))
 	}
@@ -62,28 +49,7 @@ func (s SolverStrategy) String() string {
 
 // Valid reports whether s is a known strategy.
 func (s SolverStrategy) Valid() bool {
-	return s >= SolverAuto && s <= SolverBiCGSTAB
-}
-
-// ParseSolverStrategy maps a flag/JSON spelling to a strategy. The empty
-// string means SolverAuto.
-func ParseSolverStrategy(name string) (SolverStrategy, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "auto":
-		return SolverAuto, nil
-	case "dense", "lu":
-		return SolverDense, nil
-	case "gauss_seidel", "gauss-seidel", "gs":
-		return SolverGaussSeidel, nil
-	case "jacobi":
-		return SolverJacobi, nil
-	case "power":
-		return SolverPower, nil
-	case "bicgstab", "krylov":
-		return SolverBiCGSTAB, nil
-	}
-	return 0, wfmserr.New(wfmserr.CodeInvalidModel, "ctmc",
-		"unknown solver strategy %q (want auto, dense, gauss_seidel, jacobi, power, or bicgstab)", name)
+	return s >= SolverAuto && s <= SolverGaussSeidel
 }
 
 // SparseOptions configures the sparse steady-state solvers.
@@ -92,9 +58,9 @@ type SparseOptions struct {
 	Strategy SolverStrategy
 	// AssumeIrreducible skips the strong-connectivity pre-check. Set it
 	// only for chains that are irreducible by construction (e.g. the
-	// availability birth–death products with all rates positive): the
-	// Krylov solver can silently return one recurrent class's mixture
-	// on a reducible chain, so external input must keep the check on.
+	// availability birth–death products with all rates positive): an
+	// iterative solver can return one recurrent class's mixture on a
+	// reducible chain, so external input must keep the check on.
 	AssumeIrreducible bool
 }
 
@@ -190,81 +156,33 @@ func SteadyStateAdjoint(at *linalg.Sparse, opts SparseOptions) (linalg.Vector, e
 		}
 	}
 
-	strategy := opts.Strategy
-	if strategy == SolverAuto && n <= denseAutoCutover {
-		strategy = SolverDense
-	}
-
-	var (
-		pi       linalg.Vector
-		err      error
-		fellBack bool
-	)
-	switch strategy {
-	case SolverDense:
+	if opts.Strategy == SolverDense || (opts.Strategy == SolverAuto && n <= denseAutoCutover) {
 		return steadyFromAdjointDense(at)
-	case SolverGaussSeidel:
-		pi, err = solveNormalized(at, "sparse_gauss_seidel", false)
-	case SolverJacobi:
-		pi, err = solveNormalized(at, "sparse_jacobi", false)
-	case SolverBiCGSTAB:
-		pi, err = solveNormalized(at, "bicgstab", false)
-	case SolverPower:
-		pi, err = steadyAdjointPower(at)
-	case SolverAuto:
-		pi, err = solveNormalized(at, "sparse_gauss_seidel", false)
-		if err != nil {
-			pi, err = solveNormalized(at, "bicgstab", true)
-			fellBack = true
-		}
 	}
+	pi, err := solveNormalized(at)
 	if err != nil {
 		code := wfmserr.CodeInvalidModel
 		if errors.Is(err, linalg.ErrNoConvergence) {
 			code = wfmserr.CodeNoConvergence
 		}
-		e := wfmserr.Wrap(err, code, "ctmc", "sparse steady-state solve (is the chain irreducible?)").
-			With("states", n).With("solver", strategy.String())
-		if fellBack {
-			e = e.With("fallback", "bicgstab")
-		}
-		return nil, e
+		return nil, wfmserr.Wrap(err, code, "ctmc", "sparse steady-state solve (is the chain irreducible?)").
+			With("states", n).With("solver", opts.Strategy.String())
 	}
 	return cleanDistribution(pi)
 }
 
-// solveNormalized runs one iterative solver on the normalized system
+// solveNormalized runs Gauss-Seidel on the normalized system
 // A x = e_{n-1}, A = Qᵀ with implicit ones row, verifies the residual,
-// and records the outcome in the solver counters.
-func solveNormalized(at *linalg.Sparse, solver string, fellBack bool) (linalg.Vector, error) {
-	sys := linalg.OnesRow{A: at}
-	var (
-		x     linalg.Vector
-		iters int
-		err   error
-	)
-	switch solver {
-	case "sparse_gauss_seidel":
-		x, iters, err = linalg.OnesRowGaussSeidel(at, nil, linalg.GaussSeidelOptions{})
-	case "sparse_jacobi":
-		x, iters, err = linalg.OnesRowJacobi(at, nil, linalg.GaussSeidelOptions{})
-	case "bicgstab":
-		// Start from the uniform distribution: it already satisfies the
-		// normalization row, which BiCGSTAB preserves only weakly.
-		n := at.N()
-		x0 := linalg.NewVector(n)
-		x0.Fill(1 / float64(n))
-		x, iters, err = linalg.BiCGSTAB(sys, sys.Rhs(), x0, linalg.BiCGSTABOptions{Precond: sys.PrecondDiag()})
-	default:
-		return nil, fmt.Errorf("ctmc: unknown normalized solver %q", solver)
-	}
+// and records the solve in the solver counters.
+func solveNormalized(at *linalg.Sparse) (linalg.Vector, error) {
+	x, iters, err := linalg.OnesRowGaussSeidel(at, nil, linalg.GaussSeidelOptions{})
 	if err != nil {
 		return nil, err
 	}
-	if err := normalizedResidualOK(sys, x); err != nil {
+	if err := normalizedResidualOK(linalg.OnesRow{A: at}, x); err != nil {
 		return nil, err
 	}
-	linalg.RecordSolve(solver, iters, fellBack)
+	linalg.RecordSolve("sparse_gauss_seidel", iters, false)
 	return x, nil
 }
 
@@ -324,52 +242,6 @@ func steadyFromAdjointDense(at *linalg.Sparse) (linalg.Vector, error) {
 		return nil, wfmserr.Wrap(err, code, "ctmc", "steady-state solve (is the chain irreducible?)")
 	}
 	return cleanDistribution(pi)
-}
-
-// steadyAdjointPower runs power iteration on the uniformized chain
-// P = I + Q/Λ without materializing P: π_{k+1} = π_k + (Qᵀ π_k)/Λ.
-func steadyAdjointPower(at *linalg.Sparse) (linalg.Vector, error) {
-	n := at.N()
-	var lambda float64
-	for _, d := range at.Diag() {
-		if a := math.Abs(d); a > lambda {
-			lambda = a
-		}
-	}
-	if lambda == 0 {
-		// All rates zero: every state is absorbing; only n = 1 is ergodic.
-		if n == 1 {
-			return linalg.Vector{1}, nil
-		}
-		return nil, fmt.Errorf("ctmc: generator has no transitions; chain is not irreducible")
-	}
-	lambda *= 1.1 // keep P's diagonal strictly positive (aperiodic)
-	pi := linalg.NewVector(n)
-	pi.Fill(1 / float64(n))
-	scratch := linalg.NewVector(n)
-	const maxIter = 1_000_000
-	for iter := 1; iter <= maxIter; iter++ {
-		at.Apply(scratch, pi)
-		var delta, sum float64
-		for i := range scratch {
-			next := pi[i] + scratch[i]/lambda
-			delta += math.Abs(next - pi[i])
-			scratch[i] = next
-			sum += next
-		}
-		if sum <= 0 || math.IsNaN(sum) {
-			return nil, fmt.Errorf("ctmc: power iteration degenerated (mass %v): %w", sum, linalg.ErrNoConvergence)
-		}
-		for i := range scratch {
-			scratch[i] /= sum
-		}
-		pi, scratch = scratch, pi
-		if delta <= 1e-12 {
-			linalg.RecordSolve("power", iter, false)
-			return pi, nil
-		}
-	}
-	return nil, fmt.Errorf("ctmc: power iteration exhausted %d sweeps: %w", maxIter, linalg.ErrNoConvergence)
 }
 
 // cleanDistribution clamps round-off negatives and renormalizes, exactly
@@ -475,9 +347,9 @@ func validateAdjointCSR(at *linalg.Sparse) error {
 // checkIrreducible verifies strong connectivity of the transition graph:
 // state 0 reaches every state (BFS over Q's rows) and every state
 // reaches state 0 (BFS over Qᵀ's rows). Reducible chains must be
-// rejected here because BiCGSTAB can converge to a single recurrent
-// class's mixture with a zero residual, silently disagreeing with the
-// dense path's rejection.
+// rejected here because an iterative solver can converge to a single
+// recurrent class's mixture with a zero residual, silently disagreeing
+// with the dense path's rejection.
 func checkIrreducible(q, at *linalg.Sparse) error {
 	if !allReachable(q) {
 		return wfmserr.New(wfmserr.CodeInvalidModel, "ctmc",

@@ -13,7 +13,6 @@ import (
 	"performa/internal/avail"
 	"performa/internal/ctmc"
 	"performa/internal/linalg"
-	"performa/internal/wfmserr"
 )
 
 // SolverBenchRow is one measured steady-state solve of E16, the record
@@ -25,8 +24,8 @@ type SolverBenchRow struct {
 	States int `json:"states"`
 	// NNZ is the generator's stored-entry count (diagonal included).
 	NNZ int `json:"nnz"`
-	// Solver names the strategy ("dense", "gauss_seidel", "bicgstab",
-	// "jacobi", "power", or "product_form").
+	// Solver names the strategy ("dense", "gauss_seidel", or
+	// "product_form").
 	Solver string `json:"solver"`
 	// WallMS is the end-to-end solve time (model build included).
 	WallMS float64 `json:"wall_ms"`
@@ -42,10 +41,6 @@ type SolverBenchRow struct {
 	// RelErr is the relative error against the closed-form reference
 	// 1 − Π_x (1 − u_x^{Y_x}), which is exact for independent repair.
 	RelErr float64 `json:"rel_err"`
-	// Error is "no_convergence" when a diagnostic solver (Jacobi, power)
-	// legitimately failed to converge on this chain; Unavail and RelErr
-	// are meaningless then. Production solvers failing abort the sweep.
-	Error string `json:"error,omitempty"`
 }
 
 // solverBenchCase is one chain size of the sweep with the strategies it
@@ -62,9 +57,8 @@ type solverBenchCase struct {
 // replication, so the closed-form unavailability stays well inside
 // double precision and the rates stay in the production regime (λ < μ).
 func solverBenchCases(reduced bool) []solverBenchCase {
-	all := []string{"dense", "gauss_seidel", "jacobi", "bicgstab", "power", "product_form"}
-	sparse := []string{"gauss_seidel", "bicgstab", "product_form"}
-	denseEdge := []string{"dense", "gauss_seidel", "bicgstab", "product_form"}
+	all := []string{"dense", "gauss_seidel", "product_form"}
+	sparse := []string{"gauss_seidel", "product_form"}
 	if reduced {
 		return []solverBenchCase{
 			{replicas: []int{3, 3, 3}, solvers: all},       // 64 states
@@ -75,7 +69,7 @@ func solverBenchCases(reduced bool) []solverBenchCase {
 	return []solverBenchCase{
 		{replicas: []int{3, 3, 3}, solvers: all},                   // 64
 		{replicas: []int{7, 7, 7}, solvers: all},                   // 512
-		{replicas: []int{7, 15, 15}, solvers: denseEdge},           // 2048 = dense budget edge
+		{replicas: []int{7, 15, 15}, solvers: all},                 // 2048 = dense budget edge
 		{replicas: []int{7, 7, 7, 7, 7}, solvers: sparse},          // 32768
 		{replicas: []int{7, 7, 7, 7, 7, 7}, solvers: sparse},       // 262144
 		{replicas: []int{11, 11, 11, 11, 11, 11}, solvers: sparse}, // 2985984 > 10 × 2^18
@@ -126,16 +120,11 @@ func SolverBench(reduced bool) ([]SolverBenchRow, *Table, error) {
 			row.Config = configString(c.replicas)
 			row.States = n
 			row.NNZ = nnz
-			unavailCell, relErrCell := "diverged", "-"
-			if row.Error == "" {
-				row.RelErr = relErr(ref, row.Unavail)
-				unavailCell = fmt.Sprintf("%.4e", row.Unavail)
-				relErrCell = fmt.Sprintf("%.1e", row.RelErr)
-			}
+			row.RelErr = relErr(ref, row.Unavail)
 			rows = append(rows, row)
 			t.AddRow(row.Config, fmt.Sprintf("%d", row.States), fmt.Sprintf("%d", row.NNZ),
 				row.Solver, fmtWall(row.WallMS), fmt.Sprintf("%d", row.Iterations),
-				fmt.Sprintf("%.1f", row.AllocMB), unavailCell, relErrCell)
+				fmt.Sprintf("%.1f", row.AllocMB), fmt.Sprintf("%.4e", row.Unavail), fmt.Sprintf("%.1e", row.RelErr))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -159,14 +148,15 @@ func runSolverBenchRow(params []avail.TypeParams, solver string) (SolverBenchRow
 
 	var rep *avail.Report
 	var err error
-	if solver == "product_form" {
-		rep, err = avail.EvaluateProductFormSolver(params, avail.IndependentRepair, false, nil, ctmc.SolverAuto)
-	} else {
-		var strategy ctmc.SolverStrategy
-		strategy, err = ctmc.ParseSolverStrategy(solver)
-		if err == nil {
-			rep, err = avail.EvaluateSolver(params, avail.IndependentRepair, strategy)
-		}
+	switch solver {
+	case "product_form":
+		rep, err = avail.EvaluateProductFormCached(params, avail.IndependentRepair, false, nil)
+	case "dense":
+		rep, err = avail.EvaluateSolver(params, avail.IndependentRepair, ctmc.SolverDense)
+	case "gauss_seidel":
+		rep, err = avail.EvaluateSolver(params, avail.IndependentRepair, ctmc.SolverGaussSeidel)
+	default:
+		err = fmt.Errorf("unknown solver %q", solver)
 	}
 	row.WallMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	runtime.ReadMemStats(&m1)
@@ -176,13 +166,6 @@ func runSolverBenchRow(params []avail.TypeParams, solver string) (SolverBenchRow
 		row.Iterations += c.Iterations
 	}
 	if err != nil {
-		// Jacobi and power iteration carry no convergence guarantee;
-		// their divergence on a chain is a measurement, not a failure.
-		diagnostic := solver == "jacobi" || solver == "power"
-		if diagnostic && wfmserr.CodeOf(err) == wfmserr.CodeNoConvergence {
-			row.Error = "no_convergence"
-			return row, nil
-		}
 		return row, err
 	}
 	row.Unavail = rep.Unavailability

@@ -5,9 +5,8 @@ import (
 )
 
 // TestSolverBenchReduced runs the CI-sized E16 sweep and sanity-checks
-// the rows: every production solver converges with a tiny relative
-// error against the closed form, divergence is only ever recorded for
-// the diagnostic solvers, and the table mirrors the row count.
+// the rows: every solver converges with a tiny relative error against
+// the closed form, and the table mirrors the row count.
 func TestSolverBenchReduced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver bench sweep in -short mode")
@@ -34,12 +33,6 @@ func TestSolverBenchReduced(t *testing.T) {
 		if r.States <= 0 || r.NNZ < r.States {
 			t.Fatalf("%s/%s: implausible shape states=%d nnz=%d", r.Config, r.Solver, r.States, r.NNZ)
 		}
-		if r.Error != "" {
-			if r.Solver != "jacobi" && r.Solver != "power" {
-				t.Fatalf("%s/%s: production solver recorded error %q", r.Config, r.Solver, r.Error)
-			}
-			continue
-		}
 		if r.RelErr > 1e-6 {
 			t.Fatalf("%s/%s: rel err %v vs closed form", r.Config, r.Solver, r.RelErr)
 		}
@@ -50,7 +43,7 @@ func TestSolverBenchReduced(t *testing.T) {
 			t.Fatalf("%s/%s: negative wall time", r.Config, r.Solver)
 		}
 	}
-	for _, solver := range []string{"dense", "gauss_seidel", "bicgstab", "product_form"} {
+	for _, solver := range []string{"dense", "gauss_seidel", "product_form"} {
 		if !seen[solver] {
 			t.Fatalf("sweep never ran %s", solver)
 		}

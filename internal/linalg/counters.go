@@ -3,8 +3,8 @@ package linalg
 import "sync"
 
 // SolverCounter aggregates the outcomes of solves routed through one
-// named solver ("lu", "gauss_seidel", "bicgstab", ...). Fallbacks counts
-// the solves where this solver ran because a preferred one failed —
+// named solver ("lu", "gauss_seidel", "sparse_gauss_seidel"). Fallbacks
+// counts the solves where this solver ran because a preferred one failed —
 // previously those fallbacks were silent, which made "why is assessment
 // slow / why do results differ" undiagnosable from the outside.
 type SolverCounter struct {

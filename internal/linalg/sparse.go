@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -237,23 +236,10 @@ func (s *Sparse) MulVec(v Vector) Vector {
 
 // VecMul returns v*s (row vector times matrix).
 func (s *Sparse) VecMul(v Vector) Vector {
-	return s.VecMulInto(NewVector(s.n), v)
-}
-
-// VecMulInto computes v*s into dst (length n, not aliasing v) and
-// returns it, so iterative solvers reuse one buffer per sweep instead of
-// allocating.
-func (s *Sparse) VecMulInto(dst, v Vector) Vector {
 	if len(v) != s.n {
 		panic(fmt.Sprintf("linalg: vector of length %d times %dx%d sparse matrix", len(v), s.n, s.n))
 	}
-	if len(dst) != s.n {
-		panic(fmt.Sprintf("linalg: destination of length %d for vector times %dx%d sparse matrix", len(dst), s.n, s.n))
-	}
-	out := dst
-	for i := range out {
-		out[i] = 0
-	}
+	out := NewVector(s.n)
 	for i := 0; i < s.n; i++ {
 		vi := v[i]
 		if vi == 0 {
@@ -273,99 +259,4 @@ func (s *Sparse) Dense() *Matrix {
 		s.Row(i, func(j int, v float64) { m.Set(i, j, v) })
 	}
 	return m
-}
-
-// SparseGaussSeidel solves A x = b with the Gauss-Seidel iteration on a
-// sparse matrix. The systems the CTMC models produce — (I − P_T) with
-// substochastic P_T, and diagonally dominant generator systems — satisfy
-// the iteration's convergence condition; other systems may return
-// ErrNoConvergence.
-func SparseGaussSeidel(a *Sparse, b Vector, x0 Vector, opts GaussSeidelOptions) (Vector, int, error) {
-	n := a.N()
-	if len(b) != n {
-		return nil, 0, fmt.Errorf("linalg: sparse gauss-seidel rhs length %d does not match matrix size %d", len(b), n)
-	}
-	opts = opts.withDefaults()
-	x := NewVector(n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, 0, fmt.Errorf("linalg: sparse gauss-seidel start vector length %d does not match matrix size %d", len(x0), n)
-		}
-		copy(x, x0)
-	}
-	for i := 0; i < n; i++ {
-		if a.diag[i] == 0 {
-			return nil, 0, fmt.Errorf("linalg: sparse gauss-seidel requires nonzero diagonal, a[%d][%d]=0: %w", i, i, ErrSingular)
-		}
-	}
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		var delta float64
-		for i := 0; i < n; i++ {
-			sum := b[i]
-			for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-				if j := a.colIdx[k]; j != i {
-					sum -= a.val[k] * x[j]
-				}
-			}
-			next := sum / a.diag[i]
-			if d := math.Abs(next - x[i]); d > delta {
-				delta = d
-			}
-			x[i] = next
-		}
-		if math.IsNaN(delta) || math.IsInf(delta, 0) {
-			return nil, iter, fmt.Errorf("linalg: sparse gauss-seidel diverged at sweep %d: %w", iter, ErrNoConvergence)
-		}
-		if delta <= opts.Tol {
-			return x, iter, nil
-		}
-	}
-	return x, opts.MaxIter, ErrNoConvergence
-}
-
-// PowerIterationOptions controls PowerIteration.
-type PowerIterationOptions struct {
-	// Tol is the convergence tolerance on the L1 change between
-	// successive distributions. Zero means 1e-12.
-	Tol float64
-	// MaxIter bounds the iterations. Zero means 1_000_000.
-	MaxIter int
-}
-
-// PowerIteration computes the stationary distribution of a stochastic
-// matrix P (rows summing to one) by repeated multiplication π ← πP.
-// It is the memory-lean alternative to the linear solve for very large
-// ergodic chains; convergence is geometric in the chain's mixing rate.
-func PowerIteration(p *Sparse, opts PowerIterationOptions) (Vector, int, error) {
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-12
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 1_000_000
-	}
-	n := p.N()
-	if n == 0 {
-		return nil, 0, fmt.Errorf("linalg: power iteration on empty matrix")
-	}
-	pi := NewVector(n)
-	pi.Fill(1 / float64(n))
-	scratch := NewVector(n) // reused every sweep; swapped with pi below
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		next := p.VecMulInto(scratch, pi)
-		// Renormalize to absorb round-off drift.
-		sum := next.Sum()
-		if sum <= 0 || math.IsNaN(sum) {
-			return nil, iter, fmt.Errorf("linalg: power iteration degenerated (mass %v); is P stochastic?", sum)
-		}
-		next.Scale(1 / sum)
-		var delta float64
-		for i := range next {
-			delta += math.Abs(next[i] - pi[i])
-		}
-		pi, scratch = next, pi
-		if delta <= opts.Tol {
-			return pi, iter, nil
-		}
-	}
-	return pi, opts.MaxIter, ErrNoConvergence
 }

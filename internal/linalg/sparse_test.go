@@ -1,8 +1,6 @@
 package linalg
 
 import (
-	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -123,140 +121,92 @@ func TestQuickSparseMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSparseGaussSeidelMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 30
-	b := NewSparseBuilder(n)
-	dense := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		var offsum float64
-		for j := 0; j < n; j++ {
-			if i != j && rng.Float64() < 0.2 {
-				v := rng.NormFloat64()
-				b.Add(i, j, v)
-				dense.Set(i, j, v)
-				offsum += math.Abs(v)
+func TestBuildCSRMatchesBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(12)
+		sb := NewSparseBuilder(n)
+		entries := make([][]float64, n)
+		for i := range entries {
+			entries[i] = make([]float64, n)
+			for j := 0; j < n; j++ {
+				if rng.Float64() < 0.4 {
+					x := rng.NormFloat64()
+					entries[i][j] = x
+					sb.Set(i, j, x)
+				}
 			}
 		}
-		diag := offsum + 1 + rng.Float64()
-		b.Add(i, i, diag)
-		dense.Set(i, i, diag)
-	}
-	s := b.Build()
-	rhs := NewVector(n)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	got, _, err := SparseGaussSeidel(s, rhs, nil, GaussSeidelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := GaussSeidel(dense, rhs, nil, GaussSeidelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if !almostEqual(got[i], want[i], 1e-9) {
-			t.Errorf("x[%d]: sparse %v vs dense %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSparseGaussSeidelErrors(t *testing.T) {
-	s := NewSparseBuilder(2)
-	s.Add(0, 1, 1)
-	s.Add(1, 0, 1)
-	noDiag := s.Build()
-	if _, _, err := SparseGaussSeidel(noDiag, Vector{1, 1}, nil, GaussSeidelOptions{}); !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-	b := NewSparseBuilder(2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, 1)
-	id := b.Build()
-	if _, _, err := SparseGaussSeidel(id, Vector{1}, nil, GaussSeidelOptions{}); err == nil {
-		t.Error("bad rhs accepted")
-	}
-	if _, _, err := SparseGaussSeidel(id, Vector{1, 2}, Vector{0}, GaussSeidelOptions{}); err == nil {
-		t.Error("bad start accepted")
-	}
-	// Divergent system.
-	d := NewSparseBuilder(2)
-	d.Add(0, 0, 1)
-	d.Add(0, 1, 10)
-	d.Add(1, 0, 10)
-	d.Add(1, 1, 1)
-	if _, _, err := SparseGaussSeidel(d.Build(), Vector{1, 1}, nil, GaussSeidelOptions{MaxIter: 100}); !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("err = %v, want ErrNoConvergence", err)
-	}
-}
-
-func TestPowerIterationTwoState(t *testing.T) {
-	// P = [[0.9, 0.1], [0.2, 0.8]] → π = (2/3, 1/3).
-	b := NewSparseBuilder(2)
-	b.Add(0, 0, 0.9)
-	b.Add(0, 1, 0.1)
-	b.Add(1, 0, 0.2)
-	b.Add(1, 1, 0.8)
-	pi, iters, err := PowerIteration(b.Build(), PowerIterationOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters <= 0 {
-		t.Errorf("iters = %d", iters)
-	}
-	if !almostEqual(pi[0], 2.0/3, 1e-8) || !almostEqual(pi[1], 1.0/3, 1e-8) {
-		t.Errorf("π = %v, want [2/3 1/3]", pi)
-	}
-}
-
-func TestPowerIterationErrors(t *testing.T) {
-	if _, _, err := PowerIteration(NewSparseBuilder(0).Build(), PowerIterationOptions{}); err == nil {
-		t.Error("empty matrix accepted")
-	}
-	// All-zero matrix degenerates.
-	z := NewSparseBuilder(2).Build()
-	if _, _, err := PowerIteration(z, PowerIterationOptions{MaxIter: 10}); err == nil {
-		t.Error("zero matrix accepted")
-	}
-}
-
-func TestPowerIterationLargeRandomChain(t *testing.T) {
-	// Random stochastic matrix: power iteration and transposed-system
-	// GS agree.
-	rng := rand.New(rand.NewSource(9))
-	n := 50
-	b := NewSparseBuilder(n)
-	dense := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, n)
-		var sum float64
-		for j := 0; j < n; j++ {
-			row[j] = rng.Float64() * 0.1
-			if rng.Float64() < 0.9 && j != (i+1)%n {
-				row[j] = 0
+		want := sb.Build()
+		got := BuildCSR(n, func(i int, emit func(j int, v float64)) {
+			// Emit in descending column order to exercise the row sort.
+			for j := n - 1; j >= 0; j-- {
+				if entries[i][j] != 0 {
+					emit(j, entries[i][j])
+				}
 			}
+		})
+		if got.N() != want.N() || got.NNZ() != want.NNZ() {
+			t.Fatalf("trial %d: shape (%d, %d nnz) != builder (%d, %d nnz)",
+				trial, got.N(), got.NNZ(), want.N(), want.NNZ())
 		}
-		row[(i+1)%n] += 0.5 // guarantee irreducibility via a cycle
-		for _, v := range row {
-			sum += v
-		}
-		for j, v := range row {
-			if v > 0 {
-				b.Add(i, j, v/sum)
-				dense.Set(i, j, v/sum)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if got.At(i, j) != want.At(i, j) {
+					t.Fatalf("trial %d: at(%d,%d) = %v, builder %v", trial, i, j, got.At(i, j), want.At(i, j))
+				}
 			}
 		}
 	}
-	pi, _, err := PowerIteration(b.Build(), PowerIterationOptions{Tol: 1e-13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify stationarity against the dense matrix: π P = π.
-	next := dense.VecMul(pi)
-	for i := range pi {
-		if !almostEqual(next[i], pi[i], 1e-8) {
-			t.Fatalf("π not stationary at %d: %v vs %v", i, next[i], pi[i])
+}
+
+func TestBuildCSRMergesDuplicateColumns(t *testing.T) {
+	s := BuildCSR(2, func(i int, emit func(j int, v float64)) {
+		if i == 0 {
+			emit(1, 2)
+			emit(1, 3)
+			emit(0, -5)
 		}
+	})
+	if got := s.At(0, 1); got != 5 {
+		t.Fatalf("duplicate emits: at(0,1) = %v, want 5", got)
+	}
+	if got := s.At(0, 0); got != -5 {
+		t.Fatalf("at(0,0) = %v, want -5", got)
+	}
+	if s.NNZ() != 2 {
+		t.Fatalf("nnz = %d, want 2 after merging", s.NNZ())
+	}
+}
+
+func TestSparseTransposeMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(10)
+		s, d := randomSparse(r, n, 0.35)
+		st := s.Transpose()
+		dt := d.Transpose()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if st.At(i, j) != dt.At(i, j) {
+					return false
+				}
+			}
+		}
+		// Transposing twice must give back the original entries.
+		back := st.Transpose()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if back.At(i, j) != s.At(i, j) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 40, Rand: rng}
+	if err := quick.Check(check, cfg); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -39,25 +39,6 @@ func (m OnesRow) Apply(dst, v Vector) {
 	dst[n-1] = total
 }
 
-// PrecondDiag returns the diagonal of the normalized system for Jacobi
-// preconditioning: A's diagonal with the last entry forced to one.
-func (m OnesRow) PrecondDiag() []float64 {
-	d := append([]float64(nil), m.A.diag...)
-	if n := len(d); n > 0 {
-		d[n-1] = 1
-	}
-	return d
-}
-
-// Rhs returns the right-hand side e_{n-1} of the normalized system.
-func (m OnesRow) Rhs() Vector {
-	b := NewVector(m.A.n)
-	if m.A.n > 0 {
-		b[m.A.n-1] = 1
-	}
-	return b
-}
-
 // OnesRowGaussSeidel runs the Gauss-Seidel iteration on the normalized
 // steady-state system A x = e_{n-1} with A's last row read as ones (see
 // OnesRow), sweeping rows in ascending order exactly like the dense
@@ -108,62 +89,6 @@ func OnesRowGaussSeidel(a *Sparse, x0 Vector, opts GaussSeidelOptions) (Vector, 
 		x[n-1] = next
 		if math.IsNaN(delta) || math.IsInf(delta, 0) {
 			return nil, iter, fmt.Errorf("linalg: ones-row gauss-seidel diverged at sweep %d: %w", iter, ErrNoConvergence)
-		}
-		if delta <= opts.Tol {
-			return x, iter, nil
-		}
-	}
-	return x, opts.MaxIter, ErrNoConvergence
-}
-
-// OnesRowJacobi is the Jacobi counterpart of OnesRowGaussSeidel: every
-// component update reads only the previous iterate.
-func OnesRowJacobi(a *Sparse, x0 Vector, opts GaussSeidelOptions) (Vector, int, error) {
-	n := a.n
-	if n == 0 {
-		return nil, 0, fmt.Errorf("linalg: ones-row jacobi on empty matrix")
-	}
-	opts = opts.withDefaults()
-	x := NewVector(n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, 0, fmt.Errorf("linalg: ones-row jacobi start vector length %d does not match matrix size %d", len(x0), n)
-		}
-		copy(x, x0)
-	}
-	for i := 0; i < n-1; i++ {
-		if a.diag[i] == 0 {
-			return nil, 0, fmt.Errorf("linalg: ones-row jacobi requires nonzero diagonal, a[%d][%d]=0: %w", i, i, ErrSingular)
-		}
-	}
-	next := NewVector(n)
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		var delta float64
-		for i := 0; i < n-1; i++ {
-			var sum float64
-			for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-				if j := a.colIdx[k]; j != i {
-					sum -= a.val[k] * x[j]
-				}
-			}
-			nx := sum / a.diag[i]
-			if d := math.Abs(nx - x[i]); d > delta {
-				delta = d
-			}
-			next[i] = nx
-		}
-		var total float64
-		for j := 0; j < n-1; j++ {
-			total += x[j]
-		}
-		nx := 1 - total
-		if d := math.Abs(nx - x[n-1]); d > delta {
-			delta = d
-		}
-		next[n-1] = nx
-		x, next = next, x
-		if math.IsNaN(delta) || math.IsInf(delta, 0) {
-			return nil, iter, fmt.Errorf("linalg: ones-row jacobi diverged at sweep %d: %w", iter, ErrNoConvergence)
 		}
 		if delta <= opts.Tol {
 			return x, iter, nil

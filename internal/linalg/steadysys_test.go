@@ -61,42 +61,33 @@ func denseSteady(t *testing.T, q *Matrix) Vector {
 	return pi
 }
 
+// TestOnesRowSolversMatchDenseSteadyState holds the sparse Gauss-Seidel
+// sweep to the LU reference on random irreducible generators. The sweep
+// carries no convergence guarantee on arbitrary generators (a miss is a
+// typed no_convergence upstream), so a trial may skip — but not all.
 func TestOnesRowSolversMatchDenseSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	converged := 0
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(12)
 		at, q := randomAdjointCSR(rng, n)
 		want := denseSteady(t, q)
-		solvers := map[string]func() (Vector, int, error){
-			"gauss_seidel": func() (Vector, int, error) { return OnesRowGaussSeidel(at, nil, GaussSeidelOptions{}) },
-			"jacobi":       func() (Vector, int, error) { return OnesRowJacobi(at, nil, GaussSeidelOptions{}) },
-			"bicgstab": func() (Vector, int, error) {
-				sys := OnesRow{A: at}
-				x0 := NewVector(n)
-				x0.Fill(1 / float64(n))
-				return BiCGSTAB(sys, sys.Rhs(), x0, BiCGSTABOptions{Precond: sys.PrecondDiag()})
-			},
+		got, iters, err := OnesRowGaussSeidel(at, nil, GaussSeidelOptions{})
+		if err != nil {
+			continue
 		}
-		for name, solve := range solvers {
-			got, iters, err := solve()
-			if err != nil {
-				// Gauss-Seidel and Jacobi carry no convergence guarantee
-				// on arbitrary generators (the production path falls back
-				// to BiCGSTAB); only the Krylov solver must always land.
-				if name != "bicgstab" {
-					continue
-				}
-				t.Fatalf("trial %d (n=%d): %s: %v", trial, n, name, err)
-			}
-			if iters <= 0 {
-				t.Fatalf("trial %d: %s reported %d iterations", trial, name, iters)
-			}
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-7 {
-					t.Fatalf("trial %d: %s π[%d] = %v, dense %v", trial, name, i, got[i], want[i])
-				}
+		converged++
+		if iters <= 0 {
+			t.Fatalf("trial %d: reported %d iterations", trial, iters)
+		}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-7 {
+				t.Fatalf("trial %d: π[%d] = %v, dense %v", trial, i, got[i], want[i])
 			}
 		}
+	}
+	if converged == 0 {
+		t.Fatal("gauss-seidel converged on no trial")
 	}
 }
 
@@ -107,7 +98,7 @@ func TestOnesRowSolversMatchDenseSteadyState(t *testing.T) {
 // normalized system pins. The ascending Gauss-Seidel sweep must
 // converge to the closed-form geometric distribution there. (With the
 // drift reversed — mass at state 0, far from the pinned row — the sweep
-// diverges; the production path covers that regime with BiCGSTAB.)
+// diverges, which the CTMC layer reports as a typed no_convergence.)
 func TestOnesRowGaussSeidelBirthDeath(t *testing.T) {
 	const n, up, down = 12, 1.0, 0.4
 	b := NewSparseBuilder(n)
@@ -171,29 +162,16 @@ func TestOnesRowApplyAndRhs(t *testing.T) {
 		t.Fatalf("ones row = %v, want Σv = %v", dst[5], total)
 	}
 
-	b := sys.Rhs()
-	for i, x := range b {
+	// At the stationary distribution the system reads A π = e_{n-1}.
+	sys.Apply(dst, denseSteady(t, q))
+	for i, x := range dst {
 		want := 0.0
 		if i == 5 {
 			want = 1
 		}
-		if x != want {
-			t.Fatalf("rhs[%d] = %v, want %v", i, x, want)
+		if math.Abs(x-want) > 1e-12 {
+			t.Fatalf("A π row %d = %v, want %v", i, x, want)
 		}
-	}
-	d := sys.PrecondDiag()
-	if d[5] != 1 {
-		t.Fatalf("precond diag last entry = %v, want 1", d[5])
-	}
-	for i := 0; i < 5; i++ {
-		if d[i] != at.Diag()[i] {
-			t.Fatalf("precond diag[%d] = %v, want %v", i, d[i], at.Diag()[i])
-		}
-	}
-	// PrecondDiag must be a copy, not an alias of the CSR diagonal.
-	d[0] += 1
-	if d[0] == at.Diag()[0] {
-		t.Fatal("PrecondDiag aliases the matrix diagonal")
 	}
 }
 

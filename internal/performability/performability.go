@@ -59,9 +59,7 @@ type Options struct {
 	PenaltyValue float64
 	// Discipline is the repair discipline of the availability model.
 	Discipline avail.RepairDiscipline
-	// Solver selects the steady-state solver strategy for the
-	// availability chains backing the evaluation (the zero value is
-	// auto: dense for small chains, sparse iterative beyond).
+	// Solver changes no answer (marginals are closed form); kept, like avail's *Solver entry points, for the frozen bench/.
 	Solver ctmc.SolverStrategy
 }
 

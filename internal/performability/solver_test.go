@@ -1,47 +1,11 @@
 package performability
 
 import (
-	"math"
 	"testing"
 
 	"performa/internal/ctmc"
 	"performa/internal/perf"
 )
-
-// TestEvaluateSolverStrategiesAgree runs the full hierarchical
-// evaluation under the default (auto) strategy and under forced
-// BiCGSTAB and Gauss-Seidel: the availability chains behind the reward
-// model are tiny here, but every strategy must still give the same
-// performability verdict to solver tolerance.
-func TestEvaluateSolverStrategiesAgree(t *testing.T) {
-	env := failingEnv(t)
-	a := analysis(t, env, 1)
-	cfg := perf.Config{Replicas: []int{2, 2, 3}}
-	ref, err := Evaluate(a, cfg, Options{Policy: ExcludeDown})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []ctmc.SolverStrategy{ctmc.SolverBiCGSTAB, ctmc.SolverGaussSeidel} {
-		res, err := Evaluate(a, cfg, Options{Policy: ExcludeDown, Solver: s})
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if d := math.Abs(res.Availability - ref.Availability); d > 1e-9 {
-			t.Fatalf("%v: availability %v, auto %v", s, res.Availability, ref.Availability)
-		}
-		if d := math.Abs(res.DegradationShare - ref.DegradationShare); d > 1e-9 {
-			t.Fatalf("%v: degradation share %v, auto %v", s, res.DegradationShare, ref.DegradationShare)
-		}
-		if res.StatesEvaluated != ref.StatesEvaluated {
-			t.Fatalf("%v: evaluated %d states, auto %d", s, res.StatesEvaluated, ref.StatesEvaluated)
-		}
-		for x := range ref.Waiting {
-			if d := math.Abs(res.Waiting[x] - ref.Waiting[x]); d > 1e-6 {
-				t.Fatalf("%v: W[%d] = %v, auto %v", s, x, res.Waiting[x], ref.Waiting[x])
-			}
-		}
-	}
-}
 
 func TestOptionsRejectUnknownSolver(t *testing.T) {
 	env := failingEnv(t)

@@ -13,7 +13,6 @@ import (
 	"performa/internal/audit"
 	"performa/internal/avail"
 	"performa/internal/config"
-	"performa/internal/ctmc"
 	"performa/internal/linalg"
 	"performa/internal/performability"
 	"performa/internal/sensitivity"
@@ -122,10 +121,6 @@ type ModelJSON struct {
 	PenaltyValue float64 `json:"penalty_value,omitempty"`
 	// Discipline is "independent" (default) or "single-crew".
 	Discipline string `json:"discipline,omitempty"`
-	// Solver selects the steady-state solver strategy: "auto"
-	// (default), "dense", "gauss_seidel", "jacobi", "power", or
-	// "bicgstab".
-	Solver string `json:"solver,omitempty"`
 	// Turnaround selects the turnaround model /v1/assess reports:
 	// "collapse" (default — the paper's max-of-means AND-state
 	// collapse) or "net", which additionally reports the exact expected
@@ -176,11 +171,6 @@ func (m ModelJSON) toOptions() (performability.Options, error) {
 	default:
 		return out, fmt.Errorf("unknown repair discipline %q (want independent or single-crew)", m.Discipline)
 	}
-	solver, err := ctmc.ParseSolverStrategy(m.Solver)
-	if err != nil {
-		return out, err
-	}
-	out.Solver = solver
 	return out, nil
 }
 
@@ -310,19 +300,16 @@ type TraceStepJSON struct {
 
 // RecommendResponse is the /v1/recommend reply.
 type RecommendResponse struct {
-	Fingerprint string   `json:"fingerprint"`
-	Planner     string   `json:"planner"`
-	ServerTypes []string `json:"server_types"`
-	Config      []int    `json:"config"`
-	Cost        int      `json:"cost"`
-	Evaluations int      `json:"evaluations"`
-	// Solvers traces which linear-system solvers ran during this
-	// search (process-global counters, delta over the request).
-	Solvers    map[string]linalg.SolverCounter `json:"solvers,omitempty"`
-	Assessment AssessmentJSON                  `json:"assessment"`
-	Trace      []TraceStepJSON                 `json:"trace,omitempty"`
-	CacheWarm  bool                            `json:"cache_warm"`
-	ElapsedMS  float64                         `json:"elapsed_ms"`
+	Fingerprint string          `json:"fingerprint"`
+	Planner     string          `json:"planner"`
+	ServerTypes []string        `json:"server_types"`
+	Config      []int           `json:"config"`
+	Cost        int             `json:"cost"`
+	Evaluations int             `json:"evaluations"`
+	Assessment  AssessmentJSON  `json:"assessment"`
+	Trace       []TraceStepJSON `json:"trace,omitempty"`
+	CacheWarm   bool            `json:"cache_warm"`
+	ElapsedMS   float64         `json:"elapsed_ms"`
 }
 
 // AssessBatchItem is one entry of an assess-batch: a system, the

@@ -618,7 +618,6 @@ func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool,
 		Config:      rec.Config.Replicas,
 		Cost:        rec.Cost,
 		Evaluations: rec.Evaluations,
-		Solvers:     rec.Solvers,
 		Assessment:  assessmentJSON(rec.Assessment),
 		CacheWarm:   warm,
 		ElapsedMS:   float64(time.Since(began).Microseconds()) / 1e3,

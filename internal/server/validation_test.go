@@ -12,6 +12,8 @@ package server
 //     60-second budget); it must be rejected with a typed 422.
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -119,5 +121,69 @@ func TestNegativeTimeoutRejected(t *testing.T) {
 	}))
 	if status != http.StatusOK {
 		t.Errorf("timeout_ms 0: status = %d (%+v), want 200", status, e)
+	}
+}
+
+// TestModelSolverFieldColdAndWarm pins the removed model.solver knob:
+// it used to change no answer on a cold system and 422 on one resident
+// under another value ("shared evaluator options … differ": the cache
+// key omitted it, so the default request below failed after a "dense").
+// It is now an unknown field — the identical 400 cold or warm — and a
+// request without it answers byte-identically cold and warm under both
+// repair disciplines.
+func TestModelSolverFieldColdAndWarm(t *testing.T) {
+	doc, _ := paperSystem(t)
+	_, ts := newTestServer(t, Options{Workers: 2})
+	post := func(t *testing.T, model string) (int, []byte) {
+		t.Helper()
+		body := `{"system": ` + mustJSON(t, doc) + `, "config": [2,2,3], "goals": {"max_unavailability": 1e-5}, "model": ` + model + `}`
+		resp, err := http.Post(ts.URL+"/v1/assess", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+
+	t.Run("solver field", func(t *testing.T) {
+		coldStatus, cold := post(t, `{"solver": "dense"}`)
+		warmStatus, warm := post(t, `{"solver": "dense"}`)
+		if coldStatus != http.StatusBadRequest || warmStatus != http.StatusBadRequest {
+			t.Fatalf("status %d then %d, want 400 both times\n%s\n%s", coldStatus, warmStatus, cold, warm)
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Fatalf("first and second rejection differ:\n%s\n%s", cold, warm)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(cold, &e); err != nil || e.Code != "bad_request" || !strings.Contains(e.Error, `unknown field "solver"`) {
+			t.Fatalf("rejection body %s (decode err %v), want bad_request naming the unknown field", cold, err)
+		}
+	})
+	for _, model := range []string{`{}`, `{"discipline": "single-crew"}`} {
+		t.Run("no solver field "+model, func(t *testing.T) {
+			var cold, warm struct {
+				Assessment json.RawMessage `json:"assessment"`
+				CacheWarm  bool            `json:"cache_warm"`
+			}
+			for i, out := range []any{&cold, &warm} {
+				status, raw := post(t, model)
+				if status != http.StatusOK {
+					t.Fatalf("post %d: status %d\n%s", i, status, raw)
+				}
+				if err := json.Unmarshal(raw, out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if cold.CacheWarm || !warm.CacheWarm {
+				t.Fatalf("cache_warm %v then %v, want false then true", cold.CacheWarm, warm.CacheWarm)
+			}
+			if !bytes.Equal(cold.Assessment, warm.Assessment) {
+				t.Fatalf("cold and warm assessments differ:\n%s\n%s", cold.Assessment, warm.Assessment)
+			}
+		})
 	}
 }
