@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet test race loc bench bench-solver bench-serving bench-reconfig bench-netdiff crossval solver-diff netdiff fuzz-crash replay-smoke corpus-check
+.PHONY: check build vet test race loc bench bench-solver bench-netdiff crossval solver-diff netdiff fuzz-crash replay-smoke corpus-check
 
 check: build vet test race
 
@@ -26,7 +26,7 @@ race:
 # down. Print it before and after a change that claims to simplify.
 # It is a ratchet: the count may not exceed LOC_CEILING (CI runs this),
 # and a PR that lowers the count lowers the ceiling to its new count.
-LOC_CEILING := 26604
+LOC_CEILING := 25690
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l); \
@@ -44,18 +44,6 @@ bench:
 # a few minutes.
 bench-solver:
 	$(GO) run ./cmd/wfmsbench -solver-json BENCH_solver.json
-
-# Serving throughput sweep (E18): cold vs warm vs batched assessment
-# latency through a real wfmsd over loopback HTTP, across the imported
-# workflow corpus. Writes the raw phase rows to BENCH_serving.json.
-bench-serving:
-	$(GO) run ./cmd/wfmsbench -serving-json BENCH_serving.json
-
-# Reconfiguration-loop sweep (E19): drift-to-advisory latency of the
-# sensitivity-guided controller (wfmsd -reconfigure) across the imported
-# workflow corpus. Writes the raw rows to BENCH_reconfig.json.
-bench-reconfig:
-	$(GO) run ./cmd/wfmsbench -reconfig-json BENCH_reconfig.json
 
 # Collapse-bias sweep (E20): the max-of-means parallel collapse vs the
 # free-choice net oracle's exact expected execution time, over the

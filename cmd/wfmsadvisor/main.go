@@ -1,8 +1,11 @@
-// Command wfmsadvisor is the closed-loop configuration advisor of the
-// paper's Section 7: given a JSON system specification, the running
+// Command wfmsadvisor is the one-shot form of the paper's Section 7
+// closed loop: given a JSON system specification, the running
 // configuration, goals, and (optionally) an audit trail in JSON-lines
-// form, it recalibrates the models from the trail and recommends whether
-// to keep, grow, or shrink the deployment.
+// form, it recalibrates the system from the trail and re-plans from the
+// running configuration exactly as wfmsd's reconfiguration controller
+// does — assess what is deployed, then warm-start the greedy search
+// there — and prints whether that keeps, grows, or shrinks the
+// deployment.
 //
 // Usage:
 //
@@ -12,18 +15,22 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"performa/internal/advisor"
+	"performa"
 	"performa/internal/audit"
 	"performa/internal/calibrate"
 	"performa/internal/config"
 	"performa/internal/perf"
 	"performa/internal/performability"
+	"performa/internal/stream"
 	"performa/internal/wfjson"
 	"performa/internal/wfmserr"
 )
@@ -37,86 +44,132 @@ func main() {
 			os.Exit(2)
 		}
 	}()
-	var (
-		specFile    = flag.String("spec", "", "JSON system specification (required; see internal/wfjson)")
-		trailFile   = flag.String("trail", "", "JSON-lines audit trail to recalibrate from (optional)")
-		configSpec  = flag.String("config", "", "running configuration, e.g. 2,2,3 (required)")
-		maxWait     = flag.Float64("max-wait", 0, "waiting-time goal (0 = none)")
-		maxUnavail  = flag.Float64("max-unavail", 0, "unavailability goal (0 = none)")
-		allowShrink = flag.Bool("allow-shrink", false, "permit recommending fewer replicas when goals hold with headroom")
-		smoothing   = flag.Float64("smoothing", 0.5, "Laplace smoothing for recalibrated branch probabilities")
-		minObs      = flag.Int("min-observations", 50, "minimum completed instances before a trail is trusted")
-		workers     = flag.Int("workers", 0, "planner worker-pool size (0 = all CPUs, 1 = sequential)")
-	)
-	flag.Parse()
-	if *specFile == "" || *configSpec == "" {
-		flag.Usage()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	case err != nil:
+		// One-line diagnostic, prefixed with the error's taxonomy code
+		// when typed.
+		fmt.Fprintln(os.Stderr, "wfmsadvisor:", wfmserr.Describe(err))
+		os.Exit(1)
+	}
+}
+
+// errUsage reports a command line the flag set already complained about.
+var errUsage = errors.New("usage")
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("wfmsadvisor", flag.ContinueOnError)
+	var (
+		specFile    = fs.String("spec", "", "JSON system specification (required; see internal/wfjson)")
+		trailFile   = fs.String("trail", "", "JSON-lines audit trail to recalibrate from (optional)")
+		configSpec  = fs.String("config", "", "running configuration, e.g. 2,2,3 (required)")
+		maxWait     = fs.Float64("max-wait", 0, "waiting-time goal (0 = none)")
+		maxUnavail  = fs.Float64("max-unavail", 0, "unavailability goal (0 = none)")
+		allowShrink = fs.Bool("allow-shrink", false, "permit recommending fewer replicas when goals hold with headroom")
+		smoothing   = fs.Float64("smoothing", 0.5, "Laplace smoothing for recalibrated branch probabilities")
+		minObs      = fs.Int("min-observations", 50, "minimum completed instances before a trail is trusted")
+	)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
+	if *specFile == "" || *configSpec == "" {
+		fs.Usage()
+		return errUsage
 	}
 
 	f, err := os.Open(*specFile)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	env, flows, err := wfjson.Decode(f)
 	f.Close()
 	if err != nil {
-		fail(err)
+		return err
 	}
-
-	adv, err := advisor.New(env, flows, advisor.Options{
-		Goals: config.Goals{MaxWaiting: *maxWait, MaxUnavailability: *maxUnavail},
-		Planner: config.Options{
-			Performability: performability.Options{Policy: performability.ExcludeDown},
-			Workers:        *workers,
-		},
-		Calibration:          calibrate.Options{Smoothing: *smoothing},
-		MinObservedInstances: *minObs,
-		AllowShrink:          *allowShrink,
-	})
+	current, err := parseConfig(*configSpec, env.K())
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	if *trailFile != "" {
 		tf, err := os.Open(*trailFile)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		trail, err := audit.ReadJSONLines(tf)
 		tf.Close()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		if err := adv.Observe(trail); err != nil {
-			fail(fmt.Errorf("recalibration: %w", err))
+		est, err := stream.FromTrail(trail)
+		if err == nil {
+			err = est.RequireCompleted(*minObs)
 		}
-		fmt.Printf("recalibrated from %d audit records\n", trail.Len())
+		if err == nil {
+			env, err = est.ApplySystem(env, flows, calibrate.Options{Smoothing: *smoothing})
+		}
+		if err != nil {
+			return fmt.Errorf("recalibration: %w", err)
+		}
+		fmt.Fprintf(out, "recalibrated from %d audit records\n", trail.Len())
 	}
 
-	current, err := parseConfig(*configSpec, env.K())
+	sys, err := performa.NewSystem(env, flows...)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	d, err := adv.Recommend(current)
+	goals := config.Goals{MaxWaiting: *maxWait, MaxUnavailability: *maxUnavail}
+	opts := config.Options{Performability: performability.Options{Policy: performability.ExcludeDown}}
+	ctx := context.Background()
+	as, err := config.AssessContext(ctx, sys.Analysis(), current, goals, opts)
 	if err != nil {
-		fail(err)
+		return err
+	}
+	// A running system is grown, not shrunk, unless asked: the deployed
+	// replicas are the search's lower bound as well as its start.
+	cons := config.Constraints{StartFrom: current.Replicas}
+	if !*allowShrink {
+		cons.MinReplicas = current.Replicas
+	}
+	rec, err := config.GreedyContext(ctx, sys.Analysis(), goals, cons, opts)
+	if err != nil {
+		return fmt.Errorf("goals violated and no feasible configuration found: %w", err)
 	}
 
-	fmt.Printf("running %s — verdict: %s\n", current, d.Verdict)
-	for _, r := range d.Reasons {
-		fmt.Printf("  %s\n", r)
+	verdict := "keep"
+	switch cost := current.TotalServers(); {
+	case rec.Cost < cost:
+		verdict = "shrink"
+	case rec.Cost > cost || !as.Feasible():
+		verdict = "grow"
 	}
-	if d.Verdict != advisor.Keep {
-		fmt.Printf("recommended: %s (%d servers)\n", d.Target, d.TargetCost)
-		for x, dx := range d.Delta {
-			if dx != 0 {
-				fmt.Printf("  %+d %s\n", dx, env.Type(x).Name)
+	fmt.Fprintf(out, "running %s — verdict: %s\n", current, verdict)
+	if !as.PerfOK {
+		fmt.Fprintf(out, "  waiting-time goal violated: max W^Y = %.4g\n", as.Perf.MaxWaiting())
+	}
+	if !as.AvailOK {
+		fmt.Fprintf(out, "  availability goal violated: unavailability = %.3e\n", as.Unavailability)
+	}
+	switch {
+	case verdict == "shrink":
+		fmt.Fprintf(out, "  goals hold at %d servers instead of %d\n", rec.Cost, current.TotalServers())
+	case as.Feasible():
+		fmt.Fprintln(out, "  all goals met")
+	}
+	if verdict != "keep" {
+		fmt.Fprintf(out, "recommended: %s (%d servers)\n", rec.Config, rec.Cost)
+		for x, y := range rec.Config.Replicas {
+			if dx := y - current.Replicas[x]; dx != 0 {
+				fmt.Fprintf(out, "  %+d %s\n", dx, env.Type(x).Name)
 			}
 		}
 	}
-	fmt.Printf("current metrics: max W^Y = %.5g, unavailability = %.3e\n",
-		d.Current.Perf.MaxWaiting(), d.Current.Unavailability)
+	fmt.Fprintf(out, "current metrics: max W^Y = %.5g, unavailability = %.3e\n",
+		as.Perf.MaxWaiting(), as.Unavailability)
+	return nil
 }
 
 func parseConfig(s string, k int) (perf.Config, error) {
@@ -133,11 +186,4 @@ func parseConfig(s string, k int) (perf.Config, error) {
 		replicas[i] = v
 	}
 	return perf.Config{Replicas: replicas}, nil
-}
-
-// fail prints a one-line diagnostic, prefixed with the error's taxonomy
-// code when typed, and exits non-zero.
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "wfmsadvisor:", wfmserr.Describe(err))
-	os.Exit(1)
 }

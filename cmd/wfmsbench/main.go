@@ -36,11 +36,7 @@ func run() int {
 		workers        = flag.Int("workers", 0, "planner worker-pool size (0 = all CPUs, 1 = sequential)")
 		solverJSON     = flag.String("solver-json", "", "run only the E16 solver-scaling bench and write its rows as JSON to this file")
 		solverReduced  = flag.Bool("solver-reduced", false, "with -solver-json: the reduced sweep (CI smoke sizes)")
-		corpusDir      = flag.String("corpus-dir", "corpus", "imported-workflow corpus directory for E18/E19/E20")
-		servingJSON    = flag.String("serving-json", "", "run only the E18 serving bench and write its rows as JSON to this file")
-		servingReduced = flag.Bool("serving-reduced", false, "with -serving-json: the reduced sweep (CI smoke sizes)")
-		reconfigJSON   = flag.String("reconfig-json", "", "run only the E19 reconfiguration-loop bench and write its rows as JSON to this file")
-		reconfigRed    = flag.Bool("reconfig-reduced", false, "with -reconfig-json: the reduced sweep (CI smoke sizes)")
+		corpusDir      = flag.String("corpus-dir", "corpus", "imported-workflow corpus directory for E20")
 		netdiffJSON    = flag.String("netdiff-json", "", "run only the E20 collapse-bias bench and write its rows as JSON to this file")
 		netdiffReduced = flag.Bool("netdiff-reduced", false, "with -netdiff-json: the reduced grid (CI smoke sizes)")
 		cpuprofile     = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -80,12 +76,6 @@ func run() int {
 	if *solverJSON != "" {
 		return runSolverBench(*solverJSON, *solverReduced)
 	}
-	if *servingJSON != "" {
-		return runServingBench(*servingJSON, *corpusDir, *servingReduced)
-	}
-	if *reconfigJSON != "" {
-		return runReconfigBench(*reconfigJSON, *corpusDir, *reconfigRed)
-	}
 	if *netdiffJSON != "" {
 		return runNetDiffBench(*netdiffJSON, *corpusDir, *netdiffReduced)
 	}
@@ -111,14 +101,6 @@ func run() int {
 			_, t, err := experiments.SolverBench(false)
 			return t, err
 		},
-		"e18": func() (*experiments.Table, error) {
-			_, t, err := experiments.ServingBench(*corpusDir, false)
-			return t, err
-		},
-		"e19": func() (*experiments.Table, error) {
-			_, t, err := experiments.ReconfigBench(*corpusDir, false)
-			return t, err
-		},
 		"e20": func() (*experiments.Table, error) {
 			_, t, err := experiments.NetDiffBench(*corpusDir, false)
 			return t, err
@@ -131,7 +113,7 @@ func run() int {
 		"a6": experiments.AblationTransient,
 		"a7": func() (*experiments.Table, error) { return experiments.AblationPooling(*seed) },
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e16", "e18", "e19", "e20",
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e16", "e20",
 		"a1", "a2", "a3", "a4", "a5", "a6", "a7"}
 
 	var ids []string
@@ -166,52 +148,6 @@ func run() int {
 // and writes the raw measurement rows as JSON (BENCH_solver.json).
 func runSolverBench(path string, reduced bool) int {
 	rows, tbl, err := experiments.SolverBench(reduced)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	fmt.Print(tbl.Format())
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	fmt.Printf("wrote %d rows to %s\n", len(rows), path)
-	return 0
-}
-
-// runServingBench runs the E18 serving throughput bench, prints the
-// table, and writes the raw phase rows as JSON (BENCH_serving.json).
-func runServingBench(path, dir string, reduced bool) int {
-	rows, tbl, err := experiments.ServingBench(dir, reduced)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	fmt.Print(tbl.Format())
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	fmt.Printf("wrote %d rows to %s\n", len(rows), path)
-	return 0
-}
-
-// runReconfigBench runs the E19 reconfiguration-loop bench, prints the
-// table, and writes the raw rows as JSON (BENCH_reconfig.json).
-func runReconfigBench(path, dir string, reduced bool) int {
-	rows, tbl, err := experiments.ReconfigBench(dir, reduced)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
 		return 1

@@ -1,8 +1,9 @@
-// Autopilot: the closed configuration loop of the paper's Section 7 —
-// the advisor owns the workflow specifications and goals, the mini-WFMS
+// Autopilot: the closed configuration loop of the paper's Section 7, run
+// by hand with the calls wfmsd's reconfiguration controller makes — the
+// designer's specification and the goals are the model, the mini-WFMS
 // executes the real (different!) workload, and each observation cycle
-// recalibrates the models and re-decides whether the running
-// configuration still meets the goals.
+// recalibrates the system from the audit trail, assesses the running
+// configuration, and warm-starts the greedy search from it.
 //
 //	go run ./examples/autopilot
 package main
@@ -12,54 +13,55 @@ import (
 	"fmt"
 	"log"
 
-	"performa/internal/advisor"
+	"performa"
+	"performa/internal/calibrate"
 	"performa/internal/config"
 	"performa/internal/engine"
 	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/spec"
+	"performa/internal/stream"
 	"performa/internal/workload"
 )
 
-func main() {
-	env := workload.PaperEnvironment()
-
-	// The designer's estimate: a quiet shop, 0.2 orders/min.
-	designed := workload.EPWorkflow(0.2)
-	adv, err := advisor.New(env, []*spec.Workflow{designed}, advisor.Options{
-		Goals: config.Goals{
-			MaxWaiting:        5e-5, // 3 ms
-			MaxUnavailability: 1e-5,
-		},
-		Planner: config.Options{
-			Performability: performability.Options{Policy: performability.ExcludeDown},
-		},
-		AllowShrink: true,
-	})
-	if err != nil {
-		log.Fatal(err)
+var (
+	goals = config.Goals{
+		MaxWaiting:        5e-5, // 3 ms
+		MaxUnavailability: 1e-5,
 	}
+	planner = config.Options{
+		Performability: performability.Options{Policy: performability.ExcludeDown},
+	}
+)
+
+func main() {
+	// The designer's estimate: a quiet shop, 0.2 orders/min. Each
+	// observation rewrites this model (workflow in place, environment
+	// replaced by the measured one).
+	env := workload.PaperEnvironment()
+	flow := workload.EPWorkflow(0.2)
 
 	// Initial deployment for the estimated load.
 	current := perf.Config{Replicas: []int{2, 2, 3}}
-	decide(adv, &current, "initial deployment (designed for 0.2 orders/min)")
+	current = decide(env, flow, current, "initial deployment (designed for 0.2 orders/min)")
 
 	// Reality check 1: a promotion took off — 30 orders/min hit the
 	// running system. The engine executes the real workload and the
-	// advisor observes the audit trail.
-	observe(adv, env, 30, 300)
-	decide(adv, &current, "after observing a surge of ~30 orders/min")
+	// audit trail recalibrates the model.
+	env = observe(env, flow, 30, 300)
+	current = decide(env, flow, current, "after observing a surge of ~30 orders/min")
 
 	// Reality check 2: the market cooled to 2 orders/min.
-	observe(adv, env, 2, 120)
-	decide(adv, &current, "after observing ~2 orders/min")
+	env = observe(env, flow, 2, 120)
+	decide(env, flow, current, "after observing ~2 orders/min")
 }
 
 // observe executes `instances` real workflow instances at the given rate
-// (per minute) on the mini-WFMS and feeds the trail to the advisor.
-func observe(adv *advisor.Advisor, env *spec.Environment, rate float64, instances int) {
+// (per minute) on the mini-WFMS and recalibrates the model from the
+// trail, returning the measured environment.
+func observe(env *spec.Environment, flow *spec.Workflow, rate float64, instances int) *spec.Environment {
 	truth := workload.EPWorkflow(rate)
-	rt := engine.New(env, engine.Options{
+	rt := engine.New(workload.PaperEnvironment(), engine.Options{
 		TimeScale:      0.001,
 		Seed:           uint64(instances),
 		AppWorkers:     map[string]int{workload.AppType: 512},
@@ -69,27 +71,52 @@ func observe(adv *advisor.Advisor, env *spec.Environment, rate float64, instance
 	if _, err := rt.RunInstances(context.Background(), truth, instances, 1/rate); err != nil {
 		log.Fatal(err)
 	}
-	if err := adv.Observe(rt.Trail()); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nobserved %d instances (%d audit records); models recalibrated (#%d)\n",
-		instances, rt.Trail().Len(), adv.Calibrations())
-}
-
-// decide asks the advisor about the current configuration and applies
-// its recommendation.
-func decide(adv *advisor.Advisor, current *perf.Config, label string) {
-	d, err := adv.Recommend(*current)
+	est, err := stream.FromTrail(rt.Trail())
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := est.RequireCompleted(0); err != nil {
+		log.Fatal(err)
+	}
+	measured, err := est.ApplySystem(env, []*spec.Workflow{flow}, calibrate.Options{Smoothing: 0.5})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nobserved %d instances (%d audit records); model recalibrated to %.3g orders/min\n",
+		instances, rt.Trail().Len(), flow.ArrivalRate)
+	return measured
+}
+
+// decide assesses the running configuration under the current model,
+// re-plans from it (replicas may be released: the search starts at the
+// deployment and trims what the goals no longer need), and returns the
+// configuration to run next.
+func decide(env *spec.Environment, flow *spec.Workflow, current perf.Config, label string) perf.Config {
+	sys, err := performa.NewSystem(env, flow)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+	as, err := config.AssessContext(ctx, sys.Analysis(), current, goals, planner)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rec, err := config.GreedyContext(ctx, sys.Analysis(), goals, config.Constraints{StartFrom: current.Replicas}, planner)
+	if err != nil {
+		log.Fatal(err)
+	}
+	verdict := "keep"
+	switch {
+	case rec.Cost < current.TotalServers():
+		verdict = "shrink"
+	case rec.Cost > current.TotalServers() || !as.Feasible():
+		verdict = "grow"
+	}
 	fmt.Printf("%s:\n", label)
-	fmt.Printf("  running %s — verdict: %s\n", current, d.Verdict)
-	for _, r := range d.Reasons {
-		fmt.Printf("    %s\n", r)
+	fmt.Printf("  running %s — verdict: %s (max W^Y = %.4g, unavailability = %.3e)\n",
+		current, verdict, as.Perf.MaxWaiting(), as.Unavailability)
+	if verdict != "keep" {
+		fmt.Printf("  reconfigure %s → %s (%d servers)\n", current, rec.Config, rec.Cost)
 	}
-	if d.Verdict != advisor.Keep {
-		fmt.Printf("  reconfigure %s → %s (%d servers)\n", current, d.Target, d.TargetCost)
-		*current = d.Target
-	}
+	return rec.Config
 }

@@ -16,6 +16,7 @@ import (
 	"performa/internal/calibrate"
 	"performa/internal/engine"
 	"performa/internal/performability"
+	"performa/internal/stream"
 	"performa/internal/workload"
 )
 
@@ -55,7 +56,7 @@ func main() {
 		done, rt.Trail().Len())
 
 	// --- 3. Calibrate the designed model from the audit trail --------
-	est, err := calibrate.FromTrail(rt.Trail())
+	est, err := stream.FromTrail(rt.Trail())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,17 +1,20 @@
-// Package calibrate turns audit trails into model parameters: transition
-// probabilities and state residence times (Section 3.2), activity
-// durations, per-server-type service-time moments (Section 4.4), and
-// workflow arrival rates. It is the calibration component of the
+// Package calibrate turns audit-trail estimates into model parameters:
+// transition probabilities and state residence times (Section 3.2),
+// activity durations, per-server-type service-time moments (Section 4.4),
+// and workflow arrival rates. It is the calibration component of the
 // configuration tool (Section 7.1): after the system has been operational
 // for a while, intellectually estimated parameters are replaced by
-// measured ones.
+// measured ones. The records themselves are folded into Estimates by
+// package stream (one estimator for live feeds and complete trails
+// alike); this package owns what the estimates mean for a model.
 package calibrate
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 
-	"performa/internal/audit"
 	"performa/internal/spec"
 	"performa/internal/statechart"
 	"performa/internal/wfmserr"
@@ -75,133 +78,25 @@ type Estimates struct {
 	Window float64
 }
 
-// FromTrail scans a trail and produces estimates. The trail may contain
-// interleaved records of many concurrent instances.
-func FromTrail(trail *audit.Trail) (*Estimates, error) {
-	recs := trail.Records()
-	if len(recs) == 0 {
-		return nil, wfmserr.New(wfmserr.CodeInvalidModel, "calibrate", "empty trail: no records to estimate from")
-	}
-	e := &Estimates{
-		TransitionCounts:  map[TransitionKey]uint64{},
-		Departures:        map[[2]string]uint64{},
-		Residence:         map[[2]string]*MomentPair{},
-		ActivityDurations: map[string]*MomentPair{},
-		ServiceMoments:    map[string]*MomentPair{},
-		WaitingMoments:    map[string]*MomentPair{},
-		Turnarounds:       map[string]*MomentPair{},
-		ArrivalRates:      map[string]float64{},
-		Starts:            map[string]uint64{},
-	}
+// ErrTooFewObservations reports estimates drawn from fewer completed
+// instances than the caller trusts.
+var ErrTooFewObservations = errors.New("calibrate: too few observations")
 
-	type instChart struct {
-		instance uint64
-		chart    string
+// RequireCompleted rejects estimates backed by fewer than need completed
+// instances (need <= 0 means 50) with ErrTooFewObservations:
+// recalibrating from a handful of instances would thrash the model.
+func (e *Estimates) RequireCompleted(need int) error {
+	if need <= 0 {
+		need = 50
 	}
-	lastLeft := map[instChart]string{}           // last state left, awaiting the next entry
-	entered := map[instChart]float64{}           // entry time of the current state
-	curState := map[instChart]string{}           // current state
-	actStart := map[[2]interface{}]([]float64){} // (instance, activity) → start-time FIFO
-	instStart := map[uint64]float64{}
-	instWorkflow := map[uint64]string{}
-	startCount := map[string]uint64{}
-	firstStart := map[string]float64{}
-	lastStart := map[string]float64{}
-
-	first, last := recs[0].Time, recs[0].Time
-	for _, r := range recs {
-		if r.Time < first {
-			first = r.Time
-		}
-		if r.Time > last {
-			last = r.Time
-		}
-		switch r.Kind {
-		case audit.InstanceStarted:
-			instStart[r.Instance] = r.Time
-			instWorkflow[r.Instance] = r.Workflow
-			if startCount[r.Workflow] == 0 || r.Time < firstStart[r.Workflow] {
-				firstStart[r.Workflow] = r.Time
-			}
-			if r.Time > lastStart[r.Workflow] {
-				lastStart[r.Workflow] = r.Time
-			}
-			startCount[r.Workflow]++
-		case audit.InstanceCompleted:
-			if t0, ok := instStart[r.Instance]; ok {
-				wf := r.Workflow
-				if wf == "" {
-					wf = instWorkflow[r.Instance]
-				}
-				mp := e.Turnarounds[wf]
-				if mp == nil {
-					mp = &MomentPair{}
-					e.Turnarounds[wf] = mp
-				}
-				mp.add(r.Time - t0)
-			}
-		case audit.StateEntered:
-			key := instChart{r.Instance, r.Chart}
-			if from, ok := lastLeft[key]; ok {
-				e.TransitionCounts[TransitionKey{r.Chart, from, r.State}]++
-				e.Departures[[2]string{r.Chart, from}]++
-				delete(lastLeft, key)
-			}
-			entered[key] = r.Time
-			curState[key] = r.State
-		case audit.StateLeft:
-			key := instChart{r.Instance, r.Chart}
-			if t0, ok := entered[key]; ok && curState[key] == r.State {
-				sk := [2]string{r.Chart, r.State}
-				mp := e.Residence[sk]
-				if mp == nil {
-					mp = &MomentPair{}
-					e.Residence[sk] = mp
-				}
-				mp.add(r.Time - t0)
-				delete(entered, key)
-			}
-			lastLeft[key] = r.State
-		case audit.ActivityStarted:
-			k := [2]interface{}{r.Instance, r.Activity}
-			actStart[k] = append(actStart[k], r.Time)
-		case audit.ActivityCompleted:
-			k := [2]interface{}{r.Instance, r.Activity}
-			if starts := actStart[k]; len(starts) > 0 {
-				mp := e.ActivityDurations[r.Activity]
-				if mp == nil {
-					mp = &MomentPair{}
-					e.ActivityDurations[r.Activity] = mp
-				}
-				mp.add(r.Time - starts[0])
-				actStart[k] = starts[1:]
-			}
-		case audit.ServiceRequest:
-			mp := e.ServiceMoments[r.ServerType]
-			if mp == nil {
-				mp = &MomentPair{}
-				e.ServiceMoments[r.ServerType] = mp
-			}
-			mp.add(r.Service)
-			wp := e.WaitingMoments[r.ServerType]
-			if wp == nil {
-				wp = &MomentPair{}
-				e.WaitingMoments[r.ServerType] = wp
-			}
-			wp.add(r.Waiting)
-		}
+	var observed uint64
+	for _, mp := range e.Turnarounds {
+		observed += mp.N
 	}
-	e.Window = last - first
-	// Arrival rate: (n−1) inter-arrival gaps over the start-to-start
-	// span. Dividing n by the full trail window would bias the estimate
-	// low by the drain tail after the last arrival.
-	for wf, n := range startCount {
-		e.Starts[wf] = n
-		if span := lastStart[wf] - firstStart[wf]; n >= 2 && span > 0 {
-			e.ArrivalRates[wf] = float64(n-1) / span
-		}
+	if observed < uint64(need) {
+		return fmt.Errorf("%w: %d completed instances, need %d", ErrTooFewObservations, observed, need)
 	}
-	return e, nil
+	return nil
 }
 
 // TransitionProb returns the estimated probability of the transition with
@@ -351,9 +246,9 @@ func (e *Estimates) MeasuredEnvironment(env *spec.Environment) (*spec.Environmen
 // rate are replaced by measured values in place (where observations
 // suffice), and the returned environment carries the measured
 // service-time moments. This is the one-call form of the paper's
-// feedback loop that the streaming recalibration path (wfmsd's
-// drift-triggered rebuilds) and the batch CLIs share, so both produce
-// bit-identical models from the same estimates.
+// feedback loop: wfmsd's drift-triggered rebuilds, POST /v1/calibrate,
+// wfmsadvisor -trail and examples/autopilot all go through it, so the
+// same estimates produce bit-identical models on every route.
 func (e *Estimates) ApplySystem(env *spec.Environment, flows []*spec.Workflow, opts Options) (*spec.Environment, error) {
 	for _, w := range flows {
 		if err := e.ApplyToWorkflow(w, env, opts); err != nil {

@@ -1,14 +1,23 @@
-package calibrate
+// The hand-computed estimate checks live in the external test package so
+// they can pin the one record fold (stream.Estimator, through its batch
+// entry stream.FromTrail) together with what calibrate makes of it.
+package calibrate_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"performa/internal/audit"
+	"performa/internal/calibrate"
+	"performa/internal/engine"
 	"performa/internal/spec"
 	"performa/internal/statechart"
+	"performa/internal/stream"
 	"performa/internal/wfmserr"
+	"performa/internal/workload"
 )
 
 func testEnv(t *testing.T) *spec.Environment {
@@ -56,7 +65,6 @@ func syntheticTrail(nB, nC int) *audit.Trail {
 	inst := uint64(0)
 	emit := func(branch string) {
 		inst++
-		start := now
 		tr.Append(audit.Record{Kind: audit.InstanceStarted, Time: now, Workflow: "wf", Instance: inst})
 		tr.Append(audit.Record{Kind: audit.StateEntered, Time: now, Workflow: "wf", Instance: inst, Chart: "wf", State: "a"})
 		tr.Append(audit.Record{Kind: audit.ActivityStarted, Time: now, Instance: inst, Activity: "A"})
@@ -69,7 +77,6 @@ func syntheticTrail(nB, nC int) *audit.Trail {
 		tr.Append(audit.Record{Kind: audit.InstanceCompleted, Time: now, Workflow: "wf", Instance: inst})
 		tr.Append(audit.Record{Kind: audit.ServiceRequest, Time: now, ServerType: "eng", Waiting: 0.5, Service: 0.2})
 		now += 5 // inter-arrival
-		_ = start
 	}
 	for i := 0; i < nB; i++ {
 		emit("b")
@@ -81,13 +88,29 @@ func syntheticTrail(nB, nC int) *audit.Trail {
 }
 
 func TestFromTrailEmpty(t *testing.T) {
-	if _, err := FromTrail(audit.NewTrail()); err == nil {
+	if _, err := stream.FromTrail(audit.NewTrail()); err == nil {
 		t.Error("empty trail accepted")
 	}
 }
 
+// TestRequireCompleted pins the trust gate of the batch recalibration
+// callers: 49 completed instances are below the default 50, a stated
+// minimum is honoured as given.
+func TestRequireCompleted(t *testing.T) {
+	e, err := stream.FromTrail(syntheticTrail(30, 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RequireCompleted(0); !errors.Is(err, calibrate.ErrTooFewObservations) {
+		t.Errorf("49 instances against the default: err = %v, want ErrTooFewObservations", err)
+	}
+	if err := e.RequireCompleted(49); err != nil {
+		t.Errorf("49 instances against 49: %v", err)
+	}
+}
+
 func TestTransitionEstimation(t *testing.T) {
-	e, err := FromTrail(syntheticTrail(30, 10))
+	e, err := stream.FromTrail(syntheticTrail(30, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +133,7 @@ func TestTransitionEstimation(t *testing.T) {
 }
 
 func TestTransitionProbUnobserved(t *testing.T) {
-	e, err := FromTrail(syntheticTrail(1, 0))
+	e, err := stream.FromTrail(syntheticTrail(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +148,7 @@ func TestTransitionProbUnobserved(t *testing.T) {
 }
 
 func TestResidenceAndActivityEstimates(t *testing.T) {
-	e, err := FromTrail(syntheticTrail(5, 5))
+	e, err := stream.FromTrail(syntheticTrail(5, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +164,7 @@ func TestResidenceAndActivityEstimates(t *testing.T) {
 }
 
 func TestServiceAndWaitingMoments(t *testing.T) {
-	e, err := FromTrail(syntheticTrail(4, 0))
+	e, err := stream.FromTrail(syntheticTrail(4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +182,7 @@ func TestServiceAndWaitingMoments(t *testing.T) {
 }
 
 func TestArrivalRateEstimate(t *testing.T) {
-	e, err := FromTrail(syntheticTrail(10, 10))
+	e, err := stream.FromTrail(syntheticTrail(10, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +197,11 @@ func TestArrivalRateEstimate(t *testing.T) {
 func TestApplyToWorkflowRewritesParameters(t *testing.T) {
 	env := testEnv(t)
 	w := branchWorkflow()
-	e, err := FromTrail(syntheticTrail(30, 10))
+	e, err := stream.FromTrail(syntheticTrail(30, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyToWorkflow(w, env, Options{}); err != nil {
+	if err := e.ApplyToWorkflow(w, env, calibrate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Branch probabilities re-estimated to 0.75/0.25.
@@ -208,17 +231,17 @@ func TestApplyToWorkflowRewritesParameters(t *testing.T) {
 func TestApplyToWorkflowOneSidedBranchNeedsSmoothing(t *testing.T) {
 	env := testEnv(t)
 	w := branchWorkflow()
-	e, err := FromTrail(syntheticTrail(10, 0)) // branch c never taken
+	e, err := stream.FromTrail(syntheticTrail(10, 0)) // branch c never taken
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.ApplyToWorkflow(w, env, Options{})
+	err = e.ApplyToWorkflow(w, env, calibrate.Options{})
 	if err == nil || !strings.Contains(err.Error(), "Smoothing") {
 		t.Fatalf("err = %v, want smoothing hint", err)
 	}
 	// With smoothing it works and keeps branch c possible.
 	w2 := branchWorkflow()
-	if err := e.ApplyToWorkflow(w2, env, Options{Smoothing: 1}); err != nil {
+	if err := e.ApplyToWorkflow(w2, env, calibrate.Options{Smoothing: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range w2.Chart.Outgoing("a") {
@@ -231,11 +254,11 @@ func TestApplyToWorkflowOneSidedBranchNeedsSmoothing(t *testing.T) {
 func TestApplyToWorkflowMinObservations(t *testing.T) {
 	env := testEnv(t)
 	w := branchWorkflow()
-	e, err := FromTrail(syntheticTrail(2, 1))
+	e, err := stream.FromTrail(syntheticTrail(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyToWorkflow(w, env, Options{MinObservations: 100}); err != nil {
+	if err := e.ApplyToWorkflow(w, env, calibrate.Options{MinObservations: 100}); err != nil {
 		t.Fatal(err)
 	}
 	// Nothing rewritten: designer values survive.
@@ -248,7 +271,7 @@ func TestApplyToWorkflowMinObservations(t *testing.T) {
 
 func TestServerTypesWithMeasuredService(t *testing.T) {
 	env := testEnv(t)
-	e, err := FromTrail(syntheticTrail(3, 0))
+	e, err := stream.FromTrail(syntheticTrail(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +286,7 @@ func TestServerTypesWithMeasuredService(t *testing.T) {
 }
 
 func TestFromTrailEmptyTypedError(t *testing.T) {
-	_, err := FromTrail(audit.NewTrail())
+	_, err := stream.FromTrail(audit.NewTrail())
 	if wfmserr.CodeOf(err) != wfmserr.CodeInvalidModel {
 		t.Errorf("empty-trail error code = %q, want invalid_model (err: %v)", wfmserr.CodeOf(err), err)
 	}
@@ -272,18 +295,24 @@ func TestFromTrailEmptyTypedError(t *testing.T) {
 func TestVarianceSingleSampleNonNegative(t *testing.T) {
 	// One sample: E[X²] − E[X]² cancels exactly in theory, but the
 	// clamp must hold even when floating cancellation leaves dust.
-	var mp MomentPair
-	mp.add(0.1234567891234567)
-	if v := mp.Variance(); v != 0 {
+	serviceMoments := func(samples ...float64) *calibrate.MomentPair {
+		tr := audit.NewTrail()
+		for i, x := range samples {
+			tr.Append(audit.Record{Kind: audit.ServiceRequest, Time: float64(i), ServerType: "eng", Service: x})
+		}
+		e, err := stream.FromTrail(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.ServiceMoments["eng"]
+	}
+	if v := serviceMoments(0.1234567891234567).Variance(); v != 0 {
 		t.Errorf("single-sample variance = %v, want exactly 0", v)
 	}
-	if v := (&MomentPair{N: 3, Mean: 2, SecondMoment: 3.999999999999999}).Variance(); v != 0 {
+	if v := (&calibrate.MomentPair{N: 3, Mean: 2, SecondMoment: 3.999999999999999}).Variance(); v != 0 {
 		t.Errorf("cancellation dust variance = %v, want clamped 0", v)
 	}
-	mp2 := MomentPair{}
-	mp2.add(1)
-	mp2.add(3)
-	if v := mp2.Variance(); math.Abs(v-1) > 1e-12 {
+	if v := serviceMoments(1, 3).Variance(); math.Abs(v-1) > 1e-12 {
 		t.Errorf("two-sample variance = %v, want 1", v)
 	}
 }
@@ -303,11 +332,11 @@ func TestApplyToWorkflowZeroDurationTypedError(t *testing.T) {
 		tr.Append(audit.Record{Kind: audit.ActivityCompleted, Time: now, Instance: i, Activity: "A"})
 		tr.Append(audit.Record{Kind: audit.InstanceCompleted, Time: now, Workflow: "wf", Instance: i})
 	}
-	e, err := FromTrail(tr)
+	e, err := stream.FromTrail(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.ApplyToWorkflow(w, env, Options{})
+	err = e.ApplyToWorkflow(w, env, calibrate.Options{})
 	if wfmserr.CodeOf(err) != wfmserr.CodeInvalidModel {
 		t.Errorf("zero-duration apply error code = %q, want invalid_model (err: %v)", wfmserr.CodeOf(err), err)
 	}
@@ -316,11 +345,11 @@ func TestApplyToWorkflowZeroDurationTypedError(t *testing.T) {
 func TestApplyToWorkflowOneSidedBranchTypedError(t *testing.T) {
 	env := testEnv(t)
 	w := branchWorkflow()
-	e, err := FromTrail(syntheticTrail(10, 0))
+	e, err := stream.FromTrail(syntheticTrail(10, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.ApplyToWorkflow(w, env, Options{})
+	err = e.ApplyToWorkflow(w, env, calibrate.Options{})
 	if wfmserr.CodeOf(err) != wfmserr.CodeInvalidModel {
 		t.Errorf("one-sided branch error code = %q, want invalid_model (err: %v)", wfmserr.CodeOf(err), err)
 	}
@@ -331,7 +360,7 @@ func TestServerTypesWithMeasuredServiceDegenerate(t *testing.T) {
 	// All-zero service durations: the measured mean is 0, which would
 	// make every waiting-time formula divide by zero. The declared
 	// moment must survive.
-	e := &Estimates{ServiceMoments: map[string]*MomentPair{
+	e := &calibrate.Estimates{ServiceMoments: map[string]*calibrate.MomentPair{
 		"eng": {N: 5, Mean: 0, SecondMoment: 0},
 	}}
 	types := e.ServerTypesWithMeasuredService(env)
@@ -340,7 +369,7 @@ func TestServerTypesWithMeasuredServiceDegenerate(t *testing.T) {
 	}
 	// Second moment below mean² (impossible; cancellation artifact) is
 	// clamped up to mean², never applied as a negative variance.
-	e = &Estimates{ServiceMoments: map[string]*MomentPair{
+	e = &calibrate.Estimates{ServiceMoments: map[string]*calibrate.MomentPair{
 		"eng": {N: 1, Mean: 0.2, SecondMoment: 0.2*0.2 - 1e-18},
 	}}
 	types = e.ServerTypesWithMeasuredService(env)
@@ -348,7 +377,7 @@ func TestServerTypesWithMeasuredServiceDegenerate(t *testing.T) {
 		t.Errorf("second moment %v below mean² %v", got, types[0].MeanService*types[0].MeanService)
 	}
 	// Non-finite moments are rejected wholesale.
-	e = &Estimates{ServiceMoments: map[string]*MomentPair{
+	e = &calibrate.Estimates{ServiceMoments: map[string]*calibrate.MomentPair{
 		"eng": {N: 2, Mean: math.Inf(1), SecondMoment: math.Inf(1)},
 	}}
 	types = e.ServerTypesWithMeasuredService(env)
@@ -359,7 +388,7 @@ func TestServerTypesWithMeasuredServiceDegenerate(t *testing.T) {
 
 func TestMeasuredEnvironment(t *testing.T) {
 	env := testEnv(t)
-	e, err := FromTrail(syntheticTrail(3, 0))
+	e, err := stream.FromTrail(syntheticTrail(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,11 +405,40 @@ func TestMeasuredEnvironment(t *testing.T) {
 }
 
 func TestAccuracy(t *testing.T) {
-	got := Accuracy(map[string]float64{"a": 1.1, "b": 2}, map[string]float64{"a": 1, "b": 2, "c": 5})
+	got := calibrate.Accuracy(map[string]float64{"a": 1.1, "b": 2}, map[string]float64{"a": 1, "b": 2, "c": 5})
 	if math.Abs(got-0.1) > 1e-9 {
 		t.Errorf("accuracy = %v, want 0.1", got)
 	}
-	if Accuracy(nil, map[string]float64{"x": 1}) != 0 {
+	if calibrate.Accuracy(nil, map[string]float64{"x": 1}) != 0 {
 		t.Error("missing keys should not count")
+	}
+}
+
+// TestDiscoverArrivalRateMatchesEstimator: discovery computes the
+// arrival rate from the instance starts its own loop walks; it must be
+// the estimator's (n−1)/span value on the same trail, exactly.
+func TestDiscoverArrivalRateMatchesEstimator(t *testing.T) {
+	env := workload.PaperEnvironment()
+	loan := workload.LoanWorkflow(1)
+	rt := engine.New(env, engine.Options{
+		TimeScale:  0.0002,
+		Seed:       5,
+		AppWorkers: map[string]int{workload.AppType: 64},
+		Users:      64,
+	})
+	if _, err := rt.RunInstances(context.Background(), loan, 60, 1); err != nil {
+		t.Fatal(err)
+	}
+	trail := rt.Trail()
+	flow, err := calibrate.DiscoverWorkflow(trail, loan.Name, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := stream.FromTrail(trail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := est.ArrivalRates[loan.Name]; !(want > 0) || flow.ArrivalRate != want {
+		t.Errorf("discovered arrival rate %v, estimator's %v", flow.ArrivalRate, want)
 	}
 }

@@ -50,12 +50,25 @@ func DiscoverWorkflow(trail *audit.Trail, workflowName string, env *spec.Environ
 	lastLeft := map[uint64]string{}
 	seenInstance := map[uint64]bool{}
 	chartName := workflowName
+	var starts uint64 // instance starts of this workflow, for the arrival rate
+	var firstStart, lastStart float64
 
 	for _, r := range recs {
 		if r.Workflow != "" && r.Workflow != workflowName {
 			continue
 		}
 		switch r.Kind {
+		case audit.InstanceStarted:
+			if r.Workflow != workflowName {
+				continue
+			}
+			// Records are in time order: the first start seen is the
+			// earliest, the latest seen the last.
+			if starts == 0 {
+				firstStart = r.Time
+			}
+			lastStart = r.Time
+			starts++
 		case audit.StateEntered:
 			if r.Chart != "" && r.Chart != chartName {
 				// A nested subchart's records: the flat reconstruction
@@ -255,8 +268,10 @@ func DiscoverWorkflow(trail *audit.Trail, workflowName string, env *spec.Environ
 		Chart:    chart,
 		Profiles: profiles,
 	}
-	if est, err := FromTrail(trail); err == nil {
-		flow.ArrivalRate = est.ArrivalRates[workflowName]
+	// Arrival rate: (n−1) inter-arrival gaps over the start-to-start
+	// span, the estimator's formula (stream.Estimator.Snapshot).
+	if span := lastStart - firstStart; starts >= 2 && span > 0 {
+		flow.ArrivalRate = float64(starts-1) / span
 	}
 	if err := flow.Validate(env); err != nil {
 		return nil, fmt.Errorf("calibrate: discovered workflow invalid: %w", err)

@@ -10,6 +10,7 @@ import (
 	"performa/internal/calibrate"
 	"performa/internal/spec"
 	"performa/internal/statechart"
+	"performa/internal/stream"
 )
 
 func testEnv(t *testing.T) *spec.Environment {
@@ -289,7 +290,7 @@ func TestDurationEstimatesAtCoarserScale(t *testing.T) {
 	if done != n {
 		t.Fatalf("completed %d", done)
 	}
-	est, err := calibrate.FromTrail(rt.Trail())
+	est, err := stream.FromTrail(rt.Trail())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestConstrainedServerPoolMeasuresWaiting(t *testing.T) {
 	if done != 60 {
 		t.Fatalf("completed %d", done)
 	}
-	est, err := calibrate.FromTrail(rt.Trail())
+	est, err := stream.FromTrail(rt.Trail())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestCalibrationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := calibrate.FromTrail(rt.Trail())
+	est, err := stream.FromTrail(rt.Trail())
 	if err != nil {
 		t.Fatal(err)
 	}

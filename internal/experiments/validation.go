@@ -5,11 +5,11 @@ import (
 	"fmt"
 
 	"performa/internal/avail"
-	"performa/internal/calibrate"
 	"performa/internal/engine"
 	"performa/internal/perf"
 	"performa/internal/sim"
 	"performa/internal/spec"
+	"performa/internal/stream"
 	"performa/internal/workload"
 )
 
@@ -154,7 +154,7 @@ func E8Calibration(opts E8Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := calibrate.FromTrail(rt.Trail())
+	est, err := stream.FromTrail(rt.Trail())
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"performa/internal/advisor"
 	"performa/internal/audit"
 	"performa/internal/calibrate"
 	"performa/internal/config"
@@ -713,24 +712,24 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	if smoothing == 0 {
 		smoothing = 0.5
 	}
-	adv, err := advisor.New(env, flows, advisor.Options{
-		Calibration:          calibrate.Options{Smoothing: smoothing},
-		MinObservedInstances: req.MinInstances,
-	})
+	// Estimate → trust gate → ApplySystem: the estimator and the model
+	// rewrite are the ones drift-triggered rebuilds use, so the same
+	// records give the same system whether posted here or streamed
+	// through /v1/events.
+	trail := audit.NewTrail()
+	trail.AppendBatch(req.Trail)
+	est, err := stream.FromTrail(trail)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	trail := audit.NewTrail()
-	for _, rec := range req.Trail {
-		trail.Append(rec)
+	if err := est.RequireCompleted(req.MinInstances); err != nil {
+		s.writeError(w, r, http.StatusUnprocessableEntity, err)
+		return
 	}
-	if err := adv.Observe(trail); err != nil {
-		status := http.StatusUnprocessableEntity
-		if !errors.Is(err, advisor.ErrTooFewObservations) {
-			status = http.StatusBadRequest
-		}
-		s.writeError(w, r, status, err)
+	env, err = est.ApplySystem(env, flows, calibrate.Options{Smoothing: smoothing})
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	newFP, err := wfjson.Fingerprint(env, flows)

@@ -17,11 +17,13 @@ import (
 	"time"
 
 	"performa/internal/audit"
+	"performa/internal/calibrate"
 	"performa/internal/config"
 	"performa/internal/engine"
 	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/spec"
+	"performa/internal/stream"
 	"performa/internal/wfjson"
 	"performa/internal/workload"
 )
@@ -551,6 +553,83 @@ func TestCalibrateRejectsSparseTrail(t *testing.T) {
 	status = postJSON(t, ts.URL+"/v1/calibrate", CalibrateRequest{System: *doc, Trail: sparse}, nil)
 	if status != http.StatusUnprocessableEntity {
 		t.Errorf("sparse trail status = %d, want 422", status)
+	}
+}
+
+// TestCalibrateMatchesStreamedRecalibration pins "same records, same
+// model" across the two routes: a trail POSTed to /v1/calibrate returns
+// the system — branch probabilities, durations, arrival rate and
+// measured service moments — that a drift rebuild derives from the same
+// records streamed through /v1/events.
+func TestCalibrateMatchesStreamedRecalibration(t *testing.T) {
+	env, flows, doc := ingestSystem(t)
+	_, ts := newTestServer(t, Options{Workers: 2})
+	// The drift test's trail, with service times alternating 0.1 / 0.3
+	// around its 0.2: the wire format cannot carry a deterministic
+	// service time (an scv of 0 reads as the exponential default).
+	recs := ingestRecords(120, 0)
+	for i := range recs {
+		if recs[i].Kind == audit.ServiceRequest {
+			recs[i].Service = 0.1 + 0.2*float64(i/10%2)
+		}
+	}
+	req := AssessRequest{System: doc, Config: []int{2}, Goals: GoalsJSON{MaxWaiting: 0.5, MaxUnavailability: 1e-2}}
+
+	// Streamed route: warm the designed model, drift it, re-assess.
+	var designed, streamed AssessResponse
+	if status := postJSON(t, ts.URL+"/v1/assess", req, &designed); status != http.StatusOK {
+		t.Fatalf("warmup assess status = %d", status)
+	}
+	if status, ev, _ := postEvents(t, ts.URL, designed.Fingerprint, recs); status != http.StatusOK || !ev.Invalidated {
+		t.Fatalf("events status = %d, invalidated = %v", status, ev.Invalidated)
+	}
+	if status := postJSON(t, ts.URL+"/v1/assess", req, &streamed); status != http.StatusOK {
+		t.Fatalf("post-drift assess status = %d", status)
+	}
+
+	// Batch route: the same records as a trail.
+	var cal CalibrateResponse
+	if status := postJSON(t, ts.URL+"/v1/calibrate", CalibrateRequest{System: doc, Trail: recs}, &cal); status != http.StatusOK {
+		t.Fatalf("calibrate status = %d", status)
+	}
+	// Its fingerprint is that of the system the drift rebuild builds:
+	// the streamed estimator's snapshot applied to the posted document.
+	est := stream.NewEstimator(stream.Options{})
+	est.ObserveBatch(recs)
+	snap, err := est.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured, err := snap.ApplySystem(env, flows, calibrate.Options{Smoothing: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := wfjson.Fingerprint(measured, flows); err != nil || cal.Fingerprint != want {
+		t.Errorf("calibrate fingerprint %s, want the streamed rebuild's %s (err %v)", cal.Fingerprint, want, err)
+	}
+	// The returned document carries the measured service moments (mean
+	// 0.2, second moment 0.05: scv 0.25), not the designed 0.1 / 0.02.
+	if got := cal.System.Environment.Types[0]; math.Abs(got.MeanService-0.2) > 1e-12 || math.Abs(got.ServiceSCV-0.25) > 1e-9 {
+		t.Errorf("returned system service mean %v scv %v, want measured 0.2 / 0.25", got.MeanService, got.ServiceSCV)
+	}
+
+	// And it assesses exactly like the drift-rebuilt model.
+	var batch AssessResponse
+	req.System = cal.System
+	if status := postJSON(t, ts.URL+"/v1/assess", req, &batch); status != http.StatusOK {
+		t.Fatalf("calibrated assess status = %d", status)
+	}
+	if !batch.CacheWarm || batch.Fingerprint != cal.Fingerprint {
+		t.Errorf("calibrated system not pre-warmed: warm %v, fingerprint %s vs %s", batch.CacheWarm, batch.Fingerprint, cal.Fingerprint)
+	}
+	if batch.Assessment.Waiting[0] != streamed.Assessment.Waiting[0] ||
+		batch.Assessment.Unavailability != streamed.Assessment.Unavailability {
+		t.Errorf("batch route W %v / U %v != streamed route W %v / U %v (bit-identical)",
+			batch.Assessment.Waiting[0], batch.Assessment.Unavailability,
+			streamed.Assessment.Waiting[0], streamed.Assessment.Unavailability)
+	}
+	if streamed.Assessment.Waiting[0] == designed.Assessment.Waiting[0] {
+		t.Error("recalibration did not move the waiting time")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"performa/internal/calibrate"
 	"performa/internal/spec"
 	"performa/internal/statechart"
+	"performa/internal/stream"
 )
 
 // branchModel returns a workflow whose initial activity branches to one
@@ -82,7 +83,7 @@ func TestTrailRecordsInstanceLifecycles(t *testing.T) {
 	// The trail must calibrate cleanly and reproduce the chart's
 	// control flow: "A" is entered once per started instance, and every
 	// observed departure from "A" goes to the final state.
-	est, err := calibrate.FromTrail(trail)
+	est, err := stream.FromTrail(trail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestTrailBranchProbabilitiesMatchSpec(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	est, err := calibrate.FromTrail(trail)
+	est, err := stream.FromTrail(trail)
 	if err != nil {
 		t.Fatal(err)
 	}

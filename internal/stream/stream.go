@@ -1,8 +1,9 @@
-// Package stream is the online half of the paper's calibration loop
-// (Sections 3.2 and 7.1): where package calibrate re-scans a complete
-// audit trail, stream maintains the same estimates incrementally, one
+// Package stream is the estimation half of the paper's calibration loop
+// (Sections 3.2 and 7.1), and the only code that interprets audit
+// records: it maintains the calibrate.Estimates incrementally, one
 // audit.Record at a time, so a long-running advisory service can ingest
-// a live event feed without ever re-reading or re-sorting history. The
+// a live event feed without ever re-reading or re-sorting history, and
+// a complete trail is just the same fold run to the end (FromTrail). The
 // estimators are concurrency-safe, allocation-conscious (per-event work
 // is map lookups and Welford updates — no sorting, no copying), and
 // optionally apply exponential-decay windows so old behavior ages out.
@@ -24,9 +25,8 @@ import (
 type Options struct {
 	// HalfLife enables exponential decay: an observation's weight halves
 	// every HalfLife trail-time units, so the estimates track the recent
-	// past instead of the full history. Zero keeps all history, in which
-	// case a Snapshot is bit-identical to calibrate.FromTrail over the
-	// same records in the same order.
+	// past instead of the full history. Zero keeps all history: weights
+	// are exact integer counts and moments plain running means.
 	HalfLife float64
 	// MaxInFlight bounds the per-instance bookkeeping (start times,
 	// entered states, pending activity starts) kept for instances that
@@ -52,8 +52,8 @@ type weightedCount struct {
 }
 
 // weightedMoments tracks a decaying sample mean and second raw moment.
-// With no decay the arithmetic is exactly calibrate.MomentPair.add, so
-// snapshots reproduce the batch estimates bit for bit.
+// With no decay the arithmetic is exactly a running mean over integer
+// counts (what calibrate.MomentPair carries).
 type weightedMoments struct {
 	w    float64
 	mean float64
@@ -367,11 +367,8 @@ func momentsPair(m *weightedMoments) *calibrate.MomentPair {
 }
 
 // Snapshot materializes the running state as a calibrate.Estimates,
-// ready for Estimates.ApplySystem / ApplyToWorkflow. With no decay the
-// snapshot is bit-identical to calibrate.FromTrail over the same
-// records in the same order. An estimator that has seen no events
-// returns a typed invalid_model error, mirroring FromTrail on an empty
-// trail.
+// ready for Estimates.ApplySystem / ApplyToWorkflow. An estimator that
+// has seen no events returns a typed invalid_model error.
 func (e *Estimator) Snapshot() (*calibrate.Estimates, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -411,6 +408,9 @@ func (e *Estimator) Snapshot() (*calibrate.Estimates, error) {
 	for k, m := range e.turnarounds {
 		out.Turnarounds[k] = momentsPair(m)
 	}
+	// Arrival rate: (n−1) inter-arrival gaps over the start-to-start
+	// span. Dividing n by the full trail window would bias the estimate
+	// low by the drain tail after the last arrival.
 	for wf, a := range e.starts {
 		out.Starts[wf] = a.count
 		if span := a.last - a.first; a.count >= 2 && span > 0 {
@@ -418,4 +418,15 @@ func (e *Estimator) Snapshot() (*calibrate.Estimates, error) {
 		}
 	}
 	return out, nil
+}
+
+// FromTrail estimates from a complete trail: its records, in time order,
+// folded through a no-decay estimator whose in-flight bound is the trail
+// length, so no instance is ever dropped however many are open at once.
+// An empty trail returns Snapshot's typed invalid_model error.
+func FromTrail(trail *audit.Trail) (*calibrate.Estimates, error) {
+	recs := trail.Records()
+	e := NewEstimator(Options{MaxInFlight: len(recs)})
+	e.ObserveBatch(recs)
+	return e.Snapshot()
 }

@@ -44,32 +44,70 @@ func syntheticTrail() []audit.Record {
 	}
 }
 
-func TestSnapshotMatchesFromTrailSynthetic(t *testing.T) {
+// TestSnapshotSyntheticEstimates pins the estimator's arithmetic on the
+// synthetic trail against hand-computed values, through both the
+// streaming entry and the batch one.
+func TestSnapshotSyntheticEstimates(t *testing.T) {
 	recs := syntheticTrail()
-	trail := audit.NewTrail()
-	trail.AppendBatch(recs)
-	want, err := calibrate.FromTrail(trail)
-	if err != nil {
-		t.Fatalf("FromTrail: %v", err)
-	}
-
 	est := NewEstimator(Options{})
 	est.ObserveBatch(recs)
-	got, err := est.Snapshot()
+	streamed, err := est.Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("snapshot differs from batch estimates:\n got %+v\nwant %+v", got, want)
+	trail := audit.NewTrail()
+	trail.AppendBatch(recs)
+	batch, err := FromTrail(trail)
+	if err != nil {
+		t.Fatalf("FromTrail: %v", err)
+	}
+	if !reflect.DeepEqual(streamed, batch) {
+		t.Errorf("batch entry differs from the streamed snapshot:\n got %+v\nwant %+v", batch, streamed)
+	}
+
+	got := streamed
+	wantCounts := map[calibrate.TransitionKey]uint64{
+		{Chart: "wf", From: "init", To: "A"}:  1,
+		{Chart: "wf", From: "init", To: "B"}:  1,
+		{Chart: "wf", From: "A", To: "final"}: 1,
+		{Chart: "wf", From: "B", To: "final"}: 1,
+	}
+	if !reflect.DeepEqual(got.TransitionCounts, wantCounts) {
+		t.Errorf("transition counts = %v, want %v", got.TransitionCounts, wantCounts)
+	}
+	wantDepartures := map[[2]string]uint64{{"wf", "init"}: 2, {"wf", "A"}: 1, {"wf", "B"}: 1}
+	if !reflect.DeepEqual(got.Departures, wantDepartures) {
+		t.Errorf("departures = %v, want %v", got.Departures, wantDepartures)
+	}
+	moments := func(what string, mp *calibrate.MomentPair, n uint64, mean, second float64) {
+		t.Helper()
+		if mp == nil || mp.N != n || math.Abs(mp.Mean-mean) > 1e-12 || math.Abs(mp.SecondMoment-second) > 1e-12 {
+			t.Errorf("%s = %+v, want N %d mean %v second moment %v", what, mp, n, mean, second)
+		}
+	}
+	moments("residence(init)", got.Residence[[2]string{"wf", "init"}], 2, 0.375, 0.15625)
+	moments("residence(A)", got.Residence[[2]string{"wf", "A"}], 1, 1, 1)
+	moments("residence(B)", got.Residence[[2]string{"wf", "B"}], 1, 0.75, 0.5625)
+	moments("duration(a)", got.ActivityDurations["a"], 1, 1, 1)
+	moments("duration(b)", got.ActivityDurations["b"], 1, 0.75, 0.5625)
+	moments("service(srv)", got.ServiceMoments["srv"], 2, 0.5, 0.26)
+	moments("waiting(srv)", got.WaitingMoments["srv"], 2, 0.15, 0.025)
+	moments("turnaround(wf)", got.Turnarounds["wf"], 2, 1.35, (1.6*1.6+1.1*1.1)/2)
+	if got.Starts["wf"] != 2 || math.Abs(got.ArrivalRates["wf"]-0.5) > 1e-12 {
+		t.Errorf("starts %d, arrival rate %v; want 2 starts 2 apart = 0.5", got.Starts["wf"], got.ArrivalRates["wf"])
+	}
+	if math.Abs(got.Window-3.1) > 1e-12 {
+		t.Errorf("window = %v, want 3.1", got.Window)
 	}
 }
 
-// TestSnapshotMatchesFromTrailEngine replays a real engine trail —
-// interleaved concurrent instances, waiting times, turnarounds — and
-// requires the streaming estimates to be bit-identical to the batch
-// scan. This is the contract the server's drift-triggered rebuild path
-// depends on for reproducible models.
-func TestSnapshotMatchesFromTrailEngine(t *testing.T) {
+// TestFromTrailEngineTrail folds a real engine trail — interleaved
+// concurrent instances, waiting times, turnarounds — and checks the
+// estimates against what the trail itself states: every started
+// instance is counted and completes, every service request lands in its
+// type's moments, and each state's outgoing counts sum to its
+// departures.
+func TestFromTrailEngineTrail(t *testing.T) {
 	env := workload.PaperEnvironment()
 	w := workload.EPWorkflow(5)
 	rt := engine.New(env, engine.Options{Seed: 7, TimeScale: 1e-5, Users: 8})
@@ -77,22 +115,58 @@ func TestSnapshotMatchesFromTrailEngine(t *testing.T) {
 		t.Fatalf("RunInstances: %v", err)
 	}
 	trail := rt.Trail()
-	want, err := calibrate.FromTrail(trail)
+	got, err := FromTrail(trail)
 	if err != nil {
 		t.Fatalf("FromTrail: %v", err)
 	}
+	if got.Starts[w.Name] != 40 {
+		t.Errorf("starts = %d, want 40", got.Starts[w.Name])
+	}
+	if mp := got.Turnarounds[w.Name]; mp == nil || mp.N != 40 || !(mp.Mean > 0) {
+		t.Errorf("turnarounds = %+v, want 40 positive samples", mp)
+	}
+	var served uint64
+	for _, mp := range got.ServiceMoments {
+		served += mp.N
+	}
+	if want := uint64(len(trail.Filter(audit.ServiceRequest))); served != want {
+		t.Errorf("service samples = %d, want the trail's %d service requests", served, want)
+	}
+	out := map[[2]string]uint64{}
+	for k, n := range got.TransitionCounts {
+		out[[2]string{k.Chart, k.From}] += n
+	}
+	if !reflect.DeepEqual(out, got.Departures) {
+		t.Errorf("per-state transition counts %v do not sum to departures %v", out, got.Departures)
+	}
+}
 
-	est := NewEstimator(Options{})
-	est.ObserveBatch(trail.Records())
-	got, err := est.Snapshot()
+// TestFromTrailKeepsEveryOpenInstance: a complete trail may hold more
+// concurrently open instances than a live estimator's default in-flight
+// bound; the batch entry sizes the bound to the trail, so no turnaround
+// is lost, where the default-bounded estimator drops the excess.
+func TestFromTrailKeepsEveryOpenInstance(t *testing.T) {
+	const n = 1<<16 + 1000
+	recs := make([]audit.Record, 0, 2*n)
+	for i := uint64(0); i < n; i++ {
+		recs = append(recs, audit.Record{Kind: audit.InstanceStarted, Time: float64(i), Workflow: "wf", Instance: i})
+	}
+	for i := uint64(0); i < n; i++ {
+		recs = append(recs, audit.Record{Kind: audit.InstanceCompleted, Time: float64(n + i), Workflow: "wf", Instance: i})
+	}
+	trail := audit.NewTrail()
+	trail.AppendBatch(recs)
+	got, err := FromTrail(trail)
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("streaming snapshot differs from batch estimates over engine trail")
+	if mp := got.Turnarounds["wf"]; mp == nil || mp.N != n || mp.Mean != n {
+		t.Errorf("turnarounds = %+v, want %d samples of %d", mp, n, n)
 	}
-	if est.Events() != uint64(trail.Len()) {
-		t.Errorf("Events() = %d, want %d", est.Events(), trail.Len())
+	bounded := NewEstimator(Options{})
+	bounded.ObserveBatch(recs)
+	if bounded.Dropped() != 1000 {
+		t.Errorf("default-bounded estimator dropped %d instances, want 1000", bounded.Dropped())
 	}
 }
 
