@@ -18,6 +18,7 @@ import (
 	"os"
 	"testing"
 
+	"performa/internal/audit"
 	"performa/internal/avail"
 	"performa/internal/config"
 	"performa/internal/ctmc"
@@ -316,6 +317,45 @@ func BenchmarkAssessCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ev.Evaluate(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadRecords measures the decode layer of POST /v1/events on
+// the batch the ingest-steady workload posts: 2,000 JSON lines of an
+// audit trail simulated from the EP workflow.
+func BenchmarkReadRecords(b *testing.B) {
+	env := workload.PaperEnvironment()
+	m, err := spec.Build(workload.EPWorkflow(3), env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const records = 2000
+	full := audit.NewTrail()
+	if _, err := sim.Run(sim.Params{
+		Env: env, Models: []*spec.Model{m},
+		Replicas: []int{3, 3, 4},
+		Seed:     1, Horizon: records / 40,
+		Trail: full,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if full.Len() < records {
+		b.Fatalf("simulated trail has %d records, want %d", full.Len(), records)
+	}
+	batch := audit.NewTrail()
+	batch.AppendBatch(full.Records()[:records])
+	var lines bytes.Buffer
+	if err := batch.WriteJSONLines(&lines); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(lines.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, err := audit.ReadRecords(bytes.NewReader(lines.Bytes()))
+		if err != nil || len(recs) != records {
+			b.Fatalf("decoded %d records: %v", len(recs), err)
 		}
 	}
 }

@@ -169,22 +169,32 @@ func (t *Trail) WriteJSONLines(w io.Writer) error {
 // carriage returns from CRLF files) are skipped; a malformed line fails
 // the parse with its line number and (truncated) content. Lines longer
 // than MaxLineBytes abort with a line-numbered error.
+//
+// encoding/json defines what a line means and words every error. A line
+// in the shape the repository's own writers emit is decoded by
+// decodeLine instead, in one pass and into its slot of the result; which
+// of the two decodes a line depends only on what the line contains.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
 	line := 0
 	var out []Record
+	names := make(map[string]string)
 	for sc.Scan() {
 		line++
 		b := bytes.TrimSpace(sc.Bytes())
 		if len(b) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(b, &rec); err != nil {
+		out = append(out, Record{})
+		rec := &out[len(out)-1]
+		if decodeLine(b, rec, names) {
+			continue
+		}
+		*rec = Record{}
+		if err := json.Unmarshal(b, rec); err != nil {
 			return nil, fmt.Errorf("audit: line %d (%s): %w", line, truncateForError(b), err)
 		}
-		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("audit: reading trail after line %d: %w", line, err)

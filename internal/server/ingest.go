@@ -224,6 +224,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if maxBytes == 0 {
 		maxBytes = 8 << 20
 	}
+	tooLarge := func(limit int64) error {
+		return wfmserr.New(wfmserr.CodePayloadTooLarge, "server",
+			"event batch exceeds the %d-byte limit; split it into smaller batches", limit)
+	}
+	// What can be refused without reading the body is refused first: a
+	// declared length over the limit, then a fingerprint with no warm
+	// model — parsing megabytes of records to answer 404 is wasted work.
+	if r.ContentLength > maxBytes {
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, tooLarge(maxBytes))
+		return
+	}
+	st, err := s.streamFor(fp)
+	if err != nil {
+		s.writeError(w, r, http.StatusNotFound, err)
+		return
+	}
 	// The limit tracker remembers a MaxBytesError seen mid-stream: an
 	// over-limit body truncates the JSONL mid-line, so the surface error
 	// out of ReadRecords is a parse failure — which must still be
@@ -232,8 +248,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	recs, err := audit.ReadRecords(lr)
 	if err != nil {
 		if lr.limit > 0 {
-			err = wfmserr.New(wfmserr.CodePayloadTooLarge, "server",
-				"event batch exceeds the %d-byte limit; split it into smaller batches", lr.limit)
+			err = tooLarge(lr.limit)
 		}
 		s.writeError(w, r, decodeStatus(err), err)
 		return
@@ -254,12 +269,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.admission.Release(1)
-
-	st, err := s.streamFor(fp)
-	if err != nil {
-		s.writeError(w, r, http.StatusNotFound, err)
-		return
-	}
 
 	st.est.ObserveBatch(recs)
 	s.eventsIngested.Add(uint64(len(recs)))

@@ -289,6 +289,13 @@ func TestEventsRequiresWarmModel(t *testing.T) {
 		t.Errorf("error code = %q, want not_found", fail.Code)
 	}
 
+	// The fingerprint is resolved before the body is read: a body at the
+	// 8 MiB limit, not one record in it, is still 404 and not 400.
+	status, fail = postRaw(t, ts.URL+"/v1/events?fingerprint=feedcafe", strings.Repeat("x", 8<<20))
+	if status != http.StatusNotFound || fail.Code != "not_found" {
+		t.Errorf("unknown fingerprint with an 8 MiB body: status/code = %d/%q, want 404/not_found", status, fail.Code)
+	}
+
 	// After warming the model the same fingerprint accepts events.
 	var as AssessResponse
 	if status := postJSON(t, ts.URL+"/v1/assess", AssessRequest{

@@ -96,6 +96,19 @@ type instChart struct {
 	chart    string
 }
 
+// chartFlow is where one instance stands in one chart. The zero value
+// is an instance that has neither entered nor left a state there.
+type chartFlow struct {
+	// state was entered at enteredAt and not left since (inState).
+	state     string
+	enteredAt float64
+	inState   bool
+	// lastLeft is the state left most recently, awaiting the entry that
+	// completes the transition (hasLeft).
+	lastLeft string
+	hasLeft  bool
+}
+
 // instAct keys per-instance pending activity starts.
 type instAct struct {
 	instance uint64
@@ -127,9 +140,7 @@ type Estimator struct {
 	// In-flight instance state, pruned on completion so a bounded
 	// instance population keeps memory bounded no matter how long the
 	// stream runs.
-	lastLeft     map[instChart]string
-	entered      map[instChart]float64
-	curState     map[instChart]string
+	flows        map[instChart]chartFlow
 	actStart     map[instAct][]float64
 	instStart    map[uint64]float64
 	instWorkflow map[uint64]string
@@ -154,9 +165,7 @@ func NewEstimator(opts Options) *Estimator {
 		waiting:      map[string]*weightedMoments{},
 		turnarounds:  map[string]*weightedMoments{},
 		starts:       map[string]*arrivalTrack{},
-		lastLeft:     map[instChart]string{},
-		entered:      map[instChart]float64{},
-		curState:     map[instChart]string{},
+		flows:        map[instChart]chartFlow{},
 		actStart:     map[instAct][]float64{},
 		instStart:    map[uint64]float64{},
 		instWorkflow: map[uint64]string{},
@@ -258,27 +267,28 @@ func (e *Estimator) observeLocked(r audit.Record) {
 	case audit.StateEntered:
 		key := instChart{r.Instance, r.Chart}
 		e.noteChartLocked(r.Instance, r.Chart)
-		if from, ok := e.lastLeft[key]; ok {
-			e.transitions[calibrate.TransitionKey{Chart: r.Chart, From: from, To: r.State}] = bump(e.transitions[calibrate.TransitionKey{Chart: r.Chart, From: from, To: r.State}], hl, r.Time)
-			e.departures[[2]string{r.Chart, from}] = bump(e.departures[[2]string{r.Chart, from}], hl, r.Time)
-			delete(e.lastLeft, key)
+		f := e.flows[key]
+		if f.hasLeft {
+			counterFor(e.transitions, calibrate.TransitionKey{Chart: r.Chart, From: f.lastLeft, To: r.State}).observe(hl, r.Time)
+			counterFor(e.departures, [2]string{r.Chart, f.lastLeft}).observe(hl, r.Time)
 		}
-		e.entered[key] = r.Time
-		e.curState[key] = r.State
+		e.flows[key] = chartFlow{state: r.State, enteredAt: r.Time, inState: true}
 	case audit.StateLeft:
 		key := instChart{r.Instance, r.Chart}
 		e.noteChartLocked(r.Instance, r.Chart)
-		if t0, ok := e.entered[key]; ok && e.curState[key] == r.State {
+		f := e.flows[key]
+		if f.inState && f.state == r.State {
 			sk := [2]string{r.Chart, r.State}
 			mp := e.residence[sk]
 			if mp == nil {
 				mp = &weightedMoments{}
 				e.residence[sk] = mp
 			}
-			mp.observe(hl, r.Time, r.Time-t0)
-			delete(e.entered, key)
+			mp.observe(hl, r.Time, r.Time-f.enteredAt)
+			f.inState = false
 		}
-		e.lastLeft[key] = r.State
+		f.lastLeft, f.hasLeft = r.State, true
+		e.flows[key] = f
 	case audit.ActivityStarted:
 		k := instAct{r.Instance, r.Activity}
 		if _, ok := e.actStart[k]; !ok {
@@ -312,11 +322,13 @@ func (e *Estimator) observeLocked(r audit.Record) {
 	}
 }
 
-func bump(c *weightedCount, halfLife, now float64) *weightedCount {
+// counterFor returns the key's counter, making it on first sight.
+func counterFor[K comparable](m map[K]*weightedCount, k K) *weightedCount {
+	c := m[k]
 	if c == nil {
 		c = &weightedCount{}
+		m[k] = c
 	}
-	c.observe(halfLife, now)
 	return c
 }
 
@@ -334,10 +346,7 @@ func (e *Estimator) noteChartLocked(instance uint64, chart string) {
 // pruneInstanceLocked drops all in-flight state of a completed instance.
 func (e *Estimator) pruneInstanceLocked(instance uint64) {
 	for _, chart := range e.instCharts[instance] {
-		key := instChart{instance, chart}
-		delete(e.lastLeft, key)
-		delete(e.entered, key)
-		delete(e.curState, key)
+		delete(e.flows, instChart{instance, chart})
 	}
 	delete(e.instCharts, instance)
 	for _, act := range e.instActs[instance] {

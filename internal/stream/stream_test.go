@@ -210,17 +210,11 @@ func TestInFlightPruning(t *testing.T) {
 	}
 	est.mu.Lock()
 	defer est.mu.Unlock()
-	if len(est.entered) != 0 || len(est.curState) != 0 || len(est.actStart) != 0 ||
+	if len(est.flows) != 0 || len(est.actStart) != 0 ||
 		len(est.instCharts) != 0 || len(est.instActs) != 0 || len(est.instWorkflow) != 0 {
-		t.Errorf("in-flight maps not pruned: entered=%d curState=%d actStart=%d instCharts=%d instActs=%d instWorkflow=%d",
-			len(est.entered), len(est.curState), len(est.actStart),
+		t.Errorf("in-flight maps not pruned: flows=%d actStart=%d instCharts=%d instActs=%d instWorkflow=%d",
+			len(est.flows), len(est.actStart),
 			len(est.instCharts), len(est.instActs), len(est.instWorkflow))
-	}
-	// lastLeft keeps one entry per completed chart traversal only if the
-	// final StateLeft was never matched by a StateEntered; pruning must
-	// have cleared those too.
-	if len(est.lastLeft) != 0 {
-		t.Errorf("lastLeft not pruned: %d entries", len(est.lastLeft))
 	}
 }
 
