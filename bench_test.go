@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"performa/internal/audit"
@@ -356,6 +357,54 @@ func BenchmarkReadRecords(b *testing.B) {
 		recs, err := audit.ReadRecords(bytes.NewReader(lines.Bytes()))
 		if err != nil || len(recs) != records {
 			b.Fatalf("decoded %d records: %v", len(recs), err)
+		}
+	}
+}
+
+// BenchmarkDecodeFingerprint measures what the server does to a posted
+// system before it can look up a model: decode, FromDocument, Fingerprint.
+// One iteration takes the 22 corpus systems through it, each in the
+// compact form a client's json.Marshal posts.
+func BenchmarkDecodeFingerprint(b *testing.B) {
+	files, err := filepath.Glob("corpus/systems/*.wfjson")
+	if err != nil || len(files) != 22 {
+		b.Fatalf("found %d corpus systems, want 22: %v", len(files), err)
+	}
+	var posted [][]byte
+	var size int64
+	for _, file := range files {
+		f, err := os.Open(file)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env, flows, err := wfjson.Decode(f)
+		f.Close()
+		if err != nil {
+			b.Fatalf("%s: %v", file, err)
+		}
+		doc, err := wfjson.ToDocument(env, flows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := json.Marshal(doc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		posted = append(posted, body)
+		size += int64(len(body))
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range posted {
+			env, flows, err := wfjson.Decode(bytes.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := wfjson.Fingerprint(env, flows); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -2,7 +2,8 @@ package audit
 
 import (
 	"strconv"
-	"unicode/utf8"
+
+	"performa/internal/jsonscan"
 )
 
 // decodeLine is the one-pass decoder for the line every producer in the
@@ -20,19 +21,19 @@ func decodeLine(b []byte, rec *Record, names map[string]string) bool {
 	if len(b) == 0 || b[0] != '{' {
 		return false
 	}
-	i := skipSpace(b, 1)
+	i := jsonscan.SkipSpace(b, 1)
 	if i < len(b) && b[i] == '}' {
 		return i+1 == len(b)
 	}
 	for {
-		key, next, ok := plainString(b, i)
+		key, next, ok := jsonscan.PlainString(b, i)
 		if !ok {
 			return false
 		}
-		if i = skipSpace(b, next); i >= len(b) || b[i] != ':' {
+		if i = jsonscan.SkipSpace(b, next); i >= len(b) || b[i] != ':' {
 			return false
 		}
-		i = skipSpace(b, i+1)
+		i = jsonscan.SkipSpace(b, i+1)
 
 		var (
 			str *string
@@ -68,12 +69,12 @@ func decodeLine(b []byte, rec *Record, names map[string]string) bool {
 		}
 		if str != nil {
 			var val []byte
-			if val, next, ok = plainString(b, i); !ok {
+			if val, next, ok = jsonscan.PlainString(b, i); !ok {
 				return false
 			}
 			*str, i = intern(names, val), next
 		} else {
-			end := numberEnd(b, i)
+			end := jsonscan.NumberEnd(b, i)
 			if end < 0 {
 				return false
 			}
@@ -96,93 +97,18 @@ func decodeLine(b []byte, rec *Record, names map[string]string) bool {
 			i = end
 		}
 
-		if i = skipSpace(b, i); i >= len(b) {
+		if i = jsonscan.SkipSpace(b, i); i >= len(b) {
 			return false
 		}
 		switch b[i] {
 		case ',':
-			i = skipSpace(b, i+1)
+			i = jsonscan.SkipSpace(b, i+1)
 		case '}':
 			return i+1 == len(b)
 		default:
 			return false
 		}
 	}
-}
-
-// skipSpace returns the index of the first byte at or after i that is
-// not JSON whitespace.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
-		i++
-	}
-	return i
-}
-
-// plainString scans a JSON string starting at b[i] whose content is its
-// own decoding: no escape, no control character, valid UTF-8. It returns
-// the content and the index after the closing quote.
-func plainString(b []byte, i int) (val []byte, end int, ok bool) {
-	if i >= len(b) || b[i] != '"' {
-		return nil, 0, false
-	}
-	i++
-	ascii := true
-	for j := i; j < len(b); j++ {
-		switch c := b[j]; {
-		case c == '"':
-			val = b[i:j]
-			return val, j + 1, ascii || utf8.Valid(val)
-		case c == '\\' || c < ' ':
-			return nil, 0, false
-		case c >= utf8.RuneSelf:
-			ascii = false
-		}
-	}
-	return nil, 0, false
-}
-
-// numberEnd returns the index after the JSON number literal starting at
-// b[i] — -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or -1 if there
-// is none. What follows the literal is the caller's to check.
-func numberEnd(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i)
-	default:
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		frac := skipDigits(b, i+1)
-		if frac == i+1 {
-			return -1
-		}
-		i = frac
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		exp := skipDigits(b, i)
-		if exp == i {
-			return -1
-		}
-		i = exp
-	}
-	return i
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }
 
 // intern returns the canonical copy of b's content, making one on first

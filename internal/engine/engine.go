@@ -37,7 +37,11 @@ type Options struct {
 	// Users is the number of simulated worklist users completing
 	// interactive activities; zero means 4.
 	Users int
-	// Seed makes branch choices and durations reproducible.
+	// Seed seeds the one RNG every instance goroutine draws branch
+	// choices and durations from, under a lock and in scheduler order:
+	// it fixes the stream of draws, not which instance gets which, so
+	// two runs at one seed follow different paths. Tests on a trail must
+	// hold for any sample of the specified distributions.
 	Seed uint64
 	// ServerReplicas sizes the per-server-type request pools: each
 	// service request a running activity emits must hold one of the

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -190,15 +191,25 @@ func TestE8CalibrationAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Branch probabilities within ±0.08 of specification.
+	// Branch probabilities within 4.5 binomial standard errors of the
+	// specification at the row's own sample size (plus the table's
+	// three-decimal rounding). The engine's goroutines draw from one
+	// locked RNG in scheduler order, so the seed does not fix the sample:
+	// the bound has to hold for any sample, and a constant cannot — fewer
+	// instances reach CheckPayment than leave NewOrder.
 	for _, row := range tbl.Rows {
 		if !strings.HasPrefix(row[0], "P(") {
 			continue
 		}
 		want := parse(t, row[1])
 		got := parse(t, row[2])
-		if got < want-0.08 || got > want+0.08 {
-			t.Errorf("%s: estimated %v vs specified %v", row[0], got, want)
+		n := parse(t, row[3])
+		if n < 30 {
+			t.Errorf("%s: only %v departures observed", row[0], n)
+			continue
+		}
+		if bound := 4.5*math.Sqrt(want*(1-want)/n) + 0.001; math.Abs(got-want) > bound {
+			t.Errorf("%s: estimated %v vs specified %v, beyond ±%.3f at n = %v", row[0], got, want, bound, n)
 		}
 	}
 }

@@ -162,7 +162,7 @@ func E8Calibration(opts E8Options) (*Table, error) {
 	t := &Table{
 		ID:      "E8",
 		Title:   fmt.Sprintf("calibration from %d executed instances (mini-WFMS audit trail)", done),
-		Columns: []string{"parameter", "specified", "estimated"},
+		Columns: []string{"parameter", "specified", "estimated", "samples"},
 	}
 	p := workload.EPBranchProbs
 	probRows := []struct {
@@ -180,17 +180,19 @@ func E8Calibration(opts E8Options) (*Table, error) {
 		if !ok {
 			got = 0
 		}
-		t.AddRow(row.name, f3(row.want), f3(got))
+		// The sample behind a branch estimate is the departures from its
+		// source state: every instance for NewOrder, fewer downstream.
+		t.AddRow(row.name, f3(row.want), f3(got), fmt.Sprint(est.Departures[[2]string{"EP", row.from}]))
 	}
 	for _, act := range []string{"NewOrder", "CheckPayment", "PickGoods"} {
 		mp := est.ActivityDurations[act]
-		got := 0.0
+		got, n := 0.0, uint64(0)
 		if mp != nil {
-			got = mp.Mean
+			got, n = mp.Mean, mp.N
 		}
-		t.AddRow("duration("+act+") [min]", f3(workload.EPDurations[act]), f3(got))
+		t.AddRow("duration("+act+") [min]", f3(workload.EPDurations[act]), f3(got), fmt.Sprint(n))
 	}
-	t.AddRow("arrival rate [1/min]", "(execution-driven)", f3(est.ArrivalRates["EP"]))
+	t.AddRow("arrival rate [1/min]", "(execution-driven)", f3(est.ArrivalRates["EP"]), fmt.Sprint(done))
 	t.Notes = append(t.Notes,
 		"durations carry sub-minute sleep-scheduling noise at the 1 ms/min time scale; branch probabilities are exact-frequency estimates")
 	return t, nil

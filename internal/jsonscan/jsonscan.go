@@ -1,0 +1,84 @@
+// Package jsonscan holds the byte-level scanning steps the repository's
+// one-pass decoders (audit lines, wfjson documents) share. Each step
+// recognises the plain form of one JSON token — the form whose decoding
+// is its own bytes — and reports anything else as not recognised, so the
+// caller can hand the input to encoding/json, which stays the definition
+// of what the input means.
+package jsonscan
+
+import "unicode/utf8"
+
+// SkipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func SkipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// PlainString scans a JSON string starting at b[i] whose content is its
+// own decoding: no escape, no control character, valid UTF-8. It returns
+// the content and the index after the closing quote.
+func PlainString(b []byte, i int) (val []byte, end int, ok bool) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, 0, false
+	}
+	i++
+	ascii := true
+	for j := i; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			val = b[i:j]
+			return val, j + 1, ascii || utf8.Valid(val)
+		case c == '\\' || c < ' ':
+			return nil, 0, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, 0, false
+}
+
+// NumberEnd returns the index after the JSON number literal starting at
+// b[i] — -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or -1 if there
+// is none. What follows the literal is the caller's to check.
+func NumberEnd(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		frac := skipDigits(b, i+1)
+		if frac == i+1 {
+			return -1
+		}
+		i = frac
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		exp := skipDigits(b, i)
+		if exp == i {
+			return -1
+		}
+		i = exp
+	}
+	return i
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}

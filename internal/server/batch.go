@@ -140,7 +140,7 @@ func forEachItem(n, par int, fn func(i int)) {
 
 func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	var req AssessBatchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req, nil); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
@@ -228,7 +228,7 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	var req RecommendBatchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req, nil); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}

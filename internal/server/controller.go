@@ -319,7 +319,7 @@ func (s *Server) emitAdvisory(dep *deployment, adv AdvisoryJSON, at time.Time, p
 // the ingestion stream created so /v1/events can start scoring drift.
 func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 	var req DeploymentRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}

@@ -346,21 +346,19 @@ func TestAdversarialBarrage(t *testing.T) {
 	assertAssessmentMatches(t, "post-barrage assess", resp.Assessment, want)
 }
 
-// FuzzAssessCrashSafety feeds mutated request bodies through the full
-// /v1/assess handler: whatever the mutator produces, the server must
-// answer with well-formed JSON — a valid assessment or a typed error
-// body — and never panic. The seed corpus mirrors the wfjson fuzz
-// seeds lifted to the request envelope.
-func FuzzAssessCrashSafety(f *testing.F) {
-	doc, _ := paperSystem(f)
-	degen := degenerateDoc(f)
+// crashSeeds is FuzzAssessCrashSafety's seed corpus (the floor names its
+// entries by position: append, do not reorder).
+func crashSeeds(t testing.TB) []string {
+	t.Helper()
+	doc, _ := paperSystem(t)
+	degen := degenerateDoc(t)
 	valid, err := json.Marshal(AssessRequest{
 		System: doc,
 		Config: []int{2, 2, 2},
 		Goals:  GoalsJSON{MaxUnavailability: 1e-5},
 	})
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	degenerate, err := json.Marshal(AssessRequest{
 		System: degen,
@@ -369,16 +367,29 @@ func FuzzAssessCrashSafety(f *testing.F) {
 		Model:  ModelJSON{Discipline: "single-crew"},
 	})
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	f.Add(string(valid))
-	f.Add(string(degenerate))
-	f.Add(`{`)
-	f.Add(`{"system":{"environment":{"types":[]},"workflows":[]},"config":[],"goals":{}}`)
-	f.Add(strings.Replace(string(valid), `"config":[2,2,2]`, `"config":[1073741824,1073741824,1073741824]`, 1))
-	f.Add(strings.Replace(string(valid), `"config":[2,2,2]`, `"config":[-1,0,2]`, 1))
-	f.Add(strings.Replace(string(valid), `"mean_service":`, `"mean_service":-`, 1))
-	f.Add(strings.Replace(string(valid), `"prob":1`, `"prob":1e308`, 1))
+	return []string{
+		string(valid),
+		string(degenerate),
+		`{`,
+		`{"system":{"environment":{"types":[]},"workflows":[]},"config":[],"goals":{}}`,
+		strings.Replace(string(valid), `"config":[2,2,2]`, `"config":[1073741824,1073741824,1073741824]`, 1),
+		strings.Replace(string(valid), `"config":[2,2,2]`, `"config":[-1,0,2]`, 1),
+		strings.Replace(string(valid), `"mean_service":`, `"mean_service":-`, 1),
+		strings.Replace(string(valid), `"prob":1`, `"prob":1e308`, 1),
+	}
+}
+
+// FuzzAssessCrashSafety feeds mutated request bodies through the full
+// /v1/assess handler: whatever the mutator produces, the server must
+// answer with well-formed JSON — a valid assessment or a typed error
+// body — and never panic. The seed corpus mirrors the wfjson fuzz
+// seeds lifted to the request envelope.
+func FuzzAssessCrashSafety(f *testing.F) {
+	for _, seed := range crashSeeds(f) {
+		f.Add(seed)
+	}
 
 	s := New(Options{Workers: 1, RequestTimeout: 2 * time.Second, Logger: testLogger()})
 	handler := s.Handler()

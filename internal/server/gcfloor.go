@@ -9,16 +9,23 @@ import (
 
 // heapFloor is the heap size below which the daemon does not collect.
 // Its resident state is a few MB of cached models, while every request
-// leaves ~40 KB of decode and fingerprint garbage; at the runtime's 4 MB
-// minimum heap goal that is a collection every ~70 requests, a tenth of
-// the CPU and a third on top of a warm round. A percentage cannot express
-// a floor (a fixed high GOGC would multiply large heaps as well), so GOGC
-// is re-derived after every collection from what the pacer will use —
-// goal = live + (live + stacks + globals)·GOGC/100 — to put the next goal
-// at heapFloor while the live heap is under half of it, and is the
-// default 100 from there on. The runtime's minimum goal scales with GOGC
-// (4 MB at 100), so floorGOGC already yields heapFloor for an empty heap
-// and anything above it would overshoot.
+// leaves garbage: ~30 KB for a warm assessment (some 20 KB of it the
+// decoded document, the spec objects FromDocument validates it into and
+// the canonical document Fingerprint hashes) and a model build's worth
+// of chains and matrices for a cold one. At the runtime's 4 MB minimum
+// heap goal that is a collection every hundred-odd warm requests, and
+// more often while models are built: with the floor off (GOGC=99) a
+// cold-corpus round takes 0.0161 → 0.0194 s and a drift-replan round
+// 0.0360 → 0.0427 s, so it is the builds, more than the decode, that the
+// floor is kept for.
+// A percentage cannot express a floor (a fixed high GOGC would multiply
+// large heaps as well), so GOGC is re-derived after every collection from
+// what the pacer will use — goal = live + (live + stacks +
+// globals)·GOGC/100 — to put the next goal at heapFloor while the live
+// heap is under half of it, and is the default 100 from there on. The
+// runtime's minimum goal scales with GOGC (4 MB at 100), so floorGOGC
+// already yields heapFloor for an empty heap and anything above it would
+// overshoot.
 const (
 	heapFloor = 32 << 20
 	floorGOGC = heapFloor / (4 << 20) * 100

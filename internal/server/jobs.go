@@ -264,7 +264,7 @@ func newJobID() string {
 // the search to a runner goroutine.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RecommendRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}

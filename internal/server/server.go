@@ -183,6 +183,10 @@ type Server struct {
 	reconfigFailed  atomic.Uint64
 	reconfigLatency *histogram
 	lastAdvisoryNS  atomic.Int64
+
+	// noBodySplit sends every body through encoding/json whole. Only
+	// tests set it, to hold decodeBody's two routes against each other.
+	noBodySplit bool
 }
 
 // New builds the service.
@@ -394,41 +398,6 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return r.ResponseWriter.Write(p)
 }
 
-// decodeBody strictly parses a JSON request body into dst.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	maxBytes := s.opts.MaxBodyBytes
-	if maxBytes == 0 {
-		maxBytes = 8 << 20
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		// An over-limit body is not a malformed one: report it as 413
-		// payload_too_large (via decodeStatus), never a generic 400 —
-		// the client's remedy (shrink or split the payload) is entirely
-		// different from fixing broken JSON.
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return wfmserr.New(wfmserr.CodePayloadTooLarge, "server",
-				"request body exceeds the %d-byte limit", maxErr.Limit)
-		}
-		return fmt.Errorf("parsing request: %w", err)
-	}
-	if dec.More() {
-		return errors.New("parsing request: trailing data after JSON document")
-	}
-	return nil
-}
-
-// decodeStatus maps a decodeBody error onto its HTTP status: an
-// over-limit body is 413 Payload Too Large, everything else a 400.
-func decodeStatus(err error) int {
-	if wfmserr.CodeOf(err) == wfmserr.CodePayloadTooLarge {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
 // validateTimeout rejects a negative timeout_ms with a typed validation
 // error. Zero stays valid (inherit the server default); the old code
 // silently fell through `> 0` into the default, which masked client
@@ -512,7 +481,7 @@ func quotaStatus(err error) int {
 
 func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	var req AssessRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
@@ -636,7 +605,7 @@ func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool,
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req RecommendRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
@@ -682,7 +651,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	var req CalibrateRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}

@@ -41,6 +41,7 @@
 package wfjson
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -48,6 +49,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync"
 
 	"performa/internal/spec"
 	"performa/internal/statechart"
@@ -155,26 +157,41 @@ var actionStrings = map[statechart.ActionKind]string{
 }
 
 // Decode parses a document and converts it into a validated environment
-// and workflow list.
+// and workflow list. encoding/json (strict: unknown fields are errors)
+// defines what the input means and words every parse error; a document
+// in the dialect ParseDocument accepts is decoded by it instead, and
+// which of the two runs depends only on what the input contains. Like a
+// json.Decoder, Decode reads one document and ignores what follows it.
 func Decode(r io.Reader) (*spec.Environment, []*spec.Workflow, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var doc Document
-	if err := dec.Decode(&doc); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, nil, fmt.Errorf("wfjson: parsing document: %w", err)
+	}
+	var doc Document
+	if _, ok := ParseDocument(b, &doc); !ok {
+		doc = Document{}
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&doc); err != nil {
+			return nil, nil, fmt.Errorf("wfjson: parsing document: %w", err)
+		}
 	}
 	return FromDocument(&doc)
 }
 
-// finiteField rejects non-finite user-supplied (or derived) numeric
-// fields with a typed error: downstream solvers assume finite inputs,
-// and a derived Inf (e.g. an overflowed second moment or a 1/MTTF that
-// rounds to +Inf) would otherwise slip past range checks like x > 0.
-func finiteField(owner, field string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return wfmserr.New(wfmserr.CodeInvalidModel, "wfjson", "%s: %s %v is not finite", owner, field, v)
-	}
-	return nil
+// finite reports whether v is a number downstream solvers can take: they
+// assume finite inputs, and a derived Inf (e.g. an overflowed second
+// moment or a 1/MTTF that rounds to +Inf) would otherwise slip past range
+// checks like x > 0.
+func finite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// nonFinite is the typed error for a user-supplied (or derived) numeric
+// field that is not finite. Callers name the owner only here, on the
+// error path: formatting it costs more than every check it would label.
+func nonFinite(owner, field string, v float64) error {
+	return wfmserr.New(wfmserr.CodeInvalidModel, "wfjson", "%s: %s %v is not finite", owner, field, v)
 }
 
 // FromDocument converts a parsed document into model inputs.
@@ -192,28 +209,11 @@ func FromDocument(doc *Document) (*spec.Environment, []*spec.Workflow, error) {
 		if scv < 0 {
 			return nil, nil, fmt.Errorf("wfjson: server type %q: negative service scv %v", st.Name, scv)
 		}
-		owner := fmt.Sprintf("server type %q", st.Name)
-		for _, f := range []struct {
-			name string
-			v    float64
-		}{
-			{"mean_service", st.MeanService},
-			{"service_scv", scv},
-			{"mttf", st.MTTF},
-			{"mttr", st.MTTR},
-		} {
-			if err := finiteField(owner, f.name, f.v); err != nil {
-				return nil, nil, err
-			}
-		}
 		out := spec.ServerType{
 			Name:                st.Name,
 			Kind:                kind,
 			MeanService:         st.MeanService,
 			ServiceSecondMoment: (1 + scv) * st.MeanService * st.MeanService,
-		}
-		if err := finiteField(owner, "derived service second moment", out.ServiceSecondMoment); err != nil {
-			return nil, nil, err
 		}
 		if st.MTTF > 0 {
 			out.FailureRate = 1 / st.MTTF
@@ -221,11 +221,21 @@ func FromDocument(doc *Document) (*spec.Environment, []*spec.Workflow, error) {
 		if st.MTTR > 0 {
 			out.RepairRate = 1 / st.MTTR
 		}
-		if err := finiteField(owner, "derived failure rate (1/mttf)", out.FailureRate); err != nil {
-			return nil, nil, err
-		}
-		if err := finiteField(owner, "derived repair rate (1/mttr)", out.RepairRate); err != nil {
-			return nil, nil, err
+		for _, f := range [...]struct {
+			name string
+			v    float64
+		}{
+			{"mean_service", st.MeanService},
+			{"service_scv", scv},
+			{"mttf", st.MTTF},
+			{"mttr", st.MTTR},
+			{"derived service second moment", out.ServiceSecondMoment},
+			{"derived failure rate (1/mttf)", out.FailureRate},
+			{"derived repair rate (1/mttr)", out.RepairRate},
+		} {
+			if !finite(f.v) {
+				return nil, nil, nonFinite(fmt.Sprintf("server type %q", st.Name), f.name, f.v)
+			}
 		}
 		types = append(types, out)
 	}
@@ -242,13 +252,13 @@ func FromDocument(doc *Document) (*spec.Environment, []*spec.Workflow, error) {
 		}
 		profiles := make(map[string]spec.ActivityProfile, len(w.Activities))
 		for _, act := range w.Activities {
-			owner := fmt.Sprintf("workflow %q: activity %q", w.Name, act.Name)
-			if err := finiteField(owner, "mean_duration", act.MeanDuration); err != nil {
-				return nil, nil, err
+			owner := func() string { return fmt.Sprintf("workflow %q: activity %q", w.Name, act.Name) }
+			if !finite(act.MeanDuration) {
+				return nil, nil, nonFinite(owner(), "mean_duration", act.MeanDuration)
 			}
 			for serverType, l := range act.Load {
-				if err := finiteField(owner, "load["+serverType+"]", l); err != nil {
-					return nil, nil, err
+				if !finite(l) {
+					return nil, nil, nonFinite(owner(), "load["+serverType+"]", l)
 				}
 			}
 			profiles[act.Name] = spec.ActivityProfile{
@@ -258,8 +268,8 @@ func FromDocument(doc *Document) (*spec.Environment, []*spec.Workflow, error) {
 				Load:           act.Load,
 			}
 		}
-		if err := finiteField(fmt.Sprintf("workflow %q", w.Name), "arrival_rate", w.ArrivalRate); err != nil {
-			return nil, nil, err
+		if !finite(w.ArrivalRate) {
+			return nil, nil, nonFinite(fmt.Sprintf("workflow %q", w.Name), "arrival_rate", w.ArrivalRate)
 		}
 		flow := &spec.Workflow{
 			Name:        w.Name,
@@ -338,13 +348,20 @@ func Fingerprint(env *spec.Environment, flows []*spec.Workflow) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	buf, err := json.Marshal(doc)
+	bp := canonicalBufs.Get().(*[]byte)
+	defer canonicalBufs.Put(bp)
+	*bp, err = appendDocument((*bp)[:0], doc)
 	if err != nil {
 		return "", fmt.Errorf("wfjson: fingerprinting document: %w", err)
 	}
-	sum := sha256.Sum256(buf)
+	sum := sha256.Sum256(*bp)
 	return hex.EncodeToString(sum[:]), nil
 }
+
+// canonicalBufs recycles the buffers Fingerprint serialises into: the
+// bytes are hashed and dropped, so a fresh few KB per call is pure
+// garbage.
+var canonicalBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Encode writes the environment and workflows as an indented document.
 func Encode(w io.Writer, env *spec.Environment, flows []*spec.Workflow) error {
@@ -407,7 +424,10 @@ func canonSCV(secondMoment, mean float64) float64 {
 // ToDocument converts model inputs into the JSON document form.
 func ToDocument(env *spec.Environment, flows []*spec.Workflow) (*Document, error) {
 	doc := &Document{}
-	for _, st := range env.Types() {
+	types := env.Types()
+	doc.Environment.Types = sized[ServerType](len(types))
+	doc.Workflows = sized[Workflow](len(flows))
+	for _, st := range types {
 		jt := ServerType{
 			Name:        st.Name,
 			Kind:        kindStrings[st.Kind],
@@ -432,7 +452,9 @@ func ToDocument(env *spec.Environment, flows []*spec.Workflow) (*Document, error
 		}
 		jw.Chart = *chart
 		// Deterministic activity order for stable output.
-		for _, act := range f.Chart.Activities() {
+		activities := f.Chart.Activities()
+		jw.Activities = sized[Activity](len(activities))
+		for _, act := range activities {
 			p := f.Profiles[act]
 			jw.Activities = append(jw.Activities, Activity{
 				Name:         p.Name,
@@ -446,9 +468,22 @@ func ToDocument(env *spec.Environment, flows []*spec.Workflow) (*Document, error
 	return doc, nil
 }
 
+// sized returns an empty slice with room for n elements, nil for none: a
+// document's empty lists are nil, which is what marshals as null and so
+// what the fingerprint has always hashed.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
 func chartToJSON(c *statechart.Chart) (*Chart, error) {
 	out := &Chart{Name: c.Name, Initial: c.Initial, Final: c.Final}
-	for _, name := range c.StateNames() {
+	names := c.StateNames()
+	out.States = sized[State](len(names))
+	out.Transitions = sized[Transition](len(c.Transitions))
+	for _, name := range names {
 		s := c.States[name]
 		js := State{Name: s.Name, Activity: s.Activity, Interactive: s.Interactive}
 		for _, sub := range s.Subcharts {
