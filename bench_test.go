@@ -10,6 +10,7 @@ package performa
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -26,6 +27,7 @@ import (
 	"performa/internal/experiments"
 	"performa/internal/perf"
 	"performa/internal/performability"
+	"performa/internal/sensitivity"
 	"performa/internal/server"
 	"performa/internal/sim"
 	"performa/internal/spec"
@@ -317,6 +319,39 @@ func BenchmarkAssessCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ev.Evaluate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSensitivityTable measures one sensitivity table as the
+// plan-search workload asks for it: the 7-type extended system at 25
+// instances per minute, at its greedy answer, through one resident
+// evaluator — what GET /v1/sensitivity and every drift advisory compute.
+func BenchmarkSensitivityTable(b *testing.B) {
+	env := workload.ExtendedEnvironment()
+	m, err := spec.Build(workload.EPDistributed(25), env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := perf.NewAnalysis(env, []*spec.Model{m})
+	if err != nil {
+		b.Fatal(err)
+	}
+	served := performability.Options{Policy: performability.ExcludeDown}
+	ev, err := performability.NewEvaluator(a, served)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := config.Greedy(a, config.Goals{MaxWaiting: 5e-4, MaxUnavailability: 1e-6}, config.Constraints{},
+		config.Options{Performability: served, Evaluator: ev})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sensitivity.Compute(context.Background(), ev, rec.Config, sensitivity.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,10 +3,15 @@
 // recognises the plain form of one JSON token — the form whose decoding
 // is its own bytes — and reports anything else as not recognised, so the
 // caller can hand the input to encoding/json, which stays the definition
-// of what the input means.
+// of what the input means. AppendFloat is the one step in the other
+// direction, shared by the writers that sit under encoding/json's format.
 package jsonscan
 
-import "unicode/utf8"
+import (
+	"math"
+	"strconv"
+	"unicode/utf8"
+)
 
 // SkipSpace returns the index of the first byte at or after i that is
 // not JSON whitespace.
@@ -81,4 +86,26 @@ func skipDigits(b []byte, i int) int {
 		i++
 	}
 	return i
+}
+
+// AppendFloat appends a finite f in encoding/json's float64 format: ES6
+// number-to-string — exponent form below 1e-6 and from 1e21, a one-digit
+// negative exponent not padded to two. Infinities and NaN, which
+// encoding/json refuses, are the caller's to handle first.
+func AppendFloat(dst []byte, f float64) []byte {
+	abs := math.Abs(f)
+	if n := int64(f); abs < 1<<53 && float64(n) == f && (n != 0 || !math.Signbit(f)) {
+		// A whole number in 'f' format is the integer's digits.
+		return strconv.AppendInt(dst, n, 10)
+	}
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }

@@ -203,6 +203,9 @@ func (a *Analysis) Models() []*spec.Model { return a.models }
 // at server type x over all workflow types (Section 4.3).
 func (a *Analysis) RequestArrivalRates() linalg.Vector { return a.arrivalRates.Clone() }
 
+// TypeLoad returns l_x, the total request arrival rate at server type x.
+func (a *Analysis) TypeLoad(x int) float64 { return a.arrivalRates[x] }
+
 // TotalWorkflowRate returns Σ_t ξ_t, the overall workflow arrival rate.
 func (a *Analysis) TotalWorkflowRate() float64 { return a.totalWorkflowRate }
 
@@ -438,20 +441,26 @@ func (a *Analysis) DegradedWaiting(replicas []int, dst []float64) ([]float64, er
 }
 
 // LevelWaiting returns w_x(j): the M/G/1 waiting time at server type x
-// when j ≥ 0 of its replicas are available, each taking l_x / j of the
-// type's load. It depends on no other type, which is what lets the
-// performability model reduce W^Y type by type. A type with load and no
-// replica waits +Inf; a type without load waits 0 at every level.
+// when j ≥ 0 of its replicas are available.
 func (a *Analysis) LevelWaiting(x, j int) float64 {
 	st := a.env.Type(x)
-	lx := a.arrivalRates[x]
+	return LevelWaiting(a.arrivalRates[x], j, st.MeanService, st.ServiceSecondMoment)
+}
+
+// LevelWaiting returns the M/G/1 waiting time of a server type with
+// request arrival rate l and service moments b, b2 when j ≥ 0 of its
+// replicas are available, each taking l / j of the load. It depends on
+// no other type, which is what lets the performability model reduce W^Y
+// type by type. A type with load and no replica waits +Inf; a type
+// without load waits 0 at every level.
+func LevelWaiting(l float64, j int, b, b2 float64) float64 {
 	var lambda float64
 	if j > 0 {
-		lambda = lx / float64(j)
-	} else if lx > 0 {
+		lambda = l / float64(j)
+	} else if l > 0 {
 		lambda = math.Inf(1)
 	}
-	return mg1Wait(lambda, st.MeanService, st.ServiceSecondMoment)
+	return mg1Wait(lambda, b, b2)
 }
 
 // heteroQueue evaluates a heterogeneous replica set: requests split

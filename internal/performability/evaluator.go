@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"performa/internal/avail"
+	"performa/internal/linalg"
 	"performa/internal/perf"
 	"performa/internal/wfmserr"
 )
@@ -40,7 +41,7 @@ func (s CacheStats) Sub(t CacheStats) CacheStats {
 // the sum is reduced type by type in O(Σ_x Y_x) M/G/1 formulas and the
 // joint state space is never enumerated. The only memo is the per-type
 // availability marginal cache (avail.MarginalCache), shared across
-// candidates and derived evaluators.
+// candidates.
 //
 // An Evaluator is safe for concurrent use.
 type Evaluator struct {
@@ -57,21 +58,6 @@ func NewEvaluator(a *perf.Analysis, opts Options) (*Evaluator, error) {
 		return nil, err
 	}
 	return &Evaluator{a: a, opts: opts, marginals: avail.NewMarginalCache()}, nil
-}
-
-// Derive returns an evaluator over a perturbed analysis that shares this
-// evaluator's availability-marginal cache. Sharing is always sound: the
-// cache is keyed by the full per-type parameter set, so a perturbed type
-// misses and solves fresh while unperturbed types keep hitting.
-func (e *Evaluator) Derive(a *perf.Analysis) (*Evaluator, error) {
-	if a == nil {
-		return nil, fmt.Errorf("performability: derive needs an analysis")
-	}
-	if a.Env().K() != e.a.Env().K() {
-		return nil, fmt.Errorf("performability: derived analysis has %d server types, want %d",
-			a.Env().K(), e.a.Env().K())
-	}
-	return &Evaluator{a: a, opts: e.opts, marginals: e.marginals}, nil
 }
 
 // Analysis returns the analysis the evaluator was built against.
@@ -105,18 +91,11 @@ func (e *Evaluator) Evaluate(cfg perf.Config) (*Result, error) {
 // ctx.Err() and no result. The evaluator keeps no per-evaluation state,
 // so a canceled call cannot affect later ones.
 //
-// Per type x with marginal π_x over j = 0..Y_x available replicas and
-// level waiting times w_x(j) (levels with zero mass are skipped, so
-// 0·Inf never forms):
-//
-//	Strict       W_x = Σ_j π_x(j)·w_x(j)            (+Inf propagates)
-//	Penalty      the same sum with PenaltyValue for +Inf
-//	ExcludeDown  W_x = Σ_{j ok} π_x(j)·w_x(j) / P_x(ok),  ok = {j : w_x(j) finite}
-//
+// W^Y is one TypeTerm per server type plus the products over types.
 // ExcludeDown conditions on every type being operational; that event is
 // a product of per-type events, so the other types' factors cancel —
-// unless some type has P_y(ok) = 0, in which case no operational state
-// exists and every entry is +Inf.
+// unless some type has no operational level, in which case no
+// operational state exists and every entry is +Inf.
 func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Result, error) {
 	if len(cfg.Colocated) > 0 {
 		return nil, fmt.Errorf("performability: co-located configurations are not supported")
@@ -127,7 +106,8 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Resu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	params, err := avail.ParamsFromEnvironment(e.a.Env(), cfg.Replicas)
+	env := e.a.Env()
+	params, err := avail.ParamsFromEnvironment(env, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -149,47 +129,21 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Resu
 		if err != nil {
 			return nil, fmt.Errorf("avail: type %d: %w", x, err)
 		}
-		y := p.Replicas
-		res.Availability *= 1 - pi[0]
-		fullUp *= pi[y]
-		res.FullUpWaiting[x] = e.a.LevelWaiting(x, y)
-
-		var sum, ok float64
-		support := 0
-		for j, pj := range pi {
-			if pj == 0 {
-				continue
-			}
-			support++
-			w := e.a.LevelWaiting(x, j)
-			if math.IsInf(w, 1) {
-				switch e.opts.Policy {
-				case ExcludeDown:
-					continue
-				case Penalty:
-					w = e.opts.PenaltyValue
-				}
-			}
-			ok += pj
-			sum += pj * w
+		st := env.Type(x)
+		t, err := e.TypeTerm(x, pi, e.a.TypeLoad(x), st.MeanService, st.ServiceSecondMoment)
+		if err != nil {
+			return nil, err
 		}
-		if support == 0 {
-			return nil, wfmserr.New(wfmserr.CodeInvalidModel, "performability",
-				"type %d marginal has no positive mass", x)
-		}
-		if e.opts.Policy == ExcludeDown {
-			if ok == 0 {
-				operational = false
-			} else {
-				sum /= ok
-			}
-		}
-		res.Waiting[x] = sum
-		levels += uint64(support)
-		if res.StatesEvaluated > math.MaxInt/support {
+		res.Availability *= t.Up
+		fullUp *= t.FullUp
+		res.FullUpWaiting[x] = t.FullUpWaiting
+		res.Waiting[x] = t.Waiting
+		operational = operational && t.Operational
+		levels += uint64(t.Support)
+		if res.StatesEvaluated > math.MaxInt/t.Support {
 			res.StatesEvaluated = math.MaxInt // saturate: only a size indication
 		} else {
-			res.StatesEvaluated *= support
+			res.StatesEvaluated *= t.Support
 		}
 	}
 	if !operational {
@@ -200,4 +154,70 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Resu
 	res.DegradationShare = 1 - fullUp
 	e.levels.Add(levels)
 	return res, nil
+}
+
+// TypeTerm is one server type's factor of the Section 6 reward sum: all
+// a configuration's metrics need of the type at one replica count.
+type TypeTerm struct {
+	// Waiting is W_x under the evaluator's saturation policy.
+	Waiting float64
+	// FullUpWaiting is w_x(Y_x), the failure-free waiting time.
+	FullUpWaiting float64
+	// Up is 1 − π_x(0) and FullUp is π_x(Y_x).
+	Up, FullUp float64
+	// Support is the number of levels with positive mass.
+	Support int
+	// Operational is false only under ExcludeDown, when no level with
+	// mass has a finite waiting time (Waiting is then 0, not W_x).
+	Operational bool
+}
+
+// TypeTerm reduces type x's factor from its availability marginal pi
+// over j = 0..Y_x available replicas, its request arrival rate l and its
+// service moments b, b2 (x only names the type in the error). With level
+// waiting times w_x(j) (levels with zero mass are skipped, so 0·Inf
+// never forms):
+//
+//	Strict       W_x = Σ_j π_x(j)·w_x(j)            (+Inf propagates)
+//	Penalty      the same sum with PenaltyValue for +Inf
+//	ExcludeDown  W_x = Σ_{j ok} π_x(j)·w_x(j) / P_x(ok),  ok = {j : w_x(j) finite}
+func (e *Evaluator) TypeTerm(x int, pi linalg.Vector, l, b, b2 float64) (TypeTerm, error) {
+	y := len(pi) - 1
+	t := TypeTerm{
+		FullUpWaiting: perf.LevelWaiting(l, y, b, b2),
+		Up:            1 - pi[0],
+		FullUp:        pi[y],
+		Operational:   true,
+	}
+	var sum, ok float64
+	for j, pj := range pi {
+		if pj == 0 {
+			continue
+		}
+		t.Support++
+		w := perf.LevelWaiting(l, j, b, b2)
+		if math.IsInf(w, 1) {
+			switch e.opts.Policy {
+			case ExcludeDown:
+				continue
+			case Penalty:
+				w = e.opts.PenaltyValue
+			}
+		}
+		ok += pj
+		sum += pj * w
+	}
+	if t.Support == 0 {
+		return t, wfmserr.New(wfmserr.CodeInvalidModel, "performability",
+			"type %d marginal has no positive mass", x)
+	}
+	if e.opts.Policy == ExcludeDown {
+		if ok == 0 {
+			t.Operational = false
+		} else {
+			sum /= ok
+		}
+	}
+	t.Waiting = sum
+	return t, nil
 }

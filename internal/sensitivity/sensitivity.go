@@ -5,11 +5,12 @@
 // rate μ_x, service-time moments b_x and b_x^(2), per-workflow arrival
 // rate ξ_t, and the replica counts Y_x themselves.
 //
-// Derivatives are central differences with an adaptive step: each side
-// is evaluated on a perturbed copy of the analysis routed through an
-// evaluator derived from the caller's warm one
-// (performability.Evaluator.Derive), so the availability marginals of
-// every unperturbed type are reused. When a side is infeasible — a
+// Derivatives are central differences with an adaptive step. The
+// metrics are separable by server type (performability.TypeTerm), so a
+// side recomputes only the terms its parameter reaches — one for a
+// per-type parameter or a replica count, all k against the cached
+// marginals for an arrival rate — and re-reduces them in the
+// evaluator's order; nothing is rebuilt. When a side is infeasible — a
 // negative rate, a second moment dipping below the squared mean — the
 // difference falls back to one-sided, and the step shrinks before the
 // parameter is declared unevaluable. Replica counts are discrete, so
@@ -21,13 +22,15 @@
 package sensitivity
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
+	"performa/internal/avail"
+	"performa/internal/linalg"
 	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/spec"
@@ -57,25 +60,10 @@ type Options struct {
 	// Parameters whose base value is zero are probed with an absolute
 	// step of RelStep instead.
 	RelStep float64
-	// Workers bounds the parameter-level parallelism; zero means
-	// min(NumCPU, 8), negative means sequential.
+	// Workers is ignored: entries are computed one after another.
+	//
+	// Deprecated: accepted until bench/ stops setting it (ROADMAP item 1).
 	Workers int
-}
-
-func (o Options) withDefaults() Options {
-	if o.RelStep <= 0 {
-		o.RelStep = 1e-3
-	}
-	if o.Workers == 0 {
-		o.Workers = runtime.NumCPU()
-		if o.Workers > 8 {
-			o.Workers = 8
-		}
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
-	return o
 }
 
 // Entry is the sensitivity of the metrics to one parameter.
@@ -137,252 +125,275 @@ type point struct {
 	delays         []float64
 }
 
-// paramSpec describes one continuous parameter: how to evaluate the
-// metrics with the parameter set to θ.
-type paramSpec struct {
-	kind   Kind
-	index  int
-	target string
-	value  float64
-	eval   func(ctx context.Context, theta float64) (point, error)
+// separable is one table's base point in the evaluator's separable
+// form, one performability.TypeTerm per server type: a perturbed point
+// recomputes the terms its parameter reaches and re-reduces the rest.
+type separable struct {
+	ev  *performability.Evaluator
+	a   *perf.Analysis
+	cfg []int
+	// terms are the base terms; a side that changes one type swaps its
+	// term in, reduces, and puts the base term back.
+	terms []performability.TypeTerm
+	// side, loads and waiting are scratch: the k terms and the loads l_x
+	// of an arrival-rate side, and W^Y of the point being reduced.
+	side    []performability.TypeTerm
+	loads   linalg.Vector
+	waiting []float64
+	// base is the unperturbed point; plus and minus hold the two sides of
+	// the entry being computed.
+	base, plus, minus point
 }
 
 // Compute builds the sensitivity table for cfg through the given
-// evaluator, whose availability-marginal cache every perturbed
-// evaluation shares.
+// evaluator. Only marginals of the model's own (type, replicas) pairs —
+// the base configuration and its ±1 neighbours — enter the evaluator's
+// marginal cache.
 func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config, opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+	relStep := opts.RelStep
+	if relStep <= 0 {
+		relStep = 1e-3
+	}
 	a := ev.Analysis()
 	env := a.Env()
-	k := env.K()
+	k, flows := env.K(), len(a.Models())
 	if len(cfg.Replicas) != k {
 		return nil, fmt.Errorf("sensitivity: %d replica counts for %d server types", len(cfg.Replicas), k)
 	}
 
-	base, err := evalPoint(ctx, ev, a, cfg)
+	// The base point goes through the evaluator proper, so everything it
+	// rejects (co-location, speeds, negative replicas) rejects the table.
+	res, err := ev.EvaluateContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	specs := paramSpecs(ev, a, cfg)
-	entries := make([]Entry, len(specs)+k)
-
-	// Continuous parameters, fanned out over the worker pool. Each
-	// entry's evaluations are independent; derived evaluators share the
-	// concurrency-safe marginal cache.
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Workers)
-	for i, ps := range specs {
-		wg.Add(1)
-		go func(i int, ps paramSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			entries[i] = continuousEntry(ctx, ps, base, opts)
-		}(i, ps)
+	s := &separable{
+		ev: ev, a: a, cfg: cfg.Replicas,
+		terms:   make([]performability.TypeTerm, k),
+		side:    make([]performability.TypeTerm, k),
+		loads:   linalg.NewVector(k),
+		waiting: make([]float64, k),
 	}
-	// Replica counts, through the base evaluator itself (same model,
-	// different Y).
+	s.base.delays, s.plus.delays, s.minus.delays = make([]float64, flows), make([]float64, flows), make([]float64, flows)
+	s.metrics(res.Waiting, res.Availability, &s.base)
+	for x := range s.terms {
+		if s.terms[x], err = s.term(x, cfg.Replicas[x], env.Type(x), a.TypeLoad(x)); err != nil {
+			return nil, err
+		}
+	}
+
+	entries := make([]Entry, 0, 5*k+flows)
 	for x := 0; x < k; x++ {
-		wg.Add(1)
-		go func(x int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			entries[len(specs)+x] = replicaEntry(ctx, ev, a, cfg, x, base)
-		}(x)
+		st := env.Type(x)
+		entries = append(entries,
+			Entry{Kind: FailureRate, Index: x, Target: st.Name, Value: st.FailureRate},
+			Entry{Kind: RepairRate, Index: x, Target: st.Name, Value: st.RepairRate},
+			Entry{Kind: MeanService, Index: x, Target: st.Name, Value: st.MeanService},
+			Entry{Kind: ServiceSecondMoment, Index: x, Target: st.Name, Value: st.ServiceSecondMoment})
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	for t, m := range a.Models() {
+		entries = append(entries, Entry{Kind: ArrivalRate, Index: t, Target: m.Workflow.Name, Value: m.Workflow.ArrivalRate})
+	}
+	for x := 0; x < k; x++ {
+		entries = append(entries, Entry{Kind: Replicas, Index: x, Target: env.Type(x).Name, Value: float64(cfg.Replicas[x])})
 	}
 
 	for i := range entries {
-		finishEntry(&entries[i], base)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		e := &entries[i]
+		e.Method = "failed"
+		if e.Kind == Replicas {
+			s.replicaEntry(e)
+		} else {
+			s.continuousEntry(e, relStep)
+		}
+		finishEntry(e, s.base)
 	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Rank > entries[j].Rank })
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	slices.SortStableFunc(entries, func(a, b Entry) int { return cmp.Compare(b.Rank, a.Rank) })
 
 	t := &Table{
 		Config:             append([]int(nil), cfg.Replicas...),
-		BaseMaxWaiting:     base.maxWaiting,
-		BaseUnavailability: base.unavailability,
-		BaseWorkflowDelays: base.delays,
+		BaseMaxWaiting:     s.base.maxWaiting,
+		BaseUnavailability: s.base.unavailability,
+		BaseWorkflowDelays: s.base.delays,
 		Entries:            entries,
 	}
 	t.Summary = summarize(entries)
 	return t, nil
 }
 
-// paramSpecs enumerates the continuous parameters of the analysis.
-func paramSpecs(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config) []paramSpec {
-	env := a.Env()
-	var specs []paramSpec
-	for x := 0; x < env.K(); x++ {
-		st := env.Type(x)
-		mut := func(set func(*spec.ServerType, float64)) func(context.Context, float64) (point, error) {
-			return envEval(ev, a, cfg, x, set)
-		}
-		specs = append(specs,
-			paramSpec{FailureRate, x, st.Name, st.FailureRate,
-				mut(func(s *spec.ServerType, v float64) { s.FailureRate = v })},
-			paramSpec{RepairRate, x, st.Name, st.RepairRate,
-				mut(func(s *spec.ServerType, v float64) { s.RepairRate = v })},
-			paramSpec{MeanService, x, st.Name, st.MeanService,
-				mut(func(s *spec.ServerType, v float64) { s.MeanService = v })},
-			paramSpec{ServiceSecondMoment, x, st.Name, st.ServiceSecondMoment,
-				mut(func(s *spec.ServerType, v float64) { s.ServiceSecondMoment = v })},
-		)
+// term evaluates type x's factor at y replicas, parameters st and load
+// l. The marginal of the model's own (λ_x, μ_x) comes from the
+// evaluator's cache, which planners ask for the same (type, replicas)
+// pair again; a perturbed rate pair is computed directly and dropped,
+// since no later lookup could carry those float values.
+func (s *separable) term(x, y int, st spec.ServerType, l float64) (performability.TypeTerm, error) {
+	opts := s.ev.Options()
+	p := avail.TypeParams{Replicas: y, FailureRate: st.FailureRate, RepairRate: st.RepairRate}
+	var pi linalg.Vector
+	var err error
+	if own := s.a.Env().Type(x); st.FailureRate == own.FailureRate && st.RepairRate == own.RepairRate {
+		pi, err = s.ev.Marginals().TypeMarginalSolver(p, opts.Discipline, opts.Solver)
+	} else {
+		pi, err = avail.TypeMarginalSolver(p, opts.Discipline, opts.Solver)
 	}
-	for t, m := range a.Models() {
-		specs = append(specs, paramSpec{ArrivalRate, t, m.Workflow.Name, m.Workflow.ArrivalRate,
-			arrivalEval(ev, a, cfg, t)})
-	}
-	return specs
-}
-
-// envEval evaluates the metrics with one server-type field set to θ.
-// The perturbed environment revalidates, so infeasible values (negative
-// rates, a second moment below the squared mean) surface as errors the
-// adaptive stepping treats as a missing side.
-func envEval(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config, x int, set func(*spec.ServerType, float64)) func(context.Context, float64) (point, error) {
-	return func(ctx context.Context, theta float64) (point, error) {
-		types := a.Env().Types()
-		set(&types[x], theta)
-		env2, err := spec.NewEnvironment(types...)
-		if err != nil {
-			return point{}, err
-		}
-		a2, err := perf.NewAnalysis(env2, a.Models())
-		if err != nil {
-			return point{}, err
-		}
-		ev2, err := ev.Derive(a2)
-		if err != nil {
-			return point{}, err
-		}
-		return evalPoint(ctx, ev2, a2, cfg)
-	}
-}
-
-// arrivalEval evaluates the metrics with workflow t's arrival rate set
-// to θ. The model is shallow-copied around a cloned workflow — the
-// chain, load matrix, and expected requests do not depend on ξ_t.
-func arrivalEval(ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config, t int) func(context.Context, float64) (point, error) {
-	return func(ctx context.Context, theta float64) (point, error) {
-		if theta < 0 {
-			return point{}, fmt.Errorf("sensitivity: negative arrival rate %v", theta)
-		}
-		models := append([]*spec.Model(nil), a.Models()...)
-		m2 := *models[t]
-		w2 := m2.Workflow.Clone()
-		w2.ArrivalRate = theta
-		m2.Workflow = w2
-		models[t] = &m2
-		a2, err := perf.NewAnalysis(a.Env(), models)
-		if err != nil {
-			return point{}, err
-		}
-		ev2, err := ev.Derive(a2)
-		if err != nil {
-			return point{}, err
-		}
-		return evalPoint(ctx, ev2, a2, cfg)
-	}
-}
-
-// evalPoint runs one evaluation and reduces it to the three metrics.
-func evalPoint(ctx context.Context, ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config) (point, error) {
-	res, err := ev.EvaluateContext(ctx, cfg)
 	if err != nil {
-		return point{}, err
+		return performability.TypeTerm{}, fmt.Errorf("avail: type %d: %w", x, err)
 	}
-	p := point{
-		maxWaiting:     res.MaxWaiting(),
-		unavailability: 1 - res.Availability,
-		delays:         make([]float64, len(a.Models())),
+	return s.ev.TypeTerm(x, pi, l, st.MeanService, st.ServiceSecondMoment)
+}
+
+// reduce folds k terms into the three metrics the way EvaluateContext
+// folds them into a Result.
+func (s *separable) reduce(terms []performability.TypeTerm, p *point) {
+	availability, operational := 1.0, true
+	for x := range terms {
+		availability *= terms[x].Up
+		operational = operational && terms[x].Operational
 	}
-	for i := range a.Models() {
-		r := a.WorkflowRequests(i)
+	for x := range terms {
+		s.waiting[x] = terms[x].Waiting
+		if !operational {
+			s.waiting[x] = math.Inf(1)
+		}
+	}
+	s.metrics(s.waiting, availability, p)
+}
+
+// metrics reduces W^Y and the availability to the three metrics,
+// writing the per-workflow delays Σ_x r_{x,t}·W^Y_x into p's slice.
+func (s *separable) metrics(waiting []float64, availability float64, p *point) {
+	p.maxWaiting = linalg.Vector(waiting).Max()
+	p.unavailability = 1 - availability
+	for i := range p.delays {
+		r := s.a.WorkflowRequests(i)
 		var d float64
 		for x := range r {
-			d += r[x] * res.Waiting[x]
+			d += r[x] * waiting[x]
 		}
 		p.delays[i] = d
 	}
-	return p, nil
 }
+
+// typeSide evaluates the point with type x alone changed, to y replicas
+// and parameters st.
+func (s *separable) typeSide(x, y int, st spec.ServerType, p *point) error {
+	t, err := s.term(x, y, st, s.a.TypeLoad(x))
+	if err != nil {
+		return err
+	}
+	own := s.terms[x]
+	s.terms[x] = t
+	s.reduce(s.terms, p)
+	s.terms[x] = own
+	return nil
+}
+
+// eval evaluates the point with e's continuous parameter set to θ. A
+// perturbed server type passes spec's own validation first, so
+// infeasible values (negative rates, a second moment below the squared
+// mean) surface as errors the adaptive stepping treats as a missing
+// side. An arrival rate changes every load — re-accumulated in
+// perf.NewAnalysis's order — and no marginal.
+func (s *separable) eval(e *Entry, theta float64, p *point) error {
+	if e.Kind == ArrivalRate {
+		if theta < 0 {
+			return fmt.Errorf("sensitivity: negative arrival rate %v", theta)
+		}
+		clear(s.loads)
+		for i, m := range s.a.Models() {
+			xi := m.Workflow.ArrivalRate
+			if i == e.Index {
+				xi = theta
+			}
+			s.loads.AddScaled(xi, s.a.WorkflowRequests(i))
+		}
+		for x := range s.side {
+			var err error
+			if s.side[x], err = s.term(x, s.cfg[x], s.a.Env().Type(x), s.loads[x]); err != nil {
+				return err
+			}
+		}
+		s.reduce(s.side, p)
+		return nil
+	}
+	st := s.a.Env().Type(e.Index)
+	switch e.Kind {
+	case FailureRate:
+		st.FailureRate = theta
+	case RepairRate:
+		st.RepairRate = theta
+	case MeanService:
+		st.MeanService = theta
+	case ServiceSecondMoment:
+		st.ServiceSecondMoment = theta
+	}
+	if err := st.Validate(); err != nil {
+		return err
+	}
+	return s.typeSide(e.Index, s.cfg[e.Index], st, p)
+}
+
+var errNegative = errors.New("sensitivity: negative parameter")
 
 // continuousEntry computes one central-difference entry with adaptive
 // stepping: shrink the step (÷4, up to 3 times) while neither side is
 // evaluable, fall back to a one-sided difference when exactly one is.
-func continuousEntry(ctx context.Context, ps paramSpec, base point, opts Options) Entry {
-	e := Entry{Kind: ps.kind, Index: ps.index, Target: ps.target, Value: ps.value, Method: "failed"}
-	h := opts.RelStep * math.Abs(ps.value)
+func (s *separable) continuousEntry(e *Entry, relStep float64) {
+	h := relStep * math.Abs(e.Value)
 	if h == 0 {
-		h = opts.RelStep
+		h = relStep
 	}
 	for try := 0; try < 4; try++ {
-		if ctx.Err() != nil {
-			return e
-		}
-		plus, errP := ps.eval(ctx, ps.value+h)
-		var minus point
-		errM := fmt.Errorf("sensitivity: negative parameter")
-		if ps.value-h >= 0 {
-			minus, errM = ps.eval(ctx, ps.value-h)
+		errP := s.eval(e, e.Value+h, &s.plus)
+		errM := errNegative
+		if e.Value-h >= 0 {
+			errM = s.eval(e, e.Value-h, &s.minus)
 		}
 		switch {
 		case errP == nil && errM == nil:
-			e.Method, e.Step = "central", h
-			e.DMaxWaiting, e.DUnavailability, e.DWorkflowDelays = diff(plus, minus, 2*h)
-			return e
+			e.difference("central", h, &s.plus, &s.minus, 2*h)
+			return
 		case errP == nil:
-			e.Method, e.Step = "forward", h
-			e.DMaxWaiting, e.DUnavailability, e.DWorkflowDelays = diff(plus, base, h)
-			return e
+			e.difference("forward", h, &s.plus, &s.base, h)
+			return
 		case errM == nil:
-			e.Method, e.Step = "backward", h
-			e.DMaxWaiting, e.DUnavailability, e.DWorkflowDelays = diff(base, minus, h)
-			return e
+			e.difference("backward", h, &s.base, &s.minus, h)
+			return
 		}
 		h /= 4
 	}
-	return e
 }
 
 // replicaEntry computes the discrete ±1 difference for Y_x.
-func replicaEntry(ctx context.Context, ev *performability.Evaluator, a *perf.Analysis, cfg perf.Config, x int, base point) Entry {
-	y := cfg.Replicas[x]
-	e := Entry{Kind: Replicas, Index: x, Target: a.Env().Type(x).Name, Value: float64(y), Method: "failed", Step: 1}
-	up := cfg.Clone()
-	up.Replicas[x] = y + 1
-	plus, errP := evalPoint(ctx, ev, a, up)
-	if errP != nil {
-		return e
+func (s *separable) replicaEntry(e *Entry) {
+	x, y := e.Index, s.cfg[e.Index]
+	st := s.a.Env().Type(x)
+	e.Step = 1
+	if s.typeSide(x, y+1, st, &s.plus) != nil {
+		return
 	}
-	if y > 1 {
-		down := cfg.Clone()
-		down.Replicas[x] = y - 1
-		if minus, errM := evalPoint(ctx, ev, a, down); errM == nil {
-			e.Method = "central_discrete"
-			e.DMaxWaiting, e.DUnavailability, e.DWorkflowDelays = diff(plus, minus, 2)
-			return e
-		}
+	if y > 1 && s.typeSide(x, y-1, st, &s.minus) == nil {
+		e.difference("central_discrete", 1, &s.plus, &s.minus, 2)
+		return
 	}
-	e.Method = "forward_discrete"
-	e.DMaxWaiting, e.DUnavailability, e.DWorkflowDelays = diff(plus, base, 1)
-	return e
+	e.difference("forward_discrete", 1, &s.plus, &s.base, 1)
 }
 
-// diff is the per-metric difference quotient (hi − lo)/denom.
-func diff(hi, lo point, denom float64) (dW, dU float64, dD []float64) {
-	dW = (hi.maxWaiting - lo.maxWaiting) / denom
-	dU = (hi.unavailability - lo.unavailability) / denom
-	dD = make([]float64, len(hi.delays))
+// difference records the per-metric difference quotient (hi − lo)/denom.
+func (e *Entry) difference(method string, step float64, hi, lo *point, denom float64) {
+	e.Method, e.Step = method, step
+	e.DMaxWaiting = (hi.maxWaiting - lo.maxWaiting) / denom
+	e.DUnavailability = (hi.unavailability - lo.unavailability) / denom
+	e.DWorkflowDelays = make([]float64, len(hi.delays))
 	for i := range hi.delays {
-		dD[i] = (hi.delays[i] - lo.delays[i]) / denom
+		e.DWorkflowDelays[i] = (hi.delays[i] - lo.delays[i]) / denom
 	}
-	return dW, dU, dD
 }
 
 // finishEntry derives elasticities, rank, and attribution from the raw
@@ -406,21 +417,22 @@ func elasticity(value, deriv, metric float64) float64 {
 	return value / metric * deriv
 }
 
+var nouns = map[Kind]string{
+	FailureRate:         "failure rate",
+	RepairRate:          "repair rate",
+	MeanService:         "mean service time",
+	ServiceSecondMoment: "service second moment",
+	ArrivalRate:         "arrival rate",
+	Replicas:            "replica count",
+}
+
 // describe names a parameter for humans: `server type 2 ("app")'s
 // service second moment`.
 func describe(e Entry) string {
-	noun := map[Kind]string{
-		FailureRate:         "failure rate",
-		RepairRate:          "repair rate",
-		MeanService:         "mean service time",
-		ServiceSecondMoment: "service second moment",
-		ArrivalRate:         "arrival rate",
-		Replicas:            "replica count",
-	}[e.Kind]
 	if e.Kind == ArrivalRate {
-		return fmt.Sprintf("workflow %q's %s", e.Target, noun)
+		return fmt.Sprintf("workflow %q's %s", e.Target, nouns[e.Kind])
 	}
-	return fmt.Sprintf("server type %d (%q)'s %s", e.Index, e.Target, noun)
+	return fmt.Sprintf("server type %d (%q)'s %s", e.Index, e.Target, nouns[e.Kind])
 }
 
 // attribution renders one entry's dominant effect.

@@ -13,6 +13,7 @@ import (
 	"performa/internal/audit"
 	"performa/internal/avail"
 	"performa/internal/config"
+	"performa/internal/jsonscan"
 	"performa/internal/linalg"
 	"performa/internal/performability"
 	"performa/internal/sensitivity"
@@ -39,7 +40,7 @@ func (f Float) MarshalJSON() ([]byte, error) {
 	case math.IsNaN(v):
 		return []byte(`"NaN"`), nil
 	}
-	return json.Marshal(v)
+	return jsonscan.AppendFloat(make([]byte, 0, 24), v), nil
 }
 
 // UnmarshalJSON accepts both plain numbers and the quoted sentinels.

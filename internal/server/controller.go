@@ -271,7 +271,7 @@ func (s *Server) runReconfigure(ev driftEvent) {
 	// The sensitivity table is the advisory's justification: which
 	// parameters of the drifted system dominate the metrics at the
 	// recommended configuration.
-	if table, terr := sensitivity.Compute(ctx, entry.ev, rec.Config, sensitivity.Options{Workers: s.perRequest}); terr == nil {
+	if table, terr := sensitivity.Compute(ctx, entry.ev, rec.Config, sensitivity.Options{}); terr == nil {
 		adv.Justification = table.Summary
 		n := len(table.Entries)
 		if n > advisoryTopFactors {
@@ -482,7 +482,7 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	began := time.Now()
-	table, err := sensitivity.Compute(ctx, entry.ev, perf.Config{Replicas: replicas}, sensitivity.Options{Workers: s.perRequest})
+	table, err := sensitivity.Compute(ctx, entry.ev, perf.Config{Replicas: replicas}, sensitivity.Options{})
 	if err != nil {
 		s.writeError(w, r, statusForError(err), err)
 		return

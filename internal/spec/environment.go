@@ -67,7 +67,11 @@ type ServerType struct {
 	RepairRate float64
 }
 
-func (s ServerType) validate() error {
+// Validate reports the first reason the type cannot be part of an
+// environment: no name, a non-positive mean service time, a second
+// moment below the squared mean, a negative rate, or failures without
+// repair.
+func (s ServerType) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("spec: server type has no name")
 	}
@@ -105,7 +109,7 @@ func NewEnvironment(types ...ServerType) (*Environment, error) {
 	}
 	env := &Environment{types: append([]ServerType(nil), types...), index: make(map[string]int, len(types))}
 	for i, s := range env.types {
-		if err := s.validate(); err != nil {
+		if err := s.Validate(); err != nil {
 			return nil, err
 		}
 		if _, dup := env.index[s.Name]; dup {

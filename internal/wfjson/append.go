@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+
+	"performa/internal/jsonscan"
 )
 
 // appendDocument appends json.Marshal(doc) to dst, byte for byte, without
@@ -165,9 +167,8 @@ func (w *writer) strOmitEmpty(prefix, s string) {
 	}
 }
 
-// float writes prefix and f in encoding/json's float64 format: ES6
-// number-to-string — exponent form below 1e-6 and from 1e21, a one-digit
-// negative exponent not padded to two.
+// float writes prefix and f in encoding/json's float64 format, with its
+// error for the values it refuses.
 func (w *writer) float(prefix string, f float64) {
 	w.lit(prefix)
 	if math.IsInf(f, 0) || math.IsNaN(f) {
@@ -176,22 +177,7 @@ func (w *writer) float(prefix string, f float64) {
 		}
 		return
 	}
-	abs := math.Abs(f)
-	if n := int64(f); abs < 1<<53 && float64(n) == f && (n != 0 || !math.Signbit(f)) {
-		// A whole number (most in these documents: loads, stage counts,
-		// times to failure) in 'f' format is the integer's digits.
-		w.buf = strconv.AppendInt(w.buf, n, 10)
-		return
-	}
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	w.buf = strconv.AppendFloat(w.buf, f, format, -1, 64)
-	if n := len(w.buf); format == 'e' && n >= 4 && w.buf[n-4] == 'e' && w.buf[n-3] == '-' && w.buf[n-2] == '0' {
-		w.buf[n-2] = w.buf[n-1]
-		w.buf = w.buf[:n-1]
-	}
+	w.buf = jsonscan.AppendFloat(w.buf, f)
 }
 
 func (w *writer) floatOmitEmpty(prefix string, f float64) {
