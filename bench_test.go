@@ -444,6 +444,43 @@ func BenchmarkDecodeFingerprint(b *testing.B) {
 	}
 }
 
+// BenchmarkCorpusBuild measures the cold path after decoding: one
+// iteration runs spec.Build over every workflow of the 22 corpus systems.
+func BenchmarkCorpusBuild(b *testing.B) {
+	files, err := filepath.Glob("corpus/systems/*.wfjson")
+	if err != nil || len(files) != 22 {
+		b.Fatalf("found %d corpus systems, want 22: %v", len(files), err)
+	}
+	type system struct {
+		env   *spec.Environment
+		flows []*spec.Workflow
+	}
+	var systems []system
+	for _, file := range files {
+		f, err := os.Open(file)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env, flows, err := wfjson.Decode(f)
+		f.Close()
+		if err != nil {
+			b.Fatalf("%s: %v", file, err)
+		}
+		systems = append(systems, system{env, flows})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sys := range systems {
+			for _, w := range sys.flows {
+				if _, err := spec.Build(w, sys.env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkA1SeriesVsExact compares the truncated series against the
 // direct solve on the EP chain.
 func BenchmarkA1SeriesVsExact(b *testing.B) {
@@ -495,7 +532,7 @@ func BenchmarkA2AvailabilitySolvers(b *testing.B) {
 }
 
 // BenchmarkFirstPassage measures the Section 4.1 linear solve on the
-// largest chain the corpus serves (genome-sequencing, 961 states).
+// largest stage chain in the corpus (genome-sequencing, 961 states).
 func BenchmarkFirstPassage(b *testing.B) {
 	f, err := os.Open("corpus/systems/genome-sequencing.wfjson")
 	if err != nil {
@@ -510,6 +547,7 @@ func BenchmarkFirstPassage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	m = spec.Expand(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ctmc.FirstPassageTimes(m.Chain); err != nil {

@@ -24,7 +24,7 @@ func main() {
 	var (
 		workloadName = flag.String("workload", "ep", "built-in workflow: ep, epx, order, or loan")
 		specFile     = flag.String("spec", "", "JSON system specification (overrides -workload)")
-		view         = flag.String("view", "chart", "what to render: chart (statechart) or ctmc (mapped Markov chain)")
+		view         = flag.String("view", "chart", "what to render: chart (statechart) or ctmc (mapped Markov chain, Erlang stages spelled out)")
 		index        = flag.Int("workflow", 0, "workflow index within a -spec document")
 	)
 	flag.Parse()
@@ -44,7 +44,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "wfmsdot:", err)
 			os.Exit(1)
 		}
-		fmt.Print(m.Chain.DOT())
+		fmt.Print(spec.Expand(m).Chain.DOT())
 	default:
 		fmt.Fprintf(os.Stderr, "wfmsdot: unknown view %q (want chart or ctmc)\n", *view)
 		os.Exit(2)

@@ -61,7 +61,7 @@ func main() {
 	if err := os.WriteFile("/tmp/epx-chart.dot", []byte(flow.Chart.DOT()), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile("/tmp/epx-ctmc.dot", []byte(m.Chain.DOT()), 0o644); err != nil {
+	if err := os.WriteFile("/tmp/epx-ctmc.dot", []byte(spec.Expand(m).Chain.DOT()), 0o644); err != nil {
 		log.Fatal(err)
 	}
 	specFile, err := os.Create("/tmp/epx.json")

@@ -28,8 +28,8 @@ type Arc struct {
 // introduces (Section 3.2). The chain is described, as in the paper, by
 // the embedded transition probabilities and the vector H of mean state
 // residence times; the probabilities are stored sparsely, one arc list
-// per state, because workflow charts have a handful of transitions per
-// state however many states the Erlang expansion produces.
+// per state, because a workflow chart has a handful of transitions per
+// state, and so do its Erlang stage chain and a net's marking graph.
 type Chain struct {
 	// Arcs[i] lists the outgoing transitions of state i. The absorbing
 	// state's list is empty. AddArc keeps each list sorted by target

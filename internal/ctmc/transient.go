@@ -48,10 +48,12 @@ func ExpectedVisits(c *Chain) (linalg.Vector, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	// The transposed system runs over the incoming arcs, and a state's
-	// predecessors come first in the opposite of the successors-first
-	// order.
-	order := c.successorsFirst()
+	return c.visits(c.successorsFirst())
+}
+
+// visits solves the transposed system over the incoming arcs, where a
+// state's predecessors come first in the reversed (in place) order.
+func (c *Chain) visits(order []int) (linalg.Vector, error) {
 	slices.Reverse(order)
 	e0 := linalg.NewVector(c.N())
 	e0[0] = 1
@@ -59,20 +61,44 @@ func ExpectedVisits(c *Chain) (linalg.Vector, error) {
 }
 
 // TurnaroundMoments returns the mean E[T] and variance Var[T] of the
-// first-passage time from state 0 into the absorbing state, validating
-// and ordering the chain once for both. With exponential residence
-// times the second moments s_i = E[T_i²] satisfy
-//
-//	s_i = 2H_i² + 2H_i Σ_j p_ij m_j + Σ_j p_ij s_j
-//
-// (condition on the residence R_i ~ Exp(1/H_i) and the next state), i.e.
-// the first-passage system again with right-hand side 2H∘H + 2H∘(P m).
-// The variance is s_0 - m_0².
+// first-passage time from state 0 into the absorbing state for
+// exponential residence times, validating and ordering the chain once
+// for both (see TurnaroundAndVisits).
 func TurnaroundMoments(c *Chain) (mean, variance float64, err error) {
 	if err := c.Validate(); err != nil {
 		return 0, 0, err
 	}
+	return c.moments(c.successorsFirst(), nil)
+}
+
+// TurnaroundAndVisits returns the mean and variance of the first-passage
+// time from state 0 into the absorbing state and the expected visits of
+// every state, validating and ordering the chain once for all three.
+// second[i] is the residence second moment E[R_i²] of state i; nil means
+// exponential residences, 2H_i². The second moments s_i = E[T_i²] satisfy
+//
+//	s_i = E[R_i²] + 2H_i Σ_j p_ij m_j + Σ_j p_ij s_j
+//
+// (condition on the residence R_i and the next state): the first-passage
+// system again with right-hand side E[R²] + 2H∘(P m), and the variance
+// is s_0 - m_0². Mean and visits read only H, so a state whose residence
+// is Erlang-k, E[R²] = H²(1 + 1/k), gives the mean, visits and variance
+// of the chain that spells its k stages out.
+func TurnaroundAndVisits(c *Chain, second linalg.Vector) (mean, variance float64, visits linalg.Vector, err error) {
+	if err := c.Validate(); err != nil {
+		return 0, 0, nil, err
+	}
 	order := c.successorsFirst()
+	if mean, variance, err = c.moments(order, second); err != nil {
+		return 0, 0, nil, err
+	}
+	visits, err = c.visits(order)
+	return mean, variance, visits, err
+}
+
+// moments solves the first- and second-moment systems of
+// TurnaroundAndVisits over a validated chain.
+func (c *Chain) moments(order []int, second linalg.Vector) (mean, variance float64, err error) {
 	m, err := absorb(c.Arcs, c.H, order)
 	if err != nil {
 		return 0, 0, err
@@ -83,7 +109,11 @@ func TurnaroundMoments(c *Chain) (mean, variance float64, err error) {
 		for _, a := range c.Arcs[i] {
 			next += a.Prob * m[a.To]
 		}
-		rhs[i] = 2*c.H[i]*c.H[i] + 2*c.H[i]*next
+		r2 := 2 * c.H[i] * c.H[i]
+		if second != nil {
+			r2 = second[i]
+		}
+		rhs[i] = r2 + 2*c.H[i]*next
 	}
 	s, err := absorb(c.Arcs, rhs, order)
 	if err != nil {
@@ -238,26 +268,6 @@ func ExpectedVisitsSeries(c *Chain, opts SeriesOptions) (*SeriesResult, error) {
 		residual = u[:abs].Sum()
 	}
 	return &SeriesResult{Visits: visits, Steps: steps, ResidualMass: residual}, nil
-}
-
-// RewardUntilAbsorption computes the expected total reward accumulated
-// until absorption for a per-visit reward vector (length N; the absorbing
-// entry is ignored): Σ_b visits_b · reward_b. This is the Markov reward
-// model of Section 4.2.1 with the reward interpreted as the number of
-// service requests generated upon each visit of a state.
-func RewardUntilAbsorption(c *Chain, reward linalg.Vector) (float64, error) {
-	if len(reward) != c.N() {
-		return 0, fmt.Errorf("ctmc: reward vector length %d does not match %d states", len(reward), c.N())
-	}
-	visits, err := ExpectedVisits(c)
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for i := 0; i < c.Absorbing(); i++ {
-		total += visits[i] * reward[i]
-	}
-	return total, nil
 }
 
 // ZMaxForCoverage returns the paper's z_max: the smallest number of

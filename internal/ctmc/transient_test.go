@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -150,25 +151,6 @@ func TestSeriesHardCap(t *testing.T) {
 	c := loopChain(1e-7, 1, 1)
 	if _, err := ExpectedVisitsSeries(c, SeriesOptions{Coverage: 0.999999999, HardCap: 10}); err == nil {
 		t.Error("hard cap not enforced")
-	}
-}
-
-func TestRewardUntilAbsorption(t *testing.T) {
-	c := branchChain(0.5)
-	// Reward = 2 per visit of s0, 4 of s1, 6 of s2.
-	got, err := RewardUntilAbsorption(c, linalg.Vector{2, 4, 6, 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2.0 + 0.5*4 + 0.5*6
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("reward = %v, want %v", got, want)
-	}
-}
-
-func TestRewardLengthMismatch(t *testing.T) {
-	if _, err := RewardUntilAbsorption(twoState(1), linalg.Vector{1}); err == nil {
-		t.Error("length mismatch accepted")
 	}
 }
 
@@ -320,6 +302,72 @@ func TestTurnaroundVarianceExact(t *testing.T) {
 		}
 		if math.Abs(v-tc.want) > 1e-9 {
 			t.Errorf("%s: variance = %v, want %v", tc.name, v, tc.want)
+		}
+	}
+}
+
+// With exponential residences TurnaroundAndVisits is the separate
+// moment and visit solves, bit for bit.
+func TestTurnaroundAndVisitsMatchesSeparateSolves(t *testing.T) {
+	for _, c := range []*Chain{twoState(2.5), loopChain(0.25, 1, 2), branchChain(0.3), erlangChain(5, 0.7)} {
+		mean, variance, visits, err := TurnaroundAndVisits(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMean, wantVar, err := TurnaroundMoments(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantVisits, err := ExpectedVisits(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mean != wantMean || variance != wantVar || !slices.Equal(visits, wantVisits) {
+			t.Errorf("%d states: (%v, %v, %v), separate solves (%v, %v, %v)",
+				c.N(), mean, variance, visits, wantMean, wantVar, wantVisits)
+		}
+	}
+}
+
+// One state with an Erlang-k second moment H²(1 + 1/k) has the moments
+// of the k-state stage chain, inside a retry loop as well.
+func TestTurnaroundAndVisitsErlangResidence(t *testing.T) {
+	const k, h = 6, 1.8
+	second := func(c *Chain) linalg.Vector {
+		s := linalg.NewVector(c.N())
+		for i := 0; i < c.Absorbing(); i++ {
+			s[i] = 2 * c.H[i] * c.H[i]
+		}
+		s[0] = c.H[0] * c.H[0] * (1 + 1.0/k)
+		return s
+	}
+	// The stage chain of a retry loop whose first state is Erlang-k:
+	// stages 0..k-1, then the retry state k, then s_A.
+	staged := NewChain(k + 2)
+	for i := 0; i < k-1; i++ {
+		staged.AddArc(i, i+1, 1)
+		staged.H[i] = h / k
+	}
+	staged.H[k-1], staged.H[k] = h/k, 2
+	staged.AddArc(k-1, k, 0.75)
+	staged.AddArc(k-1, k+1, 0.25)
+	staged.AddArc(k, 0, 1)
+	for _, tc := range []struct {
+		chart, stages *Chain
+	}{
+		{twoState(h), erlangChain(k, h/k)},
+		{loopChain(0.25, h, 2), staged},
+	} {
+		mean, variance, _, err := TurnaroundAndVisits(tc.chart, second(tc.chart))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMean, wantVar, err := TurnaroundMoments(tc.stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(mean-wantMean) > 1e-12*wantMean || math.Abs(variance-wantVar) > 1e-10*wantVar {
+			t.Errorf("chart-level (%v, %v), stage chain (%v, %v)", mean, variance, wantMean, wantVar)
 		}
 	}
 }

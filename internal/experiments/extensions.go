@@ -41,8 +41,9 @@ func E9Distribution() (*Table, error) {
 	rng := dist.NewRNG(42)
 	const samples = 60000
 	sorted := make([]float64, samples)
+	chain := spec.Expand(expModel).Chain
 	for i := range sorted {
-		v, err := ctmc.SampleTurnaround(expModel.Chain, rng, 0)
+		v, err := ctmc.SampleTurnaround(chain, rng, 0)
 		if err != nil {
 			return nil, err
 		}

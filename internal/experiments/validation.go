@@ -197,37 +197,3 @@ func E8Calibration(opts E8Options) (*Table, error) {
 		"durations carry sub-minute sleep-scheduling noise at the 1 ms/min time scale; branch probabilities are exact-frequency estimates")
 	return t, nil
 }
-
-// All runs every experiment with default options.
-func All() ([]*Table, error) {
-	var tables []*Table
-	steps := []func() (*Table, error){
-		E1Availability,
-		E2EPWorkflow,
-		E3Throughput,
-		E4WaitingCurve,
-		E5Performability,
-		E6Greedy,
-		func() (*Table, error) { return E7Validation(E7Options{Seed: 42}) },
-		func() (*Table, error) { return E8Calibration(E8Options{Seed: 42}) },
-		E9Distribution,
-		E11Planners,
-		E12Extended,
-		func() (*Table, error) { return E13Discovery(42) },
-		AblationSeries,
-		AblationAvailabilitySolvers,
-		AblationRepairDiscipline,
-		func() (*Table, error) { return AblationDispatch(42) },
-		AblationHeterogeneous,
-		AblationTransient,
-		func() (*Table, error) { return AblationPooling(42) },
-	}
-	for _, step := range steps {
-		tbl, err := step()
-		if err != nil {
-			return tables, err
-		}
-		tables = append(tables, tbl)
-	}
-	return tables, nil
-}

@@ -11,13 +11,13 @@ import (
 // Its resident state is a few MB of cached models, while every request
 // leaves garbage: ~30 KB for a warm assessment (some 20 KB of it the
 // decoded document, the spec objects FromDocument validates it into and
-// the canonical document Fingerprint hashes) and a model build's worth
-// of chains and matrices for a cold one. At the runtime's 4 MB minimum
-// heap goal that is a collection every hundred-odd warm requests, and
-// more often while models are built: with the floor off (GOGC=99) a
-// cold-corpus round takes 0.0161 → 0.0194 s and a drift-replan round
-// 0.0360 → 0.0427 s, so it is the builds, more than the decode, that the
-// floor is kept for.
+// the canonical document Fingerprint hashes), a chart-level model for a
+// cold one, and the live loop's batches, rebuilds and re-plans. At the
+// runtime's 4 MB minimum heap goal that is a collection every
+// hundred-odd warm requests. Model builds no longer pace the collector:
+// with the floor off (GOGC=99) a cold-corpus round is unchanged, while
+// drift-replan's op_p90_ms goes 0.40–0.53 → 0.80–0.81 ms and a
+// warm-whatif round takes 17 % longer, for 44 → 15 MB of peak RSS.
 // A percentage cannot express a floor (a fixed high GOGC would multiply
 // large heaps as well), so GOGC is re-derived after every collection from
 // what the pacer will use — goal = live + (live + stacks +

@@ -365,6 +365,11 @@ func Run(p Params) (*Result, error) {
 	if p.MaxEvents == 0 {
 		p.MaxEvents = 50_000_000
 	}
+	models := make([]*spec.Model, len(p.Models)) // the walk draws exponential residences
+	for i, m := range p.Models {
+		models[i] = spec.Expand(m)
+	}
+	p.Models = models
 	r := &runner{
 		p:          p,
 		sim:        des.New(),

@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"performa/internal/ctmc"
 	"performa/internal/linalg"
@@ -30,18 +31,26 @@ const (
 // parallel subworkflows already collapsed hierarchically per Section
 // 4.2.2. Turnaround and expected request counts are computed eagerly
 // because parents need them to collapse nested states.
+//
+// Build's chain has one state per chart state, as in the paper. A state
+// whose residence is an Erlang-k sequence (an activity's
+// DurationStages, a collapsed subworkflow's moment-matched stage count)
+// keeps k only as its residence second moment; Expand spells the stages
+// out for the routes that need the distribution.
 type Model struct {
 	// Workflow is the source workflow; nil for subworkflow models built
 	// during recursion.
 	Workflow *Workflow
 	// Chain is the absorbing CTMC; state 0 is the initial execution
-	// state and the last state is s_A.
+	// state and the last state is s_A. H_i is the state's whole mean
+	// residence, however many stages it has.
 	Chain *ctmc.Chain
 	// Load is the k-by-N load matrix: Load[x][i] is the expected number
 	// of service requests on server type x per visit of state i. The
 	// absorbing column is zero.
 	Load *linalg.Matrix
-	// StateNames labels the CTMC states with chart state names.
+	// StateNames labels the CTMC states with chart state names
+	// (name#s for stage s > 1 of an expanded state).
 	StateNames []string
 
 	turnaround    float64
@@ -49,6 +58,9 @@ type Model struct {
 	requests      linalg.Vector
 	visits        linalg.Vector
 	clampedStages int
+	// stages[i] is the Erlang stage count of transient state i; nil on
+	// a model whose every state is one exponential stage.
+	stages []int
 }
 
 // Turnaround returns R_t, the mean turnaround time of one instance.
@@ -58,7 +70,7 @@ func (m *Model) Turnaround() float64 { return m.turnaround }
 // number of service requests one instance induces on server type x.
 func (m *Model) ExpectedRequests() linalg.Vector { return m.requests.Clone() }
 
-// ExpectedVisits returns the expected number of visits per CTMC state.
+// ExpectedVisits returns the expected number of visits per Chain state.
 func (m *Model) ExpectedVisits() linalg.Vector { return m.visits.Clone() }
 
 // ClampedStages reports how many collapsed subworkflow states across
@@ -135,24 +147,11 @@ func collapseStages(maxR, variance float64) (stages int, clamped, ok bool) {
 // buildChart recursively maps a chart (workflow or subworkflow) onto a
 // Model.
 func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, env *Environment, opt buildOptions) (*Model, error) {
-	// Identify the CTMC's transient states: every chart state that
-	// invokes an activity or embeds subworkflows. Pseudo-states are
-	// allowed only as the chart's initial state (spliced out below) and
-	// final state (becoming the absorbing state s_A).
-	initial, finals, real, err := classifyStates(chart)
+	order, index, err := classifyStates(chart)
 	if err != nil {
 		return nil, err
 	}
-
-	// Fix the CTMC state order: initial execution state first, then the
-	// remaining real states in StateNames order, then s_A.
-	order := make([]string, 0, len(real)+1)
-	order = append(order, initial)
-	for _, name := range chart.StateNames() {
-		if name != initial && real[name] {
-			order = append(order, name)
-		}
-	}
+	abs := len(order)
 
 	// Collapse nested subworkflows first (Section 4.2.2): the parent
 	// state's residence time is the maximum of the parallel subworkflows'
@@ -160,42 +159,42 @@ func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, en
 	// vectors. The collapsed residence keeps the dominant subworkflow's
 	// turnaround *distribution* shape as well: an Erlang stage count
 	// moment-matched to that subworkflow (k ≈ mean²/variance) replaces
-	// the single exponential state, so a subworkflow made of long
+	// the single exponential residence, so a subworkflow made of long
 	// low-variance phases does not degenerate into a heavy-tailed
 	// exponential whose short draws compress all of its service requests
-	// into a burst. Every collapsed quantity the analytic routes consume
-	// (mean residence, visits, expected requests) is invariant in k.
-	type collapsed struct {
-		maxR   float64
-		stages int
-		load   linalg.Vector
-	}
-	subs := make(map[string]*collapsed)
+	// into a burst. Activity states take their DurationStages. Mean
+	// residence, visits and expected requests are invariant in the stage
+	// count; the variance reads it.
+	stages := make([]int, abs)
+	h := linalg.NewVector(abs + 1)
+	subLoad := make([]linalg.Vector, abs) // collapsed states' summed requests
 	clampedStages := 0
-	for _, name := range order {
+	for i, name := range order {
 		s := chart.States[name]
-		if len(s.Subcharts) == 0 {
+		if s.Activity != "" {
+			prof := profiles[s.Activity]
+			stages[i], h[i] = max(prof.DurationStages, 1), prof.MeanDuration
 			continue
 		}
-		info := &collapsed{stages: 1, load: linalg.NewVector(env.K())}
+		stages[i], subLoad[i] = 1, linalg.NewVector(env.K())
 		var dominant *Model
 		for _, sub := range s.Subcharts {
 			subModel, err := buildChart(sub, profiles, env, opt)
 			if err != nil {
 				return nil, err
 			}
-			if r := subModel.Turnaround(); r > info.maxR {
-				info.maxR = r
+			if r := subModel.Turnaround(); r > h[i] {
+				h[i] = r
 				dominant = subModel
 			}
-			for x := 0; x < env.K(); x++ {
-				info.load[x] += subModel.requests[x]
+			for x, r := range subModel.requests {
+				subLoad[i][x] += r
 			}
 			clampedStages += subModel.clampedStages
 		}
-		if dominant != nil && info.maxR > 0 {
-			if k, clamped, ok := collapseStages(info.maxR, dominant.variance); ok {
-				info.stages = k
+		if dominant != nil && h[i] > 0 {
+			if k, clamped, ok := collapseStages(h[i], dominant.variance); ok {
+				stages[i] = k
 				if clamped {
 					clampedStages++
 				}
@@ -203,152 +202,87 @@ func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, en
 		}
 		// Fault-injection hook (crossval): scale the collapsed residence
 		// after moment matching, as a broken collapse would.
-		info.maxR *= opt.collapseScale
-		subs[name] = info
+		h[i] *= opt.collapseScale
 	}
 
-	// Each chart state occupies one CTMC state, except states that expand
-	// into an Erlang phase sequence (same mean, tighter distribution):
-	// activity states with DurationStages > 1 and collapsed subworkflow
-	// states with a moment-matched stage count. Incoming transitions
-	// enter the first stage, outgoing transitions leave the last.
-	stageCount := func(name string) int {
-		s := chart.States[name]
-		if s.Activity != "" {
-			if k := profiles[s.Activity].DurationStages; k > 1 {
-				return k
-			}
-		}
-		if info := subs[name]; info != nil {
-			return info.stages
-		}
-		return 1
-	}
-	first := make(map[string]int, len(order))
-	last := make(map[string]int, len(order))
+	// Pre-flight: the stage chain (one state per Erlang stage) must fit
+	// the budget before the chain is allocated, with the running sum
+	// guarded against overflow from adversarial DurationStages values.
 	total := 0
-	for _, name := range order {
-		first[name] = total
-		k := stageCount(name)
-		// Guard the running sum against overflow from adversarial
-		// DurationStages values; the budget check below then rejects
-		// any total it cannot admit.
+	for _, k := range stages {
 		if k > (1<<62)-total {
 			total = 1 << 62
 			break
 		}
 		total += k
-		last[name] = total - 1
 	}
-	abs := total
-	n := total + 1 // + absorbing state
-
-	// Pre-flight: the chain's dimension (including the Erlang stage
-	// expansion, which multiplies states by DurationStages) must fit the
-	// budget before anything is allocated.
-	if err := wfmserr.Default.CheckMatrixDim("spec", n); err != nil {
+	if err := wfmserr.Default.CheckMatrixDim("spec", total+1); err != nil {
 		return nil, wfmserr.Wrap(err, wfmserr.CodeOf(err), "spec",
 			"chart %q expands to too many CTMC states", chart.Name)
 	}
 
-	chain := ctmc.NewChain(n)
-	h := chain.H
-	load := linalg.NewMatrix(env.K(), n)
-	names := make([]string, n)
-	names[abs] = "s_A"
-	chain.Names = names
-
-	// Residence times, per-visit loads, and intra-activity stage
-	// chaining.
-	for _, name := range order {
-		s := chart.States[name]
-		i := first[name]
-		k := stageCount(name)
-		names[i] = name
-		for stage := 1; stage < k; stage++ {
-			names[i+stage] = fmt.Sprintf("%s#%d", name, stage+1)
-			chain.AddArc(i+stage-1, i+stage, 1)
-		}
-		switch {
-		case s.Activity != "":
-			prof := profiles[s.Activity]
-			for stage := 0; stage < k; stage++ {
-				h[i+stage] = prof.MeanDuration / float64(k)
-			}
-			// The activity's service requests belong to the whole
-			// execution. Every stage of the chain is visited exactly
-			// once per execution, so dividing the load equally across
-			// stages preserves all expected-request quantities while
-			// letting the simulator spread the requests over the whole
-			// execution instead of bursting them into the first stage's
-			// residence.
-			for serverType, l := range prof.Load {
+	names := append(order, "s_A")
+	chain := &ctmc.Chain{Arcs: make([][]ctmc.Arc, abs+1), H: h, Names: names}
+	load := linalg.NewMatrix(env.K(), abs+1)
+	second := linalg.NewVector(abs + 1)
+	for i, name := range order {
+		if act := chart.States[name].Activity; act != "" {
+			for serverType, l := range profiles[act].Load {
 				x, _ := env.Index(serverType)
-				for stage := 0; stage < k; stage++ {
-					load.Set(x, i+stage, l/float64(k))
-				}
+				load.Set(x, i, l)
 			}
-		default: // nested subworkflows, possibly parallel
-			// Collapsed above; spread the residence and the summed load
-			// across the moment-matched stages exactly like an activity.
-			info := subs[name]
-			for stage := 0; stage < k; stage++ {
-				h[i+stage] = info.maxR / float64(k)
-			}
-			for x := 0; x < env.K(); x++ {
-				if l := info.load[x]; l != 0 {
-					for stage := 0; stage < k; stage++ {
-						load.Add(x, i+stage, l/float64(k))
-					}
-				}
-			}
+		}
+		for x, l := range subLoad[i] {
+			load.Set(x, i, l)
+		}
+		second[i] = 2 * h[i] * h[i] // exponential: E[R²] = 2H²
+		if k := stages[i]; k > 1 {
+			second[i] = h[i] * h[i] * (1 + 1/float64(k)) // Erlang-k: H²(1 + 1/k)
 		}
 	}
 
-	// Transition probabilities; edges into pseudo-final states retarget
-	// to s_A.
+	// Transition probabilities. An edge into the pseudo final state
+	// retargets to s_A, one back into the pseudo initial state re-enters
+	// the spliced-in first execution state, and a real final state
+	// absorbs with probability one.
 	for _, t := range chart.Transitions {
-		if !real[t.From] {
-			continue // initial splice handled by classifyStates
+		from, ok := index[t.From]
+		if !ok {
+			continue // the spliced pseudo initial state
 		}
-		from := last[t.From]
-		var to int
+		to, ok := index[t.To]
 		switch {
-		case real[t.To]:
-			to = first[t.To]
-		case finals[t.To]:
+		case ok:
+		case t.To == chart.Final:
 			to = abs
-		case t.To == chart.Initial:
-			// A loop back to the pseudo initial state re-enters the
-			// spliced-in first execution state.
-			to = first[initial]
 		default:
-			// classifyStates guarantees this cannot happen.
-			return nil, fmt.Errorf("spec: internal error: transition into pseudo-state %q", t.To)
+			to = 0
 		}
 		chain.AddArc(from, to, t.Prob)
 	}
-	// A real final state (an activity state with no outgoing chart
-	// transitions) absorbs with probability one.
-	if real[chart.Final] {
-		chain.AddArc(last[chart.Final], abs, 1)
+	if i, ok := index[chart.Final]; ok {
+		chain.AddArc(i, abs, 1)
 	}
 
-	turnaround, variance, err := ctmc.TurnaroundMoments(chain)
+	turnaround, variance, visits, err := ctmc.TurnaroundAndVisits(chain, second)
 	if err != nil {
 		return nil, fmt.Errorf("spec: chart %q: %w", chart.Name, err)
 	}
-	visits, err := ctmc.ExpectedVisits(chain)
-	if err != nil {
-		return nil, fmt.Errorf("spec: chart %q: %w", chart.Name, err)
-	}
+	// Each state's load is added once per stage, l/k at a time, as the
+	// stage chain sums it: the request vector is then the same float on
+	// either chain, and the corpus files, whose arrival rates the
+	// importer scales by it, reproduce byte for byte.
 	requests := linalg.NewVector(env.K())
-	for x := 0; x < env.K(); x++ {
-		var total float64
-		for i := 0; i < abs; i++ {
-			total += visits[i] * load.At(x, i)
+	for x := range requests {
+		for i, k := range stages {
+			perStage := visits[i] * (load.At(x, i) / float64(k))
+			for range k {
+				requests[x] += perStage
+			}
 		}
-		requests[x] = total
+	}
+	if total == abs {
+		stages = nil
 	}
 	return &Model{
 		Chain:         chain,
@@ -359,44 +293,48 @@ func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, en
 		requests:      requests,
 		visits:        visits,
 		clampedStages: clampedStages,
+		stages:        stages,
 	}, nil
 }
 
-// classifyStates splits chart states into the initial execution state
-// (after splicing a pseudo initial state), the set of pseudo final
-// states, and the set of "real" states that become CTMC states.
-func classifyStates(chart *statechart.Chart) (initial string, finals map[string]bool, real map[string]bool, err error) {
-	real = make(map[string]bool, len(chart.States))
-	finals = map[string]bool{}
-	for name, s := range chart.States {
-		if s.Activity != "" || len(s.Subcharts) > 0 {
-			real[name] = true
-			continue
-		}
-		switch name {
-		case chart.Initial, chart.Final:
-			// pseudo-states handled below
-		default:
-			return "", nil, nil, fmt.Errorf("spec: chart %q: state %q has neither an activity nor a subworkflow; only the initial and final states may be pseudo-states", chart.Name, name)
+// classifyStates returns the chart's CTMC states in order — the initial
+// execution state first (after splicing a pseudo initial state), then
+// the other states that invoke an activity or embed subworkflows in
+// StateNames order — and their indices. Only the initial and final
+// states may be pseudo-states; the final one becomes s_A. It walks
+// StateNames, so the state an error names does not depend on map order.
+func classifyStates(chart *statechart.Chart) (order []string, index map[string]int, err error) {
+	real := func(name string) bool {
+		s := chart.States[name]
+		return s.Activity != "" || len(s.Subcharts) > 0
+	}
+	names := chart.StateNames()
+	order = make([]string, 0, len(names)+1) // room for s_A
+	for _, name := range names {
+		if real(name) {
+			order = append(order, name)
+		} else if name != chart.Initial && name != chart.Final {
+			return nil, nil, fmt.Errorf("spec: chart %q: state %q has neither an activity nor a subworkflow; only the initial and final states may be pseudo-states", chart.Name, name)
 		}
 	}
-	if !real[chart.Final] {
-		finals[chart.Final] = true
-	}
-
-	initial = chart.Initial
-	if !real[initial] {
+	if initial := chart.Initial; !real(initial) {
 		// Splice the pseudo initial state: the paper's CTMC starts in
 		// the first execution state, so the pseudo state must lead to
 		// exactly one real state with probability one.
 		out := chart.Outgoing(initial)
 		if len(out) != 1 {
-			return "", nil, nil, fmt.Errorf("spec: chart %q: pseudo initial state %q must have exactly one outgoing transition, has %d (the CTMC needs a single initial execution state)", chart.Name, initial, len(out))
+			return nil, nil, fmt.Errorf("spec: chart %q: pseudo initial state %q must have exactly one outgoing transition, has %d (the CTMC needs a single initial execution state)", chart.Name, initial, len(out))
 		}
-		if !real[out[0].To] {
-			return "", nil, nil, fmt.Errorf("spec: chart %q: initial transition leads to pseudo-state %q; the workflow performs no work", chart.Name, out[0].To)
+		if !real(out[0].To) {
+			return nil, nil, fmt.Errorf("spec: chart %q: initial transition leads to pseudo-state %q; the workflow performs no work", chart.Name, out[0].To)
 		}
-		initial = out[0].To
+		i := slices.Index(order, out[0].To)
+		copy(order[1:i+1], order[:i])
+		order[0] = out[0].To
 	}
-	return initial, finals, real, nil
+	index = make(map[string]int, len(order))
+	for i, name := range order {
+		index[name] = i
+	}
+	return order, index, nil
 }

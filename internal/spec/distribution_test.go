@@ -56,6 +56,7 @@ func TestStageExpansionStateLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m = Expand(m)
 	// 3 stages + absorbing = 4 states, named A, A#2, A#3, s_A.
 	if m.Chain.N() != 4 {
 		t.Fatalf("N = %d, want 4", m.Chain.N())
@@ -114,6 +115,7 @@ func TestCollapsedSubworkflowStageExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m = Expand(m)
 	// The inner chain is Erlang-16: mean 4, variance 16·(1/4)² = 1, so
 	// the moment-matched parent stage count is mean²/var = 16.
 	if got, want := m.Chain.N(), 17; got != want {
@@ -196,7 +198,7 @@ func TestTurnaroundCDFMatchesMonteCarlo(t *testing.T) {
 	const samples = 40000
 	counts := make([]int, len(times))
 	for s := 0; s < samples; s++ {
-		tt, err := ctmc.SampleTurnaround(m.Chain, rng, 0)
+		tt, err := ctmc.SampleTurnaround(Expand(m).Chain, rng, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

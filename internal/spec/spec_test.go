@@ -341,6 +341,23 @@ func TestBuildLoopBackToPseudoInitial(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsSelfLoopThroughPseudoInitial: a first execution state
+// that loops straight back through the pseudo initial state is a
+// self-loop of the chart-level chain, refused whatever its stage count.
+func TestBuildRejectsSelfLoopThroughPseudoInitial(t *testing.T) {
+	env := testEnv(t)
+	for _, stages := range []int{1, 3} {
+		w := stagedWorkflow(stages)
+		w.Chart = statechart.NewBuilder("retry").
+			Initial("init").Activity("A", "act").Final("done").
+			Transition("init", "A", 1).Transition("A", "init", 0.5).Transition("A", "done", 0.5).
+			MustBuild()
+		if _, err := Build(w, env); err == nil || !strings.Contains(err.Error(), "self-loop") {
+			t.Errorf("%d stages: err = %v, want the self-loop refusal", stages, err)
+		}
+	}
+}
+
 func TestBuildRejectsInteriorPseudoState(t *testing.T) {
 	env := testEnv(t)
 	c := &statechart.Chart{

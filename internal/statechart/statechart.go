@@ -152,7 +152,8 @@ func (c *Chart) validate(onPath map[string]bool) error {
 	if _, ok := c.States[c.Final]; !ok {
 		return fmt.Errorf("statechart: chart %q final state %q not found", c.Name, c.Final)
 	}
-	for name, s := range c.States {
+	checkState := func(name string) error {
+		s := c.States[name]
 		if s.Name != name {
 			return fmt.Errorf("statechart: chart %q state keyed %q has Name %q", c.Name, name, s.Name)
 		}
@@ -164,6 +165,10 @@ func (c *Chart) validate(onPath map[string]bool) error {
 				return err
 			}
 		}
+		return nil
+	}
+	if err := c.eachState(checkState); err != nil {
+		return err
 	}
 
 	outProb := make(map[string]float64)
@@ -187,9 +192,9 @@ func (c *Chart) validate(onPath map[string]bool) error {
 		outProb[t.From] += t.Prob
 		outCount[t.From]++
 	}
-	for name := range c.States {
+	checkOutgoing := func(name string) error {
 		if name == c.Final {
-			continue
+			return nil
 		}
 		if outCount[name] == 0 {
 			return fmt.Errorf("statechart: chart %q state %q is a dead end (no outgoing transitions and not final)", c.Name, name)
@@ -197,9 +202,31 @@ func (c *Chart) validate(onPath map[string]bool) error {
 		if math.Abs(outProb[name]-1) > 1e-9 {
 			return fmt.Errorf("statechart: chart %q state %q outgoing probabilities sum to %v, want 1", c.Name, name, outProb[name])
 		}
+		return nil
+	}
+	if err := c.eachState(checkOutgoing); err != nil {
+		return err
 	}
 	if !c.finalReachable() {
 		return fmt.Errorf("statechart: chart %q final state %q unreachable from initial state %q", c.Name, c.Final, c.Initial)
+	}
+	return nil
+}
+
+// eachState runs check on every state in map order, which costs a valid
+// chart nothing. Once a state fails, it reruns check in StateNames order,
+// the order the CTMC mapping reports in, and returns the first failure,
+// so the state an error names does not depend on map order.
+func (c *Chart) eachState(check func(name string) error) error {
+	for name := range c.States {
+		if check(name) == nil {
+			continue
+		}
+		for _, name := range c.StateNames() {
+			if err := check(name); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
