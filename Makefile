@@ -1,7 +1,8 @@
 # Developer targets. `make check` is the full verification gate: build,
 # vet, the test suite, and the test suite again under the race detector
-# (the planners fan work out over goroutine pools, so racy regressions
-# must not slip through).
+# (the server runs requests, batch items and async jobs on their own
+# goroutines over shared caches, so racy regressions must not slip
+# through).
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -26,7 +27,7 @@ race:
 # down. Print it before and after a change that claims to simplify.
 # It is a ratchet: the count may not exceed LOC_CEILING (CI runs this),
 # and a PR that lowers the count lowers the ceiling to its new count.
-LOC_CEILING := 26668
+LOC_CEILING := 26284
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l); \

@@ -258,12 +258,10 @@ func BenchmarkE11BranchAndBound(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerParallel contrasts the exhaustive planner's
-// sequential path with the worker-pool fan-out over candidate
-// configurations. The recommendations are bit-identical. With an
-// evaluation under a microsecond the pool's hand-off costs more than it
-// saves on this search space (ROADMAP: collapse the surface).
-func BenchmarkPlannerParallel(b *testing.B) {
+// BenchmarkExhaustive measures the exhaustive planner's sequential scan
+// on the E11 search space: the optimality baseline greedy and
+// branch-and-bound are compared against.
+func BenchmarkExhaustive(b *testing.B) {
 	env := workload.PaperEnvironment()
 	m, err := spec.Build(workload.EPWorkflow(5), env)
 	if err != nil {
@@ -275,22 +273,11 @@ func BenchmarkPlannerParallel(b *testing.B) {
 	}
 	goals := config.Goals{MaxWaiting: 0.001, MaxUnavailability: 1e-5}
 	cons := config.Constraints{MaxReplicas: []int{6, 6, 6}}
-	for _, bench := range []struct {
-		name    string
-		workers int
-	}{
-		{"workers-1", 1},
-		{"workers-all", 0},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			opts := config.DefaultOptions()
-			opts.Workers = bench.workers
-			for i := 0; i < b.N; i++ {
-				if _, err := config.Exhaustive(a, goals, cons, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := config.Exhaustive(a, goals, cons, config.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

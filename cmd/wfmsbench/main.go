@@ -7,7 +7,7 @@
 //	wfmsbench -exp all
 //	wfmsbench -exp e1,e6
 //	wfmsbench -exp e7 -seed 7 -horizon 40000
-//	wfmsbench -exp e6,e11 -workers 8 -cpuprofile planners.pprof
+//	wfmsbench -exp e6,e11 -cpuprofile planners.pprof
 package main
 
 import (
@@ -33,7 +33,6 @@ func run() int {
 		exp            = flag.String("exp", "all", "comma-separated experiment ids: e1..e8, a1..a4, or all")
 		seed           = flag.Uint64("seed", 42, "seed for simulation-backed experiments")
 		horizon        = flag.Float64("horizon", 20000, "simulation horizon in model minutes (e7)")
-		workers        = flag.Int("workers", 0, "planner worker-pool size (0 = all CPUs, 1 = sequential)")
 		solverJSON     = flag.String("solver-json", "", "run only the E16 solver-scaling bench and write its rows as JSON to this file")
 		solverReduced  = flag.Bool("solver-reduced", false, "with -solver-json: the reduced sweep (CI smoke sizes)")
 		corpusDir      = flag.String("corpus-dir", "corpus", "imported-workflow corpus directory for E20")
@@ -43,7 +42,6 @@ func run() int {
 		memprofile     = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
-	experiments.PlannerWorkers = *workers
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -62,7 +62,6 @@ func run() int {
 		maxUnavail   = flag.Float64("max-unavail", 0, "unavailability goal (0 = none)")
 		exhaustive   = flag.Bool("exhaustive", false, "use the exhaustive optimal search instead of the greedy heuristic")
 		maxReplicas  = flag.Int("max-replicas", 8, "per-type replication cap for the search")
-		workers      = flag.Int("workers", 0, "assessment worker-pool size (0 = all CPUs, 1 = sequential)")
 		exportSpec   = flag.Bool("export-spec", false, "print the selected built-in workload as a JSON spec and exit")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -139,7 +138,6 @@ func run() int {
 	}
 	opts := performa.PlannerOptions{
 		Performability: performability.Options{Policy: performability.ExcludeDown},
-		Workers:        *workers,
 	}
 	var rec *performa.Recommendation
 	if *exhaustive {

@@ -39,7 +39,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 0, "total planner-worker budget (0 = all CPUs)")
+		workers    = flag.Int("workers", 0, "concurrent planner runs (0 = all CPUs)")
 		cacheSize  = flag.Int("cache-size", 32, "warm system models kept resident (LRU entries)")
 		reqTimeout = flag.Duration("request-timeout", 60*time.Second, "per-request deadline for assess/recommend/calibrate (0 = none)")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
@@ -52,7 +52,7 @@ func main() {
 		maxBatch     = flag.Int("max-batch-items", 0, "items admitted per batch request (0 = 256)")
 		jobTTL       = flag.Duration("job-ttl", 0, "retention of finished async job results (0 = 15m)")
 		maxJobs      = flag.Int("max-jobs", 0, "async jobs resident at once, queued+running+retained (0 = 1024)")
-		tenantBudget = flag.Int("tenant-budget", 0, "per-tenant cap on concurrently held planner-worker tokens (0 = quotas off)")
+		tenantBudget = flag.Int("tenant-budget", 0, "per-tenant cap on concurrent planner runs (0 = quotas off)")
 
 		driftThreshold = flag.Float64("drift-threshold", 0, "relative parameter change at which streamed events invalidate a warm model (0 = per-dimension defaults)")
 		driftMinSample = flag.Uint64("drift-min-samples", 0, "observations required before an estimate is drift-scored (0 = defaults)")

@@ -12,31 +12,23 @@ import (
 )
 
 // contextPlannerRuns enumerates the context-aware planner entry points
-// so the cancellation tests can sweep them uniformly. The annealing
-// iteration budget is effectively unbounded: a run that ignores its
-// context would take minutes, so a hung cancellation fails the test by
-// timeout instead of passing by luck.
-func contextPlannerRuns(a *analysisHarness) []struct {
+// so the cancellation tests can sweep them uniformly.
+func contextPlannerRuns(h *analysisHarness) []struct {
 	name string
 	run  func(context.Context, Options) (*Recommendation, error)
 } {
-	goals := a.goals
-	cons := a.cons
 	return []struct {
 		name string
 		run  func(context.Context, Options) (*Recommendation, error)
 	}{
 		{"greedy", func(ctx context.Context, o Options) (*Recommendation, error) {
-			return GreedyContext(ctx, a.a, goals, cons, o)
+			return GreedyContext(ctx, h.a, h.goals, Constraints{}, o)
 		}},
 		{"exhaustive", func(ctx context.Context, o Options) (*Recommendation, error) {
-			return ExhaustiveContext(ctx, a.a, goals, cons, o)
+			return ExhaustiveContext(ctx, h.a, h.goals, Constraints{}, o)
 		}},
 		{"branch&bound", func(ctx context.Context, o Options) (*Recommendation, error) {
-			return BranchAndBoundContext(ctx, a.a, goals, cons, o)
-		}},
-		{"annealing", func(ctx context.Context, o Options) (*Recommendation, error) {
-			return SimulatedAnnealingContext(ctx, a.a, goals, cons, o, AnnealingOptions{Seed: 7, Iterations: 100_000_000})
+			return BranchAndBoundContext(ctx, h.a, h.goals, Constraints{}, o)
 		}},
 	}
 }
@@ -44,18 +36,42 @@ func contextPlannerRuns(a *analysisHarness) []struct {
 type analysisHarness struct {
 	a     *perf.Analysis
 	goals Goals
-	cons  Constraints
+}
+
+// unfinishableHarness is a search that cannot finish: the seven-type
+// plan-search system under a waiting goal no candidate in the default
+// 64-per-type box meets. Exhaustive would assess all 64^7 ≈ 4.4e12
+// candidates before reporting infeasibility, so a run that ignores its
+// context fails by timeout instead of passing by luck; greedy and
+// branch-and-bound end in an infeasible error, which is not
+// context.Canceled either.
+func unfinishableHarness(t *testing.T) *analysisHarness {
+	t.Helper()
+	h := &analysisHarness{
+		a:     analysisIn(t, workload.ExtendedEnvironment(), workload.EPDistributed(25)),
+		goals: Goals{MaxWaiting: 1e-300},
+	}
+	// Adding replicas never worsens waiting, so the box's top corner is
+	// its best candidate: if it misses the goal, every candidate does.
+	top := make([]int, h.a.Env().K())
+	for x := range top {
+		top[x] = defaultMaxReplicas
+	}
+	as, err := Assess(h.a, perf.Config{Replicas: top}, h.goals, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(top) < 5 || as.Feasible() {
+		t.Fatalf("%d types, top corner feasible = %v: the search could finish", len(top), as.Feasible())
+	}
+	return h
 }
 
 // TestPlannersReturnCanceledImmediately pins the contract on an
 // already-dead context: every planner returns context.Canceled without
 // producing a recommendation.
 func TestPlannersReturnCanceledImmediately(t *testing.T) {
-	h := &analysisHarness{
-		a:     workloadAnalysis(t, workload.EPWorkflow(5)),
-		goals: Goals{MaxWaiting: 0.002, MaxUnavailability: 1e-5},
-		cons:  Constraints{MaxReplicas: []int{6, 6, 6}},
-	}
+	h := unfinishableHarness(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, p := range contextPlannerRuns(h) {
@@ -96,15 +112,14 @@ func (c *countdownCtx) Err() error {
 // TestPlannersCancelMidSearch cancels each planner while its search is
 // in flight — deterministically, on the poll inside the second
 // candidate's evaluation (an assessment polls twice: engine, then
-// evaluator; greedy finishes this search in a handful of candidates) —
-// and requires context.Canceled back promptly. Crucially, the
-// interrupted run must leave the shared evaluator reusable: the
-// follow-up search over the same evaluator reproduces the
-// fresh-evaluator result bit for bit.
+// evaluator) — and requires context.Canceled back promptly. Crucially,
+// the interrupted run must leave the shared evaluator reusable: a
+// follow-up greedy search under meetable goals over the same evaluator
+// reproduces the fresh-evaluator result bit for bit.
 func TestPlannersCancelMidSearch(t *testing.T) {
-	a := workloadAnalysis(t, workload.EPWorkflow(5))
-	goals := Goals{MaxWaiting: 0.002, MaxUnavailability: 1e-5}
-	h := &analysisHarness{a: a, goals: goals, cons: Constraints{MaxReplicas: []int{6, 6, 6}}}
+	h := unfinishableHarness(t)
+	a := h.a
+	goals := Goals{MaxWaiting: 5e-4, MaxUnavailability: 1e-6}
 
 	fresh, err := Greedy(a, goals, Constraints{}, DefaultOptions())
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"performa/internal/avail"
 	"performa/internal/perf"
@@ -155,11 +154,8 @@ type Options struct {
 	Performability performability.Options
 	// MaxIterations bounds the greedy loop; zero means 1000.
 	MaxIterations int
-	// Workers sizes Exhaustive's candidate pool: 0 means
-	// runtime.NumCPU(), 1 forces the sequential scan, larger values cap
-	// the pool explicitly. The other planners walk sequentially (one
-	// evaluation is a handful of formulas). Results are bit-identical
-	// across worker counts.
+	// Deprecated: Workers is ignored (every planner is sequential); it is
+	// kept only because the frozen bench/ harness still sets it.
 	Workers int
 	// Evaluator optionally supplies a shared performability evaluator
 	// (performability.NewEvaluator) so several searches over one
@@ -175,17 +171,6 @@ func (o Options) withDefaults() Options {
 		o.MaxIterations = 1000
 	}
 	return o
-}
-
-// workerCount resolves Workers to a concrete pool size.
-func (o Options) workerCount() int {
-	if o.Workers == 0 {
-		return runtime.NumCPU()
-	}
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
 }
 
 // DefaultOptions returns the recommended evaluation options.
@@ -575,14 +560,6 @@ func mostCriticalForAvailability(a *perf.Analysis, replicas, hi []int, opts Opti
 // enumerating replication vectors in order of increasing total server
 // count. It is exponential in the number of server types and exists as
 // the optimality baseline for the greedy heuristic.
-//
-// With Options.Workers ≠ 1 the candidates of each total are assessed in
-// chunks over a worker pool; the winner is still the first feasible
-// candidate in enumeration order, so the recommendation — including the
-// Evaluations counter, which counts candidates in enumeration order up
-// to and including the winner — is identical to the sequential search.
-// (The final chunk's trailing members are assessed speculatively; that
-// extra work shows up only in the Cache counters.)
 func Exhaustive(a *perf.Analysis, goals Goals, cons Constraints, opts Options) (*Recommendation, error) {
 	return ExhaustiveContext(context.Background(), a, goals, cons, opts)
 }
@@ -604,7 +581,6 @@ func ExhaustiveContext(ctx context.Context, a *perf.Analysis, goals Goals, cons 
 		minTotal += lo[x]
 		maxTotal += hi[x]
 	}
-	workers := opts.workerCount()
 	eng, err := newEngine(a, goals, opts)
 	if err != nil {
 		return nil, err
@@ -613,23 +589,19 @@ func ExhaustiveContext(ctx context.Context, a *perf.Analysis, goals Goals, cons 
 	for total := minTotal; total <= maxTotal; total++ {
 		var found *Assessment
 		var ferr error
-		if workers <= 1 {
-			enumerate(lo, hi, total, func(y []int) bool {
-				as, err := eng.assess(ctx, y)
-				if err != nil {
-					ferr = err
-					return false
-				}
-				rec.Evaluations++
-				if as.Feasible() {
-					found = as
-					return false
-				}
-				return true
-			})
-		} else {
-			found, ferr = exhaustiveParallel(ctx, eng, lo, hi, total, workers, rec)
-		}
+		enumerate(lo, hi, total, func(y []int) bool {
+			as, err := eng.assess(ctx, y)
+			if err != nil {
+				ferr = err
+				return false
+			}
+			rec.Evaluations++
+			if as.Feasible() {
+				found = as
+				return false
+			}
+			return true
+		})
 		if ferr != nil {
 			return nil, ferr
 		}
@@ -642,53 +614,6 @@ func ExhaustiveContext(ctx context.Context, a *perf.Analysis, goals Goals, cons 
 	}
 	return nil, wfmserr.New(wfmserr.CodeInfeasible, "config",
 		"no feasible configuration within constraints (searched totals %d..%d)", minTotal, maxTotal)
-}
-
-// exhaustiveParallel sweeps one total's candidates in enumeration-order
-// chunks, assessing each chunk over the worker pool and scanning it in
-// order, so the returned assessment is exactly the one the sequential
-// sweep would have accepted first.
-func exhaustiveParallel(ctx context.Context, eng *engine, lo, hi []int, total, workers int, rec *Recommendation) (*Assessment, error) {
-	chunkSize := 4 * workers
-	chunk := make([][]int, 0, chunkSize)
-	var found *Assessment
-	var ferr error
-	flush := func() bool {
-		if len(chunk) == 0 {
-			return true
-		}
-		out, err := eng.assessChunk(ctx, chunk, workers)
-		n := len(chunk)
-		chunk = chunk[:0]
-		if err != nil {
-			ferr = err
-			return false
-		}
-		for i, as := range out {
-			if as.Feasible() {
-				// Count candidates in enumeration order up to the winner,
-				// exactly as the sequential sweep would; the chunk's
-				// speculatively assessed tail is visible only in the
-				// cache counters.
-				rec.Evaluations += i + 1
-				found = as
-				return false
-			}
-		}
-		rec.Evaluations += n
-		return true
-	}
-	enumerate(lo, hi, total, func(y []int) bool {
-		chunk = append(chunk, append([]int(nil), y...))
-		if len(chunk) >= chunkSize {
-			return flush()
-		}
-		return true
-	})
-	if found == nil && ferr == nil {
-		flush()
-	}
-	return found, ferr
 }
 
 // enumerate calls fn for every vector y with lo ≤ y ≤ hi and Σy = total,

@@ -4,29 +4,24 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"performa/internal/perf"
 	"performa/internal/performability"
-	"performa/internal/wfmserr"
 )
 
-// engine is the shared assessment engine behind all four planners and
-// the exported Assess: one performability evaluator plus a memo of
-// whole-candidate assessments keyed by memoKey(Y). It is safe for
-// concurrent use, so Exhaustive can fan candidates out over a worker
-// pool while Greedy and BranchAndBound walk sequentially.
+// engine is the assessment engine behind the three planners and the
+// exported Assess: one performability evaluator plus a memo of
+// whole-candidate assessments keyed by memoKey(Y). Every search builds
+// its own engine and walks it sequentially, so it needs no locking.
 type engine struct {
 	a     *perf.Analysis
 	goals Goals
 	opts  Options
 	ev    *performability.Evaluator
 
-	mu   sync.Mutex
 	memo map[string]*Assessment
 	// computed counts memo misses: candidates actually evaluated.
-	computed atomic.Int64
+	computed int
 }
 
 // newEngine builds the engine, creating a fresh evaluator or validating
@@ -76,19 +71,14 @@ func (e *engine) assess(ctx context.Context, y []int) (*Assessment, error) {
 		return nil, err
 	}
 	key := memoKey(y)
-	e.mu.Lock()
-	as, ok := e.memo[key]
-	e.mu.Unlock()
-	if ok {
+	if as, ok := e.memo[key]; ok {
 		return as, nil
 	}
 	as, err := e.compute(ctx, perf.Config{Replicas: append([]int(nil), y...)})
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
 	e.memo[key] = as
-	e.mu.Unlock()
 	return as, nil
 }
 
@@ -110,7 +100,7 @@ func (e *engine) compute(ctx context.Context, cfg perf.Config) (*Assessment, err
 	if err != nil {
 		return nil, err
 	}
-	e.computed.Add(1)
+	e.computed++
 	out := &Assessment{
 		Config:         res.Config,
 		Perf:           res,
@@ -145,68 +135,6 @@ func (e *engine) compute(ctx context.Context, cfg perf.Config) (*Assessment, err
 		out.AvailOK = out.Unavailability <= e.goals.MaxUnavailability
 	} else {
 		out.AvailOK = true
-	}
-	return out, nil
-}
-
-// assessContained is assess with panic containment for worker
-// goroutines: a panic escaping the analytic stack inside a pool worker
-// would kill the whole process (nothing above the goroutine can recover
-// it), so it is converted into a typed internal error here and flows
-// through the normal per-candidate error reporting.
-func (e *engine) assessContained(ctx context.Context, y []int) (as *Assessment, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			as, err = nil, wfmserr.New(wfmserr.CodeInternal, "config",
-				"panic while assessing candidate %v: %v", y, p)
-		}
-	}()
-	return e.assess(ctx, y)
-}
-
-// assessChunk evaluates a batch of candidates over a pool of workers and
-// returns the per-candidate assessments in input order, plus the first
-// error in input order (later candidates' errors are suppressed, as the
-// sequential scan would never have reached them).
-func (e *engine) assessChunk(ctx context.Context, ys [][]int, workers int) ([]*Assessment, error) {
-	out := make([]*Assessment, len(ys))
-	errs := make([]error, len(ys))
-	if workers > len(ys) {
-		workers = len(ys)
-	}
-	if workers <= 1 {
-		for i, y := range ys {
-			as, err := e.assess(ctx, y)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = as
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ys) {
-					return
-				}
-				out[i], errs[i] = e.assessContained(ctx, ys[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

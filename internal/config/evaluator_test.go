@@ -10,11 +10,17 @@ import (
 )
 
 // workloadAnalysis builds an analysis of the paper environment under the
-// given built-in workflows — the real workloads the equivalence tests
-// exercise, as opposed to the synthetic single-activity charts above.
+// given built-in workflows — the real workloads the shared-evaluator and
+// cancellation tests exercise, as opposed to the synthetic
+// single-activity charts of config_test.go.
 func workloadAnalysis(t *testing.T, flows ...*spec.Workflow) *perf.Analysis {
 	t.Helper()
-	env := workload.PaperEnvironment()
+	return analysisIn(t, workload.PaperEnvironment(), flows...)
+}
+
+// analysisIn builds an analysis of env under the given workflows.
+func analysisIn(t *testing.T, env *spec.Environment, flows ...*spec.Workflow) *perf.Analysis {
+	t.Helper()
 	var models []*spec.Model
 	for _, w := range flows {
 		m, err := spec.Build(w, env)
@@ -28,31 +34,6 @@ func workloadAnalysis(t *testing.T, flows ...*spec.Workflow) *perf.Analysis {
 		t.Fatal(err)
 	}
 	return a
-}
-
-// plannerRuns enumerates the four planners as closures over shared
-// goals/constraints so the equivalence tests can sweep them uniformly.
-func plannerRuns(a *perf.Analysis, goals Goals, cons Constraints) []struct {
-	name string
-	run  func(Options) (*Recommendation, error)
-} {
-	return []struct {
-		name string
-		run  func(Options) (*Recommendation, error)
-	}{
-		{"greedy", func(o Options) (*Recommendation, error) {
-			return Greedy(a, goals, cons, o)
-		}},
-		{"exhaustive", func(o Options) (*Recommendation, error) {
-			return Exhaustive(a, goals, cons, o)
-		}},
-		{"branch&bound", func(o Options) (*Recommendation, error) {
-			return BranchAndBound(a, goals, cons, o)
-		}},
-		{"annealing", func(o Options) (*Recommendation, error) {
-			return SimulatedAnnealing(a, goals, cons, o, AnnealingOptions{Seed: 7, Iterations: 500})
-		}},
-	}
 }
 
 func assertRecommendationsIdentical(t *testing.T, label string, want, got *Recommendation) {
@@ -74,43 +55,6 @@ func assertRecommendationsIdentical(t *testing.T, label string, want, got *Recom
 			t.Errorf("%s: W[%d] = %v, want %v (bit-identical)",
 				label, x, got.Assessment.Perf.Waiting[x], want.Assessment.Perf.Waiting[x])
 		}
-	}
-}
-
-// TestPlannersParallelEquivalence is the headline determinism guarantee:
-// every planner returns a bit-identical recommendation whether its
-// worker pools run sequentially or wide, on both the EP and the order
-// workload.
-func TestPlannersParallelEquivalence(t *testing.T) {
-	cases := []struct {
-		name string
-		a    *perf.Analysis
-	}{
-		{"ep", workloadAnalysis(t, workload.EPWorkflow(5))},
-		{"order", workloadAnalysis(t, workload.OrderWorkflow(4))},
-	}
-	goals := Goals{MaxWaiting: 0.002, MaxUnavailability: 1e-5}
-	cons := Constraints{MaxReplicas: []int{6, 6, 6}}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, p := range plannerRuns(tc.a, goals, cons) {
-				seq := DefaultOptions()
-				seq.Workers = 1
-				want, err := p.run(seq)
-				if err != nil {
-					t.Fatalf("%s sequential: %v", p.name, err)
-				}
-				for _, workers := range []int{2, 4} {
-					par := DefaultOptions()
-					par.Workers = workers
-					got, err := p.run(par)
-					if err != nil {
-						t.Fatalf("%s workers=%d: %v", p.name, workers, err)
-					}
-					assertRecommendationsIdentical(t, p.name, want, got)
-				}
-			}
-		})
 	}
 }
 
@@ -192,37 +136,5 @@ func TestSharedEvaluatorMismatchRejected(t *testing.T) {
 	opts.Evaluator = ev
 	if _, err := Greedy(a, goals, Constraints{}, opts); err == nil {
 		t.Error("evaluator with differing performability options accepted")
-	}
-}
-
-// TestAssessWorkerEquivalence covers the exported single-candidate
-// entry point: Assess must be worker-count-invariant too.
-func TestAssessWorkerEquivalence(t *testing.T) {
-	a := workloadAnalysis(t, workload.EPWorkflow(5), workload.OrderWorkflow(3))
-	goals := Goals{MaxWaiting: 0.002, MaxUnavailability: 1e-5}
-	cfg := perf.Config{Replicas: []int{3, 3, 4}}
-
-	seq := DefaultOptions()
-	seq.Workers = 1
-	want, err := Assess(a, cfg, goals, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := DefaultOptions()
-	par.Workers = 4
-	got, err := Assess(a, cfg, goals, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Unavailability != want.Unavailability {
-		t.Errorf("unavailability %v != %v", got.Unavailability, want.Unavailability)
-	}
-	if got.PerfOK != want.PerfOK || got.AvailOK != want.AvailOK {
-		t.Errorf("feasibility (%v,%v) != (%v,%v)", got.PerfOK, got.AvailOK, want.PerfOK, want.AvailOK)
-	}
-	for x := range want.Perf.Waiting {
-		if got.Perf.Waiting[x] != want.Perf.Waiting[x] {
-			t.Errorf("W[%d] = %v, want %v (bit-identical)", x, got.Perf.Waiting[x], want.Perf.Waiting[x])
-		}
 	}
 }

@@ -66,63 +66,6 @@ func TestBranchAndBoundValidation(t *testing.T) {
 	}
 }
 
-func TestSimulatedAnnealingFindsOptimal(t *testing.T) {
-	a := paperAnalysis(t, 1)
-	cons := Constraints{MaxReplicas: []int{6, 6, 6}}
-	goals := Goals{MaxUnavailability: 1.5e-6}
-	ex, err := Exhaustive(a, goals, cons, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := SimulatedAnnealing(a, goals, cons, DefaultOptions(),
-		AnnealingOptions{Seed: 11, Iterations: 1500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Assessment.Feasible() {
-		t.Fatal("annealing result infeasible")
-	}
-	// Annealing is a heuristic: allow +1 over the optimum but it
-	// should find it on this small landscape.
-	if rec.Cost > ex.Cost+1 {
-		t.Errorf("annealing cost %d vs optimal %d", rec.Cost, ex.Cost)
-	}
-}
-
-func TestSimulatedAnnealingDeterministicBySeed(t *testing.T) {
-	a := paperAnalysis(t, 1)
-	goals := Goals{MaxUnavailability: 1e-4}
-	opts := AnnealingOptions{Seed: 5, Iterations: 400}
-	r1, err := SimulatedAnnealing(a, goals, Constraints{MaxReplicas: []int{5, 5, 5}}, DefaultOptions(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := SimulatedAnnealing(a, goals, Constraints{MaxReplicas: []int{5, 5, 5}}, DefaultOptions(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Config.String() != r2.Config.String() || r1.Evaluations != r2.Evaluations {
-		t.Errorf("same seed gave %v/%d and %v/%d", r1.Config, r1.Evaluations, r2.Config, r2.Evaluations)
-	}
-}
-
-func TestSimulatedAnnealingInfeasible(t *testing.T) {
-	a := paperAnalysis(t, 1)
-	_, err := SimulatedAnnealing(a, Goals{MaxUnavailability: 1e-12},
-		Constraints{MaxReplicas: []int{2, 2, 2}}, DefaultOptions(),
-		AnnealingOptions{Seed: 1, Iterations: 200})
-	if err == nil {
-		t.Error("infeasible goals accepted")
-	}
-}
-
-func TestSimulatedAnnealingValidation(t *testing.T) {
-	a := paperAnalysis(t, 1)
-	if _, err := SimulatedAnnealing(a, Goals{}, Constraints{}, DefaultOptions(), AnnealingOptions{}); err == nil {
-		t.Error("empty goals accepted")
-	}
-}
-
 func TestAllPlannersAgreeOnCost(t *testing.T) {
 	a := paperAnalysis(t, 60) // performance-bound regime
 	goals := Goals{MaxWaiting: 0.0008, MaxUnavailability: 1e-5}
@@ -141,17 +84,10 @@ func TestAllPlannersAgreeOnCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := SimulatedAnnealing(a, goals, cons, opts, AnnealingOptions{Seed: 3, Iterations: 2500})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if bb.Cost != ex.Cost {
 		t.Errorf("b&b %d vs optimal %d", bb.Cost, ex.Cost)
 	}
 	if gr.Cost > ex.Cost+1 {
 		t.Errorf("greedy %d vs optimal %d", gr.Cost, ex.Cost)
-	}
-	if an.Cost > ex.Cost+1 {
-		t.Errorf("annealing %d vs optimal %d", an.Cost, ex.Cost)
 	}
 }

@@ -12,21 +12,6 @@ import (
 	"performa/internal/workload"
 )
 
-// PlannerWorkers propagates cmd/wfmsbench's -workers flag to the
-// planner-driven experiments: 0 sizes the assessment worker pools to
-// runtime.NumCPU(), 1 forces the sequential path. Results are identical
-// either way (the planners' reductions are deterministic); only the
-// wall-clock changes.
-var PlannerWorkers int
-
-// plannerOptions returns the experiments' standard planner options with
-// the worker-pool setting applied.
-func plannerOptions() config.Options {
-	o := config.DefaultOptions()
-	o.Workers = PlannerWorkers
-	return o
-}
-
 // epAnalysis builds the standard analysis: the paper environment with the
 // EP workflow at the given arrival rate (instances per minute).
 func epAnalysis(rate float64) (*perf.Analysis, error) {
@@ -292,7 +277,7 @@ func E6Greedy() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := plannerOptions()
+	opts := config.DefaultOptions()
 	cases := []config.Goals{
 		{MaxUnavailability: 1e-4},
 		{MaxUnavailability: 1.5e-6},

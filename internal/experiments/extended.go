@@ -25,7 +25,7 @@ func E12Extended() (*Table, error) {
 		return nil, err
 	}
 	goals := config.Goals{MaxWaiting: 0.002, MaxUnavailability: 1e-5}
-	rec, err := config.Greedy(a, goals, config.Constraints{}, plannerOptions())
+	rec, err := config.Greedy(a, goals, config.Constraints{}, config.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

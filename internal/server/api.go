@@ -175,25 +175,6 @@ func (m ModelJSON) toOptions() (performability.Options, error) {
 	return out, nil
 }
 
-// AnnealingJSON mirrors config.AnnealingOptions.
-type AnnealingJSON struct {
-	Seed              uint64  `json:"seed,omitempty"`
-	Iterations        int     `json:"iterations,omitempty"`
-	InitialTemp       float64 `json:"initial_temp,omitempty"`
-	FinalTemp         float64 `json:"final_temp,omitempty"`
-	InfeasiblePenalty float64 `json:"infeasible_penalty,omitempty"`
-}
-
-func (a AnnealingJSON) toOptions() config.AnnealingOptions {
-	return config.AnnealingOptions{
-		Seed:              a.Seed,
-		Iterations:        a.Iterations,
-		InitialTemp:       a.InitialTemp,
-		FinalTemp:         a.FinalTemp,
-		InfeasiblePenalty: a.InfeasiblePenalty,
-	}
-}
-
 // AssessRequest evaluates one configuration Y against goals.
 type AssessRequest struct {
 	System wfjson.Document `json:"system"`
@@ -273,12 +254,11 @@ type AssessResponse struct {
 // RecommendRequest runs a planner over the system.
 type RecommendRequest struct {
 	System wfjson.Document `json:"system"`
-	// Planner is "greedy" (default), "exhaustive", "bnb", or "anneal".
+	// Planner is "greedy" (default), "exhaustive", or "bnb".
 	Planner     string          `json:"planner,omitempty"`
 	Goals       GoalsJSON       `json:"goals"`
 	Constraints ConstraintsJSON `json:"constraints,omitempty"`
 	Model       ModelJSON       `json:"model,omitempty"`
-	Annealing   AnnealingJSON   `json:"annealing,omitempty"`
 	// TimeoutMillis bounds the search; 0 inherits the server default.
 	// Negative values are rejected with a typed invalid_request error.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
@@ -373,7 +353,6 @@ type RecommendBatchItem struct {
 	Goals       GoalsJSON       `json:"goals"`
 	Constraints ConstraintsJSON `json:"constraints,omitempty"`
 	Model       *ModelJSON      `json:"model,omitempty"`
-	Annealing   AnnealingJSON   `json:"annealing,omitempty"`
 }
 
 // RecommendBatchRequest plans many items in one admission pass.
@@ -590,8 +569,8 @@ type StatsResponse struct {
 	Endpoints  map[string]EndpointStatsJSON `json:"endpoints"`
 	// Errors counts error responses by machine-readable code.
 	Errors map[string]uint64 `json:"errors,omitempty"`
-	// Panics counts handler panics recovered by the containment
-	// middleware (each one is a bug, logged with its stack).
+	// Panics counts panics recovered in handlers, batch items, async
+	// jobs and re-plans (each one is a bug, logged with its stack).
 	Panics uint64 `json:"panics"`
 	// ClampedStages counts Erlang stage expansions the subworkflow
 	// collapse clamped at its cap across cold model builds — each one a
@@ -606,10 +585,11 @@ type StatsResponse struct {
 
 // AdmissionStatsJSON reports the admission semaphore.
 type AdmissionStatsJSON struct {
-	// WorkerBudget is the semaphore capacity (total planner workers).
+	// WorkerBudget is the semaphore capacity: concurrent planner runs.
 	WorkerBudget int `json:"worker_budget"`
-	// PerRequest is the worker-pool width each admitted request runs
-	// with.
+	// PerRequest is always 1: every planner run is sequential and holds
+	// one token. It is kept only because the frozen bench/ harness reads
+	// it.
 	PerRequest int `json:"per_request"`
 	// InUse and Waiting describe the instantaneous queue state.
 	InUse   int `json:"in_use"`

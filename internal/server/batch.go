@@ -8,7 +8,7 @@ package server
 // fingerprint trigger exactly one model build no matter how they are
 // interleaved, and a batch riding over an already-warm system builds
 // nothing at all. One batch takes one admission pass whose token weight
-// scales with the item count (capped at the machine's worker budget),
+// is the number of items it runs at once (capped at the worker budget),
 // keeping the weighted FIFO semaphore the single arbiter of planner
 // concurrency.
 
@@ -26,20 +26,13 @@ import (
 	"performa/internal/wfmserr"
 )
 
-// batchWeight is the admission-token weight of a batch of n items: one
-// planner slot's width per item up to the whole worker budget, so small
-// batches queue like a few singletons and large ones take the machine —
-// FIFO fairness then prevents them from starving interactive requests
-// behind them.
+// batchWeight is the admission-token weight of a batch of n items, and
+// how many of its items run at once: one token per item up to the whole
+// worker budget, so small batches queue like a few singletons and large
+// ones take the machine — FIFO fairness then prevents them from starving
+// interactive requests behind them.
 func (s *Server) batchWeight(n int) int {
-	w := s.perRequest * n
-	if w > s.workers || w < 0 { // < 0: overflow on absurd n
-		w = s.workers
-	}
-	if w < s.perRequest {
-		w = s.perRequest
-	}
-	return w
+	return min(n, s.workers)
 }
 
 // validateBatchSize rejects empty and oversized batches with typed
@@ -112,14 +105,10 @@ func itemError(err error, status int) *ErrorResponse {
 
 // forEachItem runs fn over the item indices with at most par concurrent
 // workers — the batch's internal fan-out under the tokens the batch
-// already holds.
-func forEachItem(n, par int, fn func(i int)) {
-	if par > n {
-		par = n
-	}
-	if par < 1 {
-		par = 1
-	}
+// already holds. An item whose fn panics gets fail with a typed internal
+// error; the other items still run.
+func (s *Server) forEachItem(n, par int, fn func(i int), fail func(i int, err error)) {
+	par = max(1, min(par, n))
 	next := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(par)
@@ -127,7 +116,10 @@ func forEachItem(n, par int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fn(i)
+				func() {
+					defer s.recoverPanic("batch item", func(err error) { fail(i, err) })
+					fn(i)
+				}()
 			}
 		}()
 	}
@@ -168,21 +160,12 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Items {
 		items[i] = decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model)
 	}
-	// Fan out over items under the batch's token weight: itemPar items
-	// run concurrently, each with its share of the weight as its
-	// evaluator pool. The single-flight cache serializes cold builds per
-	// group, so concurrent items of one group cost one build.
-	itemPar := weight
-	if itemPar > n {
-		itemPar = n
-	}
-	itemWorkers := weight / itemPar
-	if itemWorkers < 1 {
-		itemWorkers = 1
-	}
+	// Fan out over items under the batch's token weight: weight items
+	// run concurrently. The single-flight cache serializes cold builds
+	// per group, so concurrent items of one group cost one build.
 	results := make([]AssessBatchItemJSON, n)
 	var builds, warmHits atomic.Uint64
-	forEachItem(n, itemPar, func(i int) {
+	s.forEachItem(n, weight, func(i int) {
 		out := &results[i]
 		out.Index = i
 		it := items[i]
@@ -202,7 +185,6 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		as, err := config.AssessContext(ctx, entry.analysis, perf.Config{Replicas: req.Items[i].Config}, req.Items[i].Goals.toGoals(), config.Options{
 			Performability: it.popts,
-			Workers:        itemWorkers,
 			Evaluator:      entry.ev,
 		})
 		if err != nil {
@@ -214,6 +196,8 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		out.ServerTypes = typeNames(entry)
 		out.Assessment = &a
 		out.CacheWarm = warm
+	}, func(i int, err error) {
+		results[i] = AssessBatchItemJSON{Index: i, Error: itemError(err, http.StatusInternalServerError)}
 	})
 	s.batchItems.Add(uint64(n))
 	s.batchBuilds.Add(builds.Load())
@@ -260,17 +244,9 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 			planners[i], items[i].err = validatePlanner(req.Items[i].Planner)
 		}
 	}
-	itemPar := weight
-	if itemPar > n {
-		itemPar = n
-	}
-	itemWorkers := weight / itemPar
-	if itemWorkers < 1 {
-		itemWorkers = 1
-	}
 	results := make([]RecommendBatchItemJSON, n)
 	var builds, warmHits atomic.Uint64
-	forEachItem(n, itemPar, func(i int) {
+	s.forEachItem(n, weight, func(i int) {
 		out := &results[i]
 		out.Index = i
 		it := items[i]
@@ -291,14 +267,15 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		itemReq := &RecommendRequest{
 			Goals:       req.Items[i].Goals,
 			Constraints: req.Items[i].Constraints,
-			Annealing:   req.Items[i].Annealing,
 		}
-		rec, err := s.runRecommend(ctx, entry, warm, planners[i], itemReq, it.popts, itemWorkers)
+		rec, err := s.runRecommend(ctx, entry, warm, planners[i], itemReq, it.popts)
 		if err != nil {
 			out.Error = itemError(err, statusForError(err))
 			return
 		}
 		out.Recommendation = rec
+	}, func(i int, err error) {
+		results[i] = RecommendBatchItemJSON{Index: i, Error: itemError(err, http.StatusInternalServerError)}
 	})
 	s.batchItems.Add(uint64(n))
 	s.batchBuilds.Add(builds.Load())

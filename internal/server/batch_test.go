@@ -8,6 +8,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -154,11 +155,10 @@ func TestRecommendBatchMatchesSingleton(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 4})
 
 	goals := GoalsJSON{MaxWaiting: 0.005, MaxUnavailability: 1e-5}
-	anneal := AnnealingJSON{Seed: 7, Iterations: 400}
 	items := []RecommendBatchItem{
 		{System: doc, Planner: "greedy", Goals: goals},
 		{System: doc, Planner: "bnb", Goals: goals},
-		{System: doc, Planner: "anneal", Goals: goals, Annealing: anneal},
+		{System: doc, Planner: "exhaustive", Goals: goals},
 	}
 	var batch RecommendBatchResponse
 	if status := postJSON(t, ts.URL+"/v1/recommend-batch", RecommendBatchRequest{Items: items}, &batch); status != http.StatusOK {
@@ -174,7 +174,7 @@ func TestRecommendBatchMatchesSingleton(t *testing.T) {
 		}
 		var single RecommendResponse
 		if status := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{
-			System: doc, Planner: item.Planner, Goals: goals, Annealing: item.Annealing,
+			System: doc, Planner: item.Planner, Goals: goals,
 		}, &single); status != http.StatusOK {
 			t.Fatalf("singleton %s status = %d", item.Planner, status)
 		}
@@ -224,6 +224,62 @@ func TestBatchItemErrorsIsolated(t *testing.T) {
 	}
 	if resp.Items[3].Error != nil || resp.Items[3].Assessment == nil {
 		t.Errorf("item 3 should have succeeded: %+v", resp.Items[3].Error)
+	}
+}
+
+// TestRemovedPlannerRejected pins the removed annealing planner's wire
+// name: it is an unknown planner on both recommend endpoints, rejected
+// with a typed invalid_request that names the three planners there are.
+func TestRemovedPlannerRejected(t *testing.T) {
+	doc, _ := paperSystem(t)
+	_, ts := newTestServer(t, Options{Workers: 2})
+	goals := GoalsJSON{MaxUnavailability: 1e-5}
+	const want = `unknown planner "anneal" (want greedy, exhaustive, or bnb)`
+
+	status, e := postRaw(t, ts.URL+"/v1/recommend", mustJSON(t, RecommendRequest{System: doc, Planner: "anneal", Goals: goals}))
+	if status != http.StatusBadRequest || e.Code != string(wfmserr.CodeInvalidRequest) || !strings.Contains(e.Error, want) {
+		t.Errorf("/v1/recommend: %d %q %q, want 400 %s naming %s", status, e.Code, e.Error, wfmserr.CodeInvalidRequest, want)
+	}
+
+	var batch RecommendBatchResponse
+	if status := postJSON(t, ts.URL+"/v1/recommend-batch", RecommendBatchRequest{Items: []RecommendBatchItem{
+		{System: doc, Planner: "anneal", Goals: goals},
+	}}, &batch); status != http.StatusOK {
+		t.Fatalf("/v1/recommend-batch status = %d", status)
+	}
+	if e := batch.Items[0].Error; e == nil || e.Code != string(wfmserr.CodeInvalidRequest) || !strings.Contains(e.Error, want) {
+		t.Errorf("/v1/recommend-batch item error = %+v, want %s naming %s", e, wfmserr.CodeInvalidRequest, want)
+	}
+}
+
+// TestForEachItemContainsPanics pins panic containment below the
+// handler: a batch item whose work panics costs that item a typed
+// internal error, counted as a recovered panic, while the other items
+// complete and the process survives.
+func TestForEachItemContainsPanics(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 2})
+	const n = 6
+	done := make([]bool, n)
+	errs := make([]error, n)
+	s.forEachItem(n, 2, func(i int) {
+		if i == 3 {
+			panic("boom")
+		}
+		done[i] = true
+	}, func(i int, err error) { errs[i] = err })
+	for i := 0; i < n; i++ {
+		if i == 3 {
+			if errs[i] == nil || wfmserr.CodeOf(errs[i]) != wfmserr.CodeInternal {
+				t.Errorf("panicking item error = %v, want code %s", errs[i], wfmserr.CodeInternal)
+			}
+			continue
+		}
+		if !done[i] || errs[i] != nil {
+			t.Errorf("item %d: done %v, err %v; want completed without error", i, done[i], errs[i])
+		}
+	}
+	if got := s.panics.Load(); got != 1 {
+		t.Errorf("recovered panics = %d, want 1", got)
 	}
 }
 

@@ -195,8 +195,8 @@ func (s *Server) notifyDrift(ev driftEvent) {
 }
 
 // controllerLoop is the reconfiguration controller: it serializes
-// re-plans (one at a time — each run already uses the full per-request
-// worker width) and stops when the controller context is canceled.
+// re-plans (one at a time, each holding one admission token) and stops
+// when the controller context is canceled.
 func (s *Server) controllerLoop() {
 	defer s.ctrlWG.Done()
 	for {
@@ -219,6 +219,12 @@ func (s *Server) runReconfigure(ev driftEvent) {
 	if dep == nil {
 		return
 	}
+	adv := AdvisoryJSON{
+		Fingerprint: ev.fingerprint,
+		Generation:  ev.generation,
+		Trigger:     ev.score,
+	}
+	defer s.recoverPanic("re-plan", func(err error) { s.emitAdvisory(dep, adv, ev.at, err) })
 	ctx := s.ctrlCtx
 	if s.opts.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -227,18 +233,13 @@ func (s *Server) runReconfigure(ev driftEvent) {
 	}
 	// The controller competes for workers like any client: a re-plan
 	// must not starve interactive requests.
-	if err := s.admission.Acquire(ctx, s.perRequest); err != nil {
+	if err := s.admission.Acquire(ctx, 1); err != nil {
 		s.reconfigFailed.Add(1)
 		return
 	}
-	defer s.admission.Release(s.perRequest)
+	defer s.admission.Release(1)
 
-	adv := AdvisoryJSON{
-		Fingerprint: ev.fingerprint,
-		Generation:  ev.generation,
-		Trigger:     ev.score,
-		OldConfig:   dep.currentConfig(),
-	}
+	adv.OldConfig = dep.currentConfig()
 	entry, _, err := s.resolveDecoded(ctx, dep.env, dep.flows, dep.fingerprint, dep.popts)
 	if err != nil {
 		s.emitAdvisory(dep, adv, ev.at, err)
@@ -246,7 +247,6 @@ func (s *Server) runReconfigure(ev driftEvent) {
 	}
 	opts := config.Options{
 		Performability: dep.popts,
-		Workers:        s.perRequest,
 		Evaluator:      entry.ev,
 	}
 	if oldAs, err := config.AssessContext(ctx, entry.analysis, perf.Config{Replicas: adv.OldConfig}, dep.goals, opts); err == nil {
@@ -349,7 +349,7 @@ func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
-	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), s.perRequest)
+	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), 1)
 	if err != nil {
 		s.writeError(w, r, quotaStatus(err), err)
 		return
@@ -363,7 +363,6 @@ func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 	}
 	as, err := config.AssessContext(ctx, entry.analysis, perf.Config{Replicas: req.Config}, req.Goals.toGoals(), config.Options{
 		Performability: popts,
-		Workers:        s.perRequest,
 		Evaluator:      entry.ev,
 	})
 	if err != nil {
@@ -474,7 +473,7 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
-	release, err := s.admitTenant(ctx, s.tenantOf(r, ""), s.perRequest)
+	release, err := s.admitTenant(ctx, s.tenantOf(r, ""), 1)
 	if err != nil {
 		s.writeError(w, r, quotaStatus(err), err)
 		return

@@ -202,17 +202,19 @@ func TestAssessDegenerateRates(t *testing.T) {
 // request bit-identically to the direct planner afterwards.
 func TestAdversarialBarrage(t *testing.T) {
 	doc, a := paperSystem(t)
+	unfinishable, _ := planSearchSystem(t)
 	degen := degenerateDoc(t)
 	_, ts := newTestServer(t, Options{Workers: 4})
 
-	// Warm the model entry so deadline-expired requests exercise the
+	// Warm the model entries so deadline-expired requests exercise the
 	// search path, not the model build.
-	if status := postJSON(t, ts.URL+"/v1/assess", AssessRequest{
-		System: doc,
-		Config: []int{2, 2, 2},
-		Goals:  GoalsJSON{MaxUnavailability: 1e-5},
-	}, nil); status != http.StatusOK {
-		t.Fatalf("warmup status = %d", status)
+	for _, warm := range []AssessRequest{
+		{System: doc, Config: []int{2, 2, 2}, Goals: GoalsJSON{MaxUnavailability: 1e-5}},
+		{System: unfinishable, Config: []int{2, 2, 2, 2, 2, 2, 2}, Goals: unfinishableGoals},
+	} {
+		if status := postJSON(t, ts.URL+"/v1/assess", warm, nil); status != http.StatusOK {
+			t.Fatalf("warmup status = %d", status)
+		}
 	}
 
 	kinds := []struct {
@@ -277,9 +279,8 @@ func TestAdversarialBarrage(t *testing.T) {
 		{
 			"deadline-expired solve", "/v1/recommend",
 			mustJSON(t, RecommendRequest{
-				System: doc, Planner: "anneal",
-				Goals:         GoalsJSON{MaxWaiting: 0.005, MaxUnavailability: 1e-5},
-				Annealing:     AnnealingJSON{Seed: 7, Iterations: 100_000_000},
+				System: unfinishable, Planner: "exhaustive",
+				Goals:         unfinishableGoals,
 				TimeoutMillis: 20,
 			}),
 			map[int]bool{http.StatusGatewayTimeout: true},

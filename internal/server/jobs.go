@@ -348,8 +348,9 @@ func (s *Server) runJob(j *job, req *RecommendRequest, popts performability.Opti
 			s.jobs.failed.Add(1)
 		}
 	}
+	defer s.recoverPanic("job", fail)
 
-	release, err := s.admitTenant(ctx, j.tenant, s.perRequest)
+	release, err := s.admitTenant(ctx, j.tenant, 1)
 	if err != nil {
 		fail(err)
 		return
@@ -362,7 +363,7 @@ func (s *Server) runJob(j *job, req *RecommendRequest, popts performability.Opti
 		fail(err)
 		return
 	}
-	resp, err := s.runRecommend(ctx, entry, warm, j.planner, req, popts, s.perRequest)
+	resp, err := s.runRecommend(ctx, entry, warm, j.planner, req, popts)
 	if err != nil {
 		fail(err)
 		return

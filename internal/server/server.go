@@ -3,7 +3,7 @@
 // daemon instead of a one-shot CLI. The endpoints are
 //
 //	POST /v1/assess           evaluate a configuration Y against goals
-//	POST /v1/recommend        run a planner (greedy/exhaustive/bnb/anneal)
+//	POST /v1/recommend        run a planner (greedy/exhaustive/bnb)
 //	POST /v1/assess-batch     evaluate many items, amortizing model builds
 //	POST /v1/recommend-batch  plan many items, amortizing model builds
 //	POST /v1/jobs/recommend   submit an async planner job → job id
@@ -24,11 +24,11 @@
 // models (the built analysis plus a performability evaluator holding the
 // availability marginals) by the system's fingerprint in a bounded LRU,
 // so repeated what-if queries over the same system skip the model build
-// entirely, and admits planner work through a weighted semaphore sized
-// off Options.Workers so concurrent recommendations cannot oversubscribe
-// the worker pools. Request contexts thread through the planners: a
-// client disconnect or timeout cancels the in-flight search promptly,
-// discarding partial results.
+// entirely, and admits planner work through a weighted semaphore of
+// Options.Workers tokens, one per concurrent planner run, so concurrent
+// recommendations cannot oversubscribe the cores. Request contexts
+// thread through the planners: a client disconnect or timeout cancels
+// the in-flight search promptly, discarding partial results.
 package server
 
 import (
@@ -58,10 +58,6 @@ import (
 	"performa/internal/wfmserr"
 )
 
-// maxConcurrentHeavy caps how many planner runs share the worker budget
-// at full width; further requests queue on the admission semaphore.
-const maxConcurrentHeavy = 4
-
 // statusClientClosedRequest is the de-facto standard code (nginx's 499)
 // for a client that went away mid-request; it only shows up in logs and
 // metrics, never on the wire.
@@ -69,8 +65,9 @@ const statusClientClosedRequest = 499
 
 // Options configures the service.
 type Options struct {
-	// Workers is the total planner-worker budget shared by all
-	// concurrent requests; 0 means runtime.NumCPU().
+	// Workers is how many planner runs may execute concurrently across
+	// all requests (each run is sequential and holds one admission
+	// token); 0 means runtime.NumCPU().
 	Workers int
 	// CacheSize bounds the warm-model LRU (entries); 0 means 32.
 	CacheSize int
@@ -105,8 +102,8 @@ type Options struct {
 	// MaxJobs bounds the resident (queued + running + retained) async
 	// jobs; 0 means 1024.
 	MaxJobs int
-	// TenantBudget is the per-tenant cap on concurrently held
-	// planner-worker tokens (the admission semaphore's currency).
+	// TenantBudget is the per-tenant cap on concurrent planner runs
+	// (admission tokens; a batch holds one per item it runs at once).
 	// 0 disables tenant quotas.
 	TenantBudget int
 	// Reconfigure starts the reconfiguration controller: drift
@@ -120,14 +117,13 @@ type Options struct {
 // Server is the advisory service. Create with New, mount via Handler,
 // stop with Shutdown.
 type Server struct {
-	opts       Options
-	workers    int // resolved budget
-	perRequest int // planner pool width per admitted request
-	admission  *semaphore
-	models     *modelCache
-	log        *slog.Logger
-	mux        *http.ServeMux
-	start      time.Time
+	opts      Options
+	workers   int // resolved budget: concurrent planner runs
+	admission *semaphore
+	models    *modelCache
+	log       *slog.Logger
+	mux       *http.ServeMux
+	start     time.Time
 
 	closed   atomic.Bool
 	inflight sync.WaitGroup
@@ -145,8 +141,8 @@ type Server struct {
 	eventBatches       atomic.Uint64
 	driftInvalidations atomic.Uint64
 
-	// panics counts handler panics recovered by the containment
-	// middleware; errMu/errCodes count error responses by code.
+	// panics counts panics recovered by recoverPanic; errMu/errCodes
+	// count error responses by code.
 	panics   atomic.Uint64
 	errMu    sync.Mutex
 	errCodes map[string]uint64
@@ -199,10 +195,6 @@ func New(opts Options) *Server {
 	if workers < 1 {
 		workers = 1
 	}
-	slots := maxConcurrentHeavy
-	if slots > workers {
-		slots = workers
-	}
 	cacheSize := opts.CacheSize
 	if cacheSize == 0 {
 		cacheSize = 32
@@ -236,7 +228,6 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:            opts,
 		workers:         workers,
-		perRequest:      workers / slots,
 		admission:       newSemaphore(workers),
 		models:          newModelCache(cacheSize),
 		log:             logger,
@@ -342,25 +333,11 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		id := s.reqID.Add(1)
 		func() {
-			// Panic containment: a residual panic in a handler (one the
-			// typed-error routes did not intercept) must cost one 500,
-			// never the process. The stack is logged for the bug report;
-			// the daemon keeps serving.
-			defer func() {
-				if p := recover(); p != nil {
-					s.panics.Add(1)
-					s.log.LogAttrs(r.Context(), slog.LevelError, "handler panic",
-						slog.Uint64("id", id),
-						slog.String("path", r.URL.Path),
-						slog.String("panic", fmt.Sprint(p)),
-						slog.String("stack", string(debug.Stack())),
-					)
-					if !rec.written {
-						s.writeError(rec, r, http.StatusInternalServerError,
-							wfmserr.New(wfmserr.CodeInternal, "server", "internal error (panic recovered; this is a bug)"))
-					}
+			defer s.recoverPanic(r.URL.Path, func(err error) {
+				if !rec.written {
+					s.writeError(rec, r, http.StatusInternalServerError, err)
 				}
-			}()
+			})
 			h(rec, r.WithContext(context.WithValue(r.Context(), ctxKeyReqID{}, id)))
 		}()
 		elapsed := time.Since(began)
@@ -377,6 +354,27 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 }
 
 type ctxKeyReqID struct{}
+
+// recoverPanic is deferred at the root of every goroutine that runs
+// planners or evaluators: the handler middleware, batch item workers,
+// async jobs and the reconfiguration controller. A residual panic (one
+// the typed-error routes did not intercept) must cost one request,
+// item, job or re-plan, never the process. It is counted, logged with
+// its stack for the bug report, and handed to fail as a typed internal
+// error.
+func (s *Server) recoverPanic(where string, fail func(error)) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	s.panics.Add(1)
+	s.log.LogAttrs(context.Background(), slog.LevelError, "panic",
+		slog.String("in", where),
+		slog.String("panic", fmt.Sprint(p)),
+		slog.String("stack", string(debug.Stack())),
+	)
+	fail(wfmserr.New(wfmserr.CodeInternal, "server", "internal error in %s (panic recovered; this is a bug)", where))
+}
 
 // statusRecorder captures the response status for logs and metrics.
 type statusRecorder struct {
@@ -424,13 +422,13 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 	return ctx, func() {}
 }
 
-// admit blocks on the admission semaphore for one planner run's worth of
-// worker tokens. The returned release func is nil iff admit failed.
+// admit blocks on the admission semaphore for one planner run's token.
+// The returned release func is nil iff admit failed.
 func (s *Server) admit(ctx context.Context) (func(), error) {
-	if err := s.admission.Acquire(ctx, s.perRequest); err != nil {
+	if err := s.admission.Acquire(ctx, 1); err != nil {
 		return nil, err
 	}
-	return func() { s.admission.Release(s.perRequest) }, nil
+	return func() { s.admission.Release(1) }, nil
 }
 
 // admitTenant layers the tenant quota under the admission semaphore:
@@ -492,7 +490,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
-	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), s.perRequest)
+	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), 1)
 	if err != nil {
 		s.writeError(w, r, quotaStatus(err), err)
 		return
@@ -506,7 +504,6 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	}
 	as, err := config.AssessContext(ctx, entry.analysis, perf.Config{Replicas: req.Config}, req.Goals.toGoals(), config.Options{
 		Performability: popts,
-		Workers:        s.perRequest,
 		Evaluator:      entry.ev,
 	})
 	if err != nil {
@@ -540,22 +537,19 @@ func validatePlanner(name string) (string, error) {
 		return name, nil
 	case "bnb", "branch-and-bound":
 		return "bnb", nil
-	case "anneal", "annealing":
-		return "anneal", nil
 	}
 	return "", wfmserr.New(wfmserr.CodeInvalidRequest, "server",
-		"unknown planner %q (want greedy, exhaustive, bnb, or anneal)", name)
+		"unknown planner %q (want greedy, exhaustive, or bnb)", name)
 }
 
 // runRecommend executes one planner search against a resolved warm
 // entry and assembles the wire response — the shared engine behind
 // /v1/recommend, /v1/recommend-batch items, and async jobs. planner
-// must already be canonical (validatePlanner) and workers is the pool
-// width this run may use; admission tokens are the caller's concern.
-func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool, planner string, req *RecommendRequest, popts performability.Options, workers int) (*RecommendResponse, error) {
+// must already be canonical (validatePlanner); admission tokens are the
+// caller's concern.
+func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool, planner string, req *RecommendRequest, popts performability.Options) (*RecommendResponse, error) {
 	opts := config.Options{
 		Performability: popts,
-		Workers:        workers,
 		Evaluator:      entry.ev,
 	}
 	goals := req.Goals.toGoals()
@@ -571,8 +565,6 @@ func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool,
 		rec, err = config.ExhaustiveContext(ctx, entry.analysis, goals, cons, opts)
 	case "bnb":
 		rec, err = config.BranchAndBoundContext(ctx, entry.analysis, goals, cons, opts)
-	case "anneal":
-		rec, err = config.SimulatedAnnealingContext(ctx, entry.analysis, goals, cons, opts, req.Annealing.toOptions())
 	default:
 		return nil, wfmserr.New(wfmserr.CodeInternal, "server", "unvalidated planner %q reached runRecommend", planner)
 	}
@@ -629,7 +621,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMillis)
 	defer cancel()
-	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), s.perRequest)
+	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), 1)
 	if err != nil {
 		s.writeError(w, r, quotaStatus(err), err)
 		return
@@ -641,7 +633,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, badRequestOr(err), err)
 		return
 	}
-	resp, err := s.runRecommend(ctx, entry, warm, planner, &req, popts, s.perRequest)
+	resp, err := s.runRecommend(ctx, entry, warm, planner, &req, popts)
 	if err != nil {
 		s.writeError(w, r, statusForError(err), err)
 		return
@@ -753,7 +745,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Admission = AdmissionStatsJSON{
 		WorkerBudget: s.workers,
-		PerRequest:   s.perRequest,
+		PerRequest:   1,
 		InUse:        s.admission.InUse(),
 		Waiting:      s.admission.Waiting(),
 	}
@@ -877,7 +869,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "wfmsd_errors_total{code=%q} %d\n", c, errCounts[c])
 		}
 	}
-	fmt.Fprintf(&b, "# HELP wfmsd_panics_total Handler panics recovered by the containment middleware.\n")
+	fmt.Fprintf(&b, "# HELP wfmsd_panics_total Panics recovered in handlers, batch items, jobs and re-plans.\n")
 	fmt.Fprintf(&b, "# TYPE wfmsd_panics_total counter\n")
 	fmt.Fprintf(&b, "wfmsd_panics_total %d\n", s.panics.Load())
 	fmt.Fprintf(&b, "# HELP wfmsd_clamped_stages_total Stage-clamped subworkflow collapses across cold model builds.\n")

@@ -38,8 +38,27 @@ func testLogger() *slog.Logger {
 // the service's answers must match bit for bit.
 func paperSystem(t testing.TB) (wfjson.Document, *perf.Analysis) {
 	t.Helper()
-	env := workload.PaperEnvironment()
-	flows := []*spec.Workflow{workload.EPWorkflow(5), workload.OrderWorkflow(3)}
+	return systemOf(t, workload.PaperEnvironment(), workload.EPWorkflow(5), workload.OrderWorkflow(3))
+}
+
+// planSearchSystem is the seven-type plan-search system: the EP
+// workflow distributed over the extended environment.
+func planSearchSystem(t testing.TB) (wfjson.Document, *perf.Analysis) {
+	t.Helper()
+	return systemOf(t, workload.ExtendedEnvironment(), workload.EPDistributed(25))
+}
+
+// unfinishableGoals is a waiting goal no candidate meets. An exhaustive
+// search for it on planSearchSystem walks the whole default
+// 64-per-type box, 64^7 ≈ 4.4e12 candidates, so it cannot finish before
+// its deadline, and a search that ignores its context fails the test by
+// timeout instead of passing by luck.
+var unfinishableGoals = GoalsJSON{MaxWaiting: 1e-300}
+
+// systemOf returns env under flows both as a wire document and as the
+// analysis the direct planner calls evaluate.
+func systemOf(t testing.TB, env *spec.Environment, flows ...*spec.Workflow) (wfjson.Document, *perf.Analysis) {
+	t.Helper()
 	doc, err := wfjson.ToDocument(env, flows)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +83,6 @@ func paperSystem(t testing.TB) (wfjson.Document, *perf.Analysis) {
 func directOptions() config.Options {
 	return config.Options{
 		Performability: performability.Options{Policy: performability.ExcludeDown},
-		Workers:        1,
 	}
 }
 
@@ -187,13 +205,12 @@ func TestAssessMatchesDirect(t *testing.T) {
 }
 
 // TestRecommendMatchesEachPlanner pins the service's answers to the
-// direct planner calls for all four planners: same system, same goals,
+// direct planner calls for all three planners: same system, same goals,
 // bit-identical configuration and metrics.
 func TestRecommendMatchesEachPlanner(t *testing.T) {
 	doc, a := paperSystem(t)
 	goals := config.Goals{MaxWaiting: 0.005, MaxUnavailability: 1e-5}
 	cons := config.Constraints{MaxReplicas: []int{6, 6, 6}}
-	sa := config.AnnealingOptions{Seed: 7, Iterations: 500}
 
 	planners := []struct {
 		name string
@@ -207,9 +224,6 @@ func TestRecommendMatchesEachPlanner(t *testing.T) {
 		}},
 		{"bnb", func() (*config.Recommendation, error) {
 			return config.BranchAndBound(a, goals, cons, directOptions())
-		}},
-		{"anneal", func() (*config.Recommendation, error) {
-			return config.SimulatedAnnealing(a, goals, cons, directOptions(), sa)
 		}},
 	}
 
@@ -226,7 +240,6 @@ func TestRecommendMatchesEachPlanner(t *testing.T) {
 				Planner:     p.name,
 				Goals:       GoalsJSON{MaxWaiting: 0.005, MaxUnavailability: 1e-5},
 				Constraints: ConstraintsJSON{MaxReplicas: []int{6, 6, 6}},
-				Annealing:   AnnealingJSON{Seed: 7, Iterations: 500},
 			}, &resp)
 			if status != http.StatusOK {
 				t.Fatalf("status = %d", status)
@@ -389,8 +402,8 @@ func TestConcurrentRequestsBitIdentical(t *testing.T) {
 // evaluator reusable — the next greedy request still matches the direct
 // planner exactly.
 func TestRecommendTimeoutCancelsCleanly(t *testing.T) {
-	doc, a := paperSystem(t)
-	goals := config.Goals{MaxWaiting: 0.005, MaxUnavailability: 1e-5}
+	doc, a := planSearchSystem(t)
+	goals := config.Goals{MaxWaiting: 5e-4, MaxUnavailability: 1e-6}
 
 	_, ts := newTestServer(t, Options{Workers: 2})
 
@@ -399,20 +412,19 @@ func TestRecommendTimeoutCancelsCleanly(t *testing.T) {
 	var warmup AssessResponse
 	if status := postJSON(t, ts.URL+"/v1/assess", AssessRequest{
 		System: doc,
-		Config: []int{2, 2, 2},
-		Goals:  GoalsJSON{MaxWaiting: 0.005, MaxUnavailability: 1e-5},
+		Config: []int{2, 2, 2, 2, 2, 2, 2},
+		Goals:  unfinishableGoals,
 	}, &warmup); status != http.StatusOK {
 		t.Fatalf("warmup status = %d", status)
 	}
 
-	// An annealing run with a hundred-million-iteration budget cannot
-	// finish inside 150 ms; the deadline must cancel it mid-search.
+	// The unfinishable exhaustive search cannot end inside 150 ms; the
+	// deadline must cancel it mid-search.
 	began := time.Now()
 	status := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{
 		System:        doc,
-		Planner:       "anneal",
-		Goals:         GoalsJSON{MaxWaiting: 0.005, MaxUnavailability: 1e-5},
-		Annealing:     AnnealingJSON{Seed: 7, Iterations: 100_000_000},
+		Planner:       "exhaustive",
+		Goals:         unfinishableGoals,
 		TimeoutMillis: 150,
 	}, nil)
 	elapsed := time.Since(began)
@@ -428,10 +440,9 @@ func TestRecommendTimeoutCancelsCleanly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	body, _ := json.Marshal(RecommendRequest{
-		System:    doc,
-		Planner:   "anneal",
-		Goals:     GoalsJSON{MaxWaiting: 0.005, MaxUnavailability: 1e-5},
-		Annealing: AnnealingJSON{Seed: 7, Iterations: 100_000_000},
+		System:  doc,
+		Planner: "exhaustive",
+		Goals:   unfinishableGoals,
 	})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/recommend", bytes.NewReader(body))
 	if err != nil {
@@ -452,7 +463,7 @@ func TestRecommendTimeoutCancelsCleanly(t *testing.T) {
 	if status := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{
 		System:  doc,
 		Planner: "greedy",
-		Goals:   GoalsJSON{MaxWaiting: 0.005, MaxUnavailability: 1e-5},
+		Goals:   GoalsJSON{MaxWaiting: goals.MaxWaiting, MaxUnavailability: goals.MaxUnavailability},
 	}, &resp); status != http.StatusOK {
 		t.Fatalf("post-cancel greedy status = %d", status)
 	}

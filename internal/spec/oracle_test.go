@@ -242,7 +242,7 @@ func newPlanRoute(t *testing.T, env *spec.Environment, models []*spec.Model, pop
 	if err != nil {
 		t.Fatal(err)
 	}
-	return planRoute{a, config.Options{Performability: popts, Evaluator: ev, Workers: 1}}
+	return planRoute{a, config.Options{Performability: popts, Evaluator: ev}}
 }
 
 // plan renders greedy, branch-and-bound (capped one replica above

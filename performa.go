@@ -52,11 +52,10 @@ type (
 	Goals = config.Goals
 	// Constraints bound the planner's search space.
 	Constraints = config.Constraints
-	// PlannerOptions tune the planner (including Workers, the size of
-	// the assessment worker pool: 0 = NumCPU, 1 = sequential).
+	// PlannerOptions tune the planner: the performability evaluation,
+	// the greedy iteration bound and an optional shared evaluator.
+	// Every planner runs sequentially; Workers is ignored.
 	PlannerOptions = config.Options
-	// AnnealingOptions tune the simulated-annealing planner.
-	AnnealingOptions = config.AnnealingOptions
 	// Recommendation is the planner's output.
 	Recommendation = config.Recommendation
 	// SimParams configures a validation simulation.
@@ -177,9 +176,7 @@ func (s *System) Plan(goals Goals, cons Constraints, opts PlannerOptions) (*Reco
 }
 
 // PlanExhaustive finds the true minimum-cost configuration by exhaustive
-// search, the planner's optimality baseline. With opts.Workers ≠ 1 the
-// candidates are assessed over a worker pool; the recommendation is
-// identical to the sequential search's.
+// search, the planner's optimality baseline.
 func (s *System) PlanExhaustive(goals Goals, cons Constraints, opts PlannerOptions) (*Recommendation, error) {
 	return config.Exhaustive(s.analysis, goals, cons, opts)
 }
@@ -189,12 +186,6 @@ func (s *System) PlanExhaustive(goals Goals, cons Constraints, opts PlannerOptio
 // optimum as PlanExhaustive with far fewer evaluations.
 func (s *System) PlanBranchAndBound(goals Goals, cons Constraints, opts PlannerOptions) (*Recommendation, error) {
 	return config.BranchAndBound(s.analysis, goals, cons, opts)
-}
-
-// PlanAnnealing searches the configuration space by simulated annealing,
-// the paper's named alternative for rugged cost landscapes.
-func (s *System) PlanAnnealing(goals Goals, cons Constraints, opts PlannerOptions, sa AnnealingOptions) (*Recommendation, error) {
-	return config.SimulatedAnnealing(s.analysis, goals, cons, opts, sa)
 }
 
 // Simulate runs the discrete-event simulator over this system's workflow
