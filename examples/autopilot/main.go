@@ -1,6 +1,6 @@
 // Autopilot: the closed configuration loop of the paper's Section 7, run
 // by hand with the calls wfmsd's reconfiguration controller makes — the
-// designer's specification and the goals are the model, the mini-WFMS
+// designer's specification and the goals are the model, the simulator
 // executes the real (different!) workload, and each observation cycle
 // recalibrates the system from the audit trail, assesses the running
 // configuration, and warm-starts the greedy search from it.
@@ -14,9 +14,9 @@ import (
 	"log"
 
 	"performa"
+	"performa/internal/audit"
 	"performa/internal/calibrate"
 	"performa/internal/config"
-	"performa/internal/engine"
 	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/spec"
@@ -46,9 +46,9 @@ func main() {
 	current = decide(env, flow, current, "initial deployment (designed for 0.2 orders/min)")
 
 	// Reality check 1: a promotion took off — 30 orders/min hit the
-	// running system. The engine executes the real workload and the
+	// running system. The simulator executes the real workload and the
 	// audit trail recalibrates the model.
-	env = observe(env, flow, 30, 300)
+	env = observe(env, flow, 30, 120)
 	current = decide(env, flow, current, "after observing a surge of ~30 orders/min")
 
 	// Reality check 2: the market cooled to 2 orders/min.
@@ -56,22 +56,22 @@ func main() {
 	decide(env, flow, current, "after observing ~2 orders/min")
 }
 
-// observe executes `instances` real workflow instances at the given rate
-// (per minute) on the mini-WFMS and recalibrates the model from the
-// trail, returning the measured environment.
-func observe(env *spec.Environment, flow *spec.Workflow, rate float64, instances int) *spec.Environment {
-	truth := workload.EPWorkflow(rate)
-	rt := engine.New(workload.PaperEnvironment(), engine.Options{
-		TimeScale:      0.001,
-		Seed:           uint64(instances),
-		AppWorkers:     map[string]int{workload.AppType: 512},
-		Users:          512,
-		ServerReplicas: map[string]int{workload.ORB: 512, workload.EngineType: 512, workload.AppType: 512},
-	})
-	if _, err := rt.RunInstances(context.Background(), truth, instances, 1/rate); err != nil {
+// observe simulates the real workload at the given rate (per minute)
+// over an observation window (in minutes) and recalibrates the model
+// from the trail, returning the measured environment.
+func observe(env *spec.Environment, flow *spec.Workflow, rate, window float64) *spec.Environment {
+	truth, err := performa.NewSystem(workload.PaperEnvironment(), workload.EPWorkflow(rate))
+	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := stream.FromTrail(rt.Trail())
+	trail := audit.NewTrail()
+	if _, err := truth.Simulate(performa.SimParams{
+		Replicas: []int{4, 4, 4}, Seed: uint64(rate), Horizon: window,
+		TrueConcurrency: true, Trail: trail,
+	}); err != nil {
+		log.Fatal(err)
+	}
+	est, err := stream.FromTrail(trail)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func observe(env *spec.Environment, flow *spec.Workflow, rate float64, instances
 		log.Fatal(err)
 	}
 	fmt.Printf("\nobserved %d instances (%d audit records); model recalibrated to %.3g orders/min\n",
-		instances, rt.Trail().Len(), flow.ArrivalRate)
+		len(trail.Filter(audit.InstanceStarted)), trail.Len(), flow.ArrivalRate)
 	return measured
 }
 

@@ -1,5 +1,5 @@
 // Credit-bank study: a loan-approval workflow dominated by interactive
-// activities runs on the mini-WFMS engine; the audit trail calibrates the
+// activities runs on the simulator; its audit trail calibrates the
 // model (the mapping → execution → calibration loop of the paper's
 // Section 7.1), and the calibrated model drives a configuration
 // recommendation with per-server-type goals.
@@ -8,13 +8,12 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
 	"performa"
+	"performa/internal/audit"
 	"performa/internal/calibrate"
-	"performa/internal/engine"
 	"performa/internal/performability"
 	"performa/internal/stream"
 	"performa/internal/workload"
@@ -37,26 +36,24 @@ func main() {
 	fmt.Printf("designed model: turnaround %.1f min, engine load %.2f req/instance\n",
 		sys.Models()[0].Turnaround(), sys.Models()[0].ExpectedRequests()[1])
 
-	// --- 2. Operate the system: run instances on the mini-WFMS -------
-	truth := workload.LoanWorkflow(2) // the real behavior
-	rt := engine.New(env, engine.Options{
-		TimeScale:  0.001, // 1 ms of wall time per model minute
-		Seed:       7,
-		AppWorkers: map[string]int{workload.AppType: 256},
-		Users:      256,
-	})
-	const instances = 500
-	// Space arrivals so the measured durations reflect work, not
-	// contention for the simulated users.
-	done, err := rt.RunInstances(context.Background(), truth, instances, 1)
+	// --- 2. Operate the system: simulate the real behavior ----------
+	// 500 loan applications expected at one per minute.
+	truth, err := performa.NewSystem(env, workload.LoanWorkflow(1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("executed %d loan applications on the mini-WFMS (%d audit records)\n",
-		done, rt.Trail().Len())
+	trail := audit.NewTrail()
+	if _, err := truth.Simulate(performa.SimParams{
+		Replicas: []int{4, 4, 4}, Seed: 7, Horizon: 500,
+		TrueConcurrency: true, Trail: trail,
+	}); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("simulated %d loan applications (%d audit records)\n",
+		len(trail.Filter(audit.InstanceStarted)), trail.Len())
 
 	// --- 3. Calibrate the designed model from the audit trail --------
-	est, err := stream.FromTrail(rt.Trail())
+	est, err := stream.FromTrail(trail)
 	if err != nil {
 		log.Fatal(err)
 	}

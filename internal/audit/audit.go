@@ -43,7 +43,7 @@ const (
 )
 
 // Record is one audit-trail entry. Timestamps are in the deployment's
-// time unit (seconds for the engine runtime).
+// time unit.
 type Record struct {
 	// Kind classifies the record.
 	Kind EventKind `json:"kind"`
@@ -72,7 +72,7 @@ type Record struct {
 // Trail is a concurrency-safe collector of audit records. Appends from a
 // live system arrive in time order, so the trail tracks sortedness
 // instead of re-sorting on every read: an in-order append stream (the
-// common case — simulator runs, engine runtimes, streaming ingestion)
+// common case — simulator runs, streaming ingestion)
 // never pays for a sort at all, and an out-of-order trail is sorted once
 // under the lock on the next read, not once per read.
 type Trail struct {

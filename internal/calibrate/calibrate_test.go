@@ -4,7 +4,6 @@
 package calibrate_test
 
 import (
-	"context"
 	"errors"
 	"math"
 	"strings"
@@ -12,7 +11,7 @@ import (
 
 	"performa/internal/audit"
 	"performa/internal/calibrate"
-	"performa/internal/engine"
+	"performa/internal/sim"
 	"performa/internal/spec"
 	"performa/internal/statechart"
 	"performa/internal/stream"
@@ -420,16 +419,17 @@ func TestAccuracy(t *testing.T) {
 func TestDiscoverArrivalRateMatchesEstimator(t *testing.T) {
 	env := workload.PaperEnvironment()
 	loan := workload.LoanWorkflow(1)
-	rt := engine.New(env, engine.Options{
-		TimeScale:  0.0002,
-		Seed:       5,
-		AppWorkers: map[string]int{workload.AppType: 64},
-		Users:      64,
-	})
-	if _, err := rt.RunInstances(context.Background(), loan, 60, 1); err != nil {
+	m, err := spec.Build(loan, env)
+	if err != nil {
 		t.Fatal(err)
 	}
-	trail := rt.Trail()
+	trail := audit.NewTrail()
+	if _, err := sim.Run(sim.Params{
+		Env: env, Models: []*spec.Model{m}, Replicas: []int{2, 2, 2},
+		Seed: 5, Horizon: 60, TrueConcurrency: true, Trail: trail,
+	}); err != nil {
+		t.Fatal(err)
+	}
 	flow, err := calibrate.DiscoverWorkflow(trail, loan.Name, env)
 	if err != nil {
 		t.Fatal(err)
@@ -440,5 +440,37 @@ func TestDiscoverArrivalRateMatchesEstimator(t *testing.T) {
 	}
 	if want := est.ArrivalRates[loan.Name]; !(want > 0) || flow.ArrivalRate != want {
 		t.Errorf("discovered arrival rate %v, estimator's %v", flow.ArrivalRate, want)
+	}
+}
+
+// TestFromTrailEstimatesNestedActivity: PickGoods runs inside EP's
+// shipment subchart, so only the true-concurrency walk's nested activity
+// spans measure it; the estimate must sit within sampling error of the
+// specified mean.
+func TestFromTrailEstimatesNestedActivity(t *testing.T) {
+	env := workload.PaperEnvironment()
+	m, err := spec.Build(workload.EPWorkflow(0.5), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trail := audit.NewTrail()
+	if _, err := sim.Run(sim.Params{
+		Env: env, Models: []*spec.Model{m}, Replicas: []int{4, 4, 4},
+		Seed: 11, Horizon: 800, TrueConcurrency: true, Trail: trail,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	est, err := stream.FromTrail(trail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp := est.ActivityDurations["PickGoods"]
+	if mp == nil || mp.N < 100 {
+		t.Fatalf("PickGoods spans = %+v, want at least 100", mp)
+	}
+	// Exponential durations: the standard deviation is the mean.
+	want := workload.EPDurations["PickGoods"]
+	if bound := 4 * want / math.Sqrt(float64(mp.N)); math.Abs(mp.Mean-want) > bound {
+		t.Errorf("duration(PickGoods) = %v from %d spans, want %v ± %.3f", mp.Mean, mp.N, want, bound)
 	}
 }

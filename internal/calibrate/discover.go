@@ -119,9 +119,16 @@ func DiscoverWorkflow(trail *audit.Trail, workflowName string, env *spec.Environ
 			}
 			m[r.ServerType]++
 		case audit.InstanceCompleted:
+			// The instance terminates from the state it last left or,
+			// when it completes without leaving it (a simulator trail
+			// enters the pseudo final state and stops), from the state
+			// it is still in.
 			if from, ok := lastLeft[r.Instance]; ok {
 				terminations[from]++
 				delete(lastLeft, r.Instance)
+			} else if _, inside := entered[r.Instance]; inside {
+				terminations[curState[r.Instance]]++
+				delete(entered, r.Instance)
 			}
 		}
 	}

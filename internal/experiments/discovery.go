@@ -1,46 +1,45 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
+	"performa/internal/audit"
 	"performa/internal/calibrate"
-	"performa/internal/engine"
+	"performa/internal/sim"
 	"performa/internal/spec"
 	"performa/internal/workload"
 )
 
 // E13Discovery exercises the strongest form of Section 3.2's audit-trail
-// calibration: the loan workflow runs on the mini-WFMS, and the workflow
-// specification — control-flow graph, branch probabilities, activity
-// durations, load matrix, arrival rate — is reconstructed from the trail
-// alone, with no designer model. The table compares the discovered model
-// against the ground truth.
+// calibration: the simulator executes the loan workflow, and the
+// workflow specification — control-flow graph, branch probabilities,
+// activity durations, load matrix, arrival rate — is reconstructed from
+// the trail alone, with no designer model. The table compares the
+// discovered model against the ground truth.
 func E13Discovery(seed uint64) (*Table, error) {
 	env := workload.PaperEnvironment()
-	truth := workload.LoanWorkflow(1)
-	rt := engine.New(env, engine.Options{
-		TimeScale:  0.0025,
-		Seed:       seed,
-		AppWorkers: map[string]int{workload.AppType: 256},
-		Users:      256,
-		ServerReplicas: map[string]int{
-			workload.ORB: 256, workload.EngineType: 256, workload.AppType: 256,
-		},
-	})
-	const instances = 500
-	done, err := rt.RunInstances(context.Background(), truth, instances, 1)
+	// 500 instances expected at one per minute.
+	const rate, instances = 1, 500
+	truth := workload.LoanWorkflow(rate)
+	truthModel, err := spec.Build(truth, env)
 	if err != nil {
 		return nil, err
 	}
-	discovered, err := calibrate.DiscoverWorkflow(rt.Trail(), "Loan", env)
+	trail := audit.NewTrail()
+	if _, err := sim.Run(sim.Params{
+		Env: env, Models: []*spec.Model{truthModel}, Replicas: []int{4, 4, 4},
+		Seed: seed, Horizon: instances / rate, TrueConcurrency: true, Trail: trail,
+	}); err != nil {
+		return nil, err
+	}
+	discovered, err := calibrate.DiscoverWorkflow(trail, "Loan", env)
 	if err != nil {
 		return nil, err
 	}
 
 	t := &Table{
 		ID:      "E13",
-		Title:   fmt.Sprintf("workflow discovery from the audit trail of %d executed instances (no designer model)", done),
+		Title:   fmt.Sprintf("workflow discovery from the audit trail of %d simulated instances (no designer model)", len(trail.Filter(audit.InstanceStarted))),
 		Columns: []string{"parameter", "ground truth", "discovered"},
 	}
 	t.AddRow("execution states", fmt.Sprintf("%d", countActivityStates(truth)),
@@ -62,10 +61,6 @@ func E13Discovery(seed uint64) (*Table, error) {
 		f3(truth.Profiles["CreditScoring"].Load[workload.EngineType]),
 		f3(discovered.Profiles["CreditScoring"].Load[workload.EngineType]))
 
-	truthModel, err := spec.Build(truth, env)
-	if err != nil {
-		return nil, err
-	}
 	discModel, err := spec.Build(discovered, env)
 	if err != nil {
 		return nil, err

@@ -193,10 +193,8 @@ func TestE8CalibrationAccuracy(t *testing.T) {
 	}
 	// Branch probabilities within 4.5 binomial standard errors of the
 	// specification at the row's own sample size (plus the table's
-	// three-decimal rounding). The engine's goroutines draw from one
-	// locked RNG in scheduler order, so the seed does not fix the sample:
-	// the bound has to hold for any sample, and a constant cannot — fewer
-	// instances reach CheckPayment than leave NewOrder.
+	// three-decimal rounding): fewer instances reach CheckPayment than
+	// leave NewOrder, so one constant bound would not fit every row.
 	for _, row := range tbl.Rows {
 		if !strings.HasPrefix(row[0], "P(") {
 			continue

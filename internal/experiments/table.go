@@ -1,7 +1,7 @@
 // Package experiments implements the reproduction harness: one function
 // per experiment of DESIGN.md's experiment index (E1–E8 plus the A-series
 // ablations), each regenerating the corresponding table of EXPERIMENTS.md
-// from the models, the simulator, or the mini-WFMS runtime.
+// from the models or the simulator.
 package experiments
 
 import (

@@ -1,7 +1,7 @@
 // Package replay streams a recorded audit trail into a running wfmsd
 // instance through POST /v1/events — the measurement half of the
 // paper's online calibration loop run from the outside. A trail (from
-// wfmssim -trail, wfmsrun, or a production WFMS audit log) is cut into
+// wfmssim -trail or a production WFMS audit log) is cut into
 // batches and posted in record order, optionally paced so that trail
 // time advances at a fixed multiple of wall-clock time, and the drift
 // responses are folded into a summary: how many batches crossed the

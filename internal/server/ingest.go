@@ -211,8 +211,8 @@ func (t *limitTrackingReader) Read(p []byte) (int, error) {
 
 // handleEvents ingests a batch of audit records for one system. The
 // body is JSON lines (one audit.Record per line, the format wfmssim
-// -trail and wfmsrun emit); the system is addressed by the fingerprint
-// query parameter, as returned by /v1/assess.
+// -trail emits); the system is addressed by the fingerprint query
+// parameter, as returned by /v1/assess.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fp := strings.TrimSpace(r.URL.Query().Get("fingerprint"))
 	if fp == "" {

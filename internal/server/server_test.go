@@ -19,9 +19,9 @@ import (
 	"performa/internal/audit"
 	"performa/internal/calibrate"
 	"performa/internal/config"
-	"performa/internal/engine"
 	"performa/internal/perf"
 	"performa/internal/performability"
+	"performa/internal/sim"
 	"performa/internal/spec"
 	"performa/internal/stream"
 	"performa/internal/wfjson"
@@ -482,8 +482,8 @@ func TestRecommendTimeoutCancelsCleanly(t *testing.T) {
 	}
 }
 
-// TestCalibrateRecalibratesSystem runs a trail from the mini-WFMS
-// runtime through /v1/calibrate and checks the returned system moved
+// TestCalibrateRecalibratesSystem runs a simulated trail through
+// /v1/calibrate and checks the returned system moved
 // towards the observed behavior.
 func TestCalibrateRecalibratesSystem(t *testing.T) {
 	env := workload.PaperEnvironment()
@@ -493,15 +493,16 @@ func TestCalibrateRecalibratesSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reality: instances spaced 2 minutes apart (≈ 0.5/min).
-	rt := engine.New(env, engine.Options{
-		TimeScale:      0.004,
-		Seed:           3,
-		AppWorkers:     map[string]int{workload.AppType: 256},
-		Users:          256,
-		ServerReplicas: map[string]int{workload.ORB: 256, workload.EngineType: 256, workload.AppType: 256},
-	})
-	if _, err := rt.RunInstances(context.Background(), workload.EPWorkflow(0.5), 60, 2); err != nil {
+	// Reality: 0.5 instances per minute.
+	reality, err := spec.Build(workload.EPWorkflow(0.5), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trail := audit.NewTrail()
+	if _, err := sim.Run(sim.Params{
+		Env: env, Models: []*spec.Model{reality}, Replicas: []int{2, 2, 2},
+		Seed: 3, Horizon: 240, TrueConcurrency: true, Trail: trail,
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -509,7 +510,7 @@ func TestCalibrateRecalibratesSystem(t *testing.T) {
 	var resp CalibrateResponse
 	status := postJSON(t, ts.URL+"/v1/calibrate", CalibrateRequest{
 		System:       *doc,
-		Trail:        rt.Trail().Records(),
+		Trail:        trail.Records(),
 		MinInstances: 20,
 	}, &resp)
 	if status != http.StatusOK {

@@ -22,8 +22,11 @@ import (
 //
 // Everything else is shared with the collapsed mode: the des event
 // core, the server pools and dispatch policies, the request spreading
-// over Erlang stages, and the audit-trail record stream (top-level
-// states and activities, service requests).
+// over Erlang stages, and the audit-trail record kinds. The walker sees
+// the whole chart, so its trail has more of them: state entries and
+// exits at every chart level under that level's chart name, nested
+// activity spans, and service requests attributed to their instance and
+// activity.
 
 // concTarget is one resolved outgoing branch of a chart state: the next
 // plan state, or -1 for chart completion.
@@ -50,12 +53,15 @@ type concState struct {
 }
 
 // chartPlan pre-resolves one chart level for the token walker: real
-// states in StateNames order, the spliced initial state, and outgoing
-// probabilities with pseudo-state targets resolved.
+// states in StateNames order, the spliced initial state, outgoing
+// probabilities with pseudo-state targets resolved, and the pseudo final
+// state whose entry the trail records when a token completes the chart
+// ("" when the final state is real).
 type chartPlan struct {
-	chart   *statechart.Chart
-	states  []concState
-	initial int
+	chart       *statechart.Chart
+	states      []concState
+	initial     int
+	pseudoFinal string
 }
 
 // buildChartPlan compiles a chart (and, recursively, the subcharts of
@@ -79,6 +85,9 @@ func buildChartPlan(chart *statechart.Chart, profiles map[string]spec.ActivityPr
 	}
 
 	plan := &chartPlan{chart: chart}
+	if !real[chart.Final] {
+		plan.pseudoFinal = chart.Final
+	}
 	index := make(map[string]int, len(chart.States))
 	for _, name := range chart.StateNames() {
 		if !real[name] {
@@ -167,7 +176,7 @@ func (r *runner) buildConcurrentPlans() error {
 
 // startInstanceConcurrent begins a fork/join token walk of workflow i's
 // uncollapsed chart.
-func (r *runner) startInstanceConcurrent(i int, m *spec.Model) {
+func (r *runner) startInstanceConcurrent(i int) {
 	var inst uint64
 	if r.trail != nil {
 		r.instSeq++
@@ -178,20 +187,12 @@ func (r *runner) startInstanceConcurrent(i int, m *spec.Model) {
 		})
 	}
 	born := r.sim.Now()
-	plan := r.concPlans[i]
-	r.walkChart(i, plan, inst, true, func() {
+	r.walkChart(i, r.concPlans[i], inst, func() {
 		if r.warm {
 			r.completed[i]++
 			r.turnaround[i].Add(r.sim.Now() - born)
 		}
 		if r.trail != nil {
-			if tm := &r.meta[i]; tm.pseudoFinal != "" {
-				r.trail.Append(audit.Record{
-					Kind: audit.StateEntered, Time: r.sim.Now(),
-					Workflow: tm.workflow, Instance: inst,
-					Chart: tm.chart, State: tm.pseudoFinal,
-				})
-			}
 			r.trail.Append(audit.Record{
 				Kind: audit.InstanceCompleted, Time: r.sim.Now(),
 				Workflow: r.meta[i].workflow, Instance: inst,
@@ -201,24 +202,26 @@ func (r *runner) startInstanceConcurrent(i int, m *spec.Model) {
 }
 
 // walkChart sends one token through a chart plan; done fires when the
-// token reaches the chart's final state. top marks the instance's
-// top-level chart, whose state entries/exits and activity spans are
-// recorded on the trail (matching the collapsed mode, which only sees
-// top-level states).
-func (r *runner) walkChart(i int, plan *chartPlan, inst uint64, top bool, done func()) {
-	r.enterConcState(i, plan, plan.initial, inst, top, done)
+// token reaches the chart's final state, right after the trail records
+// the entry of a pseudo final state (as the collapsed mode does for the
+// top level).
+func (r *runner) walkChart(i int, plan *chartPlan, inst uint64, done func()) {
+	if r.trail != nil && plan.pseudoFinal != "" {
+		chartDone := done
+		done = func() {
+			r.recordConcState(audit.StateEntered, i, inst, plan, plan.pseudoFinal)
+			chartDone()
+		}
+	}
+	r.enterConcState(i, plan, plan.initial, inst, done)
 }
 
-// recordConcState appends a state record with an explicit state name.
-func (r *runner) recordConcState(kind audit.EventKind, i int, inst uint64, state string) {
-	tm := &r.meta[i]
-	if tm.chart == "" {
-		return
-	}
+// recordConcState appends a state record under the plan's chart name.
+func (r *runner) recordConcState(kind audit.EventKind, i int, inst uint64, plan *chartPlan, state string) {
 	r.trail.Append(audit.Record{
 		Kind: kind, Time: r.sim.Now(),
-		Workflow: tm.workflow, Instance: inst,
-		Chart: tm.chart, State: state,
+		Workflow: r.meta[i].workflow, Instance: inst,
+		Chart: plan.chart.Name, State: state,
 	})
 }
 
@@ -234,23 +237,23 @@ func (r *runner) recordConcActivity(kind audit.EventKind, i int, inst uint64, ac
 }
 
 // enterConcState processes one token's visit of one chart state.
-func (r *runner) enterConcState(i int, plan *chartPlan, state int, inst uint64, top bool, done func()) {
+func (r *runner) enterConcState(i int, plan *chartPlan, state int, inst uint64, done func()) {
 	cs := &plan.states[state]
-	if r.trail != nil && top {
-		r.recordConcState(audit.StateEntered, i, inst, cs.name)
+	if r.trail != nil {
+		r.recordConcState(audit.StateEntered, i, inst, plan, cs.name)
 		r.recordConcActivity(audit.ActivityStarted, i, inst, cs.activity)
 	}
 	leave := func() {
-		if r.trail != nil && top {
+		if r.trail != nil {
 			r.recordConcActivity(audit.ActivityCompleted, i, inst, cs.activity)
-			r.recordConcState(audit.StateLeft, i, inst, cs.name)
+			r.recordConcState(audit.StateLeft, i, inst, plan, cs.name)
 		}
 		next := r.pickConcNext(cs)
 		if next < 0 {
 			done()
 			return
 		}
-		r.enterConcState(i, plan, next, inst, top, done)
+		r.enterConcState(i, plan, next, inst, done)
 	}
 
 	if cs.subs != nil {
@@ -258,7 +261,7 @@ func (r *runner) enterConcState(i int, plan *chartPlan, state int, inst uint64, 
 		// barrier releases the parent when the last branch completes.
 		remaining := len(cs.subs)
 		for _, sub := range cs.subs {
-			r.walkChart(i, sub, inst, false, func() {
+			r.walkChart(i, sub, inst, func() {
 				remaining--
 				if remaining == 0 {
 					leave()
@@ -278,10 +281,10 @@ func (r *runner) enterConcState(i int, plan *chartPlan, state int, inst uint64, 
 			if frac := ld.perStage - float64(n); frac > 0 && r.rng.Float64() < frac {
 				n++
 			}
+			req := request{typeIdx: ld.typeIdx, wfIdx: i, inst: inst, activity: cs.activity}
 			for j := 0; j < n; j++ {
 				at := r.rng.Float64() * residence
-				x := ld.typeIdx
-				r.sim.Schedule(at, func() { r.dispatch(x, i) })
+				r.sim.Schedule(at, func() { r.dispatch(req) })
 			}
 		}
 		r.sim.Schedule(residence, func() {

@@ -142,10 +142,11 @@ func TestTrueConcurrencyDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrueConcurrencyTrail: the concurrent walker emits the same trail
-// record shape as the collapsed mode — instance life cycles bracketing
-// top-level state entries and activity spans — so calibration consumers
-// keep working.
+// TestTrueConcurrencyTrail: the concurrent walker records every chart
+// level — instance life cycles bracketing state entries and exits under
+// each state's own chart name, nested activity spans, each level's
+// pseudo final entry — and attributes every service request to its
+// instance and activity.
 func TestTrueConcurrencyTrail(t *testing.T) {
 	env := oneTypeEnv(t, 0.05, 0, 0)
 	_, m := forkJoinWorkflow(t, env, 2, 1.0, 0.05)
@@ -163,7 +164,9 @@ func TestTrueConcurrencyTrail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var started, completed, entered, acts uint64
+	var started, completed, acts, reqs uint64
+	entered := map[[2]string]uint64{} // (chart, state) → entries
+	left := map[[2]string]uint64{}
 	for _, rec := range trail.Records() {
 		switch rec.Kind {
 		case audit.InstanceStarted:
@@ -171,28 +174,48 @@ func TestTrueConcurrencyTrail(t *testing.T) {
 		case audit.InstanceCompleted:
 			completed++
 		case audit.StateEntered:
-			if rec.State == "par" {
-				entered++
-			}
-			if rec.State == "work" {
-				t.Fatal("nested subchart state leaked into the top-level trail")
-			}
+			entered[[2]string{rec.Chart, rec.State}]++
+		case audit.StateLeft:
+			left[[2]string{rec.Chart, rec.State}]++
 		case audit.ActivityStarted:
+			if rec.Activity != "act" || rec.Instance == 0 {
+				t.Fatalf("bad activity record: %+v", rec)
+			}
 			acts++
+		case audit.ServiceRequest:
+			if rec.Activity != "act" || rec.Instance == 0 || rec.Instance > started {
+				t.Fatalf("service request not attributed to a started instance's activity: %+v", rec)
+			}
+			reqs++
 		}
 	}
-	if started == 0 || completed == 0 {
-		t.Fatalf("trail has %d starts, %d completions", started, completed)
+	if started == 0 || completed == 0 || reqs == 0 {
+		t.Fatalf("trail has %d starts, %d completions, %d requests", started, completed, reqs)
 	}
 	if completed != res.Completed[0] {
 		t.Fatalf("trail completions %d != result completions %d", completed, res.Completed[0])
 	}
-	if entered < completed {
-		t.Fatalf("only %d 'par' entries for %d completions", entered, completed)
+	for key := range entered {
+		if key[0] == "forkjoin" && key[1] != "par" && key[1] != "final" {
+			t.Fatalf("state %q recorded under the top-level chart", key[1])
+		}
 	}
-	// The AND state invokes no top-level activity, and nested activity
-	// spans are not recorded (matching the collapsed mode's view).
-	if acts != 0 {
-		t.Fatalf("expected no top-level activity spans, got %d", acts)
+	if n := entered[[2]string{"forkjoin", "par"}]; n < completed {
+		t.Fatalf("only %d 'par' entries for %d completions", n, completed)
+	}
+	if n := entered[[2]string{"forkjoin", "final"}]; n != completed {
+		t.Fatalf("%d top-level pseudo final entries for %d completions", n, completed)
+	}
+	for _, branch := range []string{"brancha", "branchb"} {
+		work, fin := entered[[2]string{branch, "work"}], entered[[2]string{branch, "fin"}]
+		if work < completed || fin < completed || fin > work {
+			t.Fatalf("chart %s: %d 'work' entries, %d pseudo final entries, %d completions", branch, work, fin, completed)
+		}
+		if l := left[[2]string{branch, "work"}]; l < fin {
+			t.Fatalf("chart %s: %d 'work' exits for %d completed branches", branch, l, fin)
+		}
+	}
+	if acts < 2*completed {
+		t.Fatalf("%d nested activity spans for %d completed two-branch instances", acts, completed)
 	}
 }

@@ -68,12 +68,15 @@ type Params struct {
 	// model to carry its Workflow (chart + profiles). See concurrent.go.
 	TrueConcurrency bool
 	// Trail optionally collects an audit trail of the run: instance
-	// life cycles, state entries/exits on the top-level chart, activity
-	// spans, and per-request waiting/service times — the same record
-	// stream a production WFMS would emit, usable as calibration input
-	// (package calibrate, package stream) and for replay against a
-	// running daemon (cmd/wfmsreplay). Recording draws no random
-	// numbers, so enabling it does not perturb the simulated run.
+	// life cycles, state entries/exits, activity spans, and per-request
+	// waiting/service times — the same record stream a production WFMS
+	// would emit, usable as calibration input (package calibrate,
+	// package stream) and for replay against a running daemon
+	// (cmd/wfmsreplay). The collapsed walk records the top-level chart
+	// only; the true-concurrency walk records every chart level and
+	// attributes each service request to its instance and activity.
+	// Recording draws no random numbers, so enabling it does not
+	// perturb the simulated run.
 	Trail *audit.Trail
 }
 
@@ -212,6 +215,10 @@ type request struct {
 	typeIdx int
 	wfIdx   int
 	arrived float64
+	// inst and activity attribute the request on the trail; only the
+	// true-concurrency walker sets them.
+	inst     uint64
+	activity string
 }
 
 type server struct {
@@ -541,7 +548,7 @@ func (r *runner) scheduleArrival(i int, m *spec.Model) {
 // fork/join chart walk in true-concurrency mode).
 func (r *runner) startInstance(i int, m *spec.Model) {
 	if r.p.TrueConcurrency {
-		r.startInstanceConcurrent(i, m)
+		r.startInstanceConcurrent(i)
 		return
 	}
 	var inst uint64
@@ -634,8 +641,7 @@ func (r *runner) enterState(i int, m *spec.Model, state int, born float64, inst 
 		}
 		for j := 0; j < n; j++ {
 			at := r.rng.Float64() * residence
-			x := x
-			r.sim.Schedule(at, func() { r.dispatch(x, i) })
+			r.sim.Schedule(at, func() { r.dispatch(request{typeIdx: x, wfIdx: i}) })
 		}
 	}
 
@@ -651,9 +657,9 @@ func (r *runner) enterState(i int, m *spec.Model, state int, born float64, inst 
 
 // dispatch routes a new service request to an up server of the type,
 // round-robin, or parks it while the whole type is down.
-func (r *runner) dispatch(x, wfIdx int) {
-	pl := r.pools[r.station[x]]
-	req := request{typeIdx: x, wfIdx: wfIdx, arrived: r.sim.Now()}
+func (r *runner) dispatch(req request) {
+	pl := r.pools[r.station[req.typeIdx]]
+	req.arrived = r.sim.Now()
 	if r.p.Dispatch == SharedQueue {
 		pl.pushCentral(req)
 		if sv := pl.idleUpServer(); sv != nil {
@@ -724,7 +730,7 @@ func (r *runner) beginService(sv *server) {
 	if r.trail != nil {
 		r.trail.Append(audit.Record{
 			Kind: audit.ServiceRequest, Time: r.sim.Now(),
-			Workflow:   r.meta[req.wfIdx].workflow,
+			Workflow: r.meta[req.wfIdx].workflow, Instance: req.inst, Activity: req.activity,
 			ServerType: r.p.Env.Type(req.typeIdx).Name, Server: sv.id,
 			Waiting: w, Service: svcTime,
 		})

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"performa/internal/spec"
 	"performa/internal/statechart"
 	"performa/internal/stream"
+	"performa/internal/workload"
 )
 
 // branchModel returns a workflow whose initial activity branches to one
@@ -129,6 +132,32 @@ func TestTrailBranchProbabilitiesMatchSpec(t *testing.T) {
 	// are observable too.
 	if p, ok := est.TransitionProb("wf", "Left", "done", 1, 0); !ok || p != 1 {
 		t.Errorf("P(Left→done) = %v (ok=%v), want 1", p, ok)
+	}
+}
+
+// TestCollapsedTrailGolden pins the collapsed walker's trail byte for
+// byte: the ingest workload replays it, so its JSON lines must not move
+// when the true-concurrency walker's recording changes.
+func TestCollapsedTrailGolden(t *testing.T) {
+	env := workload.PaperEnvironment()
+	m, err := spec.Build(workload.EPWorkflow(3), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trail := audit.NewTrail()
+	if _, err := Run(Params{
+		Env: env, Models: []*spec.Model{m}, Replicas: []int{3, 3, 4},
+		Horizon: 300, Seed: 1, Trail: trail,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := trail.WriteJSONLines(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "096e871d481ca7465cca84a4fec556d2e904a593acae31ba0a564249db0558bf"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("collapsed trail of %d records hashes to %s, want %s", trail.Len(), got, want)
 	}
 }
 

@@ -1,11 +1,8 @@
 package statechart
 
 import (
-	"math"
 	"strings"
 	"testing"
-
-	"performa/internal/dist"
 )
 
 // linearChart returns init → A(actA) → final.
@@ -225,84 +222,5 @@ func TestECARendering(t *testing.T) {
 	plain := &Transition{From: "a", To: "b"}
 	if plain.ECA() != "" {
 		t.Errorf("empty ECA = %q", plain.ECA())
-	}
-}
-
-func TestRandomWalkLinear(t *testing.T) {
-	c := linearChart("t")
-	w, err := RandomWalk(c, dist.NewRNG(1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Visits) != 3 {
-		t.Fatalf("visits = %d, want 3", len(w.Visits))
-	}
-	counts := w.ActivityCounts()
-	if counts["actA"] != 1 {
-		t.Errorf("ActivityCounts = %v", counts)
-	}
-}
-
-func TestRandomWalkBranchFrequencies(t *testing.T) {
-	c := branchLoopChart()
-	rng := dist.NewRNG(99)
-	const n = 20000
-	var totalWork int
-	for i := 0; i < n; i++ {
-		w, err := RandomWalk(c, rng, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalWork += w.ActivityCounts()["Work"]
-	}
-	// Expected executions of Work per instance: geometric 1/0.7 ≈ 1.4286.
-	got := float64(totalWork) / n
-	want := 1 / 0.7
-	if math.Abs(got-want)/want > 0.03 {
-		t.Errorf("mean Work executions = %v, want ≈%v", got, want)
-	}
-}
-
-func TestRandomWalkNestedParallel(t *testing.T) {
-	subA := linearChart("subA")
-	subB := NewBuilder("subB").
-		Initial("i").Activity("s", "actB").Final("f").
-		Transition("i", "s", 1).
-		Transition("s", "f", 1).
-		MustBuild()
-	c := NewBuilder("parent").
-		Initial("i").
-		Nested("par", subA, subB).
-		Final("f").
-		Transition("i", "par", 1).
-		Transition("par", "f", 1).
-		MustBuild()
-	w, err := RandomWalk(c, dist.NewRNG(5), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := w.ActivityCounts()
-	if counts["actA"] != 1 || counts["actB"] != 1 {
-		t.Errorf("ActivityCounts = %v", counts)
-	}
-	// The nested visit must record both parallel walks.
-	for _, v := range w.Visits {
-		if v.State == "par" && len(v.Sub) != 2 {
-			t.Errorf("nested visit has %d subwalks, want 2", len(v.Sub))
-		}
-	}
-}
-
-func TestRandomWalkStepLimit(t *testing.T) {
-	// A loop that terminates with tiny probability blows the budget.
-	c := NewBuilder("tight").
-		Initial("i").Activity("a", "act").Activity("b", "act2").Final("f").
-		Transition("i", "a", 1).
-		Transition("a", "b", 1).
-		Transition("b", "a", 0.999999).
-		Transition("b", "f", 0.000001).
-		MustBuild()
-	if _, err := RandomWalk(c, dist.NewRNG(3), 50); err == nil {
-		t.Error("step limit not enforced")
 	}
 }

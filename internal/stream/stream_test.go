@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -10,7 +9,8 @@ import (
 
 	"performa/internal/audit"
 	"performa/internal/calibrate"
-	"performa/internal/engine"
+	"performa/internal/sim"
+	"performa/internal/spec"
 	"performa/internal/wfmserr"
 	"performa/internal/workload"
 )
@@ -101,29 +101,40 @@ func TestSnapshotSyntheticEstimates(t *testing.T) {
 	}
 }
 
-// TestFromTrailEngineTrail folds a real engine trail — interleaved
-// concurrent instances, waiting times, turnarounds — and checks the
-// estimates against what the trail itself states: every started
-// instance is counted and completes, every service request lands in its
-// type's moments, and each state's outgoing counts sum to its
-// departures.
-func TestFromTrailEngineTrail(t *testing.T) {
+// TestFromTrailSimulatorTrail folds a true-concurrency simulator trail —
+// interleaved concurrent instances, nested charts, waiting times,
+// turnarounds — and checks the estimates against what the trail itself
+// states: every started and every completed instance is counted, every
+// service request lands in its type's moments, and each state's
+// outgoing counts sum to its departures.
+func TestFromTrailSimulatorTrail(t *testing.T) {
 	env := workload.PaperEnvironment()
 	w := workload.EPWorkflow(5)
-	rt := engine.New(env, engine.Options{Seed: 7, TimeScale: 1e-5, Users: 8})
-	if _, err := rt.RunInstances(context.Background(), w, 40, 0.01); err != nil {
-		t.Fatalf("RunInstances: %v", err)
+	m, err := spec.Build(w, env)
+	if err != nil {
+		t.Fatal(err)
 	}
-	trail := rt.Trail()
+	trail := audit.NewTrail()
+	if _, err := sim.Run(sim.Params{
+		Env: env, Models: []*spec.Model{m}, Replicas: []int{2, 2, 2},
+		Seed: 7, Horizon: 40, TrueConcurrency: true, Trail: trail,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	starts := uint64(len(trail.Filter(audit.InstanceStarted)))
+	completions := uint64(len(trail.Filter(audit.InstanceCompleted)))
+	if starts < 100 || completions == 0 {
+		t.Fatalf("trail has %d starts, %d completions", starts, completions)
+	}
 	got, err := FromTrail(trail)
 	if err != nil {
 		t.Fatalf("FromTrail: %v", err)
 	}
-	if got.Starts[w.Name] != 40 {
-		t.Errorf("starts = %d, want 40", got.Starts[w.Name])
+	if got.Starts[w.Name] != starts {
+		t.Errorf("starts = %d, want the trail's %d", got.Starts[w.Name], starts)
 	}
-	if mp := got.Turnarounds[w.Name]; mp == nil || mp.N != 40 || !(mp.Mean > 0) {
-		t.Errorf("turnarounds = %+v, want 40 positive samples", mp)
+	if mp := got.Turnarounds[w.Name]; mp == nil || mp.N != completions || !(mp.Mean > 0) {
+		t.Errorf("turnarounds = %+v, want the trail's %d positive samples", mp, completions)
 	}
 	var served uint64
 	for _, mp := range got.ServiceMoments {

@@ -25,9 +25,9 @@
 // The subpackages remain importable for fine-grained control:
 // internal/spec (workflow model), internal/perf, internal/avail,
 // internal/performability (the three analytic models), internal/config
-// (the planner), internal/sim (the validating discrete-event simulator),
-// and internal/engine (a runnable mini-WFMS producing audit trails for
-// internal/calibrate).
+// (the planner), and internal/sim (the validating discrete-event
+// simulator, which also writes the audit trails internal/calibrate
+// consumes).
 package performa
 
 import (
