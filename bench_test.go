@@ -552,7 +552,7 @@ func BenchmarkSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := avail.NewModel(params, avail.IndependentRepair)
+	model, err := avail.NewModelWithSolver(params, avail.IndependentRepair, ctmc.SolverAuto)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"performa"
 	"performa/internal/audit"
@@ -89,7 +87,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	current, err := parseConfig(*configSpec, env.K())
+	current, err := perf.ParseConfig(*configSpec, env.K())
 	if err != nil {
 		return err
 	}
@@ -170,20 +168,4 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "current metrics: max W^Y = %.5g, unavailability = %.3e\n",
 		as.Perf.MaxWaiting(), as.Unavailability)
 	return nil
-}
-
-func parseConfig(s string, k int) (perf.Config, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != k {
-		return perf.Config{}, fmt.Errorf("configuration %q has %d entries for %d server types", s, len(parts), k)
-	}
-	replicas := make([]int, k)
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return perf.Config{}, fmt.Errorf("bad replication degree %q", p)
-		}
-		replicas[i] = v
-	}
-	return perf.Config{Replicas: replicas}, nil
 }

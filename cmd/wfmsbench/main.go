@@ -33,8 +33,6 @@ func run() int {
 		exp            = flag.String("exp", "all", "comma-separated experiment ids: e1..e8, a1..a4, or all")
 		seed           = flag.Uint64("seed", 42, "seed for simulation-backed experiments")
 		horizon        = flag.Float64("horizon", 20000, "simulation horizon in model minutes (e7)")
-		solverJSON     = flag.String("solver-json", "", "run only the E16 solver-scaling bench and write its rows as JSON to this file")
-		solverReduced  = flag.Bool("solver-reduced", false, "with -solver-json: the reduced sweep (CI smoke sizes)")
 		corpusDir      = flag.String("corpus-dir", "corpus", "imported-workflow corpus directory for E20")
 		netdiffJSON    = flag.String("netdiff-json", "", "run only the E20 collapse-bias bench and write its rows as JSON to this file")
 		netdiffReduced = flag.Bool("netdiff-reduced", false, "with -netdiff-json: the reduced grid (CI smoke sizes)")
@@ -71,9 +69,6 @@ func run() int {
 		}()
 	}
 
-	if *solverJSON != "" {
-		return runSolverBench(*solverJSON, *solverReduced)
-	}
 	if *netdiffJSON != "" {
 		return runNetDiffBench(*netdiffJSON, *corpusDir, *netdiffReduced)
 	}
@@ -95,10 +90,6 @@ func run() int {
 		"e11": experiments.E11Planners,
 		"e12": experiments.E12Extended,
 		"e13": func() (*experiments.Table, error) { return experiments.E13Discovery(*seed) },
-		"e16": func() (*experiments.Table, error) {
-			_, t, err := experiments.SolverBench(false)
-			return t, err
-		},
 		"e20": func() (*experiments.Table, error) {
 			_, t, err := experiments.NetDiffBench(*corpusDir, false)
 			return t, err
@@ -111,7 +102,7 @@ func run() int {
 		"a6": experiments.AblationTransient,
 		"a7": func() (*experiments.Table, error) { return experiments.AblationPooling(*seed) },
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e16", "e20",
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e20",
 		"a1", "a2", "a3", "a4", "a5", "a6", "a7"}
 
 	var ids []string
@@ -139,29 +130,6 @@ func run() int {
 		}
 		fmt.Print(tbl.Format())
 	}
-	return 0
-}
-
-// runSolverBench runs the E16 solver-scaling sweep, prints the table,
-// and writes the raw measurement rows as JSON (BENCH_solver.json).
-func runSolverBench(path string, reduced bool) int {
-	rows, tbl, err := experiments.SolverBench(reduced)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	fmt.Print(tbl.Format())
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "wfmsbench:", err)
-		return 1
-	}
-	fmt.Printf("wrote %d rows to %s\n", len(rows), path)
 	return 0
 }
 

@@ -22,10 +22,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"performa"
+	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/spec"
 	"performa/internal/wfjson"
@@ -120,7 +119,7 @@ func run() int {
 	}
 
 	if *assessSpec != "" {
-		cfg, err := parseConfig(*assessSpec, sys.Env().K())
+		cfg, err := perf.ParseConfig(*assessSpec, sys.Env().K())
 		if err != nil {
 			return fail(err)
 		}
@@ -182,22 +181,10 @@ func loadSystem(path string) (*performa.System, error) {
 }
 
 func builtinWorkflows(name string, rate float64) ([]*spec.Workflow, error) {
-	switch strings.ToLower(name) {
-	case "ep":
-		return []*spec.Workflow{workload.EPWorkflow(rate)}, nil
-	case "order":
-		return []*spec.Workflow{workload.OrderWorkflow(rate)}, nil
-	case "loan":
-		return []*spec.Workflow{workload.LoanWorkflow(rate)}, nil
-	case "mix":
-		return []*spec.Workflow{
-			workload.EPWorkflow(rate * 0.5),
-			workload.OrderWorkflow(rate * 0.3),
-			workload.LoanWorkflow(rate * 0.2),
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q (want ep, order, loan, or mix)", name)
+	if flows := workload.Builtin(name, rate); flows != nil {
+		return flows, nil
 	}
+	return nil, fmt.Errorf("unknown workload %q (want ep, order, loan, or mix)", name)
 }
 
 func buildSystem(name string, rate float64) (*performa.System, error) {
@@ -206,22 +193,6 @@ func buildSystem(name string, rate float64) (*performa.System, error) {
 		return nil, err
 	}
 	return performa.NewSystem(workload.PaperEnvironment(), flows...)
-}
-
-func parseConfig(s string, k int) (performa.Configuration, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != k {
-		return performa.Configuration{}, fmt.Errorf("configuration %q has %d entries for %d server types", s, len(parts), k)
-	}
-	replicas := make([]int, k)
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return performa.Configuration{}, fmt.Errorf("bad replication degree %q", p)
-		}
-		replicas[i] = v
-	}
-	return performa.Configuration{Replicas: replicas}, nil
 }
 
 func assess(sys *performa.System, cfg performa.Configuration) int {

@@ -47,7 +47,6 @@ func main() {
 		logJSON    = flag.Bool("log-json", false, "emit JSON logs instead of text")
 		maxStates  = flag.Int("max-states", wfmserr.Default.MaxStates, "state-space size admitted per model (0 = unlimited)")
 		maxDim     = flag.Int("max-matrix-dim", wfmserr.Default.MaxMatrixDim, "dense linear-system dimension admitted per solve (0 = unlimited)")
-		maxSteps   = flag.Int("max-solver-steps", wfmserr.Default.MaxUniformizationSteps, "uniformization step budget per transient solve (0 = library default)")
 
 		maxBatch     = flag.Int("max-batch-items", 0, "items admitted per batch request (0 = 256)")
 		jobTTL       = flag.Duration("job-ttl", 0, "retention of finished async job results (0 = 15m)")
@@ -63,14 +62,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// The resource budget is consulted before any state space, matrix, or
-	// series is allocated; requests exceeding it are refused with typed
-	// 4xx errors instead of exhausting memory.
-	wfmserr.Default = wfmserr.Budget{
-		MaxStates:              *maxStates,
-		MaxMatrixDim:           *maxDim,
-		MaxUniformizationSteps: *maxSteps,
-	}
+	// The resource budget is consulted before any state space or matrix
+	// is allocated; requests exceeding it are refused with typed 4xx
+	// errors instead of exhausting memory.
+	wfmserr.Default = wfmserr.Budget{MaxStates: *maxStates, MaxMatrixDim: *maxDim}
 
 	var handler slog.Handler
 	if *logJSON {

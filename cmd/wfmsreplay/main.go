@@ -30,11 +30,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"performa/internal/audit"
+	"performa/internal/perf"
 	"performa/internal/replay"
 	"performa/internal/server"
 	"performa/internal/wfjson"
@@ -85,9 +84,16 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			cfg, err := parseConfig(*configSpec, env.K())
-			if err != nil {
-				fail(err)
+			cfg := make([]int, env.K())
+			for i := range cfg {
+				cfg[i] = 1
+			}
+			if *configSpec != "" {
+				c, err := perf.ParseConfig(*configSpec, env.K())
+				if err != nil {
+					fail(err)
+				}
+				cfg = c.Replicas
 			}
 			if err := warmModel(*addr, doc, cfg, fp); err != nil {
 				fail(err)
@@ -165,29 +171,6 @@ func warmModel(addr string, doc *wfjson.Document, cfg []int, fp string) error {
 		return fmt.Errorf("daemon fingerprinted the system as %s, expected %s", out.Fingerprint, fp)
 	}
 	return nil
-}
-
-func parseConfig(s string, k int) ([]int, error) {
-	if s == "" {
-		cfg := make([]int, k)
-		for i := range cfg {
-			cfg[i] = 1
-		}
-		return cfg, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != k {
-		return nil, fmt.Errorf("configuration %q has %d entries for %d server types", s, len(parts), k)
-	}
-	cfg := make([]int, k)
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad replication degree %q", p)
-		}
-		cfg[i] = v
-	}
-	return cfg, nil
 }
 
 func fail(err error) {

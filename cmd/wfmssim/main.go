@@ -23,12 +23,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 
 	"performa"
 	"performa/internal/audit"
+	"performa/internal/perf"
 	"performa/internal/sim"
 	"performa/internal/spec"
 	"performa/internal/wfjson"
@@ -78,16 +78,15 @@ func main() {
 			}
 			env = spec.MustEnvironment(types...)
 		}
-		flows, err = buildWorkflows(*workloadName, *rate)
-		if err != nil {
-			fail(err)
+		if flows = workload.Builtin(*workloadName, *rate); flows == nil {
+			fail(fmt.Errorf("unknown workload %q", *workloadName))
 		}
 	}
 	sys, err := performa.NewSystem(env, flows...)
 	if err != nil {
 		fail(err)
 	}
-	cfg, err := parseConfig(*configSpec, env.K())
+	cfg, err := perf.ParseConfig(*configSpec, env.K())
 	if err != nil {
 		fail(err)
 	}
@@ -239,41 +238,6 @@ func mergeResults(results []*performa.SimResult) *performa.SimResult {
 	}
 	out.Unavailability /= n
 	return &out
-}
-
-func buildWorkflows(name string, rate float64) ([]*spec.Workflow, error) {
-	switch strings.ToLower(name) {
-	case "ep":
-		return []*spec.Workflow{workload.EPWorkflow(rate)}, nil
-	case "order":
-		return []*spec.Workflow{workload.OrderWorkflow(rate)}, nil
-	case "loan":
-		return []*spec.Workflow{workload.LoanWorkflow(rate)}, nil
-	case "mix":
-		return []*spec.Workflow{
-			workload.EPWorkflow(rate * 0.5),
-			workload.OrderWorkflow(rate * 0.3),
-			workload.LoanWorkflow(rate * 0.2),
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q", name)
-	}
-}
-
-func parseConfig(s string, k int) (performa.Configuration, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != k {
-		return performa.Configuration{}, fmt.Errorf("configuration %q has %d entries for %d server types", s, len(parts), k)
-	}
-	replicas := make([]int, k)
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return performa.Configuration{}, fmt.Errorf("bad replication degree %q", p)
-		}
-		replicas[i] = v
-	}
-	return performa.Configuration{Replicas: replicas}, nil
 }
 
 // writeTrail dumps the recorded audit trail as JSON lines, the format

@@ -208,19 +208,6 @@ func TestErlangMultiServerDiffersFromExponential(t *testing.T) {
 	}
 }
 
-func TestGeneratorIsValid(t *testing.T) {
-	m, err := NewModel(paperParams(2, 1, 2), IndependentRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctmc.ValidateGenerator(m.Generator()); err != nil {
-		t.Errorf("generator invalid: %v", err)
-	}
-	if m.StateCount() != 3*2*3 {
-		t.Errorf("StateCount = %d, want 18", m.StateCount())
-	}
-}
-
 func TestExactMatchesProductForm(t *testing.T) {
 	for _, disc := range []RepairDiscipline{IndependentRepair, SingleCrew} {
 		params := []TypeParams{
@@ -302,7 +289,7 @@ func TestEvaluateEmpty(t *testing.T) {
 
 func TestNewModelRejectsErlang(t *testing.T) {
 	params := []TypeParams{{Replicas: 1, FailureRate: 1, RepairRate: 1, RepairStages: 2}}
-	if _, err := NewModel(params, SingleCrew); err == nil {
+	if _, err := NewModelWithSolver(params, SingleCrew, ctmc.SolverAuto); err == nil {
 		t.Error("joint model accepted Erlang stages")
 	}
 }
@@ -340,16 +327,6 @@ func TestDisciplineString(t *testing.T) {
 	}
 	if got := RepairDiscipline(7).String(); got == "" {
 		t.Error("unknown discipline empty")
-	}
-}
-
-func TestMTBFSummary(t *testing.T) {
-	if got := MTBFMTTRSummary(0, 10); !math.IsInf(got, 1) {
-		t.Errorf("MTBF at zero unavailability = %v", got)
-	}
-	// u = 0.1, downtime 10 → uptime 90.
-	if got := MTBFMTTRSummary(0.1, 10); math.Abs(got-90) > 1e-9 {
-		t.Errorf("MTBF = %v, want 90", got)
 	}
 }
 

@@ -69,18 +69,12 @@ func (c *MarginalCache) TypeMarginalSolver(p TypeParams, discipline RepairDiscip
 	return v, nil
 }
 
-// EvaluateProductFormCached is EvaluateProductForm with the per-type
-// marginal solves served from cache; a nil cache computes every marginal
-// afresh. The report's TypeMarginals are copies, so callers may modify
-// them without corrupting the cache.
-func EvaluateProductFormCached(params []TypeParams, discipline RepairDiscipline, buildJoint bool, cache *MarginalCache) (*Report, error) {
-	return EvaluateProductFormSolver(params, discipline, buildJoint, cache, ctmc.SolverAuto)
-}
-
-// EvaluateProductFormSolver is EvaluateProductFormCached with an
-// explicit solver strategy for the per-type marginal solves (only the
-// Erlang phase expansion actually solves a system; the exponential
-// marginals are closed-form).
+// EvaluateProductFormSolver is EvaluateProductForm with the per-type
+// marginal solves served from cache and an explicit solver strategy for
+// them (only the Erlang phase expansion actually solves a system; the
+// exponential marginals are closed-form). A nil cache computes every
+// marginal afresh. The report's TypeMarginals are copies, so callers may
+// modify them without corrupting the cache.
 func EvaluateProductFormSolver(params []TypeParams, discipline RepairDiscipline, buildJoint bool, cache *MarginalCache, solver ctmc.SolverStrategy) (*Report, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("avail: model needs at least one server type")

@@ -2,7 +2,6 @@ package avail
 
 import (
 	"fmt"
-	"math"
 
 	"performa/internal/ctmc"
 	"performa/internal/linalg"
@@ -23,16 +22,10 @@ type Model struct {
 	solver     ctmc.SolverStrategy
 }
 
-// NewModel builds the availability model for the given per-type
-// parameters with the default (auto) solver strategy: dense direct
-// elimination for small joint chains, the sparse iterative pipeline
-// beyond that.
-func NewModel(params []TypeParams, discipline RepairDiscipline) (*Model, error) {
-	return NewModelWithSolver(params, discipline, ctmc.SolverAuto)
-}
-
 // NewModelWithSolver builds the availability model with an explicit
-// steady-state solver strategy. The pre-flight budget depends on the
+// steady-state solver strategy; ctmc.SolverAuto picks dense direct
+// elimination for small joint chains and the sparse iterative pipeline
+// beyond that. The pre-flight budget depends on the
 // strategy: forcing the dense path keeps the historical MaxMatrixDim
 // cap, while the sparse strategies admit up to MaxStates joint states —
 // the generator is never materialized densely there.
@@ -98,44 +91,6 @@ func ParamsFromEnvironment(env *spec.Environment, replicas []int) ([]TypeParams,
 
 // Encoder returns the mixed-radix state encoder of the model.
 func (m *Model) Encoder() *ctmc.StateEncoder { return m.enc }
-
-// StateCount returns the number of system states Π (Y_x + 1).
-func (m *Model) StateCount() int { return m.enc.Size() }
-
-// Generator builds the infinitesimal generator of the system-state CTMC:
-// a failure of type x moves (… X_x …) to (… X_x−1 …) at the per-state
-// failure rate, a repair completion moves it to (… X_x+1 …) at the
-// discipline-dependent repair rate.
-func (m *Model) Generator() *linalg.Matrix {
-	n := m.enc.Size()
-	q := linalg.NewMatrix(n, n)
-	m.enc.Each(func(code int, x []int) {
-		for t, p := range m.params {
-			// Failure: X_t available servers each fail at rate λ.
-			if x[t] > 0 && p.FailureRate > 0 {
-				rate := float64(x[t]) * p.FailureRate
-				x[t]--
-				to := m.enc.Encode(x)
-				x[t]++
-				q.Add(code, to, rate)
-				q.Add(code, code, -rate)
-			}
-			// Repair: failed servers come back.
-			if failed := p.Replicas - x[t]; failed > 0 && p.RepairRate > 0 {
-				rate := p.RepairRate
-				if m.discipline == IndependentRepair {
-					rate *= float64(failed)
-				}
-				x[t]++
-				to := m.enc.Encode(x)
-				x[t]--
-				q.Add(code, to, rate)
-				q.Add(code, code, -rate)
-			}
-		}
-	})
-	return q
-}
 
 // SteadyState solves the system-state CTMC exactly. Types that never
 // fail (λ = 0) pin their dimension at X = Y; their unreachable states get
@@ -338,16 +293,5 @@ func reportFromStateProbs(params []TypeParams, pi linalg.Vector, enc *ctmc.State
 // is materialized (as the product of marginals) so the report can feed
 // the performability model; otherwise StateProbs is nil.
 func EvaluateProductForm(params []TypeParams, discipline RepairDiscipline, buildJoint bool) (*Report, error) {
-	return EvaluateProductFormCached(params, discipline, buildJoint, nil)
-}
-
-// MTBFMTTRSummary returns, for reporting, the mean time between
-// system-level failures implied by an unavailability u and a mean repair
-// time (assuming the system alternates up/down with the given mean
-// downtime): MTBF = downtime·(1−u)/u. It returns +Inf for u = 0.
-func MTBFMTTRSummary(unavailability, meanDowntime float64) float64 {
-	if unavailability <= 0 {
-		return math.Inf(1)
-	}
-	return meanDowntime * (1 - unavailability) / unavailability
+	return EvaluateProductFormSolver(params, discipline, buildJoint, nil, ctmc.SolverAuto)
 }

@@ -102,8 +102,8 @@ func TestNewModelWithSolverBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sparse at 4096 states: %v", err)
 	}
-	if m.StateCount() != 4096 {
-		t.Fatalf("state count %d, want 4096", m.StateCount())
+	if n := m.Encoder().Size(); n != 4096 {
+		t.Fatalf("state count %d, want 4096", n)
 	}
 	if _, err := NewModelWithSolver(params, IndependentRepair, ctmc.SolverStrategy(99)); err == nil {
 		t.Fatal("unknown solver strategy accepted")
@@ -112,7 +112,7 @@ func TestNewModelWithSolverBudgets(t *testing.T) {
 
 // TestEvaluateSolverMillionStates is the scaling regression: a
 // 100×100×100 replica vector (10^6 joint states, ~4× the former 2^18
-// ceiling; the full 11.4× sweep lives in the E16 bench) must solve
+// ceiling) must solve
 // through the sparse path within the default budget, and its marginals
 // must match the binomial closed form P(X = j) = C(Y,j) a^j u^{Y−j}.
 // The headline unavailability underflows double precision at this depth

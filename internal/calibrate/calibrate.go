@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"performa/internal/spec"
 	"performa/internal/statechart"
@@ -259,37 +258,4 @@ func (e *Estimates) ApplySystem(env *spec.Environment, flows []*spec.Workflow, o
 		}
 	}
 	return e.MeasuredEnvironment(env)
-}
-
-// ObservedServerTypes lists server types seen in the trail, sorted.
-func (e *Estimates) ObservedServerTypes() []string {
-	out := make([]string, 0, len(e.ServiceMoments))
-	for name := range e.ServiceMoments {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// relErr is a helper for accuracy reporting: |a−b| / max(|b|, eps).
-func relErr(a, b float64) float64 {
-	denom := math.Abs(b)
-	if denom < 1e-12 {
-		denom = 1e-12
-	}
-	return math.Abs(a-b) / denom
-}
-
-// Accuracy compares estimated against reference values and returns the
-// worst relative error, used by the calibration-loop experiment.
-func Accuracy(estimated, reference map[string]float64) float64 {
-	var worst float64
-	for k, ref := range reference {
-		if est, ok := estimated[k]; ok {
-			if e := relErr(est, ref); e > worst {
-				worst = e
-			}
-		}
-	}
-	return worst
 }

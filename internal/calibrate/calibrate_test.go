@@ -175,8 +175,8 @@ func TestServiceAndWaitingMoments(t *testing.T) {
 	if wm == nil || math.Abs(wm.Mean-0.5) > 1e-12 {
 		t.Errorf("waiting moments = %+v", wm)
 	}
-	if got := e.ObservedServerTypes(); len(got) != 1 || got[0] != "eng" {
-		t.Errorf("observed types = %v", got)
+	if len(e.ServiceMoments) != 1 {
+		t.Errorf("observed types = %v", e.ServiceMoments)
 	}
 }
 
@@ -400,16 +400,6 @@ func TestMeasuredEnvironment(t *testing.T) {
 	}
 	if env.Type(0).MeanService != 0.1 {
 		t.Error("source environment mutated")
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	got := calibrate.Accuracy(map[string]float64{"a": 1.1, "b": 2}, map[string]float64{"a": 1, "b": 2, "c": 5})
-	if math.Abs(got-0.1) > 1e-9 {
-		t.Errorf("accuracy = %v, want 0.1", got)
-	}
-	if calibrate.Accuracy(nil, map[string]float64{"x": 1}) != 0 {
-		t.Error("missing keys should not count")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // SampleTurnaround draws one turnaround time by walking the chain from
 // state 0 to absorption with exponentially distributed residence times —
-// the Monte-Carlo counterpart of TransientDistribution, used to
+// the Monte-Carlo counterpart of TurnaroundCDF, used to
 // cross-validate the uniformization series. maxSteps guards against
 // practically non-terminating chains (0 means 10 million).
 func SampleTurnaround(c *Chain, rng *dist.RNG, maxSteps int) (float64, error) {

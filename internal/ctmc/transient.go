@@ -142,8 +142,7 @@ type SeriesOptions struct {
 	// below the model's other approximations.
 	Coverage float64
 	// HardCap bounds the adaptive rule to protect against chains with
-	// near-1 self-loop mass. Zero means the budget default
-	// (wfmserr.Default.MaxUniformizationSteps, normally 1_000_000).
+	// near-1 self-loop mass. Zero means 1,000,000 steps.
 	HardCap int
 }
 
@@ -152,9 +151,7 @@ func (o SeriesOptions) withDefaults() SeriesOptions {
 		o.Coverage = 0.9999
 	}
 	if o.HardCap <= 0 {
-		if o.HardCap = wfmserr.Default.MaxUniformizationSteps; o.HardCap <= 0 {
-			o.HardCap = 1_000_000
-		}
+		o.HardCap = 1_000_000
 	}
 	return o
 }

@@ -7,8 +7,8 @@ import (
 	"performa/internal/linalg"
 )
 
-// TransientDistribution computes the state-probability vector of the
-// chain at time t via uniformization:
+// distributionAt computes the state-probability vector of a validated,
+// uniformized chain at time t:
 //
 //	π(t) = Σ_k Poisson(Λt; k) · π(0) P̄^k
 //
@@ -16,16 +16,8 @@ import (
 // the absorbing state. The Poisson series is truncated once the
 // accumulated weight exceeds 1 − 1e-12. This goes beyond the paper's
 // mean-value analysis: it yields the full turnaround-time distribution.
-func TransientDistribution(c *Chain, t float64) (linalg.Vector, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c.uniformize().distributionAt(t)
-}
-
-// distributionAt is TransientDistribution on an already validated and
-// uniformized chain, so CDF sweeps and quantile bisection pay for
-// neither again at every time point.
+// CDF sweeps and quantile bisection validate and uniformize once, not at
+// every time point.
 func (u uniformized) distributionAt(t float64) (linalg.Vector, error) {
 	if t < 0 || math.IsNaN(t) {
 		return nil, fmt.Errorf("ctmc: transient distribution at invalid time %v", t)

@@ -8,9 +8,9 @@ import (
 func TestTransientDistributionTwoState(t *testing.T) {
 	// Single exponential stage: P(absorbed by t) = 1 − e^{−t/H}.
 	h := 2.0
-	c := twoState(h)
+	u := twoState(h).uniformize()
 	for _, tt := range []float64{0, 0.5, 1, 2, 5, 10} {
-		pi, err := TransientDistribution(c, tt)
+		pi, err := u.distributionAt(tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,25 +27,24 @@ func TestTransientDistributionTwoState(t *testing.T) {
 func TestTransientDistributionErlangChain(t *testing.T) {
 	// Two sequential exponential stages of mean 1 each: absorption time
 	// is Erlang-2(1), CDF = 1 − e^{−t}(1 + t).
-	c := erlangChain(2, 1)
-	for _, tt := range []float64{0.5, 1, 2, 4} {
-		pi, err := TransientDistribution(c, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 1 - math.Exp(-tt)*(1+tt)
-		if math.Abs(pi[2]-want) > 1e-9 {
-			t.Errorf("t=%v: CDF = %v, want %v", tt, pi[2], want)
+	times := []float64{0.5, 1, 2, 4}
+	cdf, err := TurnaroundCDF(erlangChain(2, 1), times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tt := range times {
+		if want := 1 - math.Exp(-tt)*(1+tt); math.Abs(cdf[i]-want) > 1e-9 {
+			t.Errorf("t=%v: CDF = %v, want %v", tt, cdf[i], want)
 		}
 	}
 }
 
 func TestTransientDistributionInvalidTime(t *testing.T) {
 	c := twoState(1)
-	if _, err := TransientDistribution(c, -1); err == nil {
+	if _, err := TurnaroundCDF(c, []float64{-1}); err == nil {
 		t.Error("negative time accepted")
 	}
-	if _, err := TransientDistribution(c, math.NaN()); err == nil {
+	if _, err := TurnaroundCDF(c, []float64{math.NaN()}); err == nil {
 		t.Error("NaN time accepted")
 	}
 }
@@ -125,14 +124,18 @@ func TestTransientMeanMatchesFirstPassage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var integral float64
 	dt := 0.05
+	var mid []float64
 	for tt := 0.0; tt < mean*12; tt += dt {
-		pi, err := TransientDistribution(c, tt+dt/2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		integral += (1 - pi[c.Absorbing()]) * dt
+		mid = append(mid, tt+dt/2)
+	}
+	cdf, err := TurnaroundCDF(c, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var integral float64
+	for _, p := range cdf {
+		integral += (1 - p) * dt
 	}
 	if math.Abs(integral-mean)/mean > 0.01 {
 		t.Errorf("∫(1−CDF) = %v vs mean %v", integral, mean)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"performa/internal/avail"
 	"performa/internal/ctmc"
@@ -62,7 +61,7 @@ func AblationAvailabilitySolvers() (*Table, error) {
 	t := &Table{
 		ID:      "A2",
 		Title:   "exact joint availability CTMC versus product form",
-		Columns: []string{"config", "joint states", "exact unavail", "product unavail", "exact time", "product time"},
+		Columns: []string{"config", "joint states", "exact unavail", "product unavail"},
 	}
 	env := workload.PaperEnvironment()
 	for _, y := range [][]int{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}, {5, 5, 5}} {
@@ -70,25 +69,19 @@ func AblationAvailabilitySolvers() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
 		exact, err := avail.Evaluate(params, avail.IndependentRepair)
 		if err != nil {
 			return nil, err
 		}
-		exactD := time.Since(t0)
-		t1 := time.Now()
 		pf, err := avail.EvaluateProductForm(params, avail.IndependentRepair, false)
 		if err != nil {
 			return nil, err
 		}
-		pfD := time.Since(t1)
 		t.AddRow(
 			perf.Config{Replicas: y}.String(),
 			fmt.Sprintf("%d", stateCount(y)),
 			fmt.Sprintf("%.3e", exact.Unavailability),
 			fmt.Sprintf("%.3e", pf.Unavailability),
-			exactD.Round(time.Microsecond).String(),
-			pfD.Round(time.Microsecond).String(),
 		)
 	}
 	t.Notes = append(t.Notes,

@@ -278,3 +278,29 @@ func TestTableFormat(t *testing.T) {
 		t.Errorf("format output:\n%s", out)
 	}
 }
+
+// TestTablesReproducible: wfmsbench's output is a fixed record, so the
+// tables that once carried wall-clock columns (A2, E20) must format to
+// the same bytes on two runs.
+func TestTablesReproducible(t *testing.T) {
+	dir := t.TempDir() // no corpus: E20's reduced synthetic grid alone
+	for _, run := range []func() (*Table, error){
+		AblationAvailabilitySolvers,
+		func() (*Table, error) {
+			_, tbl, err := NetDiffBench(dir, true)
+			return tbl, err
+		},
+	} {
+		var out [2]string
+		for i := range out {
+			tbl, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = tbl.Format()
+		}
+		if out[0] != out[1] {
+			t.Errorf("two runs differ:\n%s\n%s", out[0], out[1])
+		}
+	}
+}

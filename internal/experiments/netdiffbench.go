@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"performa/internal/spec"
 	"performa/internal/statechart"
@@ -42,10 +41,9 @@ type NetDiffBenchRow struct {
 	// (net − collapsed)/net — nonnegative for every workflow by the
 	// one-sided Jensen ordering.
 	BiasRel float64 `json:"bias_rel"`
-	// Markings is the size of the net's reachable marking graph.
+	// Markings is the size of the net's reachable marking graph, the
+	// net oracle's deterministic cost.
 	Markings int `json:"markings"`
-	// WallMS is the net-oracle solve time (translation included).
-	WallMS float64 `json:"wall_ms"`
 	// RefMean is the closed form d·H_k for exponential branches
 	// (stages = 1): the expected maximum of k iid exponentials of mean d
 	// is d times the k-th harmonic number. 0 where no closed form
@@ -85,7 +83,7 @@ func NetDiffBench(dir string, reduced bool) ([]NetDiffBenchRow, *Table, error) {
 	t := &Table{
 		ID:      "E20",
 		Title:   "parallel-collapse bias: max-of-means turnaround vs free-choice net oracle",
-		Columns: []string{"case", "system", "workflow", "fan", "stages", "cv", "collapsed", "net", "bias", "markings", "wall", "ref d·H_k", "ref err"},
+		Columns: []string{"case", "system", "workflow", "fan", "stages", "cv", "collapsed", "net", "bias", "markings", "ref d·H_k", "ref err"},
 	}
 	var rows []NetDiffBenchRow
 
@@ -134,7 +132,6 @@ func netDiffForkJoinRow(k, stages int, d float64) (NetDiffBenchRow, error) {
 	if err != nil {
 		return row, err
 	}
-	t0 := time.Now()
 	net, err := wfnet.FromChart(chart, profiles)
 	if err != nil {
 		return row, err
@@ -143,7 +140,6 @@ func netDiffForkJoinRow(k, stages int, d float64) (NetDiffBenchRow, error) {
 	if err != nil {
 		return row, err
 	}
-	row.WallMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	row.Collapsed = col
 	row.Net = res.Mean
 	row.Markings = res.Markings
@@ -225,7 +221,6 @@ func netDiffCorpusRows(dir string) ([]NetDiffBenchRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: netdiff corpus system %s workflow %s: %w", system, flow.Name, err)
 			}
-			t0 := time.Now()
 			net, err := wfnet.FromWorkflow(flow)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: netdiff corpus system %s workflow %s: %w", system, flow.Name, err)
@@ -234,7 +229,6 @@ func netDiffCorpusRows(dir string) ([]NetDiffBenchRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: netdiff corpus system %s workflow %s: %w", system, flow.Name, err)
 			}
-			row.WallMS = float64(time.Since(t0)) / float64(time.Millisecond)
 			row.Collapsed = col
 			row.Net = res.Mean
 			row.Markings = res.Markings
@@ -263,7 +257,15 @@ func addNetDiffRow(t *Table, row NetDiffBenchRow) {
 	t.AddRow(row.Case, row.System, row.Workflow, fan, stages, cv,
 		fmt.Sprintf("%.4f", row.Collapsed), fmt.Sprintf("%.4f", row.Net),
 		fmt.Sprintf("%.1f%%", 100*row.BiasRel), fmt.Sprintf("%d", row.Markings),
-		fmtWall(row.WallMS), ref, refErr)
+		ref, refErr)
+}
+
+// relErr is |got − ref| / |ref|, or |got| against a zero reference.
+func relErr(ref, got float64) float64 {
+	if ref == 0 {
+		return math.Abs(got)
+	}
+	return math.Abs(got-ref) / math.Abs(ref)
 }
 
 // harmonic returns the k-th harmonic number H_k = Σ_{i=1..k} 1/i.

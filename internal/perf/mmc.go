@@ -3,8 +3,6 @@ package perf
 import (
 	"fmt"
 	"math"
-
-	"performa/internal/spec"
 )
 
 // ErlangC returns the Erlang-C probability that an arriving request must
@@ -58,13 +56,4 @@ func MMCWaiting(c int, lambda, b float64) (float64, error) {
 	}
 	// E[W] = C(c, a) / (c/b − λ).
 	return pWait / (float64(c)/b - lambda), nil
-}
-
-// PooledWaiting evaluates the shared-queue alternative for server type
-// st at total arrival rate l and c replicas, assuming exponential
-// service (the M/M/c model has no closed form for general service
-// times). Use it to quantify how much the paper's split-queue
-// assumption costs relative to a work-conserving dispatcher.
-func PooledWaiting(st spec.ServerType, c int, l float64) (float64, error) {
-	return MMCWaiting(c, l, st.MeanService)
 }

@@ -85,7 +85,7 @@ func TestPoolingBeatsSplitQueues(t *testing.T) {
 	for _, c := range []int{2, 4, 8} {
 		for _, rho := range []float64{0.3, 0.6, 0.9} {
 			l := rho * float64(c) / st.MeanService
-			pooled, err := PooledWaiting(st, c, l)
+			pooled, err := MMCWaiting(c, l, st.MeanService)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,8 @@ package perf
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"performa/internal/linalg"
 	"performa/internal/spec"
@@ -85,6 +87,24 @@ func (c Config) String() string {
 		s += fmt.Sprintf("%d", y)
 	}
 	return s + ")"
+}
+
+// ParseConfig parses a command-line replication vector such as "2,2,3"
+// for k server types.
+func ParseConfig(s string, k int) (Config, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != k {
+		return Config{}, fmt.Errorf("configuration %q has %d entries for %d server types", s, len(parts), k)
+	}
+	replicas := make([]int, k)
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v < 0 {
+			return Config{}, fmt.Errorf("bad replication degree %q", p)
+		}
+		replicas[i] = v
+	}
+	return Config{Replicas: replicas}, nil
 }
 
 func (c Config) validate(k int) error {
@@ -199,30 +219,14 @@ func (a *Analysis) Env() *spec.Environment { return a.env }
 // Models returns the workflow models in the mix.
 func (a *Analysis) Models() []*spec.Model { return a.models }
 
-// RequestArrivalRates returns l, with l[x] the total request arrival rate
-// at server type x over all workflow types (Section 4.3).
-func (a *Analysis) RequestArrivalRates() linalg.Vector { return a.arrivalRates.Clone() }
-
-// TypeLoad returns l_x, the total request arrival rate at server type x.
+// TypeLoad returns l_x, the total request arrival rate at server type x
+// over all workflow types (Section 4.3).
 func (a *Analysis) TypeLoad(x int) float64 { return a.arrivalRates[x] }
-
-// TotalWorkflowRate returns Σ_t ξ_t, the overall workflow arrival rate.
-func (a *Analysis) TotalWorkflowRate() float64 { return a.totalWorkflowRate }
 
 // WorkflowRequests returns r_{·,i}, the expected per-type request counts
 // of one instance of workflow i, computed once at construction. The
 // returned slice is shared — callers must not modify it.
 func (a *Analysis) WorkflowRequests(i int) []float64 { return a.requests[i] }
-
-// ActiveInstances returns N_active per workflow type by Little's law:
-// ξ_t · R_t (Section 4.3).
-func (a *Analysis) ActiveInstances() []float64 {
-	out := make([]float64, len(a.models))
-	for i, m := range a.models {
-		out[i] = m.Workflow.ArrivalRate * m.Turnaround()
-	}
-	return out
-}
 
 // Report is the performance assessment of one configuration.
 type Report struct {

@@ -83,19 +83,19 @@ func TestAggregateLoadTwoWorkflows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// l_x = (0.5+1.5)·r_x; r = (2,3,3).
-	l := a.RequestArrivalRates()
 	want := []float64{4, 6, 6}
 	for x := range want {
-		if math.Abs(l[x]-want[x]) > 1e-9 {
-			t.Errorf("l[%d] = %v, want %v", x, l[x], want[x])
+		if l := a.TypeLoad(x); math.Abs(l-want[x]) > 1e-9 {
+			t.Errorf("l[%d] = %v, want %v", x, l, want[x])
 		}
 	}
-	if got := a.TotalWorkflowRate(); got != 2 {
-		t.Errorf("total rate = %v", got)
+	// The throughput bound scales the total workflow rate Σ_t ξ_t = 2.
+	rep, err := a.Evaluate(Config{Replicas: []int{1, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	active := a.ActiveInstances()
-	if math.Abs(active[0]-1) > 1e-9 || math.Abs(active[1]-3) > 1e-9 {
-		t.Errorf("active = %v, want [1 3] (Little's law ξR)", active)
+	if got := rep.MaxWorkflowThroughput / rep.ThroughputScale; math.Abs(got-2) > 1e-12 {
+		t.Errorf("total rate = %v", got)
 	}
 }
 

@@ -102,16 +102,6 @@ func (r *Result) MaxWaiting() float64 {
 	return linalg.Vector(r.Waiting).Max()
 }
 
-// Degradation returns, per server type, the absolute increase of the
-// expected waiting time over the failure-free value: W^Y_x − w^Y_x.
-func (r *Result) Degradation() []float64 {
-	out := make([]float64, len(r.Waiting))
-	for x := range out {
-		out[x] = r.Waiting[x] - r.FullUpWaiting[x]
-	}
-	return out
-}
-
 // Evaluate computes W^Y = Σ_i π_i · w^i over the availability CTMC's
 // system states (Section 6), reduced per server type (see Evaluator).
 //

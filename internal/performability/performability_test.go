@@ -113,9 +113,8 @@ func TestExcludeDownDegradationWithReplication(t *testing.T) {
 			t.Errorf("W[%d] = %v not above full-up %v", x, res.Waiting[x], res.FullUpWaiting[x])
 		}
 	}
-	deg := res.Degradation()
-	for x, d := range deg {
-		if d < 0 {
+	for x := range res.Waiting {
+		if d := res.Waiting[x] - res.FullUpWaiting[x]; d < 0 {
 			t.Errorf("degradation[%d] = %v negative", x, d)
 		}
 	}
@@ -159,11 +158,10 @@ func TestDegradationGapShrinksWithReplication(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gap := res.MaxWaiting() - res.FullUpWaiting[indexOfMax(res.Waiting)]
-		// Use the max degradation across types as the gap proxy.
+		// The gap is the largest degradation W^Y_x − w^Y_x across types.
 		var maxDeg float64
-		for _, d := range res.Degradation() {
-			if d > maxDeg {
+		for x := range res.Waiting {
+			if d := res.Waiting[x] - res.FullUpWaiting[x]; d > maxDeg {
 				maxDeg = d
 			}
 		}
@@ -171,18 +169,7 @@ func TestDegradationGapShrinksWithReplication(t *testing.T) {
 			t.Errorf("Y=%d: degradation %v did not shrink from %v", y, maxDeg, prevGap)
 		}
 		prevGap = maxDeg
-		_ = gap
 	}
-}
-
-func indexOfMax(v []float64) int {
-	best, bi := math.Inf(-1), 0
-	for i, x := range v {
-		if x > best {
-			best, bi = x, i
-		}
-	}
-	return bi
 }
 
 func TestAvailabilityMatchesAvailPackage(t *testing.T) {

@@ -54,12 +54,14 @@ const (
 	Replicas Kind = "replicas"
 )
 
-// Options tunes the finite-difference computation.
+// relStep is the relative perturbation step h/θ of the continuous
+// parameters. Parameters whose base value is zero are probed with an
+// absolute step of relStep instead.
+const relStep = 1e-3
+
+// Options tunes nothing today: the step is relStep and entries are
+// computed one after another.
 type Options struct {
-	// RelStep is the relative perturbation step h/θ; zero means 1e-3.
-	// Parameters whose base value is zero are probed with an absolute
-	// step of RelStep instead.
-	RelStep float64
 	// Workers is ignored: entries are computed one after another.
 	//
 	// Deprecated: accepted until bench/ stops setting it (ROADMAP item 1).
@@ -150,10 +152,6 @@ type separable struct {
 // the base configuration and its ±1 neighbours — enter the evaluator's
 // marginal cache.
 func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config, opts Options) (*Table, error) {
-	relStep := opts.RelStep
-	if relStep <= 0 {
-		relStep = 1e-3
-	}
 	a := ev.Analysis()
 	env := a.Env()
 	k, flows := env.K(), len(a.Models())
@@ -207,7 +205,7 @@ func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config,
 		if e.Kind == Replicas {
 			s.replicaEntry(e)
 		} else {
-			s.continuousEntry(e, relStep)
+			s.continuousEntry(e)
 		}
 		finishEntry(e, s.base)
 	}
@@ -344,7 +342,7 @@ var errNegative = errors.New("sensitivity: negative parameter")
 // continuousEntry computes one central-difference entry with adaptive
 // stepping: shrink the step (÷4, up to 3 times) while neither side is
 // evaluable, fall back to a one-sided difference when exactly one is.
-func (s *separable) continuousEntry(e *Entry, relStep float64) {
+func (s *separable) continuousEntry(e *Entry) {
 	h := relStep * math.Abs(e.Value)
 	if h == 0 {
 		h = relStep

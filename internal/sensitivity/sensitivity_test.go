@@ -343,11 +343,7 @@ func TestComputeRejectsArityMismatch(t *testing.T) {
 // evaluator with an empty cache, a full Evaluate — one after another.
 // Post-processing (elasticities, attribution, summary) is the package's
 // own; the ranking is the sort.SliceStable it used then.
-func computeByRebuild(ev *performability.Evaluator, cfg perf.Config, opts Options) (*Table, error) {
-	relStep := opts.RelStep
-	if relStep <= 0 {
-		relStep = 1e-3
-	}
+func computeByRebuild(ev *performability.Evaluator, cfg perf.Config) (*Table, error) {
 	a := ev.Analysis()
 	env := a.Env()
 	k := env.K()
@@ -523,7 +519,7 @@ func requireMatchesRebuild(t *testing.T, name string, a *perf.Analysis, replicas
 	}
 	cfg := perf.Config{Replicas: replicas}
 	got, gotErr := Compute(context.Background(), ev, cfg, Options{})
-	want, wantErr := computeByRebuild(ev, cfg, Options{})
+	want, wantErr := computeByRebuild(ev, cfg)
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%s %v/%v: Compute error %v, rebuild error %v", name, popts.Policy, popts.Discipline, gotErr, wantErr)

@@ -358,16 +358,14 @@ func (s *Server) recalibratedSystem(st *ingestStream, env *spec.Environment, flo
 	for i, w := range flows {
 		clones[i] = w.Clone()
 	}
-	measured, err := est.ApplySystem(env, clones, s.recalOpts)
+	measured, err := est.ApplySystem(env, clones, defaultCalibration)
 	if err != nil {
 		return env, flows, err
 	}
 	return measured, clones, nil
 }
 
-// defaultRecalibration is the calibration setting for drift-triggered
-// rebuilds: Laplace smoothing keeps never-observed branches possible
-// (matching /v1/calibrate's default).
-func defaultRecalibration() calibrate.Options {
-	return calibrate.Options{Smoothing: 0.5}
-}
+// defaultCalibration is the calibration setting of drift-triggered
+// rebuilds and of a POST /v1/calibrate without "smoothing": Laplace
+// smoothing keeps never-observed branches possible.
+var defaultCalibration = calibrate.Options{Smoothing: 0.5}

@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"performa/internal/audit"
-	"performa/internal/calibrate"
 	"performa/internal/config"
 	"performa/internal/linalg"
 	"performa/internal/perf"
@@ -90,9 +89,6 @@ type Options struct {
 	// MaxStreams bounds the per-system ingestion streams (LRU);
 	// 0 means 64.
 	MaxStreams int
-	// Recalibration tunes the drift-triggered rebuild; a zero value
-	// means Laplace smoothing 0.5 (the /v1/calibrate default).
-	Recalibration calibrate.Options
 	// MaxBatchItems bounds the item count of one batch request;
 	// 0 means 256.
 	MaxBatchItems int
@@ -131,12 +127,10 @@ type Server struct {
 
 	endpoints map[string]*endpointMetrics
 
-	// Online calibration: per-system ingestion streams, the drift
-	// thresholds they are scored under, and the recalibration options
-	// for drift-triggered rebuilds.
+	// Online calibration: per-system ingestion streams and the drift
+	// thresholds they are scored under.
 	streams            *streamRegistry
 	driftThresholds    stream.Thresholds
-	recalOpts          calibrate.Options
 	eventsIngested     atomic.Uint64
 	eventBatches       atomic.Uint64
 	driftInvalidations atomic.Uint64
@@ -207,10 +201,6 @@ func New(opts Options) *Server {
 	if maxStreams == 0 {
 		maxStreams = 64
 	}
-	recal := opts.Recalibration
-	if recal == (calibrate.Options{}) {
-		recal = defaultRecalibration()
-	}
 	maxBatch := opts.MaxBatchItems
 	if maxBatch == 0 {
 		maxBatch = 256
@@ -237,7 +227,6 @@ func New(opts Options) *Server {
 		errCodes:        make(map[string]uint64),
 		streams:         newStreamRegistry(maxStreams),
 		driftThresholds: opts.Drift.WithDefaults(),
-		recalOpts:       recal,
 		quotas:          newTenantQuotas(opts.TenantBudget),
 		jobs:            newJobRegistry(maxJobs, jobTTL),
 		jobsCtx:         jobsCtx,
@@ -669,9 +658,9 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	smoothing := req.Smoothing
-	if smoothing == 0 {
-		smoothing = 0.5
+	copts := defaultCalibration
+	if req.Smoothing != 0 {
+		copts.Smoothing = req.Smoothing
 	}
 	// Estimate → trust gate → ApplySystem: the estimator and the model
 	// rewrite are the ones drift-triggered rebuilds use, so the same
@@ -688,7 +677,7 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusUnprocessableEntity, err)
 		return
 	}
-	env, err = est.ApplySystem(env, flows, calibrate.Options{Smoothing: smoothing})
+	env, err = est.ApplySystem(env, flows, copts)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return

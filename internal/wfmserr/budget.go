@@ -1,8 +1,8 @@
 package wfmserr
 
 // Budget is the pre-flight resource budget for a single analysis
-// request. It is checked BEFORE any state space is enumerated, matrix
-// allocated, or uniformization series expanded, so that an adversarial
+// request. It is checked BEFORE any state space is enumerated or matrix
+// allocated, so that an adversarial
 // or simply over-ambitious model is rejected with a typed error instead
 // of exhausting memory or CPU. A zero field disables that check.
 type Budget struct {
@@ -14,9 +14,6 @@ type Budget struct {
 	// (workflow-chart generators including Erlang stage expansion,
 	// exact joint availability models, single-crew repair chains).
 	MaxMatrixDim int
-	// MaxUniformizationSteps caps the uniformization series length
-	// (the z_max work estimate) in transient CTMC analysis.
-	MaxUniformizationSteps int
 }
 
 // DefaultBudget returns the stock budget used by the daemon and CLIs.
@@ -29,9 +26,8 @@ type Budget struct {
 // solve (2048³ ≈ 8.6e9 flops) is around a second of CPU.
 func DefaultBudget() Budget {
 	return Budget{
-		MaxStates:              1 << 23, // 8388608 states on the sparse path
-		MaxMatrixDim:           2048,    // dense n×n systems
-		MaxUniformizationSteps: 1_000_000,
+		MaxStates:    1 << 23, // 8388608 states on the sparse path
+		MaxMatrixDim: 2048,    // dense n×n systems
 	}
 }
 
@@ -61,18 +57,6 @@ func (b Budget) CheckMatrixDim(op string, n int) error {
 	if b.MaxMatrixDim > 0 && n > b.MaxMatrixDim {
 		return New(CodeBudgetExceeded, op, "dense system dimension exceeds budget").
 			With("dim", n).With("limit", b.MaxMatrixDim)
-	}
-	return nil
-}
-
-// CheckSteps validates a uniformization series length estimate.
-func (b Budget) CheckSteps(op string, n int) error {
-	if n < 0 {
-		return New(CodeBudgetExceeded, op, "uniformization work estimate overflows").With("limit", b.MaxUniformizationSteps)
-	}
-	if b.MaxUniformizationSteps > 0 && n > b.MaxUniformizationSteps {
-		return New(CodeBudgetExceeded, op, "uniformization series exceeds budget").
-			With("steps", n).With("limit", b.MaxUniformizationSteps)
 	}
 	return nil
 }

@@ -63,7 +63,7 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestBudgetChecks(t *testing.T) {
-	b := Budget{MaxStates: 10, MaxMatrixDim: 5, MaxUniformizationSteps: 3}
+	b := Budget{MaxStates: 10, MaxMatrixDim: 5}
 	if err := b.CheckStates("t", 10); err != nil {
 		t.Fatalf("CheckStates at limit: %v", err)
 	}
@@ -75,9 +75,6 @@ func TestBudgetChecks(t *testing.T) {
 	}
 	if err := b.CheckMatrixDim("t", 6); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("CheckMatrixDim over limit = %v, want ErrBudgetExceeded", err)
-	}
-	if err := b.CheckSteps("t", 4); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("CheckSteps over limit = %v, want ErrBudgetExceeded", err)
 	}
 	var zero Budget
 	if err := zero.CheckStates("t", 1<<50); err != nil {

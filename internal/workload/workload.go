@@ -1,9 +1,9 @@
 // Package workload provides the concrete workflow types used by the
 // examples and benchmarks: the electronic-purchase (EP) workflow of the
 // paper's Figures 3 and 4, a TPC-C-flavoured order-processing workflow, a
-// loan-approval workflow with interactive activities, and a synthetic
-// generator for scalability studies. It also provides the server
-// environment of the Section 5.2 worked example.
+// loan-approval workflow with interactive activities, and their named
+// mixes (Builtin). It also provides the server environment of the
+// Section 5.2 worked example.
 //
 // The paper states that the numeric annotations of Figure 4 are
 // "fictitious for mere illustration"; the values below are our
@@ -11,9 +11,8 @@
 package workload
 
 import (
-	"fmt"
+	"strings"
 
-	"performa/internal/dist"
 	"performa/internal/spec"
 	"performa/internal/statechart"
 )
@@ -246,97 +245,23 @@ func LoanWorkflow(arrivalRate float64) *spec.Workflow {
 	}
 }
 
-// SyntheticOptions parameterizes the random workflow generator.
-type SyntheticOptions struct {
-	// States is the number of activity states (≥ 1).
-	States int
-	// BranchProb is the probability that a state forks into two
-	// successors instead of one.
-	BranchProb float64
-	// LoopProb is the probability that a state gains a back edge.
-	LoopProb float64
-	// MeanDuration scales activity durations.
-	MeanDuration float64
-	// ArrivalRate is the workflow's arrival rate.
-	ArrivalRate float64
-}
-
-// Synthetic generates a random, valid workflow over the paper
-// environment's server types, for scalability and stress experiments.
-// The generated chart is a forward chain with optional branches and
-// bounded back edges, so termination is guaranteed.
-func Synthetic(rng *dist.RNG, opts SyntheticOptions) (*spec.Workflow, error) {
-	if opts.States < 1 {
-		return nil, fmt.Errorf("workload: synthetic workflow needs at least one state")
-	}
-	if opts.MeanDuration <= 0 {
-		opts.MeanDuration = 1
-	}
-	name := fmt.Sprintf("Synthetic%d", rng.Intn(1_000_000))
-	b := statechart.NewBuilder(name).Initial("S_INIT").Final("S_EXIT")
-	profiles := map[string]spec.ActivityProfile{}
-
-	stateName := func(i int) string { return fmt.Sprintf("st%03d", i) }
-	for i := 0; i < opts.States; i++ {
-		act := fmt.Sprintf("%s_act%03d", name, i)
-		b.Activity(stateName(i), act)
-		d := opts.MeanDuration * (0.5 + rng.Float64())
-		load := map[string]float64{
-			EngineType: float64(1 + rng.Intn(3)),
-			ORB:        float64(1 + rng.Intn(2)),
-		}
-		if rng.Float64() < 0.8 {
-			load[AppType] = float64(1 + rng.Intn(3))
-		}
-		profiles[act] = profile(act, d, load)
-	}
-
-	b.Transition("S_INIT", stateName(0), 1)
-	for i := 0; i < opts.States; i++ {
-		next := "S_EXIT"
-		if i+1 < opts.States {
-			next = stateName(i + 1)
-		}
-		// Forward edge always exists; optionally a skip branch and a
-		// back edge share the probability mass.
-		type edge struct {
-			to string
-			w  float64
-		}
-		edges := []edge{{next, 1}}
-		if rng.Float64() < opts.BranchProb && i+2 < opts.States {
-			edges = append(edges, edge{stateName(i + 2), 0.5})
-		}
-		if rng.Float64() < opts.LoopProb && i > 0 {
-			edges = append(edges, edge{stateName(i - 1), 0.25})
-		}
-		// Deduplicate targets (defensive; the edge construction keeps
-		// them distinct) before normalizing, so probabilities always
-		// sum to one.
-		seen := map[string]bool{}
-		dedup := edges[:0]
-		for _, e := range edges {
-			if !seen[e.to] {
-				seen[e.to] = true
-				dedup = append(dedup, e)
-			}
-		}
-		var total float64
-		for _, e := range dedup {
-			total += e.w
-		}
-		for _, e := range dedup {
-			b.Transition(stateName(i), e.to, e.w/total)
+// Builtin returns the named built-in workload at total arrival rate
+// rate: ep, order, loan, or mix (all three splitting the rate
+// 50/30/20). The name is case-insensitive; an unknown name yields nil.
+func Builtin(name string, rate float64) []*spec.Workflow {
+	switch strings.ToLower(name) {
+	case "ep":
+		return []*spec.Workflow{EPWorkflow(rate)}
+	case "order":
+		return []*spec.Workflow{OrderWorkflow(rate)}
+	case "loan":
+		return []*spec.Workflow{LoanWorkflow(rate)}
+	case "mix":
+		return []*spec.Workflow{
+			EPWorkflow(rate * 0.5),
+			OrderWorkflow(rate * 0.3),
+			LoanWorkflow(rate * 0.2),
 		}
 	}
-	chart, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("workload: synthetic chart: %w", err)
-	}
-	return &spec.Workflow{
-		Name:        name,
-		Chart:       chart,
-		Profiles:    profiles,
-		ArrivalRate: opts.ArrivalRate,
-	}, nil
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"performa/internal/dist"
 	"performa/internal/spec"
 )
 
@@ -164,32 +163,26 @@ func TestLoanWorkflowBuilds(t *testing.T) {
 	}
 }
 
-func TestSyntheticGeneratesValidWorkflows(t *testing.T) {
-	env := PaperEnvironment()
-	rng := dist.NewRNG(77)
-	for trial := 0; trial < 25; trial++ {
-		w, err := Synthetic(rng, SyntheticOptions{
-			States:       1 + rng.Intn(20),
-			BranchProb:   0.4,
-			LoopProb:     0.3,
-			MeanDuration: 2,
-			ArrivalRate:  1,
-		})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+func TestBuiltin(t *testing.T) {
+	for name, want := range map[string][]string{
+		"ep": {"EP"}, "ORDER": {"Order"}, "loan": {"Loan"}, "mix": {"EP", "Order", "Loan"},
+	} {
+		flows := Builtin(name, 6)
+		if len(flows) != len(want) {
+			t.Fatalf("%s: %d workflows, want %d", name, len(flows), len(want))
 		}
-		m, err := spec.Build(w, env)
-		if err != nil {
-			t.Fatalf("trial %d: build: %v", trial, err)
+		var rate float64
+		for i, w := range flows {
+			if w.Name != want[i] {
+				t.Errorf("%s: workflow %d is %s, want %s", name, i, w.Name, want[i])
+			}
+			rate += w.ArrivalRate
 		}
-		if !(m.Turnaround() > 0) || math.IsInf(m.Turnaround(), 0) {
-			t.Errorf("trial %d: turnaround = %v", trial, m.Turnaround())
+		if math.Abs(rate-6) > 1e-12 {
+			t.Errorf("%s: total arrival rate %v, want 6", name, rate)
 		}
 	}
-}
-
-func TestSyntheticRejectsZeroStates(t *testing.T) {
-	if _, err := Synthetic(dist.NewRNG(1), SyntheticOptions{}); err == nil {
-		t.Error("zero states accepted")
+	if flows := Builtin("nosuch", 6); flows != nil {
+		t.Errorf("unknown workload gave %d workflows", len(flows))
 	}
 }
