@@ -87,24 +87,3 @@ func ValidateGenerator(q *linalg.Matrix) error {
 	}
 	return nil
 }
-
-// ExpectedReward computes the steady-state expected reward Σ_i π_i r_i of
-// a Markov reward model, the construction Section 6 uses with per-state
-// waiting times as rewards. Infinite rewards propagate: if any state with
-// positive probability has an infinite reward, the expectation is +Inf.
-func ExpectedReward(pi, reward linalg.Vector) (float64, error) {
-	if len(pi) != len(reward) {
-		return 0, fmt.Errorf("ctmc: probability vector length %d vs reward length %d", len(pi), len(reward))
-	}
-	var total float64
-	for i, p := range pi {
-		if p == 0 {
-			continue
-		}
-		if math.IsInf(reward[i], 1) {
-			return math.Inf(1), nil
-		}
-		total += p * reward[i]
-	}
-	return total, nil
-}

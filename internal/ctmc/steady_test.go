@@ -104,42 +104,6 @@ func TestValidateGeneratorOK(t *testing.T) {
 	}
 }
 
-func TestExpectedReward(t *testing.T) {
-	pi := linalg.Vector{0.25, 0.75}
-	got, err := ExpectedReward(pi, linalg.Vector{4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 7 {
-		t.Errorf("reward = %v, want 7", got)
-	}
-}
-
-func TestExpectedRewardInfinity(t *testing.T) {
-	pi := linalg.Vector{0.5, 0.5}
-	got, err := ExpectedReward(pi, linalg.Vector{1, math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(got, 1) {
-		t.Errorf("reward = %v, want +Inf", got)
-	}
-	// Zero-probability infinite states do not contaminate the result.
-	got, err = ExpectedReward(linalg.Vector{1, 0}, linalg.Vector{3, math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Errorf("reward = %v, want 3", got)
-	}
-}
-
-func TestExpectedRewardLengthMismatch(t *testing.T) {
-	if _, err := ExpectedReward(linalg.Vector{1}, linalg.Vector{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
 // randomErgodicGenerator builds a fully connected random generator.
 func randomErgodicGenerator(rng *rand.Rand, n int) *linalg.Matrix {
 	q := linalg.NewMatrix(n, n)

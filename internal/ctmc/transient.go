@@ -1,8 +1,6 @@
 package ctmc
 
 import (
-	"fmt"
-	"math"
 	"slices"
 
 	"performa/internal/linalg"
@@ -265,40 +263,4 @@ func ExpectedVisitsSeries(c *Chain, opts SeriesOptions) (*SeriesResult, error) {
 		residual = u[:abs].Sum()
 	}
 	return &SeriesResult{Visits: visits, Steps: steps, ResidualMass: residual}, nil
-}
-
-// ZMaxForCoverage returns the paper's z_max: the smallest number of
-// uniformized transitions that covers at least the given probability mass
-// of the transition count within the expected runtime. The transition
-// count within time R in the uniformized chain is Poisson with mean v·R.
-func ZMaxForCoverage(c *Chain, coverage float64) (int, error) {
-	if coverage <= 0 || coverage >= 1 {
-		return 0, fmt.Errorf("ctmc: coverage must be in (0,1), got %v", coverage)
-	}
-	r, err := MeanTurnaround(c)
-	if err != nil {
-		return 0, err
-	}
-	return poissonQuantile(c.MaxRate()*r, coverage), nil
-}
-
-// poissonQuantile returns the smallest z with P(Poisson(mean) <= z) >=
-// coverage, computed by direct summation in log space for stability.
-func poissonQuantile(mean, coverage float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	// p(0) = exp(-mean); p(k) = p(k-1) * mean / k.
-	logp := -mean
-	cum := math.Exp(logp)
-	z := 0
-	for cum < coverage {
-		z++
-		logp += math.Log(mean) - math.Log(float64(z))
-		cum += math.Exp(logp)
-		if z > 100_000_000 {
-			break
-		}
-	}
-	return z
 }

@@ -154,39 +154,6 @@ func TestSeriesHardCap(t *testing.T) {
 	}
 }
 
-func TestZMaxForCoverage(t *testing.T) {
-	c := loopChain(0.5, 1, 1)
-	z99, err := ZMaxForCoverage(c, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z50, err := ZMaxForCoverage(c, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z99 <= z50 {
-		t.Errorf("z(0.99) = %d should exceed z(0.5) = %d", z99, z50)
-	}
-	if _, err := ZMaxForCoverage(c, 1.5); err == nil {
-		t.Error("coverage > 1 accepted")
-	}
-}
-
-func TestPoissonQuantile(t *testing.T) {
-	if got := poissonQuantile(0, 0.99); got != 0 {
-		t.Errorf("quantile(0) = %d", got)
-	}
-	// Poisson(1): P(X<=0)=.368, P(X<=1)=.736, P(X<=2)=.920, P(X<=3)=.981, P(X<=4)=.996.
-	if got := poissonQuantile(1, 0.99); got != 4 {
-		t.Errorf("quantile(1, .99) = %d, want 4", got)
-	}
-	// Large mean sanity: roughly mean + 2.33*sqrt(mean).
-	got := poissonQuantile(10000, 0.99)
-	if got < 10200 || got > 10300 {
-		t.Errorf("quantile(10000, .99) = %d, want ≈10233", got)
-	}
-}
-
 // randomChain builds a random valid absorbing chain with n states.
 func randomChain(rng *rand.Rand, n int) *Chain {
 	c := NewChain(n)

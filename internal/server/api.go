@@ -623,28 +623,24 @@ type SensitivityEntryJSON struct {
 	Attribution              string  `json:"attribution"`
 }
 
-func sensitivityEntryJSON(e sensitivity.Entry) SensitivityEntryJSON {
-	return SensitivityEntryJSON{
-		Kind:                     string(e.Kind),
-		Index:                    e.Index,
-		Target:                   e.Target,
-		Value:                    Float(e.Value),
-		DMaxWaiting:              Float(e.DMaxWaiting),
-		DUnavailability:          Float(e.DUnavailability),
-		DWorkflowDelays:          floats(e.DWorkflowDelays),
-		WaitingElasticity:        Float(e.WaitingElasticity),
-		UnavailabilityElasticity: Float(e.UnavailabilityElasticity),
-		Rank:                     Float(e.Rank),
-		Method:                   e.Method,
-		Step:                     Float(e.Step),
-		Attribution:              e.Attribution,
-	}
-}
-
 func sensitivityEntriesJSON(entries []sensitivity.Entry) []SensitivityEntryJSON {
 	out := make([]SensitivityEntryJSON, len(entries))
 	for i, e := range entries {
-		out[i] = sensitivityEntryJSON(e)
+		out[i] = SensitivityEntryJSON{
+			Kind:                     string(e.Kind),
+			Index:                    e.Index,
+			Target:                   e.Target,
+			Value:                    Float(e.Value),
+			DMaxWaiting:              Float(e.DMaxWaiting),
+			DUnavailability:          Float(e.DUnavailability),
+			DWorkflowDelays:          floats(e.DWorkflowDelays),
+			WaitingElasticity:        Float(e.WaitingElasticity),
+			UnavailabilityElasticity: Float(e.UnavailabilityElasticity),
+			Rank:                     Float(e.Rank),
+			Method:                   e.Method,
+			Step:                     Float(e.Step),
+			Attribution:              e.Attribution,
+		}
 	}
 	return out
 }

@@ -8,45 +8,36 @@ package server
 // fingerprint trigger exactly one model build no matter how they are
 // interleaved, and a batch riding over an already-warm system builds
 // nothing at all. One batch takes one admission pass whose token weight
-// is the number of items it runs at once (capped at the worker budget),
-// keeping the weighted FIFO semaphore the single arbiter of planner
-// concurrency.
+// is the number of items it runs at once (admission.width: capped at the
+// worker budget and the tenant budget), keeping the weighted FIFO
+// semaphore the single arbiter of planner concurrency.
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"performa/internal/config"
-	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/spec"
 	"performa/internal/wfjson"
 	"performa/internal/wfmserr"
 )
 
-// batchWeight is the admission-token weight of a batch of n items, and
-// how many of its items run at once: one token per item up to the whole
-// worker budget, so small batches queue like a few singletons and large
-// ones take the machine — FIFO fairness then prevents them from starving
-// interactive requests behind them.
-func (s *Server) batchWeight(n int) int {
-	return min(n, s.workers)
+// batchCounters counts the batch endpoints' items and the cold model
+// builds they performed.
+type batchCounters struct {
+	items, builds atomic.Uint64
 }
 
-// validateBatchSize rejects empty and oversized batches with typed
-// errors.
-func (s *Server) validateBatchSize(n int) error {
-	if n == 0 {
-		return wfmserr.New(wfmserr.CodeInvalidRequest, "server", "empty batch: items must carry at least one entry")
-	}
-	if n > s.maxBatchItems {
-		return wfmserr.New(wfmserr.CodeInvalidRequest, "server",
-			"batch of %d items exceeds the %d-item limit; split it", n, s.maxBatchItems).
-			With("items", n).With("max_items", s.maxBatchItems)
-	}
-	return nil
+func (b *batchCounters) note(items int, builds uint64) {
+	b.items.Add(uint64(items))
+	b.builds.Add(builds)
+}
+
+func (b *batchCounters) stats(resp *StatsResponse) {
+	resp.Batch = BatchStatsJSON{Items: b.items.Load(), Builds: b.builds.Load()}
 }
 
 // batchItem is the decoded, fingerprinted form of one batch entry,
@@ -59,8 +50,9 @@ type batchItem struct {
 	err   error // decode/validation failure; item is skipped
 }
 
-// decodeItem decodes and fingerprints one item's system under its
-// effective model options (the item's own, else the batch default).
+// decodeItem decodes and fingerprints one system under its effective
+// model options (model, else the batch default): a batch item, a
+// deployment or a calibration.
 func decodeItem(doc *wfjson.Document, model *ModelJSON, batchDefault ModelJSON) batchItem {
 	eff := batchDefault
 	if model != nil {
@@ -82,19 +74,6 @@ func decodeItem(doc *wfjson.Document, model *ModelJSON, batchDefault ModelJSON) 
 		return batchItem{err: err}
 	}
 	return batchItem{env: env, flows: flows, fp: fp, popts: popts}
-}
-
-// countGroups counts the distinct (fingerprint, options) groups among
-// the decodable items — the number of model resolutions the batch needs.
-func countGroups(items []batchItem) int {
-	seen := make(map[string]struct{}, len(items))
-	for _, it := range items {
-		if it.err != nil {
-			continue
-		}
-		seen[entryKey(it.fp, it.popts)] = struct{}{}
-	}
-	return len(seen)
 }
 
 // itemError converts a per-item failure into its wire form with the
@@ -130,52 +109,69 @@ func (s *Server) forEachItem(n, par int, fn func(i int), fail func(i int, err er
 	wg.Wait()
 }
 
-func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
-	var req AssessBatchRequest
-	if err := s.decodeBody(w, r, &req, nil); err != nil {
-		s.writeError(w, r, decodeStatus(err), err)
-		return
+// batchTotals are the response totals both batch replies carry.
+type batchTotals struct {
+	groups, builds, warm int
+	elapsedMS            float64
+}
+
+// serveBatch is the one batch path, after the body is decoded: the
+// envelope checks, the deadline, one admission pass for the tenant,
+// decoding and fingerprinting n items, the fan-out, the counters and the
+// totals. decode decodes item i; work runs a decoded item against its
+// resolved model and returns the item's error, if any; fail records item
+// i's error. ok is false iff the batch was refused, with the error
+// response written.
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, n int, timeoutMS int64, tenant string,
+	decode func(i int) batchItem,
+	work func(ctx context.Context, i int, it *batchItem, entry *modelEntry, warm bool) error,
+	fail func(i int, err *ErrorResponse),
+) (t batchTotals, ok bool) {
+	err := validateTimeout(timeoutMS)
+	switch {
+	case err != nil:
+	case n == 0:
+		err = wfmserr.New(wfmserr.CodeInvalidRequest, "server", "empty batch: items must carry at least one entry")
+	case n > s.opts.MaxBatchItems:
+		err = wfmserr.New(wfmserr.CodeInvalidRequest, "server",
+			"batch of %d items exceeds the %d-item limit; split it", n, s.opts.MaxBatchItems).
+			With("items", n).With("max_items", s.opts.MaxBatchItems)
 	}
-	if err := validateTimeout(req.TimeoutMillis); err != nil {
+	if err != nil {
 		s.writeError(w, r, http.StatusUnprocessableEntity, err)
-		return
+		return t, false
 	}
-	if err := s.validateBatchSize(len(req.Items)); err != nil {
-		s.writeError(w, r, http.StatusUnprocessableEntity, err)
-		return
-	}
-	n := len(req.Items)
-	ctx, cancel := s.requestContext(r, req.TimeoutMillis)
+	ctx, cancel := s.deadline(r.Context(), timeoutMS)
 	defer cancel()
-	weight := s.batchWeight(n)
-	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), weight)
+	weight := s.admission.width(n)
+	release, err := s.admission.acquire(ctx, tenantOf(r, tenant), weight)
 	if err != nil {
 		s.writeError(w, r, quotaStatus(err), err)
-		return
+		return t, false
 	}
 	defer release()
 
 	began := time.Now()
 	items := make([]batchItem, n)
-	for i := range req.Items {
-		items[i] = decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model)
+	groups := make(map[string]bool, n) // distinct (fingerprint, options) keys: the model resolutions needed
+	for i := range items {
+		if items[i] = decode(i); items[i].err == nil {
+			groups[entryKey(items[i].fp, items[i].popts)] = true
+		}
 	}
 	// Fan out over items under the batch's token weight: weight items
 	// run concurrently. The single-flight cache serializes cold builds
 	// per group, so concurrent items of one group cost one build.
-	results := make([]AssessBatchItemJSON, n)
 	var builds, warmHits atomic.Uint64
 	s.forEachItem(n, weight, func(i int) {
-		out := &results[i]
-		out.Index = i
-		it := items[i]
+		it := &items[i]
 		if it.err != nil {
-			out.Error = itemError(it.err, http.StatusBadRequest)
+			fail(i, itemError(it.err, http.StatusBadRequest))
 			return
 		}
 		entry, warm, err := s.resolveDecoded(ctx, it.env, it.flows, it.fp, it.popts)
 		if err != nil {
-			out.Error = itemError(err, badRequestOr(err))
+			fail(i, itemError(err, badRequestOr(err)))
 			return
 		}
 		if warm {
@@ -183,31 +179,41 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		} else {
 			builds.Add(1)
 		}
-		as, err := config.AssessContext(ctx, entry.analysis, perf.Config{Replicas: req.Items[i].Config}, req.Items[i].Goals.toGoals(), config.Options{
-			Performability: it.popts,
-			Evaluator:      entry.ev,
-		})
-		if err != nil {
-			out.Error = itemError(err, statusForError(err))
-			return
+		if err := work(ctx, i, it, entry, warm); err != nil {
+			fail(i, itemError(err, statusForError(err)))
 		}
-		a := assessmentJSON(as)
-		out.Fingerprint = entry.fingerprint
-		out.ServerTypes = typeNames(entry)
-		out.Assessment = &a
-		out.CacheWarm = warm
-	}, func(i int, err error) {
-		results[i] = AssessBatchItemJSON{Index: i, Error: itemError(err, http.StatusInternalServerError)}
-	})
-	s.batchItems.Add(uint64(n))
-	s.batchBuilds.Add(builds.Load())
-	s.writeJSON(w, http.StatusOK, AssessBatchResponse{
-		Items:       results,
-		Groups:      countGroups(items),
-		ModelBuilds: int(builds.Load()),
-		CacheWarm:   int(warmHits.Load()),
-		ElapsedMS:   float64(time.Since(began).Microseconds()) / 1e3,
-	})
+	}, func(i int, err error) { fail(i, itemError(err, http.StatusInternalServerError)) })
+	s.batches.note(n, builds.Load())
+	return batchTotals{
+		groups:    len(groups),
+		builds:    int(builds.Load()),
+		warm:      int(warmHits.Load()),
+		elapsedMS: float64(time.Since(began).Microseconds()) / 1e3,
+	}, true
+}
+
+func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
+	var req AssessBatchRequest
+	if err := s.decodeBody(w, r, &req, nil); err != nil {
+		s.writeError(w, r, decodeStatus(err), err)
+		return
+	}
+	results := make([]AssessBatchItemJSON, len(req.Items))
+	t, ok := s.serveBatch(w, r, len(req.Items), req.TimeoutMillis, req.Tenant,
+		func(i int) batchItem { return decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model) },
+		func(ctx context.Context, i int, it *batchItem, entry *modelEntry, warm bool) error {
+			as, err := entry.assess(ctx, req.Items[i].Config, req.Items[i].Goals.toGoals(), it.popts)
+			if err != nil {
+				return err
+			}
+			a := assessmentJSON(as)
+			results[i] = AssessBatchItemJSON{Index: i, Fingerprint: entry.fingerprint, ServerTypes: typeNames(entry.env), Assessment: &a, CacheWarm: warm}
+			return nil
+		},
+		func(i int, err *ErrorResponse) { results[i] = AssessBatchItemJSON{Index: i, Error: err} })
+	if ok {
+		s.writeJSON(w, http.StatusOK, AssessBatchResponse{Items: results, Groups: t.groups, ModelBuilds: t.builds, CacheWarm: t.warm, ElapsedMS: t.elapsedMS})
+	}
 }
 
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
@@ -216,74 +222,27 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
-	if err := validateTimeout(req.TimeoutMillis); err != nil {
-		s.writeError(w, r, http.StatusUnprocessableEntity, err)
-		return
+	results := make([]RecommendBatchItemJSON, len(req.Items))
+	planners := make([]string, len(req.Items))
+	t, ok := s.serveBatch(w, r, len(req.Items), req.TimeoutMillis, req.Tenant,
+		func(i int) batchItem {
+			it := decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model)
+			if it.err == nil {
+				planners[i], it.err = validatePlanner(req.Items[i].Planner)
+			}
+			return it
+		},
+		func(ctx context.Context, i int, it *batchItem, entry *modelEntry, warm bool) error {
+			itemReq := &RecommendRequest{Goals: req.Items[i].Goals, Constraints: req.Items[i].Constraints}
+			rec, err := s.runRecommend(ctx, entry, warm, planners[i], itemReq, it.popts)
+			if err != nil {
+				return err
+			}
+			results[i] = RecommendBatchItemJSON{Index: i, Recommendation: rec}
+			return nil
+		},
+		func(i int, err *ErrorResponse) { results[i] = RecommendBatchItemJSON{Index: i, Error: err} })
+	if ok {
+		s.writeJSON(w, http.StatusOK, RecommendBatchResponse{Items: results, Groups: t.groups, ModelBuilds: t.builds, CacheWarm: t.warm, ElapsedMS: t.elapsedMS})
 	}
-	if err := s.validateBatchSize(len(req.Items)); err != nil {
-		s.writeError(w, r, http.StatusUnprocessableEntity, err)
-		return
-	}
-	n := len(req.Items)
-	ctx, cancel := s.requestContext(r, req.TimeoutMillis)
-	defer cancel()
-	weight := s.batchWeight(n)
-	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), weight)
-	if err != nil {
-		s.writeError(w, r, quotaStatus(err), err)
-		return
-	}
-	defer release()
-
-	began := time.Now()
-	items := make([]batchItem, n)
-	planners := make([]string, n)
-	for i := range req.Items {
-		items[i] = decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model)
-		if items[i].err == nil {
-			planners[i], items[i].err = validatePlanner(req.Items[i].Planner)
-		}
-	}
-	results := make([]RecommendBatchItemJSON, n)
-	var builds, warmHits atomic.Uint64
-	s.forEachItem(n, weight, func(i int) {
-		out := &results[i]
-		out.Index = i
-		it := items[i]
-		if it.err != nil {
-			out.Error = itemError(it.err, http.StatusBadRequest)
-			return
-		}
-		entry, warm, err := s.resolveDecoded(ctx, it.env, it.flows, it.fp, it.popts)
-		if err != nil {
-			out.Error = itemError(err, badRequestOr(err))
-			return
-		}
-		if warm {
-			warmHits.Add(1)
-		} else {
-			builds.Add(1)
-		}
-		itemReq := &RecommendRequest{
-			Goals:       req.Items[i].Goals,
-			Constraints: req.Items[i].Constraints,
-		}
-		rec, err := s.runRecommend(ctx, entry, warm, planners[i], itemReq, it.popts)
-		if err != nil {
-			out.Error = itemError(err, statusForError(err))
-			return
-		}
-		out.Recommendation = rec
-	}, func(i int, err error) {
-		results[i] = RecommendBatchItemJSON{Index: i, Error: itemError(err, http.StatusInternalServerError)}
-	})
-	s.batchItems.Add(uint64(n))
-	s.batchBuilds.Add(builds.Load())
-	s.writeJSON(w, http.StatusOK, RecommendBatchResponse{
-		Items:       results,
-		Groups:      countGroups(items),
-		ModelBuilds: int(builds.Load()),
-		CacheWarm:   int(warmHits.Load()),
-		ElapsedMS:   float64(time.Since(began).Microseconds()) / 1e3,
-	})
 }

@@ -86,6 +86,42 @@ func TestAssessBatchAmortizesBuilds(t *testing.T) {
 	}
 }
 
+// TestBatchWithinTenantBudget pins the batch weight under tenant
+// quotas: a batch with more items than the tenant budget is admitted on
+// an idle server at the budget's width, every item answers, and its
+// tokens come back afterwards.
+func TestBatchWithinTenantBudget(t *testing.T) {
+	doc, _ := paperSystem(t)
+	_, ts := newTestServer(t, Options{Workers: 4, TenantBudget: 2})
+
+	req := AssessBatchRequest{Tenant: "alice"}
+	for _, cfg := range batchConfigs() {
+		req.Items = append(req.Items, AssessBatchItem{System: doc, Config: cfg, Goals: GoalsJSON{MaxUnavailability: 1e-5}})
+	}
+	var resp AssessBatchResponse
+	if status, e := postRaw(t, ts.URL+"/v1/assess-batch", mustJSON(t, req)); status != http.StatusOK {
+		t.Fatalf("batch of %d items under budget 2: status %d (%s: %s), want 200", len(req.Items), status, e.Code, e.Error)
+	}
+	if status := postJSON(t, ts.URL+"/v1/assess-batch", req, &resp); status != http.StatusOK {
+		t.Fatalf("second batch status = %d, want 200", status)
+	}
+	for i, item := range resp.Items {
+		if item.Error != nil || item.Assessment == nil {
+			t.Errorf("item %d: %+v, want an assessment", i, item.Error)
+		}
+	}
+	var stats StatsResponse
+	if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
+		t.Fatalf("stats status = %d", status)
+	}
+	if alice := stats.Tenants["alice"]; alice.Requests != 2 || alice.Rejections != 0 || alice.InUse != 0 {
+		t.Errorf("alice stats = %+v, want requests=2 rejections=0 in_use=0", alice)
+	}
+	if stats.Admission.InUse != 0 {
+		t.Errorf("admission in_use = %d after the batches, want 0", stats.Admission.InUse)
+	}
+}
+
 // TestConcurrentBatchBitIdenticalToSingletons is the PR's e2e race
 // gate: batch requests racing singleton requests over the same system
 // must all return results bit-identical to the direct planner — the
@@ -278,7 +314,7 @@ func TestForEachItemContainsPanics(t *testing.T) {
 			t.Errorf("item %d: done %v, err %v; want completed without error", i, done[i], errs[i])
 		}
 	}
-	if got := s.panics.Load(); got != 1 {
+	if got := s.errs.panics.Load(); got != 1 {
 		t.Errorf("recovered panics = %d, want 1", got)
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 
+	"performa/internal/config"
 	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/spec"
@@ -51,26 +53,37 @@ type modelEntry struct {
 	err   error         // build error, set before ready closes
 }
 
+// assess evaluates a replica vector against goals on the entry's warm
+// evaluator.
+func (e *modelEntry) assess(ctx context.Context, replicas []int, goals config.Goals, popts performability.Options) (*config.Assessment, error) {
+	return config.AssessContext(ctx, e.analysis, perf.Config{Replicas: replicas}, goals, config.Options{Performability: popts, Evaluator: e.ev})
+}
+
 // modelCache is a bounded LRU of warm model entries keyed by
 // (system fingerprint, evaluation options). Concurrent requests for the
 // same key share one build: later arrivals block on the entry's ready
 // channel instead of solving the models again.
 type modelCache struct {
 	max int
+	log *slog.Logger
 
 	mu      sync.Mutex
 	ll      *list.List // front = most recently used
 	entries map[string]*list.Element
 
 	hits, misses, evictions atomic.Uint64
+	// clamped counts stage-clamped subworkflow collapses across cold
+	// builds (see noteClamped).
+	clamped atomic.Uint64
 }
 
-func newModelCache(max int) *modelCache {
+func newModelCache(max int, log *slog.Logger) *modelCache {
 	if max < 1 {
 		max = 1
 	}
 	return &modelCache{
 		max:     max,
+		log:     log,
 		ll:      list.New(),
 		entries: make(map[string]*list.Element),
 	}
@@ -123,12 +136,26 @@ func (c *modelCache) getOrBuild(ctx context.Context, key string, build func(*mod
 		c.mu.Unlock()
 		return nil, false, e.err
 	}
+	c.noteClamped(e)
 	// The entry is ready and therefore evictable again; reclaim any
 	// overflow its pinned residency deferred.
 	c.mu.Lock()
 	c.evictOverflow()
 	c.mu.Unlock()
 	return e, false, nil
+}
+
+// noteClamped logs and counts a cold build whose subworkflow collapse
+// clamped moment-matched stage counts: the collapsed chain's residence
+// variance is floored at the Erlang cap, so downstream variance-derived
+// quantities (not the means) are approximate for this system.
+func (c *modelCache) noteClamped(e *modelEntry) {
+	if e.clampedStages == 0 {
+		return
+	}
+	c.clamped.Add(uint64(e.clampedStages))
+	c.log.Warn("subworkflow collapse clamped Erlang stage expansion",
+		"fingerprint", e.fingerprint, "clamped_stages", e.clampedStages)
 }
 
 // evictOverflow trims the cache back to max entries, least recently used
@@ -185,6 +212,32 @@ func (c *modelCache) invalidateFingerprint(fp string) int {
 		}
 	}
 	return n
+}
+
+// byFingerprint returns the most recently used ready entry built for
+// the system fingerprint under any evaluation options, or nil.
+func (c *modelCache) byFingerprint(fp string) *modelEntry {
+	for _, e := range c.snapshot() {
+		if e.fingerprint == fp {
+			return e
+		}
+	}
+	return nil
+}
+
+func (c *modelCache) stats(resp *StatsResponse) {
+	resp.ModelCache.Size = c.len()
+	resp.ModelCache.Max = c.max
+	resp.ModelCache.Hits = c.hits.Load()
+	resp.ModelCache.Misses = c.misses.Load()
+	resp.ModelCache.Evictions = c.evictions.Load()
+	resp.ClampedStages = c.clamped.Load()
+	for _, e := range c.snapshot() {
+		resp.Evaluators = append(resp.Evaluators, EvaluatorStatsJSON{
+			Fingerprint: e.fingerprint,
+			Marginals:   e.ev.Marginals().Size(),
+		})
+	}
 }
 
 // snapshot returns the resident entries, most recently used first.
@@ -275,7 +328,7 @@ func (s *Server) resolveDecoded(ctx context.Context, env *spec.Environment, flow
 	var gen uint64
 	st := s.streams.lookup(fp)
 	if st != nil {
-		gen = st.generationNow()
+		_, _, gen, _ = st.snapshot()
 	}
 	if gen > 0 {
 		key = fmt.Sprintf("%s|gen=%d", key, gen)
@@ -284,13 +337,13 @@ func (s *Server) resolveDecoded(ctx context.Context, env *spec.Environment, flow
 		benv, bflows := env, flows
 		if gen > 0 {
 			var rerr error
-			benv, bflows, rerr = s.recalibratedSystem(st, env, flows)
+			benv, bflows, rerr = st.recalibrated(env, flows)
 			if rerr != nil {
 				// A drifted model that cannot be re-estimated degrades to
 				// the posted parameters instead of failing the request;
 				// the next drift crossing bumps the generation and
 				// retries.
-				s.log.Warn("drift recalibration failed; building from posted document",
+				s.opts.Logger.Warn("drift recalibration failed; building from posted document",
 					"fingerprint", fp, "err", rerr)
 			}
 		}
@@ -298,9 +351,6 @@ func (s *Server) resolveDecoded(ctx context.Context, env *spec.Environment, flow
 	})
 	if err != nil {
 		return nil, false, err
-	}
-	if !warm {
-		s.noteClamped(fp, entry.clampedStages)
 	}
 	if gen > 0 && !warm {
 		// A fresh post-drift build defines the new comparison point:

@@ -15,7 +15,7 @@ import (
 // fix pins not-yet-ready entries against eviction (the cache may exceed
 // max transiently) and reclaims the overflow once the build completes.
 func TestCacheSingleFlightSurvivesOverflow(t *testing.T) {
-	c := newModelCache(2)
+	c := newModelCache(2, testLogger())
 	ctx := context.Background()
 
 	release := make(chan struct{})
@@ -92,7 +92,7 @@ func TestCacheSingleFlightSurvivesOverflow(t *testing.T) {
 // evictable and the cache grows past max rather than breaking any
 // in-flight single-flight; the overflow drains as builds finish.
 func TestCacheOverflowWithOnlyBuildingEntries(t *testing.T) {
-	c := newModelCache(1)
+	c := newModelCache(1, testLogger())
 	ctx := context.Background()
 	release := make(chan struct{})
 	var wg []chan error

@@ -15,11 +15,13 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"performa/internal/config"
@@ -28,7 +30,6 @@ import (
 	"performa/internal/sensitivity"
 	"performa/internal/spec"
 	"performa/internal/stream"
-	"performa/internal/wfjson"
 	"performa/internal/wfmserr"
 )
 
@@ -126,12 +127,6 @@ func (r *deploymentRegistry) snapshot() []*deployment {
 	return out
 }
 
-func (r *deploymentRegistry) len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.deps)
-}
-
 // advisoryLog is a bounded ring of emitted advisories with monotonic
 // IDs; readers poll with since_id.
 type advisoryLog struct {
@@ -176,37 +171,123 @@ func (l *advisoryLog) list(fp string, sinceID uint64) []AdvisoryJSON {
 	return out
 }
 
-// notifyDrift hands a threshold crossing to the controller without
-// blocking the ingestion path: a full queue drops the event (counted),
-// and the next crossing of a later generation retries. Crossings for
-// systems with no registered deployment are ignored — drift-triggered
-// cache invalidation already handled them.
-func (s *Server) notifyDrift(ev driftEvent) {
-	if s.driftCh == nil || s.deployments.lookup(ev.fingerprint) == nil {
+// controller is the reconfiguration controller: the registered
+// deployments, the advisory log, the drift queue feeding the loop
+// goroutine and that goroutine's lifecycle, and the re-plan counters.
+// Its cancel is invoked at Shutdown start, before the in-flight waits,
+// so a mid-re-plan controller unwinds promptly instead of deadlocking
+// the drain.
+type controller struct {
+	log         *slog.Logger
+	deployments *deploymentRegistry
+	advisories  *advisoryLog
+	queue       chan driftEvent // nil unless started
+
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
+	advised, failed, dropped atomic.Uint64
+	latency                  *histogram // drift crossing to advisory
+	lastAdvisoryNS           atomic.Int64
+}
+
+func newController(log *slog.Logger) *controller {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &controller{
+		log:         log,
+		deployments: newDeploymentRegistry(),
+		advisories:  newAdvisoryLog(),
+		ctx:         ctx,
+		cancel:      cancel,
+		latency:     newHistogram(),
+	}
+}
+
+// start runs the loop: replan serializes re-plans (one at a time, each
+// holding one admission token) until the controller is canceled.
+func (c *controller) start(replan func(driftEvent)) {
+	// Room for a burst of crossings across deployments while one re-plan
+	// runs; past it notify drops and counts.
+	c.queue = make(chan driftEvent, 64)
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		for {
+			select {
+			case <-c.ctx.Done():
+				return
+			case ev := <-c.queue:
+				replan(ev)
+			}
+		}
+	}()
+}
+
+// notify hands a threshold crossing to the loop without blocking the
+// ingestion path: a full queue drops the event (counted), and the next
+// crossing of a later generation retries. Crossings for systems with no
+// registered deployment are ignored — drift-triggered cache
+// invalidation already handled them.
+func (c *controller) notify(ev driftEvent) {
+	if c.queue == nil || c.deployments.lookup(ev.fingerprint) == nil {
 		return
 	}
 	select {
-	case s.driftCh <- ev:
+	case c.queue <- ev:
 	default:
-		s.driftDropped.Add(1)
-		s.log.Warn("reconfiguration queue full; dropping drift event",
+		c.dropped.Add(1)
+		c.log.Warn("reconfiguration queue full; dropping drift event",
 			"fingerprint", ev.fingerprint, "generation", ev.generation)
 	}
 }
 
-// controllerLoop is the reconfiguration controller: it serializes
-// re-plans (one at a time, each holding one admission token) and stops
-// when the controller context is canceled.
-func (s *Server) controllerLoop() {
-	defer s.ctrlWG.Done()
-	for {
-		select {
-		case <-s.ctrlCtx.Done():
-			return
-		case ev := <-s.driftCh:
-			s.runReconfigure(ev)
-		}
+// refused counts a re-plan that got no admission token before its
+// deadline or the controller's shutdown.
+func (c *controller) refused() { c.failed.Add(1) }
+
+// emit finalizes and logs one advisory: latency from the drift
+// crossing, the outcome counters, and the append to the advisory ring.
+func (c *controller) emit(dep *deployment, adv AdvisoryJSON, at time.Time, planErr error) {
+	latency := time.Since(at)
+	adv.LatencyMS = float64(latency.Microseconds()) / 1e3
+	adv.UnixMS = time.Now().UnixMilli()
+	outcome := "advised"
+	if planErr != nil {
+		outcome = "failed"
+		adv.PlannerError = planErr.Error()
+		adv.PlannerCode = errorCode(statusForError(planErr), planErr)
+		c.failed.Add(1)
+	} else {
+		c.advised.Add(1)
 	}
+	c.latency.observe(latency)
+	c.lastAdvisoryNS.Store(time.Now().UnixNano())
+	id := c.advisories.append(adv)
+	dep.noteAdvisory()
+	c.log.Info("reconfiguration advisory",
+		"id", id,
+		"fingerprint", adv.Fingerprint,
+		"generation", adv.Generation,
+		"outcome", outcome,
+		"old_config", adv.OldConfig,
+		"new_config", adv.NewConfig,
+		"latency", latency,
+	)
+}
+
+// writeMetrics writes the controller's series; none is on /v1/stats.
+func (c *controller) writeMetrics(p *promWriter) {
+	p.metric("wfmsd_deployments", "gauge", "Registered deployments under reconfiguration control.", len(c.deployments.snapshot()))
+	p.family("wfmsd_reconfigurations_total", "counter", "Drift-triggered re-plans by outcome.")
+	p.sample("wfmsd_reconfigurations_total", c.advised.Load(), label("outcome", "advised"))
+	p.sample("wfmsd_reconfigurations_total", c.failed.Load(), label("outcome", "failed"))
+	p.metric("wfmsd_drift_events_dropped_total", "counter", "Drift events the full reconfiguration queue dropped.", c.dropped.Load())
+	if last := c.lastAdvisoryNS.Load(); last > 0 {
+		p.metric("wfmsd_advisory_age_seconds", "gauge", "Seconds since the last reconfiguration advisory.", time.Since(time.Unix(0, last)).Seconds())
+	}
+	p.family("wfmsd_reconfigure_latency_seconds", "histogram", "Drift-to-advisory latency histogram.")
+	c.latency.writePrometheus(p, "wfmsd_reconfigure_latency_seconds")
 }
 
 // runReconfigure executes one drift-triggered re-plan: rebuild the
@@ -215,7 +296,7 @@ func (s *Server) controllerLoop() {
 // the result's sensitivities, and emit the advisory. Planning failures
 // emit a failure advisory instead of vanishing.
 func (s *Server) runReconfigure(ev driftEvent) {
-	dep := s.deployments.lookup(ev.fingerprint)
+	dep := s.ctrl.deployments.lookup(ev.fingerprint)
 	if dep == nil {
 		return
 	}
@@ -224,40 +305,33 @@ func (s *Server) runReconfigure(ev driftEvent) {
 		Generation:  ev.generation,
 		Trigger:     ev.score,
 	}
-	defer s.recoverPanic("re-plan", func(err error) { s.emitAdvisory(dep, adv, ev.at, err) })
-	ctx := s.ctrlCtx
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-	}
+	defer s.recoverPanic("re-plan", func(err error) { s.ctrl.emit(dep, adv, ev.at, err) })
+	ctx, cancel := s.deadline(s.ctrl.ctx, 0)
+	defer cancel()
 	// The controller competes for workers like any client: a re-plan
 	// must not starve interactive requests.
-	if err := s.admission.Acquire(ctx, 1); err != nil {
-		s.reconfigFailed.Add(1)
+	release, err := s.admission.acquire(ctx, "", 1)
+	if err != nil {
+		s.ctrl.refused()
 		return
 	}
-	defer s.admission.Release(1)
+	defer release()
 
 	adv.OldConfig = dep.currentConfig()
 	entry, _, err := s.resolveDecoded(ctx, dep.env, dep.flows, dep.fingerprint, dep.popts)
 	if err != nil {
-		s.emitAdvisory(dep, adv, ev.at, err)
+		s.ctrl.emit(dep, adv, ev.at, err)
 		return
 	}
-	opts := config.Options{
-		Performability: dep.popts,
-		Evaluator:      entry.ev,
-	}
-	if oldAs, err := config.AssessContext(ctx, entry.analysis, perf.Config{Replicas: adv.OldConfig}, dep.goals, opts); err == nil {
+	if oldAs, err := entry.assess(ctx, adv.OldConfig, dep.goals, dep.popts); err == nil {
 		aj := assessmentJSON(oldAs)
 		adv.OldAssessment = &aj
 	}
 	cons := dep.cons
 	cons.StartFrom = adv.OldConfig
-	rec, err := config.GreedyContext(ctx, entry.analysis, dep.goals, cons, opts)
+	rec, err := config.GreedyContext(ctx, entry.analysis, dep.goals, cons, config.Options{Performability: dep.popts, Evaluator: entry.ev})
 	if err != nil {
-		s.emitAdvisory(dep, adv, ev.at, err)
+		s.ctrl.emit(dep, adv, ev.at, err)
 		return
 	}
 	adv.NewConfig = rec.Config.Replicas
@@ -273,45 +347,11 @@ func (s *Server) runReconfigure(ev driftEvent) {
 	// recommended configuration.
 	if table, terr := sensitivity.Compute(ctx, entry.ev, rec.Config, sensitivity.Options{}); terr == nil {
 		adv.Justification = table.Summary
-		n := len(table.Entries)
-		if n > advisoryTopFactors {
-			n = advisoryTopFactors
-		}
-		adv.TopFactors = sensitivityEntriesJSON(table.Entries[:n])
+		adv.TopFactors = sensitivityEntriesJSON(table.Entries[:min(len(table.Entries), advisoryTopFactors)])
 	} else {
-		s.log.Warn("advisory sensitivity analysis failed", "fingerprint", ev.fingerprint, "err", terr)
+		s.opts.Logger.Warn("advisory sensitivity analysis failed", "fingerprint", ev.fingerprint, "err", terr)
 	}
-	s.emitAdvisory(dep, adv, ev.at, nil)
-}
-
-// emitAdvisory finalizes and logs one advisory: latency from the drift
-// crossing, metrics, and the append to the advisory ring.
-func (s *Server) emitAdvisory(dep *deployment, adv AdvisoryJSON, at time.Time, planErr error) {
-	latency := time.Since(at)
-	adv.LatencyMS = float64(latency.Microseconds()) / 1e3
-	adv.UnixMS = time.Now().UnixMilli()
-	outcome := "advised"
-	if planErr != nil {
-		outcome = "failed"
-		adv.PlannerError = planErr.Error()
-		adv.PlannerCode = errorCode(statusForError(planErr), planErr)
-		s.reconfigFailed.Add(1)
-	} else {
-		s.reconfigAdvised.Add(1)
-	}
-	s.reconfigLatency.observe(latency)
-	s.lastAdvisoryNS.Store(time.Now().UnixNano())
-	id := s.advisories.append(adv)
-	dep.noteAdvisory()
-	s.log.Info("reconfiguration advisory",
-		"id", id,
-		"fingerprint", adv.Fingerprint,
-		"generation", adv.Generation,
-		"outcome", outcome,
-		"old_config", adv.OldConfig,
-		"new_config", adv.NewConfig,
-		"latency", latency,
-	)
+	s.ctrl.emit(dep, adv, ev.at, nil)
 }
 
 // handleDeploymentPost registers (or replaces) a deployment: the model
@@ -323,33 +363,20 @@ func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
-	popts, err := req.Model.toOptions()
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+	it := decodeItem(&req.System, &req.Model, ModelJSON{})
+	if it.err != nil {
+		s.writeError(w, r, http.StatusBadRequest, it.err)
 		return
 	}
-	if err := rejectNetTurnaround(req.Model); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	env, flows, err := wfjson.FromDocument(&req.System)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	fp, err := wfjson.Fingerprint(env, flows)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
+	env, flows, fp, popts := it.env, it.flows, it.fp, it.popts
 	if len(req.Config) != env.K() {
 		s.writeError(w, r, http.StatusBadRequest, wfmserr.New(wfmserr.CodeInvalidRequest, "server",
 			"%d replica counts for %d server types", len(req.Config), env.K()))
 		return
 	}
-	ctx, cancel := s.requestContext(r, 0)
+	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), 1)
+	release, err := s.admission.acquire(ctx, tenantOf(r, req.Tenant), 1)
 	if err != nil {
 		s.writeError(w, r, quotaStatus(err), err)
 		return
@@ -361,10 +388,7 @@ func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, badRequestOr(err), err)
 		return
 	}
-	as, err := config.AssessContext(ctx, entry.analysis, perf.Config{Replicas: req.Config}, req.Goals.toGoals(), config.Options{
-		Performability: popts,
-		Evaluator:      entry.ev,
-	})
+	as, err := entry.assess(ctx, req.Config, req.Goals.toGoals(), popts)
 	if err != nil {
 		s.writeError(w, r, statusForError(err), err)
 		return
@@ -386,19 +410,15 @@ func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 		assessment:  &aj,
 	}
 	dep.cons.StartFrom = nil // the controller sets it per re-plan
-	s.deployments.put(dep)
-	s.writeJSON(w, http.StatusOK, dep.json(typeNames(entry)))
+	s.ctrl.deployments.put(dep)
+	s.writeJSON(w, http.StatusOK, dep.json(typeNames(entry.env)))
 }
 
 // handleDeploymentList reports the registered deployments.
 func (s *Server) handleDeploymentList(w http.ResponseWriter, r *http.Request) {
 	resp := DeploymentsResponse{Deployments: []DeploymentJSON{}}
-	for _, dep := range s.deployments.snapshot() {
-		names := make([]string, dep.env.K())
-		for x := range names {
-			names[x] = dep.env.Type(x).Name
-		}
-		resp.Deployments = append(resp.Deployments, dep.json(names))
+	for _, dep := range s.ctrl.deployments.snapshot() {
+		resp.Deployments = append(resp.Deployments, dep.json(typeNames(dep.env)))
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -417,7 +437,7 @@ func (s *Server) handleAdvisories(w http.ResponseWriter, r *http.Request) {
 		}
 		sinceID = v
 	}
-	advisories := s.advisories.list(fp, sinceID)
+	advisories := s.ctrl.advisories.list(fp, sinceID)
 	resp := AdvisoriesResponse{Advisories: advisories}
 	if n := len(advisories); n > 0 {
 		resp.NextSinceID = advisories[n-1].ID
@@ -436,13 +456,7 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 			wfmserr.New(wfmserr.CodeInvalidRequest, "server", "missing fingerprint query parameter"))
 		return
 	}
-	var entry *modelEntry
-	for _, e := range s.models.snapshot() {
-		if e.fingerprint == fp {
-			entry = e
-			break
-		}
-	}
+	entry := s.models.byFingerprint(fp)
 	if entry == nil {
 		s.writeError(w, r, http.StatusNotFound, fmt.Errorf(
 			"no warm model for fingerprint %q: POST the system to /v1/assess first", fp))
@@ -459,7 +473,7 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 			}
 			replicas = append(replicas, v)
 		}
-	} else if dep := s.deployments.lookup(fp); dep != nil {
+	} else if dep := s.ctrl.deployments.lookup(fp); dep != nil {
 		replicas = dep.currentConfig()
 	} else {
 		s.writeError(w, r, http.StatusBadRequest, wfmserr.New(wfmserr.CodeInvalidRequest, "server",
@@ -471,9 +485,9 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 			"%d replica counts for %d server types", len(replicas), entry.env.K()))
 		return
 	}
-	ctx, cancel := s.requestContext(r, 0)
+	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	release, err := s.admitTenant(ctx, s.tenantOf(r, ""), 1)
+	release, err := s.admission.acquire(ctx, tenantOf(r, ""), 1)
 	if err != nil {
 		s.writeError(w, r, quotaStatus(err), err)
 		return
@@ -488,7 +502,7 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, SensitivityResponse{
 		Fingerprint:        entry.fingerprint,
-		ServerTypes:        typeNames(entry),
+		ServerTypes:        typeNames(entry.env),
 		Config:             table.Config,
 		BaseMaxWaiting:     Float(table.BaseMaxWaiting),
 		BaseUnavailability: Float(table.BaseUnavailability),

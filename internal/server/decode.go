@@ -28,17 +28,13 @@ import (
 // rejects, goes through encoding/json whole, so which route a body takes
 // changes nothing a client can see.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, system *wfjson.Document) error {
-	maxBytes := s.opts.MaxBodyBytes
-	if maxBytes == 0 {
-		maxBytes = 8 << 20
-	}
 	var buf bytes.Buffer
 	if r.ContentLength > 0 {
 		// One allocation for an ordinary body; a declared length is only a
 		// claim, so a large one still has to arrive to be allocated.
 		buf.Grow(int(min(r.ContentLength, 64<<10)) + bytes.MinRead)
 	}
-	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBytes))
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	body := buf.Bytes()
 
 	if system != nil && readErr == nil && !s.noBodySplit {

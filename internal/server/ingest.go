@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"performa/internal/audit"
@@ -38,9 +39,8 @@ type ingestStream struct {
 	// generation counts drift-triggered invalidations of this system.
 	// It is folded into the model-cache key, so generation N's rebuild
 	// can never alias generation N−1's stale entry.
-	generation    uint64
-	invalidations uint64
-	batches       uint64
+	generation uint64
+	batches    uint64
 }
 
 // noteScore records the batch's drift score and reports whether this
@@ -54,24 +54,17 @@ func (st *ingestStream) noteScore(score stream.Score, th stream.Thresholds) (cro
 	if !st.drifted && score.Exceeds(th) {
 		st.drifted = true
 		st.generation++
-		st.invalidations++
 		crossed = true
 	}
 	return crossed, st.generation
 }
 
-// snapshot returns the stream's drift state under its lock.
-func (st *ingestStream) snapshot() (stream.Score, bool, uint64, uint64, uint64) {
+// snapshot returns the stream's drift state under its lock; the
+// generation is also the count of its drift invalidations.
+func (st *ingestStream) snapshot() (score stream.Score, drifted bool, generation, batches uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.score, st.drifted, st.generation, st.invalidations, st.batches
-}
-
-// generationNow returns the current rebuild generation.
-func (st *ingestStream) generationNow() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.generation
+	return st.score, st.drifted, st.generation, st.batches
 }
 
 // rebaseline swaps in the parameters of a freshly built model and
@@ -96,20 +89,32 @@ func (st *ingestStream) currentBaseline() *stream.Baseline {
 }
 
 // streamRegistry holds the per-fingerprint ingestion streams in a
-// bounded LRU: systems that stop sending events eventually age out.
+// bounded LRU (systems that stop sending events eventually age out),
+// the drift thresholds and estimator half-life they run under, and the
+// ingestion counters.
 type streamRegistry struct {
-	max int
+	max        int
+	thresholds stream.Thresholds
+	halfLife   float64
 
 	mu      sync.Mutex
 	ll      *list.List
 	streams map[string]*list.Element
+
+	events, batches, invalidations atomic.Uint64
 }
 
-func newStreamRegistry(max int) *streamRegistry {
+func newStreamRegistry(max int, thresholds stream.Thresholds, halfLife float64) *streamRegistry {
 	if max < 1 {
 		max = 1
 	}
-	return &streamRegistry{max: max, ll: list.New(), streams: make(map[string]*list.Element)}
+	return &streamRegistry{
+		max:        max,
+		thresholds: thresholds,
+		halfLife:   halfLife,
+		ll:         list.New(),
+		streams:    make(map[string]*list.Element),
+	}
 }
 
 // lookup returns the stream for the fingerprint, refreshing its LRU
@@ -125,17 +130,21 @@ func (r *streamRegistry) lookup(fp string) *ingestStream {
 	return elem.Value.(*ingestStream)
 }
 
-// getOrCreate returns the stream for the fingerprint, creating it with
-// the given initializer on first use. Creation may evict the least
-// recently used stream beyond the registry bound.
-func (r *streamRegistry) getOrCreate(fp string, init func() *ingestStream) *ingestStream {
+// getOrCreate returns the stream for the fingerprint, creating it on
+// first use with base's parameters as the drift baseline. Creation may
+// evict the least recently used stream beyond the registry bound.
+func (r *streamRegistry) getOrCreate(fp string, base *modelEntry) *ingestStream {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if elem, ok := r.streams[fp]; ok {
 		r.ll.MoveToFront(elem)
 		return elem.Value.(*ingestStream)
 	}
-	st := init()
+	st := &ingestStream{
+		fingerprint: fp,
+		est:         stream.NewEstimator(stream.Options{HalfLife: r.halfLife}),
+		baseline:    stream.NewBaseline(base.env, base.flows),
+	}
 	r.streams[fp] = r.ll.PushFront(st)
 	for r.ll.Len() > r.max {
 		back := r.ll.Back()
@@ -144,6 +153,47 @@ func (r *streamRegistry) getOrCreate(fp string, init func() *ingestStream) *inge
 		delete(r.streams, old.fingerprint)
 	}
 	return st
+}
+
+// observe feeds one event batch to st and scores it against st's
+// baseline. crossed reports this batch's threshold crossing, which bumps
+// the stream to rebuild generation gen.
+func (r *streamRegistry) observe(st *ingestStream, recs []audit.Record) (score stream.Score, crossed bool, gen uint64) {
+	st.est.ObserveBatch(recs)
+	r.events.Add(uint64(len(recs)))
+	r.batches.Add(1)
+	score = st.est.ScoreAgainst(st.currentBaseline(), r.thresholds)
+	crossed, gen = st.noteScore(score, r.thresholds)
+	if crossed {
+		r.invalidations.Add(1)
+	}
+	return score, crossed, gen
+}
+
+func (r *streamRegistry) stats(resp *StatsResponse) {
+	resp.Ingest = IngestStatsJSON{
+		Streams:       len(r.snapshot()),
+		Events:        r.events.Load(),
+		Batches:       r.batches.Load(),
+		Invalidations: r.invalidations.Load(),
+	}
+}
+
+// writeMetrics writes the latest drift score of every stream.
+func (r *streamRegistry) writeMetrics(p *promWriter) {
+	streams := r.snapshot()
+	if len(streams) == 0 {
+		return
+	}
+	p.family("wfmsd_drift_score", "gauge", "Latest drift score by system fingerprint and dimension.")
+	for _, st := range streams {
+		score, _, _, _ := st.snapshot()
+		fp := label("fingerprint", st.fingerprint)
+		p.sample("wfmsd_drift_score", score.Transition, fp, label("dimension", "transition"))
+		p.sample("wfmsd_drift_score", score.Residence, fp, label("dimension", "residence"))
+		p.sample("wfmsd_drift_score", score.Service, fp, label("dimension", "service"))
+		p.sample("wfmsd_drift_score", score.Arrival, fp, label("dimension", "arrival"))
+	}
 }
 
 // snapshot lists the registered streams, most recently used first.
@@ -157,12 +207,6 @@ func (r *streamRegistry) snapshot() []*ingestStream {
 	return out
 }
 
-func (r *streamRegistry) len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ll.Len()
-}
-
 // streamFor resolves the ingestion stream of a fingerprint, creating it
 // on first contact if a warm model with that fingerprint is resident
 // (the model supplies the drift baseline). Without one the client must
@@ -172,25 +216,12 @@ func (s *Server) streamFor(fp string) (*ingestStream, error) {
 	if st := s.streams.lookup(fp); st != nil {
 		return st, nil
 	}
-	var base *modelEntry
-	for _, e := range s.models.snapshot() {
-		if e.fingerprint == fp {
-			base = e
-			break
-		}
-	}
+	base := s.models.byFingerprint(fp)
 	if base == nil {
 		return nil, fmt.Errorf(
 			"no warm model for fingerprint %q: POST the system to /v1/assess first, then stream its events", fp)
 	}
-	baseline := stream.NewBaseline(base.env, base.flows)
-	return s.streams.getOrCreate(fp, func() *ingestStream {
-		return &ingestStream{
-			fingerprint: fp,
-			est:         stream.NewEstimator(stream.Options{HalfLife: s.opts.StreamHalfLife}),
-			baseline:    baseline,
-		}
-	}), nil
+	return s.streams.getOrCreate(fp, base), nil
 }
 
 // limitTrackingReader records whether the underlying MaxBytesReader
@@ -221,9 +252,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	maxBytes := s.opts.MaxBodyBytes
-	if maxBytes == 0 {
-		maxBytes = 8 << 20
-	}
 	tooLarge := func(limit int64) error {
 		return wfmserr.New(wfmserr.CodePayloadTooLarge, "server",
 			"event batch exceeds the %d-byte limit; split it into smaller batches", limit)
@@ -262,33 +290,28 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Ingestion shares the admission semaphore with the heavy endpoints,
 	// but at single-token weight: estimator updates are cheap, yet a
 	// flood of batches must not starve the planner pools.
-	ctx, cancel := s.requestContext(r, 0)
+	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	if err := s.admission.Acquire(ctx, 1); err != nil {
-		s.writeError(w, r, statusForError(err), err)
+	release, err := s.admission.acquire(ctx, "", 1)
+	if err != nil {
+		s.writeError(w, r, quotaStatus(err), err)
 		return
 	}
-	defer s.admission.Release(1)
+	defer release()
 
-	st.est.ObserveBatch(recs)
-	s.eventsIngested.Add(uint64(len(recs)))
-	s.eventBatches.Add(1)
-
-	score := st.est.ScoreAgainst(st.currentBaseline(), s.driftThresholds)
-	crossed, gen := st.noteScore(score, s.driftThresholds)
+	score, crossed, gen := s.streams.observe(st, recs)
 	invalidated := 0
 	if crossed {
 		invalidated = s.models.invalidateFingerprint(fp)
-		s.driftInvalidations.Add(1)
-		s.log.Info("drift detected: invalidating warm models",
+		s.opts.Logger.Info("drift detected: invalidating warm models",
 			"fingerprint", fp, "score", score.String(), "generation", gen, "entries", invalidated)
 		// Hand the crossing to the reconfiguration controller (if one
 		// is running and the system has a registered deployment): the
 		// advisory loop re-plans from the recalibrated model.
-		s.notifyDrift(driftEvent{fingerprint: fp, generation: gen, score: score, at: time.Now()})
+		s.ctrl.notify(driftEvent{fingerprint: fp, generation: gen, score: score, at: time.Now()})
 	}
 
-	_, drifted, generation, invalidations, _ := st.snapshot()
+	_, drifted, generation, _ := st.snapshot()
 	s.writeJSON(w, http.StatusOK, EventsResponse{
 		Fingerprint:   fp,
 		Records:       len(recs),
@@ -298,7 +321,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		Drifted:       drifted,
 		Generation:    generation,
 		Invalidated:   crossed,
-		Invalidations: invalidations,
+		Invalidations: generation,
 		Evicted:       invalidated,
 	})
 }
@@ -307,19 +330,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // one system via the fingerprint query parameter).
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	want := strings.TrimSpace(r.URL.Query().Get("fingerprint"))
-	resp := DriftResponse{Thresholds: DriftThresholdsJSON{
-		Transition:    s.driftThresholds.Transition,
-		Residence:     s.driftThresholds.Residence,
-		Service:       s.driftThresholds.Service,
-		Arrival:       s.driftThresholds.Arrival,
-		MinDepartures: s.driftThresholds.MinDepartures,
-		MinSamples:    s.driftThresholds.MinSamples,
-	}}
+	resp := DriftResponse{Thresholds: DriftThresholdsJSON(s.streams.thresholds)}
 	for _, st := range s.streams.snapshot() {
 		if want != "" && st.fingerprint != want {
 			continue
 		}
-		score, drifted, generation, invalidations, batches := st.snapshot()
+		score, drifted, generation, batches := st.snapshot()
 		resp.Streams = append(resp.Streams, DriftStreamJSON{
 			Fingerprint:   st.fingerprint,
 			Events:        st.est.Events(),
@@ -330,7 +346,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 			MaxScore:      score.Max(),
 			Drifted:       drifted,
 			Generation:    generation,
-			Invalidations: invalidations,
+			Invalidations: generation,
 		})
 	}
 	if want != "" && len(resp.Streams) == 0 {
@@ -341,15 +357,14 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// recalibratedSystem derives the generation-N system of a drifted
-// stream: the posted document's workflows rewritten with the stream's
+// recalibrated derives the generation-N system of a drifted stream: the posted document's workflows rewritten with the stream's
 // current estimates. The posted inputs are cloned — estimates apply to
 // private copies, never to request- or cache-shared state. On any
 // estimation failure the posted system is returned unchanged (with the
 // error, for logging): a drifted model that cannot be re-estimated must
 // degrade to designer parameters, not fail the request; the next drift
 // crossing retries.
-func (s *Server) recalibratedSystem(st *ingestStream, env *spec.Environment, flows []*spec.Workflow) (*spec.Environment, []*spec.Workflow, error) {
+func (st *ingestStream) recalibrated(env *spec.Environment, flows []*spec.Workflow) (*spec.Environment, []*spec.Workflow, error) {
 	est, err := st.est.Snapshot()
 	if err != nil {
 		return env, flows, err

@@ -70,22 +70,6 @@ func (j *job) markRunning(now time.Time) {
 	}
 }
 
-// finish records the terminal state and starts the retention clock.
-func (j *job) finish(state jobState, now, expires time.Time, result *RecommendResponse, errMsg, errCode string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return
-	}
-	j.state = state
-	j.finished = now
-	j.expires = expires
-	j.result = result
-	j.errMsg = errMsg
-	j.errCode = errCode
-	j.cancel = nil
-}
-
 // requestCancel asks the runner to stop, returning whether the job was
 // still cancelable.
 func (j *job) requestCancel() bool {
@@ -103,13 +87,6 @@ func (j *job) requestCancel() bool {
 		cancel()
 	}
 	return true
-}
-
-// canceledWanted reports whether a DELETE asked this job to stop.
-func (j *job) cancelRequested() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelWanted
 }
 
 // status snapshots the job for the wire.
@@ -149,11 +126,17 @@ func (j *job) status(now time.Time) JobStatusResponse {
 }
 
 // jobRegistry holds the resident jobs with TTL'd retention of terminal
-// ones. now is injectable for the expiry tests.
+// ones, and the lifecycle of their runners: ctx is canceled when the
+// server shuts down so no job outlives it. now is injectable for the
+// expiry tests.
 type jobRegistry struct {
 	max int
 	ttl time.Duration
 	now func() time.Time
+
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	mu   sync.Mutex
 	jobs map[string]*job
@@ -169,7 +152,41 @@ func newJobRegistry(max int, ttl time.Duration) *jobRegistry {
 	if max < 1 {
 		max = 1
 	}
-	return &jobRegistry{max: max, ttl: ttl, now: time.Now, jobs: make(map[string]*job)}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &jobRegistry{max: max, ttl: ttl, now: time.Now, ctx: ctx, cancel: cancel, jobs: make(map[string]*job)}
+}
+
+// spawn starts a runner under the registry's lifecycle context.
+func (g *jobRegistry) spawn(run func(ctx context.Context)) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		run(g.ctx)
+	}()
+}
+
+// complete records j's terminal state, starts its retention clock and
+// counts it: done with resp when err is nil, else canceled (by DELETE
+// or shutdown) or failed with err's code.
+func (g *jobRegistry) complete(j *job, resp *RecommendResponse, err error) {
+	now := g.clock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.terminal() {
+		return
+	}
+	j.finished, j.expires, j.cancel = now, now.Add(g.ttl), nil
+	switch {
+	case err == nil:
+		j.state, j.result = jobDone, resp
+		g.done.Add(1)
+	case j.cancelWanted || (errors.Is(err, context.Canceled) && g.ctx.Err() != nil):
+		j.state, j.errMsg, j.errCode = jobCanceled, err.Error(), "canceled"
+		g.canceled.Add(1)
+	default:
+		j.state, j.errMsg, j.errCode = jobFailed, err.Error(), errorCode(statusForError(err), err)
+		g.failed.Add(1)
+	}
 }
 
 // clock reads the registry's injectable clock under the lock, so the
@@ -224,8 +241,7 @@ func (g *jobRegistry) remove(id string) {
 	delete(g.jobs, id)
 }
 
-// stats snapshots the registry for /v1/stats and /metrics.
-func (g *jobRegistry) stats() JobsStatsJSON {
+func (g *jobRegistry) stats(resp *StatsResponse) {
 	g.mu.Lock()
 	g.sweepLocked(g.now())
 	byState := make(map[string]int)
@@ -236,7 +252,7 @@ func (g *jobRegistry) stats() JobsStatsJSON {
 	}
 	resident := len(g.jobs)
 	g.mu.Unlock()
-	return JobsStatsJSON{
+	resp.Jobs = JobsStatsJSON{
 		Resident:  resident,
 		ByState:   byState,
 		Submitted: g.submitted.Load(),
@@ -263,32 +279,13 @@ func newJobID() string {
 // planner or negative timeout fails the POST, not the job) and hands
 // the search to a runner goroutine.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req RecommendRequest
-	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
-		s.writeError(w, r, decodeStatus(err), err)
-		return
-	}
-	popts, err := req.Model.toOptions()
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if err := rejectNetTurnaround(req.Model); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	planner, err := validatePlanner(req.Planner)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if err := validateTimeout(req.TimeoutMillis); err != nil {
-		s.writeError(w, r, http.StatusUnprocessableEntity, err)
+	req, planner, popts, ok := s.decodeRecommend(w, r)
+	if !ok {
 		return
 	}
 	j := &job{
 		id:        newJobID(),
-		tenant:    s.tenantOf(r, req.Tenant),
+		tenant:    tenantOf(r, req.Tenant),
 		planner:   planner,
 		state:     jobQueued,
 		submitted: s.jobs.clock(),
@@ -298,8 +295,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.jobsWG.Add(1)
-	go s.runJob(j, &req, popts)
+	s.jobs.spawn(func(ctx context.Context) { s.runJob(ctx, j, req, popts) })
 	s.writeJSON(w, http.StatusAccepted, JobSubmitResponse{
 		ID:      j.id,
 		State:   string(jobQueued),
@@ -309,20 +305,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 // runJob is the job runner: admission (tenant quota + semaphore),
 // model resolution, the planner, and terminal bookkeeping. It applies
-// the same deadline policy as the synchronous endpoint — the request's
-// timeout_ms, else the server default — measured from here, not from
-// admission, so a job cannot sit in the queue forever either.
-func (s *Server) runJob(j *job, req *RecommendRequest, popts performability.Options) {
-	defer s.jobsWG.Done()
-	ctx, cancel := context.WithCancel(s.jobsCtx)
-	timeout := s.opts.RequestTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
+// the same deadline as the synchronous endpoint, measured from here,
+// not from admission, so a job cannot sit in the queue forever either.
+func (s *Server) runJob(ctx context.Context, j *job, req *RecommendRequest, popts performability.Options) {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	ctx, stop := s.deadline(ctx, req.TimeoutMillis)
+	defer stop()
 	j.mu.Lock()
 	j.cancel = cancel
 	wanted := j.cancelWanted
@@ -332,27 +321,11 @@ func (s *Server) runJob(j *job, req *RecommendRequest, popts performability.Opti
 		// installed its cancel func.
 		cancel()
 	}
+	defer s.recoverPanic("job", func(err error) { s.jobs.complete(j, nil, err) })
 
-	fail := func(err error) {
-		now := s.jobs.clock()
-		state := jobFailed
-		code := errorCode(statusForError(err), err)
-		if j.cancelRequested() || (errors.Is(err, context.Canceled) && s.jobsCtx.Err() != nil) {
-			state = jobCanceled
-			code = "canceled"
-		}
-		j.finish(state, now, now.Add(s.jobs.ttl), nil, err.Error(), code)
-		if state == jobCanceled {
-			s.jobs.canceled.Add(1)
-		} else {
-			s.jobs.failed.Add(1)
-		}
-	}
-	defer s.recoverPanic("job", fail)
-
-	release, err := s.admitTenant(ctx, j.tenant, 1)
+	release, err := s.admission.acquire(ctx, j.tenant, 1)
 	if err != nil {
-		fail(err)
+		s.jobs.complete(j, nil, err)
 		return
 	}
 	defer release()
@@ -360,20 +333,17 @@ func (s *Server) runJob(j *job, req *RecommendRequest, popts performability.Opti
 
 	entry, warm, err := s.resolveEntry(ctx, &req.System, popts)
 	if err != nil {
-		fail(err)
+		s.jobs.complete(j, nil, err)
 		return
 	}
 	resp, err := s.runRecommend(ctx, entry, warm, j.planner, req, popts)
-	if err != nil {
-		fail(err)
-		return
-	}
-	now := s.jobs.clock()
-	j.finish(jobDone, now, now.Add(s.jobs.ttl), resp, "", "")
-	s.jobs.done.Add(1)
+	s.jobs.complete(j, resp, err)
 }
 
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+// handleJob reports a job. DELETE first cancels a queued or running
+// job or, on a terminal one, discards the retained result, freeing the
+// registry slot before the TTL would.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.jobs.get(id)
 	if j == nil {
@@ -381,22 +351,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			wfmserr.New(wfmserr.CodeInvalidRequest, "server", "no job %q (unknown, expired, or deleted)", id))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, j.status(s.jobs.clock()))
-}
-
-// handleJobDelete cancels a queued or running job; on a terminal job it
-// discards the retained result instead, freeing the registry slot
-// before the TTL would.
-func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j := s.jobs.get(id)
-	if j == nil {
-		s.writeError(w, r, http.StatusNotFound,
-			wfmserr.New(wfmserr.CodeInvalidRequest, "server", "no job %q (unknown, expired, or deleted)", id))
-		return
-	}
-	if !j.requestCancel() {
-		// Already terminal: DELETE means "discard the result now".
+	if r.Method == http.MethodDelete && !j.requestCancel() {
 		s.jobs.remove(id)
 	}
 	s.writeJSON(w, http.StatusOK, j.status(s.jobs.clock()))

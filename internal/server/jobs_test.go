@@ -89,7 +89,7 @@ func TestJobLifecycleMatchesSync(t *testing.T) {
 	// queued before it may run.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.admission.Acquire(ctx, s.workers); err != nil {
+	if err := s.admission.sem.Acquire(ctx, s.admission.workers); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +113,7 @@ func TestJobLifecycleMatchesSync(t *testing.T) {
 		t.Fatalf("state = %q while the semaphore is held, want queued", st.State)
 	}
 
-	s.admission.Release(s.workers)
+	s.admission.sem.Release(s.admission.workers)
 	done := pollJob(t, jobURL, func(st JobStatusResponse) bool { return jobState(st.State).terminal() })
 	if done.State != string(jobDone) {
 		t.Fatalf("terminal state = %q (%s), want done", done.State, done.Error)
@@ -160,10 +160,10 @@ func TestJobCancelWhileQueued(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.admission.Acquire(ctx, s.workers); err != nil {
+	if err := s.admission.sem.Acquire(ctx, s.admission.workers); err != nil {
 		t.Fatal(err)
 	}
-	defer s.admission.Release(s.workers)
+	defer s.admission.sem.Release(s.admission.workers)
 
 	status, sub := submitJob(t, ts.URL+"/v1/jobs/recommend", RecommendRequest{
 		System: doc, Goals: GoalsJSON{MaxUnavailability: 1e-5},
@@ -229,7 +229,7 @@ func TestJobRegistryBound(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.admission.Acquire(ctx, s.workers); err != nil {
+	if err := s.admission.sem.Acquire(ctx, s.admission.workers); err != nil {
 		t.Fatal(err)
 	}
 
@@ -246,7 +246,7 @@ func TestJobRegistryBound(t *testing.T) {
 		t.Errorf("overflow code = %q, want %q", e.Code, wfmserr.CodeBudgetExceeded)
 	}
 
-	s.admission.Release(s.workers)
+	s.admission.sem.Release(s.admission.workers)
 	jobURL := ts.URL + "/v1/jobs/" + first.ID
 	pollJob(t, jobURL, func(st JobStatusResponse) bool { return jobState(st.State).terminal() })
 	// DELETE on a terminal job discards the retained result, freeing the
@@ -269,10 +269,10 @@ func TestJobDeadlineWhileQueued(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.admission.Acquire(ctx, s.workers); err != nil {
+	if err := s.admission.sem.Acquire(ctx, s.admission.workers); err != nil {
 		t.Fatal(err)
 	}
-	defer s.admission.Release(s.workers)
+	defer s.admission.sem.Release(s.admission.workers)
 
 	status, sub := submitJob(t, ts.URL+"/v1/jobs/recommend", RecommendRequest{
 		System: doc, Goals: GoalsJSON{MaxUnavailability: 1e-5}, TimeoutMillis: 30,

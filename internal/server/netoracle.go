@@ -48,16 +48,3 @@ func (e *modelEntry) netTurnarounds() (*TurnaroundJSON, error) {
 	})
 	return e.netTurn, e.netErr
 }
-
-// noteClamped logs and counts a cold build whose subworkflow collapse
-// clamped moment-matched stage counts: the collapsed chain's residence
-// variance is floored at the Erlang cap, so downstream variance-derived
-// quantities (not the means) are approximate for this system.
-func (s *Server) noteClamped(fingerprint string, n int) {
-	if n == 0 {
-		return
-	}
-	s.clampedStages.Add(uint64(n))
-	s.log.Warn("subworkflow collapse clamped Erlang stage expansion",
-		"fingerprint", fingerprint, "clamped_stages", n)
-}

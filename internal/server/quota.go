@@ -1,9 +1,9 @@
 package server
 
-// Per-tenant admission quotas — the multi-tenant isolation layer on top
-// of the weighted FIFO semaphore. The semaphore bounds how much planner
-// work the whole process runs at once; the quota bounds how much of
-// that budget any single tenant may hold, so one tenant flooding
+// Admission: the weighted FIFO semaphore and, on top of it, per-tenant
+// quotas — the multi-tenant isolation layer. The semaphore bounds how
+// much planner work the whole process runs at once; the quota bounds how
+// much of that budget any single tenant may hold, so one tenant flooding
 // /v1/recommend-batch cannot starve everyone else's interactive
 // requests. Quota checks are fail-fast: a breach returns a typed
 // budget_exceeded error immediately (the client should back off or use
@@ -11,10 +11,96 @@ package server
 // deadline converts the overload into an opaque 504.
 
 import (
+	"context"
+	"errors"
+	"net/http"
+	"strings"
 	"sync"
 
 	"performa/internal/wfmserr"
 )
+
+// admission is the one gate planner work passes: the semaphore of
+// Options.Workers tokens, one per concurrent planner run, and under it
+// the per-tenant quotas.
+type admission struct {
+	workers int
+	sem     *semaphore
+	quotas  *tenantQuotas
+}
+
+func newAdmission(workers, tenantBudget int) *admission {
+	return &admission{workers: workers, sem: newSemaphore(workers), quotas: newTenantQuotas(tenantBudget)}
+}
+
+// width is how many tokens a request for n concurrent planner runs
+// takes, and so how many of them it may run at once: n clamped to the
+// worker budget and, with tenant quotas on, to the tenant budget, so a
+// batch wider than either is admitted at the width it may hold instead
+// of being refused.
+func (a *admission) width(n int) int {
+	n = max(1, min(n, a.workers))
+	if a.quotas.budget > 0 {
+		n = min(n, a.quotas.budget)
+	}
+	return n
+}
+
+// acquire takes width(n) tokens for tenant and returns their release
+// func (nil iff acquire failed). The tenant's quota is debited first,
+// fail-fast with a typed budget_exceeded: a breach must surface at
+// once, not queue until the deadline turns it into a 504. Then the
+// semaphore is waited on until ctx is done. Internal work (re-plans,
+// event ingestion, calibration) passes tenant "" and skips the quota.
+func (a *admission) acquire(ctx context.Context, tenant string, n int) (func(), error) {
+	n = a.width(n)
+	releaseQuota := func() {}
+	if tenant != "" {
+		var err error
+		if releaseQuota, err = a.quotas.acquire(tenant, n); err != nil {
+			return nil, err
+		}
+	}
+	if err := a.sem.Acquire(ctx, n); err != nil {
+		releaseQuota()
+		return nil, err
+	}
+	return func() {
+		a.sem.Release(n)
+		releaseQuota()
+	}, nil
+}
+
+func (a *admission) stats(resp *StatsResponse) {
+	resp.Admission = AdmissionStatsJSON{
+		WorkerBudget: a.workers,
+		PerRequest:   1,
+		InUse:        a.sem.InUse(),
+		Waiting:      a.sem.Waiting(),
+	}
+	resp.Tenants = a.quotas.stats()
+}
+
+// tenantOf resolves the request's tenant: the body field when set, else
+// the X-Tenant header, else the catch-all default tenant.
+func tenantOf(r *http.Request, field string) string {
+	if t := strings.TrimSpace(field); t != "" {
+		return t
+	}
+	if t := strings.TrimSpace(r.Header.Get("X-Tenant")); t != "" {
+		return t
+	}
+	return defaultTenant
+}
+
+// quotaStatus is the HTTP status of an admission failure: 429 for a
+// tenant-quota rejection, else the context error's status.
+func quotaStatus(err error) int {
+	if errors.Is(err, wfmserr.ErrBudgetExceeded) {
+		return http.StatusTooManyRequests
+	}
+	return statusForError(err)
+}
 
 // defaultTenant is the bucket for requests that carry no tenant field
 // and no X-Tenant header. It is quota'd like any named tenant.
@@ -73,9 +159,6 @@ func (q *tenantQuotas) bucket(tenant string) *tenantState {
 // returned release func credits the tokens back; it is nil iff acquire
 // failed.
 func (q *tenantQuotas) acquire(tenant string, n int) (func(), error) {
-	if n < 1 {
-		n = 1
-	}
 	q.mu.Lock()
 	st := q.bucket(tenant)
 	st.requests++

@@ -57,7 +57,7 @@ func TestTenantQuotaRejectsOverBudget(t *testing.T) {
 	// semaphore.
 	s, ts := newTestServer(t, Options{Workers: 4, TenantBudget: 1})
 
-	release, err := s.quotas.acquire("alice", 1)
+	release, err := s.admission.quotas.acquire("alice", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,19 @@
 // models (the built analysis plus a performability evaluator holding the
 // availability marginals) by the system's fingerprint in a bounded LRU,
 // so repeated what-if queries over the same system skip the model build
-// entirely, and admits planner work through a weighted semaphore of
-// Options.Workers tokens, one per concurrent planner run, so concurrent
-// recommendations cannot oversubscribe the cores. Request contexts
-// thread through the planners: a client disconnect or timeout cancels
-// the in-flight search promptly, discarding partial results.
+// entirely, and admits planner work through one gate, admission.acquire:
+// a weighted semaphore of Options.Workers tokens, one per concurrent
+// planner run, under per-tenant quotas, so concurrent recommendations
+// cannot oversubscribe the cores. Request contexts thread through the
+// planners: a client disconnect or timeout cancels the in-flight search
+// promptly, discarding partial results.
+//
+// Server is an HTTP shell around one owner per concern, each holding
+// its own counters and lifecycle: admission (quota.go), the model cache
+// (cache.go), ingestion streams (ingest.go), the reconfiguration
+// controller (controller.go), async jobs (jobs.go), batch counters
+// (batch.go) and error counters (server.go). Each owner reports through
+// one stats method; /v1/stats and /metrics render that one snapshot.
 package server
 
 import (
@@ -41,7 +49,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,9 +56,9 @@ import (
 
 	"performa/internal/audit"
 	"performa/internal/config"
-	"performa/internal/linalg"
 	"performa/internal/perf"
 	"performa/internal/performability"
+	"performa/internal/spec"
 	"performa/internal/stream"
 	"performa/internal/wfjson"
 	"performa/internal/wfmserr"
@@ -113,138 +120,80 @@ type Options struct {
 // Server is the advisory service. Create with New, mount via Handler,
 // stop with Shutdown.
 type Server struct {
-	opts      Options
-	workers   int // resolved budget: concurrent planner runs
-	admission *semaphore
-	models    *modelCache
-	log       *slog.Logger
+	opts      Options // defaults resolved by New
 	mux       *http.ServeMux
 	start     time.Time
-
-	closed   atomic.Bool
-	inflight sync.WaitGroup
-	reqID    atomic.Uint64
-
+	closed    atomic.Bool
+	inflight  sync.WaitGroup
+	reqID     atomic.Uint64
 	endpoints map[string]*endpointMetrics
 
-	// Online calibration: per-system ingestion streams and the drift
-	// thresholds they are scored under.
-	streams            *streamRegistry
-	driftThresholds    stream.Thresholds
-	eventsIngested     atomic.Uint64
-	eventBatches       atomic.Uint64
-	driftInvalidations atomic.Uint64
-
-	// panics counts panics recovered by recoverPanic; errMu/errCodes
-	// count error responses by code.
-	panics   atomic.Uint64
-	errMu    sync.Mutex
-	errCodes map[string]uint64
-
-	// clampedStages counts stage-clamped subworkflow collapses across
-	// cold model builds (see noteClamped).
-	clampedStages atomic.Uint64
-
-	// Batch + async serving: the per-tenant admission quotas, the async
-	// job registry, and the lifecycle context job runners inherit
-	// (canceled when the server shuts down so no job outlives it).
-	quotas        *tenantQuotas
-	jobs          *jobRegistry
-	jobsCtx       context.Context
-	jobsCancel    context.CancelFunc
-	jobsWG        sync.WaitGroup
-	maxBatchItems int
-	batchItems    atomic.Uint64
-	batchBuilds   atomic.Uint64
-
-	// Reconfiguration controller: registered deployments, the advisory
-	// log, the drift-event queue feeding the controller goroutine, and
-	// its lifecycle. ctrlCancel is invoked at Shutdown start — before
-	// the in-flight waits — so a mid-re-plan controller unwinds
-	// promptly instead of deadlocking the drain.
-	deployments     *deploymentRegistry
-	advisories      *advisoryLog
-	driftCh         chan driftEvent
-	driftDropped    atomic.Uint64
-	ctrlCtx         context.Context
-	ctrlCancel      context.CancelFunc
-	ctrlWG          sync.WaitGroup
-	reconfigAdvised atomic.Uint64
-	reconfigFailed  atomic.Uint64
-	reconfigLatency *histogram
-	lastAdvisoryNS  atomic.Int64
+	admission *admission      // quota.go
+	models    *modelCache     // cache.go
+	streams   *streamRegistry // ingest.go
+	ctrl      *controller     // controller.go
+	jobs      *jobRegistry    // jobs.go
+	batches   batchCounters   // batch.go
+	errs      errorCounters   // server.go
 
 	// noBodySplit sends every body through encoding/json whole. Only
 	// tests set it, to hold decodeBody's two routes against each other.
 	noBodySplit bool
 }
 
+// withDefaults resolves the zero values of Options to their defaults.
+func (o Options) withDefaults() Options {
+	if o.Workers == 0 {
+		o.Workers = runtime.NumCPU()
+	}
+	o.Workers = max(o.Workers, 1)
+	if o.CacheSize == 0 {
+		o.CacheSize = 32
+	}
+	if o.MaxBodyBytes == 0 {
+		o.MaxBodyBytes = 8 << 20
+	}
+	if o.Logger == nil {
+		o.Logger = slog.Default()
+	}
+	o.Drift = o.Drift.WithDefaults()
+	if o.MaxStreams == 0 {
+		o.MaxStreams = 64
+	}
+	if o.MaxBatchItems == 0 {
+		o.MaxBatchItems = 256
+	}
+	if o.JobTTL == 0 {
+		o.JobTTL = 15 * time.Minute
+	}
+	if o.MaxJobs == 0 {
+		o.MaxJobs = 1024
+	}
+	return o
+}
+
 // New builds the service.
 func New(opts Options) *Server {
 	heapFloorOnce.Do(holdHeapFloor)
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	cacheSize := opts.CacheSize
-	if cacheSize == 0 {
-		cacheSize = 32
-	}
-	logger := opts.Logger
-	if logger == nil {
-		logger = slog.Default()
-	}
-	maxStreams := opts.MaxStreams
-	if maxStreams == 0 {
-		maxStreams = 64
-	}
-	maxBatch := opts.MaxBatchItems
-	if maxBatch == 0 {
-		maxBatch = 256
-	}
-	jobTTL := opts.JobTTL
-	if jobTTL == 0 {
-		jobTTL = 15 * time.Minute
-	}
-	maxJobs := opts.MaxJobs
-	if maxJobs == 0 {
-		maxJobs = 1024
-	}
-	jobsCtx, jobsCancel := context.WithCancel(context.Background())
-	ctrlCtx, ctrlCancel := context.WithCancel(context.Background())
+	opts = opts.withDefaults()
 	s := &Server{
-		opts:            opts,
-		workers:         workers,
-		admission:       newSemaphore(workers),
-		models:          newModelCache(cacheSize),
-		log:             logger,
-		mux:             http.NewServeMux(),
-		start:           time.Now(),
-		endpoints:       make(map[string]*endpointMetrics),
-		errCodes:        make(map[string]uint64),
-		streams:         newStreamRegistry(maxStreams),
-		driftThresholds: opts.Drift.WithDefaults(),
-		quotas:          newTenantQuotas(opts.TenantBudget),
-		jobs:            newJobRegistry(maxJobs, jobTTL),
-		jobsCtx:         jobsCtx,
-		jobsCancel:      jobsCancel,
-		maxBatchItems:   maxBatch,
-		deployments:     newDeploymentRegistry(),
-		advisories:      newAdvisoryLog(),
-		ctrlCtx:         ctrlCtx,
-		ctrlCancel:      ctrlCancel,
-		reconfigLatency: newHistogram(),
+		opts:      opts,
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
+		endpoints: make(map[string]*endpointMetrics),
+		admission: newAdmission(opts.Workers, opts.TenantBudget),
+		models:    newModelCache(opts.CacheSize, opts.Logger),
+		streams:   newStreamRegistry(opts.MaxStreams, opts.Drift, opts.StreamHalfLife),
+		ctrl:      newController(opts.Logger),
+		jobs:      newJobRegistry(opts.MaxJobs, opts.JobTTL),
 	}
 	s.route("POST /v1/assess", s.handleAssess)
 	s.route("POST /v1/recommend", s.handleRecommend)
 	s.route("POST /v1/assess-batch", s.handleAssessBatch)
 	s.route("POST /v1/recommend-batch", s.handleRecommendBatch)
 	s.route("POST /v1/jobs/recommend", s.handleJobSubmit)
-	s.route("GET /v1/jobs/{id}", s.handleJobGet)
-	s.route("DELETE /v1/jobs/{id}", s.handleJobDelete)
+	s.route("GET /v1/jobs/{id}", s.handleJob)
+	s.route("DELETE /v1/jobs/{id}", s.handleJob)
 	s.route("POST /v1/calibrate", s.handleCalibrate)
 	s.route("POST /v1/events", s.handleEvents)
 	s.route("GET /v1/drift", s.handleDrift)
@@ -256,9 +205,7 @@ func New(opts Options) *Server {
 	s.route("GET /metrics", s.handleMetrics)
 	s.route("GET /healthz", s.handleHealthz)
 	if opts.Reconfigure {
-		s.driftCh = make(chan driftEvent, 64)
-		s.ctrlWG.Add(1)
-		go s.controllerLoop()
+		s.ctrl.start(s.runReconfigure)
 	}
 	return s
 }
@@ -278,20 +225,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// its context must close first so a mid-re-plan controller (which
 	// holds admission tokens like any client) unwinds promptly rather
 	// than racing the shutdown deadline.
-	s.ctrlCancel()
+	s.ctrl.cancel()
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
-		s.jobsWG.Wait()
-		s.ctrlWG.Wait()
+		s.jobs.wg.Wait()
+		s.ctrl.wg.Wait()
 		close(done)
 	}()
 	select {
 	case <-done:
-		s.jobsCancel()
+		s.jobs.cancel()
 		return nil
 	case <-ctx.Done():
-		s.jobsCancel()
+		s.jobs.cancel()
 		return ctx.Err()
 	}
 }
@@ -331,7 +278,7 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 		}()
 		elapsed := time.Since(began)
 		m.observe(rec.status, elapsed)
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+		s.opts.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.Uint64("id", id),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
@@ -356,8 +303,8 @@ func (s *Server) recoverPanic(where string, fail func(error)) {
 	if p == nil {
 		return
 	}
-	s.panics.Add(1)
-	s.log.LogAttrs(context.Background(), slog.LevelError, "panic",
+	s.errs.notePanic()
+	s.opts.Logger.LogAttrs(context.Background(), slog.LevelError, "panic",
 		slog.String("in", where),
 		slog.String("panic", fmt.Sprint(p)),
 		slog.String("stack", string(debug.Stack())),
@@ -397,10 +344,9 @@ func validateTimeout(timeoutMS int64) error {
 	return nil
 }
 
-// requestContext applies the effective deadline: the per-request
-// timeout_ms when given, else the server default.
-func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
+// deadline bounds ctx by the effective deadline: timeout_ms when
+// given, else the server's RequestTimeout, else none.
+func (s *Server) deadline(ctx context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
 	timeout := s.opts.RequestTimeout
 	if timeoutMS > 0 {
 		timeout = time.Duration(timeoutMS) * time.Millisecond
@@ -409,61 +355,6 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 		return context.WithTimeout(ctx, timeout)
 	}
 	return ctx, func() {}
-}
-
-// admit blocks on the admission semaphore for one planner run's token.
-// The returned release func is nil iff admit failed.
-func (s *Server) admit(ctx context.Context) (func(), error) {
-	if err := s.admission.Acquire(ctx, 1); err != nil {
-		return nil, err
-	}
-	return func() { s.admission.Release(1) }, nil
-}
-
-// admitTenant layers the tenant quota under the admission semaphore:
-// the tenant's token budget is debited first (fail-fast, typed
-// budget_exceeded — quota breaches must surface immediately, not queue
-// until the deadline turns them into 504s), then the weighted FIFO
-// semaphore is acquired as usual. The release func returns both.
-func (s *Server) admitTenant(ctx context.Context, tenant string, n int) (func(), error) {
-	if n < 1 {
-		n = 1
-	}
-	if n > s.workers {
-		n = s.workers
-	}
-	releaseQuota, err := s.quotas.acquire(tenant, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.admission.Acquire(ctx, n); err != nil {
-		releaseQuota()
-		return nil, err
-	}
-	return func() {
-		s.admission.Release(n)
-		releaseQuota()
-	}, nil
-}
-
-// tenantOf resolves the request's tenant: the body field when set, else
-// the X-Tenant header, else the catch-all default tenant.
-func (s *Server) tenantOf(r *http.Request, field string) string {
-	if t := strings.TrimSpace(field); t != "" {
-		return t
-	}
-	if t := strings.TrimSpace(r.Header.Get("X-Tenant")); t != "" {
-		return t
-	}
-	return defaultTenant
-}
-
-// quotaStatus is the HTTP status of a tenant-quota rejection.
-func quotaStatus(err error) int {
-	if errors.Is(err, wfmserr.ErrBudgetExceeded) {
-		return http.StatusTooManyRequests
-	}
-	return statusForError(err)
 }
 
 func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
@@ -477,9 +368,9 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, 0)
+	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), 1)
+	release, err := s.admission.acquire(ctx, tenantOf(r, req.Tenant), 1)
 	if err != nil {
 		s.writeError(w, r, quotaStatus(err), err)
 		return
@@ -491,17 +382,14 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, badRequestOr(err), err)
 		return
 	}
-	as, err := config.AssessContext(ctx, entry.analysis, perf.Config{Replicas: req.Config}, req.Goals.toGoals(), config.Options{
-		Performability: popts,
-		Evaluator:      entry.ev,
-	})
+	as, err := entry.assess(ctx, req.Config, req.Goals.toGoals(), popts)
 	if err != nil {
 		s.writeError(w, r, statusForError(err), err)
 		return
 	}
 	resp := AssessResponse{
 		Fingerprint: entry.fingerprint,
-		ServerTypes: typeNames(entry),
+		ServerTypes: typeNames(entry.env),
 		Assessment:  assessmentJSON(as),
 		CacheWarm:   warm,
 	}
@@ -516,19 +404,28 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// validatePlanner canonicalizes a planner name ("" means greedy),
-// rejecting unknown ones with a typed validation error.
+// planners are the searches /v1/recommend runs, by canonical name.
+var planners = map[string]func(context.Context, *perf.Analysis, config.Goals, config.Constraints, config.Options) (*config.Recommendation, error){
+	"greedy":     config.GreedyContext,
+	"exhaustive": config.ExhaustiveContext,
+	"bnb":        config.BranchAndBoundContext,
+}
+
+// validatePlanner canonicalizes a planner name ("" means greedy,
+// "branch-and-bound" bnb), rejecting unknown ones with a typed
+// validation error.
 func validatePlanner(name string) (string, error) {
 	switch name {
 	case "":
-		return "greedy", nil
-	case "greedy", "exhaustive":
-		return name, nil
-	case "bnb", "branch-and-bound":
-		return "bnb", nil
+		name = "greedy"
+	case "branch-and-bound":
+		name = "bnb"
 	}
-	return "", wfmserr.New(wfmserr.CodeInvalidRequest, "server",
-		"unknown planner %q (want greedy, exhaustive, or bnb)", name)
+	if planners[name] == nil {
+		return "", wfmserr.New(wfmserr.CodeInvalidRequest, "server",
+			"unknown planner %q (want greedy, exhaustive, or bnb)", name)
+	}
+	return name, nil
 }
 
 // runRecommend executes one planner search against a resolved warm
@@ -537,33 +434,16 @@ func validatePlanner(name string) (string, error) {
 // must already be canonical (validatePlanner); admission tokens are the
 // caller's concern.
 func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool, planner string, req *RecommendRequest, popts performability.Options) (*RecommendResponse, error) {
-	opts := config.Options{
-		Performability: popts,
-		Evaluator:      entry.ev,
-	}
-	goals := req.Goals.toGoals()
-	cons := req.Constraints.toConstraints()
-
 	began := time.Now()
-	var rec *config.Recommendation
-	var err error
-	switch planner {
-	case "greedy":
-		rec, err = config.GreedyContext(ctx, entry.analysis, goals, cons, opts)
-	case "exhaustive":
-		rec, err = config.ExhaustiveContext(ctx, entry.analysis, goals, cons, opts)
-	case "bnb":
-		rec, err = config.BranchAndBoundContext(ctx, entry.analysis, goals, cons, opts)
-	default:
-		return nil, wfmserr.New(wfmserr.CodeInternal, "server", "unvalidated planner %q reached runRecommend", planner)
-	}
+	rec, err := planners[planner](ctx, entry.analysis, req.Goals.toGoals(), req.Constraints.toConstraints(),
+		config.Options{Performability: popts, Evaluator: entry.ev})
 	if err != nil {
 		return nil, err
 	}
 	resp := &RecommendResponse{
 		Fingerprint: entry.fingerprint,
 		Planner:     planner,
-		ServerTypes: typeNames(entry),
+		ServerTypes: typeNames(entry.env),
 		Config:      rec.Config.Replicas,
 		Cost:        rec.Cost,
 		Evaluations: rec.Evaluations,
@@ -584,33 +464,42 @@ func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool,
 	return resp, nil
 }
 
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	var req RecommendRequest
-	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
+// decodeRecommend decodes and validates a recommend body, for
+// /v1/recommend and async job submission alike. ok is false iff it
+// failed, with the error response written.
+func (s *Server) decodeRecommend(w http.ResponseWriter, r *http.Request) (*RecommendRequest, string, performability.Options, bool) {
+	req := new(RecommendRequest)
+	if err := s.decodeBody(w, r, req, &req.System); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
-		return
+		return nil, "", performability.Options{}, false
 	}
 	popts, err := req.Model.toOptions()
+	if err == nil {
+		err = rejectNetTurnaround(req.Model)
+	}
+	planner := ""
+	if err == nil {
+		planner, err = validatePlanner(req.Planner)
+	}
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if err := rejectNetTurnaround(req.Model); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	planner, err := validatePlanner(req.Planner)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
+		return nil, "", popts, false
 	}
 	if err := validateTimeout(req.TimeoutMillis); err != nil {
 		s.writeError(w, r, http.StatusUnprocessableEntity, err)
+		return nil, "", popts, false
+	}
+	return req, planner, popts, true
+}
+
+func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
+	req, planner, popts, ok := s.decodeRecommend(w, r)
+	if !ok {
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMillis)
+	ctx, cancel := s.deadline(r.Context(), req.TimeoutMillis)
 	defer cancel()
-	release, err := s.admitTenant(ctx, s.tenantOf(r, req.Tenant), 1)
+	release, err := s.admission.acquire(ctx, tenantOf(r, req.Tenant), 1)
 	if err != nil {
 		s.writeError(w, r, quotaStatus(err), err)
 		return
@@ -622,7 +511,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, badRequestOr(err), err)
 		return
 	}
-	resp, err := s.runRecommend(ctx, entry, warm, planner, &req, popts)
+	resp, err := s.runRecommend(ctx, entry, warm, planner, req, popts)
 	if err != nil {
 		s.writeError(w, r, statusForError(err), err)
 		return
@@ -636,11 +525,11 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, 0)
+	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	release, err := s.admit(ctx)
+	release, err := s.admission.acquire(ctx, "", 1)
 	if err != nil {
-		s.writeError(w, r, statusForError(err), err)
+		s.writeError(w, r, quotaStatus(err), err)
 		return
 	}
 	defer release()
@@ -648,16 +537,12 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	// Decode a private copy of the system: calibration rewrites the
 	// workflow parameters in place, which must never touch the cached
 	// (shared, immutable) entries.
-	env, flows, err := wfjson.FromDocument(&req.System)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+	it := decodeItem(&req.System, nil, ModelJSON{})
+	if it.err != nil {
+		s.writeError(w, r, http.StatusBadRequest, it.err)
 		return
 	}
-	priorFP, err := wfjson.Fingerprint(env, flows)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
+	env, flows := it.env, it.flows
 	copts := defaultCalibration
 	if req.Smoothing != 0 {
 		copts.Smoothing = req.Smoothing
@@ -694,18 +579,15 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Warm the cache for the recalibrated system under the default
 	// evaluation options, so the follow-up what-if queries start hot.
-	popts, _ := ModelJSON{}.toOptions()
-	if e, warmed, err := s.models.getOrBuild(ctx, entryKey(newFP, popts), func(e *modelEntry) error {
-		return buildEntry(e, newFP, env, flows, popts)
+	if _, _, err := s.models.getOrBuild(ctx, entryKey(newFP, it.popts), func(e *modelEntry) error {
+		return buildEntry(e, newFP, env, flows, it.popts)
 	}); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
-	} else if !warmed {
-		s.noteClamped(newFP, e.clampedStages)
 	}
 	resp := CalibrateResponse{
 		Fingerprint:      newFP,
-		PriorFingerprint: priorFP,
+		PriorFingerprint: it.fp,
 		System:           *doc,
 		Records:          trail.Len(),
 		ArrivalRates:     make(map[string]float64, len(flows)),
@@ -714,199 +596,6 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 		resp.ArrivalRates[f.Name] = f.ArrivalRate
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := StatsResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Endpoints:     make(map[string]EndpointStatsJSON, len(s.endpoints)),
-	}
-	resp.ModelCache.Size = s.models.len()
-	resp.ModelCache.Max = s.models.max
-	resp.ModelCache.Hits = s.models.hits.Load()
-	resp.ModelCache.Misses = s.models.misses.Load()
-	resp.ModelCache.Evictions = s.models.evictions.Load()
-	for _, e := range s.models.snapshot() {
-		resp.Evaluators = append(resp.Evaluators, EvaluatorStatsJSON{
-			Fingerprint: e.fingerprint,
-			Marginals:   e.ev.Marginals().Size(),
-		})
-	}
-	resp.Admission = AdmissionStatsJSON{
-		WorkerBudget: s.workers,
-		PerRequest:   1,
-		InUse:        s.admission.InUse(),
-		Waiting:      s.admission.Waiting(),
-	}
-	for name, m := range s.endpoints {
-		_, total, sum := m.latency.snapshot()
-		st := EndpointStatsJSON{
-			Requests: total,
-			ByStatus: m.statuses(),
-			Inflight: m.inflight.Load(),
-		}
-		if total > 0 {
-			st.MeanMS = Float(sum / float64(total) * 1e3)
-			st.P50MS = Float(m.latency.quantile(0.50) * 1e3)
-			st.P95MS = Float(m.latency.quantile(0.95) * 1e3)
-			st.P99MS = Float(m.latency.quantile(0.99) * 1e3)
-		}
-		resp.Endpoints[name] = st
-	}
-	resp.Ingest = IngestStatsJSON{
-		Streams:       s.streams.len(),
-		Events:        s.eventsIngested.Load(),
-		Batches:       s.eventBatches.Load(),
-		Invalidations: s.driftInvalidations.Load(),
-	}
-	resp.Batch = BatchStatsJSON{
-		Items:  s.batchItems.Load(),
-		Builds: s.batchBuilds.Load(),
-	}
-	resp.Jobs = s.jobs.stats()
-	resp.Tenants = s.quotas.stats()
-	resp.Errors = s.errorCounts()
-	resp.Panics = s.panics.Load()
-	resp.ClampedStages = s.clampedStages.Load()
-	resp.Solvers = linalg.SolverCounters()
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	b.WriteString("# HELP wfmsd_requests_total Requests served, by endpoint and status code.\n")
-	b.WriteString("# TYPE wfmsd_requests_total counter\n")
-	b.WriteString("# HELP wfmsd_request_duration_seconds Request latency histogram.\n")
-	b.WriteString("# TYPE wfmsd_request_duration_seconds histogram\n")
-	for _, name := range []string{"/v1/assess", "/v1/recommend", "/v1/assess-batch", "/v1/recommend-batch", "/v1/jobs/recommend", "/v1/jobs/{id}", "/v1/calibrate", "/v1/events", "/v1/drift", "/v1/sensitivity", "/v1/deployments", "/v1/advisories", "/v1/stats", "/metrics", "/healthz"} {
-		if m, ok := s.endpoints[name]; ok {
-			m.writePrometheus(&b)
-		}
-	}
-	fmt.Fprintf(&b, "# HELP wfmsd_model_cache_entries Warm system models resident in the LRU.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_model_cache_entries gauge\n")
-	fmt.Fprintf(&b, "wfmsd_model_cache_entries %d\n", s.models.len())
-	fmt.Fprintf(&b, "# TYPE wfmsd_model_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_model_cache_hits_total %d\n", s.models.hits.Load())
-	fmt.Fprintf(&b, "# TYPE wfmsd_model_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_model_cache_misses_total %d\n", s.models.misses.Load())
-	fmt.Fprintf(&b, "# TYPE wfmsd_model_cache_evictions_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_model_cache_evictions_total %d\n", s.models.evictions.Load())
-	fmt.Fprintf(&b, "# HELP wfmsd_events_ingested_total Audit records ingested via /v1/events.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_events_ingested_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_events_ingested_total %d\n", s.eventsIngested.Load())
-	fmt.Fprintf(&b, "# TYPE wfmsd_event_batches_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_event_batches_total %d\n", s.eventBatches.Load())
-	fmt.Fprintf(&b, "# HELP wfmsd_drift_invalidations_total Warm-model invalidations triggered by drift detection.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_drift_invalidations_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_drift_invalidations_total %d\n", s.driftInvalidations.Load())
-	fmt.Fprintf(&b, "# HELP wfmsd_deployments Registered deployments under reconfiguration control.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_deployments gauge\n")
-	fmt.Fprintf(&b, "wfmsd_deployments %d\n", s.deployments.len())
-	fmt.Fprintf(&b, "# HELP wfmsd_reconfigurations_total Drift-triggered re-plans by outcome.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_reconfigurations_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_reconfigurations_total{outcome=\"advised\"} %d\n", s.reconfigAdvised.Load())
-	fmt.Fprintf(&b, "wfmsd_reconfigurations_total{outcome=\"failed\"} %d\n", s.reconfigFailed.Load())
-	fmt.Fprintf(&b, "# HELP wfmsd_drift_events_dropped_total Drift events the full reconfiguration queue dropped.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_drift_events_dropped_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_drift_events_dropped_total %d\n", s.driftDropped.Load())
-	if last := s.lastAdvisoryNS.Load(); last > 0 {
-		fmt.Fprintf(&b, "# HELP wfmsd_advisory_age_seconds Seconds since the last reconfiguration advisory.\n")
-		fmt.Fprintf(&b, "# TYPE wfmsd_advisory_age_seconds gauge\n")
-		fmt.Fprintf(&b, "wfmsd_advisory_age_seconds %g\n", time.Since(time.Unix(0, last)).Seconds())
-	}
-	cum, total, sum := s.reconfigLatency.snapshot()
-	fmt.Fprintf(&b, "# HELP wfmsd_reconfigure_latency_seconds Drift-to-advisory latency histogram.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_reconfigure_latency_seconds histogram\n")
-	for i, ub := range latencyBuckets {
-		fmt.Fprintf(&b, "wfmsd_reconfigure_latency_seconds_bucket{le=\"%g\"} %d\n", ub, cum[i])
-	}
-	fmt.Fprintf(&b, "wfmsd_reconfigure_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum[len(cum)-1])
-	fmt.Fprintf(&b, "wfmsd_reconfigure_latency_seconds_sum %g\n", sum)
-	fmt.Fprintf(&b, "wfmsd_reconfigure_latency_seconds_count %d\n", total)
-	fmt.Fprintf(&b, "# HELP wfmsd_ingest_streams Per-system ingestion streams resident.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_ingest_streams gauge\n")
-	fmt.Fprintf(&b, "wfmsd_ingest_streams %d\n", s.streams.len())
-	if streams := s.streams.snapshot(); len(streams) > 0 {
-		fmt.Fprintf(&b, "# HELP wfmsd_drift_score Latest drift score by system fingerprint and dimension.\n")
-		fmt.Fprintf(&b, "# TYPE wfmsd_drift_score gauge\n")
-		for _, st := range streams {
-			score, _, _, _, _ := st.snapshot()
-			for _, d := range []struct {
-				name  string
-				value float64
-			}{
-				{"transition", score.Transition},
-				{"residence", score.Residence},
-				{"service", score.Service},
-				{"arrival", score.Arrival},
-			} {
-				fmt.Fprintf(&b, "wfmsd_drift_score{fingerprint=%q,dimension=%q} %g\n", st.fingerprint, d.name, d.value)
-			}
-		}
-	}
-	errCounts := s.errorCounts()
-	if len(errCounts) > 0 {
-		fmt.Fprintf(&b, "# HELP wfmsd_errors_total Error responses by machine-readable code.\n")
-		fmt.Fprintf(&b, "# TYPE wfmsd_errors_total counter\n")
-		codes := make([]string, 0, len(errCounts))
-		for c := range errCounts {
-			codes = append(codes, c)
-		}
-		sort.Strings(codes)
-		for _, c := range codes {
-			fmt.Fprintf(&b, "wfmsd_errors_total{code=%q} %d\n", c, errCounts[c])
-		}
-	}
-	fmt.Fprintf(&b, "# HELP wfmsd_panics_total Panics recovered in handlers, batch items, jobs and re-plans.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_panics_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_panics_total %d\n", s.panics.Load())
-	fmt.Fprintf(&b, "# HELP wfmsd_clamped_stages_total Stage-clamped subworkflow collapses across cold model builds.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_clamped_stages_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_clamped_stages_total %d\n", s.clampedStages.Load())
-	fmt.Fprintf(&b, "# HELP wfmsd_admission_in_use Planner-worker tokens currently held.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_admission_in_use gauge\n")
-	fmt.Fprintf(&b, "wfmsd_admission_in_use %d\n", s.admission.InUse())
-	fmt.Fprintf(&b, "# TYPE wfmsd_admission_waiting gauge\n")
-	fmt.Fprintf(&b, "wfmsd_admission_waiting %d\n", s.admission.Waiting())
-	fmt.Fprintf(&b, "# HELP wfmsd_batch_items_total Items processed by the batch endpoints.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_batch_items_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_batch_items_total %d\n", s.batchItems.Load())
-	fmt.Fprintf(&b, "# HELP wfmsd_batch_builds_total Cold model builds performed by batch requests (misses after fingerprint grouping).\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_batch_builds_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_batch_builds_total %d\n", s.batchBuilds.Load())
-	jobs := s.jobs.stats()
-	fmt.Fprintf(&b, "# HELP wfmsd_jobs_resident Async jobs resident (queued, running, or retained).\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_jobs_resident gauge\n")
-	fmt.Fprintf(&b, "wfmsd_jobs_resident %d\n", jobs.Resident)
-	fmt.Fprintf(&b, "# HELP wfmsd_jobs_total Async jobs by lifecycle event.\n")
-	fmt.Fprintf(&b, "# TYPE wfmsd_jobs_total counter\n")
-	fmt.Fprintf(&b, "wfmsd_jobs_total{event=\"submitted\"} %d\n", jobs.Submitted)
-	fmt.Fprintf(&b, "wfmsd_jobs_total{event=\"done\"} %d\n", jobs.Done)
-	fmt.Fprintf(&b, "wfmsd_jobs_total{event=\"failed\"} %d\n", jobs.Failed)
-	fmt.Fprintf(&b, "wfmsd_jobs_total{event=\"canceled\"} %d\n", jobs.Canceled)
-	fmt.Fprintf(&b, "wfmsd_jobs_total{event=\"expired\"} %d\n", jobs.Expired)
-	if tenants := s.quotas.stats(); len(tenants) > 0 {
-		fmt.Fprintf(&b, "# HELP wfmsd_tenant_requests_total Admissions requested per tenant.\n")
-		fmt.Fprintf(&b, "# TYPE wfmsd_tenant_requests_total counter\n")
-		fmt.Fprintf(&b, "# HELP wfmsd_tenant_rejections_total Tenant-quota rejections (budget_exceeded).\n")
-		fmt.Fprintf(&b, "# TYPE wfmsd_tenant_rejections_total counter\n")
-		fmt.Fprintf(&b, "# HELP wfmsd_tenant_in_use Planner-worker tokens held per tenant.\n")
-		fmt.Fprintf(&b, "# TYPE wfmsd_tenant_in_use gauge\n")
-		names := make([]string, 0, len(tenants))
-		for name := range tenants {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ts := tenants[name]
-			fmt.Fprintf(&b, "wfmsd_tenant_requests_total{tenant=%q} %d\n", name, ts.Requests)
-			fmt.Fprintf(&b, "wfmsd_tenant_rejections_total{tenant=%q} %d\n", name, ts.Rejections)
-			fmt.Fprintf(&b, "wfmsd_tenant_in_use{tenant=%q} %d\n", name, ts.InUse)
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, b.String())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -920,7 +609,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(body); err != nil {
-		s.log.Warn("encoding response", "err", err)
+		s.opts.Logger.Warn("encoding response", "err", err)
 	}
 }
 
@@ -928,9 +617,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 // and counts it in the per-code error metrics.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	code := errorCode(status, err)
-	s.errMu.Lock()
-	s.errCodes[code]++
-	s.errMu.Unlock()
+	s.errs.note(code)
 	s.writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
 }
 
@@ -963,24 +650,45 @@ func errorCode(status int, err error) string {
 	}
 }
 
-// errorCounts snapshots the per-code error counters.
-func (s *Server) errorCounts() map[string]uint64 {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	out := make(map[string]uint64, len(s.errCodes))
-	for k, v := range s.errCodes {
-		out[k] = v
+// errorCounters counts error responses by machine-readable code and
+// the panics recoverPanic contained.
+type errorCounters struct {
+	panics atomic.Uint64
+
+	mu    sync.Mutex
+	codes map[string]uint64
+}
+
+func (e *errorCounters) note(code string) {
+	e.mu.Lock()
+	if e.codes == nil {
+		e.codes = make(map[string]uint64)
 	}
-	return out
+	e.codes[code]++
+	e.mu.Unlock()
+}
+
+func (e *errorCounters) notePanic() { e.panics.Add(1) }
+
+func (e *errorCounters) stats(resp *StatsResponse) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.codes) > 0 {
+		resp.Errors = make(map[string]uint64, len(e.codes))
+		for k, v := range e.codes {
+			resp.Errors[k] = v
+		}
+	}
+	resp.Panics = e.panics.Load()
 }
 
 // statusForError maps pipeline errors onto HTTP statuses: timeouts to
 // 504, client disconnects to 499, recovered internal errors to 500, and
 // everything else (invalid models, blown budgets, infeasible goals,
-// exceeded iteration budgets) to 422. Infeasibility is listed
-// explicitly: a planner proving no configuration within constraints
-// meets the goals is a well-formed request with an unsatisfiable
-// semantic — 422 with machine-readable code "infeasible", never a 500.
+// exceeded iteration budgets) to 422. Infeasibility belongs there: a
+// planner proving no configuration within constraints meets the goals
+// is a well-formed request with an unsatisfiable semantic — 422 with
+// machine-readable code "infeasible", never a 500.
 func statusForError(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -989,8 +697,6 @@ func statusForError(err error) int {
 		return statusClientClosedRequest
 	case wfmserr.CodeOf(err) == wfmserr.CodeInternal:
 		return http.StatusInternalServerError
-	case errors.Is(err, wfmserr.ErrInfeasible):
-		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusUnprocessableEntity
 	}
@@ -1014,11 +720,11 @@ func badRequestOr(err error) int {
 	}
 }
 
-// typeNames lists the entry's server-type names in index order.
-func typeNames(e *modelEntry) []string {
-	names := make([]string, e.env.K())
+// typeNames lists the environment's server-type names in index order.
+func typeNames(env *spec.Environment) []string {
+	names := make([]string, env.K())
 	for x := range names {
-		names[x] = e.env.Type(x).Name
+		names[x] = env.Type(x).Name
 	}
 	return names
 }
