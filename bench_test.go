@@ -383,17 +383,56 @@ func BenchmarkReadRecords(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeFingerprint measures what the server does to a posted
-// system before it can look up a model: decode, FromDocument, Fingerprint.
+// BenchmarkDecodeFingerprint measures decode, FromDocument, Fingerprint:
+// the spec objects and digest a posted system needs for a model build.
 // One iteration takes the 22 corpus systems through it, each in the
 // compact form a client's json.Marshal posts.
 func BenchmarkDecodeFingerprint(b *testing.B) {
+	posted, size := postedCorpus(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range posted {
+			env, flows, err := wfjson.Decode(bytes.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := wfjson.Fingerprint(env, flows); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkWarmFingerprint measures what the server does to a posted
+// system before it can look up a model: parse and FingerprintDocument,
+// with no spec objects. Same 22 documents as BenchmarkDecodeFingerprint.
+func BenchmarkWarmFingerprint(b *testing.B) {
+	posted, size := postedCorpus(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range posted {
+			var doc wfjson.Document
+			if _, ok := wfjson.ParseDocument(body, &doc); !ok {
+				b.Fatal("parser refused a corpus document")
+			}
+			if _, ok := wfjson.FingerprintDocument(&doc); !ok {
+				b.Fatal("canonicalisation refused a corpus document")
+			}
+		}
+	}
+}
+
+// postedCorpus returns the 22 corpus systems as a client posts them,
+// compact canonical JSON, and their total size.
+func postedCorpus(b *testing.B) (posted [][]byte, size int64) {
 	files, err := filepath.Glob("corpus/systems/*.wfjson")
 	if err != nil || len(files) != 22 {
 		b.Fatalf("found %d corpus systems, want 22: %v", len(files), err)
 	}
-	var posted [][]byte
-	var size int64
 	for _, file := range files {
 		f, err := os.Open(file)
 		if err != nil {
@@ -415,20 +454,7 @@ func BenchmarkDecodeFingerprint(b *testing.B) {
 		posted = append(posted, body)
 		size += int64(len(body))
 	}
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, body := range posted {
-			env, flows, err := wfjson.Decode(bytes.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := wfjson.Fingerprint(env, flows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	return posted, size
 }
 
 // BenchmarkCorpusBuild measures the cold path after decoding: one

@@ -215,23 +215,12 @@ func assess(sys *performa.System, cfg performa.Configuration) int {
 	fmt.Printf("  bottleneck: %s; max sustainable throughput: %.3f workflows/min\n",
 		env.Type(as.Performance.Bottleneck).Name, as.Performance.MaxWorkflowThroughput)
 	fmt.Printf("  availability: %.9f  (downtime %s per year)\n",
-		as.Availability.Availability, humanDowntime(as.Availability.DowntimeHoursPerYear))
+		as.Availability.Availability, as.Availability.Downtime())
 	if as.Performability != nil {
 		fmt.Printf("  performability max waiting: %.5g min (degraded-state probability %.3e)\n",
 			as.Performability.MaxWaiting(), as.Performability.DegradationShare)
 	}
 	return 0
-}
-
-func humanDowntime(hoursPerYear float64) string {
-	switch {
-	case hoursPerYear >= 1:
-		return fmt.Sprintf("%.1f h", hoursPerYear)
-	case hoursPerYear*60 >= 1:
-		return fmt.Sprintf("%.1f min", hoursPerYear*60)
-	default:
-		return fmt.Sprintf("%.1f s", hoursPerYear*3600)
-	}
 }
 
 // fail reports the error as a one-line diagnostic (prefixed with its

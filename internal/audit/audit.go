@@ -175,8 +175,10 @@ func (t *Trail) WriteJSONLines(w io.Writer) error {
 // decodeLine instead, in one pass and into its slot of the result; which
 // of the two decodes a line depends only on what the line contains.
 func ReadRecords(r io.Reader) ([]Record, error) {
+	buf := scanBufs.Get().(*[scanBufSize]byte)
+	defer scanBufs.Put(buf)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
+	sc.Buffer(buf[:0], MaxLineBytes)
 	line := 0
 	var out []Record
 	names := make(map[string]string)
@@ -201,6 +203,13 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 	}
 	return out, nil
 }
+
+// scanBufs recycles ReadRecords' 64 KB read buffers, most of what an
+// event batch of a few KB would otherwise allocate. Nothing decoded
+// aliases one; a longer line makes the scanner allocate its own.
+const scanBufSize = 64 << 10
+
+var scanBufs = sync.Pool{New: func() any { return new([scanBufSize]byte) }}
 
 // ReadJSONLines parses a JSON-lines stream into a trail.
 func ReadJSONLines(r io.Reader) (*Trail, error) {

@@ -224,6 +224,19 @@ func (r *Report) DowntimeSecondsPerYear() float64 {
 	return r.DowntimeHoursPerYear * 3600
 }
 
+// Downtime formats the expected yearly downtime in hours, minutes or
+// seconds, the largest unit that keeps it at least 1.
+func (r *Report) Downtime() string {
+	switch h := r.DowntimeHoursPerYear; {
+	case h >= 1:
+		return fmt.Sprintf("%.1f h", h)
+	case h*60 >= 1:
+		return fmt.Sprintf("%.1f min", h*60)
+	default:
+		return fmt.Sprintf("%.1f s", h*3600)
+	}
+}
+
 // Evaluate solves the exact joint CTMC and derives the availability
 // report. The rates in params must share one time unit; availability is
 // unit-free.

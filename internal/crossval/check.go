@@ -178,7 +178,7 @@ func Check(sys *System, opt Options) ([]Disagreement, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err = turnaroundRoute(ds, sys, modelsA, bopts, opt)
+	ds, err = turnaroundRoute(ds, sys, modelsA, bopts)
 	if err != nil {
 		return nil, err
 	}
@@ -340,15 +340,29 @@ func perfRoute(ds []Disagreement, sys *System, models []*spec.Model, report *per
 }
 
 // turnaroundRoute compares analytic mean turnarounds (CTMC first-passage
-// times) against simulated instance turnarounds. Turnaround is
-// queueing-independent in the simulator (requests are fired
-// asynchronously and never block the CTMC walk), so the route scales the
-// arrival rates down and the horizon up: the same number of observed
-// instances with far less horizon censoring of long-running ones.
-func turnaroundRoute(ds []Disagreement, sys *System, modelsA []*spec.Model, bopts []spec.BuildOption, opt Options) ([]Disagreement, error) {
-	maxTurn, totalRate := 0.0, 0.0
+// times) against simulated instance turnarounds. Build-path faults reach
+// the simulated models too: the collapsed walker replays whatever chain
+// spec.Build produced.
+func turnaroundRoute(ds []Disagreement, sys *System, modelsA []*spec.Model, bopts []spec.BuildOption) ([]Disagreement, error) {
+	means := make([]float64, len(modelsA))
 	for i, m := range modelsA {
-		if t := m.Turnaround(); t > maxTurn {
+		means[i] = m.Turnaround()
+	}
+	return simulatedTurnarounds(ds, "turnaround", sys, means, 3019, false, bopts...)
+}
+
+// simulatedTurnarounds compares each workflow's expected turnaround in
+// means against the simulator (the true-concurrency walker when
+// trueConcurrency is set), three replications seeded from seedMul.
+// Turnaround is queueing-independent in the simulator (requests are
+// fired asynchronously and never block the walk), so the route scales
+// the arrival rates down and the horizon up, sized from means: the same
+// number of observed instances with far less horizon censoring of
+// long-running ones.
+func simulatedTurnarounds(ds []Disagreement, route string, sys *System, means []float64, seedMul uint64, trueConcurrency bool, bopts ...spec.BuildOption) ([]Disagreement, error) {
+	maxTurn, totalRate := 0.0, 0.0
+	for i, t := range means {
+		if t > maxTurn {
 			maxTurn = t
 		}
 		totalRate += sys.Flows[i].ArrivalRate
@@ -363,8 +377,6 @@ func turnaroundRoute(ds []Disagreement, sys *System, modelsA []*spec.Model, bopt
 	for _, f := range scaled.Flows {
 		f.ArrivalRate *= scale
 	}
-	// Build-path faults reach the simulated models too: the collapsed
-	// walker replays whatever chain spec.Build produced.
 	models, err := BuildModels(scaled, bopts...)
 	if err != nil {
 		return nil, err
@@ -375,15 +387,16 @@ func turnaroundRoute(ds []Disagreement, sys *System, modelsA []*spec.Model, bopt
 	completed := make([]uint64, len(models))
 	for r := 0; r < reps; r++ {
 		res, err := sim.Run(sim.Params{
-			Env:      scaled.Env,
-			Models:   models,
-			Replicas: scaled.Replicas,
-			Seed:     sys.Seed*3019 + uint64(r) + 1,
-			Horizon:  horizon,
-			Warmup:   horizon / 50,
+			Env:             scaled.Env,
+			Models:          models,
+			Replicas:        scaled.Replicas,
+			Seed:            sys.Seed*seedMul + uint64(r) + 1,
+			Horizon:         horizon,
+			Warmup:          horizon / 50,
+			TrueConcurrency: trueConcurrency,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("crossval: turnaround-route simulation: %w", err)
+			return nil, fmt.Errorf("crossval: %s-route simulation: %w", route, err)
 		}
 		for i := range models {
 			if res.Turnaround[i].N > 0 {
@@ -392,12 +405,12 @@ func turnaroundRoute(ds []Disagreement, sys *System, modelsA []*spec.Model, bopt
 			completed[i] += res.Completed[i]
 		}
 	}
-	for i, m := range modelsA {
+	for i := range models {
 		if completed[i] < minTurnaroundSamples || turnaround[i].N() != reps {
 			continue
 		}
-		ds = compare(ds, "turnaround", fmt.Sprintf("turnaround[%s]", sys.Flows[i].Name),
-			m.Turnaround(), turnaround[i].Mean(), turnaround[i].StdErr(), tolTurnaround)
+		ds = compare(ds, route, fmt.Sprintf("turnaround[%s]", sys.Flows[i].Name),
+			means[i], turnaround[i].Mean(), turnaround[i].StdErr(), tolTurnaround)
 	}
 	return ds, nil
 }

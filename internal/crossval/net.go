@@ -3,8 +3,6 @@ package crossval
 import (
 	"fmt"
 
-	"performa/internal/des"
-	"performa/internal/sim"
 	"performa/internal/wfnet"
 )
 
@@ -77,69 +75,9 @@ func CheckNet(sys *System, opt Options) ([]Disagreement, error) {
 			})
 		}
 	}
-	return netSimRoute(ds, sys, netMeans, opt)
-}
-
-// netSimRoute compares the net oracle's exact expected turnaround
-// against the true-concurrency simulator, with the same arrival-rate
-// downscaling as the collapsed turnaround route (turnaround is
-// queueing-independent in the simulator, so fewer, longer-observed
-// instances cost nothing in power). The horizon is sized from the NET
-// means: under heavy fan-out they exceed the collapsed ones.
-func netSimRoute(ds []Disagreement, sys *System, netMeans []float64, opt Options) ([]Disagreement, error) {
-	maxTurn, totalRate := 0.0, 0.0
-	for i := range netMeans {
-		if netMeans[i] > maxTurn {
-			maxTurn = netMeans[i]
-		}
-		totalRate += sys.Flows[i].ArrivalRate
-	}
-	if maxTurn <= 0 || totalRate <= 0 {
-		return ds, nil
-	}
-	horizon := 150 * maxTurn
-	scaled := sys.Clone()
-	// ~2000 instances per replication, split in the original mix.
-	scale := 2000 / (horizon * totalRate)
-	for _, f := range scaled.Flows {
-		f.ArrivalRate *= scale
-	}
-	// Honest build: the true-concurrency walker reads the raw chart and
-	// profiles off the model, never the collapsed chain.
-	models, err := BuildModels(scaled)
-	if err != nil {
-		return nil, err
-	}
-
-	const reps = 3
-	turnaround := make([]des.Tally, len(models))
-	completed := make([]uint64, len(models))
-	for r := 0; r < reps; r++ {
-		res, err := sim.Run(sim.Params{
-			Env:             scaled.Env,
-			Models:          models,
-			Replicas:        scaled.Replicas,
-			Seed:            sys.Seed*4021 + uint64(r) + 1,
-			Horizon:         horizon,
-			Warmup:          horizon / 50,
-			TrueConcurrency: true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("crossval: net-route simulation: %w", err)
-		}
-		for i := range models {
-			if res.Turnaround[i].N > 0 {
-				turnaround[i].Add(res.Turnaround[i].Mean)
-			}
-			completed[i] += res.Completed[i]
-		}
-	}
-	for i := range models {
-		if completed[i] < minTurnaroundSamples || turnaround[i].N() != reps {
-			continue
-		}
-		ds = compare(ds, "net", fmt.Sprintf("turnaround[%s]", sys.Flows[i].Name),
-			netMeans[i], turnaround[i].Mean(), turnaround[i].StdErr(), tolTurnaround)
-	}
-	return ds, nil
+	// Against the true-concurrency simulator, which reads the raw chart
+	// and profiles off the model, never the collapsed chain. The horizon
+	// is sized from the net means: under heavy fan-out they exceed the
+	// collapsed ones.
+	return simulatedTurnarounds(ds, "net", sys, netMeans, 4021, true)
 }

@@ -1,12 +1,10 @@
 package ctmc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"performa/internal/linalg"
-	"performa/internal/wfmserr"
 )
 
 // SteadyState solves π Q = 0, Σ π_i = 1 for an ergodic CTMC given by its
@@ -24,38 +22,8 @@ func SteadyState(q *linalg.Matrix) (linalg.Vector, error) {
 	if err := ValidateGenerator(q); err != nil {
 		return nil, err
 	}
-	// π Q = 0  ⇔  Qᵀ πᵀ = 0. Replace the last row of Qᵀ with the
-	// normalization Σ π = 1.
-	a := q.Transpose()
-	last := a.Row(n - 1)
-	for j := range last {
-		last[j] = 1
-	}
-	b := linalg.NewVector(n)
-	b[n-1] = 1
-	pi, err := linalg.Solve(a, b)
-	if err != nil {
-		code := wfmserr.CodeInvalidModel
-		if errors.Is(err, linalg.ErrNoConvergence) {
-			code = wfmserr.CodeNoConvergence
-		}
-		return nil, wfmserr.Wrap(err, code, "ctmc", "steady-state solve (is the chain irreducible?)")
-	}
-	// Clean tiny negative round-off and renormalize.
-	for i, p := range pi {
-		if p < 0 {
-			if p < -1e-9 {
-				return nil, wfmserr.New(wfmserr.CodeInvalidModel, "ctmc",
-					"steady-state probability π[%d] = %v is negative; chain is likely not ergodic", i, p)
-			}
-			pi[i] = 0
-		}
-	}
-	pi, err = pi.Normalized()
-	if err != nil {
-		return nil, wfmserr.Wrap(err, wfmserr.CodeInvalidModel, "ctmc", "steady-state distribution is degenerate")
-	}
-	return pi, nil
+	// π Q = 0  ⇔  Qᵀ πᵀ = 0.
+	return steadyDense(q.Transpose())
 }
 
 // ValidateGenerator checks that q is a proper infinitesimal generator:

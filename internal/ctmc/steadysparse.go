@@ -157,7 +157,10 @@ func SteadyStateAdjoint(at *linalg.Sparse, opts SparseOptions) (linalg.Vector, e
 	}
 
 	if opts.Strategy == SolverDense || (opts.Strategy == SolverAuto && n <= denseAutoCutover) {
-		return steadyFromAdjointDense(at)
+		if err := wfmserr.Default.CheckMatrixDim("ctmc", n); err != nil {
+			return nil, err
+		}
+		return steadyDense(at.Dense())
 	}
 	pi, err := solveNormalized(at)
 	if err != nil {
@@ -217,16 +220,12 @@ func normalizedResidualOK(sys linalg.OnesRow, x linalg.Vector) error {
 	return nil
 }
 
-// steadyFromAdjointDense converts the adjoint to dense form and runs the
-// historical dense solve (normalization row, Gauss-Seidel with LU
-// fallback), keeping small systems on the exact path that crossval
-// treats as the reference.
-func steadyFromAdjointDense(at *linalg.Sparse) (linalg.Vector, error) {
-	n := at.N()
-	if err := wfmserr.Default.CheckMatrixDim("ctmc", n); err != nil {
-		return nil, err
-	}
-	a := at.Dense()
+// steadyDense solves the dense adjoint a = Qᵀ for the stationary
+// distribution: the historical dense solve (the normalization Σ π = 1
+// replaces a's last row; Gauss-Seidel with LU fallback), the exact path
+// crossval treats as the reference.
+func steadyDense(a *linalg.Matrix) (linalg.Vector, error) {
+	n := a.Rows()
 	last := a.Row(n - 1)
 	for j := range last {
 		last[j] = 1

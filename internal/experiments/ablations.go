@@ -116,8 +116,8 @@ func AblationRepairDiscipline() (*Table, error) {
 			ratio = sc.Unavailability / ind.Unavailability
 		}
 		t.AddRow(perf.Config{Replicas: y}.String(),
-			humanDowntime(ind.DowntimeHoursPerYear),
-			humanDowntime(sc.DowntimeHoursPerYear),
+			ind.Downtime(),
+			sc.Downtime(),
 			f3(ratio))
 	}
 	t.Notes = append(t.Notes, "a single crew only matters once multiple replicas of one type can be down simultaneously")

@@ -78,8 +78,8 @@ func E1Availability() (*Table, error) {
 			perf.Config{Replicas: c.replicas}.String(),
 			fmt.Sprintf("%d", stateCount(c.replicas)),
 			fmt.Sprintf("%.3e", exact.Unavailability),
-			humanDowntime(exact.DowntimeHoursPerYear),
-			humanDowntime(pf.DowntimeHoursPerYear),
+			exact.Downtime(),
+			pf.Downtime(),
 			c.paper,
 		)
 	}
@@ -94,17 +94,6 @@ func stateCount(replicas []int) int {
 		n *= y + 1
 	}
 	return n
-}
-
-func humanDowntime(hoursPerYear float64) string {
-	switch {
-	case hoursPerYear >= 1:
-		return fmt.Sprintf("%.1f h", hoursPerYear)
-	case hoursPerYear*60 >= 1:
-		return fmt.Sprintf("%.1f min", hoursPerYear*60)
-	default:
-		return fmt.Sprintf("%.1f s", hoursPerYear*3600)
-	}
 }
 
 // E2EPWorkflow reproduces the Figure 4 analysis of the EP workflow:

@@ -2,8 +2,7 @@ package server
 
 // Batch serving: POST /v1/assess-batch and /v1/recommend-batch accept a
 // slice of items and amortize warm-model builds across them. Items are
-// decoded and fingerprinted up front, grouped by (fingerprint,
-// evaluation options), and evaluated through the same single-flight
+// fingerprinted up front and evaluated through the same single-flight
 // model cache the singleton endpoints use — so N items sharing a
 // fingerprint trigger exactly one model build no matter how they are
 // interleaved, and a batch riding over an already-warm system builds
@@ -19,8 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"performa/internal/performability"
-	"performa/internal/spec"
 	"performa/internal/wfjson"
 	"performa/internal/wfmserr"
 )
@@ -40,40 +37,22 @@ func (b *batchCounters) stats(resp *StatsResponse) {
 	resp.Batch = BatchStatsJSON{Items: b.items.Load(), Builds: b.builds.Load()}
 }
 
-// batchItem is the decoded, fingerprinted form of one batch entry,
-// ready for grouping.
-type batchItem struct {
-	env   *spec.Environment
-	flows []*spec.Workflow
-	fp    string
-	popts performability.Options
-	err   error // decode/validation failure; item is skipped
-}
-
-// decodeItem decodes and fingerprints one system under its effective
-// model options (model, else the batch default): a batch item, a
-// deployment or a calibration.
-func decodeItem(doc *wfjson.Document, model *ModelJSON, batchDefault ModelJSON) batchItem {
+// decodeItem fingerprints one system under its effective model options
+// (model, else the batch default): a batch item, a deployment or a
+// calibration.
+func decodeItem(doc *wfjson.Document, model *ModelJSON, batchDefault ModelJSON) system {
 	eff := batchDefault
 	if model != nil {
 		eff = *model
 	}
 	popts, err := eff.toOptions()
+	if err == nil {
+		err = rejectNetTurnaround(eff)
+	}
 	if err != nil {
-		return batchItem{err: err}
+		return system{err: err}
 	}
-	if err := rejectNetTurnaround(eff); err != nil {
-		return batchItem{err: err}
-	}
-	env, flows, err := wfjson.FromDocument(doc)
-	if err != nil {
-		return batchItem{err: err}
-	}
-	fp, err := wfjson.Fingerprint(env, flows)
-	if err != nil {
-		return batchItem{err: err}
-	}
-	return batchItem{env: env, flows: flows, fp: fp, popts: popts}
+	return postedSystem(doc, popts)
 }
 
 // itemError converts a per-item failure into its wire form with the
@@ -117,14 +96,14 @@ type batchTotals struct {
 
 // serveBatch is the one batch path, after the body is decoded: the
 // envelope checks, the deadline, one admission pass for the tenant,
-// decoding and fingerprinting n items, the fan-out, the counters and the
-// totals. decode decodes item i; work runs a decoded item against its
-// resolved model and returns the item's error, if any; fail records item
-// i's error. ok is false iff the batch was refused, with the error
-// response written.
+// fingerprinting n items, the fan-out, the counters and the totals.
+// decode fingerprints item i; work runs an item against its resolved
+// model and returns the item's error, if any; fail records item i's
+// error. ok is false iff the batch was refused, with the error response
+// written.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, n int, timeoutMS int64, tenant string,
-	decode func(i int) batchItem,
-	work func(ctx context.Context, i int, it *batchItem, entry *modelEntry, warm bool) error,
+	decode func(i int) system,
+	work func(ctx context.Context, i int, it *system, entry *modelEntry, warm bool) error,
 	fail func(i int, err *ErrorResponse),
 ) (t batchTotals, ok bool) {
 	err := validateTimeout(timeoutMS)
@@ -152,12 +131,9 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, n int, timeo
 	defer release()
 
 	began := time.Now()
-	items := make([]batchItem, n)
-	groups := make(map[string]bool, n) // distinct (fingerprint, options) keys: the model resolutions needed
+	items := make([]system, n)
 	for i := range items {
-		if items[i] = decode(i); items[i].err == nil {
-			groups[entryKey(items[i].fp, items[i].popts)] = true
-		}
+		items[i] = decode(i)
 	}
 	// Fan out over items under the batch's token weight: weight items
 	// run concurrently. The single-flight cache serializes cold builds
@@ -169,7 +145,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, n int, timeo
 			fail(i, itemError(it.err, http.StatusBadRequest))
 			return
 		}
-		entry, warm, err := s.resolveDecoded(ctx, it.env, it.flows, it.fp, it.popts)
+		entry, warm, err := s.resolve(ctx, it)
 		if err != nil {
 			fail(i, itemError(err, badRequestOr(err)))
 			return
@@ -184,6 +160,15 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, n int, timeo
 		}
 	}, func(i int, err error) { fail(i, itemError(err, http.StatusInternalServerError)) })
 	s.batches.note(n, builds.Load())
+	// The groups are the model resolutions the valid items needed: their
+	// distinct (fingerprint, options) keys. A document FromDocument
+	// refused was found invalid while resolving.
+	groups := make(map[string]bool, n)
+	for i := range items {
+		if items[i].err == nil {
+			groups[entryKey(items[i].fp, items[i].popts, 0)] = true
+		}
+	}
 	return batchTotals{
 		groups:    len(groups),
 		builds:    int(builds.Load()),
@@ -200,8 +185,8 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]AssessBatchItemJSON, len(req.Items))
 	t, ok := s.serveBatch(w, r, len(req.Items), req.TimeoutMillis, req.Tenant,
-		func(i int) batchItem { return decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model) },
-		func(ctx context.Context, i int, it *batchItem, entry *modelEntry, warm bool) error {
+		func(i int) system { return decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model) },
+		func(ctx context.Context, i int, it *system, entry *modelEntry, warm bool) error {
 			as, err := entry.assess(ctx, req.Items[i].Config, req.Items[i].Goals.toGoals(), it.popts)
 			if err != nil {
 				return err
@@ -225,14 +210,17 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]RecommendBatchItemJSON, len(req.Items))
 	planners := make([]string, len(req.Items))
 	t, ok := s.serveBatch(w, r, len(req.Items), req.TimeoutMillis, req.Tenant,
-		func(i int) batchItem {
+		func(i int) system {
 			it := decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model)
-			if it.err == nil {
-				planners[i], it.err = validatePlanner(req.Items[i].Planner)
+			planner, err := validatePlanner(req.Items[i].Planner)
+			// A document FromDocument refuses is reported before the planner.
+			if err != nil && it.decode() == nil {
+				it.err = err
 			}
+			planners[i] = planner
 			return it
 		},
-		func(ctx context.Context, i int, it *batchItem, entry *modelEntry, warm bool) error {
+		func(ctx context.Context, i int, it *system, entry *modelEntry, warm bool) error {
 			itemReq := &RecommendRequest{Goals: req.Items[i].Goals, Constraints: req.Items[i].Constraints}
 			rec, err := s.runRecommend(ctx, entry, warm, planners[i], itemReq, it.popts)
 			if err != nil {

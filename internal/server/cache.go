@@ -90,16 +90,22 @@ func newModelCache(max int, log *slog.Logger) *modelCache {
 }
 
 // entryKey derives the cache key for a system fingerprint under the
-// given evaluation options.
-func entryKey(fingerprint string, opts performability.Options) string {
-	return fmt.Sprintf("%s|policy=%d|penalty=%g|discipline=%d",
+// given evaluation options and drift generation (0 until the system's
+// stream first drifts): resolve's lookup and its build share one key.
+func entryKey(fingerprint string, opts performability.Options, gen uint64) string {
+	key := fmt.Sprintf("%s|policy=%d|penalty=%g|discipline=%d",
 		fingerprint, opts.Policy, opts.PenaltyValue, opts.Discipline)
+	if gen > 0 {
+		key = fmt.Sprintf("%s|gen=%d", key, gen)
+	}
+	return key
 }
 
 // getOrBuild returns the warm entry for the key, building it via build
-// exactly once per residency. The ctx only bounds the wait for a
-// concurrent builder — the build itself is not canceled, since its
-// result is shared by every waiter.
+// exactly once per residency; with a nil build it only looks, and a miss
+// is (nil, false, nil). The ctx only bounds the wait for a concurrent
+// builder — the build itself is not canceled, since its result is
+// shared by every waiter.
 func (c *modelCache) getOrBuild(ctx context.Context, key string, build func(*modelEntry) error) (*modelEntry, bool, error) {
 	c.mu.Lock()
 	if elem, ok := c.entries[key]; ok {
@@ -116,6 +122,10 @@ func (c *modelCache) getOrBuild(ctx context.Context, key string, build func(*mod
 		}
 		c.hits.Add(1)
 		return e, true, nil
+	}
+	if build == nil {
+		c.mu.Unlock()
+		return nil, false, nil
 	}
 	e := &modelEntry{key: key, ready: make(chan struct{})}
 	elem := c.ll.PushFront(e)
@@ -297,57 +307,78 @@ func buildEntry(e *modelEntry, fingerprint string, env *spec.Environment, flows 
 	return nil
 }
 
-// resolveEntry decodes and fingerprints the request's system document
-// and returns the warm (or freshly built) model entry for it.
+// system is a system on its way to a model: fingerprinted from its
+// posted document, decoded into spec objects only when a build, a
+// deployment or a calibration needs them. A warm hit never decodes.
+type system struct {
+	doc   *wfjson.Document
+	fp    string
+	popts performability.Options
+	env   *spec.Environment
+	flows []*spec.Workflow
+	err   error // options, fingerprint or FromDocument refusal
+}
+
+// postedSystem fingerprints doc. A document canonicalisation refuses is
+// decoded at once, for FromDocument's error or else Fingerprint's.
+func postedSystem(doc *wfjson.Document, popts performability.Options) system {
+	sys := system{doc: doc, popts: popts}
+	var ok bool
+	if sys.fp, ok = wfjson.FingerprintDocument(doc); !ok && sys.decode() == nil {
+		sys.fp, sys.err = wfjson.Fingerprint(sys.env, sys.flows)
+	}
+	return sys
+}
+
+func (sys *system) decode() error {
+	if sys.env == nil && sys.err == nil {
+		sys.env, sys.flows, sys.err = wfjson.FromDocument(sys.doc)
+	}
+	return sys.err
+}
+
+// resolve returns the model entry for sys: the resident one when there
+// is one (warm: this call neither built nor waited on a build it
+// started), else one built from sys's spec objects, decoded only then,
+// so a document FromDocument refuses never reaches the cache.
 //
 // When the system's ingestion stream has detected drift, the entry key
 // carries the stream's rebuild generation and the build recalibrates
-// the posted document with the streamed estimates before deriving the
+// the posted system with the streamed estimates before deriving the
 // models — the drift-triggered half of the paper's feedback loop. The
 // entry keeps the posted fingerprint, so clients keep addressing the
 // system by the document they posted.
-func (s *Server) resolveEntry(ctx context.Context, doc *wfjson.Document, opts performability.Options) (*modelEntry, bool, error) {
-	env, flows, err := wfjson.FromDocument(doc)
-	if err != nil {
-		return nil, false, err
+func (s *Server) resolve(ctx context.Context, sys *system) (*modelEntry, bool, error) {
+	if sys.err != nil {
+		return nil, false, sys.err
 	}
-	fp, err := wfjson.Fingerprint(env, flows)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.resolveDecoded(ctx, env, flows, fp, opts)
-}
-
-// resolveDecoded is resolveEntry after decode and fingerprinting — the
-// entry point for batch items, whose documents are decoded up front so
-// they can be grouped by fingerprint before any model is built. The
-// returned bool is true iff the entry was already resident (this call
-// neither built nor waited on a build it started).
-func (s *Server) resolveDecoded(ctx context.Context, env *spec.Environment, flows []*spec.Workflow, fp string, opts performability.Options) (*modelEntry, bool, error) {
-	key := entryKey(fp, opts)
 	var gen uint64
-	st := s.streams.lookup(fp)
+	st := s.streams.lookup(sys.fp)
 	if st != nil {
 		_, _, gen, _ = st.snapshot()
 	}
-	if gen > 0 {
-		key = fmt.Sprintf("%s|gen=%d", key, gen)
+	key := entryKey(sys.fp, sys.popts, gen)
+	if e, warm, err := s.models.getOrBuild(ctx, key, nil); e != nil || err != nil {
+		return e, warm, err
+	}
+	if err := sys.decode(); err != nil {
+		return nil, false, err
 	}
 	entry, warm, err := s.models.getOrBuild(ctx, key, func(e *modelEntry) error {
-		benv, bflows := env, flows
+		env, flows := sys.env, sys.flows
 		if gen > 0 {
 			var rerr error
-			benv, bflows, rerr = st.recalibrated(env, flows)
+			env, flows, rerr = st.recalibrated(sys.env, sys.flows)
 			if rerr != nil {
 				// A drifted model that cannot be re-estimated degrades to
 				// the posted parameters instead of failing the request;
 				// the next drift crossing bumps the generation and
 				// retries.
 				s.opts.Logger.Warn("drift recalibration failed; building from posted document",
-					"fingerprint", fp, "err", rerr)
+					"fingerprint", sys.fp, "err", rerr)
 			}
 		}
-		return buildEntry(e, fp, benv, bflows, opts)
+		return buildEntry(e, sys.fp, env, flows, sys.popts)
 	})
 	if err != nil {
 		return nil, false, err

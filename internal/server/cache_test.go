@@ -2,10 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"performa/internal/wfjson"
 )
 
 // TestCacheSingleFlightSurvivesOverflow is the regression test for the
@@ -122,5 +126,93 @@ func TestCacheOverflowWithOnlyBuildingEntries(t *testing.T) {
 	}
 	if got := c.len(); got > 1 {
 		t.Errorf("cache holds %d entries after builds settled, want <= max (1)", got)
+	}
+}
+
+// TestInvalidDocumentNeverTouchesCache: a warm hit is looked up by the
+// fingerprint of the posted document before FromDocument validates it,
+// so an invalid document in canonical form must still get FromDocument's
+// 400, word for word, and must neither build, count a miss nor evict.
+// With room for two models, two warm systems stay warm through ten
+// invalid posts, singly and as a batch.
+func TestInvalidDocumentNeverTouchesCache(t *testing.T) {
+	paper, _ := paperSystem(t)
+	plan, _ := planSearchSystem(t)
+	s, ts := newTestServer(t, Options{CacheSize: 2})
+	goals := GoalsJSON{MaxUnavailability: 1e-5}
+	warm := []AssessRequest{
+		{System: paper, Config: []int{2, 2, 3}, Goals: goals},
+		{System: plan, Config: []int{2, 2, 2, 2, 2, 2, 2}, Goals: goals},
+	}
+	for _, req := range warm {
+		if status := postJSON(t, ts.URL+"/v1/assess", req, nil); status != http.StatusOK {
+			t.Fatalf("warming: status %d", status)
+		}
+	}
+	var before StatsResponse
+	s.models.stats(&before)
+
+	invalid := []struct {
+		name   string
+		mutate func(d *wfjson.Document)
+	}{
+		{"transition to an unknown state", func(d *wfjson.Document) { d.Workflows[0].Chart.Transitions[0].To = "nowhere" }},
+		{"initial state missing", func(d *wfjson.Document) { d.Workflows[0].Chart.Initial = "nowhere" }},
+		{"probabilities not summing to one", func(d *wfjson.Document) { d.Workflows[0].Chart.Transitions[0].Prob = 0.5 }},
+		{"negative arrival rate", func(d *wfjson.Document) { d.Workflows[0].ArrivalRate = -1 }},
+		{"zero mean service", func(d *wfjson.Document) { d.Environment.Types[0].MeanService = 0 }},
+		{"duplicate server type", func(d *wfjson.Document) { d.Environment.Types[1].Name = d.Environment.Types[0].Name }},
+		{"failing server without repair", func(d *wfjson.Document) { d.Environment.Types[0].MTTR = 0 }},
+		{"load on an unknown type", func(d *wfjson.Document) { d.Workflows[0].Activities[0].Load = map[string]float64{"nowhere": 1} }},
+		{"negative mean duration", func(d *wfjson.Document) { d.Workflows[0].Activities[0].MeanDuration = -1 }},
+		{"no workflows", func(d *wfjson.Document) { d.Workflows = nil }},
+	}
+	raw := mustJSON(t, paper)
+	var batch AssessBatchRequest
+	var wantErrs []string
+	for _, c := range invalid {
+		var doc wfjson.Document
+		if err := json.Unmarshal([]byte(raw), &doc); err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(&doc)
+		if _, ok := wfjson.FingerprintDocument(&doc); !ok {
+			t.Fatalf("%s: canonicalisation refused the document, so the cache lookup goes untested", c.name)
+		}
+		_, _, want := wfjson.FromDocument(&doc)
+		if want == nil {
+			t.Fatalf("%s: FromDocument accepts the document", c.name)
+		}
+		wantErrs = append(wantErrs, want.Error())
+		req := AssessRequest{System: doc, Config: []int{2, 2, 3}, Goals: goals}
+		status, e := postRaw(t, ts.URL+"/v1/assess", mustJSON(t, req))
+		if status != http.StatusBadRequest || e.Error != want.Error() {
+			t.Errorf("%s: %d %q, want 400 %q", c.name, status, e.Error, want)
+		}
+		batch.Items = append(batch.Items, AssessBatchItem{System: doc, Config: req.Config, Goals: goals})
+	}
+	var resp AssessBatchResponse
+	if status := postJSON(t, ts.URL+"/v1/assess-batch", batch, &resp); status != http.StatusOK {
+		t.Fatalf("batch status %d", status)
+	}
+	if resp.Groups != 0 || resp.ModelBuilds != 0 || resp.CacheWarm != 0 {
+		t.Errorf("invalid batch: groups %d, builds %d, warm %d; want none", resp.Groups, resp.ModelBuilds, resp.CacheWarm)
+	}
+	for i, it := range resp.Items {
+		if it.Error == nil || it.Error.Error != wantErrs[i] {
+			t.Errorf("batch item %d (%s): error %+v, want %q", i, invalid[i].name, it.Error, wantErrs[i])
+		}
+	}
+
+	var after StatsResponse
+	s.models.stats(&after)
+	if after.ModelCache.Misses != before.ModelCache.Misses || after.ModelCache.Evictions != 0 || after.ModelCache.Size != 2 {
+		t.Errorf("cache after invalid posts: %+v, before %+v", after.ModelCache, before.ModelCache)
+	}
+	for _, req := range warm {
+		var got AssessResponse
+		if status := postJSON(t, ts.URL+"/v1/assess", req, &got); status != http.StatusOK || !got.CacheWarm {
+			t.Errorf("warm system after invalid posts: status %d, cache_warm %v", status, got.CacheWarm)
+		}
 	}
 }

@@ -26,9 +26,7 @@ import (
 
 	"performa/internal/config"
 	"performa/internal/perf"
-	"performa/internal/performability"
 	"performa/internal/sensitivity"
-	"performa/internal/spec"
 	"performa/internal/stream"
 	"performa/internal/wfmserr"
 )
@@ -50,16 +48,13 @@ type driftEvent struct {
 }
 
 // deployment is one registered running configuration. The decoded
-// system (env/flows) is retained so post-drift re-plans can rebuild the
+// system is retained so post-drift re-plans can rebuild the
 // recalibrated model without re-posting the document.
 type deployment struct {
-	fingerprint string
-	env         *spec.Environment
-	flows       []*spec.Workflow
-	popts       performability.Options
-	goals       config.Goals
-	cons        config.Constraints
-	goalsJSON   GoalsJSON
+	sys       system
+	goals     config.Goals
+	cons      config.Constraints
+	goalsJSON GoalsJSON
 
 	mu         sync.Mutex
 	config     []int
@@ -83,7 +78,7 @@ func (d *deployment) json(types []string) DeploymentJSON {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return DeploymentJSON{
-		Fingerprint: d.fingerprint,
+		Fingerprint: d.sys.fp,
 		ServerTypes: types,
 		Config:      append([]int(nil), d.config...),
 		Goals:       d.goalsJSON,
@@ -106,7 +101,7 @@ func newDeploymentRegistry() *deploymentRegistry {
 
 func (r *deploymentRegistry) put(d *deployment) {
 	r.mu.Lock()
-	r.deps[d.fingerprint] = d
+	r.deps[d.sys.fp] = d
 	r.mu.Unlock()
 }
 
@@ -123,7 +118,7 @@ func (r *deploymentRegistry) snapshot() []*deployment {
 	for _, d := range r.deps {
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].fingerprint < out[j].fingerprint })
+	sort.Slice(out, func(i, j int) bool { return out[i].sys.fp < out[j].sys.fp })
 	return out
 }
 
@@ -154,11 +149,12 @@ func (l *advisoryLog) append(a AdvisoryJSON) uint64 {
 }
 
 // list returns the retained advisories with ID > sinceID, oldest first,
-// optionally filtered by fingerprint.
+// optionally filtered by fingerprint. Never nil (the reply lists []),
+// and sized by what matches: a poll usually finds one or none.
 func (l *advisoryLog) list(fp string, sinceID uint64) []AdvisoryJSON {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]AdvisoryJSON, 0, len(l.buf))
+	out := []AdvisoryJSON{}
 	for _, a := range l.buf {
 		if a.ID <= sinceID {
 			continue
@@ -318,18 +314,18 @@ func (s *Server) runReconfigure(ev driftEvent) {
 	defer release()
 
 	adv.OldConfig = dep.currentConfig()
-	entry, _, err := s.resolveDecoded(ctx, dep.env, dep.flows, dep.fingerprint, dep.popts)
+	entry, _, err := s.resolve(ctx, &dep.sys)
 	if err != nil {
 		s.ctrl.emit(dep, adv, ev.at, err)
 		return
 	}
-	if oldAs, err := entry.assess(ctx, adv.OldConfig, dep.goals, dep.popts); err == nil {
+	if oldAs, err := entry.assess(ctx, adv.OldConfig, dep.goals, dep.sys.popts); err == nil {
 		aj := assessmentJSON(oldAs)
 		adv.OldAssessment = &aj
 	}
 	cons := dep.cons
 	cons.StartFrom = adv.OldConfig
-	rec, err := config.GreedyContext(ctx, entry.analysis, dep.goals, cons, config.Options{Performability: dep.popts, Evaluator: entry.ev})
+	rec, err := config.GreedyContext(ctx, entry.analysis, dep.goals, cons, config.Options{Performability: dep.sys.popts, Evaluator: entry.ev})
 	if err != nil {
 		s.ctrl.emit(dep, adv, ev.at, err)
 		return
@@ -364,14 +360,13 @@ func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	it := decodeItem(&req.System, &req.Model, ModelJSON{})
-	if it.err != nil {
-		s.writeError(w, r, http.StatusBadRequest, it.err)
+	if err := it.decode(); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	env, flows, fp, popts := it.env, it.flows, it.fp, it.popts
-	if len(req.Config) != env.K() {
+	if len(req.Config) != it.env.K() {
 		s.writeError(w, r, http.StatusBadRequest, wfmserr.New(wfmserr.CodeInvalidRequest, "server",
-			"%d replica counts for %d server types", len(req.Config), env.K()))
+			"%d replica counts for %d server types", len(req.Config), it.env.K()))
 		return
 	}
 	ctx, cancel := s.deadline(r.Context(), 0)
@@ -383,31 +378,28 @@ func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	entry, _, err := s.resolveDecoded(ctx, env, flows, fp, popts)
+	entry, _, err := s.resolve(ctx, &it)
 	if err != nil {
 		s.writeError(w, r, badRequestOr(err), err)
 		return
 	}
-	as, err := entry.assess(ctx, req.Config, req.Goals.toGoals(), popts)
+	as, err := entry.assess(ctx, req.Config, req.Goals.toGoals(), it.popts)
 	if err != nil {
 		s.writeError(w, r, statusForError(err), err)
 		return
 	}
-	if _, err := s.streamFor(fp); err != nil {
+	if _, err := s.streamFor(it.fp); err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	aj := assessmentJSON(as)
 	dep := &deployment{
-		fingerprint: fp,
-		env:         env,
-		flows:       flows,
-		popts:       popts,
-		goals:       req.Goals.toGoals(),
-		cons:        req.Constraints.toConstraints(),
-		goalsJSON:   req.Goals,
-		config:      append([]int(nil), req.Config...),
-		assessment:  &aj,
+		sys:        it,
+		goals:      req.Goals.toGoals(),
+		cons:       req.Constraints.toConstraints(),
+		goalsJSON:  req.Goals,
+		config:     append([]int(nil), req.Config...),
+		assessment: &aj,
 	}
 	dep.cons.StartFrom = nil // the controller sets it per re-plan
 	s.ctrl.deployments.put(dep)
@@ -418,7 +410,7 @@ func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeploymentList(w http.ResponseWriter, r *http.Request) {
 	resp := DeploymentsResponse{Deployments: []DeploymentJSON{}}
 	for _, dep := range s.ctrl.deployments.snapshot() {
-		resp.Deployments = append(resp.Deployments, dep.json(typeNames(dep.env)))
+		resp.Deployments = append(resp.Deployments, dep.json(typeNames(dep.sys.env)))
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

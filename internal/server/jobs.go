@@ -331,7 +331,8 @@ func (s *Server) runJob(ctx context.Context, j *job, req *RecommendRequest, popt
 	defer release()
 	j.markRunning(s.jobs.clock())
 
-	entry, warm, err := s.resolveEntry(ctx, &req.System, popts)
+	sys := postedSystem(&req.System, popts)
+	entry, warm, err := s.resolve(ctx, &sys)
 	if err != nil {
 		s.jobs.complete(j, nil, err)
 		return

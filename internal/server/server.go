@@ -174,7 +174,6 @@ func (o Options) withDefaults() Options {
 
 // New builds the service.
 func New(opts Options) *Server {
-	heapFloorOnce.Do(holdHeapFloor)
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:      opts,
@@ -377,7 +376,8 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	entry, warm, err := s.resolveEntry(ctx, &req.System, popts)
+	sys := postedSystem(&req.System, popts)
+	entry, warm, err := s.resolve(ctx, &sys)
 	if err != nil {
 		s.writeError(w, r, badRequestOr(err), err)
 		return
@@ -506,7 +506,8 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	entry, warm, err := s.resolveEntry(ctx, &req.System, popts)
+	sys := postedSystem(&req.System, popts)
+	entry, warm, err := s.resolve(ctx, &sys)
 	if err != nil {
 		s.writeError(w, r, badRequestOr(err), err)
 		return
@@ -538,8 +539,8 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	// workflow parameters in place, which must never touch the cached
 	// (shared, immutable) entries.
 	it := decodeItem(&req.System, nil, ModelJSON{})
-	if it.err != nil {
-		s.writeError(w, r, http.StatusBadRequest, it.err)
+	if err := it.decode(); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	env, flows := it.env, it.flows
@@ -579,7 +580,7 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Warm the cache for the recalibrated system under the default
 	// evaluation options, so the follow-up what-if queries start hot.
-	if _, _, err := s.models.getOrBuild(ctx, entryKey(newFP, it.popts), func(e *modelEntry) error {
+	if _, _, err := s.models.getOrBuild(ctx, entryKey(newFP, it.popts, 0), func(e *modelEntry) error {
 		return buildEntry(e, newFP, env, flows, it.popts)
 	}); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)

@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"performa/internal/crossval"
@@ -100,5 +103,93 @@ func TestFingerprintUnchanged(t *testing.T) {
 		if want := marshalFingerprint(t, sys.Env, sys.Flows); got != want {
 			t.Errorf("seed %d: fingerprint %s, json.Marshal's digest %s", seed, got, want)
 		}
+	}
+}
+
+// permuted returns doc as another client might post the same system:
+// every chart's states and every workflow's activities shuffled, an
+// activity no state references appended, a stale duplicate of one
+// profile put before it (the last of duplicates is the profile), and an
+// exponential service time written as scv 0 instead of 1.
+func permuted(doc *wfjson.Document, rng *rand.Rand) *wfjson.Document {
+	var shuffleChart func(c *wfjson.Chart)
+	shuffleChart = func(c *wfjson.Chart) {
+		c.States = slices.Clone(c.States)
+		rng.Shuffle(len(c.States), func(i, j int) { c.States[i], c.States[j] = c.States[j], c.States[i] })
+		for i := range c.States {
+			c.States[i].Subcharts = slices.Clone(c.States[i].Subcharts)
+			for j := range c.States[i].Subcharts {
+				shuffleChart(&c.States[i].Subcharts[j])
+			}
+		}
+	}
+	out := &wfjson.Document{
+		Environment: wfjson.Environment{Types: slices.Clone(doc.Environment.Types)},
+		Workflows:   slices.Clone(doc.Workflows),
+	}
+	for i := range out.Environment.Types {
+		if st := &out.Environment.Types[i]; st.ServiceSCV == 1 {
+			st.ServiceSCV = 0
+		}
+	}
+	for i := range out.Workflows {
+		w := &out.Workflows[i]
+		shuffleChart(&w.Chart)
+		acts := append(slices.Clone(w.Activities),
+			wfjson.Activity{Name: "unreferenced", MeanDuration: 1, Load: map[string]float64{"nowhere": 1}})
+		rng.Shuffle(len(acts), func(i, j int) { acts[i], acts[j] = acts[j], acts[i] })
+		if n := len(w.Activities); n > 0 {
+			stale := w.Activities[rng.IntN(n)]
+			stale.MeanDuration *= 2
+			acts = append([]wfjson.Activity{stale}, acts...)
+		}
+		w.Activities = acts
+	}
+	return out
+}
+
+// TestFingerprintDocumentMatchesFingerprint pins FingerprintDocument to
+// Fingerprint on the corpus and 300 generated systems, each posted as
+// written and permuted: the digest a warm hit is found by must be the
+// one its model was built under.
+func TestFingerprintDocumentMatchesFingerprint(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	check := func(label string, doc *wfjson.Document, want string) {
+		t.Helper()
+		for _, d := range []*wfjson.Document{doc, permuted(doc, rng)} {
+			if got, ok := wfjson.FingerprintDocument(d); !ok || got != want {
+				t.Errorf("%s: FingerprintDocument %q (ok %v), Fingerprint %s", label, got, ok, want)
+			}
+		}
+	}
+	files, err := filepath.Glob("../../corpus/systems/*.wfjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc wfjson.Document
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		check(file, &doc, corpusFingerprints[filepath.Base(file)])
+	}
+	for seed := uint64(1); seed <= 300; seed++ {
+		sys, err := crossval.Generate(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want, err := wfjson.Fingerprint(sys.Env, sys.Flows)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		doc, err := wfjson.ToDocument(sys.Env, sys.Flows)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("seed %d", seed), doc, want)
 	}
 }

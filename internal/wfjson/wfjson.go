@@ -42,14 +42,11 @@ package wfjson
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"sync"
 
 	"performa/internal/spec"
 	"performa/internal/statechart"
@@ -197,45 +194,10 @@ func nonFinite(owner, field string, v float64) error {
 // FromDocument converts a parsed document into model inputs.
 func FromDocument(doc *Document) (*spec.Environment, []*spec.Workflow, error) {
 	types := make([]spec.ServerType, 0, len(doc.Environment.Types))
-	for _, st := range doc.Environment.Types {
-		kind, ok := kindNames[st.Kind]
-		if !ok {
-			return nil, nil, fmt.Errorf("wfjson: server type %q: unknown kind %q (want communication, engine, application, directory, or worklist)", st.Name, st.Kind)
-		}
-		scv := st.ServiceSCV
-		if scv == 0 {
-			scv = 1
-		}
-		if scv < 0 {
-			return nil, nil, fmt.Errorf("wfjson: server type %q: negative service scv %v", st.Name, scv)
-		}
-		out := spec.ServerType{
-			Name:                st.Name,
-			Kind:                kind,
-			MeanService:         st.MeanService,
-			ServiceSecondMoment: (1 + scv) * st.MeanService * st.MeanService,
-		}
-		if st.MTTF > 0 {
-			out.FailureRate = 1 / st.MTTF
-		}
-		if st.MTTR > 0 {
-			out.RepairRate = 1 / st.MTTR
-		}
-		for _, f := range [...]struct {
-			name string
-			v    float64
-		}{
-			{"mean_service", st.MeanService},
-			{"service_scv", scv},
-			{"mttf", st.MTTF},
-			{"mttr", st.MTTR},
-			{"derived service second moment", out.ServiceSecondMoment},
-			{"derived failure rate (1/mttf)", out.FailureRate},
-			{"derived repair rate (1/mttr)", out.RepairRate},
-		} {
-			if !finite(f.v) {
-				return nil, nil, nonFinite(fmt.Sprintf("server type %q", st.Name), f.name, f.v)
-			}
+	for i := range doc.Environment.Types {
+		out, err := serverTypeFromJSON(&doc.Environment.Types[i])
+		if err != nil {
+			return nil, nil, err
 		}
 		types = append(types, out)
 	}
@@ -288,6 +250,51 @@ func FromDocument(doc *Document) (*spec.Environment, []*spec.Workflow, error) {
 	return env, flows, nil
 }
 
+// serverTypeFromJSON converts one document server type, with the checks
+// FromDocument makes on it before the environment validates it.
+func serverTypeFromJSON(st *ServerType) (spec.ServerType, error) {
+	kind, ok := kindNames[st.Kind]
+	if !ok {
+		return spec.ServerType{}, fmt.Errorf("wfjson: server type %q: unknown kind %q (want communication, engine, application, directory, or worklist)", st.Name, st.Kind)
+	}
+	scv := st.ServiceSCV
+	if scv == 0 {
+		scv = 1
+	}
+	if scv < 0 {
+		return spec.ServerType{}, fmt.Errorf("wfjson: server type %q: negative service scv %v", st.Name, scv)
+	}
+	out := spec.ServerType{
+		Name:                st.Name,
+		Kind:                kind,
+		MeanService:         st.MeanService,
+		ServiceSecondMoment: (1 + scv) * st.MeanService * st.MeanService,
+	}
+	if st.MTTF > 0 {
+		out.FailureRate = 1 / st.MTTF
+	}
+	if st.MTTR > 0 {
+		out.RepairRate = 1 / st.MTTR
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"mean_service", st.MeanService},
+		{"service_scv", scv},
+		{"mttf", st.MTTF},
+		{"mttr", st.MTTR},
+		{"derived service second moment", out.ServiceSecondMoment},
+		{"derived failure rate (1/mttf)", out.FailureRate},
+		{"derived repair rate (1/mttr)", out.RepairRate},
+	} {
+		if !finite(f.v) {
+			return spec.ServerType{}, nonFinite(fmt.Sprintf("server type %q", st.Name), f.name, f.v)
+		}
+	}
+	return out, nil
+}
+
 func chartFromJSON(c *Chart) (*statechart.Chart, error) {
 	out := &statechart.Chart{
 		Name:    c.Name,
@@ -337,31 +344,21 @@ func chartFromJSON(c *Chart) (*statechart.Chart, error) {
 }
 
 // Fingerprint returns a stable hex digest identifying the modeled system
-// — the environment plus the workflow mix with its arrival rates. Two
-// systems share a fingerprint exactly when their canonical documents
-// (ToDocument output, which orders states, transitions, and activities
-// deterministically) are byte-identical, so the digest is a safe cache
-// key for model state derived purely from the system: analyses and
-// availability marginals.
+// — the environment plus the workflow mix with its arrival rates: the
+// SHA-256 of its canonical document (ToDocument's, which orders states,
+// transitions and activities deterministically) as json.Marshal would
+// write it. Two systems share a fingerprint exactly when their canonical
+// documents are byte-identical, so the digest is a safe cache key for
+// model state derived purely from the system: analyses and availability
+// marginals. FingerprintDocument reaches the same digest from a posted
+// document without building the system.
 func Fingerprint(env *spec.Environment, flows []*spec.Workflow) (string, error) {
 	doc, err := ToDocument(env, flows)
 	if err != nil {
 		return "", err
 	}
-	bp := canonicalBufs.Get().(*[]byte)
-	defer canonicalBufs.Put(bp)
-	*bp, err = appendDocument((*bp)[:0], doc)
-	if err != nil {
-		return "", fmt.Errorf("wfjson: fingerprinting document: %w", err)
-	}
-	sum := sha256.Sum256(*bp)
-	return hex.EncodeToString(sum[:]), nil
+	return hashDocument(doc)
 }
-
-// canonicalBufs recycles the buffers Fingerprint serialises into: the
-// bytes are hashed and dropped, so a fresh few KB per call is pure
-// garbage.
-var canonicalBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Encode writes the environment and workflows as an indented document.
 func Encode(w io.Writer, env *spec.Environment, flows []*spec.Workflow) error {
@@ -428,21 +425,7 @@ func ToDocument(env *spec.Environment, flows []*spec.Workflow) (*Document, error
 	doc.Environment.Types = sized[ServerType](len(types))
 	doc.Workflows = sized[Workflow](len(flows))
 	for _, st := range types {
-		jt := ServerType{
-			Name:        st.Name,
-			Kind:        kindStrings[st.Kind],
-			MeanService: st.MeanService,
-		}
-		if st.MeanService > 0 {
-			jt.ServiceSCV = stableSCV(st.ServiceSecondMoment, st.MeanService)
-		}
-		if st.FailureRate > 0 {
-			jt.MTTF = 1 / st.FailureRate
-		}
-		if st.RepairRate > 0 {
-			jt.MTTR = 1 / st.RepairRate
-		}
-		doc.Environment.Types = append(doc.Environment.Types, jt)
+		doc.Environment.Types = append(doc.Environment.Types, serverTypeToJSON(st))
 	}
 	for _, f := range flows {
 		jw := Workflow{Name: f.Name, ArrivalRate: f.ArrivalRate}
@@ -466,6 +449,25 @@ func ToDocument(env *spec.Environment, flows []*spec.Workflow) (*Document, error
 		doc.Workflows = append(doc.Workflows, jw)
 	}
 	return doc, nil
+}
+
+// serverTypeToJSON is ToDocument's form of one server type.
+func serverTypeToJSON(st spec.ServerType) ServerType {
+	jt := ServerType{
+		Name:        st.Name,
+		Kind:        kindStrings[st.Kind],
+		MeanService: st.MeanService,
+	}
+	if st.MeanService > 0 {
+		jt.ServiceSCV = stableSCV(st.ServiceSecondMoment, st.MeanService)
+	}
+	if st.FailureRate > 0 {
+		jt.MTTF = 1 / st.FailureRate
+	}
+	if st.RepairRate > 0 {
+		jt.MTTR = 1 / st.RepairRate
+	}
+	return jt
 }
 
 // sized returns an empty slice with room for n elements, nil for none: a

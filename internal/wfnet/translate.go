@@ -191,44 +191,27 @@ func (b *netBuilder) chart(chart *statechart.Chart, entry, exit int, prefix stri
 			}
 			out = nil
 		}
-		if s.Activity != "" {
-			// Timed exit cluster from the last stage: rate p·k/d per
-			// branch folds branch probability into the race.
-			prof := b.profiles[s.Activity]
-			k := prof.DurationStages
-			if k < 1 {
-				k = 1
-			}
-			total := float64(k) / prof.MeanDuration
-			if len(out) == 0 {
-				b.add(Transition{
-					Name: label + ".finish",
-					In:   []int{sn.out}, Out: []int{exit},
-					Rate: total,
-				})
-				continue
-			}
-			for ti, t := range out {
-				to, err := target(t.To)
-				if err != nil {
-					return err
-				}
-				b.add(Transition{
-					Name: fmt.Sprintf("%s.exit%d->%s", label, ti, t.To),
-					In:   []int{sn.out}, Out: []int{to},
-					Rate: t.Prob * total,
-				})
-			}
-			continue
-		}
-		// AND state: the join's output place routes via an immediate
+		// An activity's exit cluster is timed from its last stage: rate
+		// p·k/d per branch folds branch probability into the race. An AND
+		// state's join output place routes via an immediate
 		// weight-resolved cluster (single shared input place).
+		timed := s.Activity != ""
+		var total float64
+		if timed {
+			prof := b.profiles[s.Activity]
+			total = float64(max(prof.DurationStages, 1)) / prof.MeanDuration
+		}
+		route := func(name string, to int, p float64) {
+			tr := Transition{Name: name, In: []int{sn.out}, Out: []int{to}}
+			if timed {
+				tr.Rate = p * total
+			} else {
+				tr.Weight = p
+			}
+			b.add(tr)
+		}
 		if len(out) == 0 {
-			b.add(Transition{
-				Name: label + ".finish",
-				In:   []int{sn.out}, Out: []int{exit},
-				Rate: 0, Weight: 1,
-			})
+			route(label+".finish", exit, 1)
 			continue
 		}
 		for ti, t := range out {
@@ -236,11 +219,7 @@ func (b *netBuilder) chart(chart *statechart.Chart, entry, exit int, prefix stri
 			if err != nil {
 				return err
 			}
-			b.add(Transition{
-				Name: fmt.Sprintf("%s.exit%d->%s", label, ti, t.To),
-				In:   []int{sn.out}, Out: []int{to},
-				Rate: 0, Weight: t.Prob,
-			})
+			route(fmt.Sprintf("%s.exit%d->%s", label, ti, t.To), to, t.Prob)
 		}
 	}
 	return nil
