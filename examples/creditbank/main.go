@@ -97,17 +97,15 @@ func main() {
 	fmt.Printf("  downtime: %.1f s/year\n", as.Availability.DowntimeSecondsPerYear())
 
 	// --- 5. What would co-locating engine and app servers cost? ------
-	colo := performa.Configuration{
-		Replicas:  rec.Config.Replicas,
-		Colocated: [][]int{{1, 2}},
-	}
-	if colo.Replicas[1] == colo.Replicas[2] {
-		coloAs, err := calibrated.AssessWith(colo, performa.AssessOptions{SkipPerformability: true})
+	// Co-location is a variant of the performance model: each of the y
+	// shared computers runs one engine and one app server, so y computers
+	// are saved.
+	if y := rec.Config.Replicas[1]; y == rec.Config.Replicas[2] {
+		colo, err := calibrated.Analysis().EvaluateColocated(rec.Config, [][]int{{1, 2}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nco-locating engine+appsrv on %d shared computers: waiting %.5g min (vs %.5g separate), %d computers saved\n",
-			colo.Replicas[1], coloAs.Performance.Waiting[1], as.Performance.Waiting[1],
-			rec.Config.TotalServers()-colo.TotalServers())
+			y, colo.Waiting[1], as.Performance.Waiting[1], y)
 	}
 }

@@ -261,7 +261,7 @@ func AssessContext(ctx context.Context, a *perf.Analysis, cfg perf.Config, goals
 	if err != nil {
 		return nil, err
 	}
-	return eng.assessConfig(ctx, cfg)
+	return eng.assess(ctx, cfg.Replicas)
 }
 
 // Greedy runs the paper's heuristic (Section 7.2): starting from the
@@ -367,7 +367,7 @@ func GreedyContext(ctx context.Context, a *perf.Analysis, goals Goals, cons Cons
 			target = mostCriticalForWaiting(a, as, goals, cfg.Replicas, hi)
 			reason = "waiting goal"
 		} else {
-			target = mostCriticalForAvailability(a, cfg.Replicas, hi, opts)
+			target = eng.mostCriticalForAvailability(cfg.Replicas, hi)
 			reason = "availability goal"
 		}
 		if target < 0 {
@@ -475,14 +475,14 @@ func mostCriticalForWaiting(a *perf.Analysis, as *Assessment, goals Goals, repli
 	k := len(as.Perf.Waiting)
 	wfScore := make([]float64, k)
 	if goals.PerWorkflowMaxDelay != nil && as.WorkflowDelays != nil {
+		terms := make([]float64, k)
 		for i := range a.Models() {
 			limit := goals.PerWorkflowMaxDelay[i]
 			if limit <= 0 || as.WorkflowDelays[i] <= limit {
 				continue
 			}
-			r := a.WorkflowRequests(i)
-			for x := 0; x < k; x++ {
-				contribution := r[x] * as.Perf.Waiting[x]
+			a.WorkflowDelay(i, as.Perf.Waiting, terms)
+			for x, contribution := range terms {
 				if math.IsInf(contribution, 1) {
 					contribution = 1e18
 				}
@@ -527,9 +527,12 @@ func mostCriticalForWaiting(a *perf.Analysis, as *Assessment, goals Goals, repli
 }
 
 // mostCriticalForAvailability picks the growable server type whose
-// complete failure is most likely, i.e. the largest P(X_x = 0).
-func mostCriticalForAvailability(a *perf.Analysis, replicas, hi []int, opts Options) int {
-	env := a.Env()
+// complete failure is most likely, i.e. the largest P(X_x = 0). The
+// candidate was just evaluated, so each π_x comes from the evaluator's
+// marginal cache.
+func (e *engine) mostCriticalForAvailability(replicas, hi []int) int {
+	env := e.a.Env()
+	popts := e.ev.Options()
 	best := -1
 	bestDown := -1.0
 	for x := 0; x < env.K(); x++ {
@@ -537,11 +540,11 @@ func mostCriticalForAvailability(a *perf.Analysis, replicas, hi []int, opts Opti
 			continue
 		}
 		st := env.Type(x)
-		marginal, err := avail.TypeMarginal(avail.TypeParams{
+		marginal, err := e.ev.Marginals().TypeMarginalSolver(avail.TypeParams{
 			Replicas:    replicas[x],
 			FailureRate: st.FailureRate,
 			RepairRate:  st.RepairRate,
-		}, opts.Performability.Discipline)
+		}, popts.Discipline, popts.Solver)
 		if err != nil {
 			continue
 		}

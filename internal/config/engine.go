@@ -82,19 +82,7 @@ func (e *engine) assess(ctx context.Context, y []int) (*Assessment, error) {
 	return as, nil
 }
 
-// assessConfig evaluates a full configuration. Configurations with
-// co-location or per-replica speeds bypass the memo (its key covers only
-// the replication vector); the evaluator rejects them with the same
-// error the sequential path produced.
-func (e *engine) assessConfig(ctx context.Context, cfg perf.Config) (*Assessment, error) {
-	if len(cfg.Colocated) > 0 || cfg.Speeds != nil {
-		return e.compute(ctx, cfg)
-	}
-	return e.assess(ctx, cfg.Replicas)
-}
-
-// compute runs the performability model and checks the goals — the body
-// of the former sequential assess().
+// compute runs the performability model and checks the goals.
 func (e *engine) compute(ctx context.Context, cfg perf.Config) (*Assessment, error) {
 	res, err := e.ev.EvaluateContext(ctx, cfg)
 	if err != nil {
@@ -120,11 +108,7 @@ func (e *engine) compute(ctx context.Context, cfg perf.Config) (*Assessment, err
 		}
 		out.WorkflowDelays = make([]float64, len(models))
 		for i := range models {
-			r := e.a.WorkflowRequests(i)
-			var d float64
-			for x := range r {
-				d += r[x] * res.Waiting[x]
-			}
+			d := e.a.WorkflowDelay(i, res.Waiting, nil)
 			out.WorkflowDelays[i] = d
 			if limit := e.goals.PerWorkflowMaxDelay[i]; limit > 0 && d > limit {
 				out.PerfOK = false

@@ -21,13 +21,9 @@ func workloadAnalysis(t *testing.T, flows ...*spec.Workflow) *perf.Analysis {
 // analysisIn builds an analysis of env under the given workflows.
 func analysisIn(t *testing.T, env *spec.Environment, flows ...*spec.Workflow) *perf.Analysis {
 	t.Helper()
-	var models []*spec.Model
-	for _, w := range flows {
-		m, err := spec.Build(w, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		models = append(models, m)
+	models, err := spec.BuildAll(flows, env)
+	if err != nil {
+		t.Fatal(err)
 	}
 	a, err := perf.NewAnalysis(env, models)
 	if err != nil {

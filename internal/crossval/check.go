@@ -156,11 +156,11 @@ func Check(sys *System, opt Options) ([]Disagreement, error) {
 	}
 	bopts := buildFaultOpts(opt.Fault)
 
-	models, err := BuildModels(sys, bopts...)
+	models, err := spec.BuildAll(sys.Flows, sys.Env, bopts...)
 	if err != nil {
 		return nil, fmt.Errorf("crossval: building simulation models: %w", err)
 	}
-	modelsA, err := BuildModels(analytic, bopts...)
+	modelsA, err := spec.BuildAll(analytic.Flows, analytic.Env, bopts...)
 	if err != nil {
 		return nil, fmt.Errorf("crossval: building analytic models: %w", err)
 	}
@@ -207,7 +207,7 @@ func applyFault(sys *System, fault Fault) (*System, error) {
 	case FaultServiceMoment:
 		// Perturb the most utilized type: that is where the waiting
 		// comparison has the densest samples and the largest reference.
-		models, err := BuildModels(sys)
+		models, err := spec.BuildAll(sys.Flows, sys.Env)
 		if err != nil {
 			return nil, err
 		}
@@ -377,7 +377,7 @@ func simulatedTurnarounds(ds []Disagreement, route string, sys *System, means []
 	for _, f := range scaled.Flows {
 		f.ArrivalRate *= scale
 	}
-	models, err := BuildModels(scaled, bopts...)
+	models, err := spec.BuildAll(scaled.Flows, scaled.Env, bopts...)
 	if err != nil {
 		return nil, err
 	}
@@ -450,7 +450,7 @@ func availRoute(ds []Disagreement, sys, analytic *System, opt Options) ([]Disagr
 	for _, f := range idle.Flows {
 		f.ArrivalRate = 0
 	}
-	idleModels, err := BuildModels(idle)
+	idleModels, err := spec.BuildAll(idle.Flows, idle.Env)
 	if err != nil {
 		return nil, err
 	}

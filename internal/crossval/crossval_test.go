@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"performa/internal/perf"
+	"performa/internal/spec"
 	"performa/internal/wfjson"
 )
 
@@ -18,7 +19,7 @@ func TestGeneratorValidSystems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		models, err := BuildModels(sys)
+		models, err := spec.BuildAll(sys.Flows, sys.Env)
 		if err != nil {
 			t.Fatalf("seed %d: build: %v", seed, err)
 		}
@@ -161,7 +162,7 @@ func TestShrinkPreservesFailure(t *testing.T) {
 	if states(shrunk) > states(sys) {
 		t.Errorf("shrinking grew the state count: %d -> %d", states(sys), states(shrunk))
 	}
-	if _, err := BuildModels(shrunk); err != nil {
+	if _, err := spec.BuildAll(shrunk.Flows, shrunk.Env); err != nil {
 		t.Fatalf("shrunk system no longer builds: %v", err)
 	}
 	t.Logf("shrunk: %d->%d workflows, %d->%d states, %d->%d types",

@@ -278,7 +278,7 @@ func genProfile(rng *dist.RNG, env *spec.Environment, name string) spec.Activity
 // in [minTargetRho, maxTargetRho] — stable by construction, loaded
 // enough that waiting times are measurable.
 func scaleArrivals(sys *System, rng *dist.RNG) error {
-	models, err := BuildModels(sys)
+	models, err := spec.BuildAll(sys.Flows, sys.Env)
 	if err != nil {
 		return err
 	}
@@ -302,19 +302,4 @@ func scaleArrivals(sys *System, rng *dist.RNG) error {
 		f.ArrivalRate *= scale
 	}
 	return nil
-}
-
-// BuildModels maps every workflow of the system onto its stochastic
-// model. Build options (fault injection into the shared build path)
-// pass through to spec.Build.
-func BuildModels(sys *System, opts ...spec.BuildOption) ([]*spec.Model, error) {
-	models := make([]*spec.Model, len(sys.Flows))
-	for i, f := range sys.Flows {
-		m, err := spec.Build(f, sys.Env, opts...)
-		if err != nil {
-			return nil, err
-		}
-		models[i] = m
-	}
-	return models, nil
 }

@@ -54,7 +54,7 @@ func TestTypeTermsMonotoneInReplicas(t *testing.T) {
 
 	terms := 0
 	for _, sys := range systems {
-		models, err := BuildModels(&System{Env: sys.env, Flows: sys.flows})
+		models, err := spec.BuildAll(sys.flows, sys.env)
 		if err != nil {
 			t.Fatalf("%s: %v", sys.name, err)
 		}

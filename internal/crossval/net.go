@@ -3,6 +3,7 @@ package crossval
 import (
 	"fmt"
 
+	"performa/internal/spec"
 	"performa/internal/wfnet"
 )
 
@@ -34,7 +35,7 @@ func CheckNet(sys *System, opt Options) ([]Disagreement, error) {
 	}
 
 	// Collapsed analytic leg, through the (possibly faulted) build path.
-	models, err := BuildModels(sys, buildFaultOpts(opt.Fault)...)
+	models, err := spec.BuildAll(sys.Flows, sys.Env, buildFaultOpts(opt.Fault)...)
 	if err != nil {
 		return nil, fmt.Errorf("crossval: building collapsed models: %w", err)
 	}

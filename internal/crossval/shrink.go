@@ -31,7 +31,7 @@ func Shrink(sys *System, failing func(*System) bool) *System {
 }
 
 func stillBuilds(sys *System) bool {
-	_, err := BuildModels(sys)
+	_, err := spec.BuildAll(sys.Flows, sys.Env)
 	return err == nil
 }
 

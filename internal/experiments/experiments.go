@@ -27,17 +27,13 @@ func epAnalysis(rate float64) (*perf.Analysis, error) {
 // experiments.
 func mixAnalysis(epRate, orderRate, loanRate float64) (*perf.Analysis, error) {
 	env := workload.PaperEnvironment()
-	var models []*spec.Model
-	for _, w := range []*spec.Workflow{
+	models, err := spec.BuildAll([]*spec.Workflow{
 		workload.EPWorkflow(epRate),
 		workload.OrderWorkflow(orderRate),
 		workload.LoanWorkflow(loanRate),
-	} {
-		m, err := spec.Build(w, env)
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, m)
+	}, env)
+	if err != nil {
+		return nil, err
 	}
 	return perf.NewAnalysis(env, models)
 }
@@ -192,7 +188,7 @@ func E4WaitingCurve() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	colo, err := a.Evaluate(perf.Config{Replicas: []int{1, 1, 1}, Colocated: [][]int{{1, 2}}})
+	colo, err := a.EvaluateColocated(perf.Config{Replicas: []int{1, 1, 1}}, [][]int{{1, 2}})
 	if err != nil {
 		return nil, err
 	}

@@ -147,11 +147,8 @@ func AblationHeterogeneous() (*Table, error) {
 		for _, s := range fl.speeds {
 			total += s
 		}
-		cfg := perf.Config{
-			Replicas: []int{4, len(fl.speeds), 4},
-			Speeds:   [][]float64{nil, fl.speeds, nil},
-		}
-		rep, err := a.Evaluate(cfg)
+		cfg := perf.Config{Replicas: []int{4, len(fl.speeds), 4}}
+		rep, err := a.EvaluateSpeeds(cfg, [][]float64{nil, fl.speeds, nil})
 		if err != nil {
 			return nil, err
 		}

@@ -145,7 +145,7 @@ func TestKernelMatchesLUOnGeneratedSystems(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		models, err := crossval.BuildModels(sys)
+		models, err := spec.BuildAll(sys.Flows, sys.Env)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,10 +12,7 @@ func TestHeterogeneousUnitSpeedsMatchHomogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit, err := a.Evaluate(Config{
-		Replicas: []int{2, 2, 2},
-		Speeds:   [][]float64{{1, 1}, {1, 1}, {1, 1}},
-	})
+	unit, err := a.EvaluateSpeeds(Config{Replicas: []int{2, 2, 2}}, [][]float64{{1, 1}, {1, 1}, {1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +35,7 @@ func TestHeterogeneousFasterServersHelp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := a.Evaluate(Config{
-		Replicas: []int{2, 2, 2},
-		Speeds:   [][]float64{{2, 2}, {2, 2}, {2, 2}},
-	})
+	fast, err := a.EvaluateSpeeds(Config{Replicas: []int{2, 2, 2}}, [][]float64{{2, 2}, {2, 2}, {2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +59,7 @@ func TestHeterogeneousMixedSpeedsBetweenBounds(t *testing.T) {
 	// and fast (2,2) servers in every metric.
 	_, a := newAnalysis(t, 2)
 	mk := func(speeds []float64) *Report {
-		rep, err := a.Evaluate(Config{
-			Replicas: []int{2, 2, 2},
-			Speeds:   [][]float64{speeds, speeds, speeds},
-		})
+		rep, err := a.EvaluateSpeeds(Config{Replicas: []int{2, 2, 2}}, [][]float64{speeds, speeds, speeds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,10 +82,7 @@ func TestHeterogeneousMixedSpeedsBetweenBounds(t *testing.T) {
 
 func TestHeterogeneousNilEntriesAreHomogeneous(t *testing.T) {
 	_, a := newAnalysis(t, 0.5)
-	rep, err := a.Evaluate(Config{
-		Replicas: []int{1, 2, 1},
-		Speeds:   [][]float64{nil, {1, 3}, nil},
-	})
+	rep, err := a.EvaluateSpeeds(Config{Replicas: []int{1, 2, 1}}, [][]float64{nil, {1, 3}, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,41 +102,31 @@ func TestHeterogeneousNilEntriesAreHomogeneous(t *testing.T) {
 func TestHeterogeneousValidation(t *testing.T) {
 	_, a := newAnalysis(t, 0.5)
 	cases := []struct {
-		cfg  Config
-		want string
+		replicas []int
+		speeds   [][]float64
+		want     string
 	}{
-		{Config{Replicas: []int{1, 1, 1}, Speeds: [][]float64{{1}, {1}}}, "speed vectors"},
-		{Config{Replicas: []int{2, 1, 1}, Speeds: [][]float64{{1}, {1}, {1}}}, "speed factors"},
-		{Config{Replicas: []int{1, 1, 1}, Speeds: [][]float64{{0}, {1}, {1}}}, "invalid speed"},
-		{Config{Replicas: []int{1, 1, 1}, Speeds: [][]float64{{-2}, {1}, {1}}}, "invalid speed"},
-		{Config{Replicas: []int{1, 1, 1}, Colocated: [][]int{{0, 1}}, Speeds: [][]float64{{1}, {1}, {1}}}, "co-location"},
+		{[]int{1, 1}, [][]float64{{1}, {1}}, "server types"},
+		{[]int{1, 1, 1}, [][]float64{{1}, {1}}, "speed vectors"},
+		{[]int{2, 1, 1}, [][]float64{{1}, {1}, {1}}, "speed factors"},
+		{[]int{1, 1, 1}, [][]float64{{0}, {1}, {1}}, "invalid speed"},
+		{[]int{1, 1, 1}, [][]float64{{-2}, {1}, {1}}, "invalid speed"},
 	}
 	for _, tc := range cases {
-		if _, err := a.Evaluate(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("cfg %+v: err = %v, want containing %q", tc.cfg, err, tc.want)
+		if _, err := a.EvaluateSpeeds(Config{Replicas: tc.replicas}, tc.speeds); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("replicas %v speeds %v: err = %v, want containing %q", tc.replicas, tc.speeds, err, tc.want)
 		}
 	}
 }
 
 func TestHeterogeneousSaturation(t *testing.T) {
 	_, a := newAnalysis(t, 4) // l_eng = 12 → needs Σs > 1.2 at b=0.1
-	rep, err := a.Evaluate(Config{
-		Replicas: []int{2, 1, 2},
-		Speeds:   [][]float64{nil, {1}, nil}, // engine Σs = 1 < 1.2
-	})
+	// engine Σs = 1 < 1.2
+	rep, err := a.EvaluateSpeeds(Config{Replicas: []int{2, 1, 2}}, [][]float64{nil, {1}, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsInf(rep.Waiting[1], 1) {
 		t.Errorf("saturated heterogeneous pool waiting = %v", rep.Waiting[1])
-	}
-}
-
-func TestHeterogeneousCloneIndependent(t *testing.T) {
-	cfg := Config{Replicas: []int{1}, Speeds: [][]float64{{2}}}
-	cl := cfg.Clone()
-	cl.Speeds[0][0] = 9
-	if cfg.Speeds[0][0] != 2 {
-		t.Error("Clone aliases speeds")
 	}
 }

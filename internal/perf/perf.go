@@ -16,63 +16,23 @@ import (
 )
 
 // Config is a system configuration: the vector of replication degrees
-// (Y_1, ..., Y_k), one per server type, plus optional co-location groups
-// of server types sharing the same computers (Section 4.4's generalized
-// case).
+// (Y_1, ..., Y_k), one per server type (Section 1).
 type Config struct {
 	// Replicas[x] is Y_x, the number of servers of type x.
 	Replicas []int
-	// Colocated lists groups of server-type indices that run on the
-	// same computers. Types within one group must have equal
-	// replication degrees; their request streams are merged into one
-	// M/G/1 queue per computer. A type may appear in at most one group.
-	Colocated [][]int
-	// Speeds optionally gives per-replica speed factors for the
-	// heterogeneous case the paper notes in Section 4.4 ("adjusting the
-	// service times on a per computer basis"): Speeds[x][i] scales the
-	// service rate of replica i of type x (1 = the environment's
-	// nominal server). nil, or a nil entry for a type, means
-	// homogeneous. Load is partitioned proportionally to speed, which
-	// equalizes the replicas' utilizations. Speeds cannot be combined
-	// with co-location or with the performability model (degraded
-	// states would be ambiguous about which replica failed).
-	Speeds [][]float64
 }
 
 // Clone returns an independent copy of the configuration.
 func (c Config) Clone() Config {
-	out := Config{Replicas: append([]int(nil), c.Replicas...)}
-	for _, g := range c.Colocated {
-		out.Colocated = append(out.Colocated, append([]int(nil), g...))
-	}
-	if c.Speeds != nil {
-		out.Speeds = make([][]float64, len(c.Speeds))
-		for x, s := range c.Speeds {
-			out.Speeds[x] = append([]float64(nil), s...)
-		}
-	}
-	return out
+	return Config{Replicas: append([]int(nil), c.Replicas...)}
 }
 
 // TotalServers returns the configuration cost in the paper's sense: the
-// total number of servers. Co-located groups share computers, so a group
-// counts once.
+// total number of servers.
 func (c Config) TotalServers() int {
-	grouped := make(map[int]bool)
 	total := 0
-	for _, g := range c.Colocated {
-		if len(g) == 0 {
-			continue
-		}
-		for _, x := range g {
-			grouped[x] = true
-		}
-		total += c.Replicas[g[0]]
-	}
-	for x, y := range c.Replicas {
-		if !grouped[x] {
-			total += y
-		}
+	for _, y := range c.Replicas {
+		total += y
 	}
 	return total
 }
@@ -116,8 +76,16 @@ func (c Config) validate(k int) error {
 			return wfmserr.New(wfmserr.CodeInvalidModel, "perf", "negative replication degree Y[%d] = %d", x, y)
 		}
 	}
+	return nil
+}
+
+// validateGroups checks co-location groups against the configuration:
+// known types, each in at most one group, equal replication degrees
+// within a group.
+func (c Config) validateGroups(groups [][]int) error {
+	k := len(c.Replicas)
 	seen := make(map[int]bool)
-	for _, g := range c.Colocated {
+	for _, g := range groups {
 		for _, x := range g {
 			if x < 0 || x >= k {
 				return fmt.Errorf("perf: co-location group references unknown server type %d", x)
@@ -134,41 +102,30 @@ func (c Config) validate(k int) error {
 			}
 		}
 	}
-	if c.Speeds != nil {
-		if len(c.Colocated) > 0 {
-			return fmt.Errorf("perf: per-replica speeds cannot be combined with co-location")
+	return nil
+}
+
+// validateSpeeds checks per-replica speed factors against the
+// configuration: one (possibly nil) vector per type, one positive finite
+// factor per replica.
+func (c Config) validateSpeeds(speeds [][]float64) error {
+	if speeds != nil && len(speeds) != len(c.Replicas) {
+		return fmt.Errorf("perf: %d speed vectors for %d server types", len(speeds), len(c.Replicas))
+	}
+	for x, sx := range speeds {
+		if sx == nil {
+			continue
 		}
-		if len(c.Speeds) != k {
-			return fmt.Errorf("perf: %d speed vectors for %d server types", len(c.Speeds), k)
+		if len(sx) != c.Replicas[x] {
+			return fmt.Errorf("perf: type %d has %d speed factors for %d replicas", x, len(sx), c.Replicas[x])
 		}
-		for x, speeds := range c.Speeds {
-			if speeds == nil {
-				continue
-			}
-			if len(speeds) != c.Replicas[x] {
-				return fmt.Errorf("perf: type %d has %d speed factors for %d replicas", x, len(speeds), c.Replicas[x])
-			}
-			for i, s := range speeds {
-				if !(s > 0) || math.IsInf(s, 0) {
-					return fmt.Errorf("perf: type %d replica %d has invalid speed %v", x, i, s)
-				}
+		for i, s := range sx {
+			if !(s > 0) || math.IsInf(s, 0) {
+				return fmt.Errorf("perf: type %d replica %d has invalid speed %v", x, i, s)
 			}
 		}
 	}
 	return nil
-}
-
-// totalSpeed returns the summed speed of type x's replicas (the replica
-// count for homogeneous types).
-func (c Config) totalSpeed(x int) float64 {
-	if c.Speeds != nil && c.Speeds[x] != nil {
-		var sum float64
-		for _, s := range c.Speeds[x] {
-			sum += s
-		}
-		return sum
-	}
-	return float64(c.Replicas[x])
 }
 
 // Analysis aggregates the per-workflow models over a workflow mix and
@@ -285,8 +242,45 @@ func (r *Report) MaxWaiting() float64 {
 // infinite waiting time (the type is unavailable); this is exactly the
 // degraded-mode semantics the performability model builds on.
 func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
+	return a.evaluate(cfg, nil, nil)
+}
+
+// EvaluateColocated is Evaluate with Section 4.4's generalized case:
+// each group lists server types that run on the same computers. Types
+// within one group must have equal replication degrees, and a type may
+// appear in at most one group; a group's request streams are merged
+// into one M/G/1 queue per computer, whose service time is the
+// arrival-rate weighted mixture of the members'. Only the performance
+// model knows co-location: a partially failed group has no shared queue
+// in the paper's model, so performability and planning take the
+// replication vector alone.
+func (a *Analysis) EvaluateColocated(cfg Config, groups [][]int) (*Report, error) {
+	return a.evaluate(cfg, groups, nil)
+}
+
+// EvaluateSpeeds is Evaluate with per-replica speed factors, the
+// heterogeneous case Section 4.4 notes ("adjusting the service times on
+// a per computer basis"): speeds[x][i] scales the service rate of
+// replica i of type x (1 = the environment's nominal server); a nil
+// entry leaves the type homogeneous. Load is partitioned proportionally
+// to speed, which equalizes the replicas' utilizations. Degraded states
+// cannot tell which replica failed, so only the performance model takes
+// speeds.
+func (a *Analysis) EvaluateSpeeds(cfg Config, speeds [][]float64) (*Report, error) {
+	return a.evaluate(cfg, nil, speeds)
+}
+
+// evaluate is the body of Evaluate and its two variants (nil groups and
+// nil speeds for neither).
+func (a *Analysis) evaluate(cfg Config, groups [][]int, speeds [][]float64) (*Report, error) {
 	k := a.env.K()
 	if err := cfg.validate(k); err != nil {
+		return nil, err
+	}
+	if err := cfg.validateGroups(groups); err != nil {
+		return nil, err
+	}
+	if err := cfg.validateSpeeds(speeds); err != nil {
 		return nil, err
 	}
 	rep := &Report{
@@ -304,7 +298,7 @@ func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
 	for x := range group {
 		group[x] = -1
 	}
-	for gi, g := range cfg.Colocated {
+	for gi, g := range groups {
 		for _, x := range g {
 			group[x] = gi
 		}
@@ -316,9 +310,9 @@ func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
 		b      float64 // merged mean service time
 		b2     float64 // merged second moment
 	}
-	queues := make([]queue, len(cfg.Colocated))
-	groupScale := make([]float64, len(cfg.Colocated))
-	for gi, g := range cfg.Colocated {
+	queues := make([]queue, len(groups))
+	groupScale := make([]float64, len(groups))
+	for gi, g := range groups {
 		y := float64(cfg.Replicas[g[0]])
 		var q queue
 		var work float64 // Σ_x l_x · b_x, the group's total service demand
@@ -360,7 +354,10 @@ func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
 		y := float64(cfg.Replicas[x])
 
 		var lambda, b, b2 float64
-		hetero := cfg.Speeds != nil && cfg.Speeds[x] != nil
+		var sx []float64 // per-replica speeds; nil when homogeneous
+		if speeds != nil {
+			sx = speeds[x]
+		}
 		if gi := group[x]; gi >= 0 {
 			lambda, b, b2 = queues[gi].lambda, queues[gi].b, queues[gi].b2
 		} else {
@@ -372,8 +369,8 @@ func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
 			b, b2 = st.MeanService, st.ServiceSecondMoment
 		}
 		rep.ServerLoad[x] = lambda
-		if hetero {
-			rep.Utilization[x], rep.Waiting[x] = heteroQueue(lx, b, b2, cfg.Speeds[x])
+		if sx != nil {
+			rep.Utilization[x], rep.Waiting[x] = heteroQueue(lx, b, b2, sx)
 		} else {
 			rho := lambda * b
 			if math.IsNaN(rho) { // 0 * Inf: no load and no servers
@@ -389,7 +386,10 @@ func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
 		if gi := group[x]; gi >= 0 {
 			scale = groupScale[gi]
 		} else if lx > 0 {
-			scale = cfg.totalSpeed(x) / (st.MeanService * lx)
+			scale = y / (st.MeanService * lx)
+			if sx != nil {
+				scale = sum(sx) / (st.MeanService * lx)
+			}
 		}
 		if scale < minScale {
 			minScale = scale
@@ -407,24 +407,37 @@ func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
 	rep.WorkflowDelay = make([]float64, len(a.models))
 	rep.InflatedTurnaround = make([]float64, len(a.models))
 	for i, m := range a.models {
-		r := a.requests[i]
-		var delay float64
-		for x := range r {
-			if r[x] == 0 {
-				continue
-			}
-			delay += r[x] * rep.Waiting[x] // Inf propagates on saturation
-		}
+		delay := a.WorkflowDelay(i, rep.Waiting, nil)
 		rep.WorkflowDelay[i] = delay
 		rep.InflatedTurnaround[i] = m.Turnaround() + delay
 	}
 	return rep, nil
 }
 
-// DegradedWaiting computes just the waiting-time vector w^X of a plain
-// replication vector (no co-location, no per-replica speeds) into dst,
-// which is grown as needed and returned: LevelWaiting per type, the same
-// arithmetic as Evaluate's homogeneous path. The joint-enumeration
+// WorkflowDelay returns Σ_x r_{x,i}·w_x, the expected queueing delay
+// one instance of workflow i accrues under the waiting-time vector w.
+// Types the workflow never calls are skipped, so a type it does not use
+// adds nothing even when it waits +Inf (0·Inf would be NaN, which passes
+// every goal comparison). When terms is non-nil, terms[x] receives the
+// per-type contribution r_{x,i}·w_x (0 for a skipped type).
+func (a *Analysis) WorkflowDelay(i int, w, terms []float64) float64 {
+	var delay float64
+	for x, r := range a.requests[i] {
+		var c float64
+		if r != 0 {
+			c = r * w[x] // Inf propagates on saturation
+			delay += c
+		}
+		if terms != nil {
+			terms[x] = c
+		}
+	}
+	return delay
+}
+
+// DegradedWaiting computes just the waiting-time vector w^X of a
+// replication vector into dst, which is grown as needed and returned:
+// LevelWaiting per type, the same arithmetic as Evaluate. The joint-enumeration
 // oracle in internal/crossval sweeps degraded states through it.
 func (a *Analysis) DegradedWaiting(replicas []int, dst []float64) ([]float64, error) {
 	k := a.env.K()
@@ -467,6 +480,14 @@ func LevelWaiting(l float64, j int, b, b2 float64) float64 {
 	return mg1Wait(lambda, b, b2)
 }
 
+func sum(xs []float64) float64 {
+	var total float64
+	for _, v := range xs {
+		total += v
+	}
+	return total
+}
+
 // heteroQueue evaluates a heterogeneous replica set: requests split
 // proportionally to the speed factors (equalizing utilizations at
 // ρ = l·b/Σs), each replica is an M/G/1 queue with its own scaled
@@ -479,10 +500,7 @@ func heteroQueue(l, b, b2 float64, speeds []float64) (rho, waiting float64) {
 	if len(speeds) == 0 {
 		return math.Inf(1), math.Inf(1)
 	}
-	var total float64
-	for _, s := range speeds {
-		total += s
-	}
+	total := sum(speeds)
 	rho = l * b / total
 	if rho >= 1 {
 		return rho, math.Inf(1)

@@ -233,23 +233,33 @@ func TestEvaluateConfigValidation(t *testing.T) {
 	}{
 		{Config{Replicas: []int{1, 1}}, "server types"},
 		{Config{Replicas: []int{1, -1, 1}}, "negative"},
-		{Config{Replicas: []int{1, 1, 1}, Colocated: [][]int{{0, 5}}}, "unknown server type"},
-		{Config{Replicas: []int{1, 1, 1}, Colocated: [][]int{{0, 1}, {1, 2}}}, "more than one"},
-		{Config{Replicas: []int{1, 2, 1}, Colocated: [][]int{{0, 1}}}, "different replication"},
 	}
 	for _, tc := range cases {
 		if _, err := a.Evaluate(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("cfg %v: err = %v, want containing %q", tc.cfg, err, tc.want)
 		}
 	}
+	groups := []struct {
+		replicas []int
+		groups   [][]int
+		want     string
+	}{
+		{[]int{1, 1}, [][]int{{0, 1}}, "server types"},
+		{[]int{1, 1, 1}, [][]int{{0, 5}}, "unknown server type"},
+		{[]int{1, 1, 1}, [][]int{{0, 1}, {1, 2}}, "more than one"},
+		{[]int{1, 2, 1}, [][]int{{0, 1}}, "different replication"},
+	}
+	for _, tc := range groups {
+		if _, err := a.EvaluateColocated(Config{Replicas: tc.replicas}, tc.groups); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("replicas %v groups %v: err = %v, want containing %q", tc.replicas, tc.groups, err, tc.want)
+		}
+	}
 }
 
 func TestEvaluateColocation(t *testing.T) {
 	_, a := newAnalysis(t, 0.5) // l = (1, 1.5, 1.5)
-	rep, err := a.Evaluate(Config{
-		Replicas:  []int{1, 1, 1},
-		Colocated: [][]int{{1, 2}}, // eng and app share one computer
-	})
+	// eng and app share one computer.
+	rep, err := a.EvaluateColocated(Config{Replicas: []int{1, 1, 1}}, [][]int{{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,18 +316,13 @@ func TestTotalServers(t *testing.T) {
 	if got := cfg.TotalServers(); got != 8 {
 		t.Errorf("TotalServers = %d, want 8", got)
 	}
-	colo := Config{Replicas: []int{2, 3, 3}, Colocated: [][]int{{1, 2}}}
-	if got := colo.TotalServers(); got != 5 {
-		t.Errorf("TotalServers with colocation = %d, want 5 (2 + shared 3)", got)
-	}
 }
 
 func TestConfigCloneIndependent(t *testing.T) {
-	cfg := Config{Replicas: []int{1, 2}, Colocated: [][]int{{0, 1}}}
+	cfg := Config{Replicas: []int{1, 2}}
 	cl := cfg.Clone()
 	cl.Replicas[0] = 9
-	cl.Colocated[0][0] = 9
-	if cfg.Replicas[0] != 1 || cfg.Colocated[0][0] != 0 {
+	if cfg.Replicas[0] != 1 {
 		t.Error("Clone aliases the original")
 	}
 }

@@ -91,18 +91,8 @@ func (e *Evaluator) Evaluate(cfg perf.Config) (*Result, error) {
 // ctx.Err() and no result. The evaluator keeps no per-evaluation state,
 // so a canceled call cannot affect later ones.
 //
-// W^Y is one TypeTerm per server type plus the products over types.
-// ExcludeDown conditions on every type being operational; that event is
-// a product of per-type events, so the other types' factors cancel —
-// unless some type has no operational level, in which case no
-// operational state exists and every entry is +Inf.
+// W^Y is one TypeTerm per server type, folded by Reduce.
 func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Result, error) {
-	if len(cfg.Colocated) > 0 {
-		return nil, fmt.Errorf("performability: co-located configurations are not supported")
-	}
-	if cfg.Speeds != nil {
-		return nil, fmt.Errorf("performability: heterogeneous replica speeds are not supported (degraded states cannot tell which replica failed)")
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -117,11 +107,15 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Resu
 		Config:          cfg.Clone(),
 		Waiting:         make([]float64, k),
 		FullUpWaiting:   make([]float64, k),
-		Availability:    1,
 		StatesEvaluated: 1,
 	}
+	// The terms live on the stack for every realistic k.
+	var stack [8]TypeTerm
+	terms := stack[:0]
+	if k > len(stack) {
+		terms = make([]TypeTerm, 0, k)
+	}
 	fullUp := 1.0 // Π_x π_x(Y_x)
-	operational := true
 	var levels uint64
 	for x, p := range params {
 		// The marginal is the cache's shared vector: read-only here.
@@ -134,11 +128,9 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Resu
 		if err != nil {
 			return nil, err
 		}
-		res.Availability *= t.Up
+		terms = append(terms, t)
 		fullUp *= t.FullUp
 		res.FullUpWaiting[x] = t.FullUpWaiting
-		res.Waiting[x] = t.Waiting
-		operational = operational && t.Operational
 		levels += uint64(t.Support)
 		if res.StatesEvaluated > math.MaxInt/t.Support {
 			res.StatesEvaluated = math.MaxInt // saturate: only a size indication
@@ -146,14 +138,31 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Resu
 			res.StatesEvaluated *= t.Support
 		}
 	}
-	if !operational {
-		for x := range res.Waiting {
-			res.Waiting[x] = math.Inf(1)
-		}
-	}
+	res.Availability = Reduce(terms, res.Waiting)
 	res.DegradationShare = 1 - fullUp
 	e.levels.Add(levels)
 	return res, nil
+}
+
+// Reduce folds one TypeTerm per server type into W^Y, written to
+// waiting, and returns the availability Π_x (1 − π_x(0)). ExcludeDown
+// conditions on every type being operational; that event is a product
+// of per-type events, so the other types' factors cancel — unless some
+// type has no operational level, in which case no operational state
+// exists and every entry of W^Y is +Inf.
+func Reduce(terms []TypeTerm, waiting []float64) (availability float64) {
+	availability, operational := 1.0, true
+	for x := range terms {
+		availability *= terms[x].Up
+		operational = operational && terms[x].Operational
+	}
+	for x := range terms {
+		waiting[x] = terms[x].Waiting
+		if !operational {
+			waiting[x] = math.Inf(1)
+		}
+	}
+	return availability
 }
 
 // TypeTerm is one server type's factor of the Section 6 reward sum: all

@@ -1,11 +1,14 @@
 package performability
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"performa/internal/avail"
 	"performa/internal/perf"
+	"performa/internal/spec"
+	"performa/internal/workload"
 )
 
 // TestEvaluatorMatchesPackageEvaluate pins the long-lived evaluator to
@@ -146,25 +149,48 @@ func TestEvaluateConcurrentBitIdentical(t *testing.T) {
 
 // TestEvaluateAllocationCeiling: a warm evaluation allocates the result
 // and its slices (result, config copy, two waiting vectors, the
-// per-type parameter list) and nothing per level or per state.
+// per-type parameter list) and nothing per level, per state or per
+// type term (the terms Reduce folds live on the stack), on the failing
+// three-type system and on the paper's system (EP and order mix) under
+// every policy.
 func TestEvaluateAllocationCeiling(t *testing.T) {
 	env := failingEnv(t)
-	a := analysis(t, env, 1)
-	ev, err := NewEvaluator(a, Options{Policy: ExcludeDown})
+	paperEnv := workload.PaperEnvironment()
+	models, err := spec.BuildAll([]*spec.Workflow{workload.EPWorkflow(5), workload.OrderWorkflow(3)}, paperEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := perf.Config{Replicas: []int{6, 6, 6}}
-	if _, err := ev.Evaluate(cfg); err != nil {
+	paper, err := perf.NewAnalysis(paperEnv, models)
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ev.Evaluate(cfg); err != nil {
-			t.Fatal(err)
+	cases := []struct {
+		a        *perf.Analysis
+		replicas []int
+	}{
+		{analysis(t, env, 1), []int{6, 6, 6}},
+		{paper, []int{2, 2, 3}},
+	}
+	for _, c := range cases {
+		for _, policy := range []SaturationPolicy{Strict, Penalty, ExcludeDown} {
+			ev, err := NewEvaluator(c.a, Options{Policy: policy, PenaltyValue: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := perf.Config{Replicas: c.replicas}
+			ctx := context.Background()
+			if _, err := ev.EvaluateContext(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := ev.EvaluateContext(ctx, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 5 {
+				t.Errorf("%v at %v: warm EvaluateContext allocates %v objects, want ≤ 5", policy, c.replicas, allocs)
+			}
 		}
-	})
-	if allocs > 6 {
-		t.Errorf("warm Evaluate allocates %v objects, want ≤ 6", allocs)
 	}
 }
 

@@ -104,10 +104,6 @@ func (r *Result) MaxWaiting() float64 {
 
 // Evaluate computes W^Y = Σ_i π_i · w^i over the availability CTMC's
 // system states (Section 6), reduced per server type (see Evaluator).
-//
-// Co-located configurations are not supported here: a partially failed
-// co-location group has no well-defined shared queue in the paper's
-// model.
 func Evaluate(a *perf.Analysis, cfg perf.Config, opts Options) (*Result, error) {
 	e, err := NewEvaluator(a, opts)
 	if err != nil {

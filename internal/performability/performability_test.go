@@ -200,10 +200,6 @@ func TestOptionsValidation(t *testing.T) {
 		Options{Policy: Penalty}); err == nil || !strings.Contains(err.Error(), "PenaltyValue") {
 		t.Errorf("penalty without value: %v", err)
 	}
-	if _, err := Evaluate(a, perf.Config{Replicas: []int{1, 1, 1}, Colocated: [][]int{{0, 1}}},
-		Options{}); err == nil || !strings.Contains(err.Error(), "co-located") {
-		t.Errorf("colocated: %v", err)
-	}
 	if _, err := Evaluate(a, perf.Config{Replicas: []int{1, 1}}, Options{}); err == nil {
 		t.Error("wrong arity accepted")
 	}

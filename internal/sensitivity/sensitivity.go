@@ -160,9 +160,8 @@ func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config,
 	}
 
 	// The base point goes through the evaluator proper, so everything it
-	// rejects (co-location, speeds, negative replicas) rejects the table.
-	res, err := ev.EvaluateContext(ctx, cfg)
-	if err != nil {
+	// rejects (a negative or oversized replica count) rejects the table.
+	if _, err := ev.EvaluateContext(ctx, cfg); err != nil {
 		return nil, err
 	}
 	s := &separable{
@@ -173,12 +172,13 @@ func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config,
 		waiting: make([]float64, k),
 	}
 	s.base.delays, s.plus.delays, s.minus.delays = make([]float64, flows), make([]float64, flows), make([]float64, flows)
-	s.metrics(res.Waiting, res.Availability, &s.base)
 	for x := range s.terms {
+		var err error
 		if s.terms[x], err = s.term(x, cfg.Replicas[x], env.Type(x), a.TypeLoad(x)); err != nil {
 			return nil, err
 		}
 	}
+	s.reduce(s.terms, &s.base)
 
 	entries := make([]Entry, 0, 5*k+flows)
 	for x := 0; x < k; x++ {
@@ -246,35 +246,13 @@ func (s *separable) term(x, y int, st spec.ServerType, l float64) (performabilit
 	return s.ev.TypeTerm(x, pi, l, st.MeanService, st.ServiceSecondMoment)
 }
 
-// reduce folds k terms into the three metrics the way EvaluateContext
-// folds them into a Result.
+// reduce folds k terms into the three metrics through the evaluator's
+// own fold (performability.Reduce) and delay sum (WorkflowDelay).
 func (s *separable) reduce(terms []performability.TypeTerm, p *point) {
-	availability, operational := 1.0, true
-	for x := range terms {
-		availability *= terms[x].Up
-		operational = operational && terms[x].Operational
-	}
-	for x := range terms {
-		s.waiting[x] = terms[x].Waiting
-		if !operational {
-			s.waiting[x] = math.Inf(1)
-		}
-	}
-	s.metrics(s.waiting, availability, p)
-}
-
-// metrics reduces W^Y and the availability to the three metrics,
-// writing the per-workflow delays Σ_x r_{x,t}·W^Y_x into p's slice.
-func (s *separable) metrics(waiting []float64, availability float64, p *point) {
-	p.maxWaiting = linalg.Vector(waiting).Max()
-	p.unavailability = 1 - availability
+	p.unavailability = 1 - performability.Reduce(terms, s.waiting)
+	p.maxWaiting = linalg.Vector(s.waiting).Max()
 	for i := range p.delays {
-		r := s.a.WorkflowRequests(i)
-		var d float64
-		for x := range r {
-			d += r[x] * waiting[x]
-		}
-		p.delays[i] = d
+		p.delays[i] = s.a.WorkflowDelay(i, s.waiting, nil)
 	}
 }
 

@@ -361,9 +361,7 @@ func computeByRebuild(ev *performability.Evaluator, cfg perf.Config) (*Table, er
 		}
 		p := point{maxWaiting: res.MaxWaiting(), unavailability: 1 - res.Availability, delays: make([]float64, len(a2.Models()))}
 		for i := range a2.Models() {
-			for x, r := range a2.WorkflowRequests(i) {
-				p.delays[i] += r * res.Waiting[x]
-			}
+			p.delays[i] = a2.WorkflowDelay(i, res.Waiting, nil)
 		}
 		return p, nil
 	}
@@ -540,13 +538,9 @@ func requireMatchesRebuild(t *testing.T, name string, a *perf.Analysis, replicas
 
 func analysisOf(t testing.TB, env *spec.Environment, flows []*spec.Workflow) *perf.Analysis {
 	t.Helper()
-	models := make([]*spec.Model, len(flows))
-	for i, f := range flows {
-		m, err := spec.Build(f, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		models[i] = m
+	models, err := spec.BuildAll(flows, env)
+	if err != nil {
+		t.Fatal(err)
 	}
 	a, err := perf.NewAnalysis(env, models)
 	if err != nil {
@@ -732,5 +726,51 @@ func TestComputeAllocationCeiling(t *testing.T) {
 	t.Logf("%v allocations per table", allocs)
 	if allocs > ceiling {
 		t.Errorf("Compute allocates %v times per 7-type table, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestComputeAllocationPin pins one table on the paper's system (EP
+// and order mix, Y = (2,2,3), the served ExcludeDown model) at 169
+// allocations.
+func TestComputeAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	a := analysisOf(t, workload.PaperEnvironment(), []*spec.Workflow{workload.EPWorkflow(5), workload.OrderWorkflow(3)})
+	ev, err := performability.NewEvaluator(a, oracleOptions[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := perf.Config{Replicas: []int{2, 2, 3}}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Compute(context.Background(), ev, cfg, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 169 {
+		t.Errorf("Compute allocates %v times per paper-system table, want ≤ 169", allocs)
+	}
+}
+
+// Under Strict every type waits +Inf; a workflow that never calls some
+// type must still report a +Inf base delay, not 0·Inf = NaN.
+func TestStrictBaseDelaysAreInfNotNaN(t *testing.T) {
+	sys, err := crossval.Generate(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := analysisOf(t, sys.Env, sys.Flows)
+	ev, err := performability.NewEvaluator(a, performability.Options{Policy: performability.Strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Compute(context.Background(), ev, perf.Config{Replicas: sys.Replicas}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range tab.BaseWorkflowDelays {
+		if !math.IsInf(d, 1) {
+			t.Errorf("workflow %d base delay = %v under Strict, want +Inf", i, d)
+		}
 	}
 }

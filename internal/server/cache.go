@@ -278,13 +278,9 @@ func (c *modelCache) len() int {
 // buildEntry decodes nothing — the document is already decoded — it
 // derives the analysis and warm evaluator for a validated system.
 func buildEntry(e *modelEntry, fingerprint string, env *spec.Environment, flows []*spec.Workflow, opts performability.Options) error {
-	models := make([]*spec.Model, 0, len(flows))
-	for _, w := range flows {
-		m, err := spec.Build(w, env)
-		if err != nil {
-			return err
-		}
-		models = append(models, m)
+	models, err := spec.BuildAll(flows, env)
+	if err != nil {
+		return err
 	}
 	analysis, err := perf.NewAnalysis(env, models)
 	if err != nil {

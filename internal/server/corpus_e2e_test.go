@@ -140,11 +140,9 @@ func TestCalibrateCorpusSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := make([]*spec.Model, len(flows))
-	for i, flow := range flows {
-		if models[i], err = spec.Build(flow, env); err != nil {
-			t.Fatal(err)
-		}
+	models, err := spec.BuildAll(flows, env)
+	if err != nil {
+		t.Fatal(err)
 	}
 	trail := audit.NewTrail()
 	_, err = sim.Run(sim.Params{

@@ -196,13 +196,9 @@ func TestDriftInvalidatesAndRecalibrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var models []*spec.Model
-	for _, w := range clones {
-		m, err := spec.Build(w, measuredEnv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		models = append(models, m)
+	models, err := spec.BuildAll(clones, measuredEnv)
+	if err != nil {
+		t.Fatal(err)
 	}
 	analysis, err := perf.NewAnalysis(measuredEnv, models)
 	if err != nil {

@@ -63,13 +63,9 @@ func systemOf(t testing.TB, env *spec.Environment, flows ...*spec.Workflow) (wfj
 	if err != nil {
 		t.Fatal(err)
 	}
-	var models []*spec.Model
-	for _, w := range flows {
-		m, err := spec.Build(w, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		models = append(models, m)
+	models, err := spec.BuildAll(flows, env)
+	if err != nil {
+		t.Fatal(err)
 	}
 	a, err := perf.NewAnalysis(env, models)
 	if err != nil {

@@ -238,7 +238,7 @@ func TestColocationMatchesMergedQueueModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.Evaluate(perf.Config{Replicas: []int{1, 1}, Colocated: [][]int{{0, 1}}})
+	rep, err := a.EvaluateColocated(perf.Config{Replicas: []int{1, 1}}, [][]int{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,6 +117,20 @@ func Build(w *Workflow, env *Environment, opts ...BuildOption) (*Model, error) {
 	return m, nil
 }
 
+// BuildAll builds every workflow of a mix against env, in order: the
+// models a perf.Analysis aggregates.
+func BuildAll(flows []*Workflow, env *Environment, opts ...BuildOption) ([]*Model, error) {
+	models := make([]*Model, len(flows))
+	for i, w := range flows {
+		m, err := Build(w, env, opts...)
+		if err != nil {
+			return nil, err
+		}
+		models[i] = m
+	}
+	return models, nil
+}
+
 // collapseStages moment-matches the Erlang stage count of a collapsed
 // subworkflow state: k ≈ mean²/variance, clamped to
 // [minCollapseStages, maxCollapseStages]. The clamping happens in FLOAT

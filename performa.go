@@ -46,7 +46,9 @@ import (
 // Re-exported types, so typical use needs only this package plus
 // internal/workload or hand-built specs.
 type (
-	// Configuration is a replication vector with optional co-location.
+	// Configuration is a replication vector (Y_1, ..., Y_k). Co-location
+	// and per-replica speeds are variants of the performance model only,
+	// evaluated through Analysis().
 	Configuration = perf.Config
 	// Goals are planning targets (max waiting time, max unavailability).
 	Goals = config.Goals
@@ -83,13 +85,9 @@ func NewSystem(env *spec.Environment, workflows ...*spec.Workflow) (*System, err
 	if len(workflows) == 0 {
 		return nil, fmt.Errorf("performa: at least one workflow required")
 	}
-	models := make([]*spec.Model, 0, len(workflows))
-	for _, w := range workflows {
-		m, err := spec.Build(w, env)
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, m)
+	models, err := spec.BuildAll(workflows, env)
+	if err != nil {
+		return nil, err
 	}
 	analysis, err := perf.NewAnalysis(env, models)
 	if err != nil {
@@ -110,22 +108,9 @@ func (s *System) Analysis() *perf.Analysis { return s.analysis }
 // AssessOptions tune an assessment.
 type AssessOptions struct {
 	// Performability selects the saturation policy and repair
-	// discipline; the zero value is the literal Strict model. Most
-	// callers want performability.ExcludeDown (used by DefaultAssess).
+	// discipline; the zero value is the literal Strict model. Assess
+	// uses performability.ExcludeDown.
 	Performability performability.Options
-	// SkipPerformability disables the (comparatively expensive)
-	// per-system-state evaluation.
-	SkipPerformability bool
-}
-
-// DefaultAssessOptions returns the recommended assessment options: the
-// ExcludeDown saturation policy, so the waiting-time metric describes the
-// operational states while downtime is reported separately through the
-// availability model.
-func DefaultAssessOptions() AssessOptions {
-	return AssessOptions{
-		Performability: performability.Options{Policy: performability.ExcludeDown},
-	}
 }
 
 // Assessment bundles the three model evaluations of one configuration.
@@ -134,14 +119,15 @@ type Assessment struct {
 	Performance *perf.Report
 	// Availability is the availability report (Section 5).
 	Availability *avail.Report
-	// Performability is the combined model (Section 6); nil when
-	// skipped.
+	// Performability is the combined model (Section 6).
 	Performability *performability.Result
 }
 
-// Assess evaluates one configuration under the default options.
+// Assess evaluates one configuration under the ExcludeDown saturation
+// policy, so the waiting-time metric describes the operational states
+// while downtime is reported separately through the availability model.
 func (s *System) Assess(cfg Configuration) (*Assessment, error) {
-	return s.AssessWith(cfg, DefaultAssessOptions())
+	return s.AssessWith(cfg, AssessOptions{Performability: performability.Options{Policy: performability.ExcludeDown}})
 }
 
 // AssessWith evaluates one configuration.
@@ -158,15 +144,11 @@ func (s *System) AssessWith(cfg Configuration, opts AssessOptions) (*Assessment,
 	if err != nil {
 		return nil, err
 	}
-	out := &Assessment{Performance: perfRep, Availability: availRep}
-	if !opts.SkipPerformability && len(cfg.Colocated) == 0 {
-		pres, err := performability.Evaluate(s.analysis, cfg, opts.Performability)
-		if err != nil {
-			return nil, err
-		}
-		out.Performability = pres
+	pres, err := performability.Evaluate(s.analysis, cfg, opts.Performability)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &Assessment{Performance: perfRep, Availability: availRep, Performability: pres}, nil
 }
 
 // Plan searches for a near-minimum-cost configuration meeting the goals,

@@ -58,36 +58,6 @@ func TestAssessBundlesAllModels(t *testing.T) {
 	}
 }
 
-func TestAssessWithSkipsPerformability(t *testing.T) {
-	sys := epSystem(t, 1)
-	opts := DefaultAssessOptions()
-	opts.SkipPerformability = true
-	as, err := sys.AssessWith(Configuration{Replicas: []int{1, 1, 1}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as.Performability != nil {
-		t.Error("performability computed despite skip")
-	}
-}
-
-func TestAssessColocatedSkipsPerformability(t *testing.T) {
-	sys := epSystem(t, 1)
-	as, err := sys.Assess(Configuration{
-		Replicas:  []int{2, 2, 2},
-		Colocated: [][]int{{1, 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as.Performability != nil {
-		t.Error("performability should be skipped for co-located configs")
-	}
-	if as.Performance == nil {
-		t.Error("performance missing")
-	}
-}
-
 func TestPlanMeetsGoals(t *testing.T) {
 	sys := epSystem(t, 1)
 	goals := Goals{MaxWaiting: 0.01, MaxUnavailability: 1e-5}
