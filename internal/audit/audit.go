@@ -9,8 +9,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -175,12 +177,30 @@ func (t *Trail) WriteJSONLines(w io.Writer) error {
 // decodeLine instead, in one pass and into its slot of the result; which
 // of the two decodes a line depends only on what the line contains.
 func ReadRecords(r io.Reader) ([]Record, error) {
+	recs, err := AppendRecords(nil, r, 0)
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// ErrTooManyRecords reports a stream holding more records than the
+// limit AppendRecords was given.
+var ErrTooManyRecords = errors.New("audit: too many records")
+
+// AppendRecords is ReadRecords appending to dst, so a caller can decode
+// batch after batch into one recycled buffer. A limit above zero bounds
+// the records appended: the record past it fails the parse with
+// ErrTooManyRecords before it is decoded. On error the returned slice
+// is dst extended by whatever was decoded before the failure, for the
+// caller to clear and recycle; only the error tells the two outcomes
+// apart.
+func AppendRecords(dst []Record, r io.Reader, limit int) ([]Record, error) {
 	buf := scanBufs.Get().(*[scanBufSize]byte)
 	defer scanBufs.Put(buf)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(buf[:0], MaxLineBytes)
-	line := 0
-	var out []Record
+	line, start := 0, len(dst)
 	names := make(map[string]string)
 	for sc.Scan() {
 		line++
@@ -188,23 +208,31 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 		if len(b) == 0 {
 			continue
 		}
-		out = append(out, Record{})
-		rec := &out[len(out)-1]
+		if limit > 0 && len(dst)-start == limit {
+			return dst, fmt.Errorf("audit: line %d: %w: more than %d", line, ErrTooManyRecords, limit)
+		}
+		// Doubling leaves at most the final buffer's size behind as
+		// garbage; append's ×1.25 steps for large slices leave four times it.
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, max(len(dst), 64))
+		}
+		dst = append(dst, Record{})
+		rec := &dst[len(dst)-1]
 		if decodeLine(b, rec, names) {
 			continue
 		}
 		*rec = Record{}
 		if err := json.Unmarshal(b, rec); err != nil {
-			return nil, fmt.Errorf("audit: line %d (%s): %w", line, truncateForError(b), err)
+			return dst, fmt.Errorf("audit: line %d (%s): %w", line, truncateForError(b), err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("audit: reading trail after line %d: %w", line, err)
+		return dst, fmt.Errorf("audit: reading trail after line %d: %w", line, err)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// scanBufs recycles ReadRecords' 64 KB read buffers, most of what an
+// scanBufs recycles AppendRecords' 64 KB read buffers, most of what an
 // event batch of a few KB would otherwise allocate. Nothing decoded
 // aliases one; a longer line makes the scanner allocate its own.
 const scanBufSize = 64 << 10

@@ -72,7 +72,12 @@ func decodeLine(b []byte, rec *Record, names map[string]string) bool {
 			if val, next, ok = jsonscan.PlainString(b, i); !ok {
 				return false
 			}
-			*str, i = intern(names, val), next
+			if str == (*string)(&rec.Kind) {
+				rec.Kind = kindOf(names, val)
+			} else {
+				*str = intern(names, val)
+			}
+			i = next
 		} else {
 			end := jsonscan.NumberEnd(b, i)
 			if end < 0 {
@@ -111,8 +116,25 @@ func decodeLine(b []byte, rec *Record, names map[string]string) bool {
 	}
 }
 
+// kinds are the record kinds the writers emit, the most frequent first.
+var kinds = [...]EventKind{
+	ServiceRequest, StateEntered, StateLeft, ActivityStarted, ActivityCompleted,
+	InstanceStarted, InstanceCompleted,
+}
+
+// kindOf returns b as a record kind: one of the constants when it spells
+// one, so the common line costs no map lookup, and interned otherwise.
+func kindOf(names map[string]string, b []byte) EventKind {
+	for _, k := range kinds {
+		if string(b) == string(k) {
+			return k
+		}
+	}
+	return EventKind(intern(names, b))
+}
+
 // intern returns the canonical copy of b's content, making one on first
-// sight. The table lives for one ReadRecords call, so outside input can
+// sight. The table lives for one AppendRecords call, so outside input can
 // grow it only by the size of the body it sent.
 func intern(names map[string]string, b []byte) string {
 	if s, ok := names[string(b)]; ok {

@@ -4,10 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -71,118 +75,31 @@ func requireMatchesReference(t *testing.T, in []byte) {
 }
 
 // differentialSeeds are the lines where a hand-written decoder and
-// encoding/json are most likely to part ways.
-var differentialSeeds = []string{
-	// What the repository's writers emit.
-	`{"kind":"instance_started","time":1,"workflow":"EP","instance":7}`,
-	`{"kind":"state_entered","time":2.5,"workflow":"EP","instance":7,"chart":"EP","state":"NewOrder"}`,
-	`{"kind":"service_request","time":3.25e-7,"server_type":"orb","server":2,"waiting":0.5,"service":1E+2}`,
-	`{"kind":"activity_started","time":4,"activity":"Prüfung ✓"}`,
-	"{}\n{}\n\n{}",
-	// Keys: case variants fold onto the field, the last duplicate wins.
-	`{"Kind":"a","TIME":2}`,
-	`{"kind":"a","kind":"b","time":1,"time":2}`,
-	`{"kind":"a","Kind":"b"}`,
-	`{"Kind":"a","kind":"b"}`,
-	`{"instance":1,"Instance":2,"server":3,"SERVER":4}`,
-	"{\"k\u017fnd\":\"folded\"}",
-	// Escapes in values and keys.
-	`{"kind":"\u0041"}`,
-	`{"kind":"\ud83d\ude00"}`,
-	`{"kind":"\ud83d"}`,
-	`{"kind":"a\"b","state":"c\\d","chart":"e\/f","activity":"\n"}`,
-	`{"k\u0069nd":"escaped key"}`,
-	// Bytes a JSON string may not carry as they are.
-	"{\"kind\":\"a\xffb\"}",
-	"{\"kind\":\"\xed\xa0\x80\"}",
-	"{\"ki\xffnd\":\"a\"}",
-	"{\"kind\":\"a\tb\"}",
-	"{\"kind\":\"a\x00b\"}",
-	"{\"kind\":\"\x7f\u2028\"}",
-	// null, bare and for every field.
-	`null`,
-	`{"kind":null,"time":null,"workflow":null,"instance":null,"chart":null,"state":null}`,
-	`{"activity":null,"server_type":null,"server":null,"waiting":null,"service":null}`,
-	`{"kind":"a","time":1,"kind":null,"time":null}`,
-	// Unknown keys, nested values, wrong types.
-	`{"kind":"a","extra":{"kind":"b","deep":[1,{"x":null}]},"more":[[],{}],"time":3}`,
-	`{"kind":{"a":1}}`,
-	`{"time":[1]}`,
-	`{"kind":1}`,
-	`{"time":"1"}`,
-	`{"instance":"7"}`,
-	`{"kind":true,"server":false}`,
-	`[{"kind":"a"}]`,
-	`"kind"`,
-	`7`,
-	// instance: an unsigned 64-bit integer literal and nothing else.
-	`{"instance":0}`,
-	`{"instance":1.0}`,
-	`{"instance":1e3}`,
-	`{"instance":-1}`,
-	`{"instance":-0}`,
-	`{"instance":18446744073709551615}`,
-	`{"instance":18446744073709551616}`,
-	`{"instance":007}`,
-	// server: a signed integer literal.
-	`{"server":-0}`,
-	`{"server":-12}`,
-	`{"server":1e2}`,
-	`{"server":01}`,
-	`{"server":1.}`,
-	`{"server":1e999}`,
-	`{"server":9223372036854775807}`,
-	`{"server":9223372036854775808}`,
-	`{"server":-9223372036854775808}`,
-	`{"server":-9223372036854775809}`,
-	`{"server":+1}`,
-	`{"server":-}`,
-	// Floats.
-	`{"time":-0}`,
-	`{"time":-0.0,"waiting":0e0,"service":-0E-0}`,
-	`{"time":1e999}`,
-	`{"time":-1e999}`,
-	`{"time":1e-999}`,
-	`{"time":1.7976931348623157e308,"waiting":4.9e-324,"service":0.1}`,
-	`{"time":1.}`,
-	`{"time":.5}`,
-	`{"time":1e}`,
-	`{"time":1e+}`,
-	`{"time":0x10}`,
-	`{"time":1_000}`,
-	`{"time":NaN}`,
-	`{"time":Infinity}`,
-	`{"time":123456789012345678901234567890123456789012345678901234567890}`,
-	// Whitespace around every token, CRLF, blank and whitespace-only lines.
-	" \t{ \"kind\" \t: \"a\" , \"time\" : 1 , \"instance\" : 2 , \"server\" : 3 } \t",
-	"{\"kind\":\"a\"}\r\n{\"kind\":\"b\"}\r\n",
-	"{\"kind\":\"a\"}\r\n \t \r\n\r\n{\"kind\":\"b\"}",
-	"\v{\"kind\":\"a\"}\f",
-	"{\"kind\"\v:\"a\"}",
-	"{\"kind\":\"a\"\u00a0}",
-	// Not one object per line.
-	`{"kind":"a"} garbage`,
-	`{"kind":"a"}{"kind":"b"}`,
-	`{"kind":"a"},`,
-	`{"kind":"a",}`,
-	`{,"kind":"a"}`,
-	`{"kind":"a" "time":1}`,
-	`{"kind" "a"}`,
-	`{"kind":"a"`,
-	`{"kind":"a`,
-	`{"kind":`,
-	`{"kind"`,
-	`{"`,
-	`{`,
-	`}`,
-	`not json at all`,
-	// An error on a later line names that line; a long line is truncated.
-	"{\"kind\":\"a\"}\n\n{\"kind\":\"b\"}\n{\"Kind\":1}\n{\"kind\":\"c\"}",
-	`{"kind":"` + strings.Repeat("z", 300) + `","time":}`,
+// encoding/json are most likely to part ways, read from
+// testdata/differential_seeds.txt (the /v1/events fuzz target in
+// internal/server seeds from the same file).
+func differentialSeeds(tb testing.TB) []string {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "differential_seeds.txt"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds []string
+	for i, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		seed, err := strconv.Unquote(line)
+		if err != nil {
+			tb.Fatalf("differential_seeds.txt:%d: %v", i+1, err)
+		}
+		seeds = append(seeds, seed)
+	}
+	return seeds
 }
 
 func TestReadRecordsMatchesEncodingJSON(t *testing.T) {
-	for _, in := range differentialSeeds {
+	for _, in := range differentialSeeds(t) {
 		requireMatchesReference(t, []byte(in))
 	}
 	// Too big to be a fuzz seed: every mutation would copy 16 MiB.
@@ -191,7 +108,7 @@ func TestReadRecordsMatchesEncodingJSON(t *testing.T) {
 }
 
 func FuzzReadRecordsMatchesEncodingJSON(f *testing.F) {
-	for _, in := range differentialSeeds {
+	for _, in := range differentialSeeds(f) {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -256,5 +173,32 @@ func TestReadRecordsAllocationCeiling(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Errorf("ReadRecords made %.0f allocations on a 2,000-record batch, want <= 64", allocs)
+	}
+}
+
+// TestAppendRecordsExtendsDst pins AppendRecords against ReadRecords: it
+// extends dst by the same records whatever dst's spare capacity holds,
+// and with a limit it decodes exactly that many records and stops at the
+// one past it with ErrTooManyRecords.
+func TestAppendRecordsExtendsDst(t *testing.T) {
+	want, lines := epBatch(t, 2000)
+	dst := make([]audit.Record, 5, 2100)
+	for i := range dst[:cap(dst)] {
+		dst[:cap(dst)][i] = audit.Record{Kind: "stale", Chart: "stale", Waiting: 1}
+	}
+	head := append([]audit.Record(nil), dst...)
+	got, err := audit.AppendRecords(dst, bytes.NewReader(lines), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[:5], head) || !reflect.DeepEqual(got[5:], want) {
+		t.Fatal("AppendRecords into a used buffer differs from the buffer's head followed by ReadRecords")
+	}
+	if got, err := audit.AppendRecords(nil, bytes.NewReader(lines), 2000); err != nil || len(got) != 2000 {
+		t.Fatalf("limit 2000 on 2,000 records: %d records, %v", len(got), err)
+	}
+	got, err = audit.AppendRecords(nil, bytes.NewReader(lines), 1999)
+	if !errors.Is(err, audit.ErrTooManyRecords) || !reflect.DeepEqual(got, want[:1999]) {
+		t.Fatalf("limit 1999 on 2,000 records: %d records, %v; want the first 1,999 and ErrTooManyRecords", len(got), err)
 	}
 }

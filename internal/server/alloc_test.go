@@ -3,12 +3,18 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"performa/internal/audit"
+	"performa/internal/sim"
+	"performa/internal/spec"
+	"performa/internal/wfmserr"
+	"performa/internal/workload"
 )
 
 // perRequest serves one request through the handler, then measures what
@@ -58,10 +64,9 @@ func TestWarmAssessAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestEventBatchAllocationCeiling pins that a 60-record /v1/events batch
-// reads its body into a pooled scan buffer: a fresh 64 KB buffer per
-// batch was most of the 92 KB one allocated; it now allocates ~27 KB.
-func TestEventBatchAllocationCeiling(t *testing.T) {
+// eventsServer is a server holding the paper system's model, and the
+// /v1/events URL of that system's ingestion stream.
+func eventsServer(t *testing.T) (*Server, string) {
 	s, body := warmAssess(t)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/assess", bytes.NewReader(body)))
@@ -69,7 +74,56 @@ func TestEventBatchAllocationCeiling(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	env := s.models.byFingerprint(resp.Fingerprint).env
+	return s, "/v1/events?fingerprint=" + resp.Fingerprint
+}
+
+// epTrail returns the first n records of an audit trail simulated from
+// the paper system's EP workflow.
+func epTrail(t testing.TB, n int) []audit.Record {
+	env := workload.PaperEnvironment()
+	m, err := spec.Build(workload.EPWorkflow(5), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trail := audit.NewTrail()
+	if _, err := sim.Run(sim.Params{
+		Env: env, Models: []*spec.Model{m}, Replicas: []int{2, 2, 3},
+		Seed: 1, Horizon: 20 + float64(n)/100, Trail: trail,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	recs := trail.Records()
+	if len(recs) < n {
+		t.Fatalf("simulated trail has %d records, want %d", len(recs), n)
+	}
+	return recs[:n]
+}
+
+// jsonLines encodes records the way a trail writer does, stopping
+// before the line that would take the body past limit bytes.
+func jsonLines(t testing.TB, recs []audit.Record, limit int) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, r := range recs {
+		n := buf.Len()
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() > limit {
+			buf.Truncate(n)
+			break
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestEventBatchAllocationCeiling pins that a /v1/events batch decodes
+// into pooled buffers: a 60-record batch allocates less than the 64 KB
+// scan buffer it reads through, and a 2,000-record EP batch less than
+// the 272 KB its records occupy (a fresh record slice made that 785 KB).
+func TestEventBatchAllocationCeiling(t *testing.T) {
+	s, url := eventsServer(t)
+	env := workload.PaperEnvironment()
 	var batch bytes.Buffer
 	enc := json.NewEncoder(&batch)
 	for i := range 60 {
@@ -78,7 +132,58 @@ func TestEventBatchAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if allocs, size := perRequest(t, s.Handler(), "/v1/events?fingerprint="+resp.Fingerprint, batch.Bytes()); size >= 64<<10 {
+	if allocs, size := perRequest(t, s.Handler(), url, batch.Bytes()); size >= 64<<10 {
 		t.Errorf("a 60-record /v1/events batch allocated %.0f B (%.0f allocations), want less than one 64 KB scan buffer", size, allocs)
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	ep := jsonLines(t, epTrail(t, 2000), math.MaxInt)
+	if allocs, size := perRequest(t, s.Handler(), url, ep); size >= 64<<10 {
+		t.Errorf("a 2,000-record /v1/events batch allocated %.0f B (%.0f allocations), want less than 64 KB", size, allocs)
+	}
+}
+
+// TestEventBatchRecordBound pins what one body may decode to. A line of
+// "{}" is three bytes but a whole record, so a body under the byte limit
+// could make millions of them, allocated before admission is asked: the
+// decoder stops past MaxBodyBytes/32 records and answers 413, having
+// allocated a small multiple of the body. A real trail up to the byte
+// limit is still one batch.
+func TestEventBatchRecordBound(t *testing.T) {
+	s, url := eventsServer(t)
+	limit := int(s.opts.MaxBodyBytes)
+	empty := bytes.Repeat([]byte("{}\n"), limit/3)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(empty)))
+	runtime.ReadMemStats(&after)
+	var e ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("%d %s: %v", rec.Code, rec.Body, err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || e.Code != string(wfmserr.CodePayloadTooLarge) {
+		t.Errorf("%d bytes of {} lines: %d %q, want 413 %s", len(empty), rec.Code, e.Code, wfmserr.CodePayloadTooLarge)
+	}
+	if !strings.Contains(e.Error, "split it into smaller batches") {
+		t.Errorf("error %q does not say to split the batch", e.Error)
+	}
+	if size := after.TotalAlloc - before.TotalAlloc; size > 12*uint64(len(empty)) {
+		t.Errorf("refusing %d bytes of {} lines allocated %d MB, want at most 12 times the body", len(empty), size>>20)
+	}
+
+	trail := jsonLines(t, epTrail(t, limit/100), limit)
+	lines := bytes.Count(trail, []byte("\n"))
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(trail)))
+	var ok EventsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &ok); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("a %d-byte EP trail: %d %s", len(trail), rec.Code, rec.Body)
+	}
+	if ok.Records != lines {
+		t.Errorf("a %d-byte EP trail of %d records was accepted as %d", len(trail), lines, ok.Records)
 	}
 }

@@ -240,6 +240,28 @@ func (t *limitTrackingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// minRecordBytes is the body bytes a /v1/events batch is charged per
+// record: MaxBodyBytes/minRecordBytes records is the most one batch may
+// decode to. A trail line the simulator writes is about 123 bytes.
+const minRecordBytes = 32
+
+// recordBufs recycles handleEvents' record buffers, as scanBufs does the
+// read buffers under them. A buffer goes back cleared, so no record
+// string outlives its request, and one grown past maxPooledRecords by
+// an outsized batch is left to the collector.
+const maxPooledRecords = 16 << 10
+
+var recordBufs = sync.Pool{New: func() any { return new([]audit.Record) }}
+
+func putRecords(buf *[]audit.Record, recs []audit.Record) {
+	clear(recs)
+	if cap(recs) > maxPooledRecords {
+		return
+	}
+	*buf = recs[:0]
+	recordBufs.Put(buf)
+}
+
 // handleEvents ingests a batch of audit records for one system. The
 // body is JSON lines (one audit.Record per line, the format wfmssim
 // -trail emits); the system is addressed by the fingerprint query
@@ -252,15 +274,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	maxBytes := s.opts.MaxBodyBytes
-	tooLarge := func(limit int64) error {
+	tooLarge := func(limit int64, unit string) error {
 		return wfmserr.New(wfmserr.CodePayloadTooLarge, "server",
-			"event batch exceeds the %d-byte limit; split it into smaller batches", limit)
+			"event batch exceeds the %d-%s limit; split it into smaller batches", limit, unit)
 	}
 	// What can be refused without reading the body is refused first: a
 	// declared length over the limit, then a fingerprint with no warm
 	// model — parsing megabytes of records to answer 404 is wasted work.
 	if r.ContentLength > maxBytes {
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, tooLarge(maxBytes))
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, tooLarge(maxBytes, "byte"))
 		return
 	}
 	st, err := s.streamFor(fp)
@@ -270,13 +292,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	// The limit tracker remembers a MaxBytesError seen mid-stream: an
 	// over-limit body truncates the JSONL mid-line, so the surface error
-	// out of ReadRecords is a parse failure — which must still be
-	// reported as 413 payload_too_large, not as malformed input.
+	// out of AppendRecords is a parse failure — which must still be
+	// reported as 413 payload_too_large, not as malformed input. The
+	// record limit bounds what a body under the byte limit may decode
+	// to: a line of "{}" is three bytes but a 136-byte record.
 	lr := &limitTrackingReader{r: http.MaxBytesReader(w, r.Body, maxBytes)}
-	recs, err := audit.ReadRecords(lr)
+	maxRecords := max(int(maxBytes/minRecordBytes), 1)
+	buf := recordBufs.Get().(*[]audit.Record)
+	recs, err := audit.AppendRecords((*buf)[:0], lr, maxRecords)
+	defer putRecords(buf, recs)
 	if err != nil {
-		if lr.limit > 0 {
-			err = tooLarge(lr.limit)
+		switch {
+		case lr.limit > 0:
+			err = tooLarge(lr.limit, "byte")
+		case errors.Is(err, audit.ErrTooManyRecords):
+			err = tooLarge(int64(maxRecords), "record")
 		}
 		s.writeError(w, r, decodeStatus(err), err)
 		return

@@ -5,7 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -482,4 +487,90 @@ func TestStreamRegistryEviction(t *testing.T) {
 			t.Error("oldest stream survived past the registry bound")
 		}
 	}
+}
+
+// eventsSeeds is FuzzEventsBatchAtomic's seed corpus: the audit-line
+// differential seeds, a simulated EP trail, and a body of {} lines one
+// record past what a 64 KiB body may decode to (fuzz seeds are named by
+// position: append, do not reorder).
+func eventsSeeds(f *testing.F) []string {
+	raw, err := os.ReadFile(filepath.Join("..", "audit", "testdata", "differential_seeds.txt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seeds []string
+	for i, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		seed, err := strconv.Unquote(line)
+		if err != nil {
+			f.Fatalf("differential_seeds.txt:%d: %v", i+1, err)
+		}
+		seeds = append(seeds, seed)
+	}
+	return append(seeds,
+		string(jsonLines(f, epTrail(f, 200), math.MaxInt)),
+		strings.Repeat("{}\n", (64<<10)/minRecordBytes+1))
+}
+
+// FuzzEventsBatchAtomic posts a mutated JSON-lines body and then a fixed
+// valid one to the same stream. Every reply must be well-formed JSON; a
+// 200 must fold exactly the records the body holds and report them,
+// and any other status must fold none. So a refused batch leaves nothing
+// behind, and a recycled record buffer never carries one batch's
+// records into the next.
+func FuzzEventsBatchAtomic(f *testing.F) {
+	for _, seed := range eventsSeeds(f) {
+		f.Add([]byte(seed))
+	}
+	s := New(Options{Workers: 1, MaxBodyBytes: 64 << 10, Logger: testLogger()})
+	h := s.Handler()
+	serve := func(url string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body)))
+		return rec
+	}
+	_, _, doc := ingestSystem(f)
+	var as AssessResponse
+	rec := serve("/v1/assess", []byte(mustJSON(f, AssessRequest{System: doc, Config: []int{2}, Goals: GoalsJSON{MaxUnavailability: 1e-2}})))
+	if err := json.Unmarshal(rec.Body.Bytes(), &as); err != nil || rec.Code != http.StatusOK {
+		f.Fatalf("assess: %d %s", rec.Code, rec.Body)
+	}
+	url := "/v1/events?fingerprint=" + as.Fingerprint
+	valid := jsonLines(f, ingestRecords(3, 0), math.MaxInt)
+	if rec := serve(url, valid); rec.Code != http.StatusOK {
+		f.Fatalf("events: %d %s", rec.Code, rec.Body)
+	}
+	st := s.streams.lookup(as.Fingerprint)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, body := range [][]byte{body, valid} {
+			before := st.est.Events()
+			rec := serve(url, body)
+			folded := st.est.Events() - before
+			if rec.Code != http.StatusOK {
+				var e ErrorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+					t.Fatalf("status %d body is not a typed error: %v\n%s", rec.Code, err, rec.Body)
+				}
+				if folded != 0 {
+					t.Fatalf("status %d folded %d records", rec.Code, folded)
+				}
+				continue
+			}
+			var out EventsResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatalf("200 body is not an events reply: %v\n%s", err, rec.Body)
+			}
+			want, err := audit.ReadRecords(bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("200 for a body the decoder refuses: %v", err)
+			}
+			if out.Records != len(want) || folded != uint64(len(want)) || out.TotalEvents != before+folded {
+				t.Fatalf("body of %d records: reply says %d records, %d in total; %d folded onto %d",
+					len(want), out.Records, out.TotalEvents, folded, before)
+			}
+		}
+	})
 }

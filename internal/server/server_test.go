@@ -684,7 +684,7 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) string {
+func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	buf, err := json.Marshal(v)
 	if err != nil {

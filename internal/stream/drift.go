@@ -259,15 +259,15 @@ func (e *Estimator) ScoreAgainst(b *Baseline, t Thresholds) Score {
 
 	// Service-time means against the environment's b_x.
 	for st, base := range b.Service {
-		m := e.service[st]
-		if m == nil || roundWeight(m.w) < t.MinSamples || base <= 0 {
+		sm := e.servers[st]
+		if sm == nil || roundWeight(sm.service.w) < t.MinSamples || base <= 0 {
 			continue
 		}
-		if change := relChange(m.mean, base, 0); change > 0 {
+		if change := relChange(sm.service.mean, base, 0); change > 0 {
 			if change > s.Service {
 				s.Service = change
 			}
-			note("service", st, base, m.mean, change)
+			note("service", st, base, sm.service.mean, change)
 		}
 	}
 

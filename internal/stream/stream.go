@@ -115,6 +115,12 @@ type instAct struct {
 	activity string
 }
 
+// serverMoments are one server type's service-request moments, kept in
+// one map entry so a service record costs one lookup.
+type serverMoments struct {
+	service, waiting weightedMoments
+}
+
 // arrivalTrack accumulates the per-workflow arrival statistics.
 type arrivalTrack struct {
 	count       uint64
@@ -132,8 +138,7 @@ type Estimator struct {
 	departures  map[[2]string]*weightedCount
 	residence   map[[2]string]*weightedMoments
 	activities  map[string]*weightedMoments
-	service     map[string]*weightedMoments
-	waiting     map[string]*weightedMoments
+	servers     map[string]*serverMoments
 	turnarounds map[string]*weightedMoments
 	starts      map[string]*arrivalTrack
 
@@ -161,8 +166,7 @@ func NewEstimator(opts Options) *Estimator {
 		departures:   map[[2]string]*weightedCount{},
 		residence:    map[[2]string]*weightedMoments{},
 		activities:   map[string]*weightedMoments{},
-		service:      map[string]*weightedMoments{},
-		waiting:      map[string]*weightedMoments{},
+		servers:      map[string]*serverMoments{},
 		turnarounds:  map[string]*weightedMoments{},
 		starts:       map[string]*arrivalTrack{},
 		flows:        map[instChart]chartFlow{},
@@ -174,22 +178,15 @@ func NewEstimator(opts Options) *Estimator {
 	}
 }
 
-// Observe folds one record into the estimates.
-func (e *Estimator) Observe(r audit.Record) {
-	e.mu.Lock()
-	e.observeLocked(r)
-	e.mu.Unlock()
-}
-
-// ObserveBatch folds a batch of records with one lock acquisition — the
-// ingestion-path variant of Observe.
+// ObserveBatch folds a batch of records into the estimates, in order,
+// with one lock acquisition. It keeps no reference to recs.
 func (e *Estimator) ObserveBatch(recs []audit.Record) {
 	if len(recs) == 0 {
 		return
 	}
 	e.mu.Lock()
 	for i := range recs {
-		e.observeLocked(recs[i])
+		e.observeLocked(&recs[i])
 	}
 	e.mu.Unlock()
 }
@@ -217,7 +214,7 @@ func (e *Estimator) Dropped() uint64 {
 	return e.dropped
 }
 
-func (e *Estimator) observeLocked(r audit.Record) {
+func (e *Estimator) observeLocked(r *audit.Record) {
 	e.events++
 	if !e.hasSpan {
 		e.first, e.last = r.Time, r.Time
@@ -307,18 +304,13 @@ func (e *Estimator) observeLocked(r audit.Record) {
 			e.actStart[k] = starts[1:]
 		}
 	case audit.ServiceRequest:
-		mp := e.service[r.ServerType]
-		if mp == nil {
-			mp = &weightedMoments{}
-			e.service[r.ServerType] = mp
+		sm := e.servers[r.ServerType]
+		if sm == nil {
+			sm = &serverMoments{}
+			e.servers[r.ServerType] = sm
 		}
-		mp.observe(hl, r.Time, r.Service)
-		wp := e.waiting[r.ServerType]
-		if wp == nil {
-			wp = &weightedMoments{}
-			e.waiting[r.ServerType] = wp
-		}
-		wp.observe(hl, r.Time, r.Waiting)
+		sm.service.observe(hl, r.Time, r.Service)
+		sm.waiting.observe(hl, r.Time, r.Waiting)
 	}
 }
 
@@ -389,8 +381,8 @@ func (e *Estimator) Snapshot() (*calibrate.Estimates, error) {
 		Departures:        make(map[[2]string]uint64, len(e.departures)),
 		Residence:         make(map[[2]string]*calibrate.MomentPair, len(e.residence)),
 		ActivityDurations: make(map[string]*calibrate.MomentPair, len(e.activities)),
-		ServiceMoments:    make(map[string]*calibrate.MomentPair, len(e.service)),
-		WaitingMoments:    make(map[string]*calibrate.MomentPair, len(e.waiting)),
+		ServiceMoments:    make(map[string]*calibrate.MomentPair, len(e.servers)),
+		WaitingMoments:    make(map[string]*calibrate.MomentPair, len(e.servers)),
 		Turnarounds:       make(map[string]*calibrate.MomentPair, len(e.turnarounds)),
 		ArrivalRates:      make(map[string]float64, len(e.starts)),
 		Starts:            make(map[string]uint64, len(e.starts)),
@@ -408,11 +400,9 @@ func (e *Estimator) Snapshot() (*calibrate.Estimates, error) {
 	for k, m := range e.activities {
 		out.ActivityDurations[k] = momentsPair(m)
 	}
-	for k, m := range e.service {
-		out.ServiceMoments[k] = momentsPair(m)
-	}
-	for k, m := range e.waiting {
-		out.WaitingMoments[k] = momentsPair(m)
+	for k, sm := range e.servers {
+		out.ServiceMoments[k] = momentsPair(&sm.service)
+		out.WaitingMoments[k] = momentsPair(&sm.waiting)
 	}
 	for k, m := range e.turnarounds {
 		out.Turnarounds[k] = momentsPair(m)

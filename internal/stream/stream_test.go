@@ -195,8 +195,8 @@ func TestSnapshotEmptyIsTypedError(t *testing.T) {
 func TestIncrementalEqualsBatch(t *testing.T) {
 	recs := syntheticTrail()
 	one := NewEstimator(Options{})
-	for _, r := range recs {
-		one.Observe(r)
+	for i := range recs {
+		one.ObserveBatch(recs[i : i+1])
 	}
 	batch := NewEstimator(Options{})
 	batch.ObserveBatch(recs)
@@ -296,7 +296,7 @@ func TestExponentialDecayTracksRecentPast(t *testing.T) {
 func TestZeroHalfLifeIsExactCounting(t *testing.T) {
 	est := NewEstimator(Options{})
 	for i := 0; i < 1000; i++ {
-		est.Observe(audit.Record{Kind: audit.ServiceRequest, Time: float64(i), ServerType: "srv", Service: 1})
+		est.ObserveBatch([]audit.Record{{Kind: audit.ServiceRequest, Time: float64(i), ServerType: "srv", Service: 1}})
 	}
 	snap, err := est.Snapshot()
 	if err != nil {
