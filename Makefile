@@ -27,7 +27,7 @@ race:
 # down. Print it before and after a change that claims to simplify.
 # It is a ratchet: the count may not exceed LOC_CEILING (CI runs this),
 # and a PR that lowers the count lowers the ceiling to its new count.
-LOC_CEILING := 24935
+LOC_CEILING := 24840
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l); \
@@ -64,10 +64,11 @@ netdiff:
 	$(GO) run ./cmd/wfmscheck -net -corpus corpus
 	$(GO) run ./cmd/wfmscheck -net -systems 15 -seed 1 -mutate -fault collapse-bias
 
-# Solver-differential sweep: the same availability CTMCs and Erlang
-# phase-expanded marginals solved dense, Gauss-Seidel, and auto must
-# agree to solver tolerance (bit-for-bit where the path is
-# deterministic), and the dense and sparse paths must reject the same
+# Solver-differential sweep: the same availability CTMCs solved by GTH
+# (dense, and auto up to 512 states, bit for bit) and by sparse
+# Gauss-Seidel, and the GTH Erlang phase-expanded marginals against a
+# Gauss-Seidel solve of the same phase chain, must agree to solver
+# tolerance, and GTH and the sparse path must reject the same
 # degenerate chains.
 # Deterministic and simulation-free, so it sweeps many more systems.
 solver-diff:

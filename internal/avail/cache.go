@@ -16,7 +16,6 @@ type marginalKey struct {
 	replicas, stages int
 	failure, repair  float64
 	discipline       RepairDiscipline
-	solver           ctmc.SolverStrategy
 }
 
 // MarginalCache memoizes TypeMarginal solves. It is safe for concurrent
@@ -41,17 +40,10 @@ func (c *MarginalCache) Size() int {
 // TypeMarginal returns the memoized steady-state distribution of one
 // server type, computing and caching it on the first request.
 func (c *MarginalCache) TypeMarginal(p TypeParams, discipline RepairDiscipline) (linalg.Vector, error) {
-	return c.TypeMarginalSolver(p, discipline, ctmc.SolverAuto)
-}
-
-// TypeMarginalSolver is TypeMarginal with an explicit solver strategy;
-// distinct strategies cache separately, since their round-off (and thus
-// bit patterns) may differ.
-func (c *MarginalCache) TypeMarginalSolver(p TypeParams, discipline RepairDiscipline, solver ctmc.SolverStrategy) (linalg.Vector, error) {
 	key := marginalKey{
 		replicas: p.Replicas, stages: p.RepairStages,
 		failure: p.FailureRate, repair: p.RepairRate,
-		discipline: discipline, solver: solver,
+		discipline: discipline,
 	}
 	c.mu.RLock()
 	v, ok := c.m[key]
@@ -59,7 +51,7 @@ func (c *MarginalCache) TypeMarginalSolver(p TypeParams, discipline RepairDiscip
 	if ok {
 		return v, nil
 	}
-	v, err := TypeMarginalSolver(p, discipline, solver)
+	v, err := TypeMarginal(p, discipline)
 	if err != nil {
 		return nil, err
 	}
@@ -70,12 +62,12 @@ func (c *MarginalCache) TypeMarginalSolver(p TypeParams, discipline RepairDiscip
 }
 
 // EvaluateProductFormSolver is EvaluateProductForm with the per-type
-// marginal solves served from cache and an explicit solver strategy for
-// them (only the Erlang phase expansion actually solves a system; the
-// exponential marginals are closed-form). A nil cache computes every
-// marginal afresh. The report's TypeMarginals are copies, so callers may
-// modify them without corrupting the cache.
-func EvaluateProductFormSolver(params []TypeParams, discipline RepairDiscipline, buildJoint bool, cache *MarginalCache, solver ctmc.SolverStrategy) (*Report, error) {
+// marginals served from cache. A nil cache computes every marginal
+// afresh. The report's TypeMarginals are copies, so callers may modify
+// them without corrupting the cache. The solver argument is ignored
+// (every marginal is closed form or one GTH solve); it stays because
+// bench/ calls this function by that signature.
+func EvaluateProductFormSolver(params []TypeParams, discipline RepairDiscipline, buildJoint bool, cache *MarginalCache, _ ctmc.SolverStrategy) (*Report, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("avail: model needs at least one server type")
 	}
@@ -86,9 +78,9 @@ func EvaluateProductFormSolver(params []TypeParams, discipline RepairDiscipline,
 		var marginal linalg.Vector
 		var err error
 		if cache != nil {
-			marginal, err = cache.TypeMarginalSolver(p, discipline, solver)
+			marginal, err = cache.TypeMarginal(p, discipline)
 		} else {
-			marginal, err = TypeMarginalSolver(p, discipline, solver)
+			marginal, err = TypeMarginal(p, discipline)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("avail: type %d: %w", x, err)

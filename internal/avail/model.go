@@ -23,12 +23,11 @@ type Model struct {
 }
 
 // NewModelWithSolver builds the availability model with an explicit
-// steady-state solver strategy; ctmc.SolverAuto picks dense direct
-// elimination for small joint chains and the sparse iterative pipeline
+// steady-state solver strategy; ctmc.SolverAuto picks the direct GTH
+// solve for small joint chains and the sparse iterative pipeline
 // beyond that. The pre-flight budget depends on the
-// strategy: forcing the dense path keeps the historical MaxMatrixDim
-// cap, while the sparse strategies admit up to MaxStates joint states —
-// the generator is never materialized densely there.
+// strategy: forcing the direct path keeps the MaxMatrixDim cap, while
+// the sparse strategies admit up to MaxStates joint states.
 func NewModelWithSolver(params []TypeParams, discipline RepairDiscipline, solver ctmc.SolverStrategy) (*Model, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("avail: model needs at least one server type")

@@ -65,31 +65,6 @@ func TestEvaluateDelegatesToAuto(t *testing.T) {
 	}
 }
 
-// TestTypeMarginalSolverErlangAgreement drives the Erlang single-crew
-// marginal (the one marginal that needs a real CTMC solve) through auto
-// and Gauss-Seidel and requires agreement with the forced-dense path.
-func TestTypeMarginalSolverErlangAgreement(t *testing.T) {
-	p := TypeParams{Replicas: 5, FailureRate: 0.2, RepairRate: 1, RepairStages: 3}
-	ref, err := TypeMarginalSolver(p, SingleCrew, ctmc.SolverDense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []ctmc.SolverStrategy{ctmc.SolverAuto, ctmc.SolverGaussSeidel} {
-		got, err := TypeMarginalSolver(p, SingleCrew, s)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("%v: marginal length %d, dense %d", s, len(got), len(ref))
-		}
-		for j := range ref {
-			if d := math.Abs(got[j] - ref[j]); d > 1e-9 {
-				t.Fatalf("%v: P(X=%d) = %v, dense %v", s, j, got[j], ref[j])
-			}
-		}
-	}
-}
-
 // TestNewModelWithSolverBudgets pins the strategy-dependent pre-flight:
 // a 4096-state joint chain is over the dense MaxMatrixDim budget but
 // comfortably inside the sparse MaxStates budget.

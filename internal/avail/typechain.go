@@ -96,21 +96,11 @@ func (p TypeParams) validate() error {
 }
 
 // TypeMarginal computes the steady-state distribution of the number of
-// available servers of one type in isolation: P(X = j) for j = 0..Y,
-// with the default (auto) solver strategy.
+// available servers of one type in isolation: P(X = j) for j = 0..Y.
+// Exponential repair is closed form; Erlang repair is one GTH solve.
 func TypeMarginal(p TypeParams, discipline RepairDiscipline) (linalg.Vector, error) {
-	return TypeMarginalSolver(p, discipline, ctmc.SolverAuto)
-}
-
-// TypeMarginalSolver is TypeMarginal with an explicit solver strategy
-// for the marginals that need a linear solve (the Erlang phase
-// expansion; the exponential cases are closed-form either way).
-func TypeMarginalSolver(p TypeParams, discipline RepairDiscipline, solver ctmc.SolverStrategy) (linalg.Vector, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
-	}
-	if !solver.Valid() {
-		return nil, wfmserr.New(wfmserr.CodeInvalidModel, "avail", "unknown solver strategy %v", solver)
 	}
 	y := p.Replicas
 	// Pre-flight: the marginal itself is a (y+1)-vector, so a single
@@ -136,7 +126,7 @@ func TypeMarginalSolver(p TypeParams, discipline RepairDiscipline, solver ctmc.S
 		return nil, wfmserr.New(wfmserr.CodeInvalidModel, "avail",
 			"Erlang repair stages require the single-crew discipline (the phase belongs to the one in-progress repair)")
 	}
-	return erlangSingleCrewMarginal(p, solver)
+	return erlangSingleCrewMarginal(p)
 }
 
 // exponentialMarginal solves the per-type birth-death chain analytically:
@@ -173,74 +163,42 @@ func exponentialMarginal(p TypeParams, discipline RepairDiscipline) (linalg.Vect
 	return out, nil
 }
 
-// erlangSingleCrewMarginal builds the phase-expanded per-type chain:
+// erlangSingleCrewMarginal solves the phase-expanded per-type chain:
 // states (j, ph) with j available servers and the crew's repair in phase
 // ph (0 = idle, only when j = Y; 1..k otherwise). Each stage has rate
-// k·μ so the total repair time keeps mean 1/μ. The chain is streamed in
-// CSR form (at most three transitions per state), so large expansions
-// are bounded by the MaxStates budget, not the dense MaxMatrixDim cap.
-func erlangSingleCrewMarginal(p TypeParams, solver ctmc.SolverStrategy) (linalg.Vector, error) {
+// k·μ so the total repair time keeps mean 1/μ. With (j, ph) at
+// j·k + ph − 1 and the full state last, a failure keeps the phase
+// (i → i−k) and every stage completion, the last one returning a
+// server, is the next state (i → i+1): GTH on a band of width k.
+func erlangSingleCrewMarginal(p TypeParams) (linalg.Vector, error) {
 	y, k := p.Replicas, p.RepairStages
-	lambda, mu := p.FailureRate, p.RepairRate
-	stageRate := float64(k) * mu
-
-	// State encoding: (j, ph) for j = 0..y-1, ph = 1..k is state
-	// j·k + (ph-1); (y, idle) is the last state, y·k — the row the
-	// normalized system pins, which is where the mass sits when λ < μ
-	// and what lets the Gauss-Seidel sweep converge.
-	idx := func(j, ph int) int {
-		if j == y {
-			return y * k
-		}
-		return j*k + (ph - 1)
-	}
-	// Pre-flight: the dimension must be overflow-safe and fit the budget
-	// matching the solve path before any allocation happens.
-	if y > 0 && k > (1<<60)/y {
+	lambda, stageRate := p.FailureRate, float64(k)*p.RepairRate
+	// Pre-flight before any allocation: the n·(2k+1) band cells must be
+	// overflow-safe and fit the state budget.
+	if k > (1<<60)/y || 1+y*k > (1<<60)/(2*k+1) {
 		return nil, wfmserr.New(wfmserr.CodeBudgetExceeded, "avail",
 			"phase-expanded chain dimension overflows (Y=%d, stages=%d)", y, k)
 	}
 	n := 1 + y*k
-	if solver == ctmc.SolverDense {
-		if err := wfmserr.Default.CheckMatrixDim("avail", n); err != nil {
-			return nil, err
-		}
-	} else if err := wfmserr.Default.CheckStates("avail", n); err != nil {
+	if err := wfmserr.Default.CheckStates("avail", n*(2*k+1)); err != nil {
 		return nil, err
 	}
-	q := ctmc.GeneratorCSR(n, func(i int, emit func(to int, rate float64)) {
-		if i == y*k {
-			// Full state: failures only.
-			emit(idx(y-1, 1), float64(y)*lambda)
-			return
-		}
-		j, ph := i/k, i%k+1
-		if j > 0 {
-			emit(idx(j-1, ph), float64(j)*lambda)
-		}
-		if ph < k {
-			emit(idx(j, ph+1), stageRate)
-			return
-		}
-		// Final stage completes: one server comes back.
-		if j+1 == y {
-			emit(idx(y, 0), stageRate)
-		} else {
-			emit(idx(j+1, 1), stageRate)
-		}
-	})
 	// Irreducible by construction: λ, μ > 0 here, so every (j, ph) state
 	// drains back to full and is reachable from it.
-	pi, err := ctmc.SteadyStateCSR(q, ctmc.SparseOptions{Strategy: solver, AssumeIrreducible: true})
+	pi, err := ctmc.GTH(n, k, func(i int, emit func(to int, rate float64)) {
+		if j := i / k; j > 0 {
+			emit(i-k, float64(j)*lambda)
+		}
+		if i < y*k {
+			emit(i+1, stageRate)
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("avail: phase-expanded chain: %w", err)
 	}
 	out := linalg.NewVector(y + 1)
-	out[y] = pi[y*k]
-	for j := 0; j < y; j++ {
-		for ph := 1; ph <= k; ph++ {
-			out[j] += pi[idx(j, ph)]
-		}
+	for i, v := range pi {
+		out[i/k] += v
 	}
 	return out, nil
 }

@@ -532,7 +532,7 @@ func mostCriticalForWaiting(a *perf.Analysis, as *Assessment, goals Goals, repli
 // marginal cache.
 func (e *engine) mostCriticalForAvailability(replicas, hi []int) int {
 	env := e.a.Env()
-	popts := e.ev.Options()
+	discipline := e.ev.Options().Discipline
 	best := -1
 	bestDown := -1.0
 	for x := 0; x < env.K(); x++ {
@@ -540,11 +540,11 @@ func (e *engine) mostCriticalForAvailability(replicas, hi []int) int {
 			continue
 		}
 		st := env.Type(x)
-		marginal, err := e.ev.Marginals().TypeMarginalSolver(avail.TypeParams{
+		marginal, err := e.ev.Marginals().TypeMarginal(avail.TypeParams{
 			Replicas:    replicas[x],
 			FailureRate: st.FailureRate,
 			RepairRate:  st.RepairRate,
-		}, popts.Discipline, popts.Solver)
+		}, discipline)
 		if err != nil {
 			continue
 		}

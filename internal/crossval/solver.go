@@ -26,9 +26,9 @@ var (
 const solverAutoDenseLimit = 512
 
 // CheckSolvers runs only the solver-differential route over the system:
-// the same availability CTMC solved dense, Gauss-Seidel, and auto, the
-// Erlang phase-expanded product form with dense and Gauss-Seidel
-// marginals, plus rejection-parity probes on reducible and
+// the same availability CTMC solved dense (GTH), Gauss-Seidel, and auto,
+// the Erlang phase-expanded product form with GTH marginals against a
+// Gauss-Seidel reference, plus rejection-parity probes on reducible and
 // ill-conditioned chains. It is fully deterministic — no simulation —
 // so it is cheap enough to sweep many systems.
 func CheckSolvers(sys *System, opt Options) ([]Disagreement, error) {
@@ -87,31 +87,65 @@ func solverRoute(ds []Disagreement, analytic *System, opt Options) ([]Disagreeme
 	// The one marginal that solves a system instead of evaluating a
 	// formula is the Erlang phase expansion under a single crew, so the
 	// product-form leg runs there: 2–4 repair stages per type, picked
-	// from the seed, Gauss-Seidel marginals against dense ones.
+	// from the seed, avail's GTH marginals against this package's own
+	// sparse Gauss-Seidel solve of the same phase chain.
 	erlang := append([]avail.TypeParams(nil), params...)
 	for x := range erlang {
 		erlang[x].RepairStages = 2 + int((analytic.Seed+uint64(x))%3)
 	}
-	pfDense, err := avail.EvaluateProductFormSolver(erlang, avail.SingleCrew, false, nil, ctmc.SolverDense)
+	pf, err := avail.EvaluateProductForm(erlang, avail.SingleCrew, false)
 	if err != nil {
-		return nil, fmt.Errorf("crossval: solver route product form dense: %w", err)
+		return nil, fmt.Errorf("crossval: solver route product form: %w", err)
 	}
-	before := linalg.SolverCounters()
-	pf, err := avail.EvaluateProductFormSolver(erlang, avail.SingleCrew, false, nil, ctmc.SolverGaussSeidel)
-	if err != nil {
-		return nil, fmt.Errorf("crossval: solver route product form %v: %w", ctmc.SolverGaussSeidel, err)
+	refAvail := 1.0
+	for x, p := range erlang {
+		ref, err := erlangReference(p)
+		if err != nil {
+			return nil, fmt.Errorf("crossval: solver route Erlang reference, type %d: %w", x, err)
+		}
+		refAvail *= 1 - ref[0]
+		ds = compare(ds, "solver", fmt.Sprintf("pf-erlang-marginal-maxdiff[type%d,gth-vs-gauss_seidel]", x),
+			0, maxAbsDiff(ref, pf.TypeMarginals[x]), 0, tolSolver)
 	}
-	if linalg.SolverCountersDelta(before)["sparse_gauss_seidel"].Solves == 0 {
-		ds = append(ds, Disagreement{Route: "solver", Metric: "pf-erlang-solves[gauss_seidel]", Ref: float64(len(erlang))})
-	}
-	ds = compare(ds, "solver", "pf-erlang-unavailability[gauss_seidel-vs-dense]",
-		pfDense.Unavailability, pf.Unavailability, 0, tolSolver)
-	for x := range erlang {
-		ds = compare(ds, "solver", fmt.Sprintf("pf-erlang-marginal-maxdiff[type%d,gauss_seidel-vs-dense]", x),
-			0, maxAbsDiff(pfDense.TypeMarginals[x], pf.TypeMarginals[x]), 0, tolSolver)
-	}
+	ds = compare(ds, "solver", "pf-erlang-unavailability[gth-vs-gauss_seidel]",
+		1-refAvail, pf.Unavailability, 0, tolSolver)
 
 	return rejectionParity(ds), nil
+}
+
+// erlangReference solves one type's Erlang single-crew phase chain
+// independently of avail: states (j, ph) at j·k + ph − 1 with the full
+// state last, streamed as a CSR generator through the sparse
+// Gauss-Seidel iteration, then summed over phases into P(X = j).
+func erlangReference(p avail.TypeParams) (linalg.Vector, error) {
+	y, k := p.Replicas, p.RepairStages
+	out := linalg.NewVector(y + 1)
+	if y == 0 || p.FailureRate == 0 {
+		out[y] = 1
+		return out, nil
+	}
+	full := y * k
+	stage := float64(k) * p.RepairRate
+	q := ctmc.GeneratorCSR(full+1, func(i int, emit func(j int, rate float64)) {
+		if i == full {
+			emit(full-k, float64(y)*p.FailureRate)
+			return
+		}
+		// A failure keeps the phase; a stage completion (the last one
+		// returns a server) is always the next state.
+		if j := i / k; j > 0 {
+			emit(i-k, float64(j)*p.FailureRate)
+		}
+		emit(i+1, stage)
+	})
+	pi, err := ctmc.SteadyStateCSR(q, ctmc.SparseOptions{Strategy: ctmc.SolverGaussSeidel})
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range pi {
+		out[i/k] += v
+	}
+	return out, nil
 }
 
 // maxAbsDiff returns the infinity-norm distance between two equal-length
@@ -153,8 +187,8 @@ func rejectionParity(ds []Disagreement) []Disagreement {
 			})
 		}
 	}
-	// The pre-refactor dense entry point must reject it too (its singular
-	// normalized system has no unique solution).
+	// The dense-matrix entry point (GTH over the full band) must reject
+	// it too, through GTH's own reducibility check.
 	if _, err := ctmc.SteadyState(reducible.Dense()); err == nil {
 		ds = append(ds, Disagreement{
 			Route: "solver-reject", Metric: "reducible[legacy-dense]", Ref: 1, Obs: 0,

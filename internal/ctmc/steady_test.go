@@ -152,3 +152,72 @@ func TestQuickSteadyStateBalances(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGTHBandIsExact: solving a banded chain on its own band and on the
+// full band must give the same bits (the extra cells are zeros, and
+// adding zero rounds nothing), and the answer must balance.
+func TestGTHBandIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n, b = 40, 3
+	q := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := max(0, i-b); j <= min(n-1, i+b); j++ {
+			if j != i && (j == i+1 || j == i-1 || rng.Float64() < 0.5) {
+				r := 0.01 + rng.Float64()
+				q.Set(i, j, r)
+				q.Add(i, i, -r)
+			}
+		}
+	}
+	out := func(i int, emit func(j int, rate float64)) {
+		for j, r := range q.Row(i) {
+			if r > 0 {
+				emit(j, r)
+			}
+		}
+	}
+	banded, err := GTH(n, b, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := GTH(n, n-1, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range full {
+		if banded[i] != full[i] {
+			t.Fatalf("π[%d] = %v on band %d, %v on the full band", i, banded[i], b, full[i])
+		}
+	}
+	for j, x := range q.VecMul(banded) {
+		if math.Abs(x) > 1e-14 {
+			t.Fatalf("(πQ)[%d] = %v", j, x)
+		}
+	}
+}
+
+// TestGTHSpansBeyondFloatRange: a birth–death chain whose masses span
+// 10^399 must still solve (the back-substitution rescales instead of
+// overflowing), with the top of the distribution exact.
+func TestGTHSpansBeyondFloatRange(t *testing.T) {
+	const n = 400
+	pi, err := GTH(n, 1, func(i int, emit func(j int, rate float64)) {
+		if i+1 < n {
+			emit(i+1, 10)
+		}
+		if i > 0 {
+			emit(i-1, 1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range map[int]float64{n - 1: 0.9, n - 2: 0.09, n - 3: 0.009} {
+		if rel := math.Abs(pi[i]-want) / want; rel > 1e-14 {
+			t.Errorf("π[%d] = %v, want %v (relative error %.3g)", i, pi[i], want, rel)
+		}
+	}
+	if pi[0] != 0 || math.Abs(pi.Sum()-1) > 1e-15 {
+		t.Errorf("π[0] = %v (want underflow to 0), Σπ = %v", pi[0], pi.Sum())
+	}
+}

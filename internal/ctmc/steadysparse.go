@@ -9,19 +9,19 @@ import (
 	"performa/internal/wfmserr"
 )
 
-// SolverStrategy selects how steady-state systems are solved. The zero
-// value (SolverAuto) picks the dense direct path for small systems —
-// keeping exact agreement with the historical solver where it is cheap —
-// and the sparse Gauss-Seidel iteration beyond that.
+// SolverStrategy selects between the direct GTH solve and the sparse
+// Gauss-Seidel iteration, the only path beyond MaxMatrixDim. Nothing
+// served solves a joint chain; the choice stays because bench/ solves a
+// 32,768-state one through SolverAuto and wfmscheck -solver-diff checks
+// that path against GTH.
 type SolverStrategy int
 
 const (
-	// SolverAuto picks dense up to denseAutoCutover states and sparse
+	// SolverAuto picks GTH up to denseAutoCutover states and sparse
 	// Gauss-Seidel above; a miss is a typed no_convergence error.
 	SolverAuto SolverStrategy = iota
-	// SolverDense forces the dense transpose-and-eliminate path
-	// (subject to the MaxMatrixDim budget): the reference crossval and
-	// wfmscheck -solver-diff compare against.
+	// SolverDense forces GTH (subject to the MaxMatrixDim budget): the
+	// reference crossval and wfmscheck -solver-diff compare against.
 	SolverDense
 	// SolverGaussSeidel forces the sparse Gauss-Seidel iteration, the
 	// only path beyond MaxMatrixDim.
@@ -29,8 +29,8 @@ const (
 )
 
 // denseAutoCutover is the dimension up to which SolverAuto stays on the
-// dense path: below it the O(n³) elimination is cheap, bit-stable, and
-// serves as the crossval reference.
+// direct GTH solve, so that below it auto and dense are one code path,
+// bit for bit.
 const denseAutoCutover = 512
 
 // String returns the canonical spelling of the strategy.
@@ -160,7 +160,14 @@ func SteadyStateAdjoint(at *linalg.Sparse, opts SparseOptions) (linalg.Vector, e
 		if err := wfmserr.Default.CheckMatrixDim("ctmc", n); err != nil {
 			return nil, err
 		}
-		return steadyDense(at.Dense())
+		// On a mixed-radix encoding the bandwidth is the largest live
+		// stride, well under n.
+		b := 0
+		for i := 0; i < n; i++ {
+			at.Row(i, func(j int, _ float64) { b = max(b, i-j, j-i) })
+		}
+		q := at.Transpose()
+		return GTH(n, b, func(i int, emit func(j int, rate float64)) { q.Row(i, emit) })
 	}
 	pi, err := solveNormalized(at)
 	if err != nil {
@@ -190,8 +197,8 @@ func solveNormalized(at *linalg.Sparse) (linalg.Vector, error) {
 }
 
 // normalizedResidualOK verifies A x ≈ e_{n-1} for the normalized
-// steady-state system, mirroring the dense path's residual check so an
-// iterative solver cannot hand back a vector that merely stopped moving.
+// steady-state system, so an iterative solver cannot hand back a
+// vector that merely stopped moving.
 func normalizedResidualOK(sys linalg.OnesRow, x linalg.Vector) error {
 	n := sys.N()
 	r := linalg.NewVector(n)
@@ -220,31 +227,8 @@ func normalizedResidualOK(sys linalg.OnesRow, x linalg.Vector) error {
 	return nil
 }
 
-// steadyDense solves the dense adjoint a = Qᵀ for the stationary
-// distribution: the historical dense solve (the normalization Σ π = 1
-// replaces a's last row; Gauss-Seidel with LU fallback), the exact path
-// crossval treats as the reference.
-func steadyDense(a *linalg.Matrix) (linalg.Vector, error) {
-	n := a.Rows()
-	last := a.Row(n - 1)
-	for j := range last {
-		last[j] = 1
-	}
-	b := linalg.NewVector(n)
-	b[n-1] = 1
-	pi, err := linalg.Solve(a, b)
-	if err != nil {
-		code := wfmserr.CodeInvalidModel
-		if errors.Is(err, linalg.ErrNoConvergence) {
-			code = wfmserr.CodeNoConvergence
-		}
-		return nil, wfmserr.Wrap(err, code, "ctmc", "steady-state solve (is the chain irreducible?)")
-	}
-	return cleanDistribution(pi)
-}
-
-// cleanDistribution clamps round-off negatives and renormalizes, exactly
-// as the dense path does.
+// cleanDistribution clamps round-off negatives and renormalizes: the
+// last step of both the GTH and the sparse solve.
 func cleanDistribution(pi linalg.Vector) (linalg.Vector, error) {
 	for i, p := range pi {
 		if p < 0 {
@@ -348,7 +332,7 @@ func validateAdjointCSR(at *linalg.Sparse) error {
 // reaches state 0 (BFS over Qᵀ's rows). Reducible chains must be
 // rejected here because an iterative solver can converge to a single
 // recurrent class's mixture with a zero residual, silently disagreeing
-// with the dense path's rejection.
+// with GTH's rejection.
 func checkIrreducible(q, at *linalg.Sparse) error {
 	if !allReachable(q) {
 		return wfmserr.New(wfmserr.CodeInvalidModel, "ctmc",

@@ -77,7 +77,7 @@ func TestAdjointCSRMatchesTranspose(t *testing.T) {
 }
 
 // TestSteadyStateCSRStrategiesMatchDense runs every strategy against the
-// historical dense SteadyState on random ergodic generators. Dense and
+// dense-matrix SteadyState on random ergodic generators. Dense and
 // auto must always solve; Gauss-Seidel carries no convergence guarantee
 // on arbitrary generators, so a typed no_convergence from it is
 // tolerated — any other failure, or any converged answer that disagrees
@@ -103,8 +103,8 @@ func TestSteadyStateCSRStrategiesMatchDense(t *testing.T) {
 			}
 			tol := 1e-7
 			if strat == SolverDense || strat == SolverAuto {
-				// Small systems route auto onto the dense path; both must
-				// reproduce the historical solver bit for bit.
+				// Small systems route auto onto GTH, as dense and
+				// SteadyState are: all three must agree bit for bit.
 				tol = 0
 			}
 			for i := range want {

@@ -14,7 +14,8 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 // requested tolerance within its iteration budget.
 var ErrNoConvergence = errors.New("linalg: iteration did not converge")
 
-// GaussSeidelOptions controls the Gauss-Seidel iteration.
+// GaussSeidelOptions controls the ones-row Gauss-Seidel iteration
+// (OnesRowGaussSeidel).
 type GaussSeidelOptions struct {
 	// Tol is the convergence tolerance on the infinity norm of the
 	// update between successive iterates. Zero means the default 1e-12.
@@ -31,63 +32,6 @@ func (o GaussSeidelOptions) withDefaults() GaussSeidelOptions {
 		o.MaxIter = 10000
 	}
 	return o
-}
-
-// GaussSeidel solves A x = b iteratively, starting from x0 (which may be
-// nil for the zero vector), and returns the solution together with the
-// number of sweeps performed. The paper prescribes Gauss-Seidel for both
-// the first-passage-time system (Section 4.1) and the steady-state system
-// (Section 5.2); the iteration converges for the diagonally dominant
-// systems those models produce but is not guaranteed to converge in
-// general, in which case ErrNoConvergence is returned and the caller
-// should fall back to a direct solve.
-func GaussSeidel(a *Matrix, b Vector, x0 Vector, opts GaussSeidelOptions) (Vector, int, error) {
-	n := a.Rows()
-	if a.Cols() != n {
-		return nil, 0, fmt.Errorf("linalg: gauss-seidel needs a square matrix, got %dx%d", n, a.Cols())
-	}
-	if len(b) != n {
-		return nil, 0, fmt.Errorf("linalg: gauss-seidel rhs length %d does not match matrix size %d", len(b), n)
-	}
-	opts = opts.withDefaults()
-
-	x := NewVector(n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, 0, fmt.Errorf("linalg: gauss-seidel start vector length %d does not match matrix size %d", len(x0), n)
-		}
-		copy(x, x0)
-	}
-	for i := 0; i < n; i++ {
-		if a.At(i, i) == 0 {
-			return nil, 0, fmt.Errorf("linalg: gauss-seidel requires nonzero diagonal, a[%d][%d]=0: %w", i, i, ErrSingular)
-		}
-	}
-
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		var delta float64
-		for i := 0; i < n; i++ {
-			row := a.Row(i)
-			s := b[i]
-			for j, aij := range row {
-				if j != i {
-					s -= aij * x[j]
-				}
-			}
-			next := s / row[i]
-			if d := math.Abs(next - x[i]); d > delta {
-				delta = d
-			}
-			x[i] = next
-		}
-		if math.IsNaN(delta) || math.IsInf(delta, 0) {
-			return nil, iter, fmt.Errorf("linalg: gauss-seidel diverged at sweep %d: %w", iter, ErrNoConvergence)
-		}
-		if delta <= opts.Tol {
-			return x, iter, nil
-		}
-	}
-	return x, opts.MaxIter, ErrNoConvergence
 }
 
 // LU holds an LU factorization with partial pivoting of a square matrix,
@@ -199,78 +143,4 @@ func (f *LU) Det() float64 {
 		d *= f.lu.At(i, i)
 	}
 	return d
-}
-
-// SolveStats reports which solver produced a Solve result and at what
-// cost, so callers can surface the (previously silent) Gauss-Seidel →
-// LU fallback instead of guessing why timings or conditioning changed.
-type SolveStats struct {
-	// Solver is the method that produced the returned solution:
-	// "gauss_seidel" or "lu".
-	Solver string
-	// Iterations is the sweep count for an iterative solver; zero for
-	// a direct one.
-	Iterations int
-	// FellBack is true when Gauss-Seidel failed (divergence, zero
-	// diagonal, or a residual check miss) and LU produced the result.
-	FellBack bool
-}
-
-// Solve solves A x = b, preferring the Gauss-Seidel iteration the paper
-// prescribes and falling back to a direct LU solve when the iteration
-// fails to converge (e.g. for systems that are not diagonally dominant).
-// The returned vector always satisfies the system to a small residual;
-// an error is returned only if both methods fail. The solve is recorded
-// in the process-wide solver counters; use SolveWithStats to observe the
-// outcome per call.
-func Solve(a *Matrix, b Vector) (Vector, error) {
-	x, _, err := SolveWithStats(a, b)
-	return x, err
-}
-
-// SolveWithStats is Solve with an explicit account of which solver
-// converged and in how many iterations. Every outcome is also recorded
-// in the process-wide solver counters (see SolverCounters).
-func SolveWithStats(a *Matrix, b Vector) (Vector, SolveStats, error) {
-	x, iters, err := GaussSeidel(a, b, nil, GaussSeidelOptions{})
-	if err == nil {
-		scratch := NewVector(a.Rows())
-		if residualOK(a, x, b, scratch) {
-			stats := SolveStats{Solver: "gauss_seidel", Iterations: iters}
-			RecordSolve(stats.Solver, iters, false)
-			return x, stats, nil
-		}
-		err = fmt.Errorf("linalg: gauss-seidel met tolerance but failed the residual check: %w", ErrNoConvergence)
-	}
-	lu, ferr := FactorLU(a)
-	if ferr != nil {
-		if err != nil {
-			return nil, SolveStats{}, fmt.Errorf("linalg: gauss-seidel failed (%v) and LU failed: %w", err, ferr)
-		}
-		return nil, SolveStats{}, ferr
-	}
-	x, serr := lu.Solve(b)
-	if serr != nil {
-		return nil, SolveStats{}, serr
-	}
-	stats := SolveStats{Solver: "lu", FellBack: true}
-	RecordSolve(stats.Solver, 0, true)
-	return x, stats, nil
-}
-
-// residualOK reports whether a*x is close to b relative to the magnitudes
-// involved. The scratch vector (length n) is reused for the product.
-func residualOK(a *Matrix, x, b, scratch Vector) bool {
-	r := a.MulVecInto(scratch, x)
-	var worst float64
-	for i := range r {
-		scale := math.Abs(b[i]) + math.Abs(a.Row(i)[i]*x[i])
-		if scale < 1 {
-			scale = 1
-		}
-		if d := math.Abs(r[i]-b[i]) / math.Abs(scale); d > worst {
-			worst = d
-		}
-	}
-	return worst < 1e-8
 }

@@ -2,64 +2,10 @@ package linalg
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestGaussSeidelDiagonallyDominant(t *testing.T) {
-	a := MatrixFromRows([][]float64{
-		{4, -1, 0},
-		{-1, 4, -1},
-		{0, -1, 4},
-	})
-	b := Vector{3, 2, 3}
-	x, iters, err := GaussSeidel(a, b, nil, GaussSeidelOptions{})
-	if err != nil {
-		t.Fatalf("GaussSeidel: %v", err)
-	}
-	if iters <= 0 {
-		t.Errorf("iters = %d", iters)
-	}
-	r := a.MulVec(x)
-	for i := range b {
-		if !almostEqual(r[i], b[i], 1e-9) {
-			t.Errorf("residual[%d]: got %v, want %v", i, r[i], b[i])
-		}
-	}
-}
-
-func TestGaussSeidelZeroDiagonal(t *testing.T) {
-	a := MatrixFromRows([][]float64{{0, 1}, {1, 0}})
-	_, _, err := GaussSeidel(a, Vector{1, 1}, nil, GaussSeidelOptions{})
-	if !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestGaussSeidelDivergesOnBadSystem(t *testing.T) {
-	// Strongly non-diagonally-dominant system; Gauss-Seidel diverges.
-	a := MatrixFromRows([][]float64{{1, 10}, {10, 1}})
-	_, _, err := GaussSeidel(a, Vector{1, 1}, nil, GaussSeidelOptions{MaxIter: 200})
-	if !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("err = %v, want ErrNoConvergence", err)
-	}
-}
-
-func TestGaussSeidelDimensionErrors(t *testing.T) {
-	a := NewMatrix(2, 3)
-	if _, _, err := GaussSeidel(a, Vector{1, 2}, nil, GaussSeidelOptions{}); err == nil {
-		t.Error("non-square matrix accepted")
-	}
-	sq := Identity(2)
-	if _, _, err := GaussSeidel(sq, Vector{1}, nil, GaussSeidelOptions{}); err == nil {
-		t.Error("bad rhs length accepted")
-	}
-	if _, _, err := GaussSeidel(sq, Vector{1, 2}, Vector{0}, GaussSeidelOptions{}); err == nil {
-		t.Error("bad start vector length accepted")
-	}
-}
 
 func TestLUSolveKnownSystem(t *testing.T) {
 	a := MatrixFromRows([][]float64{
@@ -136,26 +82,6 @@ func TestLUPivotingHandlesZeroLeadingElement(t *testing.T) {
 	}
 }
 
-func TestSolveFallsBackToLU(t *testing.T) {
-	// Gauss-Seidel diverges on this system; Solve must still succeed.
-	a := MatrixFromRows([][]float64{{1, 10}, {10, 1}})
-	b := Vector{11, 11}
-	x, err := Solve(a, b)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if !almostEqual(x[0], 1, 1e-9) || !almostEqual(x[1], 1, 1e-9) {
-		t.Errorf("x = %v, want [1 1]", x)
-	}
-}
-
-func TestSolveSingularBothPathsFail(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 1}, {1, 1}})
-	if _, err := Solve(a, Vector{1, 2}); err == nil {
-		t.Error("singular system accepted")
-	}
-}
-
 func TestQuickLUSolvesRandomSystems(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -188,69 +114,5 @@ func TestQuickLUSolvesRandomSystems(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuickGaussSeidelMatchesLUOnDominantSystems(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(10)
-		a := randomMatrix(rng, n)
-		// Force strict diagonal dominance so Gauss-Seidel provably
-		// converges.
-		for i := 0; i < n; i++ {
-			var rowsum float64
-			for j := 0; j < n; j++ {
-				if j != i {
-					rowsum += math.Abs(a.At(i, j))
-				}
-			}
-			a.Set(i, i, rowsum+1+rng.Float64())
-		}
-		b := NewVector(n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		gs, _, err := GaussSeidel(a, b, nil, GaussSeidelOptions{})
-		if err != nil {
-			return false
-		}
-		lu, err := FactorLU(a)
-		if err != nil {
-			return false
-		}
-		direct, err := lu.Solve(b)
-		if err != nil {
-			return false
-		}
-		for i := range gs {
-			if !almostEqual(gs[i], direct[i], 1e-7) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGaussSeidelWarmStart(t *testing.T) {
-	a := MatrixFromRows([][]float64{{4, 1}, {1, 3}})
-	b := Vector{1, 2}
-	exact, err := Solve(a, b)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	_, cold, err := GaussSeidel(a, b, nil, GaussSeidelOptions{})
-	if err != nil {
-		t.Fatalf("cold: %v", err)
-	}
-	_, warm, err := GaussSeidel(a, b, exact, GaussSeidelOptions{})
-	if err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-	if warm > cold {
-		t.Errorf("warm start took %d sweeps, cold %d", warm, cold)
 	}
 }

@@ -174,42 +174,3 @@ func TestOnesRowApplyAndRhs(t *testing.T) {
 		}
 	}
 }
-
-func TestSolveWithStatsReportsSolver(t *testing.T) {
-	// Diagonally dominant: Gauss-Seidel must win without fallback.
-	a := MatrixFromRows([][]float64{{4, 1}, {1, 3}})
-	before := SolverCounters()
-	x, stats, err := SolveWithStats(a, Vector{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Solver != "gauss_seidel" || stats.FellBack || stats.Iterations <= 0 {
-		t.Fatalf("dominant system stats = %+v, want converged gauss_seidel", stats)
-	}
-	if math.Abs(4*x[0]+x[1]-1) > 1e-9 {
-		t.Fatalf("bad solution %v", x)
-	}
-	delta := SolverCountersDelta(before)
-	if delta["gauss_seidel"].Solves < 1 {
-		t.Fatalf("counters did not record the solve: %+v", delta)
-	}
-
-	// Zero diagonal: Gauss-Seidel cannot run, LU must be reported as
-	// the fallback.
-	a = MatrixFromRows([][]float64{{0, 1}, {1, 0}})
-	before = SolverCounters()
-	x, stats, err = SolveWithStats(a, Vector{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Solver != "lu" || !stats.FellBack {
-		t.Fatalf("permutation system stats = %+v, want lu fallback", stats)
-	}
-	if math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
-		t.Fatalf("bad solution %v", x)
-	}
-	delta = SolverCountersDelta(before)
-	if delta["lu"].Solves < 1 || delta["lu"].Fallbacks < 1 {
-		t.Fatalf("counters did not record the fallback: %+v", delta)
-	}
-}

@@ -119,7 +119,7 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Resu
 	var levels uint64
 	for x, p := range params {
 		// The marginal is the cache's shared vector: read-only here.
-		pi, err := e.marginals.TypeMarginalSolver(p, e.opts.Discipline, e.opts.Solver)
+		pi, err := e.marginals.TypeMarginal(p, e.opts.Discipline)
 		if err != nil {
 			return nil, fmt.Errorf("avail: type %d: %w", x, err)
 		}

@@ -59,7 +59,7 @@ type Options struct {
 	PenaltyValue float64
 	// Discipline is the repair discipline of the availability model.
 	Discipline avail.RepairDiscipline
-	// Solver changes no answer (marginals are closed form); kept, like avail's *Solver entry points, for the frozen bench/.
+	// Solver changes no answer (marginals are closed form or one GTH solve); kept, like avail's *Solver entry points, for the frozen bench/.
 	Solver ctmc.SolverStrategy
 }
 

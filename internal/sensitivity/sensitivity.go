@@ -236,9 +236,9 @@ func (s *separable) term(x, y int, st spec.ServerType, l float64) (performabilit
 	var pi linalg.Vector
 	var err error
 	if own := s.a.Env().Type(x); st.FailureRate == own.FailureRate && st.RepairRate == own.RepairRate {
-		pi, err = s.ev.Marginals().TypeMarginalSolver(p, opts.Discipline, opts.Solver)
+		pi, err = s.ev.Marginals().TypeMarginal(p, opts.Discipline)
 	} else {
-		pi, err = avail.TypeMarginalSolver(p, opts.Discipline, opts.Solver)
+		pi, err = avail.TypeMarginal(p, opts.Discipline)
 	}
 	if err != nil {
 		return performability.TypeTerm{}, fmt.Errorf("avail: type %d: %w", x, err)

@@ -60,7 +60,9 @@ func collapsedChart(chart *statechart.Chart, profiles map[string]spec.ActivityPr
 	}
 
 	// τ = H + P·τ on the embedded chart-level chain; transitions into
-	// pseudo final states absorb (contribute nothing).
+	// pseudo final states absorb (contribute nothing). Solved by LU
+	// here, not by ctmc's absorption kernel: this is that kernel's
+	// oracle.
 	n := len(order)
 	a := linalg.Identity(n)
 	for _, t := range chart.Transitions {
@@ -81,7 +83,11 @@ func collapsedChart(chart *statechart.Chart, profiles map[string]spec.ActivityPr
 		}
 		a.Add(index[t.From], to, -t.Prob)
 	}
-	tau, err := linalg.Solve(a, linalg.Vector(h))
+	lu, err := linalg.FactorLU(a)
+	var tau linalg.Vector
+	if err == nil {
+		tau, err = lu.Solve(linalg.Vector(h))
+	}
 	if err != nil {
 		return 0, wfmserr.Wrap(err, wfmserr.CodeInvalidModel, "wfnet",
 			"chart %q: collapsed-reference solve failed", chart.Name)
