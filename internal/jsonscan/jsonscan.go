@@ -81,6 +81,35 @@ func NumberEnd(b []byte, i int) int {
 	return i
 }
 
+// ObjectEnd returns the index after the JSON object starting at b[i] —
+// after the brace that closes it, counting braces and brackets outside
+// strings, in which a backslash escapes the byte after it — or -1 if
+// there is none. It checks nothing but that nesting: whether the bytes
+// between are JSON is the caller's to find out.
+func ObjectEnd(b []byte, i int) int {
+	if i >= len(b) || b[i] != '{' {
+		return -1
+	}
+	depth := 0
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return -1
+}
+
 func skipDigits(b []byte, i int) int {
 	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++

@@ -68,3 +68,22 @@ func TestSkipSpace(t *testing.T) {
 		}
 	}
 }
+
+func TestObjectEnd(t *testing.T) {
+	for _, tc := range []struct {
+		in       string
+		at, want int
+	}{
+		{`{}`, 0, 2}, {`{"a":1},`, 0, 7}, {`x{"a":[1,{}]}y`, 1, 13},
+		// Brackets in strings do not count; a backslash escapes a quote.
+		{`{"}":"]"}`, 0, 9}, {`{"a\"}":1}`, 0, 10}, {`{"a\\":"}"}`, 0, 11},
+		// Only the nesting is checked.
+		{`{]`, 0, 2}, {`{x y z}`, 0, 7},
+		{``, 0, -1}, {`[]`, 0, -1}, {`{`, 0, -1}, {`{"}`, 0, -1}, {`{"a\"}`, 0, -1}, {`{[}`, 0, -1},
+		{`{}`, 2, -1},
+	} {
+		if got := ObjectEnd([]byte(tc.in), tc.at); got != tc.want {
+			t.Errorf("ObjectEnd(%q, %d) = %d, want %d", tc.in, tc.at, got, tc.want)
+		}
+	}
+}

@@ -450,7 +450,7 @@ type EventsResponse struct {
 	Dropped uint64 `json:"dropped,omitempty"`
 	// Drift is the score of the running estimates against the model
 	// baseline after this batch.
-	Drift stream.Score `json:"drift"`
+	Drift ScoreJSON `json:"drift"`
 	// Drifted reports whether the stream currently exceeds thresholds
 	// (cleared when a post-drift rebuild re-baselines).
 	Drifted bool `json:"drifted"`
@@ -479,16 +479,62 @@ type DriftThresholdsJSON struct {
 
 // DriftStreamJSON reports one ingestion stream on /v1/drift.
 type DriftStreamJSON struct {
-	Fingerprint   string       `json:"fingerprint"`
-	Events        uint64       `json:"events"`
-	Batches       uint64       `json:"batches"`
-	Dropped       uint64       `json:"dropped,omitempty"`
-	InFlight      int          `json:"in_flight"`
-	Score         stream.Score `json:"score"`
-	MaxScore      float64      `json:"max_score"`
-	Drifted       bool         `json:"drifted"`
-	Generation    uint64       `json:"generation"`
-	Invalidations uint64       `json:"invalidations"`
+	Fingerprint   string    `json:"fingerprint"`
+	Events        uint64    `json:"events"`
+	Batches       uint64    `json:"batches"`
+	Dropped       uint64    `json:"dropped,omitempty"`
+	InFlight      int       `json:"in_flight"`
+	Score         ScoreJSON `json:"score"`
+	MaxScore      Float     `json:"max_score"`
+	Drifted       bool      `json:"drifted"`
+	Generation    uint64    `json:"generation"`
+	Invalidations uint64    `json:"invalidations"`
+}
+
+// ScoreJSON is a stream.Score on the wire. Its numbers are Floats: a
+// relative change can overflow to +Inf (service times of 1e308 against a
+// millisecond mean), which encoding/json would refuse as a number.
+type ScoreJSON struct {
+	Transition Float              `json:"transition"`
+	Residence  Float              `json:"residence"`
+	Service    Float              `json:"service"`
+	Arrival    Float              `json:"arrival"`
+	Top        []ContributionJSON `json:"top,omitempty"`
+}
+
+// ContributionJSON is a stream.Contribution on the wire.
+type ContributionJSON struct {
+	Dimension string `json:"dimension"`
+	Parameter string `json:"parameter"`
+	Baseline  Float  `json:"baseline"`
+	Observed  Float  `json:"observed"`
+	Change    Float  `json:"change"`
+}
+
+func scoreJSON(s stream.Score) ScoreJSON {
+	out := ScoreJSON{
+		Transition: Float(s.Transition),
+		Residence:  Float(s.Residence),
+		Service:    Float(s.Service),
+		Arrival:    Float(s.Arrival),
+	}
+	for _, c := range s.Top {
+		out.Top = append(out.Top, ContributionJSON{
+			Dimension: c.Dimension, Parameter: c.Parameter,
+			Baseline: Float(c.Baseline), Observed: Float(c.Observed), Change: Float(c.Change),
+		})
+	}
+	return out
+}
+
+// String renders the score as stream.Score.String does.
+func (s ScoreJSON) String() string {
+	return stream.Score{
+		Transition: float64(s.Transition),
+		Residence:  float64(s.Residence),
+		Service:    float64(s.Service),
+		Arrival:    float64(s.Arrival),
+	}.String()
 }
 
 // DriftResponse is the /v1/drift reply.
@@ -704,7 +750,7 @@ type AdvisoryJSON struct {
 	// against.
 	Generation uint64 `json:"generation"`
 	// Trigger is the drift score that crossed the thresholds.
-	Trigger stream.Score `json:"trigger"`
+	Trigger ScoreJSON `json:"trigger"`
 	// OldConfig is the deployed configuration; OldAssessment its
 	// standing under the recalibrated (post-drift) model.
 	OldConfig     []int           `json:"old_config"`

@@ -52,7 +52,9 @@ func decodeItem(doc *wfjson.Document, model *ModelJSON, batchDefault ModelJSON) 
 	if err != nil {
 		return system{err: err}
 	}
-	return postedSystem(doc, popts)
+	sys := system{doc: doc, popts: popts}
+	sys.fingerprint()
+	return sys
 }
 
 // itemError converts a per-item failure into its wire form with the

@@ -3,6 +3,8 @@ package server
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -303,9 +305,10 @@ func buildEntry(e *modelEntry, fingerprint string, env *spec.Environment, flows 
 	return nil
 }
 
-// system is a system on its way to a model: fingerprinted from its
-// posted document, decoded into spec objects only when a build, a
-// deployment or a calibration needs them. A warm hit never decodes.
+// system is a system on its way to a model: found by the digest of its
+// posted bytes, or fingerprinted from its posted document, and decoded
+// into spec objects only when a build, a deployment or a calibration
+// needs them. A warm hit never decodes.
 type system struct {
 	doc   *wfjson.Document
 	fp    string
@@ -313,17 +316,40 @@ type system struct {
 	env   *spec.Environment
 	flows []*spec.Workflow
 	err   error // options, fingerprint or FromDocument refusal
+
+	// span is the posted document still undecoded, as decodeBody left it
+	// in body, the request whose whole-body decode into dst words the
+	// errors of a span parse refuses. parse clears all three.
+	body, span []byte
+	dst        any
 }
 
-// postedSystem fingerprints doc. A document canonicalisation refuses is
-// decoded at once, for FromDocument's error or else Fingerprint's.
-func postedSystem(doc *wfjson.Document, popts performability.Options) system {
-	sys := system{doc: doc, popts: popts}
+// fingerprint fingerprints sys's document. A document canonicalisation
+// refuses is decoded at once, for FromDocument's error or else
+// Fingerprint's.
+func (sys *system) fingerprint() {
 	var ok bool
-	if sys.fp, ok = wfjson.FingerprintDocument(doc); !ok && sys.decode() == nil {
+	if sys.fp, ok = wfjson.FingerprintDocument(sys.doc); !ok && sys.decode() == nil {
 		sys.fp, sys.err = wfjson.Fingerprint(sys.env, sys.flows)
 	}
-	return sys
+}
+
+// parse decodes the posted span into doc by wfjson.ParseDocument and,
+// for a span outside its dialect, decodes the whole body with
+// encoding/json instead, as decodeBody would have: a refusal is a
+// request decode error, worded by encoding/json. Nothing is decoded
+// twice on the parser's route, and the body is let go either way.
+func (sys *system) parse() error {
+	if sys.span == nil {
+		return nil
+	}
+	body, span, dst := sys.body, sys.span, sys.dst
+	sys.body, sys.span, sys.dst = nil, nil, nil
+	if n, ok := wfjson.ParseDocument(span, sys.doc); ok && n == len(span) {
+		return nil
+	}
+	*sys.doc = wfjson.Document{}
+	return decodeStrict(body, nil, dst)
 }
 
 func (sys *system) decode() error {
@@ -333,10 +359,30 @@ func (sys *system) decode() error {
 	return sys.err
 }
 
+// stream returns fp's ingestion stream, if any, and its drift
+// generation: the one a model of fp is keyed and built under.
+func (s *Server) stream(fp string) (*ingestStream, uint64) {
+	st := s.streams.lookup(fp)
+	if st == nil {
+		return nil, 0
+	}
+	_, _, gen, _ := st.snapshot()
+	return st, gen
+}
+
 // resolve returns the model entry for sys: the resident one when there
 // is one (warm: this call neither built nor waited on a build it
 // started), else one built from sys's spec objects, decoded only then,
 // so a document FromDocument refuses never reaches the cache.
+//
+// A posted span is first taken for its own fingerprint: the digest of
+// canonical bytes, the form json.Marshal gives a document ToDocument
+// made, is the fingerprint, so if an entry is resident under that
+// digest the span is byte for byte the canonical form of a document
+// that built it (SHA-256 being collision-free, as every cache key
+// already assumes), and the entry answers without the span being
+// parsed. Any other span misses, costing a scan and a SHA-256 over it,
+// and is parsed and fingerprinted as a document.
 //
 // When the system's ingestion stream has detected drift, the entry key
 // carries the stream's rebuild generation and the build recalibrates
@@ -348,11 +394,23 @@ func (s *Server) resolve(ctx context.Context, sys *system) (*modelEntry, bool, e
 	if sys.err != nil {
 		return nil, false, sys.err
 	}
-	var gen uint64
-	st := s.streams.lookup(sys.fp)
-	if st != nil {
-		_, _, gen, _ = st.snapshot()
+	if sys.span != nil {
+		sum := sha256.Sum256(sys.span)
+		digest := hex.EncodeToString(sum[:])
+		_, gen := s.stream(digest)
+		if e, warm, err := s.models.getOrBuild(ctx, entryKey(digest, sys.popts, gen), nil); e != nil || err != nil {
+			return e, warm, err
+		}
+		if err := sys.parse(); err != nil {
+			return nil, false, err
+		}
 	}
+	if sys.fp == "" {
+		if sys.fingerprint(); sys.err != nil {
+			return nil, false, sys.err
+		}
+	}
+	st, gen := s.stream(sys.fp)
 	key := entryKey(sys.fp, sys.popts, gen)
 	if e, warm, err := s.models.getOrBuild(ctx, key, nil); e != nil || err != nil {
 		return e, warm, err

@@ -299,7 +299,7 @@ func (s *Server) runReconfigure(ev driftEvent) {
 	adv := AdvisoryJSON{
 		Fingerprint: ev.fingerprint,
 		Generation:  ev.generation,
-		Trigger:     ev.score,
+		Trigger:     scoreJSON(ev.score),
 	}
 	defer s.recoverPanic("re-plan", func(err error) { s.ctrl.emit(dep, adv, ev.at, err) })
 	ctx, cancel := s.deadline(s.ctrl.ctx, 0)
@@ -355,7 +355,7 @@ func (s *Server) runReconfigure(ev driftEvent) {
 // the ingestion stream created so /v1/events can start scoring drift.
 func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 	var req DeploymentRequest
-	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
+	if err := s.decodeDocument(w, r, &req, &req.System); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}

@@ -18,16 +18,17 @@ import (
 // value are errors. encoding/json defines what a body means and words
 // every error.
 //
-// system is dst's top-level "system" member when that is a document (nil
-// for the batch requests, which nest theirs). A body that starts with
-// that member, holding a document in the dialect wfjson.ParseDocument
-// accepts — what every client marshalling these request types sends — is
-// decoded in two parts: the document by the parser, straight from the
-// body, and the remaining members by encoding/json as an object of their
-// own. Any other body, and any body whose remaining members encoding/json
-// rejects, goes through encoding/json whole, so which route a body takes
-// changes nothing a client can see.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, system *wfjson.Document) error {
+// sys is the request's system when dst's top-level "system" member is a
+// document, with sys.doc pointing at that member (nil for the batch
+// requests, which nest theirs). A body that starts with that member —
+// what every client marshalling these request types sends — is split:
+// encoding/json decodes the remaining members as an object of their own,
+// and the document is left in the body as sys's span, for resolve to
+// find its model by or sys.parse to decode. Any other body, and any body
+// whose remaining members encoding/json rejects, goes through
+// encoding/json whole, so which route a body takes changes nothing a
+// client can see.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, sys *system) error {
 	var buf bytes.Buffer
 	if r.ContentLength > 0 {
 		// One allocation for an ordinary body; a declared length is only a
@@ -37,58 +38,103 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, sys
 	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	body := buf.Bytes()
 
-	if system != nil && readErr == nil && !s.noBodySplit {
-		if at, ok := splitSystem(body, system); ok {
-			// body[at] is the comma or the byte before the closing brace:
-			// as '{' it opens the object of the remaining members.
-			was := body[at]
-			body[at] = '{'
-			if decodeStrict(body[at:], nil, dst) == nil {
-				return nil
-			}
-			body[at] = was
+	if sys != nil && readErr == nil && !s.noBodySplit {
+		if sp, ok := splitSystem(body, sys.doc); ok && decodeRest(body, sp.rest, dst) == nil {
+			sys.body, sys.span, sys.dst = body, sp.span, dst
+			return nil
 		}
-		*system = wfjson.Document{}
 	}
 	return decodeStrict(body, readErr, dst)
 }
 
+// decodeDocument is decodeBody for a handler that needs the document
+// itself, not only its model.
+func (s *Server) decodeDocument(w http.ResponseWriter, r *http.Request, dst any, doc *wfjson.Document) error {
+	sys := system{doc: doc}
+	if err := s.decodeBody(w, r, dst, &sys); err != nil {
+		return err
+	}
+	return sys.parse()
+}
+
+// split is where splitSystem found the parts of a body: span is the
+// "system" member's value, and the remaining members start at rest, the
+// index of the comma after it (-1 when it is the only member).
+type split struct {
+	span []byte
+	rest int
+}
+
 // splitSystem recognises a body whose first member is "system", spelled
-// exactly, with a value wfjson.ParseDocument accepts, and decodes that
-// value into doc. at is where the remaining members start: the index of
-// the comma after the document or, when the document is the only member,
-// of the byte before the object's closing brace. Later members are not
-// looked at; a second "system" among them reaches encoding/json with doc
-// already in place, which is the order a whole-body decode works in.
-func splitSystem(body []byte, doc *wfjson.Document) (at int, ok bool) {
+// exactly, with an object value, and finds that value's bytes without
+// decoding them. It refuses a body whose remaining members might hold
+// another member encoding/json folds onto "system" ("SYSTEM", "ſystem",
+// "syst\u0065m"): encoding/json would merge the two, so such a body is
+// decoded whole. doc is the member the system decodes into; it is left
+// empty for whichever route follows.
+func splitSystem(body []byte, doc *wfjson.Document) (sp split, ok bool) {
+	*doc = wfjson.Document{}
 	i := jsonscan.SkipSpace(body, 0)
 	if i >= len(body) || body[i] != '{' {
-		return 0, false
+		return sp, false
 	}
 	key, next, ok := jsonscan.PlainString(body, jsonscan.SkipSpace(body, i+1))
 	if !ok || string(key) != "system" {
-		return 0, false
+		return sp, false
 	}
 	if i = jsonscan.SkipSpace(body, next); i >= len(body) || body[i] != ':' {
-		return 0, false
+		return sp, false
 	}
-	i++
-	n, ok := wfjson.ParseDocument(body[i:], doc)
-	if !ok {
-		return 0, false
+	start := jsonscan.SkipSpace(body, i+1)
+	end := jsonscan.ObjectEnd(body, start)
+	if end < 0 {
+		return sp, false
 	}
-	if i = jsonscan.SkipSpace(body, i+n); i < len(body) {
-		switch body[i] {
-		case ',':
-			// A member must follow: "{" + "}" would parse where ",}" does not.
-			if next := jsonscan.SkipSpace(body, i+1); next < len(body) && body[next] == '"' {
-				return i, true
+	sp.span = body[start:end]
+	switch i = jsonscan.SkipSpace(body, end); {
+	case i < len(body) && body[i] == ',':
+		// A member must follow: "{" + "}" would parse where ",}" does not.
+		if next := jsonscan.SkipSpace(body, i+1); next >= len(body) || body[next] != '"' || mayNameSystem(body[i:]) {
+			return sp, false
+		}
+		sp.rest = i
+	case i < len(body) && body[i] == '}' && jsonscan.SkipSpace(body, i+1) == len(body):
+		sp.rest = -1
+	default:
+		return sp, false
+	}
+	return sp, true
+}
+
+// mayNameSystem reports whether b could hold a key encoding/json matches
+// to the "system" field: one with an escape or a non-ASCII byte ('ſ'
+// folds onto 's'), or "ystem" in any ASCII case. A value that merely
+// contains such bytes is flagged too; it only costs the body the split.
+func mayNameSystem(b []byte) bool {
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '\\' || c >= 0x80:
+			return true
+		case c == 'y' || c == 'Y':
+			if i+5 <= len(b) && bytes.EqualFold(b[i:i+5], []byte("ystem")) {
+				return true
 			}
-		case '}':
-			return i - 1, true
 		}
 	}
-	return 0, false
+	return false
+}
+
+// decodeRest decodes the members from body[rest] on, the remaining
+// members of a split body, into dst as the object they would make with
+// the comma at rest read as its opening brace. body is left as it was.
+func decodeRest(body []byte, rest int, dst any) error {
+	if rest < 0 {
+		return nil
+	}
+	body[rest] = '{'
+	err := decodeStrict(body[rest:], nil, dst)
+	body[rest] = ','
+	return err
 }
 
 // decodeStrict parses the JSON value in b into dst. readErr is what

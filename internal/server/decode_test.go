@@ -7,6 +7,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"performa/internal/audit"
+	"performa/internal/workload"
 )
 
 // postOn posts body to path on the handler and returns the status and
@@ -24,18 +28,36 @@ func postOn(handler http.Handler, path, body string) (int, string) {
 // whole, as before the split existed. Posted the same sequence, the two
 // must answer identically.
 func splitAndWhole() (split, whole http.Handler) {
-	a := New(Options{Workers: 1, Logger: testLogger()})
-	b := New(Options{Workers: 1, Logger: testLogger()})
+	a := New(Options{Workers: 1, RequestTimeout: 2 * time.Second, Logger: testLogger()})
+	b := New(Options{Workers: 1, RequestTimeout: 2 * time.Second, Logger: testLogger()})
 	b.noBodySplit = true
 	return a.Handler(), b.Handler()
 }
 
-// TestBodySplitChangesNothing holds decodeBody's two routes against each
-// other through the whole handler: for FuzzAssessCrashSafety's seeds and
-// for the bodies where splitting could show — a second "system" member,
-// members the envelope decode rejects, documents the parser refuses —
-// status and reply are the same bytes either way.
-func TestBodySplitChangesNothing(t *testing.T) {
+// warmSplitAndWhole is splitAndWhole with the paper system's model
+// resident on both servers, so a compact post of it hits by digest on
+// the split one; fp is the system's fingerprint.
+func warmSplitAndWhole(t testing.TB) (split, whole http.Handler, fp string) {
+	split, whole = splitAndWhole()
+	valid := crashSeeds(t)[0]
+	for _, h := range []http.Handler{split, whole} {
+		status, reply := postOn(h, "/v1/assess", valid)
+		var resp AssessResponse
+		if err := json.Unmarshal([]byte(reply), &resp); status != http.StatusOK || err != nil {
+			t.Fatalf("warming: %d %s", status, reply)
+		}
+		fp = resp.Fingerprint
+	}
+	return split, whole, fp
+}
+
+// splitBodies are the bodies the decode routes are held against each
+// other on: FuzzAssessCrashSafety's seeds, and the bodies where splitting
+// or the digest route could show — a second "system" member, members the
+// envelope decode rejects, documents the parser refuses, spans that are
+// not, or not under these options, the canonical form of a resident
+// model.
+func splitBodies(t testing.TB) []string {
 	seeds := crashSeeds(t)
 	valid := seeds[0]
 	doc := valid[len(`{"system":`):strings.Index(valid, `,"config"`)]
@@ -50,7 +72,13 @@ func TestBodySplitChangesNothing(t *testing.T) {
 		}
 		return strings.Replace(valid, old, new, 1)
 	}
-	bodies := append(seeds,
+	escaped, _ := paperSystem(t)
+	escaped.Workflows[0].Name = "<EP> & co"
+	html, err := json.Marshal(AssessRequest{System: escaped, Config: []int{2, 2, 2}, Goals: GoalsJSON{MaxUnavailability: 1e-5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(seeds,
 		indented.String(),
 		strings.ReplaceAll(indented.String(), "\n", "\r\n"),
 		" \n"+valid+"\n ",
@@ -59,13 +87,23 @@ func TestBodySplitChangesNothing(t *testing.T) {
 		swap(`{"system":`, `{"System":`),
 		swap(`{"system":`, `{"syst\u0065m":`),
 		swap(`{"system":`, `{"tenant":"t","system":`),
-		// A second "system" merges into the first, whichever route decoded it.
+		// A second "system" merges into the first, whichever route decoded
+		// it, under every spelling encoding/json folds onto the name.
 		swap(`,"config"`, `,"system":{"workflows":[]},"config"`),
 		swap(`,"config"`, `,"system":{"workflows":[{"name":"renamed"}]},"config"`),
 		swap(`,"config"`, `,"SYSTEM":{"environment":{"types":null}},"config"`),
+		swap(`,"config"`, `,"ſystem":{"workflows":null},"config"`),
+		swap(`,"config"`, `,"syſtem":{"workflows":[]},"config"`),
+		swap(`,"config"`, `,"ſyſtem":{},"config"`),
+		swap(`,"config"`, `,"syst\u0065m":{"workflows":[]},"config"`),
+		swap(`,"config"`, `,"sYsTeM":{},"config"`),
 		swap(`,"config"`, `,"system":{},"config"`),
 		swap(`,"config"`, `,"system":null,"config"`),
 		`{"system":`+doc+`,"system":`+doc+`,`+rest,
+		// Bytes that only look like a second "system" take the same route.
+		swap(`,"config"`, `,"tenant":"ops-system","config"`),
+		swap(`,"config"`, `,"tenant":"a\"b","config"`),
+		swap(`,"config"`, `,"tenant":"écosystème","config"`),
 		// The remaining members: absent, malformed, mistyped, unknown.
 		`{"system":`+doc+`}`,
 		`{"system":`+doc+` } `,
@@ -74,11 +112,22 @@ func TestBodySplitChangesNothing(t *testing.T) {
 		`{"system":`+doc+` `+rest,
 		`{"system":`+doc+`,`+strings.TrimSuffix(rest, `}`),
 		`{"system":`+doc,
+		`{"system":`+doc+`}}`,
+		`{"system":`+doc+`] `+rest,
 		swap(`"config":[2,2,2]`, `"config":"2,2,2"`),
 		swap(`"config":[2,2,2]`, `"config":[2,2,2.5]`),
 		swap(`"config":[2,2,2]`, `"config":[2,2,2],"bogus":1`),
 		swap(`"config":[2,2,2]`, `"config":[2,2,2],"model":{"solver":"x"}`),
+		swap(`"config":[2,2,2]`, `"config":[2,2,2],"model":{"policy":"bogus"}`),
 		swap(`"config":[2,2,2]`, `"config":null`),
+		// The canonical document under other options: the digest is a
+		// resident model's fingerprint, the key is not.
+		swap(`"config":[2,2,2]`, `"config":[2,2,2],"model":{"discipline":"single-crew"}`),
+		// One space more than canonical: the digest misses.
+		swap(`{"system":{"environment":`, `{"system":{"environment": `),
+		// Names encoding/json escapes for HTML: canonical, but outside the
+		// parser's dialect.
+		string(html),
 		// Documents the parser refuses.
 		swap(`{"system":{`, `{"system":{"bogus":1,`),
 		swap(`"mean_service"`, `"Mean_Service"`),
@@ -88,22 +137,134 @@ func TestBodySplitChangesNothing(t *testing.T) {
 		swap(`"kind":"communication"`, `"kind":"comm\u0075nication"`),
 		swap(`"kind":"communication"`, "\"kind\":\"comm\xffnication\""),
 		swap(`"mean_service":`, `"mean_service":1e999,"mttf":`),
+		swap(`"mean_service":`, `"mean_service":}{,"mttf":`),
+		swap(`"kind":"communication"`, `"kind":"comm}unication"`),
+		// ... and with options the envelope refuses, or a stray bracket.
+		strings.TrimSuffix(swap(`"mean_service":`, `"mean_service":x,"mttf":`), `}`)+`,"model":{"policy":"bogus"}}`,
+		strings.TrimSuffix(swap(`"mean_service":`, `"mean_service":x,"mttf":`), `}`)+`,"timeout_ms":-1}`,
 		`{"system":null,`+rest,
 		`{"system":[],`+rest,
+		`{"system":"{}",`+rest,
 		`{"system":`+strings.Repeat(`{"environment":`, 10001),
-		``, ` `, `null`, `[]`, `{}`, `{"system"`, `{"system":`,
+		``, ` `, `null`, `[]`, `{}`, `{"system"`, `{"system":`, `{"system":{`,
 	)
+}
+
+// TestBodySplitChangesNothing holds decodeBody's two routes against each
+// other through the whole handler: every one of splitBodies, posted
+// twice, answers with the same status and reply bytes either way, on
+// fresh servers and on servers where the paper system's model is
+// resident, so that the digest route hits. Last, a drift crossing moves
+// the system to a new generation: a canonical post must build and then
+// hit that generation's model, as a parsed one does.
+func TestBodySplitChangesNothing(t *testing.T) {
+	bodies := splitBodies(t)
+	valid := bodies[0]
 	split, whole := splitAndWhole()
-	for _, body := range bodies {
-		gotStatus, got := postOn(split, "/v1/assess", body)
-		wantStatus, want := postOn(whole, "/v1/assess", body)
-		if gotStatus != wantStatus || got != want {
-			t.Errorf("split and whole decode diverged\n got: %d %s\nwant: %d %s\nbody: %.300q", gotStatus, got, wantStatus, want, body)
+	warmSplit, warmWhole, fp := warmSplitAndWhole(t)
+	for _, pair := range [][2]http.Handler{{split, whole}, {warmSplit, warmWhole}} {
+		for _, body := range bodies {
+			for range 2 {
+				gotStatus, got := postOn(pair[0], "/v1/assess", body)
+				wantStatus, want := postOn(pair[1], "/v1/assess", body)
+				if gotStatus != wantStatus || got != want {
+					t.Errorf("split and whole decode diverged\n got: %d %s\nwant: %d %s\nbody: %.300q", gotStatus, got, wantStatus, want, body)
+				}
+			}
 		}
 	}
 	if status, reply := postOn(split, "/v1/assess", valid); status != http.StatusOK {
 		t.Fatalf("valid body: status %d: %s", status, reply)
 	}
+
+	// /v1/recommend validates more of the envelope before it resolves the
+	// system; a malformed system is still the error a client sees first.
+	recommend := `{"system":` + valid[len(`{"system":`):strings.Index(valid, `,"config"`)] + `,"goals":{"max_unavailability":1e-5}`
+	malformed := strings.Replace(recommend, `"mean_service":`, `"mean_service":x,"mttf":`, 1)
+	for _, body := range []string{
+		recommend + `}`,
+		recommend + `,"planner":"bnb"}`,
+		recommend + `,"planner":"bogus"}`,
+		recommend + `,"timeout_ms":-1}`,
+		recommend + `,"model":{"turnaround":"net"}}`,
+		malformed + `}`,
+		malformed + `,"planner":"bogus"}`,
+		malformed + `,"timeout_ms":-1}`,
+		malformed + `,"model":{"turnaround":"net"}}`,
+	} {
+		for _, pair := range [][2]http.Handler{{split, whole}, {warmSplit, warmWhole}} {
+			gotStatus, got := postOn(pair[0], "/v1/recommend", body)
+			wantStatus, want := postOn(pair[1], "/v1/recommend", body)
+			if gotStatus == http.StatusOK && wantStatus == http.StatusOK {
+				got, want = withoutElapsed(t, got), withoutElapsed(t, want)
+			}
+			if gotStatus != wantStatus || got != want {
+				t.Errorf("recommend: split and whole decode diverged\n got: %d %s\nwant: %d %s\nbody: %.300q", gotStatus, got, wantStatus, want, body)
+			}
+		}
+	}
+
+	env := workload.PaperEnvironment()
+	var drift bytes.Buffer
+	for i := range 60 {
+		st := env.Type(0)
+		json.NewEncoder(&drift).Encode(audit.Record{Kind: audit.ServiceRequest, Time: float64(i), ServerType: st.Name, Service: 10 * st.MeanService})
+	}
+	for _, h := range []http.Handler{warmSplit, warmWhole} {
+		status, reply := postOn(h, "/v1/events?fingerprint="+fp, drift.String())
+		var ev EventsResponse
+		if err := json.Unmarshal([]byte(reply), &ev); status != http.StatusOK || err != nil || !ev.Invalidated {
+			t.Fatalf("drift batch: %d %s", status, reply)
+		}
+	}
+	for i, wantWarm := range []bool{false, true} {
+		gotStatus, got := postOn(warmSplit, "/v1/assess", valid)
+		wantStatus, want := postOn(warmWhole, "/v1/assess", valid)
+		var resp AssessResponse
+		if err := json.Unmarshal([]byte(got), &resp); gotStatus != http.StatusOK || err != nil || resp.CacheWarm != wantWarm {
+			t.Errorf("post %d after drift: %d %s; want 200 with cache_warm %v", i+1, gotStatus, got, wantWarm)
+		}
+		if gotStatus != wantStatus || got != want {
+			t.Errorf("post %d after drift: split and whole decode diverged\n got: %d %s\nwant: %d %s", i+1, gotStatus, got, wantStatus, want)
+		}
+	}
+}
+
+// withoutElapsed is a recommend reply with its wall-clock time zeroed.
+func withoutElapsed(t *testing.T, reply string) string {
+	var resp RecommendResponse
+	if err := json.Unmarshal([]byte(reply), &resp); err != nil {
+		t.Fatalf("%v: %s", err, reply)
+	}
+	resp.ElapsedMS = 0
+	out, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// FuzzDigestRouteChangesNothing holds decodeBody's two routes against
+// each other on mutated bodies, on servers where the paper system's
+// model is resident, so that a mutation keeping the system canonical
+// hits by digest: status and reply bytes must be the same either way. A
+// reply that hit its deadline on either server is not compared; how far
+// a solve got by then is the machine's, not the route's.
+func FuzzDigestRouteChangesNothing(f *testing.F) {
+	for _, body := range splitBodies(f) {
+		f.Add(body)
+	}
+	split, whole, _ := warmSplitAndWhole(f)
+	f.Fuzz(func(t *testing.T, body string) {
+		gotStatus, got := postOn(split, "/v1/assess", body)
+		wantStatus, want := postOn(whole, "/v1/assess", body)
+		if gotStatus == http.StatusGatewayTimeout || wantStatus == http.StatusGatewayTimeout {
+			return
+		}
+		if gotStatus != wantStatus || got != want {
+			t.Errorf("split and whole decode diverged\n got: %d %s\nwant: %d %s", gotStatus, got, wantStatus, want)
+		}
+	})
 }
 
 // TestBodySplitTakesMarshalledRequests pins that what a client gets from

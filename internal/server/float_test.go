@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -71,5 +72,21 @@ func TestGoldenReplies(t *testing.T) {
 		if !bytes.Equal(got, bytes.TrimSpace(want)) {
 			t.Errorf("%s reply changed:\n got %s\nwant %s", name, got, want)
 		}
+	}
+}
+
+// TestUnencodableReplyIsTypedError pins that writeJSON encodes before it
+// sends the status: a reply encoding/json refuses becomes a 500 with a
+// typed internal error body, not a success with an empty body.
+func TestUnencodableReplyIsTypedError(t *testing.T) {
+	s := New(Options{Logger: testLogger()})
+	rec := httptest.NewRecorder()
+	s.writeJSON(rec, http.StatusOK, struct{ X float64 }{math.Inf(1)})
+	var e ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError || e.Code != "internal" {
+		t.Errorf("unencodable reply: %d %q (%v); want 500 with code internal", rec.Code, rec.Body, err)
+	}
+	if got := s.stats().Errors["internal"]; got != 1 {
+		t.Errorf("internal errors counted = %d, want 1", got)
 	}
 }

@@ -347,7 +347,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		Records:       len(recs),
 		TotalEvents:   st.est.Events(),
 		Dropped:       st.est.Dropped(),
-		Drift:         score,
+		Drift:         scoreJSON(score),
 		Drifted:       drifted,
 		Generation:    generation,
 		Invalidated:   crossed,
@@ -372,8 +372,8 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 			Batches:       batches,
 			Dropped:       st.est.Dropped(),
 			InFlight:      st.est.InFlight(),
-			Score:         score,
-			MaxScore:      score.Max(),
+			Score:         scoreJSON(score),
+			MaxScore:      Float(score.Max()),
 			Drifted:       drifted,
 			Generation:    generation,
 			Invalidations: generation,

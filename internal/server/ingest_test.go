@@ -271,6 +271,39 @@ func TestDriftInvalidatesAndRecalibrates(t *testing.T) {
 	assertAssessmentMatches(t, "recalibrated-warm", third.Assessment, want)
 }
 
+// TestOverflowingDriftScoreIsEncoded is the regression for a drift score
+// encoding/json cannot write: service times of 1e308 against the paper
+// system's millisecond means make the relative change +Inf. The events
+// reply, the advisory the crossing triggers and /v1/drift must carry it
+// as "Infinity", where they used to send a 200 with an empty body.
+func TestOverflowingDriftScoreIsEncoded(t *testing.T) {
+	doc, _ := paperSystem(t)
+	_, ts := newTestServer(t, Options{Workers: 2, Reconfigure: true})
+	var reg DeploymentJSON
+	if status := postJSON(t, ts.URL+"/v1/deployments", DeploymentRequest{
+		System: doc, Config: []int{2, 2, 3}, Goals: GoalsJSON{MaxUnavailability: 1e-5},
+	}, &reg); status != http.StatusOK {
+		t.Fatalf("deployment status = %d", status)
+	}
+	recs := make([]audit.Record, 60)
+	for i := range recs {
+		recs[i] = audit.Record{Kind: audit.ServiceRequest, Time: float64(i), ServerType: doc.Environment.Types[0].Name, Service: 1e308}
+	}
+	status, ev, _ := postEvents(t, ts.URL, reg.Fingerprint, recs)
+	if status != http.StatusOK || !ev.Invalidated || !math.IsInf(float64(ev.Drift.Service), 1) {
+		t.Fatalf("events: status %d, invalidated %v, service drift %v; want 200, true, +Inf", status, ev.Invalidated, ev.Drift.Service)
+	}
+	adv := waitAdvisories(t, ts.URL+"/v1/advisories", 1)[0]
+	if !math.IsInf(float64(adv.Trigger.Service), 1) {
+		t.Errorf("advisory trigger service score = %v, want +Inf", adv.Trigger.Service)
+	}
+	var drift DriftResponse
+	if status := getJSON(t, ts.URL+"/v1/drift", &drift); status != http.StatusOK || len(drift.Streams) != 1 ||
+		!math.IsInf(float64(drift.Streams[0].MaxScore), 1) {
+		t.Errorf("/v1/drift: status %d, %+v; want one stream at max score +Inf", status, drift.Streams)
+	}
+}
+
 func TestEventsRequiresWarmModel(t *testing.T) {
 	_, _, doc := ingestSystem(t)
 	_, ts := newTestServer(t, Options{Workers: 2})

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"performa/internal/performability"
 	"performa/internal/wfmserr"
 )
 
@@ -279,8 +278,14 @@ func newJobID() string {
 // planner or negative timeout fails the POST, not the job) and hands
 // the search to a runner goroutine.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	req, planner, popts, ok := s.decodeRecommend(w, r)
+	req, sys, planner, ok := s.decodeRecommend(w, r)
 	if !ok {
+		return
+	}
+	// The job outlives the request: its document is decoded now, so a
+	// malformed one fails the POST and the body is let go.
+	if err := sys.parse(); err != nil {
+		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
 	j := &job{
@@ -295,7 +300,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.jobs.spawn(func(ctx context.Context) { s.runJob(ctx, j, req, popts) })
+	s.jobs.spawn(func(ctx context.Context) { s.runJob(ctx, j, req, sys) })
 	s.writeJSON(w, http.StatusAccepted, JobSubmitResponse{
 		ID:      j.id,
 		State:   string(jobQueued),
@@ -307,7 +312,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // model resolution, the planner, and terminal bookkeeping. It applies
 // the same deadline as the synchronous endpoint, measured from here,
 // not from admission, so a job cannot sit in the queue forever either.
-func (s *Server) runJob(ctx context.Context, j *job, req *RecommendRequest, popts performability.Options) {
+func (s *Server) runJob(ctx context.Context, j *job, req *RecommendRequest, sys system) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ctx, stop := s.deadline(ctx, req.TimeoutMillis)
@@ -331,13 +336,12 @@ func (s *Server) runJob(ctx context.Context, j *job, req *RecommendRequest, popt
 	defer release()
 	j.markRunning(s.jobs.clock())
 
-	sys := postedSystem(&req.System, popts)
 	entry, warm, err := s.resolve(ctx, &sys)
 	if err != nil {
 		s.jobs.complete(j, nil, err)
 		return
 	}
-	resp, err := s.runRecommend(ctx, entry, warm, j.planner, req, popts)
+	resp, err := s.runRecommend(ctx, entry, warm, j.planner, req, sys.popts)
 	s.jobs.complete(j, resp, err)
 }
 

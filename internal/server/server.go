@@ -358,25 +358,26 @@ func (s *Server) deadline(ctx context.Context, timeoutMS int64) (context.Context
 
 func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	var req AssessRequest
-	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
+	sys := system{doc: &req.System}
+	if err := s.decodeBody(w, r, &req, &sys); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
 	popts, err := req.Model.toOptions()
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+		s.refuse(w, r, &sys, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
 	release, err := s.admission.acquire(ctx, tenantOf(r, req.Tenant), 1)
 	if err != nil {
-		s.writeError(w, r, quotaStatus(err), err)
+		s.refuse(w, r, &sys, quotaStatus(err), err)
 		return
 	}
 	defer release()
 
-	sys := postedSystem(&req.System, popts)
+	sys.popts = popts
 	entry, warm, err := s.resolve(ctx, &sys)
 	if err != nil {
 		s.writeError(w, r, badRequestOr(err), err)
@@ -465,35 +466,37 @@ func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool,
 }
 
 // decodeRecommend decodes and validates a recommend body, for
-// /v1/recommend and async job submission alike. ok is false iff it
-// failed, with the error response written.
-func (s *Server) decodeRecommend(w http.ResponseWriter, r *http.Request) (*RecommendRequest, string, performability.Options, bool) {
-	req := new(RecommendRequest)
-	if err := s.decodeBody(w, r, req, &req.System); err != nil {
+// /v1/recommend and async job submission alike; sys is its system, with
+// the evaluation options set. ok is false iff it failed, with the error
+// response written.
+func (s *Server) decodeRecommend(w http.ResponseWriter, r *http.Request) (req *RecommendRequest, sys system, planner string, ok bool) {
+	req = new(RecommendRequest)
+	sys.doc = &req.System
+	if err := s.decodeBody(w, r, req, &sys); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
-		return nil, "", performability.Options{}, false
+		return nil, sys, "", false
 	}
 	popts, err := req.Model.toOptions()
 	if err == nil {
 		err = rejectNetTurnaround(req.Model)
 	}
-	planner := ""
 	if err == nil {
 		planner, err = validatePlanner(req.Planner)
 	}
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return nil, "", popts, false
+		s.refuse(w, r, &sys, http.StatusBadRequest, err)
+		return nil, sys, "", false
 	}
 	if err := validateTimeout(req.TimeoutMillis); err != nil {
-		s.writeError(w, r, http.StatusUnprocessableEntity, err)
-		return nil, "", popts, false
+		s.refuse(w, r, &sys, http.StatusUnprocessableEntity, err)
+		return nil, sys, "", false
 	}
-	return req, planner, popts, true
+	sys.popts = popts
+	return req, sys, planner, true
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	req, planner, popts, ok := s.decodeRecommend(w, r)
+	req, sys, planner, ok := s.decodeRecommend(w, r)
 	if !ok {
 		return
 	}
@@ -501,18 +504,17 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	release, err := s.admission.acquire(ctx, tenantOf(r, req.Tenant), 1)
 	if err != nil {
-		s.writeError(w, r, quotaStatus(err), err)
+		s.refuse(w, r, &sys, quotaStatus(err), err)
 		return
 	}
 	defer release()
 
-	sys := postedSystem(&req.System, popts)
 	entry, warm, err := s.resolve(ctx, &sys)
 	if err != nil {
 		s.writeError(w, r, badRequestOr(err), err)
 		return
 	}
-	resp, err := s.runRecommend(ctx, entry, warm, planner, req, popts)
+	resp, err := s.runRecommend(ctx, entry, warm, planner, req, sys.popts)
 	if err != nil {
 		s.writeError(w, r, statusForError(err), err)
 		return
@@ -522,7 +524,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	var req CalibrateRequest
-	if err := s.decodeBody(w, r, &req, &req.System); err != nil {
+	if err := s.decodeDocument(w, r, &req, &req.System); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
 		return
 	}
@@ -604,14 +606,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, `{"status":"ok"}`+"\n")
 }
 
-// writeJSON emits a JSON response body.
+// writeJSON emits a JSON response body. The body is encoded before the
+// status is sent, so a reply encoding/json refuses becomes a typed 500,
+// never a success with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		s.opts.Logger.Error("encoding response", "err", err)
+		status, err = http.StatusInternalServerError, wfmserr.New(wfmserr.CodeInternal, "server", "encoding the reply: %v", err)
+		s.errs.note(string(wfmserr.CodeInternal))
+		raw, _ = json.Marshal(ErrorResponse{Error: err.Error(), Code: string(wfmserr.CodeInternal)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(body); err != nil {
-		s.opts.Logger.Warn("encoding response", "err", err)
-	}
+	w.Write(append(raw, '\n'))
 }
 
 // writeError emits the JSON error body (with its machine-readable code)
@@ -620,6 +628,16 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	code := errorCode(status, err)
 	s.errs.note(code)
 	s.writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
+}
+
+// refuse writes err for a request whose system may still be a posted
+// span, unless that span is malformed: a whole-body decode would have
+// reported it before anything else, so that error is written instead.
+func (s *Server) refuse(w http.ResponseWriter, r *http.Request, sys *system, status int, err error) {
+	if derr := sys.parse(); derr != nil {
+		status, err = decodeStatus(derr), derr
+	}
+	s.writeError(w, r, status, err)
 }
 
 // errorCode derives the machine-readable code of an error response: the

@@ -1,6 +1,8 @@
 package wfjson
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -63,6 +65,8 @@ func requireFingerprintAgrees(t *testing.T, doc *Document) {
 			t.Fatalf("canonicalisation refused a document FromDocument accepts (fingerprint %s)", want)
 		case werr == nil && fp != want:
 			t.Fatalf("FingerprintDocument %s, Fingerprint(FromDocument) %s", fp, want)
+		case werr == nil:
+			requireCanonicalFixedPoint(t, doc, fp)
 		}
 		return
 	}
@@ -80,6 +84,31 @@ func requireFingerprintAgrees(t *testing.T, doc *Document) {
 	}
 	if _, _, err2 := FromDocument(&again); err2 == nil {
 		t.Fatalf("FromDocument refuses the document (%v) but accepts its canonical form:\n%s", err, b)
+	}
+}
+
+// requireCanonicalFixedPoint holds the canonical bytes of doc, whose
+// fingerprint is fp, to being their own canonical form: they hash to fp,
+// and decoded again they fingerprint to fp. A server that finds a model
+// by the digest of posted canonical bytes relies on this; otherwise such
+// a post would hit the entry of fp while a parsed post of the same bytes
+// keys another.
+func requireCanonicalFixedPoint(t testing.TB, doc *Document, fp string) {
+	t.Helper()
+	c, _ := canonical(doc)
+	b, err := appendDocument(nil, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != fp {
+		t.Fatalf("canonical bytes hash to %x, fingerprint is %s", sum, fp)
+	}
+	var again Document
+	if err := json.Unmarshal(b, &again); err != nil {
+		t.Fatalf("canonical bytes do not parse: %v\n%s", err, b)
+	}
+	if got, ok := FingerprintDocument(&again); !ok || got != fp {
+		t.Fatalf("canonical bytes fingerprint to %q (ok %v), not to their own digest %s:\n%s", got, ok, fp, b)
 	}
 }
 

@@ -1,10 +1,12 @@
 package wfjson_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -191,5 +193,87 @@ func TestFingerprintDocumentMatchesFingerprint(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		check(fmt.Sprintf("seed %d", seed), doc, want)
+	}
+}
+
+// TestCanonicalBytesAreTheirOwnFingerprint pins that the canonical form
+// is a fixed point: json.Marshal(ToDocument(...)) hashes to the
+// fingerprint, and those bytes, decoded by encoding/json or by
+// ParseDocument, fingerprint to it again. A server that finds a model by
+// the digest of posted canonical bytes relies on this. It runs over the
+// corpus and 300 generated systems, each also with its server types'
+// numbers redrawn across many decades, where the reciprocal mttf/mttr
+// and the scv search have the most room to drift.
+func TestCanonicalBytesAreTheirOwnFingerprint(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	check := func(label string, env *spec.Environment, flows []*spec.Workflow) {
+		t.Helper()
+		fp, err := wfjson.Fingerprint(env, flows)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		doc, err := wfjson.ToDocument(env, flows)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		b, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != fp {
+			t.Fatalf("%s: canonical bytes hash to %x, fingerprint is %s", label, sum, fp)
+		}
+		var viaJSON, viaParser wfjson.Document
+		if err := json.Unmarshal(b, &viaJSON); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if n, ok := wfjson.ParseDocument(b, &viaParser); !ok || n != len(b) {
+			t.Fatalf("%s: ParseDocument refused canonical bytes", label)
+		}
+		for route, d := range map[string]*wfjson.Document{"encoding/json": &viaJSON, "ParseDocument": &viaParser} {
+			if got, ok := wfjson.FingerprintDocument(d); !ok || got != fp {
+				t.Errorf("%s: canonical bytes decoded by %s fingerprint to %q (ok %v), not %s:\n%s", label, route, got, ok, fp, b)
+			}
+		}
+	}
+	files, err := filepath.Glob("../../corpus/systems/*.wfjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, flows, err := wfjson.Decode(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		check(file, env, flows)
+	}
+	decades := func(lo, hi float64) float64 { return math.Pow(10, lo+(hi-lo)*rng.Float64()) }
+	for seed := uint64(1); seed <= 300; seed++ {
+		sys, err := crossval.Generate(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("seed %d", seed), sys.Env, sys.Flows)
+		doc, err := wfjson.ToDocument(sys.Env, sys.Flows)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for v := range 10 {
+			for i := range doc.Environment.Types {
+				st := &doc.Environment.Types[i]
+				st.MeanService = decades(-9, 3)
+				st.ServiceSCV = decades(-6, 4)
+				st.MTTF, st.MTTR = decades(-3, 12), decades(-6, 6)
+			}
+			env, flows, err := wfjson.FromDocument(doc)
+			if err != nil {
+				t.Fatalf("seed %d variant %d: %v", seed, v, err)
+			}
+			check(fmt.Sprintf("seed %d variant %d", seed, v), env, flows)
+		}
 	}
 }

@@ -377,11 +377,12 @@ func Encode(w io.Writer, env *spec.Environment, flows []*spec.Workflow) error {
 // (1+scv)·m², so the scv written here must map back to the same second
 // moment bit for bit, or every encode/decode cycle would drift the
 // value by an ulp and change the document's fingerprint. Many doubles
-// share one derived second moment; canonSCV picks the cleanest
-// representative of that preimage (0.5 rather than 0.5000000000000016),
-// and the outer loop handles second moments no scv maps onto exactly by
-// walking to a value that reproduces itself. Convergence is immediate
-// in practice; the bound is a safety valve.
+// share one derived second moment; canonSCV picks a representative of
+// that preimage, so a second moment some scv maps onto settles at once,
+// and one no scv maps onto (the multiply leaves gaps between
+// representable products) settles on the next: the emitted scv is then
+// canonSCV of its own image, which is what makes the canonical document
+// a fixed point of the round trip. The bound is a safety valve.
 func stableSCV(secondMoment, mean float64) float64 {
 	scv := canonSCV(secondMoment, mean)
 	for i := 0; i < 8; i++ {
@@ -394,13 +395,17 @@ func stableSCV(secondMoment, mean float64) float64 {
 	return scv
 }
 
-// canonSCV returns the canonical scv for a stored second moment: the
-// shortest-decimal positive double whose FromDocument image — the
-// expression (1+scv)·m², replicated operation for operation — equals
-// the second moment exactly. If no scv maps onto it (the multiply
-// leaves gaps between representable products), the plain quotient is
-// returned and stableSCV's iteration takes over. Zero is never emitted:
-// the wire format reads an absent/zero scv as the exponential default 1.
+// canonSCV returns the canonical scv for a stored second moment: a
+// positive double whose FromDocument image — the expression (1+scv)·m²,
+// replicated operation for operation — equals the second moment
+// exactly. It prefers the cleanest one (0.5 rather than
+// 0.5000000000000016): the shortest decimal rounding of the plain
+// quotient that maps back; failing that, the nearest 1+scv within eight
+// ulps of the quotient's: the image's four roundings put a preimage, when
+// there is one, within four.
+// If no scv maps onto it, the plain quotient is returned and stableSCV's
+// iteration takes over. Zero is never emitted: the wire format reads an
+// absent/zero scv as the exponential default 1.
 func canonSCV(secondMoment, mean float64) float64 {
 	raw := secondMoment/(mean*mean) - 1
 	try := func(c float64) bool {
@@ -413,6 +418,17 @@ func canonSCV(secondMoment, mean float64) float64 {
 		c, err := strconv.ParseFloat(strconv.FormatFloat(raw, 'g', digits, 64), 64)
 		if err == nil && try(c) {
 			return c
+		}
+	}
+	// u−1 is exact for every u ≥ 1 below 2^53, so 1+(u−1) is u again.
+	lo, hi := 1+raw, 1+raw
+	for range 8 {
+		lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+		if try(lo - 1) {
+			return lo - 1
+		}
+		if try(hi - 1) {
+			return hi - 1
 		}
 	}
 	return raw
