@@ -18,6 +18,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"performa/internal/audit"
@@ -311,11 +313,12 @@ func BenchmarkAssessCached(b *testing.B) {
 	}
 }
 
-// BenchmarkSensitivityTable measures one sensitivity table as the
-// plan-search workload asks for it: the 7-type extended system at 25
-// instances per minute, at its greedy answer, through one resident
-// evaluator — what GET /v1/sensitivity and every drift advisory compute.
-func BenchmarkSensitivityTable(b *testing.B) {
+// planSearchGreedy is the plan-search system at 25 instances per minute
+// (the 7-type extended environment) under the served model, and the
+// greedy answer found through the evaluator it returns — the state a
+// resident model is in after the workload's first request.
+func planSearchGreedy(b *testing.B) (*perf.Analysis, performability.Options, *performability.Evaluator, *config.Recommendation) {
+	b.Helper()
 	env := workload.ExtendedEnvironment()
 	m, err := spec.Build(workload.EPDistributed(25), env)
 	if err != nil {
@@ -330,11 +333,21 @@ func BenchmarkSensitivityTable(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := config.Greedy(a, config.Goals{MaxWaiting: 5e-4, MaxUnavailability: 1e-6}, config.Constraints{},
-		config.Options{Performability: served, Evaluator: ev})
+	rec, err := config.Greedy(a, planSearchGoals, config.Constraints{}, config.Options{Performability: served, Evaluator: ev})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return a, served, ev, rec
+}
+
+var planSearchGoals = config.Goals{MaxWaiting: 5e-4, MaxUnavailability: 1e-6}
+
+// BenchmarkSensitivityTable measures one sensitivity table as the
+// plan-search workload asks for it: at the greedy answer, through one
+// resident evaluator — what GET /v1/sensitivity and every drift advisory
+// compute.
+func BenchmarkSensitivityTable(b *testing.B) {
+	_, _, ev, rec := planSearchGreedy(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -342,6 +355,91 @@ func BenchmarkSensitivityTable(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServedBranchAndBound measures the plan-search workload's
+// branch-and-bound: capped one replica above the greedy answer, through
+// the evaluator greedy warmed, as a resident model serves it. Every
+// candidate's per-type terms come from the evaluator's term table.
+func BenchmarkServedBranchAndBound(b *testing.B) {
+	a, served, ev, greedy := planSearchGreedy(b)
+	limit := make([]int, len(greedy.Config.Replicas))
+	for x, y := range greedy.Config.Replicas {
+		limit[x] = y + 1
+	}
+	opts := config.Options{Performability: served, Evaluator: ev}
+	var evaluations int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := config.BranchAndBound(a, planSearchGoals, config.Constraints{MaxReplicas: limit}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evaluations = rec.Evaluations
+	}
+	b.ReportMetric(float64(evaluations), "evaluations")
+}
+
+// BenchmarkSensitivityReply measures encoding the plan-search table's
+// GET /v1/sensitivity reply (~16 KB): appended, as the server writes it,
+// and through encoding/json's reflection, which writes the same bytes.
+func BenchmarkSensitivityReply(b *testing.B) {
+	_, _, _, rec := planSearchGreedy(b)
+	doc, err := wfjson.ToDocument(workload.ExtendedEnvironment(), []*spec.Workflow{workload.EPDistributed(25)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := server.New(server.Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	body, err := json.Marshal(server.AssessRequest{System: *doc, Config: rec.Config.Replicas, Goals: server.GoalsJSON{MaxUnavailability: 1e-6}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var assessed server.AssessResponse
+	serveJSON(b, svc.Handler(), httptest.NewRequest(http.MethodPost, "/v1/assess", bytes.NewReader(body)), &assessed)
+	config := make([]string, len(rec.Config.Replicas))
+	for x, y := range rec.Config.Replicas {
+		config[x] = strconv.Itoa(y)
+	}
+	var reply server.SensitivityResponse
+	served := serveJSON(b, svc.Handler(), httptest.NewRequest(http.MethodGet,
+		"/v1/sensitivity?fingerprint="+assessed.Fingerprint+"&config="+strings.Join(config, ","), nil), &reply)
+	buf, err := server.AppendReply(nil, reply)
+	if err != nil || !bytes.Equal(append(buf, '\n'), served) {
+		b.Fatalf("the decoded reply re-encodes to other bytes (%v)", err)
+	}
+	for _, enc := range []struct {
+		name   string
+		encode func() ([]byte, error)
+	}{
+		{"appended", func() ([]byte, error) { return server.AppendReply(buf[:0], reply) }},
+		{"encoding_json", func() ([]byte, error) { return json.Marshal(reply) }},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				if _, err := enc.encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// serveJSON serves req through h, requires a 200, decodes the reply into
+// v and returns its bytes.
+func serveJSON(b *testing.B, h http.Handler, req *http.Request, v any) []byte {
+	b.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		b.Fatalf("%s %s: %d %s", req.Method, req.URL, rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+		b.Fatal(err)
+	}
+	return rec.Body.Bytes()
 }
 
 // BenchmarkReadRecords measures the decode layer of POST /v1/events on

@@ -74,7 +74,9 @@ func (e *engine) assess(ctx context.Context, y []int) (*Assessment, error) {
 	if as, ok := e.memo[key]; ok {
 		return as, nil
 	}
-	as, err := e.compute(ctx, perf.Config{Replicas: append([]int(nil), y...)})
+	// The evaluator copies y into the result, so the search may go on
+	// mutating it.
+	as, err := e.compute(ctx, perf.Config{Replicas: y})
 	if err != nil {
 		return nil, err
 	}

@@ -22,54 +22,10 @@ import (
 // y = 1..16, under every saturation policy and both repair disciplines,
 // on the corpus and 200 generated systems.
 func TestTypeTermsMonotoneInReplicas(t *testing.T) {
-	type system struct {
-		name  string
-		env   *spec.Environment
-		flows []*spec.Workflow
-	}
-	var systems []system
-	files, err := filepath.Glob(filepath.Join("..", "..", "corpus", "systems", "*.wfjson"))
-	if err != nil || len(files) != 22 {
-		t.Fatalf("found %d corpus systems, want 22: %v", len(files), err)
-	}
-	for _, file := range files {
-		f, err := os.Open(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, flows, err := wfjson.Decode(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
-		systems = append(systems, system{filepath.Base(file), env, flows})
-	}
-	for seed := uint64(1); seed <= 200; seed++ {
-		sys, err := Generate(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		systems = append(systems, system{fmt.Sprintf("seed %d", seed), sys.Env, sys.Flows})
-	}
-
 	terms := 0
-	for _, sys := range systems {
-		models, err := spec.BuildAll(sys.flows, sys.env)
-		if err != nil {
-			t.Fatalf("%s: %v", sys.name, err)
-		}
-		a, err := perf.NewAnalysis(sys.env, models)
-		if err != nil {
-			t.Fatalf("%s: %v", sys.name, err)
-		}
-		for _, opts := range []performability.Options{
-			{Policy: performability.Strict},
-			{Policy: performability.Penalty, PenaltyValue: 100},
-			{Policy: performability.ExcludeDown},
-			{Policy: performability.Strict, Discipline: avail.SingleCrew},
-			{Policy: performability.Penalty, PenaltyValue: 100, Discipline: avail.SingleCrew},
-			{Policy: performability.ExcludeDown, Discipline: avail.SingleCrew},
-		} {
+	for _, sys := range termSystems(t) {
+		a := sys.analysis
+		for _, opts := range termOptions {
 			ev, err := performability.NewEvaluator(a, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -103,4 +59,64 @@ func TestTypeTermsMonotoneInReplicas(t *testing.T) {
 		}
 	}
 	t.Logf("%d terms", terms)
+}
+
+// termSystem is one system of the per-type term checks.
+type termSystem struct {
+	name     string
+	env      *spec.Environment
+	flows    []*spec.Workflow
+	replicas []int // the generator's configuration; nil for the corpus
+	analysis *perf.Analysis
+}
+
+// termSystems are the 22 corpus systems and the generated systems of
+// seeds 1–200, each with its analysis.
+func termSystems(t *testing.T) []termSystem {
+	t.Helper()
+	var systems []termSystem
+	files, err := filepath.Glob(filepath.Join("..", "..", "corpus", "systems", "*.wfjson"))
+	if err != nil || len(files) != 22 {
+		t.Fatalf("found %d corpus systems, want 22: %v", len(files), err)
+	}
+	for _, file := range files {
+		f, err := os.Open(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, flows, err := wfjson.Decode(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		systems = append(systems, termSystem{name: filepath.Base(file), env: env, flows: flows})
+	}
+	for seed := uint64(1); seed <= 200; seed++ {
+		sys, err := Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, termSystem{name: fmt.Sprintf("seed %d", seed), env: sys.Env, flows: sys.Flows, replicas: sys.Replicas})
+	}
+	for i := range systems {
+		sys := &systems[i]
+		models, err := spec.BuildAll(sys.flows, sys.env)
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		if sys.analysis, err = perf.NewAnalysis(sys.env, models); err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+	}
+	return systems
+}
+
+// termOptions are every saturation policy under both repair disciplines.
+var termOptions = []performability.Options{
+	{Policy: performability.Strict},
+	{Policy: performability.Penalty, PenaltyValue: 100},
+	{Policy: performability.ExcludeDown},
+	{Policy: performability.Strict, Discipline: avail.SingleCrew},
+	{Policy: performability.Penalty, PenaltyValue: 100, Discipline: avail.SingleCrew},
+	{Policy: performability.ExcludeDown, Discipline: avail.SingleCrew},
 }

@@ -3,8 +3,9 @@
 // recognises the plain form of one JSON token — the form whose decoding
 // is its own bytes — and reports anything else as not recognised, so the
 // caller can hand the input to encoding/json, which stays the definition
-// of what the input means. AppendFloat is the one step in the other
-// direction, shared by the writers that sit under encoding/json's format.
+// of what the input means. Writer (with AppendString and AppendFloat) is
+// the other direction: the one JSON writer of the repository's outputs
+// whose bytes must be json.Marshal's.
 package jsonscan
 
 import (

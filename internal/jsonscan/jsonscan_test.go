@@ -1,6 +1,10 @@
 package jsonscan
 
-import "testing"
+import (
+	"encoding/json"
+	"math/rand"
+	"testing"
+)
 
 func TestPlainString(t *testing.T) {
 	for _, tc := range []struct {
@@ -85,5 +89,39 @@ func TestObjectEnd(t *testing.T) {
 		if got := ObjectEnd([]byte(tc.in), tc.at); got != tc.want {
 			t.Errorf("ObjectEnd(%q, %d) = %d, want %d", tc.in, tc.at, got, tc.want)
 		}
+	}
+}
+
+// TestAppendStringMatchesMarshal pins AppendString to json.Marshal of a
+// string: every single byte, every pair of the bytes that escape
+// differently, the separators U+2028/U+2029, truncated and overlong
+// UTF-8, and random byte strings.
+func TestAppendStringMatchesMarshal(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendString([]byte("x"), s); string(got[1:]) != string(want) || got[0] != 'x' {
+			t.Errorf("AppendString(%q) = %s, json.Marshal writes %s", s, got[1:], want)
+		}
+	}
+	for c := 0; c < 256; c++ {
+		check(string([]byte{byte(c)}))
+		check("a" + string([]byte{byte(c)}) + "b")
+	}
+	specials := []string{"\"", "\\", "<", ">", "&", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+		"\ufffd", "\xff", "\xe2\x80", "\xed\xa0\x80", "\xc0\xaf", "é", "日", "\U0001F600", "plain"}
+	for _, a := range specials {
+		for _, b := range specials {
+			check(a + b)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 2000 {
+		b := make([]byte, rng.Intn(24))
+		rng.Read(b)
+		check(string(b))
 	}
 }

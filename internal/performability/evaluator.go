@@ -23,7 +23,8 @@ type CacheStats struct {
 	// Deprecated: constant.
 	Hits uint64
 	// Misses is the number of per-type level waiting times w_x(j) the
-	// evaluator has reduced (one M/G/1 formula each).
+	// evaluator has reduced (one M/G/1 formula each): a term read from
+	// the term table reduces none.
 	Misses uint64
 }
 
@@ -39,25 +40,39 @@ func (s CacheStats) Sub(t CacheStats) CacheStats {
 // repairs never couple types, so π_i is a product of per-type marginals,
 // and the waiting time of type x in state i depends on X_x alone — so
 // the sum is reduced type by type in O(Σ_x Y_x) M/G/1 formulas and the
-// joint state space is never enumerated. The only memo is the per-type
-// availability marginal cache (avail.MarginalCache), shared across
-// candidates.
+// joint state space is never enumerated. Two memos are shared across
+// candidates: the per-type availability marginal cache
+// (avail.MarginalCache) and the term table, each type's TypeTerm per
+// replica count below tabulated (see Term).
 //
 // An Evaluator is safe for concurrent use.
 type Evaluator struct {
 	a         *perf.Analysis
 	opts      Options
 	marginals *avail.MarginalCache
-	levels    atomic.Uint64 // w_x(j) terms reduced so far
+	// terms[x][y] is type x's term at y replicas once computed. A term
+	// depends only on (analysis, options, x, y), all fixed for the
+	// evaluator's lifetime, so a slot is written at most once per value
+	// and read without a lock.
+	terms  [][tabulated]atomic.Pointer[TypeTerm]
+	levels atomic.Uint64 // w_x(j) terms reduced so far
 }
 
+// tabulated bounds the replica counts whose terms the evaluator keeps:
+// y ≥ tabulated is computed on every request, so the table holds at most
+// k·tabulated terms.
+const tabulated = 64
+
 // NewEvaluator validates the options and returns an evaluator over the
-// analysis with an empty marginal cache.
+// analysis with an empty marginal cache and term table.
 func NewEvaluator(a *perf.Analysis, opts Options) (*Evaluator, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return &Evaluator{a: a, opts: opts, marginals: avail.NewMarginalCache()}, nil
+	return &Evaluator{
+		a: a, opts: opts, marginals: avail.NewMarginalCache(),
+		terms: make([][tabulated]atomic.Pointer[TypeTerm], a.Env().K()),
+	}, nil
 }
 
 // Analysis returns the analysis the evaluator was built against.
@@ -91,22 +106,20 @@ func (e *Evaluator) Evaluate(cfg perf.Config) (*Result, error) {
 // ctx.Err() and no result. The evaluator keeps no per-evaluation state,
 // so a canceled call cannot affect later ones.
 //
-// W^Y is one TypeTerm per server type, folded by Reduce.
+// W^Y is one Term per server type, folded by Reduce.
 func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	env := e.a.Env()
-	params, err := avail.ParamsFromEnvironment(env, cfg.Replicas)
-	if err != nil {
-		return nil, err
+	k := len(e.terms)
+	if len(cfg.Replicas) != k {
+		return nil, fmt.Errorf("avail: %d replication degrees for %d server types", len(cfg.Replicas), k)
 	}
-
-	k := len(params)
+	vectors := make([]float64, 2*k) // W^Y and w^Y in one allocation
 	res := &Result{
 		Config:          cfg.Clone(),
-		Waiting:         make([]float64, k),
-		FullUpWaiting:   make([]float64, k),
+		Waiting:         vectors[:k:k],
+		FullUpWaiting:   vectors[k:],
 		StatesEvaluated: 1,
 	}
 	// The terms live on the stack for every realistic k.
@@ -116,22 +129,14 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Resu
 		terms = make([]TypeTerm, 0, k)
 	}
 	fullUp := 1.0 // Π_x π_x(Y_x)
-	var levels uint64
-	for x, p := range params {
-		// The marginal is the cache's shared vector: read-only here.
-		pi, err := e.marginals.TypeMarginal(p, e.opts.Discipline)
-		if err != nil {
-			return nil, fmt.Errorf("avail: type %d: %w", x, err)
-		}
-		st := env.Type(x)
-		t, err := e.TypeTerm(x, pi, e.a.TypeLoad(x), st.MeanService, st.ServiceSecondMoment)
+	for x, y := range cfg.Replicas {
+		t, err := e.Term(x, y)
 		if err != nil {
 			return nil, err
 		}
 		terms = append(terms, t)
 		fullUp *= t.FullUp
 		res.FullUpWaiting[x] = t.FullUpWaiting
-		levels += uint64(t.Support)
 		if res.StatesEvaluated > math.MaxInt/t.Support {
 			res.StatesEvaluated = math.MaxInt // saturate: only a size indication
 		} else {
@@ -140,8 +145,39 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, cfg perf.Config) (*Resu
 	}
 	res.Availability = Reduce(terms, res.Waiting)
 	res.DegradationShare = 1 - fullUp
-	e.levels.Add(levels)
 	return res, nil
+}
+
+// Term returns type x's term at y replicas and the model's own
+// parameters: from the table when y < tabulated and the term has been
+// computed, else from the marginal cache and TypeTerm. A hit takes no
+// lock and allocates nothing. Errors are never stored, so a failing
+// (x, y) fails the same way on every call.
+func (e *Evaluator) Term(x, y int) (TypeTerm, error) {
+	var slot *atomic.Pointer[TypeTerm]
+	if 0 <= y && y < tabulated {
+		slot = &e.terms[x][y]
+		if t := slot.Load(); t != nil {
+			return *t, nil
+		}
+	}
+	st := e.a.Env().Type(x)
+	p := avail.TypeParams{Replicas: y, FailureRate: st.FailureRate, RepairRate: st.RepairRate}
+	// The marginal is the cache's shared vector: read-only here.
+	pi, err := e.marginals.TypeMarginal(p, e.opts.Discipline)
+	if err != nil {
+		return TypeTerm{}, fmt.Errorf("avail: type %d: %w", x, err)
+	}
+	t, err := e.TypeTerm(x, pi, e.a.TypeLoad(x), st.MeanService, st.ServiceSecondMoment)
+	if err != nil {
+		return TypeTerm{}, err
+	}
+	e.levels.Add(uint64(t.Support))
+	if slot != nil {
+		stored := t
+		slot.Store(&stored)
+	}
+	return t, nil
 }
 
 // Reduce folds one TypeTerm per server type into W^Y, written to

@@ -8,12 +8,13 @@
 // Derivatives are central differences with an adaptive step. The
 // metrics are separable by server type (performability.TypeTerm), so a
 // side recomputes only the terms its parameter reaches — one for a
-// per-type parameter or a replica count, all k against the cached
-// marginals for an arrival rate — and re-reduces them in the
-// evaluator's order; nothing is rebuilt. When a side is infeasible — a
-// negative rate, a second moment dipping below the squared mean — the
-// difference falls back to one-sided, and the step shrinks before the
-// parameter is declared unevaluable. Replica counts are discrete, so
+// per-type parameter, all k against the cached marginals for an arrival
+// rate — and re-reduces them in the evaluator's order; a replica count's
+// side reads its term from the evaluator's term table
+// (performability.Evaluator.Term). Nothing is rebuilt. When a side is
+// infeasible — a negative rate, a second moment dipping below the
+// squared mean — the difference falls back to one-sided, and the step
+// shrinks before the parameter is declared unevaluable. Replica counts are discrete, so
 // their "derivative" is a ±1 difference.
 //
 // The result is a table ranked by elasticity (relative metric change
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"performa/internal/avail"
 	"performa/internal/linalg"
@@ -174,7 +176,7 @@ func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config,
 	s.base.delays, s.plus.delays, s.minus.delays = make([]float64, flows), make([]float64, flows), make([]float64, flows)
 	for x := range s.terms {
 		var err error
-		if s.terms[x], err = s.term(x, cfg.Replicas[x], env.Type(x), a.TypeLoad(x)); err != nil {
+		if s.terms[x], err = ev.Term(x, cfg.Replicas[x]); err != nil {
 			return nil, err
 		}
 	}
@@ -212,27 +214,43 @@ func Compute(ctx context.Context, ev *performability.Evaluator, cfg perf.Config,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	slices.SortStableFunc(entries, func(a, b Entry) int { return cmp.Compare(b.Rank, a.Rank) })
-
 	t := &Table{
 		Config:             append([]int(nil), cfg.Replicas...),
 		BaseMaxWaiting:     s.base.maxWaiting,
 		BaseUnavailability: s.base.unavailability,
 		BaseWorkflowDelays: s.base.delays,
-		Entries:            entries,
+		Entries:            ranked(entries),
 	}
-	t.Summary = summarize(entries)
+	t.Summary = summarize(t.Entries)
 	return t, nil
 }
 
-// term evaluates type x's factor at y replicas, parameters st and load
-// l. The marginal of the model's own (λ_x, μ_x) comes from the
-// evaluator's cache, which planners ask for the same (type, replicas)
-// pair again; a perturbed rate pair is computed directly and dropped,
-// since no later lookup could carry those float values.
-func (s *separable) term(x, y int, st spec.ServerType, l float64) (performability.TypeTerm, error) {
+// ranked returns entries ordered worst-first by Rank, ties in input
+// order: a stable sort of an index permutation, so the ~200-byte entries
+// move once, into the returned slice.
+func ranked(entries []Entry) []Entry {
+	order := make([]int, len(entries))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(entries[j].Rank, entries[i].Rank) })
+	out := make([]Entry, len(entries))
+	for i, j := range order {
+		out[i] = entries[j]
+	}
+	return out
+}
+
+// term evaluates type x's factor at its base replica count, perturbed
+// parameters st and load l (a term at the model's own parameters is
+// the evaluator's Term, from its table). The marginal of the model's own
+// (λ_x, μ_x) comes from the evaluator's cache, which planners ask for
+// the same (type, replicas) pair again; a perturbed rate pair is
+// computed directly and dropped, since no later lookup could carry those
+// float values.
+func (s *separable) term(x int, st spec.ServerType, l float64) (performability.TypeTerm, error) {
 	opts := s.ev.Options()
-	p := avail.TypeParams{Replicas: y, FailureRate: st.FailureRate, RepairRate: st.RepairRate}
+	p := avail.TypeParams{Replicas: s.cfg[x], FailureRate: st.FailureRate, RepairRate: st.RepairRate}
 	var pi linalg.Vector
 	var err error
 	if own := s.a.Env().Type(x); st.FailureRate == own.FailureRate && st.RepairRate == own.RepairRate {
@@ -256,10 +274,9 @@ func (s *separable) reduce(terms []performability.TypeTerm, p *point) {
 	}
 }
 
-// typeSide evaluates the point with type x alone changed, to y replicas
-// and parameters st.
-func (s *separable) typeSide(x, y int, st spec.ServerType, p *point) error {
-	t, err := s.term(x, y, st, s.a.TypeLoad(x))
+// typeSide evaluates the point with type x's term alone changed to t,
+// passing on the error of the term's computation.
+func (s *separable) typeSide(x int, t performability.TypeTerm, err error, p *point) error {
 	if err != nil {
 		return err
 	}
@@ -291,7 +308,7 @@ func (s *separable) eval(e *Entry, theta float64, p *point) error {
 		}
 		for x := range s.side {
 			var err error
-			if s.side[x], err = s.term(x, s.cfg[x], s.a.Env().Type(x), s.loads[x]); err != nil {
+			if s.side[x], err = s.term(x, s.a.Env().Type(x), s.loads[x]); err != nil {
 				return err
 			}
 		}
@@ -312,7 +329,8 @@ func (s *separable) eval(e *Entry, theta float64, p *point) error {
 	if err := st.Validate(); err != nil {
 		return err
 	}
-	return s.typeSide(e.Index, s.cfg[e.Index], st, p)
+	t, err := s.term(e.Index, st, s.a.TypeLoad(e.Index))
+	return s.typeSide(e.Index, t, err, p)
 }
 
 var errNegative = errors.New("sensitivity: negative parameter")
@@ -349,14 +367,15 @@ func (s *separable) continuousEntry(e *Entry) {
 // replicaEntry computes the discrete ±1 difference for Y_x.
 func (s *separable) replicaEntry(e *Entry) {
 	x, y := e.Index, s.cfg[e.Index]
-	st := s.a.Env().Type(x)
 	e.Step = 1
-	if s.typeSide(x, y+1, st, &s.plus) != nil {
+	if t, err := s.ev.Term(x, y+1); s.typeSide(x, t, err, &s.plus) != nil {
 		return
 	}
-	if y > 1 && s.typeSide(x, y-1, st, &s.minus) == nil {
-		e.difference("central_discrete", 1, &s.plus, &s.minus, 2)
-		return
+	if y > 1 {
+		if t, err := s.ev.Term(x, y-1); s.typeSide(x, t, err, &s.minus) == nil {
+			e.difference("central_discrete", 1, &s.plus, &s.minus, 2)
+			return
+		}
 	}
 	e.difference("forward_discrete", 1, &s.plus, &s.base, 1)
 }
@@ -382,7 +401,7 @@ func finishEntry(e *Entry, base point) {
 			e.Rank = v
 		}
 	}
-	e.Attribution = attribution(*e)
+	e.Attribution = attribution(e)
 }
 
 // elasticity is (θ/metric)·∂metric/∂θ, NaN when undefined.
@@ -402,61 +421,78 @@ var nouns = map[Kind]string{
 	Replicas:            "replica count",
 }
 
-// describe names a parameter for humans: `server type 2 ("app")'s
-// service second moment`.
-func describe(e Entry) string {
+// describe appends a parameter's name for humans: `server type 2
+// ("app")'s service second moment`.
+func describe(dst []byte, e *Entry) []byte {
 	if e.Kind == ArrivalRate {
-		return fmt.Sprintf("workflow %q's %s", e.Target, nouns[e.Kind])
+		dst = strconv.AppendQuote(append(dst, "workflow "...), e.Target)
+	} else {
+		dst = strconv.AppendInt(append(dst, "server type "...), int64(e.Index), 10)
+		dst = append(strconv.AppendQuote(append(dst, " ("...), e.Target), ')')
 	}
-	return fmt.Sprintf("server type %d (%q)'s %s", e.Index, e.Target, nouns[e.Kind])
+	return append(append(dst, "'s "...), nouns[e.Kind]...)
+}
+
+// appendSigned appends v as fmt's %+.3g writes it: a sign always, NaN
+// as +NaN.
+func appendSigned(dst []byte, v float64) []byte {
+	if math.IsNaN(v) || !math.Signbit(v) && !math.IsInf(v, 1) {
+		dst = append(dst, '+')
+	}
+	return strconv.AppendFloat(dst, v, 'g', 3, 64)
 }
 
 // attribution renders one entry's dominant effect.
-func attribution(e Entry) string {
-	if e.Method == "failed" {
-		return fmt.Sprintf("%s could not be perturbed within the model's validity bounds", describe(e))
-	}
+func attribution(e *Entry) string {
+	var buf [192]byte
+	b := buf[:0]
 	we, ue := e.WaitingElasticity, e.UnavailabilityElasticity
-	if math.IsNaN(we) && math.IsNaN(ue) {
-		return fmt.Sprintf("%s has no measurable effect on the metrics", describe(e))
+	switch {
+	case e.Method == "failed":
+		b = append(describe(b, e), " could not be perturbed within the model's validity bounds"...)
+	case math.IsNaN(we) && math.IsNaN(ue):
+		b = append(describe(b, e), " has no measurable effect on the metrics"...)
+	default:
+		metric, v := " changes the unavailability by ", ue
+		if math.IsNaN(ue) || math.Abs(we) >= math.Abs(ue) {
+			metric, v = " changes the maximum waiting time by ", we
+		}
+		b = append(describe(append(b, "a 1% increase in "...), e), metric...)
+		b = append(appendSigned(b, v), '%')
 	}
-	if math.IsNaN(ue) || math.Abs(we) >= math.Abs(ue) {
-		return fmt.Sprintf("a 1%% increase in %s changes the maximum waiting time by %+.3g%%", describe(e), we)
-	}
-	return fmt.Sprintf("a 1%% increase in %s changes the unavailability by %+.3g%%", describe(e), ue)
+	return string(b)
 }
 
-// summarize names the dominant parameter for each metric.
+// summarize names the dominant parameter for each metric: the first
+// entry with the largest finite absolute elasticity.
 func summarize(entries []Entry) string {
-	var topW, topU *Entry
-	for i := range entries {
-		e := &entries[i]
-		if v := math.Abs(e.WaitingElasticity); !math.IsNaN(v) && !math.IsInf(v, 0) {
-			if topW == nil || v > math.Abs(topW.WaitingElasticity) {
-				topW = e
+	var buf [256]byte
+	b := buf[:0]
+	for _, m := range [...]struct {
+		metric     string
+		elasticity func(*Entry) float64
+	}{
+		{"waiting time", func(e *Entry) float64 { return e.WaitingElasticity }},
+		{"unavailability", func(e *Entry) float64 { return e.UnavailabilityElasticity }},
+	} {
+		var top *Entry
+		for i := range entries {
+			v := math.Abs(m.elasticity(&entries[i]))
+			if !math.IsNaN(v) && !math.IsInf(v, 0) && (top == nil || v > math.Abs(m.elasticity(top))) {
+				top = &entries[i]
 			}
 		}
-		if v := math.Abs(e.UnavailabilityElasticity); !math.IsNaN(v) && !math.IsInf(v, 0) {
-			if topU == nil || v > math.Abs(topU.UnavailabilityElasticity) {
-				topU = e
-			}
+		if top == nil {
+			continue
 		}
+		if len(b) > 0 {
+			b = append(b, "; "...)
+		}
+		b = describe(append(append(b, m.metric...), " is dominated by "...), top)
+		b = append(appendSigned(append(b, " (elasticity "...), m.elasticity(top)), ')')
 	}
-	var parts []string
-	if topW != nil {
-		parts = append(parts, fmt.Sprintf("waiting time is dominated by %s (elasticity %+.3g)",
-			describe(*topW), topW.WaitingElasticity))
-	}
-	if topU != nil {
-		parts = append(parts, fmt.Sprintf("unavailability is dominated by %s (elasticity %+.3g)",
-			describe(*topU), topU.UnavailabilityElasticity))
-	}
-	if len(parts) == 0 {
+	if len(b) == 0 {
 		return "no parameter has a measurable effect on the metrics"
 	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out += "; " + p
-	}
-	return out
+	return string(b)
 }

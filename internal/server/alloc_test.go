@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,17 +18,21 @@ import (
 	"performa/internal/workload"
 )
 
-// perRequest serves one request through the handler, then measures what
-// serving it again allocates on average, GOMAXPROCS(1) as in
-// testing.AllocsPerRun.
+// perRequest serves one request through the handler (a POST of body, a
+// GET when body is nil), then measures what serving it again allocates
+// on average, GOMAXPROCS(1) as in testing.AllocsPerRun.
 func perRequest(t *testing.T, h http.Handler, url string, body []byte) (allocs, size float64) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	method := http.MethodPost
+	if body == nil {
+		method = http.MethodGet
+	}
 	serve := func() {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(method, url, bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
-			t.Fatalf("POST %s: %d %s", url, rec.Code, rec.Body)
+			t.Fatalf("%s %s: %d %s", method, url, rec.Code, rec.Body)
 		}
 	}
 	serve()
@@ -69,6 +74,47 @@ func TestWarmAssessAllocationCeiling(t *testing.T) {
 	}
 	if allocs, size := perRequest(t, s.Handler(), "/v1/assess", indented.Bytes()); allocs > 420 {
 		t.Errorf("a warm /v1/assess posted indented made %.0f allocations (%.0f B), want at most 420", allocs, size)
+	}
+}
+
+// TestPlanningAllocationCeiling pins what the plan-search requests
+// allocate once their model is warm. A branch-and-bound capped one
+// replica above the greedy answer reads every candidate's per-type terms
+// from the evaluator's term table: ~1,060 allocations for 110
+// candidates, where a parameter list per evaluation and a second copy of
+// each candidate made ~1,410. A sensitivity table's prose and reply are
+// appended, not formatted and reflected: ~230, where fmt, a by-value sort
+// and json.Marshal made ~700.
+func TestPlanningAllocationCeiling(t *testing.T) {
+	const bnbCeiling, sensitivityCeiling = 1200, 300
+	doc, _ := planSearchSystem(t)
+	s := New(Options{Logger: testLogger()})
+	goals := GoalsJSON{MaxWaiting: 5e-4, MaxUnavailability: 1e-6}
+	greedy, err := json.Marshal(RecommendRequest{System: doc, Goals: goals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/recommend", bytes.NewReader(greedy)))
+	var plan RecommendResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &plan); err != nil {
+		t.Fatalf("%d %s: %v", rec.Code, rec.Body, err)
+	}
+	limit := make([]int, len(plan.Config))
+	config := make([]string, len(plan.Config))
+	for x, y := range plan.Config {
+		limit[x], config[x] = y+1, strconv.Itoa(y)
+	}
+	bnb, err := json.Marshal(RecommendRequest{System: doc, Planner: "bnb", Goals: goals, Constraints: ConstraintsJSON{MaxReplicas: limit}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs, size := perRequest(t, s.Handler(), "/v1/recommend", bnb); allocs > bnbCeiling {
+		t.Errorf("a warm branch-and-bound /v1/recommend made %.0f allocations (%.0f B), want at most %d", allocs, size, bnbCeiling)
+	}
+	url := "/v1/sensitivity?fingerprint=" + plan.Fingerprint + "&config=" + strings.Join(config, ",")
+	if allocs, size := perRequest(t, s.Handler(), url, nil); allocs > sensitivityCeiling {
+		t.Errorf("GET /v1/sensitivity made %.0f allocations (%.0f B), want at most %d", allocs, size, sensitivityCeiling)
 	}
 }
 

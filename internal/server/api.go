@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"performa/internal/audit"
 	"performa/internal/avail"
@@ -31,19 +32,14 @@ type Float float64
 
 // MarshalJSON encodes finite values as plain numbers.
 func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"Infinity"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Infinity"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return jsonscan.AppendFloat(make([]byte, 0, 24), v), nil
+	w := jsonscan.Writer{Buf: make([]byte, 0, 24)}
+	return w.FloatOrQuoted("", float64(f)).Buf, nil
 }
 
-// UnmarshalJSON accepts both plain numbers and the quoted sentinels.
+// UnmarshalJSON accepts both plain numbers and the quoted sentinels; null
+// leaves f unchanged. A plain number is parsed where it stands; anything
+// else, an out-of-range number included, goes through encoding/json,
+// which accepts or refuses it with its own error.
 func (f *Float) UnmarshalJSON(b []byte) error {
 	switch string(b) {
 	case `"Infinity"`:
@@ -55,6 +51,14 @@ func (f *Float) UnmarshalJSON(b []byte) error {
 	case `"NaN"`:
 		*f = Float(math.NaN())
 		return nil
+	case `null`:
+		return nil
+	}
+	if jsonscan.NumberEnd(b, 0) == len(b) {
+		if v, err := strconv.ParseFloat(string(b), 64); err == nil {
+			*f = Float(v)
+			return nil
+		}
 	}
 	var v float64
 	if err := json.Unmarshal(b, &v); err != nil {

@@ -76,17 +76,75 @@ func TestGoldenReplies(t *testing.T) {
 }
 
 // TestUnencodableReplyIsTypedError pins that writeJSON encodes before it
-// sends the status: a reply encoding/json refuses becomes a 500 with a
-// typed internal error body, not a success with an empty body.
+// sends the status: a reply encoding/json refuses — or an appended reply
+// with a non-finite plain float64 — becomes a 500 with a typed internal
+// error body, not a success with an empty body or a partial reply.
 func TestUnencodableReplyIsTypedError(t *testing.T) {
 	s := New(Options{Logger: testLogger()})
-	rec := httptest.NewRecorder()
-	s.writeJSON(rec, http.StatusOK, struct{ X float64 }{math.Inf(1)})
-	var e ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError || e.Code != "internal" {
-		t.Errorf("unencodable reply: %d %q (%v); want 500 with code internal", rec.Code, rec.Body, err)
+	for i, body := range []any{
+		struct{ X float64 }{math.Inf(1)},
+		AssessResponse{Assessment: AssessmentJSON{Availability: math.NaN()}},
+	} {
+		rec := httptest.NewRecorder()
+		s.writeJSON(rec, http.StatusOK, body)
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError || e.Code != "internal" {
+			t.Errorf("unencodable %T: %d %q (%v); want 500 with code internal", body, rec.Code, rec.Body, err)
+		}
+		if got := s.stats().Errors["internal"]; got != uint64(i+1) {
+			t.Errorf("internal errors counted = %d, want %d", got, i+1)
+		}
 	}
-	if got := s.stats().Errors["internal"]; got != 1 {
-		t.Errorf("internal errors counted = %d, want 1", got)
+}
+
+// oldUnmarshalFloat is Float.UnmarshalJSON as it was before plain
+// numbers were parsed where they stand: every number through a nested
+// encoding/json decode.
+func oldUnmarshalFloat(f *Float, b []byte) error {
+	switch string(b) {
+	case `"Infinity"`:
+		*f = Float(math.Inf(1))
+		return nil
+	case `"-Infinity"`:
+		*f = Float(math.Inf(-1))
+		return nil
+	case `"NaN"`:
+		*f = Float(math.NaN())
+		return nil
+	}
+	var v float64
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*f = Float(v)
+	return nil
+}
+
+// FuzzFloatUnmarshalMatchesOld pins Float.UnmarshalJSON to the nested
+// decode it replaces: the same bits and the same error text on every
+// input (null, which left a zero Float zero, included).
+func FuzzFloatUnmarshalMatchesOld(f *testing.F) {
+	for _, seed := range []string{"0", "-0", "1", "-1.5e-7", "1e21", "1e400", "-1e400", "4.9e-324", "2e-400",
+		"00", "01", "1.", ".5", "+1", "1e", "1e+", " 1", "1 ", `"1"`, `"Infinity"`, `"-Infinity"`, `"NaN"`, "null",
+		"true", "Infinity", "NaN", "0x10", "1_0", "", "123456789012345678901234567890", "1E5", "-", "--1"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var got, want Float
+		errGot, errWant := got.UnmarshalJSON(b), oldUnmarshalFloat(&want, b)
+		if (errGot == nil) != (errWant == nil) || errGot != nil && errGot.Error() != errWant.Error() {
+			t.Fatalf("UnmarshalJSON(%q): error %v, was %v", b, errGot, errWant)
+		}
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("UnmarshalJSON(%q) = %v, was %v", b, got, want)
+		}
+	})
+}
+
+// null leaves a Float as it was, as encoding/json leaves a float64.
+func TestFloatUnmarshalNullIsNoOp(t *testing.T) {
+	f := Float(2.5)
+	if err := f.UnmarshalJSON([]byte("null")); err != nil || f != 2.5 {
+		t.Errorf("UnmarshalJSON(null) on 2.5: %v, %v; want 2.5 unchanged", f, err)
 	}
 }

@@ -41,7 +41,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -606,20 +605,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, `{"status":"ok"}`+"\n")
 }
 
-// writeJSON emits a JSON response body. The body is encoded before the
-// status is sent, so a reply encoding/json refuses becomes a typed 500,
-// never a success with an empty body.
+// writeJSON emits a JSON response body, encoded by AppendReply into a
+// pooled buffer before the status is sent, so a reply the encoder
+// refuses becomes a typed 500, never a success with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
-	raw, err := json.Marshal(body)
+	bp := replyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= 64<<10 {
+			replyBufs.Put(bp)
+		}
+	}()
+	raw, err := AppendReply((*bp)[:0], body)
 	if err != nil {
 		s.opts.Logger.Error("encoding response", "err", err)
 		status, err = http.StatusInternalServerError, wfmserr.New(wfmserr.CodeInternal, "server", "encoding the reply: %v", err)
 		s.errs.note(string(wfmserr.CodeInternal))
-		raw, _ = json.Marshal(ErrorResponse{Error: err.Error(), Code: string(wfmserr.CodeInternal)})
+		raw, _ = AppendReply(raw[:0], ErrorResponse{Error: err.Error(), Code: string(wfmserr.CodeInternal)})
 	}
+	*bp = append(raw, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(raw, '\n'))
+	w.Write(*bp)
 }
 
 // writeError emits the JSON error body (with its machine-readable code)

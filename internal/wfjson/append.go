@@ -1,10 +1,7 @@
 package wfjson
 
 import (
-	"encoding/json"
-	"math"
 	"slices"
-	"strconv"
 
 	"performa/internal/jsonscan"
 )
@@ -17,84 +14,67 @@ import (
 // tests pin the two against each other. A non-finite number, which
 // json.Marshal refuses, is returned as the error json.Marshal reports.
 func appendDocument(dst []byte, doc *Document) ([]byte, error) {
-	w := writer{buf: dst}
-	w.lit(`{"environment":{"types":`)
-	appendArray(&w, doc.Environment.Types, (*writer).serverType)
-	w.lit(`},"workflows":`)
-	appendArray(&w, doc.Workflows, (*writer).workflow)
-	w.lit(`}`)
-	return w.buf, w.err
+	w := &writer{Writer: jsonscan.Writer{Buf: dst}}
+	w.Lit(`{"environment":{"types":`)
+	jsonscan.AppendArray(w, doc.Environment.Types, (*writer).serverType)
+	w.Lit(`},"workflows":`)
+	jsonscan.AppendArray(w, doc.Workflows, (*writer).workflow)
+	w.Lit(`}`)
+	return w.Buf, w.Err
 }
 
 func (w *writer) serverType(st *ServerType) {
-	w.str(`{"name":`, st.Name)
-	w.str(`,"kind":`, st.Kind)
-	w.float(`,"mean_service":`, st.MeanService)
-	w.floatOmitEmpty(`,"service_scv":`, st.ServiceSCV)
-	w.floatOmitEmpty(`,"mttf":`, st.MTTF)
-	w.floatOmitEmpty(`,"mttr":`, st.MTTR)
-	w.lit(`}`)
+	w.Str(`{"name":`, st.Name).Str(`,"kind":`, st.Kind).Float(`,"mean_service":`, st.MeanService).
+		FloatOmitEmpty(`,"service_scv":`, st.ServiceSCV).FloatOmitEmpty(`,"mttf":`, st.MTTF).
+		FloatOmitEmpty(`,"mttr":`, st.MTTR).Lit(`}`)
 }
 
 func (w *writer) workflow(f *Workflow) {
-	w.str(`{"name":`, f.Name)
-	w.float(`,"arrival_rate":`, f.ArrivalRate)
-	w.lit(`,"chart":`)
+	w.Str(`{"name":`, f.Name).Float(`,"arrival_rate":`, f.ArrivalRate).Lit(`,"chart":`)
 	w.chart(&f.Chart)
-	w.lit(`,"activities":`)
-	appendArray(w, f.Activities, (*writer).activity)
-	w.lit(`}`)
+	w.Lit(`,"activities":`)
+	jsonscan.AppendArray(w, f.Activities, (*writer).activity)
+	w.Lit(`}`)
 }
 
 func (w *writer) chart(c *Chart) {
-	w.str(`{"name":`, c.Name)
-	w.str(`,"initial":`, c.Initial)
-	w.str(`,"final":`, c.Final)
-	w.lit(`,"states":`)
-	appendArray(w, c.States, (*writer).state)
-	w.lit(`,"transitions":`)
-	appendArray(w, c.Transitions, (*writer).transition)
-	w.lit(`}`)
+	w.Str(`{"name":`, c.Name).Str(`,"initial":`, c.Initial).Str(`,"final":`, c.Final).Lit(`,"states":`)
+	jsonscan.AppendArray(w, c.States, (*writer).state)
+	w.Lit(`,"transitions":`)
+	jsonscan.AppendArray(w, c.Transitions, (*writer).transition)
+	w.Lit(`}`)
 }
 
 func (w *writer) state(s *State) {
-	w.str(`{"name":`, s.Name)
-	w.strOmitEmpty(`,"activity":`, s.Activity)
+	w.Str(`{"name":`, s.Name).StrOmitEmpty(`,"activity":`, s.Activity)
 	if s.Interactive {
-		w.lit(`,"interactive":true`)
+		w.Lit(`,"interactive":true`)
 	}
 	if len(s.Subcharts) > 0 {
-		w.lit(`,"subcharts":`)
-		appendArray(w, s.Subcharts, (*writer).chart)
+		w.Lit(`,"subcharts":`)
+		jsonscan.AppendArray(w, s.Subcharts, (*writer).chart)
 	}
-	w.lit(`}`)
+	w.Lit(`}`)
 }
 
 func (w *writer) transition(t *Transition) {
-	w.str(`{"from":`, t.From)
-	w.str(`,"to":`, t.To)
-	w.float(`,"prob":`, t.Prob)
-	w.strOmitEmpty(`,"event":`, t.Event)
-	w.strOmitEmpty(`,"cond":`, t.Cond)
+	w.Str(`{"from":`, t.From).Str(`,"to":`, t.To).Float(`,"prob":`, t.Prob).
+		StrOmitEmpty(`,"event":`, t.Event).StrOmitEmpty(`,"cond":`, t.Cond)
 	if len(t.Actions) > 0 {
-		w.lit(`,"actions":`)
-		appendArray(w, t.Actions, (*writer).action)
+		w.Lit(`,"actions":`)
+		jsonscan.AppendArray(w, t.Actions, (*writer).action)
 	}
-	w.lit(`}`)
+	w.Lit(`}`)
 }
 
 func (w *writer) action(a *Action) {
-	w.str(`{"kind":`, a.Kind)
-	w.str(`,"target":`, a.Target)
-	w.lit(`}`)
+	w.Str(`{"kind":`, a.Kind).Str(`,"target":`, a.Target).Lit(`}`)
 }
 
 func (w *writer) activity(a *Activity) {
-	w.str(`{"name":`, a.Name)
-	w.float(`,"mean_duration":`, a.MeanDuration)
+	w.Str(`{"name":`, a.Name).Float(`,"mean_duration":`, a.MeanDuration)
 	if a.Stages != 0 {
-		w.lit(`,"stages":`)
-		w.buf = strconv.AppendInt(w.buf, int64(a.Stages), 10)
+		w.Int(`,"stages":`, int64(a.Stages))
 	}
 	if len(a.Load) > 0 {
 		w.keys = w.keys[:0]
@@ -102,86 +82,21 @@ func (w *writer) activity(a *Activity) {
 			w.keys = append(w.keys, k)
 		}
 		slices.Sort(w.keys)
-		w.lit(`,"load":{`)
+		w.Lit(`,"load":{`)
 		for i, k := range w.keys {
 			if i > 0 {
-				w.lit(`,`)
+				w.Lit(`,`)
 			}
-			w.str(``, k)
-			w.float(`:`, a.Load[k])
+			w.Str(``, k).Float(`:`, a.Load[k])
 		}
-		w.lit(`}`)
+		w.Lit(`}`)
 	}
-	w.lit(`}`)
+	w.Lit(`}`)
 }
 
-// writer accumulates the serialisation; err is the first value
-// json.Marshal would have refused.
+// writer is the serialisation: a jsonscan.Writer and the load-key
+// scratch, reused across activities.
 type writer struct {
-	buf  []byte
-	keys []string // load-key scratch, reused across activities
-	err  error
-}
-
-func (w *writer) lit(s string) {
-	w.buf = append(w.buf, s...)
-}
-
-// appendArray writes s as json.Marshal writes a slice: null for nil, else
-// the elements, each by elem, in brackets.
-func appendArray[T any](w *writer, s []T, elem func(*writer, *T)) {
-	if s == nil {
-		w.lit(`null`)
-		return
-	}
-	w.lit(`[`)
-	for i := range s {
-		if i > 0 {
-			w.lit(`,`)
-		}
-		elem(w, &s[i])
-	}
-	w.lit(`]`)
-}
-
-// str writes prefix and s quoted as json.Marshal quotes it. A string of
-// printable ASCII without the bytes json.Marshal escapes (", \, and <, >,
-// & for HTML) is its own encoding; any other goes through json.Marshal.
-func (w *writer) str(prefix, s string) {
-	w.lit(prefix)
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			w.buf = append(w.buf, quoted...)
-			return
-		}
-	}
-	w.buf = append(w.buf, '"')
-	w.buf = append(w.buf, s...)
-	w.buf = append(w.buf, '"')
-}
-
-func (w *writer) strOmitEmpty(prefix, s string) {
-	if s != "" {
-		w.str(prefix, s)
-	}
-}
-
-// float writes prefix and f in encoding/json's float64 format, with its
-// error for the values it refuses.
-func (w *writer) float(prefix string, f float64) {
-	w.lit(prefix)
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		if w.err == nil {
-			w.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-		}
-		return
-	}
-	w.buf = jsonscan.AppendFloat(w.buf, f)
-}
-
-func (w *writer) floatOmitEmpty(prefix string, f float64) {
-	if f != 0 {
-		w.float(prefix, f)
-	}
+	jsonscan.Writer
+	keys []string
 }
