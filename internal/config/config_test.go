@@ -391,20 +391,3 @@ func TestRecommendationMetricsFinite(t *testing.T) {
 		t.Errorf("cost %d vs TotalServers %d", rec.Cost, rec.Config.TotalServers())
 	}
 }
-
-func TestMemoKeyUnambiguous(t *testing.T) {
-	// fmt.Sprint-style keys collide across arities and digit boundaries;
-	// the uvarint prefix code must not.
-	cases := [][]int{
-		{}, {0}, {1}, {12}, {1, 2}, {2, 1}, {1, 2, 3}, {12, 3}, {1, 23},
-		{127}, {128}, {128, 0}, {0, 128},
-	}
-	seen := make(map[string][]int)
-	for _, y := range cases {
-		k := memoKey(y)
-		if prev, ok := seen[k]; ok {
-			t.Errorf("memoKey collision: %v and %v both map to %q", prev, y, k)
-		}
-		seen[k] = y
-	}
-}

@@ -2,7 +2,6 @@ package config
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"performa/internal/perf"
@@ -10,18 +9,15 @@ import (
 )
 
 // engine is the assessment engine behind the three planners and the
-// exported Assess: one performability evaluator plus a memo of
-// whole-candidate assessments keyed by memoKey(Y). Every search builds
-// its own engine and walks it sequentially, so it needs no locking.
+// exported Assess: one performability evaluator and the goals. A
+// candidate's per-type terms are reads of the evaluator's term table,
+// so judging it again costs k reads and Reduce, and the engine keeps no
+// cache of its own. Every search builds its own engine and walks it
+// sequentially.
 type engine struct {
 	a     *perf.Analysis
 	goals Goals
-	opts  Options
 	ev    *performability.Evaluator
-
-	memo map[string]*Assessment
-	// computed counts memo misses: candidates actually evaluated.
-	computed int
 }
 
 // newEngine builds the engine, creating a fresh evaluator or validating
@@ -42,55 +38,18 @@ func newEngine(a *perf.Analysis, goals Goals, opts Options) (*engine, error) {
 			return nil, fmt.Errorf("config: shared evaluator options %+v differ from planner options %+v", ev.Options(), opts.Performability)
 		}
 	}
-	return &engine{
-		a: a, goals: goals, opts: opts,
-		ev:   ev,
-		memo: make(map[string]*Assessment),
-	}, nil
+	return &engine{a: a, goals: goals, ev: ev}, nil
 }
 
-// memoKey returns a compact, unambiguous byte-string key for a
-// replication vector: the uvarint concatenation of its components.
-// Uvarint is a prefix code, so distinct vectors (of any arity) never
-// collide.
-func memoKey(y []int) string {
-	buf := make([]byte, 0, 2*len(y))
-	for _, v := range y {
-		buf = binary.AppendUvarint(buf, uint64(v))
-	}
-	return string(buf)
-}
-
-// assess evaluates the candidate replication vector y against the goals,
-// memoized. Returned assessments are shared — treat them as read-only.
-// A done context makes it return ctx.Err() promptly; the memo only ever
-// stores completed assessments, so a canceled search leaves the engine
-// consistent and reusable.
+// assess runs the performability model on the candidate replication
+// vector y and checks the goals, returning the caller's own assessment.
+// The evaluator copies y into the result, so the search may go on
+// mutating it. A done context makes it return ctx.Err() promptly.
 func (e *engine) assess(ctx context.Context, y []int) (*Assessment, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	key := memoKey(y)
-	if as, ok := e.memo[key]; ok {
-		return as, nil
-	}
-	// The evaluator copies y into the result, so the search may go on
-	// mutating it.
-	as, err := e.compute(ctx, perf.Config{Replicas: y})
+	res, err := e.ev.EvaluateContext(ctx, perf.Config{Replicas: y})
 	if err != nil {
 		return nil, err
 	}
-	e.memo[key] = as
-	return as, nil
-}
-
-// compute runs the performability model and checks the goals.
-func (e *engine) compute(ctx context.Context, cfg perf.Config) (*Assessment, error) {
-	res, err := e.ev.EvaluateContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.computed++
 	out := &Assessment{
 		Config:         res.Config,
 		Perf:           res,

@@ -208,8 +208,8 @@ type TypeTerm struct {
 	Waiting float64
 	// FullUpWaiting is w_x(Y_x), the failure-free waiting time.
 	FullUpWaiting float64
-	// Up is 1 − π_x(0) and FullUp is π_x(Y_x).
-	Up, FullUp float64
+	// Up is 1 − π_x(0), Down is π_x(0) and FullUp is π_x(Y_x).
+	Up, Down, FullUp float64
 	// Support is the number of levels with positive mass.
 	Support int
 	// Operational is false only under ExcludeDown, when no level with
@@ -231,6 +231,7 @@ func (e *Evaluator) TypeTerm(x int, pi linalg.Vector, l, b, b2 float64) (TypeTer
 	t := TypeTerm{
 		FullUpWaiting: perf.LevelWaiting(l, y, b, b2),
 		Up:            1 - pi[0],
+		Down:          pi[0],
 		FullUp:        pi[y],
 		Operational:   true,
 	}

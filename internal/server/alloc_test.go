@@ -80,13 +80,13 @@ func TestWarmAssessAllocationCeiling(t *testing.T) {
 // TestPlanningAllocationCeiling pins what the plan-search requests
 // allocate once their model is warm. A branch-and-bound capped one
 // replica above the greedy answer reads every candidate's per-type terms
-// from the evaluator's term table: ~1,060 allocations for 110
-// candidates, where a parameter list per evaluation and a second copy of
-// each candidate made ~1,410. A sensitivity table's prose and reply are
-// appended, not formatted and reflected: ~230, where fmt, a by-value sort
-// and json.Marshal made ~700.
+// from the evaluator's term table and keeps no per-search cache: ~500
+// allocations for 110 candidates, where a memo of whole-candidate
+// assessments keyed by strings made ~1,060. A sensitivity table's prose
+// and reply are appended, not formatted and reflected: ~230, where fmt,
+// a by-value sort and json.Marshal made ~700.
 func TestPlanningAllocationCeiling(t *testing.T) {
-	const bnbCeiling, sensitivityCeiling = 1200, 300
+	const bnbCeiling, sensitivityCeiling = 700, 300
 	doc, _ := planSearchSystem(t)
 	s := New(Options{Logger: testLogger()})
 	goals := GoalsJSON{MaxWaiting: 5e-4, MaxUnavailability: 1e-6}

@@ -242,6 +242,40 @@ func TestInfeasibleSurfacesEndToEnd(t *testing.T) {
 
 // TestSensitivityEndpoint serves the ranked table over a warm model and
 // matches an independent recomputation through a fresh evaluator.
+// A reply is encoded whole before its header goes out, so it carries
+// its Content-Length: a sensitivity table past net/http's 2 KB write
+// buffer is not sent chunked.
+func TestRepliesCarryContentLength(t *testing.T) {
+	doc, _ := planSearchSystem(t)
+	_, ts := newTestServer(t, Options{Workers: 1})
+	cfg := make([]int, len(doc.Environment.Types))
+	query := make([]string, len(cfg))
+	for x := range cfg {
+		cfg[x], query[x] = 2, "2"
+	}
+	var warm AssessResponse
+	if status := postJSON(t, ts.URL+"/v1/assess", AssessRequest{System: doc, Config: cfg,
+		Goals: GoalsJSON{MaxWaiting: 5e-4, MaxUnavailability: 1e-6}}, &warm); status != http.StatusOK {
+		t.Fatalf("warmup assess status = %d", status)
+	}
+	resp, err := http.Get(ts.URL + "/v1/sensitivity?fingerprint=" + warm.Fingerprint + "&config=" + strings.Join(query, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(body) <= 2048 {
+		t.Fatalf("sensitivity status %d with %d bytes, want 200 with a body past 2 KB", resp.StatusCode, len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v for a %d-byte body; want its length and no chunking",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+}
+
 func TestSensitivityEndpoint(t *testing.T) {
 	doc, a := paperSystem(t)
 	_, ts := newTestServer(t, Options{Workers: 2})

@@ -48,6 +48,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -607,7 +608,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // writeJSON emits a JSON response body, encoded by AppendReply into a
 // pooled buffer before the status is sent, so a reply the encoder
-// refuses becomes a typed 500, never a success with an empty body.
+// refuses becomes a typed 500, never a success with an empty body. The
+// whole body is known before the header goes out, so it is sent with its
+// Content-Length instead of chunked.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 	bp := replyBufs.Get().(*[]byte)
 	defer func() {
@@ -624,6 +627,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 	}
 	*bp = append(raw, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 	w.WriteHeader(status)
 	w.Write(*bp)
 }
