@@ -17,19 +17,26 @@ import (
 	"performa/internal/crossval"
 	"performa/internal/wfcommons"
 	"performa/internal/wfjson"
+	"performa/internal/workload"
 )
 
 var updateAnswers = flag.Bool("update", false, "rewrite testdata/answers/ from the current answers")
 
 // ledgerGoals are the goals a ledger system is planned against: the
-// plan-search goals on the paper's system (times in minutes), a
-// waiting goal the corpus systems (times in seconds) can meet.
+// plan-search goals on the paper's system and the seven-type
+// distributed EP system (times in minutes), a waiting goal the corpus
+// systems (times in seconds) can meet.
 func ledgerGoals(name string) GoalsJSON {
-	if name == "paper" {
+	if name == "paper" || name == epDistributedLedger {
 		return GoalsJSON{MaxWaiting: 5e-4, MaxUnavailability: 1e-6}
 	}
 	return GoalsJSON{MaxWaiting: 0.1, MaxUnavailability: 1e-6}
 }
+
+// epDistributedLedger names the ledger's seven-type system: the EP
+// workflow at 8 per minute distributed over the extended environment,
+// the first system the plan-search benchmark posts.
+const epDistributedLedger = "ep-distributed-8"
 
 // ledgerModels are the evaluation options the ledger walks: every
 // saturation policy under both repair disciplines.
@@ -148,7 +155,8 @@ type ledgerAnswers struct {
 }
 
 // TestAnswerLedger is the checked-in record of what the service answers
-// on the paper's system and every corpus system, under each saturation
+// on the paper's system, the seven-type distributed EP system and every
+// corpus system, under each saturation
 // policy and repair discipline: the greedy recommendation with its
 // trace; branch-and-bound and exhaustive capped one replica above the
 // greedy answer, and greedy warm-started at that cap; the /v1/assess
@@ -160,10 +168,11 @@ type ledgerAnswers struct {
 // number.
 func TestAnswerLedger(t *testing.T) {
 	if testing.Short() {
-		t.Skip("answer ledger walks 23 systems × 6 models")
+		t.Skip("answer ledger walks 24 systems × 6 models")
 	}
 	docs := corpusDocs(t)
 	docs["paper"], _ = paperSystem(t)
+	docs[epDistributedLedger], _ = systemOf(t, workload.ExtendedEnvironment(), workload.EPDistributed(8))
 	names := make([]string, 0, len(docs))
 	for name := range docs {
 		names = append(names, name)
