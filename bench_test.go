@@ -238,8 +238,10 @@ func BenchmarkE9Quantile(b *testing.B) {
 	b.ReportMetric(p95, "p95-min")
 }
 
-// BenchmarkE11Planners measures branch-and-bound against the exhaustive
-// baseline (see BenchmarkE6* for greedy and exhaustive).
+// BenchmarkE11BranchAndBound measures branch-and-bound on EP @ 5/min
+// capped at six replicas per type, against BenchmarkExhaustive's scan
+// of the same box (see BenchmarkE6* for greedy). FuzzPlannersAgree and
+// the answer ledger's branch_and_bound rows pin what it answers.
 func BenchmarkE11BranchAndBound(b *testing.B) {
 	env := workload.PaperEnvironment()
 	m, err := spec.Build(workload.EPWorkflow(5), env)
@@ -261,8 +263,8 @@ func BenchmarkE11BranchAndBound(b *testing.B) {
 }
 
 // BenchmarkExhaustive measures the exhaustive planner's sequential scan
-// on the E11 search space: the optimality baseline greedy and
-// branch-and-bound are compared against.
+// of BenchmarkE11BranchAndBound's search space: the optimality baseline
+// greedy and branch-and-bound are compared against.
 func BenchmarkExhaustive(b *testing.B) {
 	env := workload.PaperEnvironment()
 	m, err := spec.Build(workload.EPWorkflow(5), env)
@@ -621,7 +623,8 @@ func BenchmarkA1SeriesVsExact(b *testing.B) {
 }
 
 // BenchmarkA2AvailabilitySolvers contrasts the exact joint CTMC with the
-// product form as the state space grows.
+// product form as the state space grows; E1 prints both unavailabilities
+// and the avail tests check that they agree.
 func BenchmarkA2AvailabilitySolvers(b *testing.B) {
 	env := workload.PaperEnvironment()
 	for _, y := range []int{2, 4, 6} {

@@ -7,7 +7,9 @@
 //	wfmsbench -exp all
 //	wfmsbench -exp e1,e6
 //	wfmsbench -exp e7 -seed 7 -horizon 40000
-//	wfmsbench -exp e6,e11 -cpuprofile planners.pprof
+//	wfmsbench -exp e5,e6 -cpuprofile planners.pprof
+//
+// -h lists the experiment ids.
 package main
 
 import (
@@ -22,6 +24,10 @@ import (
 	"performa/internal/experiments"
 )
 
+// order is the experiment ids in the order -exp all prints them.
+var order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e13", "e20",
+	"a1", "a3", "a4", "a7"}
+
 func main() {
 	os.Exit(run())
 }
@@ -30,7 +36,7 @@ func main() {
 // exits (os.Exit skips deferred calls).
 func run() int {
 	var (
-		exp            = flag.String("exp", "all", "comma-separated experiment ids: e1..e8, a1..a4, or all")
+		exp            = flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(order, ", ")+"), or all")
 		seed           = flag.Uint64("seed", 42, "seed for simulation-backed experiments")
 		horizon        = flag.Float64("horizon", 20000, "simulation horizon in model minutes (e7)")
 		corpusDir      = flag.String("corpus-dir", "corpus", "imported-workflow corpus directory for E20")
@@ -87,24 +93,16 @@ func run() int {
 			return experiments.E8Calibration(experiments.E8Options{Seed: *seed})
 		},
 		"e9":  experiments.E9Distribution,
-		"e11": experiments.E11Planners,
-		"e12": experiments.E12Extended,
 		"e13": func() (*experiments.Table, error) { return experiments.E13Discovery(*seed) },
 		"e20": func() (*experiments.Table, error) {
 			_, t, err := experiments.NetDiffBench(*corpusDir, false)
 			return t, err
 		},
 		"a1": experiments.AblationSeries,
-		"a2": experiments.AblationAvailabilitySolvers,
 		"a3": experiments.AblationRepairDiscipline,
 		"a4": func() (*experiments.Table, error) { return experiments.AblationDispatch(*seed) },
-		"a5": experiments.AblationHeterogeneous,
-		"a6": experiments.AblationTransient,
 		"a7": func() (*experiments.Table, error) { return experiments.AblationPooling(*seed) },
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e20",
-		"a1", "a2", "a3", "a4", "a5", "a6", "a7"}
-
 	var ids []string
 	if *exp == "all" {
 		ids = order

@@ -13,36 +13,29 @@ import (
 //	π(t) = Σ_k Poisson(Λt; k) · π(0) P̄^k
 //
 // where P̄ is the uniformized one-step matrix including transitions into
-// the absorbing state. The Poisson series is truncated once the
-// accumulated weight exceeds 1 − 1e-12. This goes beyond the paper's
-// mean-value analysis: it yields the full turnaround-time distribution.
-// CDF sweeps and quantile bisection validate and uniformize once, not at
-// every time point.
+// the absorbing state. The powers are evaluated incrementally and the
+// Poisson series is truncated once the accumulated weight exceeds
+// 1 − 1e-12. This goes beyond the paper's mean-value analysis: it yields
+// the full turnaround-time distribution. CDF sweeps and quantile
+// bisection validate and uniformize once, not at every time point.
 func (u uniformized) distributionAt(t float64) (linalg.Vector, error) {
 	if t < 0 || math.IsNaN(t) {
 		return nil, fmt.Errorf("ctmc: transient distribution at invalid time %v", t)
 	}
-	pi := linalg.NewVector(u.c.N())
-	pi[0] = 1
-	return poissonMixture(pi, u.rate*t, u.step)
-}
-
-// poissonMixture returns Σ_k Poisson(mean; k) · pi0 P̄^k, the
-// uniformization series, where step advances a distribution by one
-// application of P̄. The powers are evaluated incrementally; pi0 is
-// overwritten.
-func poissonMixture(pi0 linalg.Vector, mean float64, step func(dst, src linalg.Vector)) (linalg.Vector, error) {
+	n := u.c.N()
+	cur := linalg.NewVector(n)
+	cur[0] = 1
+	mean := u.rate * t
 	if mean == 0 {
-		return pi0, nil
+		return cur, nil
 	}
-	out := linalg.NewVector(len(pi0))
-	cur, next := pi0, linalg.NewVector(len(pi0))
+	out, next := linalg.NewVector(n), linalg.NewVector(n)
 	logw := -mean // log Poisson(mean; 0)
 	cum := 0.0
 	for k := 0; ; k++ {
 		if k > 0 {
 			logw += math.Log(mean) - math.Log(float64(k))
-			step(next, cur)
+			u.step(next, cur)
 			cur, next = next, cur
 		}
 		w := math.Exp(logw)
@@ -67,47 +60,6 @@ func poissonMixture(pi0 linalg.Vector, mean float64, step func(dst, src linalg.V
 		out.AddScaled(rest, cur)
 	}
 	return out, nil
-}
-
-// TransientGenerator computes the state distribution at time t of a CTMC
-// given by its generator matrix q, starting from the distribution pi0,
-// via uniformization. This is the general-purpose transient solver used,
-// e.g., for the time-dependent availability A(t) of a configuration.
-func TransientGenerator(q *linalg.Matrix, pi0 linalg.Vector, t float64) (linalg.Vector, error) {
-	n := q.Rows()
-	if q.Cols() != n {
-		return nil, fmt.Errorf("ctmc: generator must be square, got %dx%d", n, q.Cols())
-	}
-	if len(pi0) != n {
-		return nil, fmt.Errorf("ctmc: initial distribution length %d for %d states", len(pi0), n)
-	}
-	if err := ValidateGenerator(q); err != nil {
-		return nil, err
-	}
-	if t < 0 || math.IsNaN(t) {
-		return nil, fmt.Errorf("ctmc: transient solution at invalid time %v", t)
-	}
-	// Uniformization rate: max departure rate.
-	var lambda float64
-	for i := 0; i < n; i++ {
-		if r := -q.At(i, i); r > lambda {
-			lambda = r
-		}
-	}
-	if lambda == 0 {
-		return pi0.Clone(), nil // no transitions at all
-	}
-	// P̄ᵀ = (I + Q/Λ)ᵀ, so that one step π·P̄ is a matrix-vector product
-	// into a reused buffer.
-	pbarT := q.Transpose()
-	for i := 0; i < n; i++ {
-		row := pbarT.Row(i)
-		for j := range row {
-			row[j] /= lambda
-		}
-		row[i] += 1
-	}
-	return poissonMixture(pi0.Clone(), lambda*t, func(dst, src linalg.Vector) { pbarT.MulVecInto(dst, src) })
 }
 
 // TurnaroundCDF returns P(turnaround ≤ t) for each requested time: the

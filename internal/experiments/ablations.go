@@ -54,41 +54,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-// AblationAvailabilitySolvers compares the exact joint availability CTMC
-// with the product-form path as the configuration grows: identical
-// results, exponentially different state spaces.
-func AblationAvailabilitySolvers() (*Table, error) {
-	t := &Table{
-		ID:      "A2",
-		Title:   "exact joint availability CTMC versus product form",
-		Columns: []string{"config", "joint states", "exact unavail", "product unavail"},
-	}
-	env := workload.PaperEnvironment()
-	for _, y := range [][]int{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}, {5, 5, 5}} {
-		params, err := avail.ParamsFromEnvironment(env, y)
-		if err != nil {
-			return nil, err
-		}
-		exact, err := avail.Evaluate(params, avail.IndependentRepair)
-		if err != nil {
-			return nil, err
-		}
-		pf, err := avail.EvaluateProductForm(params, avail.IndependentRepair, false)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(
-			perf.Config{Replicas: y}.String(),
-			fmt.Sprintf("%d", stateCount(y)),
-			fmt.Sprintf("%.3e", exact.Unavailability),
-			fmt.Sprintf("%.3e", pf.Unavailability),
-		)
-	}
-	t.Notes = append(t.Notes,
-		"independence of server-type failure processes makes the product form exact; the joint CTMC is the paper's general method")
-	return t, nil
-}
-
 // AblationRepairDiscipline contrasts independent repair (the paper's
 // implicit assumption) with a single repair crew per type.
 func AblationRepairDiscipline() (*Table, error) {

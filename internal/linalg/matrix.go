@@ -94,43 +94,22 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, x := range row {
-			t.data[j*t.cols+i] = x
-		}
-	}
-	return t
-}
-
 // MulVec returns m*v as a new vector.
 // It panics if the dimensions are incompatible.
 func (m *Matrix) MulVec(v Vector) Vector {
-	return m.MulVecInto(NewVector(m.rows), v)
-}
-
-// MulVecInto computes m*v into dst (which must have length m.Rows()) and
-// returns it, so hot loops can reuse one scratch vector across calls.
-// It panics if the dimensions are incompatible.
-func (m *Matrix) MulVecInto(dst, v Vector) Vector {
 	if len(v) != m.cols {
 		panic(fmt.Sprintf("linalg: %dx%d matrix times vector of length %d", m.rows, m.cols, len(v)))
 	}
-	if len(dst) != m.rows {
-		panic(fmt.Sprintf("linalg: destination of length %d for %dx%d matrix-vector product", len(dst), m.rows, m.cols))
-	}
+	out := NewVector(m.rows)
 	for i := 0; i < m.rows; i++ {
 		row := m.Row(i)
 		var s float64
 		for j, x := range row {
 			s += x * v[j]
 		}
-		dst[i] = s
+		out[i] = s
 	}
-	return dst
+	return out
 }
 
 // VecMul returns v*m (row vector times matrix) as a new vector.

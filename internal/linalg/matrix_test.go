@@ -66,17 +66,6 @@ func TestMatrixVecMul(t *testing.T) {
 	}
 }
 
-func TestMatrixTranspose(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := a.Transpose()
-	if tr.Rows() != 3 || tr.Cols() != 2 {
-		t.Fatalf("transpose dims = %dx%d", tr.Rows(), tr.Cols())
-	}
-	if tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Errorf("transpose values wrong: %v", tr)
-	}
-}
-
 func TestMatrixSubScale(t *testing.T) {
 	a := MatrixFromRows([][]float64{{3, 4}})
 	b := MatrixFromRows([][]float64{{1, 1}})
@@ -130,26 +119,6 @@ func randomMatrix(rng *rand.Rand, n int) *Matrix {
 		}
 	}
 	return m
-}
-
-func TestQuickTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		m := randomMatrix(rng, n)
-		tt := m.Transpose().Transpose()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if m.At(i, j) != tt.At(i, j) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestQuickMulVecMatchesMul(t *testing.T) {

@@ -105,29 +105,6 @@ func (c Config) validateGroups(groups [][]int) error {
 	return nil
 }
 
-// validateSpeeds checks per-replica speed factors against the
-// configuration: one (possibly nil) vector per type, one positive finite
-// factor per replica.
-func (c Config) validateSpeeds(speeds [][]float64) error {
-	if speeds != nil && len(speeds) != len(c.Replicas) {
-		return fmt.Errorf("perf: %d speed vectors for %d server types", len(speeds), len(c.Replicas))
-	}
-	for x, sx := range speeds {
-		if sx == nil {
-			continue
-		}
-		if len(sx) != c.Replicas[x] {
-			return fmt.Errorf("perf: type %d has %d speed factors for %d replicas", x, len(sx), c.Replicas[x])
-		}
-		for i, s := range sx {
-			if !(s > 0) || math.IsInf(s, 0) {
-				return fmt.Errorf("perf: type %d replica %d has invalid speed %v", x, i, s)
-			}
-		}
-	}
-	return nil
-}
-
 // Analysis aggregates the per-workflow models over a workflow mix and
 // evaluates configurations against them.
 type Analysis struct {
@@ -242,7 +219,7 @@ func (r *Report) MaxWaiting() float64 {
 // infinite waiting time (the type is unavailable); this is exactly the
 // degraded-mode semantics the performability model builds on.
 func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
-	return a.evaluate(cfg, nil, nil)
+	return a.evaluate(cfg, nil)
 }
 
 // EvaluateColocated is Evaluate with Section 4.4's generalized case:
@@ -255,32 +232,16 @@ func (a *Analysis) Evaluate(cfg Config) (*Report, error) {
 // in the paper's model, so performability and planning take the
 // replication vector alone.
 func (a *Analysis) EvaluateColocated(cfg Config, groups [][]int) (*Report, error) {
-	return a.evaluate(cfg, groups, nil)
+	return a.evaluate(cfg, groups)
 }
 
-// EvaluateSpeeds is Evaluate with per-replica speed factors, the
-// heterogeneous case Section 4.4 notes ("adjusting the service times on
-// a per computer basis"): speeds[x][i] scales the service rate of
-// replica i of type x (1 = the environment's nominal server); a nil
-// entry leaves the type homogeneous. Load is partitioned proportionally
-// to speed, which equalizes the replicas' utilizations. Degraded states
-// cannot tell which replica failed, so only the performance model takes
-// speeds.
-func (a *Analysis) EvaluateSpeeds(cfg Config, speeds [][]float64) (*Report, error) {
-	return a.evaluate(cfg, nil, speeds)
-}
-
-// evaluate is the body of Evaluate and its two variants (nil groups and
-// nil speeds for neither).
-func (a *Analysis) evaluate(cfg Config, groups [][]int, speeds [][]float64) (*Report, error) {
+// evaluate is the body of Evaluate (nil groups) and EvaluateColocated.
+func (a *Analysis) evaluate(cfg Config, groups [][]int) (*Report, error) {
 	k := a.env.K()
 	if err := cfg.validate(k); err != nil {
 		return nil, err
 	}
 	if err := cfg.validateGroups(groups); err != nil {
-		return nil, err
-	}
-	if err := cfg.validateSpeeds(speeds); err != nil {
 		return nil, err
 	}
 	rep := &Report{
@@ -354,10 +315,6 @@ func (a *Analysis) evaluate(cfg Config, groups [][]int, speeds [][]float64) (*Re
 		y := float64(cfg.Replicas[x])
 
 		var lambda, b, b2 float64
-		var sx []float64 // per-replica speeds; nil when homogeneous
-		if speeds != nil {
-			sx = speeds[x]
-		}
 		if gi := group[x]; gi >= 0 {
 			lambda, b, b2 = queues[gi].lambda, queues[gi].b, queues[gi].b2
 		} else {
@@ -369,16 +326,12 @@ func (a *Analysis) evaluate(cfg Config, groups [][]int, speeds [][]float64) (*Re
 			b, b2 = st.MeanService, st.ServiceSecondMoment
 		}
 		rep.ServerLoad[x] = lambda
-		if sx != nil {
-			rep.Utilization[x], rep.Waiting[x] = heteroQueue(lx, b, b2, sx)
-		} else {
-			rho := lambda * b
-			if math.IsNaN(rho) { // 0 * Inf: no load and no servers
-				rho = 0
-			}
-			rep.Utilization[x] = rho
-			rep.Waiting[x] = mg1Wait(lambda, b, b2)
+		rho := lambda * b
+		if math.IsNaN(rho) { // 0 * Inf: no load and no servers
+			rho = 0
 		}
+		rep.Utilization[x] = rho
+		rep.Waiting[x] = mg1Wait(lambda, b, b2)
 
 		// Throughput scaling headroom of this type (or of its shared
 		// computer for co-located types).
@@ -387,9 +340,6 @@ func (a *Analysis) evaluate(cfg Config, groups [][]int, speeds [][]float64) (*Re
 			scale = groupScale[gi]
 		} else if lx > 0 {
 			scale = y / (st.MeanService * lx)
-			if sx != nil {
-				scale = sum(sx) / (st.MeanService * lx)
-			}
 		}
 		if scale < minScale {
 			minScale = scale
@@ -478,39 +428,6 @@ func LevelWaiting(l float64, j int, b, b2 float64) float64 {
 		lambda = math.Inf(1)
 	}
 	return mg1Wait(lambda, b, b2)
-}
-
-func sum(xs []float64) float64 {
-	var total float64
-	for _, v := range xs {
-		total += v
-	}
-	return total
-}
-
-// heteroQueue evaluates a heterogeneous replica set: requests split
-// proportionally to the speed factors (equalizing utilizations at
-// ρ = l·b/Σs), each replica is an M/G/1 queue with its own scaled
-// service moments, and the reported waiting time is the request-weighted
-// mean over replicas.
-func heteroQueue(l, b, b2 float64, speeds []float64) (rho, waiting float64) {
-	if l == 0 {
-		return 0, 0
-	}
-	if len(speeds) == 0 {
-		return math.Inf(1), math.Inf(1)
-	}
-	total := sum(speeds)
-	rho = l * b / total
-	if rho >= 1 {
-		return rho, math.Inf(1)
-	}
-	for _, s := range speeds {
-		share := s / total
-		lambdaI := l * share
-		waiting += share * mg1Wait(lambdaI, b/s, b2/(s*s))
-	}
-	return rho, waiting
 }
 
 // mg1Wait returns the M/G/1 mean waiting time of Section 4.4:

@@ -47,8 +47,8 @@ import (
 // internal/workload or hand-built specs.
 type (
 	// Configuration is a replication vector (Y_1, ..., Y_k). Co-location
-	// and per-replica speeds are variants of the performance model only,
-	// evaluated through Analysis().
+	// is a variant of the performance model only, evaluated through
+	// Analysis().
 	Configuration = perf.Config
 	// Goals are planning targets (max waiting time, max unavailability).
 	Goals = config.Goals
