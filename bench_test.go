@@ -734,6 +734,38 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 	b.ReportMetric(float64(events), "events/run")
 }
 
+// BenchmarkSimulateTrail runs the simulation of the ingest-steady
+// workload's set-up: the paper environment under EPWorkflow(3) on
+// replicas (3,3,4), seed 1, recording the audit trail of 200,000
+// records' worth of horizon (150 records per minute), then reading it
+// back in time order.
+func BenchmarkSimulateTrail(b *testing.B) {
+	sys, err := NewSystem(workload.PaperEnvironment(), workload.EPWorkflow(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var events uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trail := audit.NewTrail()
+		res, err := sys.Simulate(SimParams{
+			Replicas: []int{3, 3, 4},
+			Seed:     1,
+			Horizon:  200_000.0 / 150,
+			Trail:    trail,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if recs := trail.Records(); len(recs) < 200_000 {
+			b.Fatalf("trail has %d records, want 200,000", len(recs))
+		}
+		events = res.Events
+	}
+	b.ReportMetric(float64(events), "events/run")
+}
+
 // serverBenchSystem builds the request body the serving benchmarks
 // post: the paper environment under the EP workflow, as a wfjson
 // document inside a /v1/recommend request.

@@ -78,10 +78,16 @@ type Record struct {
 // never pays for a sort at all, and an out-of-order trail is sorted once
 // under the lock on the next read, not once per read.
 type Trail struct {
-	mu      sync.Mutex
-	records []Record
-	sorted  bool // records are in nondecreasing Time order
+	mu     sync.Mutex
+	chunks [][]Record // appends go to the last one
+	n      int
+	last   float64 // Time of the last record appended
+	sorted bool    // records are in nondecreasing Time order
 }
+
+// trailChunk is the record capacity of a chunk (about 560 KB): the
+// records are held in chunks, so a growing trail never copies them.
+const trailChunk = 4096
 
 // NewTrail returns an empty trail.
 func NewTrail() *Trail { return &Trail{sorted: true} }
@@ -90,43 +96,68 @@ func NewTrail() *Trail { return &Trail{sorted: true} }
 func (t *Trail) Append(r Record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.sorted && len(t.records) > 0 && r.Time < t.records[len(t.records)-1].Time {
-		t.sorted = false
-	}
-	t.records = append(t.records, r)
+	t.appendLocked(r)
 }
 
-// AppendBatch adds records in order with one lock acquisition — the
-// ingestion-path variant of Append.
+// AppendBatch adds records in order with one lock acquisition and at
+// most one allocation — the ingestion-path variant of Append.
 func (t *Trail) AppendBatch(recs []Record) {
-	if len(recs) == 0 {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.reserveLocked(len(recs))
 	for _, r := range recs {
-		if t.sorted && len(t.records) > 0 && r.Time < t.records[len(t.records)-1].Time {
-			t.sorted = false
-		}
-		t.records = append(t.records, r)
+		t.appendLocked(r)
 	}
+}
+
+// reserveLocked makes room for n more records in the last chunk.
+func (t *Trail) reserveLocked(n int) {
+	if k := len(t.chunks) - 1; n > 0 && (k < 0 || cap(t.chunks[k])-len(t.chunks[k]) < n) {
+		t.chunks = append(t.chunks, make([]Record, 0, max(n, trailChunk)))
+	}
+}
+
+func (t *Trail) appendLocked(r Record) {
+	if t.sorted && t.n > 0 && r.Time < t.last {
+		t.sorted = false
+	}
+	t.reserveLocked(1)
+	k := len(t.chunks) - 1
+	t.chunks[k] = append(t.chunks[k], r)
+	t.n++
+	t.last = r.Time
 }
 
 // Len returns the number of records.
 func (t *Trail) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.records)
+	return t.n
 }
 
-// ensureSortedLocked sorts the backing slice in place once (stable, so
-// equal timestamps keep append order) and remembers that it did.
-// Callers must hold t.mu.
+// ensureSortedLocked sorts the records once (stable, so equal
+// timestamps keep append order) into one chunk and remembers that it
+// did. Callers must hold t.mu.
 func (t *Trail) ensureSortedLocked() {
 	if !t.sorted {
-		sort.SliceStable(t.records, func(i, j int) bool { return t.records[i].Time < t.records[j].Time })
-		t.sorted = true
+		all := t.flatLocked()
+		sort.SliceStable(all, func(i, j int) bool { return all[i].Time < all[j].Time })
+		t.chunks = [][]Record{all}
+		t.last, t.sorted = all[len(all)-1].Time, true
 	}
+}
+
+// flatLocked returns a copy of all records in chunk order, nil when
+// there are none.
+func (t *Trail) flatLocked() []Record {
+	if t.n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, t.n)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Records returns a copy of all records in time order (stable for equal
@@ -135,20 +166,22 @@ func (t *Trail) Records() []Record {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ensureSortedLocked()
-	return append([]Record(nil), t.records...)
+	return t.flatLocked()
 }
 
 // Filter returns the records of one kind, in time order. The filtering
-// happens under the lock against the (once-)sorted backing slice, so it
+// happens under the lock against the (once-)sorted records, so it
 // copies only the matching records instead of the whole trail.
 func (t *Trail) Filter(kind EventKind) []Record {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ensureSortedLocked()
 	var out []Record
-	for _, r := range t.records {
-		if r.Kind == kind {
-			out = append(out, r)
+	for _, c := range t.chunks {
+		for _, r := range c {
+			if r.Kind == kind {
+				out = append(out, r)
+			}
 		}
 	}
 	return out

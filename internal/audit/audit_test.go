@@ -2,7 +2,9 @@ package audit
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -236,5 +238,63 @@ func TestConcurrentAppend(t *testing.T) {
 	wg.Wait()
 	if tr.Len() != 800 {
 		t.Errorf("Len = %d, want 800", tr.Len())
+	}
+}
+
+// TestTrailMatchesSliceReference drives a trail across chunk boundaries
+// with single appends, batches larger than a chunk, out-of-order times
+// and reads in between, and checks every read against a stable sort of
+// the records appended so far.
+func TestTrailMatchesSliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := NewTrail()
+	// A read sorts; the next append is then compared with the latest
+	// time, not with the record appended last.
+	ref := []Record{{Time: 5}, {Time: 3}}
+	tr.AppendBatch(ref)
+	tr.Records()
+	ref = append(ref, Record{Time: 4})
+	tr.Append(ref[2])
+	if got := tr.Records(); got[1].Time != 4 || got[2].Time != 5 {
+		t.Fatalf("times after a sort and an append: %v, %v, %v", got[0].Time, got[1].Time, got[2].Time)
+	}
+	next := func() Record {
+		r := Record{Kind: ServiceRequest, Time: float64(rng.Intn(50) + len(ref)/2), Server: len(ref)}
+		if rng.Intn(4) == 0 {
+			r.Kind = StateEntered
+		}
+		return r
+	}
+	for step := 0; step < 30; step++ {
+		switch rng.Intn(3) {
+		case 0:
+			for i := rng.Intn(2 * trailChunk); i > 0; i-- {
+				r := next()
+				ref = append(ref, r)
+				tr.Append(r)
+			}
+		case 1:
+			batch := make([]Record, rng.Intn(2*trailChunk))
+			for i := range batch {
+				batch[i] = next()
+			}
+			ref = append(ref, batch...)
+			tr.AppendBatch(batch)
+		default:
+			want := append([]Record(nil), ref...)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
+			if got := tr.Records(); tr.Len() != len(ref) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: %d records (Len %d), want %d in stable time order", step, len(got), tr.Len(), len(want))
+			}
+			var states []Record
+			for _, r := range want {
+				if r.Kind == StateEntered {
+					states = append(states, r)
+				}
+			}
+			if got := tr.Filter(StateEntered); !reflect.DeepEqual(got, states) {
+				t.Fatalf("step %d: Filter returned %d records, want %d", step, len(got), len(states))
+			}
+		}
 	}
 }

@@ -16,6 +16,17 @@ func birthDeath(lambda, mu float64) *linalg.Matrix {
 	})
 }
 
+// vecMul returns v*q (row vector times matrix).
+func vecMul(v linalg.Vector, q *linalg.Matrix) linalg.Vector {
+	out := linalg.NewVector(q.Cols())
+	for i, vi := range v {
+		for j, x := range q.Row(i) {
+			out[j] += vi * x
+		}
+	}
+	return out
+}
+
 func TestSteadyStateTwoStates(t *testing.T) {
 	lambda, mu := 2.0, 3.0
 	pi, err := SteadyState(birthDeath(lambda, mu))
@@ -135,7 +146,7 @@ func TestQuickSteadyStateBalances(t *testing.T) {
 		if math.Abs(pi.Sum()-1) > 1e-9 {
 			return false
 		}
-		flow := q.VecMul(pi)
+		flow := vecMul(pi, q)
 		for _, x := range flow {
 			if math.Abs(x) > 1e-8 {
 				return false
@@ -189,7 +200,7 @@ func TestGTHBandIsExact(t *testing.T) {
 			t.Fatalf("π[%d] = %v on band %d, %v on the full band", i, banded[i], b, full[i])
 		}
 	}
-	for j, x := range q.VecMul(banded) {
+	for j, x := range vecMul(banded, q) {
 		if math.Abs(x) > 1e-14 {
 			t.Fatalf("(πQ)[%d] = %v", j, x)
 		}

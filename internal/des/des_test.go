@@ -256,3 +256,134 @@ func TestTallyLargeMeanVariance(t *testing.T) {
 		t.Fatalf("second moment = %v, want %v", got, wantM2)
 	}
 }
+
+// FuzzEventOrder drives the kernel with random Schedule, After, At,
+// Cancel, Step and RunUntil sequences, callbacks scheduling more events,
+// and checks each firing against a reference list of every event
+// scheduled: events fire in (time, seq) order among the uncancelled
+// ones, each at most once and never after its cancellation, the clock
+// never goes backward, and Pending and Fired count what the reference
+// holds. Each operation takes two bytes: the operation, then its
+// argument.
+func FuzzEventOrder(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 0, 4, 0, 5, 9})
+	f.Add([]byte{1, 0x85, 0, 0x92, 2, 0, 3, 1, 5, 15, 4, 0, 4, 0})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 3, 1, 3, 2, 3, 0, 4, 0, 1, 0xf0, 5, 3, 3, 2})
+	f.Add([]byte{6, 1, 6, 2, 4, 0, 6, 3, 3, 5, 5, 2, 6, 4, 5, 7})
+	type ref struct {
+		time             float64
+		seq              uint64
+		ev               *Event // nil for handle-free events
+		child            int    // delay of the event the callback schedules, or -1
+		cancelled, fired bool
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := New()
+		var evs []*ref
+		var seq, fired uint64
+		last := 0.0
+		live := func() int {
+			n := 0
+			for _, e := range evs {
+				if !e.fired && !e.cancelled {
+					n++
+				}
+			}
+			return n
+		}
+		var schedule func(op int, delay float64, child int)
+		check := func(e *ref) {
+			switch {
+			case e.fired:
+				t.Fatalf("event %d fired twice", e.seq)
+			case e.cancelled:
+				t.Fatalf("cancelled event %d fired", e.seq)
+			case s.Now() != e.time || s.Now() < last:
+				t.Fatalf("event %d due at %v fired at %v (clock was %v)", e.seq, e.time, s.Now(), last)
+			}
+			for _, o := range evs {
+				if !o.fired && !o.cancelled && (o.time < e.time || o.time == e.time && o.seq < e.seq) {
+					t.Fatalf("event %d (%v) fired before event %d (%v)", e.seq, e.time, o.seq, o.time)
+				}
+			}
+			e.fired, last = true, s.Now()
+			fired++
+			if e.child >= 0 {
+				schedule(int(e.seq%3), float64(e.child), -1)
+			}
+		}
+		schedule = func(op int, delay float64, child int) {
+			e := &ref{time: s.Now() + delay, seq: seq, child: child}
+			seq++
+			evs = append(evs, e)
+			fn := func() { check(e) }
+			switch op {
+			case 0:
+				e.ev = s.Schedule(delay, fn)
+			case 1:
+				s.After(delay, fn)
+			default:
+				s.At(e.time, fn)
+			}
+		}
+		for k := 0; k+1 < len(ops); k += 2 {
+			op, arg := int(ops[k]%7), ops[k+1]
+			switch op {
+			case 0, 1, 2:
+				child := -1
+				if arg&0x80 != 0 {
+					child = int(arg>>4) & 7
+				}
+				schedule(op, float64(arg&15)/2, child)
+			case 3:
+				// Cancel a handle (live, fired or cancelled alike) or nil.
+				var target *ref
+				for j := range evs {
+					if e := evs[(int(arg)+j)%len(evs)]; e.ev != nil {
+						target = e
+						break
+					}
+				}
+				if target == nil {
+					s.Cancel(nil)
+					break
+				}
+				if !target.fired {
+					target.cancelled = true
+				}
+				s.Cancel(target.ev)
+			case 4:
+				want := live() > 0
+				if got := s.Step(); got != want {
+					t.Fatalf("Step = %v with %d live events", got, live())
+				}
+			case 6:
+				// A burst of events to grow the queue past a few levels.
+				x := uint32(arg) + 1
+				for j := 0; j < 24; j++ {
+					x = x*1664525 + 1013904223
+					schedule(j%3, float64(x>>27)/4, -1)
+				}
+			case 5:
+				horizon := s.Now() + float64(arg&15)/2
+				s.RunUntil(horizon)
+				if s.Now() != horizon {
+					t.Fatalf("clock %v after RunUntil(%v)", s.Now(), horizon)
+				}
+				last = horizon
+				for _, e := range evs {
+					if !e.fired && !e.cancelled && e.time <= horizon {
+						t.Fatalf("event %d due at %v still pending after RunUntil(%v)", e.seq, e.time, horizon)
+					}
+				}
+			}
+			if s.Pending() != live() || s.Fired() != fired {
+				t.Fatalf("Pending %d, Fired %d; reference %d live, %d fired", s.Pending(), s.Fired(), live(), fired)
+			}
+		}
+		s.Run(math.MaxUint64)
+		if s.Pending() != 0 || live() != 0 || s.Fired() != fired {
+			t.Fatalf("after draining: Pending %d, %d live, Fired %d vs %d", s.Pending(), live(), s.Fired(), fired)
+		}
+	})
+}

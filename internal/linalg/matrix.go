@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -92,112 +91,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// MulVec returns m*v as a new vector.
-// It panics if the dimensions are incompatible.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("linalg: %dx%d matrix times vector of length %d", m.rows, m.cols, len(v)))
-	}
-	out := NewVector(m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, x := range row {
-			s += x * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// VecMul returns v*m (row vector times matrix) as a new vector.
-// It panics if the dimensions are incompatible.
-func (m *Matrix) VecMul(v Vector) Vector {
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("linalg: vector of length %d times %dx%d matrix", len(v), m.rows, m.cols))
-	}
-	out := NewVector(m.cols)
-	for i := 0; i < m.rows; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, x := range row {
-			out[j] += vi * x
-		}
-	}
-	return out
-}
-
-// Mul returns the matrix product m*n.
-// It panics if the dimensions are incompatible.
-func (m *Matrix) Mul(n *Matrix) *Matrix {
-	if m.cols != n.rows {
-		panic(fmt.Sprintf("linalg: %dx%d matrix times %dx%d matrix", m.rows, m.cols, n.rows, n.cols))
-	}
-	out := NewMatrix(m.rows, n.cols)
-	for i := 0; i < m.rows; i++ {
-		mrow := m.Row(i)
-		orow := out.Row(i)
-		for kk, x := range mrow {
-			if x == 0 {
-				continue
-			}
-			nrow := n.Row(kk)
-			for j, y := range nrow {
-				orow[j] += x * y
-			}
-		}
-	}
-	return out
-}
-
-// Sub returns m - n as a new matrix.
-// It panics if the dimensions differ.
-func (m *Matrix) Sub(n *Matrix) *Matrix {
-	if m.rows != n.rows || m.cols != n.cols {
-		panic(fmt.Sprintf("linalg: subtracting %dx%d matrix from %dx%d matrix", n.rows, n.cols, m.rows, m.cols))
-	}
-	out := NewMatrix(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] - n.data[i]
-	}
-	return out
-}
-
-// Scale multiplies every element of m by alpha in place and returns m.
-func (m *Matrix) Scale(alpha float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= alpha
-	}
-	return m
-}
-
-// RowSums returns the vector of per-row sums.
-func (m *Matrix) RowSums() Vector {
-	out := NewVector(m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for _, x := range m.Row(i) {
-			s += x
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MaxAbs returns the maximum absolute element of m.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, x := range m.data {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // String renders m with one bracketed row per line.

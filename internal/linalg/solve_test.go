@@ -96,7 +96,7 @@ func TestQuickLUSolvesRandomSystems(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b := a.MulVec(want)
+		b := mulVec(a, want)
 		lu, err := FactorLU(a)
 		if err != nil {
 			return true // singular draw, skip

@@ -93,13 +93,13 @@ func TestQuickSparseMatchesDense(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		sv, dv := s.MulVec(v), d.MulVec(v)
+		sv, dv := s.MulVec(v), mulVec(d, v)
 		for i := range sv {
 			if !almostEqual(sv[i], dv[i], 1e-12) {
 				return false
 			}
 		}
-		svm, dvm := s.VecMul(v), d.VecMul(v)
+		svm, dvm := s.VecMul(v), vecMul(v, d)
 		for i := range svm {
 			if !almostEqual(svm[i], dvm[i], 1e-12) {
 				return false

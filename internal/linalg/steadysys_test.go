@@ -152,7 +152,7 @@ func TestOnesRowApplyAndRhs(t *testing.T) {
 	dst := NewVector(6)
 	sys.Apply(dst, v)
 	// Rows 0..n-2 are Qᵀ v = v Q; the last row is Σ v.
-	ref := q.VecMul(v)
+	ref := vecMul(v, q)
 	for i := 0; i < 5; i++ {
 		if math.Abs(dst[i]-ref[i]) > 1e-12 {
 			t.Fatalf("apply row %d = %v, want %v", i, dst[i], ref[i])

@@ -284,10 +284,10 @@ func (r *runner) enterConcState(i int, plan *chartPlan, state int, inst uint64, 
 			req := request{typeIdx: ld.typeIdx, wfIdx: i, inst: inst, activity: cs.activity}
 			for j := 0; j < n; j++ {
 				at := r.rng.Float64() * residence
-				r.sim.Schedule(at, func() { r.dispatch(req) })
+				r.sim.After(at, func() { r.dispatch(req) })
 			}
 		}
-		r.sim.Schedule(residence, func() {
+		r.sim.After(residence, func() {
 			if idx+1 < cs.stages {
 				stage(idx + 1)
 				return

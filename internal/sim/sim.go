@@ -232,6 +232,8 @@ type server struct {
 	// failure.
 	svcEvent *des.Event
 	current  request
+	// The server's event callbacks, bound once.
+	complete, fail, repair func()
 }
 
 func (s *server) pending() int { return len(s.queue) - s.head }
@@ -325,6 +327,21 @@ type runner struct {
 	// concPlans holds the per-model chart walker plans of the
 	// true-concurrency mode (nil otherwise).
 	concPlans []*chartPlan
+
+	// dispatches[i][x] sends a request of model i to type x, bound once.
+	dispatches [][]func()
+}
+
+// walk is one instance's walk through the collapsed CTMC. It has one
+// pending residence end at a time, so it carries the current state and
+// a callback bound once per instance.
+type walk struct {
+	i     int
+	m     *spec.Model
+	state int
+	born  float64
+	inst  uint64
+	leave func()
 }
 
 // trailMeta caches the per-model name mappings the trail recorder needs:
@@ -425,7 +442,11 @@ func Run(p Params) (*Result, error) {
 		pl := &pool{typeIdx: x, svcDist: d, waitQ: des.NewReservoir(8192, p.Seed+uint64(x)+1)}
 		if r.station[x] == x {
 			for i := 0; i < p.Replicas[x]; i++ {
-				pl.servers = append(pl.servers, &server{pool: pl, id: i, up: true})
+				sv := &server{pool: pl, id: i, up: true}
+				sv.complete = func() { r.endService(sv) }
+				sv.fail = func() { r.fail(sv) }
+				sv.repair = func() { r.repair(sv) }
+				pl.servers = append(pl.servers, sv)
 			}
 		}
 		pl.upCount = len(pl.servers)
@@ -457,9 +478,20 @@ func Run(p Params) (*Result, error) {
 	}
 
 	// Workflow arrival processes.
+	r.dispatches = make([][]func(), len(p.Models))
 	for i, m := range p.Models {
-		if m.Workflow.ArrivalRate > 0 {
-			r.scheduleArrival(i, m)
+		r.dispatches[i] = make([]func(), len(r.pools))
+		for x := range r.pools {
+			r.dispatches[i][x] = func() { r.dispatch(request{typeIdx: x, wfIdx: i}) }
+		}
+		if rate := m.Workflow.ArrivalRate; rate > 0 {
+			var arrive func()
+			arrive = func() {
+				r.started[i]++
+				r.startInstance(i, m)
+				r.sim.After(r.rng.Exp(rate), arrive)
+			}
+			r.sim.After(r.rng.Exp(rate), arrive)
 		}
 	}
 
@@ -534,16 +566,6 @@ func (r *runner) noteAvailability() {
 	r.downAvg.Set(r.sim.Now(), boolTo01(r.systemDown()))
 }
 
-// scheduleArrival arms the next Poisson arrival of workflow model i.
-func (r *runner) scheduleArrival(i int, m *spec.Model) {
-	delay := r.rng.Exp(m.Workflow.ArrivalRate)
-	r.sim.Schedule(delay, func() {
-		r.started[i]++
-		r.startInstance(i, m)
-		r.scheduleArrival(i, m)
-	})
-}
-
 // startInstance begins the CTMC walk of one workflow instance (or the
 // fork/join chart walk in true-concurrency mode).
 func (r *runner) startInstance(i int, m *spec.Model) {
@@ -560,7 +582,9 @@ func (r *runner) startInstance(i int, m *spec.Model) {
 			Workflow: r.meta[i].workflow, Instance: inst,
 		})
 	}
-	r.enterState(i, m, 0, r.sim.Now(), inst)
+	w := &walk{i: i, m: m, born: r.sim.Now(), inst: inst}
+	w.leave = func() { r.leaveState(w) }
+	r.enterState(w, 0)
 }
 
 // recordState appends a state-entry/exit record for the instance, using
@@ -593,12 +617,13 @@ func (r *runner) recordActivity(kind audit.EventKind, i int, inst uint64, state 
 // enterState processes one CTMC state visit: it draws the residence time,
 // spreads the state's service requests uniformly over the residence
 // period, and schedules the jump to the next state.
-func (r *runner) enterState(i int, m *spec.Model, state int, born float64, inst uint64) {
-	abs := m.Chain.Absorbing()
-	if state == abs {
+func (r *runner) enterState(w *walk, state int) {
+	i, m, inst := w.i, w.m, w.inst
+	w.state = state
+	if state == m.Chain.Absorbing() {
 		if r.warm {
 			r.completed[i]++
-			r.turnaround[i].Add(r.sim.Now() - born)
+			r.turnaround[i].Add(r.sim.Now() - w.born)
 		}
 		if r.trail != nil {
 			// The chart's pseudo final state was spliced into s_A by the
@@ -640,19 +665,20 @@ func (r *runner) enterState(i int, m *spec.Model, state int, born float64, inst 
 			n++
 		}
 		for j := 0; j < n; j++ {
-			at := r.rng.Float64() * residence
-			r.sim.Schedule(at, func() { r.dispatch(request{typeIdx: x, wfIdx: i}) })
+			r.sim.After(r.rng.Float64()*residence, r.dispatches[i][x])
 		}
 	}
+	r.sim.After(residence, w.leave)
+}
 
-	r.sim.Schedule(residence, func() {
-		if r.trail != nil {
-			r.recordActivity(audit.ActivityCompleted, i, inst, state)
-			r.recordState(audit.StateLeft, i, inst, state)
-		}
-		next := m.Chain.Next(state, r.rng.Float64())
-		r.enterState(i, m, next, born, inst)
-	})
+// leaveState ends the walk's residence in its current state and enters
+// the next one.
+func (r *runner) leaveState(w *walk) {
+	if r.trail != nil {
+		r.recordActivity(audit.ActivityCompleted, w.i, w.inst, w.state)
+		r.recordState(audit.StateLeft, w.i, w.inst, w.state)
+	}
+	r.enterState(w, w.m.Chain.Next(w.state, r.rng.Float64()))
 }
 
 // dispatch routes a new service request to an up server of the type,
@@ -735,18 +761,22 @@ func (r *runner) beginService(sv *server) {
 			Waiting: w, Service: svcTime,
 		})
 	}
-	sv.svcEvent = r.sim.Schedule(svcTime, func() {
-		sv.svcEvent = nil
-		sv.busy = false
-		pl.busyNow--
-		pl.busyAvg.Set(r.sim.Now(), float64(pl.busyNow))
-		if r.warm {
-			typed.served++
-		}
-		if sv.up {
-			r.beginService(sv)
-		}
-	})
+	sv.svcEvent = r.sim.Schedule(svcTime, sv.complete)
+}
+
+// endService completes the request the server is serving.
+func (r *runner) endService(sv *server) {
+	pl := sv.pool
+	sv.svcEvent = nil
+	sv.busy = false
+	pl.busyNow--
+	pl.busyAvg.Set(r.sim.Now(), float64(pl.busyNow))
+	if r.warm {
+		r.pools[sv.current.typeIdx].served++
+	}
+	if sv.up {
+		r.beginService(sv)
+	}
 }
 
 // scheduleFailure arms the next failure of a server.
@@ -755,7 +785,7 @@ func (r *runner) scheduleFailure(sv *server, lambda float64) {
 	if d := r.distFor(r.p.FailureDists, sv.pool.typeIdx); d != nil {
 		ttf = d.Sample(r.rng)
 	}
-	r.sim.Schedule(ttf, func() { r.fail(sv) })
+	r.sim.After(ttf, sv.fail)
 }
 
 // distFor returns the per-type override distribution, if any.
@@ -814,19 +844,23 @@ func (r *runner) fail(sv *server) {
 	if d := r.distFor(r.p.RepairDists, pl.typeIdx); d != nil {
 		ttr = d.Sample(r.rng)
 	}
-	r.sim.Schedule(ttr, func() {
-		sv.up = true
-		pl.upCount++
-		r.noteAvailability()
-		// Adopt requests parked while the whole type was down.
-		parked := pl.pending
-		pl.pending = nil
-		for _, req := range parked {
-			sv.push(req)
-		}
-		if !sv.busy {
-			r.beginService(sv)
-		}
-		r.scheduleFailure(sv, st.FailureRate)
-	})
+	r.sim.After(ttr, sv.repair)
+}
+
+// repair brings a failed server back and arms its next failure.
+func (r *runner) repair(sv *server) {
+	pl := sv.pool
+	sv.up = true
+	pl.upCount++
+	r.noteAvailability()
+	// Adopt requests parked while the whole type was down.
+	parked := pl.pending
+	pl.pending = nil
+	for _, req := range parked {
+		sv.push(req)
+	}
+	if !sv.busy {
+		r.beginService(sv)
+	}
+	r.scheduleFailure(sv, r.p.Env.Type(pl.typeIdx).FailureRate)
 }
