@@ -173,7 +173,7 @@ func BenchmarkE6Exhaustive(b *testing.B) {
 	var cost int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := config.Exhaustive(a, goals, cons, config.DefaultOptions())
+		rec, err := config.Exhaustive(context.Background(), a, goals, cons, config.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func BenchmarkExhaustive(b *testing.B) {
 	cons := config.Constraints{MaxReplicas: []int{6, 6, 6}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := config.Exhaustive(a, goals, cons, config.DefaultOptions()); err != nil {
+		if _, err := config.Exhaustive(context.Background(), a, goals, cons, config.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -711,7 +711,8 @@ func BenchmarkSystemAssess(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorEvents measures raw simulator event throughput.
+// BenchmarkSimulatorEvents measures raw simulator event throughput: one
+// fixed seed, so every iteration simulates the same run.
 func BenchmarkSimulatorEvents(b *testing.B) {
 	env := workload.PaperEnvironment()
 	m, err := spec.Build(workload.EPWorkflow(10), env)
@@ -724,7 +725,7 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 		res, err := sim.Run(sim.Params{
 			Env: env, Models: []*spec.Model{m},
 			Replicas: []int{2, 2, 2},
-			Seed:     uint64(i), Horizon: 1000,
+			Seed:     1, Horizon: 1000,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -738,32 +739,42 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 // workload's set-up: the paper environment under EPWorkflow(3) on
 // replicas (3,3,4), seed 1, recording the audit trail of 200,000
 // records' worth of horizon (150 records per minute), then reading it
-// back in time order.
+// back in time order. The collapsed sub-benchmark is that set-up; the
+// true-concurrency one walks the same horizon over the chart plan.
 func BenchmarkSimulateTrail(b *testing.B) {
 	sys, err := NewSystem(workload.PaperEnvironment(), workload.EPWorkflow(3))
 	if err != nil {
 		b.Fatal(err)
 	}
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trail := audit.NewTrail()
-		res, err := sys.Simulate(SimParams{
-			Replicas: []int{3, 3, 4},
-			Seed:     1,
-			Horizon:  200_000.0 / 150,
-			Trail:    trail,
+	for _, mode := range []struct {
+		name       string
+		concurrent bool
+	}{{"collapsed", false}, {"true-concurrency", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			var events uint64
+			var records int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				trail := audit.NewTrail()
+				res, err := sys.Simulate(SimParams{
+					Replicas:        []int{3, 3, 4},
+					Seed:            1,
+					Horizon:         200_000.0 / 150,
+					Trail:           trail,
+					TrueConcurrency: mode.concurrent,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if records = len(trail.Records()); records < 200_000 {
+					b.Fatalf("trail has %d records, want 200,000", records)
+				}
+				events = res.Events
+			}
+			b.ReportMetric(float64(events), "events/run")
+			b.ReportMetric(float64(records), "records/run")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if recs := trail.Records(); len(recs) < 200_000 {
-			b.Fatalf("trail has %d records, want 200,000", len(recs))
-		}
-		events = res.Events
 	}
-	b.ReportMetric(float64(events), "events/run")
 }
 
 // serverBenchSystem builds the request body the serving benchmarks

@@ -25,7 +25,7 @@ func contextPlannerRuns(h *analysisHarness) []struct {
 			return GreedyContext(ctx, h.a, h.goals, Constraints{}, o)
 		}},
 		{"exhaustive", func(ctx context.Context, o Options) (*Recommendation, error) {
-			return ExhaustiveContext(ctx, h.a, h.goals, Constraints{}, o)
+			return Exhaustive(ctx, h.a, h.goals, Constraints{}, o)
 		}},
 		{"branch&bound", func(ctx context.Context, o Options) (*Recommendation, error) {
 			return BranchAndBoundContext(ctx, h.a, h.goals, Constraints{}, o)

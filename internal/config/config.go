@@ -549,14 +549,9 @@ func (e *engine) mostCriticalForAvailability(replicas, hi []int) int {
 // Exhaustive finds the true minimum-cost feasible configuration by
 // enumerating replication vectors in order of increasing total server
 // count. It is exponential in the number of server types and exists as
-// the optimality baseline for the greedy heuristic.
-func Exhaustive(a *perf.Analysis, goals Goals, cons Constraints, opts Options) (*Recommendation, error) {
-	return ExhaustiveContext(context.Background(), a, goals, cons, opts)
-}
-
-// ExhaustiveContext is Exhaustive with cancellation: a done context
+// the optimality baseline for the greedy heuristic. A done context
 // aborts the enumeration and returns ctx.Err().
-func ExhaustiveContext(ctx context.Context, a *perf.Analysis, goals Goals, cons Constraints, opts Options) (*Recommendation, error) {
+func Exhaustive(ctx context.Context, a *perf.Analysis, goals Goals, cons Constraints, opts Options) (*Recommendation, error) {
 	k := a.Env().K()
 	if err := goals.validate(k); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -105,7 +106,7 @@ func TestGreedyMatchesExhaustiveCost(t *testing.T) {
 		if err != nil {
 			t.Fatalf("greedy %+v: %v", goals, err)
 		}
-		e, err := Exhaustive(a, goals, Constraints{MaxReplicas: []int{6, 6, 6}}, DefaultOptions())
+		e, err := Exhaustive(context.Background(), a, goals, Constraints{MaxReplicas: []int{6, 6, 6}}, DefaultOptions())
 		if err != nil {
 			t.Fatalf("exhaustive %+v: %v", goals, err)
 		}
@@ -201,7 +202,7 @@ func TestGreedyUnreachableGoal(t *testing.T) {
 
 func TestExhaustiveUnreachableGoal(t *testing.T) {
 	a := paperAnalysis(t, 1)
-	_, err := Exhaustive(a, Goals{MaxUnavailability: 1e-12},
+	_, err := Exhaustive(context.Background(), a, Goals{MaxUnavailability: 1e-12},
 		Constraints{MaxReplicas: []int{2, 2, 2}}, DefaultOptions())
 	if err == nil || !strings.Contains(err.Error(), "no feasible") {
 		t.Errorf("err = %v, want no-feasible", err)

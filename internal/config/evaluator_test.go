@@ -1,6 +1,7 @@
 package config
 
 import (
+	"context"
 	"testing"
 
 	"performa/internal/perf"
@@ -64,7 +65,7 @@ func TestSharedEvaluatorWarmCache(t *testing.T) {
 	goals := Goals{MaxWaiting: 0.002, MaxUnavailability: 1e-5}
 	cons := Constraints{MaxReplicas: []int{6, 6, 6}}
 
-	fresh, err := Exhaustive(a, goals, cons, DefaultOptions())
+	fresh, err := Exhaustive(context.Background(), a, goals, cons, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSharedEvaluatorWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared.Evaluator = ev
-	cold, err := Exhaustive(a, goals, cons, shared)
+	cold, err := Exhaustive(context.Background(), a, goals, cons, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestSharedEvaluatorWarmCache(t *testing.T) {
 		t.Fatal("cold run solved no availability marginal through the shared evaluator")
 	}
 
-	warm, err := Exhaustive(a, goals, cons, shared)
+	warm, err := Exhaustive(context.Background(), a, goals, cons, shared)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func FuzzPlannersAgree(f *testing.F) {
 
 		cons := Constraints{MaxReplicas: hi}
 		bnb, bnbErr := BranchAndBound(a, goals, cons, shared)
-		ex, exErr := Exhaustive(a, goals, cons, shared)
+		ex, exErr := Exhaustive(context.Background(), a, goals, cons, shared)
 		greedy, greedyErr := Greedy(a, goals, cons, shared)
 		warm, warmErr := Greedy(a, goals, Constraints{MaxReplicas: hi, StartFrom: hi}, shared)
 		for name, err := range map[string]error{"bnb": bnbErr, "exhaustive": exErr, "greedy": greedyErr, "warm greedy": warmErr} {

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"context"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("b&b %+v: %v", goals, err)
 		}
-		ex, err := Exhaustive(a, goals, cons, DefaultOptions())
+		ex, err := Exhaustive(context.Background(), a, goals, cons, DefaultOptions())
 		if err != nil {
 			t.Fatalf("exhaustive %+v: %v", goals, err)
 		}
@@ -72,7 +73,7 @@ func TestAllPlannersAgreeOnCost(t *testing.T) {
 	cons := Constraints{MaxReplicas: []int{8, 8, 8}}
 	opts := DefaultOptions()
 
-	ex, err := Exhaustive(a, goals, cons, opts)
+	ex, err := Exhaustive(context.Background(), a, goals, cons, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestInfeasibleIsTyped(t *testing.T) {
 	cons := Constraints{MaxReplicas: []int{2, 2, 2}}
 	planners := map[string]func() error{
 		"greedy":     func() error { _, err := Greedy(a, goals, cons, DefaultOptions()); return err },
-		"exhaustive": func() error { _, err := Exhaustive(a, goals, cons, DefaultOptions()); return err },
+		"exhaustive": func() error { _, err := Exhaustive(context.Background(), a, goals, cons, DefaultOptions()); return err },
 		"bnb":        func() error { _, err := BranchAndBound(a, goals, cons, DefaultOptions()); return err },
 	}
 	for name, run := range planners {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -275,7 +276,7 @@ func E6Greedy() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := config.Exhaustive(a, goals, config.Constraints{MaxReplicas: []int{8, 8, 8}}, opts)
+		e, err := config.Exhaustive(context.Background(), a, goals, config.Constraints{MaxReplicas: []int{8, 8, 8}}, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -408,7 +408,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 // planners are the searches /v1/recommend runs, by canonical name.
 var planners = map[string]func(context.Context, *perf.Analysis, config.Goals, config.Constraints, config.Options) (*config.Recommendation, error){
 	"greedy":     config.GreedyContext,
-	"exhaustive": config.ExhaustiveContext,
+	"exhaustive": config.Exhaustive,
 	"bnb":        config.BranchAndBoundContext,
 }
 

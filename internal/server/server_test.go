@@ -216,7 +216,7 @@ func TestRecommendMatchesEachPlanner(t *testing.T) {
 			return config.Greedy(a, goals, cons, directOptions())
 		}},
 		{"exhaustive", func() (*config.Recommendation, error) {
-			return config.Exhaustive(a, goals, cons, directOptions())
+			return config.Exhaustive(context.Background(), a, goals, cons, directOptions())
 		}},
 		{"bnb", func() (*config.Recommendation, error) {
 			return config.BranchAndBound(a, goals, cons, directOptions())

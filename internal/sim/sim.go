@@ -1,10 +1,15 @@
 // Package sim is a discrete-event simulator of the paper's architectural
 // model (Section 2): replicated server types with FCFS queues, workflow
-// instances whose control flow follows the per-type CTMC, round-robin
-// load partitioning, and optional server failures with repair and online
-// failover. It stands in for the testbed measurements of Section 8 and
-// is used to validate the analytic performance, availability, and
-// performability models.
+// instances, round-robin load partitioning, and optional server failures
+// with repair and online failover. It stands in for the testbed
+// measurements of Section 8 and is used to validate the analytic
+// performance, availability, and performability models.
+//
+// One token walker moves every instance through a plan (concurrent.go):
+// by default the flat plan of the workflow's collapsed CTMC, whose
+// control flow the analytic models describe, and with
+// Params.TrueConcurrency the uncollapsed statechart with fork/join
+// tokens.
 package sim
 
 import (
@@ -62,18 +67,19 @@ type Params struct {
 	Colocated [][]int
 	// TrueConcurrency walks each instance through the UNCOLLAPSED
 	// statechart with fork/join tokens (one token per orthogonal
-	// subchart, join barriers) instead of the collapsed CTMC, so the
-	// measured turnaround carries the true E[max] of parallel branches
-	// rather than the paper's max-of-means collapse. Requires every
-	// model to carry its Workflow (chart + profiles). See concurrent.go.
+	// subchart, join barriers) instead of the flat plan of the collapsed
+	// CTMC, so the measured turnaround carries the true E[max] of
+	// parallel branches rather than the paper's max-of-means collapse.
+	// Requires every model to carry its Workflow (chart + profiles). See
+	// concurrent.go.
 	TrueConcurrency bool
 	// Trail optionally collects an audit trail of the run: instance
 	// life cycles, state entries/exits, activity spans, and per-request
 	// waiting/service times — the same record stream a production WFMS
 	// would emit, usable as calibration input (package calibrate,
 	// package stream) and for replay against a running daemon
-	// (cmd/wfmsreplay). The collapsed walk records the top-level chart
-	// only; the true-concurrency walk records every chart level and
+	// (cmd/wfmsreplay). The collapsed mode records the top-level chart
+	// only; the true-concurrency mode records every chart level and
 	// attributes each service request to its instance and activity.
 	// Recording draws no random numbers, so enabling it does not
 	// perturb the simulated run.
@@ -157,8 +163,8 @@ func (p Params) validate() error {
 		}
 	}
 	for _, m := range p.Models {
-		if m.Workflow == nil {
-			return fmt.Errorf("sim: model without workflow")
+		if m.Workflow == nil || m.Workflow.Chart == nil {
+			return fmt.Errorf("sim: model without workflow chart")
 		}
 	}
 	return nil
@@ -215,8 +221,8 @@ type request struct {
 	typeIdx int
 	wfIdx   int
 	arrived float64
-	// inst and activity attribute the request on the trail; only the
-	// true-concurrency walker sets them.
+	// inst and activity attribute the request on the trail; only chart
+	// plans set them.
 	inst     uint64
 	activity string
 }
@@ -319,66 +325,19 @@ type runner struct {
 	wfWaiting  []des.Tally
 	warm       bool
 
-	// Trail recording (nil when Params.Trail is unset).
-	trail   *audit.Trail
-	instSeq uint64
-	meta    []trailMeta
+	// Trail recording (nil when Params.Trail is unset); workflows[i]
+	// names model i's instances on it.
+	trail     *audit.Trail
+	instSeq   uint64
+	workflows []string
 
-	// concPlans holds the per-model chart walker plans of the
-	// true-concurrency mode (nil otherwise).
-	concPlans []*chartPlan
+	// plans[i] is the plan model i's instances walk (concurrent.go);
+	// idle holds finished tokens for reuse.
+	plans []*chartPlan
+	idle  []*token
 
 	// dispatches[i][x] sends a request of model i to type x, bound once.
 	dispatches [][]func()
-}
-
-// walk is one instance's walk through the collapsed CTMC. It has one
-// pending residence end at a time, so it carries the current state and
-// a callback bound once per instance.
-type walk struct {
-	i     int
-	m     *spec.Model
-	state int
-	born  float64
-	inst  uint64
-	leave func()
-}
-
-// trailMeta caches the per-model name mappings the trail recorder needs:
-// CTMC state index → chart state name and activity, plus the pseudo
-// final state to synthesize a StateEntered for (the chart's final state
-// is spliced into the absorbing s_A during the CTMC mapping, so without
-// the synthetic record the final transition of every instance would be
-// invisible to calibration).
-type trailMeta struct {
-	workflow    string
-	chart       string
-	states      []string
-	acts        []string
-	pseudoFinal string
-}
-
-func newTrailMeta(m *spec.Model) trailMeta {
-	tm := trailMeta{states: m.StateNames}
-	w := m.Workflow
-	if w == nil || w.Chart == nil {
-		return tm
-	}
-	tm.workflow = w.Name
-	if tm.workflow == "" {
-		tm.workflow = w.Chart.Name
-	}
-	tm.chart = w.Chart.Name
-	tm.acts = make([]string, len(m.StateNames))
-	for i, name := range m.StateNames {
-		if s, ok := w.Chart.States[name]; ok {
-			tm.acts[i] = s.Activity
-		}
-	}
-	if f, ok := w.Chart.States[w.Chart.Final]; ok && f.Activity == "" && len(f.Subcharts) == 0 {
-		tm.pseudoFinal = w.Chart.Final
-	}
-	return tm
 }
 
 // Run executes one simulation and returns its measurements.
@@ -405,15 +364,15 @@ func Run(p Params) (*Result, error) {
 	}
 	if p.Trail != nil {
 		r.trail = p.Trail
-		r.meta = make([]trailMeta, len(p.Models))
+		r.workflows = make([]string, len(p.Models))
 		for i, m := range p.Models {
-			r.meta[i] = newTrailMeta(m)
+			if r.workflows[i] = m.Workflow.Name; r.workflows[i] == "" {
+				r.workflows[i] = m.Workflow.Chart.Name
+			}
 		}
 	}
-	if p.TrueConcurrency {
-		if err := r.buildConcurrentPlans(); err != nil {
-			return nil, err
-		}
+	if err := r.buildPlans(); err != nil {
+		return nil, err
 	}
 
 	// Resolve co-location: requests of every group member run on the
@@ -488,7 +447,7 @@ func Run(p Params) (*Result, error) {
 			var arrive func()
 			arrive = func() {
 				r.started[i]++
-				r.startInstance(i, m)
+				r.start(i)
 				r.sim.After(r.rng.Exp(rate), arrive)
 			}
 			r.sim.After(r.rng.Exp(rate), arrive)
@@ -566,121 +525,6 @@ func (r *runner) noteAvailability() {
 	r.downAvg.Set(r.sim.Now(), boolTo01(r.systemDown()))
 }
 
-// startInstance begins the CTMC walk of one workflow instance (or the
-// fork/join chart walk in true-concurrency mode).
-func (r *runner) startInstance(i int, m *spec.Model) {
-	if r.p.TrueConcurrency {
-		r.startInstanceConcurrent(i)
-		return
-	}
-	var inst uint64
-	if r.trail != nil {
-		r.instSeq++
-		inst = r.instSeq
-		r.trail.Append(audit.Record{
-			Kind: audit.InstanceStarted, Time: r.sim.Now(),
-			Workflow: r.meta[i].workflow, Instance: inst,
-		})
-	}
-	w := &walk{i: i, m: m, born: r.sim.Now(), inst: inst}
-	w.leave = func() { r.leaveState(w) }
-	r.enterState(w, 0)
-}
-
-// recordState appends a state-entry/exit record for the instance, using
-// the chart-level state name of the CTMC state.
-func (r *runner) recordState(kind audit.EventKind, i int, inst uint64, state int) {
-	tm := &r.meta[i]
-	if tm.chart == "" || state >= len(tm.states) {
-		return
-	}
-	r.trail.Append(audit.Record{
-		Kind: kind, Time: r.sim.Now(),
-		Workflow: tm.workflow, Instance: inst,
-		Chart: tm.chart, State: tm.states[state],
-	})
-}
-
-// recordActivity appends an activity-span record if the CTMC state maps
-// to a flat activity state of the chart.
-func (r *runner) recordActivity(kind audit.EventKind, i int, inst uint64, state int) {
-	tm := &r.meta[i]
-	if tm.acts == nil || state >= len(tm.acts) || tm.acts[state] == "" {
-		return
-	}
-	r.trail.Append(audit.Record{
-		Kind: kind, Time: r.sim.Now(),
-		Workflow: tm.workflow, Instance: inst, Activity: tm.acts[state],
-	})
-}
-
-// enterState processes one CTMC state visit: it draws the residence time,
-// spreads the state's service requests uniformly over the residence
-// period, and schedules the jump to the next state.
-func (r *runner) enterState(w *walk, state int) {
-	i, m, inst := w.i, w.m, w.inst
-	w.state = state
-	if state == m.Chain.Absorbing() {
-		if r.warm {
-			r.completed[i]++
-			r.turnaround[i].Add(r.sim.Now() - w.born)
-		}
-		if r.trail != nil {
-			// The chart's pseudo final state was spliced into s_A by the
-			// CTMC mapping; synthesize its entry so the trail shows the
-			// final chart transition.
-			if tm := &r.meta[i]; tm.pseudoFinal != "" {
-				r.trail.Append(audit.Record{
-					Kind: audit.StateEntered, Time: r.sim.Now(),
-					Workflow: tm.workflow, Instance: inst,
-					Chart: tm.chart, State: tm.pseudoFinal,
-				})
-			}
-			r.trail.Append(audit.Record{
-				Kind: audit.InstanceCompleted, Time: r.sim.Now(),
-				Workflow: r.meta[i].workflow, Instance: inst,
-			})
-		}
-		return
-	}
-	if r.trail != nil {
-		r.recordState(audit.StateEntered, i, inst, state)
-		r.recordActivity(audit.ActivityStarted, i, inst, state)
-	}
-	h := m.Chain.H[state]
-	residence := r.rng.Exp(1 / h)
-
-	// Service requests on each type: the load matrix entry is an
-	// expectation; draw integer + Bernoulli(frac) and spread the
-	// requests uniformly over the residence period so the aggregate
-	// arrival process stays close to Poisson (what the M/G/1 model
-	// assumes).
-	for x := 0; x < len(r.pools); x++ {
-		load := m.Load.At(x, state)
-		if load == 0 {
-			continue
-		}
-		n := int(load)
-		if frac := load - float64(n); frac > 0 && r.rng.Float64() < frac {
-			n++
-		}
-		for j := 0; j < n; j++ {
-			r.sim.After(r.rng.Float64()*residence, r.dispatches[i][x])
-		}
-	}
-	r.sim.After(residence, w.leave)
-}
-
-// leaveState ends the walk's residence in its current state and enters
-// the next one.
-func (r *runner) leaveState(w *walk) {
-	if r.trail != nil {
-		r.recordActivity(audit.ActivityCompleted, w.i, w.inst, w.state)
-		r.recordState(audit.StateLeft, w.i, w.inst, w.state)
-	}
-	r.enterState(w, w.m.Chain.Next(w.state, r.rng.Float64()))
-}
-
 // dispatch routes a new service request to an up server of the type,
 // round-robin, or parks it while the whole type is down.
 func (r *runner) dispatch(req request) {
@@ -756,7 +600,7 @@ func (r *runner) beginService(sv *server) {
 	if r.trail != nil {
 		r.trail.Append(audit.Record{
 			Kind: audit.ServiceRequest, Time: r.sim.Now(),
-			Workflow: r.meta[req.wfIdx].workflow, Instance: req.inst, Activity: req.activity,
+			Workflow: r.workflows[req.wfIdx], Instance: req.inst, Activity: req.activity,
 			ServerType: r.p.Env.Type(req.typeIdx).Name, Server: sv.id,
 			Waiting: w, Service: svcTime,
 		})

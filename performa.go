@@ -31,6 +31,7 @@
 package performa
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -160,7 +161,7 @@ func (s *System) Plan(goals Goals, cons Constraints, opts PlannerOptions) (*Reco
 // PlanExhaustive finds the true minimum-cost configuration by exhaustive
 // search, the planner's optimality baseline.
 func (s *System) PlanExhaustive(goals Goals, cons Constraints, opts PlannerOptions) (*Recommendation, error) {
-	return config.Exhaustive(s.analysis, goals, cons, opts)
+	return config.Exhaustive(context.Background(), s.analysis, goals, cons, opts)
 }
 
 // PlanBranchAndBound finds the true minimum-cost configuration by
