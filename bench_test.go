@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -446,8 +447,10 @@ func serveJSON(b *testing.B, h http.Handler, req *http.Request, v any) []byte {
 
 // BenchmarkReadRecords measures the decode layer of POST /v1/events on
 // the batch the ingest-steady workload posts: 2,000 JSON lines of an
-// audit trail simulated from the EP workflow, decoded into one recycled
-// record buffer and cleared after each batch, as the handler does.
+// audit trail simulated from the EP workflow (~240 KB), decoded by
+// DecodeRecords into one recycled record buffer and cleared after each
+// batch, as the handler does. "one-goroutine" runs at GOMAXPROCS 1,
+// "split" at GOMAXPROCS 2, where the batch is decoded in two chunks.
 func BenchmarkReadRecords(b *testing.B) {
 	env := workload.PaperEnvironment()
 	m, err := spec.Build(workload.EPWorkflow(3), env)
@@ -473,17 +476,25 @@ func BenchmarkReadRecords(b *testing.B) {
 	if err := batch.WriteJSONLines(&lines); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(lines.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var recs []audit.Record
-	for i := 0; i < b.N; i++ {
-		var err error
-		recs, err = audit.AppendRecords(recs[:0], bytes.NewReader(lines.Bytes()), 0)
-		if err != nil || len(recs) != records {
-			b.Fatalf("decoded %d records: %v", len(recs), err)
-		}
-		clear(recs)
+	for _, bc := range []struct {
+		name  string
+		procs int
+	}{{"one-goroutine", 1}, {"split", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bc.procs))
+			b.SetBytes(int64(lines.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var recs []audit.Record
+			for i := 0; i < b.N; i++ {
+				var err error
+				recs, err = audit.DecodeRecords(recs[:0], lines.Bytes(), 0)
+				if err != nil || len(recs) != records {
+					b.Fatalf("decoded %d records: %v", len(recs), err)
+				}
+				clear(recs)
+			}
+		})
 	}
 }
 

@@ -22,11 +22,11 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
 
 	"performa/internal/crossval"
 	"performa/internal/wfcommons"
@@ -96,15 +96,15 @@ func main() {
 			return replayFile(*replay, opt, check)
 		}
 		if *corpusDir != "" {
-			return runCorpus(*corpusDir, *workers, opt, check, *verbose)
+			return runCorpus(os.Stdout, *corpusDir, *workers, opt, check, *verbose)
 		}
-		return run(*systems, *seed, *workers, *out, opt, check, *noShrink, *mutate, *verbose)
+		return run(os.Stdout, *systems, *seed, *workers, *out, opt, check, *noShrink, *mutate, *verbose)
 	}()
 	os.Exit(code)
 }
 
 type outcome struct {
-	seed          uint64
+	name          string // "seed N", or a corpus file's path
 	sys           *crossval.System
 	disagreements []crossval.Disagreement
 	err           error
@@ -114,74 +114,26 @@ type outcome struct {
 // deterministic CheckSolvers in -solver-diff mode.
 type checkFn func(*crossval.System, crossval.Options) ([]crossval.Disagreement, error)
 
-func run(systems int, baseSeed uint64, workers int, out string, opt crossval.Options, check checkFn, noShrink, mutate, verbose bool) int {
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan uint64)
-	results := make(chan outcome)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				sys, err := crossval.Generate(s)
-				if err != nil {
-					results <- outcome{seed: s, err: err}
-					continue
-				}
-				ds, err := check(sys, opt)
-				results <- outcome{seed: s, sys: sys, disagreements: ds, err: err}
-			}
-		}()
-	}
-	go func() {
-		for i := 0; i < systems; i++ {
-			jobs <- baseSeed + uint64(i)
+func run(w io.Writer, systems int, baseSeed uint64, workers int, out string, opt crossval.Options, check checkFn, noShrink, mutate, verbose bool) int {
+	checked, failing, errored := checkAll(w, systems, workers, func(i int) (string, *crossval.System, error) {
+		sys, err := crossval.Generate(baseSeed + uint64(i))
+		return fmt.Sprintf("seed %d", baseSeed+uint64(i)), sys, err
+	}, opt, check, verbose, func(res *outcome) {
+		if out != "" {
+			reportFailure(w, res, out, opt, check, noShrink)
 		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	checked, failing, errored := 0, 0, 0
-	var firstFailing *outcome
-	for res := range results {
-		checked++
-		switch {
-		case res.err != nil:
-			errored++
-			fmt.Fprintf(os.Stderr, "wfmscheck: seed %d: %v\n", res.seed, res.err)
-		case len(res.disagreements) > 0:
-			failing++
-			r := res
-			if firstFailing == nil {
-				firstFailing = &r
-			}
-			fmt.Printf("seed %d: %d disagreement(s)\n", res.seed, len(res.disagreements))
-			for _, d := range res.disagreements {
-				fmt.Printf("  %s\n", d)
-			}
-			if out != "" {
-				reportFailure(&r, out, opt, check, noShrink)
-			}
-		case verbose:
-			fmt.Printf("seed %d: ok\n", res.seed)
-		}
-	}
-
-	fmt.Printf("wfmscheck: %d systems checked, %d disagreeing, %d errored (fault: %s)\n",
+	})
+	fmt.Fprintf(w, "wfmscheck: %d systems checked, %d disagreeing, %d errored (fault: %s)\n",
 		checked, failing, errored, opt.Fault)
 	if errored > 0 {
 		return 1
 	}
 	if mutate {
 		if failing == 0 {
-			fmt.Println("wfmscheck: MUTATION NOT DETECTED — the harness missed an injected fault")
+			fmt.Fprintln(w, "wfmscheck: MUTATION NOT DETECTED — the harness missed an injected fault")
 			return 1
 		}
-		fmt.Printf("wfmscheck: mutation detected in %d/%d systems\n", failing, checked)
+		fmt.Fprintf(w, "wfmscheck: mutation detected in %d/%d systems\n", failing, checked)
 		return 0
 	}
 	if failing > 0 {
@@ -190,8 +142,55 @@ func run(systems int, baseSeed uint64, workers int, out string, opt crossval.Opt
 	return 0
 }
 
+// checkAll checks the n systems load returns on workers goroutines and
+// prints each verdict, handing each disagreeing one to failed, in index
+// order: what is printed does not depend on the number of workers or on
+// which check finishes first. Errors go to stderr.
+func checkAll(w io.Writer, n, workers int, load func(int) (string, *crossval.System, error), opt crossval.Options, check checkFn, verbose bool, failed func(*outcome)) (checked, failing, errored int) {
+	results, next := make([]chan outcome, n), make(chan int)
+	for i := range results {
+		results[i] = make(chan outcome, 1)
+	}
+	go func() {
+		for i := range n {
+			next <- i
+		}
+		close(next)
+	}()
+	for range max(workers, 1) {
+		go func() {
+			for i := range next {
+				res := outcome{}
+				if res.name, res.sys, res.err = load(i); res.err == nil {
+					res.disagreements, res.err = check(res.sys, opt)
+				}
+				results[i] <- res
+			}
+		}()
+	}
+	for _, r := range results {
+		res := <-r
+		checked++
+		switch {
+		case res.err != nil:
+			errored++
+			fmt.Fprintf(os.Stderr, "wfmscheck: %s: %v\n", res.name, res.err)
+		case len(res.disagreements) > 0:
+			failing++
+			fmt.Fprintf(w, "%s: %d disagreement(s)\n", res.name, len(res.disagreements))
+			for _, d := range res.disagreements {
+				fmt.Fprintf(w, "  %s\n", d)
+			}
+			failed(&res)
+		case verbose:
+			fmt.Fprintf(w, "%s: ok\n", res.name)
+		}
+	}
+	return checked, failing, errored
+}
+
 // reportFailure shrinks a failing system and writes the reproducer.
-func reportFailure(res *outcome, out string, opt crossval.Options, check checkFn, noShrink bool) {
+func reportFailure(w io.Writer, res *outcome, out string, opt crossval.Options, check checkFn, noShrink bool) {
 	sys := res.sys
 	if !noShrink {
 		sys = crossval.Shrink(sys, func(c *crossval.System) bool {
@@ -206,10 +205,10 @@ func reportFailure(res *outcome, out string, opt crossval.Options, check checkFn
 	}
 	path, err := crossval.WriteCorpus(out, sys, opt.Fault, ds)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wfmscheck: writing corpus for seed %d: %v\n", res.seed, err)
+		fmt.Fprintf(os.Stderr, "wfmscheck: writing corpus for %s: %v\n", res.name, err)
 		return
 	}
-	fmt.Printf("  reproducer: %s (%d workflow(s), %d server type(s))\n",
+	fmt.Fprintf(w, "  reproducer: %s (%d workflow(s), %d server type(s))\n",
 		path, len(sys.Flows), sys.Env.K())
 }
 
@@ -218,7 +217,7 @@ func reportFailure(res *outcome, out string, opt crossval.Options, check checkFn
 // corpus replica vector, a seed derived from its name, and the same
 // multi-route check as generated systems. Any disagreement, decode
 // failure, or silently empty directory exits non-zero.
-func runCorpus(dir string, workers int, opt crossval.Options, check checkFn, verbose bool) int {
+func runCorpus(w io.Writer, dir string, workers int, opt crossval.Options, check checkFn, verbose bool) int {
 	paths, err := filepath.Glob(filepath.Join(dir, "systems", "*.wfjson"))
 	if err != nil {
 		fatal(err)
@@ -228,60 +227,12 @@ func runCorpus(dir string, workers int, opt crossval.Options, check checkFn, ver
 		fmt.Fprintf(os.Stderr, "wfmscheck: no wfjson systems under %s\n", filepath.Join(dir, "systems"))
 		return 1
 	}
-	if workers < 1 {
-		workers = 1
-	}
 
-	type corpusOutcome struct {
-		path          string
-		disagreements []crossval.Disagreement
-		err           error
-	}
-	jobs := make(chan string)
-	results := make(chan corpusOutcome)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range jobs {
-				sys, err := loadCorpusSystem(p)
-				if err != nil {
-					results <- corpusOutcome{path: p, err: err}
-					continue
-				}
-				ds, err := check(sys, opt)
-				results <- corpusOutcome{path: p, disagreements: ds, err: err}
-			}
-		}()
-	}
-	go func() {
-		for _, p := range paths {
-			jobs <- p
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	checked, failing, errored := 0, 0, 0
-	for res := range results {
-		checked++
-		switch {
-		case res.err != nil:
-			errored++
-			fmt.Fprintf(os.Stderr, "wfmscheck: %s: %v\n", res.path, res.err)
-		case len(res.disagreements) > 0:
-			failing++
-			fmt.Printf("%s: %d disagreement(s)\n", res.path, len(res.disagreements))
-			for _, d := range res.disagreements {
-				fmt.Printf("  %s\n", d)
-			}
-		case verbose:
-			fmt.Printf("%s: ok\n", res.path)
-		}
-	}
-	fmt.Printf("wfmscheck: %d corpus systems checked, %d disagreeing, %d errored\n",
+	checked, failing, errored := checkAll(w, len(paths), workers, func(i int) (string, *crossval.System, error) {
+		sys, err := loadCorpusSystem(paths[i])
+		return paths[i], sys, err
+	}, opt, check, verbose, func(*outcome) {})
+	fmt.Fprintf(w, "wfmscheck: %d corpus systems checked, %d disagreeing, %d errored\n",
 		checked, failing, errored)
 	if failing > 0 || errored > 0 {
 		return 1

@@ -54,7 +54,7 @@ func (f *Float) UnmarshalJSON(b []byte) error {
 	case `null`:
 		return nil
 	}
-	if jsonscan.NumberEnd(b, 0) == len(b) {
+	if end, _ := jsonscan.Number(b, 0); end == len(b) {
 		if v, err := strconv.ParseFloat(string(b), 64); err == nil {
 			*f = Float(v)
 			return nil

@@ -114,7 +114,7 @@ func (p *parser) str() string {
 // encoding/json makes for the field's type; a literal that call refuses
 // ("1.0" for an int, "1e999") is the fallback's to report.
 func (p *parser) number() []byte {
-	end := jsonscan.NumberEnd(p.b, p.i)
+	end, _ := jsonscan.Number(p.b, p.i)
 	if end < 0 {
 		p.fail()
 		return nil
