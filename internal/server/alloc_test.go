@@ -241,3 +241,27 @@ func TestEventBatchRecordBound(t *testing.T) {
 		t.Errorf("a %d-byte EP trail of %d records was accepted as %d", len(trail), lines, ok.Records)
 	}
 }
+
+// TestEventBatchBlankLinesBound pins what a body of blank lines costs: a
+// newline is one byte but no record, so the decoder must not reserve a
+// record's slot for each before it finds the lines empty. A body of them,
+// from 256 KiB (over the size a body is split at) to the byte limit,
+// answers 400 having allocated a small multiple of the body.
+func TestEventBatchBlankLinesBound(t *testing.T) {
+	s, url := eventsServer(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, n := range []int{256 << 10, int(s.opts.MaxBodyBytes) - 1} {
+		blank := bytes.Repeat([]byte("\n"), n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(blank)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "empty event batch") {
+			t.Errorf("%d blank lines: %d %s, want 400 empty event batch", n, rec.Code, rec.Body)
+		}
+		if size := after.TotalAlloc - before.TotalAlloc; size > 12*uint64(n) {
+			t.Errorf("refusing %d blank lines allocated %d KB, want at most 12 times the body", n, size>>10)
+		}
+	}
+}
