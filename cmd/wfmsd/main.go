@@ -10,13 +10,14 @@
 //	wfmsd -addr :8080 -workers 8 -cache-size 64 -request-timeout 30s
 //
 // Endpoints: POST /v1/assess, POST /v1/recommend, POST /v1/assess-batch,
-// POST /v1/recommend-batch, POST /v1/jobs/recommend, GET|DELETE
-// /v1/jobs/{id}, POST /v1/calibrate, POST /v1/events, GET /v1/drift,
-// GET /v1/sensitivity, POST|GET /v1/deployments, GET /v1/advisories,
-// GET /v1/stats, GET /metrics, GET /healthz. See internal/server for
-// the request schemas and DESIGN.md §7 (serving), §10 (online
-// calibration), §13 (batch/async serving and tenant quotas), and §14
-// (sensitivity-guided reconfiguration) for the architecture.
+// POST /v1/recommend-batch, POST /v1/calibrate, POST /v1/events,
+// GET /v1/drift, GET /v1/sensitivity, POST|GET /v1/deployments,
+// GET /v1/advisories, GET /v1/stats, GET /metrics, GET /healthz. Every
+// planning request is answered synchronously, admitted by one weighted
+// semaphore of -workers tokens. See internal/server for the request
+// schemas and DESIGN.md §7 (serving), §10 (online calibration), §13
+// (batch serving), and §14 (sensitivity-guided reconfiguration) for the
+// architecture.
 package main
 
 import (
@@ -48,10 +49,7 @@ func main() {
 		maxStates  = flag.Int("max-states", wfmserr.Default.MaxStates, "state-space size admitted per model (0 = unlimited)")
 		maxDim     = flag.Int("max-matrix-dim", wfmserr.Default.MaxMatrixDim, "dense linear-system dimension admitted per solve (0 = unlimited)")
 
-		maxBatch     = flag.Int("max-batch-items", 0, "items admitted per batch request (0 = 256)")
-		jobTTL       = flag.Duration("job-ttl", 0, "retention of finished async job results (0 = 15m)")
-		maxJobs      = flag.Int("max-jobs", 0, "async jobs resident at once, queued+running+retained (0 = 1024)")
-		tenantBudget = flag.Int("tenant-budget", 0, "per-tenant cap on concurrent planner runs (0 = quotas off)")
+		maxBatch = flag.Int("max-batch-items", 0, "items admitted per batch request (0 = 256)")
 
 		driftThreshold = flag.Float64("drift-threshold", 0, "relative parameter change at which streamed events invalidate a warm model (0 = per-dimension defaults)")
 		driftMinSample = flag.Uint64("drift-min-samples", 0, "observations required before an estimate is drift-scored (0 = defaults)")
@@ -92,9 +90,6 @@ func main() {
 		StreamHalfLife: *streamHalfLife,
 		MaxStreams:     *maxStreams,
 		MaxBatchItems:  *maxBatch,
-		JobTTL:         *jobTTL,
-		MaxJobs:        *maxJobs,
-		TenantBudget:   *tenantBudget,
 		Reconfigure:    *reconfigure,
 	})
 	httpServer := &http.Server{

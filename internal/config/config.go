@@ -147,9 +147,9 @@ func (c Constraints) bounds(k int) (lo, hi []int, err error) {
 type Options struct {
 	// Performability configures the per-candidate evaluation. The
 	// Strict saturation policy is usually unsatisfiable (every finite
-	// configuration has reachable all-down states), so the tool
-	// defaults to ExcludeDown together with the availability goal,
-	// which is the decomposition Section 7.1 describes.
+	// configuration has reachable all-down states), so the zero value
+	// is ExcludeDown, planned together with the availability goal: the
+	// decomposition Section 7.1 describes.
 	Performability performability.Options
 	// MaxIterations bounds the greedy loop; zero means 1000.
 	MaxIterations int

@@ -3,6 +3,7 @@ package config
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -375,6 +376,27 @@ func TestStrictPolicyIsDocumentedInfeasible(t *testing.T) {
 	_, err := Greedy(a, Goals{MaxWaiting: 0.001}, Constraints{MaxReplicas: []int{3, 3, 3}}, opts)
 	if err == nil {
 		t.Error("strict waiting goal reported feasible")
+	}
+}
+
+// TestZeroOptionsPlanExcludeDown: the zero Options plan under
+// ExcludeDown, exactly as DefaultOptions does; Strict is chosen by name.
+func TestZeroOptionsPlanExcludeDown(t *testing.T) {
+	a := paperAnalysis(t, 1)
+	goals := Goals{MaxWaiting: 0.001, MaxUnavailability: 1e-4}
+	zero, err := Greedy(a, goals, Constraints{}, Options{})
+	if err != nil {
+		t.Fatalf("zero options: %v", err)
+	}
+	def, err := Greedy(a, goals, Constraints{}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(zero.Config.Replicas, def.Config.Replicas) || zero.Evaluations != def.Evaluations ||
+		zero.Assessment.Perf.MaxWaiting() != def.Assessment.Perf.MaxWaiting() {
+		t.Errorf("zero options plan %v (%d evaluations, W %v), DefaultOptions %v (%d, W %v)",
+			zero.Config.Replicas, zero.Evaluations, zero.Assessment.Perf.MaxWaiting(),
+			def.Config.Replicas, def.Evaluations, def.Assessment.Perf.MaxWaiting())
 	}
 }
 

@@ -294,6 +294,10 @@ func perfRoute(ds []Disagreement, sys *System, models []*spec.Model, report *per
 			Horizon:      horizon,
 			Warmup:       warmup,
 			Dispatch:     sim.Random,
+			// Walk the uncollapsed charts: the collapsed walker gives an
+			// AND state one exponential residence, which skews the request
+			// stream M/G/1 is measured against.
+			TrueConcurrency: true,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("crossval: perf-route simulation: %w", err)

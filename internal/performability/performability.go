@@ -20,20 +20,20 @@ import (
 type SaturationPolicy int
 
 const (
+	// ExcludeDown, the zero value, conditions the expectation on the
+	// system states in which every needed server type has at least one
+	// replica up (and no queue is saturated), reporting the waiting time
+	// experienced while the WFMS is operational. The excluded
+	// probability mass is reported separately as the unavailability.
+	ExcludeDown SaturationPolicy = iota
 	// Strict propagates infinities: if any reachable system state has
 	// an unstable queue, W^Y is +Inf. This is the literal reading of
-	// the Section 6 formula.
-	Strict SaturationPolicy = iota
+	// the Section 6 formula, and it is selected by name.
+	Strict
 	// Penalty replaces each infinite per-state waiting time with
 	// Options.PenaltyValue, modeling a bounded user-visible outage cost
 	// (e.g. a timeout) instead of an unbounded queue.
 	Penalty
-	// ExcludeDown conditions the expectation on the system states in
-	// which every needed server type has at least one replica up (and
-	// no queue is saturated), reporting the waiting time experienced
-	// while the WFMS is operational. The excluded probability mass is
-	// reported separately as the unavailability.
-	ExcludeDown
 )
 
 // String returns the policy's name.
@@ -52,8 +52,9 @@ func (p SaturationPolicy) String() string {
 
 // Options configures the performability evaluation.
 type Options struct {
-	// Policy selects the saturation handling; the default Strict is
-	// the literal model.
+	// Policy selects the saturation handling; the default ExcludeDown
+	// is the decomposition Section 7.1 plans with (Strict is the literal
+	// model).
 	Policy SaturationPolicy
 	// PenaltyValue is the substitute waiting time under Penalty.
 	PenaltyValue float64

@@ -185,9 +185,6 @@ type AssessRequest struct {
 	Config []int           `json:"config"`
 	Goals  GoalsJSON       `json:"goals"`
 	Model  ModelJSON       `json:"model,omitempty"`
-	// Tenant attributes the request for quota accounting; the X-Tenant
-	// header is the fallback, then the shared default tenant.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // AssessmentJSON reports how a configuration fares against the goals.
@@ -266,9 +263,6 @@ type RecommendRequest struct {
 	// TimeoutMillis bounds the search; 0 inherits the server default.
 	// Negative values are rejected with a typed invalid_request error.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// Tenant attributes the request for quota accounting (X-Tenant
-	// header fallback).
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // TraceStepJSON mirrors config.Step. AddedType and RemovedType are -1
@@ -317,10 +311,6 @@ type AssessBatchRequest struct {
 	// TimeoutMillis bounds the whole batch; 0 inherits the server
 	// default. Negative values are rejected.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// Tenant attributes the batch for quota accounting (X-Tenant header
-	// fallback). The batch's full token weight counts against the
-	// tenant's budget.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // AssessBatchItemJSON is one item's outcome, in input order. Exactly
@@ -364,7 +354,6 @@ type RecommendBatchRequest struct {
 	Items         []RecommendBatchItem `json:"items"`
 	Model         ModelJSON            `json:"model,omitempty"`
 	TimeoutMillis int64                `json:"timeout_ms,omitempty"`
-	Tenant        string               `json:"tenant,omitempty"`
 }
 
 // RecommendBatchItemJSON is one item's outcome, in input order.
@@ -381,32 +370,6 @@ type RecommendBatchResponse struct {
 	ModelBuilds int                      `json:"model_builds"`
 	CacheWarm   int                      `json:"cache_warm"`
 	ElapsedMS   float64                  `json:"elapsed_ms"`
-}
-
-// JobSubmitResponse is the 202 reply of POST /v1/jobs/recommend.
-type JobSubmitResponse struct {
-	ID      string `json:"job_id"`
-	State   string `json:"state"`
-	Planner string `json:"planner"`
-}
-
-// JobStatusResponse is the GET/DELETE /v1/jobs/{id} reply. Result is
-// present once State is "done"; Error/Code once it is "failed" (or
-// "canceled", where Code is "canceled").
-type JobStatusResponse struct {
-	ID      string `json:"job_id"`
-	State   string `json:"state"`
-	Planner string `json:"planner"`
-	Tenant  string `json:"tenant,omitempty"`
-	// QueuedMS is the time spent waiting for admission; RunningMS the
-	// planner time so far (or total, once terminal).
-	QueuedMS  Float `json:"queued_ms"`
-	RunningMS Float `json:"running_ms,omitempty"`
-	// ExpiresInMS is the remaining result retention of a terminal job.
-	ExpiresInMS Float              `json:"expires_in_ms,omitempty"`
-	Result      *RecommendResponse `json:"result,omitempty"`
-	Error       string             `json:"error,omitempty"`
-	Code        string             `json:"code,omitempty"`
 }
 
 // CalibrateRequest feeds an audit trail through the calibration
@@ -564,24 +527,6 @@ type BatchStatsJSON struct {
 	Builds uint64 `json:"builds"`
 }
 
-// JobsStatsJSON summarizes the async job registry on /v1/stats.
-type JobsStatsJSON struct {
-	Resident  int            `json:"resident"`
-	ByState   map[string]int `json:"by_state,omitempty"`
-	Submitted uint64         `json:"submitted"`
-	Done      uint64         `json:"done"`
-	Failed    uint64         `json:"failed"`
-	Canceled  uint64         `json:"canceled"`
-	Expired   uint64         `json:"expired"`
-}
-
-// TenantStatsJSON reports one tenant's admission accounting.
-type TenantStatsJSON struct {
-	Requests   uint64 `json:"requests"`
-	Rejections uint64 `json:"rejections"`
-	InUse      int    `json:"in_use"`
-}
-
 // EvaluatorStatsJSON reports one warm model entry on /v1/stats.
 type EvaluatorStatsJSON struct {
 	Fingerprint string `json:"fingerprint"`
@@ -614,13 +559,11 @@ type StatsResponse struct {
 	Admission  AdmissionStatsJSON           `json:"admission"`
 	Ingest     IngestStatsJSON              `json:"ingest"`
 	Batch      BatchStatsJSON               `json:"batch"`
-	Jobs       JobsStatsJSON                `json:"jobs"`
-	Tenants    map[string]TenantStatsJSON   `json:"tenants,omitempty"`
 	Endpoints  map[string]EndpointStatsJSON `json:"endpoints"`
 	// Errors counts error responses by machine-readable code.
 	Errors map[string]uint64 `json:"errors,omitempty"`
-	// Panics counts panics recovered in handlers, batch items, async
-	// jobs and re-plans (each one is a bug, logged with its stack).
+	// Panics counts panics recovered in handlers, batch items and
+	// re-plans (each one is a bug, logged with its stack).
 	Panics uint64 `json:"panics"`
 	// ClampedStages counts Erlang stage expansions the subworkflow
 	// collapse clamped at its cap across cold model builds — each one a
@@ -721,7 +664,6 @@ type DeploymentRequest struct {
 	Goals       GoalsJSON       `json:"goals"`
 	Constraints ConstraintsJSON `json:"constraints,omitempty"`
 	Model       ModelJSON       `json:"model,omitempty"`
-	Tenant      string          `json:"tenant,omitempty"`
 }
 
 // DeploymentJSON reports one registered deployment.

@@ -7,9 +7,9 @@ package server
 // fingerprint trigger exactly one model build no matter how they are
 // interleaved, and a batch riding over an already-warm system builds
 // nothing at all. One batch takes one admission pass whose token weight
-// is the number of items it runs at once (admission.width: capped at the
-// worker budget and the tenant budget), keeping the weighted FIFO
-// semaphore the single arbiter of planner concurrency.
+// is the number of items it runs at once (capped at the worker budget),
+// keeping the weighted FIFO semaphore the single arbiter of planner
+// concurrency.
 
 import (
 	"context"
@@ -97,13 +97,12 @@ type batchTotals struct {
 }
 
 // serveBatch is the one batch path, after the body is decoded: the
-// envelope checks, the deadline, one admission pass for the tenant,
-// fingerprinting n items, the fan-out, the counters and the totals.
-// decode fingerprints item i; work runs an item against its resolved
-// model and returns the item's error, if any; fail records item i's
-// error. ok is false iff the batch was refused, with the error response
-// written.
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, n int, timeoutMS int64, tenant string,
+// envelope checks, the deadline, one admission pass, fingerprinting n
+// items, the fan-out, the counters and the totals. decode fingerprints
+// item i; work runs an item against its resolved model and returns the
+// item's error, if any; fail records item i's error. ok is false iff
+// the batch was refused, with the error response written.
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, n int, timeoutMS int64,
 	decode func(i int) system,
 	work func(ctx context.Context, i int, it *system, entry *modelEntry, warm bool) error,
 	fail func(i int, err *ErrorResponse),
@@ -124,13 +123,15 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, n int, timeo
 	}
 	ctx, cancel := s.deadline(r.Context(), timeoutMS)
 	defer cancel()
-	weight := s.admission.width(n)
-	release, err := s.admission.acquire(ctx, tenantOf(r, tenant), weight)
-	if err != nil {
-		s.writeError(w, r, quotaStatus(err), err)
+	// The batch holds one token per item it runs at once: n (at least 1,
+	// checked above) clamped to the worker budget, so a batch wider than
+	// the budget is admitted at the budget's width, not refused.
+	weight := min(n, s.opts.Workers)
+	if err := s.sem.Acquire(ctx, weight); err != nil {
+		s.writeError(w, r, statusForError(err), err)
 		return t, false
 	}
-	defer release()
+	defer s.sem.Release(weight)
 
 	began := time.Now()
 	items := make([]system, n)
@@ -186,7 +187,7 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := make([]AssessBatchItemJSON, len(req.Items))
-	t, ok := s.serveBatch(w, r, len(req.Items), req.TimeoutMillis, req.Tenant,
+	t, ok := s.serveBatch(w, r, len(req.Items), req.TimeoutMillis,
 		func(i int) system { return decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model) },
 		func(ctx context.Context, i int, it *system, entry *modelEntry, warm bool) error {
 			as, err := entry.assess(ctx, req.Items[i].Config, req.Items[i].Goals.toGoals(), it.popts)
@@ -211,7 +212,7 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]RecommendBatchItemJSON, len(req.Items))
 	planners := make([]string, len(req.Items))
-	t, ok := s.serveBatch(w, r, len(req.Items), req.TimeoutMillis, req.Tenant,
+	t, ok := s.serveBatch(w, r, len(req.Items), req.TimeoutMillis,
 		func(i int) system {
 			it := decodeItem(&req.Items[i].System, req.Items[i].Model, req.Model)
 			planner, err := validatePlanner(req.Items[i].Planner)

@@ -6,6 +6,7 @@ package server
 // validation (size bounds, negative timeouts).
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -86,39 +87,38 @@ func TestAssessBatchAmortizesBuilds(t *testing.T) {
 	}
 }
 
-// TestBatchWithinTenantBudget pins the batch weight under tenant
-// quotas: a batch with more items than the tenant budget is admitted on
-// an idle server at the budget's width, every item answers, and its
-// tokens come back afterwards.
-func TestBatchWithinTenantBudget(t *testing.T) {
+// TestBatchWiderThanWorkerBudget pins the batch weight: a batch with
+// more items than the worker budget is admitted at the budget's width,
+// not refused. With one of two tokens held it queues (it wants both),
+// and once that token comes back every item answers and the batch's
+// tokens are returned.
+func TestBatchWiderThanWorkerBudget(t *testing.T) {
 	doc, _ := paperSystem(t)
-	_, ts := newTestServer(t, Options{Workers: 4, TenantBudget: 2})
+	s, ts := newTestServer(t, Options{Workers: 2})
 
-	req := AssessBatchRequest{Tenant: "alice"}
+	req := AssessBatchRequest{}
 	for _, cfg := range batchConfigs() {
 		req.Items = append(req.Items, AssessBatchItem{System: doc, Config: cfg, Goals: GoalsJSON{MaxUnavailability: 1e-5}})
 	}
-	var resp AssessBatchResponse
-	if status, e := postRaw(t, ts.URL+"/v1/assess-batch", mustJSON(t, req)); status != http.StatusOK {
-		t.Fatalf("batch of %d items under budget 2: status %d (%s: %s), want 200", len(req.Items), status, e.Code, e.Error)
+	mustAcquire(t, s.sem, 1)
+	done := postInBackground(ts.URL+"/v1/assess-batch", []byte(mustJSON(t, req)))
+	awaitQueued(t, s.sem, done)
+	s.sem.Release(1)
+	r := <-done
+	if r.status != http.StatusOK {
+		t.Fatalf("batch of %d items on a budget of 2: status %d, want 200: %s", len(req.Items), r.status, r.body)
 	}
-	if status := postJSON(t, ts.URL+"/v1/assess-batch", req, &resp); status != http.StatusOK {
-		t.Fatalf("second batch status = %d, want 200", status)
+	var resp AssessBatchResponse
+	if err := json.Unmarshal(r.body, &resp); err != nil {
+		t.Fatal(err)
 	}
 	for i, item := range resp.Items {
 		if item.Error != nil || item.Assessment == nil {
 			t.Errorf("item %d: %+v, want an assessment", i, item.Error)
 		}
 	}
-	var stats StatsResponse
-	if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
-		t.Fatalf("stats status = %d", status)
-	}
-	if alice := stats.Tenants["alice"]; alice.Requests != 2 || alice.Rejections != 0 || alice.InUse != 0 {
-		t.Errorf("alice stats = %+v, want requests=2 rejections=0 in_use=0", alice)
-	}
-	if stats.Admission.InUse != 0 {
-		t.Errorf("admission in_use = %d after the batches, want 0", stats.Admission.InUse)
+	if got := s.sem.InUse(); got != 0 {
+		t.Errorf("admission in_use = %d after the batch, want 0", got)
 	}
 }
 

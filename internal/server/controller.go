@@ -306,12 +306,11 @@ func (s *Server) runReconfigure(ev driftEvent) {
 	defer cancel()
 	// The controller competes for workers like any client: a re-plan
 	// must not starve interactive requests.
-	release, err := s.admission.acquire(ctx, "", 1)
-	if err != nil {
+	if err := s.sem.Acquire(ctx, 1); err != nil {
 		s.ctrl.refused()
 		return
 	}
-	defer release()
+	defer s.sem.Release(1)
 
 	adv.OldConfig = dep.currentConfig()
 	entry, _, err := s.resolve(ctx, &dep.sys)
@@ -371,12 +370,11 @@ func (s *Server) handleDeploymentPost(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	release, err := s.admission.acquire(ctx, tenantOf(r, req.Tenant), 1)
-	if err != nil {
-		s.writeError(w, r, quotaStatus(err), err)
+	if err := s.sem.Acquire(ctx, 1); err != nil {
+		s.writeError(w, r, statusForError(err), err)
 		return
 	}
-	defer release()
+	defer s.sem.Release(1)
 
 	entry, _, err := s.resolve(ctx, &it)
 	if err != nil {
@@ -479,12 +477,11 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	release, err := s.admission.acquire(ctx, tenantOf(r, ""), 1)
-	if err != nil {
-		s.writeError(w, r, quotaStatus(err), err)
+	if err := s.sem.Acquire(ctx, 1); err != nil {
+		s.writeError(w, r, statusForError(err), err)
 		return
 	}
-	defer release()
+	defer s.sem.Release(1)
 
 	began := time.Now()
 	table, err := sensitivity.Compute(ctx, entry.ev, perf.Config{Replicas: replicas}, sensitivity.Options{})

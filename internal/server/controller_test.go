@@ -230,7 +230,7 @@ func TestInfeasibleSurfacesEndToEnd(t *testing.T) {
 			Goals:       GoalsJSON{MaxUnavailability: 1e-12},
 			Constraints: ConstraintsJSON{MaxReplicas: []int{2, 2, 2}},
 		}
-		status, e := postJSONTenant(t, ts.URL+"/v1/recommend", "", req)
+		status, e := postRaw(t, ts.URL+"/v1/recommend", mustJSON(t, req))
 		if status != http.StatusUnprocessableEntity {
 			t.Errorf("%s: status = %d, want 422", planner, status)
 		}

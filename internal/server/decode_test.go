@@ -86,7 +86,7 @@ func splitBodies(t testing.TB) []string {
 		`{`+strings.TrimSuffix(rest, `}`)+`,"system":`+doc+`}`,
 		swap(`{"system":`, `{"System":`),
 		swap(`{"system":`, `{"syst\u0065m":`),
-		swap(`{"system":`, `{"tenant":"t","system":`),
+		swap(`{"system":`, `{"config":[2,2,2],"system":`),
 		// A second "system" merges into the first, whichever route decoded
 		// it, under every spelling encoding/json folds onto the name.
 		swap(`,"config"`, `,"system":{"workflows":[]},"config"`),
@@ -101,9 +101,9 @@ func splitBodies(t testing.TB) []string {
 		swap(`,"config"`, `,"system":null,"config"`),
 		`{"system":`+doc+`,"system":`+doc+`,`+rest,
 		// Bytes that only look like a second "system" take the same route.
-		swap(`,"config"`, `,"tenant":"ops-system","config"`),
-		swap(`,"config"`, `,"tenant":"a\"b","config"`),
-		swap(`,"config"`, `,"tenant":"écosystème","config"`),
+		swap(`,"config"`, `,"model":{"policy":"ops-system"},"config"`),
+		swap(`,"config"`, `,"model":{"policy":"a\"b"},"config"`),
+		swap(`,"config"`, `,"model":{"policy":"écosystème"},"config"`),
 		// The remaining members: absent, malformed, mistyped, unknown.
 		`{"system":`+doc+`}`,
 		`{"system":`+doc+` } `,

@@ -318,12 +318,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// flood of batches must not starve the planner pools.
 	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	release, err := s.admission.acquire(ctx, "", 1)
-	if err != nil {
-		s.writeError(w, r, quotaStatus(err), err)
+	if err := s.sem.Acquire(ctx, 1); err != nil {
+		s.writeError(w, r, statusForError(err), err)
 		return
 	}
-	defer release()
+	defer s.sem.Release(1)
 
 	score, crossed, gen := s.streams.observe(st, recs)
 	invalidated := 0

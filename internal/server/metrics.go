@@ -182,10 +182,9 @@ func (s *Server) stats() StatsResponse {
 		resp.Endpoints[name] = m.stats()
 	}
 	s.models.stats(&resp)
-	s.admission.stats(&resp)
+	s.sem.stats(&resp)
 	s.streams.stats(&resp)
 	s.batches.stats(&resp)
-	s.jobs.stats(&resp)
 	s.errs.stats(&resp)
 	return resp
 }
@@ -229,26 +228,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	labeled(&p, "wfmsd_errors_total", "counter", "Error responses by machine-readable code.", "code",
 		st.Errors, func(n uint64) any { return n })
-	p.metric("wfmsd_panics_total", "counter", "Panics recovered in handlers, batch items, jobs and re-plans.", st.Panics)
+	p.metric("wfmsd_panics_total", "counter", "Panics recovered in handlers, batch items and re-plans.", st.Panics)
 
 	p.metric("wfmsd_admission_in_use", "gauge", "Planner-worker tokens currently held.", st.Admission.InUse)
 	p.metric("wfmsd_admission_waiting", "gauge", "Requests queued for planner-worker tokens.", st.Admission.Waiting)
-	labeled(&p, "wfmsd_tenant_requests_total", "counter", "Admissions requested per tenant.", "tenant",
-		st.Tenants, func(t TenantStatsJSON) any { return t.Requests })
-	labeled(&p, "wfmsd_tenant_rejections_total", "counter", "Tenant-quota rejections (budget_exceeded).", "tenant",
-		st.Tenants, func(t TenantStatsJSON) any { return t.Rejections })
-	labeled(&p, "wfmsd_tenant_in_use", "gauge", "Planner-worker tokens held per tenant.", "tenant",
-		st.Tenants, func(t TenantStatsJSON) any { return t.InUse })
 
 	p.metric("wfmsd_batch_items_total", "counter", "Items processed by the batch endpoints.", st.Batch.Items)
 	p.metric("wfmsd_batch_builds_total", "counter", "Cold model builds performed by batch requests (misses after fingerprint grouping).", st.Batch.Builds)
-	p.metric("wfmsd_jobs_resident", "gauge", "Async jobs resident (queued, running, or retained).", st.Jobs.Resident)
-	p.family("wfmsd_jobs_total", "counter", "Async jobs by lifecycle event.")
-	p.sample("wfmsd_jobs_total", st.Jobs.Submitted, label("event", "submitted"))
-	p.sample("wfmsd_jobs_total", st.Jobs.Done, label("event", "done"))
-	p.sample("wfmsd_jobs_total", st.Jobs.Failed, label("event", "failed"))
-	p.sample("wfmsd_jobs_total", st.Jobs.Canceled, label("event", "canceled"))
-	p.sample("wfmsd_jobs_total", st.Jobs.Expired, label("event", "expired"))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, p.String())

@@ -79,7 +79,7 @@ func TestHistogramQuantileConcurrent(t *testing.T) {
 // registered route has a latency series.
 func TestStatsAndMetricsAgree(t *testing.T) {
 	_, _, doc := ingestSystem(t)
-	s, ts := newTestServer(t, Options{Workers: 2, TenantBudget: 1, MaxBodyBytes: 256 << 10})
+	s, ts := newTestServer(t, Options{Workers: 2, MaxBodyBytes: 256 << 10})
 	goals := GoalsJSON{MaxUnavailability: 1e-2}
 
 	var as AssessResponse
@@ -98,28 +98,25 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	if status, _, e := postEvents(t, ts.URL, as.Fingerprint, ingestRecords(120, 0)); status != http.StatusOK {
 		t.Fatalf("events status = %d (%s)", status, e.Error)
 	}
-	status, sub := submitJob(t, ts.URL+"/v1/jobs/recommend", RecommendRequest{System: doc, Goals: goals})
-	if status != http.StatusAccepted {
-		t.Fatalf("job submit status = %d", status)
+	if status := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{System: doc, Goals: goals}, nil); status != http.StatusOK {
+		t.Fatalf("recommend status = %d", status)
 	}
-	if st := pollJob(t, ts.URL+"/v1/jobs/"+sub.ID, func(st JobStatusResponse) bool { return jobState(st.State).terminal() }); st.State != string(jobDone) {
-		t.Fatalf("job ended %q (%s), want done", st.State, st.Error)
+	if status, e := postRaw(t, ts.URL+"/v1/recommend", mustJSON(t, RecommendRequest{System: doc, Goals: goals, TimeoutMillis: -1})); status != http.StatusUnprocessableEntity {
+		t.Fatalf("negative timeout status = %d (%s), want 422", status, e.Code)
 	}
-	release, err := s.admission.quotas.acquire("alice", 1)
-	if err != nil {
-		t.Fatal(err)
+	if status, _, _ := postEvents(t, ts.URL, "feedcafe", ingestRecords(2, 0)); status != http.StatusNotFound {
+		t.Fatalf("unknown fingerprint status = %d, want 404", status)
 	}
-	if status, _ := postJSONTenant(t, ts.URL+"/v1/assess", "alice", AssessRequest{System: doc, Config: []int{2}, Goals: goals}); status != http.StatusTooManyRequests {
-		t.Fatalf("over-budget tenant status = %d, want 429", status)
-	}
-	release()
 	big := `{"system": {"pad": "` + strings.Repeat("y", 300<<10) + `"}}`
 	if status, _ := postRaw(t, ts.URL+"/v1/assess", big); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body status = %d, want 413", status)
 	}
-	// The job runner hands its admission token back after publishing the
-	// result; wait for it so both reads see the same quiescent server.
-	for deadline := time.Now().Add(10 * time.Second); s.admission.sem.InUse() != 0; time.Sleep(time.Millisecond) {
+	// A batch item's panic is contained and counted.
+	s.forEachItem(1, 1, func(int) { panic("boom") }, func(int, error) {})
+	// A handler hands its admission token back just after its reply is
+	// written; wait for the last one so both reads see the same quiescent
+	// server.
+	for deadline := time.Now().Add(10 * time.Second); s.sem.InUse() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("admission tokens still held after the run")
 		}
@@ -156,34 +153,23 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		series[line[:at]] = line[at+1:]
 	}
 	want := map[string]any{
-		"wfmsd_model_cache_entries":           st.ModelCache.Size,
-		"wfmsd_model_cache_hits_total":        st.ModelCache.Hits,
-		"wfmsd_model_cache_misses_total":      st.ModelCache.Misses,
-		"wfmsd_model_cache_evictions_total":   st.ModelCache.Evictions,
-		"wfmsd_clamped_stages_total":          st.ClampedStages,
-		"wfmsd_events_ingested_total":         st.Ingest.Events,
-		"wfmsd_event_batches_total":           st.Ingest.Batches,
-		"wfmsd_drift_invalidations_total":     st.Ingest.Invalidations,
-		"wfmsd_ingest_streams":                st.Ingest.Streams,
-		"wfmsd_panics_total":                  st.Panics,
-		"wfmsd_admission_in_use":              st.Admission.InUse,
-		"wfmsd_admission_waiting":             st.Admission.Waiting,
-		"wfmsd_batch_items_total":             st.Batch.Items,
-		"wfmsd_batch_builds_total":            st.Batch.Builds,
-		"wfmsd_jobs_resident":                 st.Jobs.Resident,
-		`wfmsd_jobs_total{event="submitted"}`: st.Jobs.Submitted,
-		`wfmsd_jobs_total{event="done"}`:      st.Jobs.Done,
-		`wfmsd_jobs_total{event="failed"}`:    st.Jobs.Failed,
-		`wfmsd_jobs_total{event="canceled"}`:  st.Jobs.Canceled,
-		`wfmsd_jobs_total{event="expired"}`:   st.Jobs.Expired,
+		"wfmsd_model_cache_entries":         st.ModelCache.Size,
+		"wfmsd_model_cache_hits_total":      st.ModelCache.Hits,
+		"wfmsd_model_cache_misses_total":    st.ModelCache.Misses,
+		"wfmsd_model_cache_evictions_total": st.ModelCache.Evictions,
+		"wfmsd_clamped_stages_total":        st.ClampedStages,
+		"wfmsd_events_ingested_total":       st.Ingest.Events,
+		"wfmsd_event_batches_total":         st.Ingest.Batches,
+		"wfmsd_drift_invalidations_total":   st.Ingest.Invalidations,
+		"wfmsd_ingest_streams":              st.Ingest.Streams,
+		"wfmsd_panics_total":                st.Panics,
+		"wfmsd_admission_in_use":            st.Admission.InUse,
+		"wfmsd_admission_waiting":           st.Admission.Waiting,
+		"wfmsd_batch_items_total":           st.Batch.Items,
+		"wfmsd_batch_builds_total":          st.Batch.Builds,
 	}
 	for code, n := range st.Errors {
 		want[fmt.Sprintf("wfmsd_errors_total{code=%q}", code)] = n
-	}
-	for name, ts := range st.Tenants {
-		want[fmt.Sprintf("wfmsd_tenant_requests_total{tenant=%q}", name)] = ts.Requests
-		want[fmt.Sprintf("wfmsd_tenant_rejections_total{tenant=%q}", name)] = ts.Rejections
-		want[fmt.Sprintf("wfmsd_tenant_in_use{tenant=%q}", name)] = ts.InUse
 	}
 	// The two reads are themselves requests: /v1/stats counted neither
 	// itself nor /metrics, so those two routes are left out.
@@ -205,8 +191,8 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		}
 	}
 	// The run moved what it scripted.
-	if st.ModelCache.Hits == 0 || st.ModelCache.Misses == 0 || st.Ingest.Events == 0 || st.Batch.Items != 2 ||
-		st.Jobs.Done != 1 || st.Tenants["alice"].Rejections != 1 || st.Errors["payload_too_large"] != 1 {
+	if st.ModelCache.Hits == 0 || st.ModelCache.Misses == 0 || st.Ingest.Events == 0 || st.Batch.Items != 2 || st.Panics != 1 ||
+		st.Errors["invalid_request"] != 1 || st.Errors["not_found"] != 1 || st.Errors["payload_too_large"] != 1 {
 		t.Errorf("scripted run left stats %+v", st)
 	}
 	for name := range s.endpoints {

@@ -7,16 +7,17 @@ import (
 )
 
 // semaphore is a weighted, FIFO-fair counting semaphore with context
-// support — the admission controller in front of the heavy endpoints.
-// Its capacity is the server's total planner-worker budget; a request
-// acquires as many tokens as the worker-pool width its planner will run
-// with, so N concurrent recommendations never hold more worker slots
-// than the machine was configured for.
+// support — the one admission gate in front of the heavy endpoints.
+// Its capacity is the server's total planner-worker budget
+// (Options.Workers). Every planner run is sequential and holds one
+// token; internal work (event ingestion, calibration, re-plans) takes
+// one like any client, and a batch takes one per item it runs at once,
+// so N concurrent recommendations never hold more worker slots than the
+// machine was configured for.
 //
-// FIFO fairness matters here: a wide waiter (a cold recommendation
-// wanting many tokens) must not be starved by a stream of narrow ones,
-// so later arrivals queue behind it even when their smaller weight would
-// fit.
+// FIFO fairness matters here: a wide waiter (a batch wanting many
+// tokens) must not be starved by a stream of narrow ones, so later
+// arrivals queue behind it even when their smaller weight would fit.
 type semaphore struct {
 	size int
 
@@ -120,4 +121,13 @@ func (s *semaphore) InUse() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cur
+}
+
+func (s *semaphore) stats(resp *StatsResponse) {
+	resp.Admission = AdmissionStatsJSON{
+		WorkerBudget: s.size,
+		PerRequest:   1,
+		InUse:        s.InUse(),
+		Waiting:      s.Waiting(),
+	}
 }

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +17,41 @@ func mustAcquire(t *testing.T, s *semaphore, n int) {
 	defer cancel()
 	if err := s.Acquire(ctx, n); err != nil {
 		t.Fatalf("Acquire(%d): %v", n, err)
+	}
+}
+
+// postInBackground posts body to url on another goroutine; the reply
+// (status -1 when the request itself fails) arrives on the channel.
+func postInBackground(url string, body []byte) <-chan reply {
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- reply{status: -1, body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		done <- reply{status: resp.StatusCode, body: raw}
+	}()
+	return done
+}
+
+type reply struct {
+	status int
+	body   []byte
+}
+
+// awaitQueued waits until one acquirer is queued on s, failing if the
+// request whose reply arrives on done finished without queuing.
+func awaitQueued(t *testing.T, s *semaphore, done <-chan reply) {
+	t.Helper()
+	for s.Waiting() != 1 {
+		select {
+		case r := <-done:
+			t.Fatalf("request finished with status %d without queuing for a token: %s", r.status, r.body)
+		case <-time.After(time.Millisecond):
+		}
 	}
 }
 
@@ -278,5 +317,61 @@ func TestSemaphoreConcurrentLoad(t *testing.T) {
 	}
 	if peak == 0 {
 		t.Error("no acquisition observed")
+	}
+}
+
+// TestInternalWorkTakesOneToken pins the weight of internal work: event
+// ingestion queues while every token is held and runs as soon as one
+// comes back, beside requests holding all the others.
+func TestInternalWorkTakesOneToken(t *testing.T) {
+	_, _, doc := ingestSystem(t)
+	s, ts := newTestServer(t, Options{Workers: 3})
+	var as AssessResponse
+	if status := postJSON(t, ts.URL+"/v1/assess", AssessRequest{
+		System: doc, Config: []int{2}, Goals: GoalsJSON{MaxUnavailability: 1e-2},
+	}, &as); status != http.StatusOK {
+		t.Fatalf("assess status = %d", status)
+	}
+
+	var events bytes.Buffer
+	enc := json.NewEncoder(&events)
+	for _, rec := range ingestRecords(2, 0) {
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustAcquire(t, s.sem, 3)
+	done := postInBackground(ts.URL+"/v1/events?fingerprint="+as.Fingerprint, events.Bytes())
+	awaitQueued(t, s.sem, done)
+	s.sem.Release(1)
+	if r := <-done; r.status != http.StatusOK {
+		t.Fatalf("events with one token free: status %d, want 200: %s", r.status, r.body)
+	}
+	// The handler hands its token back just after its reply is written.
+	for deadline := time.Now().Add(10 * time.Second); s.sem.InUse() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("InUse = %d after the events, want the 2 still held", s.sem.InUse())
+		}
+	}
+	s.sem.Release(2)
+}
+
+// TestRecommendDeadlineWhileQueued: a request whose deadline passes
+// while it waits for a token answers 504 deadline_exceeded and leaves
+// the queue, instead of hanging.
+func TestRecommendDeadlineWhileQueued(t *testing.T) {
+	doc, _ := paperSystem(t)
+	s, ts := newTestServer(t, Options{Workers: 2})
+	mustAcquire(t, s.sem, 2)
+	defer s.sem.Release(2)
+
+	status, e := postRaw(t, ts.URL+"/v1/recommend", mustJSON(t, RecommendRequest{
+		System: doc, Goals: GoalsJSON{MaxUnavailability: 1e-5}, TimeoutMillis: 30,
+	}))
+	if status != http.StatusGatewayTimeout || e.Code != "deadline_exceeded" {
+		t.Fatalf("status/code = %d/%q, want 504/deadline_exceeded (%s)", status, e.Code, e.Error)
+	}
+	if got := s.sem.Waiting(); got != 0 {
+		t.Errorf("Waiting = %d after the deadline, want 0", got)
 	}
 }

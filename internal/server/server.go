@@ -6,9 +6,6 @@
 //	POST /v1/recommend        run a planner (greedy/exhaustive/bnb)
 //	POST /v1/assess-batch     evaluate many items, amortizing model builds
 //	POST /v1/recommend-batch  plan many items, amortizing model builds
-//	POST /v1/jobs/recommend   submit an async planner job → job id
-//	GET  /v1/jobs/{id}        poll a job (queued/running/done/failed)
-//	DELETE /v1/jobs/{id}      cancel a job, or discard a finished result
 //	POST /v1/calibrate        ingest audit-trail records, re-derive the models
 //	POST /v1/events           stream audit records, score drift against the model
 //	GET  /v1/drift            drift state of every ingestion stream
@@ -24,19 +21,19 @@
 // models (the built analysis plus a performability evaluator holding the
 // availability marginals) by the system's fingerprint in a bounded LRU,
 // so repeated what-if queries over the same system skip the model build
-// entirely, and admits planner work through one gate, admission.acquire:
-// a weighted semaphore of Options.Workers tokens, one per concurrent
-// planner run, under per-tenant quotas, so concurrent recommendations
-// cannot oversubscribe the cores. Request contexts thread through the
-// planners: a client disconnect or timeout cancels the in-flight search
-// promptly, discarding partial results.
+// entirely, and admits planner work through one gate: a weighted FIFO
+// semaphore of Options.Workers tokens, one per concurrent planner run,
+// so concurrent recommendations cannot oversubscribe the cores. Every
+// planning request is answered synchronously. Request contexts thread
+// through the planners: a client disconnect or timeout cancels the
+// in-flight search promptly, discarding partial results.
 //
 // Server is an HTTP shell around one owner per concern, each holding
-// its own counters and lifecycle: admission (quota.go), the model cache
-// (cache.go), ingestion streams (ingest.go), the reconfiguration
-// controller (controller.go), async jobs (jobs.go), batch counters
-// (batch.go) and error counters (server.go). Each owner reports through
-// one stats method; /v1/stats and /metrics render that one snapshot.
+// its own counters and lifecycle: admission (semaphore.go), the model
+// cache (cache.go), ingestion streams (ingest.go), the reconfiguration
+// controller (controller.go), batch counters (batch.go) and error
+// counters (server.go). Each owner reports through one stats method;
+// /v1/stats and /metrics render that one snapshot.
 package server
 
 import (
@@ -99,16 +96,6 @@ type Options struct {
 	// MaxBatchItems bounds the item count of one batch request;
 	// 0 means 256.
 	MaxBatchItems int
-	// JobTTL is how long a finished async job's result stays pollable;
-	// 0 means 15 minutes.
-	JobTTL time.Duration
-	// MaxJobs bounds the resident (queued + running + retained) async
-	// jobs; 0 means 1024.
-	MaxJobs int
-	// TenantBudget is the per-tenant cap on concurrent planner runs
-	// (admission tokens; a batch holds one per item it runs at once).
-	// 0 disables tenant quotas.
-	TenantBudget int
 	// Reconfigure starts the reconfiguration controller: drift
 	// crossings of registered deployments (POST /v1/deployments)
 	// trigger warm-started re-plans whose outcomes are published on
@@ -128,13 +115,12 @@ type Server struct {
 	reqID     atomic.Uint64
 	endpoints map[string]*endpointMetrics
 
-	admission *admission      // quota.go
-	models    *modelCache     // cache.go
-	streams   *streamRegistry // ingest.go
-	ctrl      *controller     // controller.go
-	jobs      *jobRegistry    // jobs.go
-	batches   batchCounters   // batch.go
-	errs      errorCounters   // server.go
+	sem     *semaphore      // semaphore.go
+	models  *modelCache     // cache.go
+	streams *streamRegistry // ingest.go
+	ctrl    *controller     // controller.go
+	batches batchCounters   // batch.go
+	errs    errorCounters   // server.go
 
 	// noBodySplit sends every body through encoding/json whole. Only
 	// tests set it, to hold decodeBody's two routes against each other.
@@ -163,12 +149,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatchItems == 0 {
 		o.MaxBatchItems = 256
 	}
-	if o.JobTTL == 0 {
-		o.JobTTL = 15 * time.Minute
-	}
-	if o.MaxJobs == 0 {
-		o.MaxJobs = 1024
-	}
 	return o
 }
 
@@ -180,19 +160,15 @@ func New(opts Options) *Server {
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		endpoints: make(map[string]*endpointMetrics),
-		admission: newAdmission(opts.Workers, opts.TenantBudget),
+		sem:       newSemaphore(opts.Workers),
 		models:    newModelCache(opts.CacheSize, opts.Logger),
 		streams:   newStreamRegistry(opts.MaxStreams, opts.Drift, opts.StreamHalfLife),
 		ctrl:      newController(opts.Logger),
-		jobs:      newJobRegistry(opts.MaxJobs, opts.JobTTL),
 	}
 	s.route("POST /v1/assess", s.handleAssess)
 	s.route("POST /v1/recommend", s.handleRecommend)
 	s.route("POST /v1/assess-batch", s.handleAssessBatch)
 	s.route("POST /v1/recommend-batch", s.handleRecommendBatch)
-	s.route("POST /v1/jobs/recommend", s.handleJobSubmit)
-	s.route("GET /v1/jobs/{id}", s.handleJob)
-	s.route("DELETE /v1/jobs/{id}", s.handleJob)
 	s.route("POST /v1/calibrate", s.handleCalibrate)
 	s.route("POST /v1/events", s.handleEvents)
 	s.route("GET /v1/drift", s.handleDrift)
@@ -213,11 +189,9 @@ func New(opts Options) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Shutdown refuses new requests (503) and waits for the in-flight ones
-// — HTTP requests and async job runners both — to drain, or for ctx to
-// expire, in which case the job lifecycle context is canceled so
-// still-running searches unwind promptly. Callers cancel in-flight HTTP
-// work by shutting down the enclosing http.Server, whose base context
-// closes the request contexts.
+// and the reconfiguration controller to drain, or for ctx to expire.
+// Callers cancel in-flight HTTP work by shutting down the enclosing
+// http.Server, whose base context closes the request contexts.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed.Store(true)
 	// Stop the reconfiguration controller before waiting on the drains:
@@ -228,16 +202,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
-		s.jobs.wg.Wait()
 		s.ctrl.wg.Wait()
 		close(done)
 	}()
 	select {
 	case <-done:
-		s.jobs.cancel()
 		return nil
 	case <-ctx.Done():
-		s.jobs.cancel()
 		return ctx.Err()
 	}
 }
@@ -246,7 +217,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // per-request structured logging.
 func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request)) {
 	endpoint := pattern[strings.LastIndex(pattern, " ")+1:]
-	// Methods sharing a path pattern (GET and DELETE on /v1/jobs/{id})
+	// Methods sharing a path pattern (POST and GET on /v1/deployments)
 	// share one metrics series keyed by the path.
 	m, ok := s.endpoints[endpoint]
 	if !ok {
@@ -291,12 +262,11 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 type ctxKeyReqID struct{}
 
 // recoverPanic is deferred at the root of every goroutine that runs
-// planners or evaluators: the handler middleware, batch item workers,
-// async jobs and the reconfiguration controller. A residual panic (one
-// the typed-error routes did not intercept) must cost one request,
-// item, job or re-plan, never the process. It is counted, logged with
-// its stack for the bug report, and handed to fail as a typed internal
-// error.
+// planners or evaluators: the handler middleware, batch item workers
+// and the reconfiguration controller. A residual panic (one the
+// typed-error routes did not intercept) must cost one request, item or
+// re-plan, never the process. It is counted, logged with its stack for
+// the bug report, and handed to fail as a typed internal error.
 func (s *Server) recoverPanic(where string, fail func(error)) {
 	p := recover()
 	if p == nil {
@@ -370,12 +340,11 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	release, err := s.admission.acquire(ctx, tenantOf(r, req.Tenant), 1)
-	if err != nil {
-		s.refuse(w, r, &sys, quotaStatus(err), err)
+	if err := s.sem.Acquire(ctx, 1); err != nil {
+		s.refuse(w, r, &sys, statusForError(err), err)
 		return
 	}
-	defer release()
+	defer s.sem.Release(1)
 
 	sys.popts = popts
 	entry, warm, err := s.resolve(ctx, &sys)
@@ -431,9 +400,9 @@ func validatePlanner(name string) (string, error) {
 
 // runRecommend executes one planner search against a resolved warm
 // entry and assembles the wire response — the shared engine behind
-// /v1/recommend, /v1/recommend-batch items, and async jobs. planner
-// must already be canonical (validatePlanner); admission tokens are the
-// caller's concern.
+// /v1/recommend and /v1/recommend-batch items. planner must already be
+// canonical (validatePlanner); admission tokens are the caller's
+// concern.
 func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool, planner string, req *RecommendRequest, popts performability.Options) (*RecommendResponse, error) {
 	began := time.Now()
 	rec, err := planners[planner](ctx, entry.analysis, req.Goals.toGoals(), req.Constraints.toConstraints(),
@@ -465,56 +434,44 @@ func (s *Server) runRecommend(ctx context.Context, entry *modelEntry, warm bool,
 	return resp, nil
 }
 
-// decodeRecommend decodes and validates a recommend body, for
-// /v1/recommend and async job submission alike; sys is its system, with
-// the evaluation options set. ok is false iff it failed, with the error
-// response written.
-func (s *Server) decodeRecommend(w http.ResponseWriter, r *http.Request) (req *RecommendRequest, sys system, planner string, ok bool) {
-	req = new(RecommendRequest)
-	sys.doc = &req.System
-	if err := s.decodeBody(w, r, req, &sys); err != nil {
+func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
+	var req RecommendRequest
+	sys := system{doc: &req.System}
+	if err := s.decodeBody(w, r, &req, &sys); err != nil {
 		s.writeError(w, r, decodeStatus(err), err)
-		return nil, sys, "", false
+		return
 	}
 	popts, err := req.Model.toOptions()
 	if err == nil {
 		err = rejectNetTurnaround(req.Model)
 	}
+	var planner string
 	if err == nil {
 		planner, err = validatePlanner(req.Planner)
 	}
 	if err != nil {
 		s.refuse(w, r, &sys, http.StatusBadRequest, err)
-		return nil, sys, "", false
+		return
 	}
 	if err := validateTimeout(req.TimeoutMillis); err != nil {
 		s.refuse(w, r, &sys, http.StatusUnprocessableEntity, err)
-		return nil, sys, "", false
+		return
 	}
 	sys.popts = popts
-	return req, sys, planner, true
-}
-
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	req, sys, planner, ok := s.decodeRecommend(w, r)
-	if !ok {
-		return
-	}
 	ctx, cancel := s.deadline(r.Context(), req.TimeoutMillis)
 	defer cancel()
-	release, err := s.admission.acquire(ctx, tenantOf(r, req.Tenant), 1)
-	if err != nil {
-		s.refuse(w, r, &sys, quotaStatus(err), err)
+	if err := s.sem.Acquire(ctx, 1); err != nil {
+		s.refuse(w, r, &sys, statusForError(err), err)
 		return
 	}
-	defer release()
+	defer s.sem.Release(1)
 
 	entry, warm, err := s.resolve(ctx, &sys)
 	if err != nil {
 		s.writeError(w, r, badRequestOr(err), err)
 		return
 	}
-	resp, err := s.runRecommend(ctx, entry, warm, planner, req, sys.popts)
+	resp, err := s.runRecommend(ctx, entry, warm, planner, &req, sys.popts)
 	if err != nil {
 		s.writeError(w, r, statusForError(err), err)
 		return
@@ -530,12 +487,11 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
-	release, err := s.admission.acquire(ctx, "", 1)
-	if err != nil {
-		s.writeError(w, r, quotaStatus(err), err)
+	if err := s.sem.Acquire(ctx, 1); err != nil {
+		s.writeError(w, r, statusForError(err), err)
 		return
 	}
-	defer release()
+	defer s.sem.Release(1)
 
 	// Decode a private copy of the system: calibration rewrites the
 	// workflow parameters in place, which must never touch the cached
@@ -664,8 +620,6 @@ func errorCode(status int, err error) string {
 		return "not_found"
 	case http.StatusRequestEntityTooLarge:
 		return "payload_too_large"
-	case http.StatusTooManyRequests:
-		return "rate_limited"
 	case http.StatusServiceUnavailable:
 		return "unavailable"
 	case http.StatusGatewayTimeout:

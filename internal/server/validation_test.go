@@ -1,7 +1,7 @@
 package server
 
 // Regression coverage for the two request-validation bugfixes shipped
-// with the batch/async work:
+// with the batch endpoints, and for the retired job API and tenant field:
 //
 //  1. An over-limit request body used to surface as a generic 400
 //     ("parsing request: http: request body too large"); it must be a
@@ -10,6 +10,8 @@ package server
 //  2. A negative timeout_ms was silently ignored (the `> 0` check fell
 //     through to the server default, handing a fail-fast client a
 //     60-second budget); it must be rejected with a typed 422.
+//  3. The async job routes are gone, and "tenant" is no request member:
+//     a body carrying it gets the strict decoder's unknown-field 400.
 
 import (
 	"bytes"
@@ -35,7 +37,7 @@ func TestOversizedBodyRejected413(t *testing.T) {
 	if len(big) <= 1024 {
 		t.Fatalf("test body is only %d bytes; raise the payload or lower the cap", len(big))
 	}
-	for _, path := range []string{"/v1/assess", "/v1/recommend", "/v1/assess-batch", "/v1/jobs/recommend", "/v1/calibrate"} {
+	for _, path := range []string{"/v1/assess", "/v1/recommend", "/v1/assess-batch", "/v1/calibrate"} {
 		status, e := postRaw(t, ts.URL+path, big)
 		if status != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: status = %d, want 413", path, status)
@@ -57,8 +59,8 @@ func TestOversizedBodyRejected413(t *testing.T) {
 	if st := getJSON(t, ts.URL+"/v1/stats", &stats); st != http.StatusOK {
 		t.Fatalf("stats status = %d", st)
 	}
-	if stats.Errors[string(wfmserr.CodePayloadTooLarge)] < 6 {
-		t.Errorf("errors[payload_too_large] = %d, want >= 6: %v",
+	if stats.Errors[string(wfmserr.CodePayloadTooLarge)] < 5 {
+		t.Errorf("errors[payload_too_large] = %d, want >= 5: %v",
 			stats.Errors[string(wfmserr.CodePayloadTooLarge)], stats.Errors)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -95,7 +97,6 @@ func TestNegativeTimeoutRejected(t *testing.T) {
 		body string
 	}{
 		{"/v1/recommend", mustJSON(t, RecommendRequest{System: doc, Goals: goals, TimeoutMillis: -1})},
-		{"/v1/jobs/recommend", mustJSON(t, RecommendRequest{System: doc, Goals: goals, TimeoutMillis: -1})},
 		{"/v1/assess-batch", mustJSON(t, AssessBatchRequest{
 			Items:         []AssessBatchItem{{System: doc, Config: []int{2, 2, 2}, Goals: goals}},
 			TimeoutMillis: -1,
@@ -185,5 +186,47 @@ func TestModelSolverFieldColdAndWarm(t *testing.T) {
 				t.Fatalf("cold and warm assessments differ:\n%s\n%s", cold.Assessment, warm.Assessment)
 			}
 		})
+	}
+}
+
+// TestRetiredJobsAndTenant pins the retired surface: the job routes are
+// gone, and a "tenant" member is an unknown field, refused identically
+// by the split route (after "system") and the whole-body route.
+func TestRetiredJobsAndTenant(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	for _, req := range []struct{ method, path string }{
+		{http.MethodPost, "jobs/recommend"},
+		{http.MethodGet, "jobs/job-1"},
+		{http.MethodDelete, "jobs/job-1"},
+	} {
+		r, err := http.NewRequest(req.method, ts.URL+"/v1/"+req.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status = %d, want 404", req.method, req.path, resp.StatusCode)
+		}
+	}
+
+	valid := crashSeeds(t)[0]
+	split, whole := splitAndWhole()
+	for _, body := range []string{
+		strings.Replace(valid, `,"config"`, `,"tenant":"alice","config"`, 1),
+		strings.Replace(valid, `{"system":`, `{"tenant":"alice","system":`, 1),
+	} {
+		status, reply := postOn(split, "/v1/assess", body)
+		if wholeStatus, wholeReply := postOn(whole, "/v1/assess", body); wholeStatus != status || wholeReply != reply {
+			t.Errorf("split and whole routes differ: %d %s vs %d %s", status, reply, wholeStatus, wholeReply)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal([]byte(reply), &e); err != nil || status != http.StatusBadRequest ||
+			e.Code != "bad_request" || !strings.Contains(e.Error, `unknown field "tenant"`) {
+			t.Errorf("tenant member: %d %s, want 400 bad_request naming the unknown field", status, reply)
+		}
 	}
 }

@@ -36,9 +36,7 @@ const (
 	CodeNoConvergence Code = "no_convergence"
 	// CodeBudgetExceeded marks work that was cut off by an explicit
 	// resource budget or deadline: the model may be fine, but solving
-	// it exceeds what this service is willing to spend. Per-tenant
-	// serving quotas reject with this code too — the tenant's token
-	// budget is a resource budget like any other.
+	// it exceeds what this service is willing to spend.
 	CodeBudgetExceeded Code = "budget_exceeded"
 	// CodeInfeasible marks a well-formed planning problem whose goals no
 	// configuration within the constraints can meet: the search space was

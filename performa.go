@@ -109,8 +109,8 @@ func (s *System) Analysis() *perf.Analysis { return s.analysis }
 // AssessOptions tune an assessment.
 type AssessOptions struct {
 	// Performability selects the saturation policy and repair
-	// discipline; the zero value is the literal Strict model. Assess
-	// uses performability.ExcludeDown.
+	// discipline; the zero value is performability.ExcludeDown, which
+	// Assess uses.
 	Performability performability.Options
 }
 
