@@ -46,7 +46,7 @@ func main() {
 		replay       = flag.String("replay", "", "re-check a corpus file instead of generating systems")
 		corpusDir    = flag.String("corpus", "", "check every wfjson system under this directory's systems/ instead of generating")
 		solverDiff   = flag.Bool("solver-diff", false, "solver-differential mode: cross-check dense vs sparse steady-state solvers only (deterministic, no simulation)")
-		netDiff      = flag.Bool("net", false, "net-differential mode: free-choice net oracle vs true-concurrency simulation vs collapsed analytic turnaround")
+		netDiff      = flag.Bool("net", false, "net-differential mode: collapsed analytic turnaround vs free-choice net oracle vs true-concurrency simulation")
 		noShrink     = flag.Bool("no-shrink", false, "skip shrinking failing systems")
 		verbose      = flag.Bool("v", false, "log every system, not just failures")
 	)

@@ -53,7 +53,6 @@ func main() {
 
 		driftThreshold = flag.Float64("drift-threshold", 0, "relative parameter change at which streamed events invalidate a warm model (0 = per-dimension defaults)")
 		driftMinSample = flag.Uint64("drift-min-samples", 0, "observations required before an estimate is drift-scored (0 = defaults)")
-		streamHalfLife = flag.Float64("stream-half-life", 0, "exponential-decay half-life of the ingestion estimators in trail time-units (0 = keep all history)")
 		maxStreams     = flag.Int("max-streams", 0, "per-system ingestion streams kept resident (0 = 64)")
 
 		reconfigure = flag.Bool("reconfigure", false, "run the reconfiguration controller: drift crossings of registered deployments (POST /v1/deployments) trigger warm-started re-plans published on /v1/advisories")
@@ -87,10 +86,9 @@ func main() {
 			MinDepartures: *driftMinSample,
 			MinSamples:    *driftMinSample,
 		},
-		StreamHalfLife: *streamHalfLife,
-		MaxStreams:     *maxStreams,
-		MaxBatchItems:  *maxBatch,
-		Reconfigure:    *reconfigure,
+		MaxStreams:    *maxStreams,
+		MaxBatchItems: *maxBatch,
+		Reconfigure:   *reconfigure,
 	})
 	httpServer := &http.Server{
 		Addr:              *addr,

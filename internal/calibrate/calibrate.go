@@ -26,7 +26,8 @@ type MomentPair struct {
 	SecondMoment float64
 }
 
-func (m *MomentPair) add(x float64) {
+// Add folds one sample into the running mean and second moment.
+func (m *MomentPair) Add(x float64) {
 	m.N++
 	d := float64(m.N)
 	m.Mean += (x - m.Mean) / d
@@ -245,9 +246,9 @@ func (e *Estimates) MeasuredEnvironment(env *spec.Environment) (*spec.Environmen
 // rate are replaced by measured values in place (where observations
 // suffice), and the returned environment carries the measured
 // service-time moments. This is the one-call form of the paper's
-// feedback loop: wfmsd's drift-triggered rebuilds, POST /v1/calibrate,
-// wfmsadvisor -trail and examples/autopilot all go through it, so the
-// same estimates produce bit-identical models on every route.
+// feedback loop: wfmsd's drift-triggered rebuilds, POST /v1/calibrate
+// and examples/autopilot all go through it, so the same estimates
+// produce bit-identical models on every route.
 func (e *Estimates) ApplySystem(env *spec.Environment, flows []*spec.Workflow, opts Options) (*spec.Environment, error) {
 	for _, w := range flows {
 		if err := e.ApplyToWorkflow(w, env, opts); err != nil {

@@ -94,7 +94,7 @@ func DiscoverWorkflow(trail *audit.Trail, workflowName string, env *spec.Environ
 					mp = &MomentPair{}
 					residence[r.State] = mp
 				}
-				mp.add(r.Time - t0)
+				mp.Add(r.Time - t0)
 				delete(entered, r.Instance)
 			}
 			lastLeft[r.Instance] = r.State

@@ -244,8 +244,8 @@ type Recommendation struct {
 
 // Assess evaluates one candidate configuration against the goals — the
 // building block the searches below share, exported for callers (like
-// wfmsd's reconfiguration controller and wfmsadvisor) that track a
-// running system's compliance without searching.
+// wfmsd's reconfiguration controller) that track a running system's
+// compliance without searching.
 func Assess(a *perf.Analysis, cfg perf.Config, goals Goals, opts Options) (*Assessment, error) {
 	return AssessContext(context.Background(), a, cfg, goals, opts)
 }

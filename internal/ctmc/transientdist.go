@@ -111,7 +111,7 @@ func TurnaroundQuantile(c *Chain, q float64) (float64, error) {
 		lo = hi
 		hi *= 2
 		if iter > 60 {
-			return 0, fmt.Errorf("ctmc: quantile %v not bracketed below %v× the mean turnaround", q, hi/mean)
+			return 0, fmt.Errorf("ctmc: quantile %v not bracketed below %v mean turnarounds", q, hi/mean)
 		}
 	}
 	for iter := 0; iter < 200 && hi-lo > 1e-9*(1+hi); iter++ {

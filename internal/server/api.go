@@ -20,7 +20,6 @@ import (
 	"performa/internal/sensitivity"
 	"performa/internal/stream"
 	"performa/internal/wfjson"
-	"performa/internal/wfmserr"
 )
 
 // Float is a float64 that survives JSON encoding of the model's
@@ -126,38 +125,10 @@ type ModelJSON struct {
 	PenaltyValue float64 `json:"penalty_value,omitempty"`
 	// Discipline is "independent" (default) or "single-crew".
 	Discipline string `json:"discipline,omitempty"`
-	// Turnaround selects the turnaround model /v1/assess reports:
-	// "collapse" (default — the paper's max-of-means AND-state
-	// collapse) or "net", which additionally reports the exact expected
-	// execution time of each workflow's free-choice net (the
-	// uncollapsed true-concurrency semantics) alongside the collapsed
-	// value and its bias. Only /v1/assess honors "net"; other endpoints
-	// reject it rather than silently answering with collapsed numbers.
-	Turnaround string `json:"turnaround,omitempty"`
-}
-
-// netRequested reports whether the request opted into the net-oracle
-// turnaround section.
-func (m ModelJSON) netRequested() bool { return m.Turnaround == "net" }
-
-// rejectNetTurnaround fails endpoints that cannot honor the net
-// oracle: silently ignoring the opt-in would pass collapsed numbers
-// off as exact ones.
-func rejectNetTurnaround(m ModelJSON) error {
-	if m.netRequested() {
-		return wfmserr.New(wfmserr.CodeInvalidRequest, "server",
-			`model.turnaround "net" is only supported on /v1/assess`)
-	}
-	return nil
 }
 
 func (m ModelJSON) toOptions() (performability.Options, error) {
 	out := performability.Options{PenaltyValue: m.PenaltyValue}
-	switch m.Turnaround {
-	case "", "collapse", "net":
-	default:
-		return out, fmt.Errorf("unknown turnaround model %q (want collapse or net)", m.Turnaround)
-	}
 	switch m.Policy {
 	case "", "exclude-down":
 		out.Policy = performability.ExcludeDown
@@ -218,26 +189,6 @@ func assessmentJSON(as *config.Assessment) AssessmentJSON {
 	}
 }
 
-// WorkflowTurnaroundJSON compares one workflow's collapsed mean
-// turnaround against the exact net-oracle expectation.
-type WorkflowTurnaroundJSON struct {
-	Workflow  string `json:"workflow"`
-	Collapsed Float  `json:"collapsed"`
-	Net       Float  `json:"net"`
-	// BiasRel is (net − collapsed)/net: the relative turnaround mass
-	// the max-of-means collapse hides (0 for sequential workflows).
-	BiasRel Float `json:"bias_rel"`
-	// Markings is the state count of the net's marking-graph CTMC.
-	Markings int `json:"markings"`
-}
-
-// TurnaroundJSON is the opt-in net-oracle section of /v1/assess
-// (model.turnaround = "net").
-type TurnaroundJSON struct {
-	Model     string                   `json:"model"`
-	Workflows []WorkflowTurnaroundJSON `json:"workflows"`
-}
-
 // AssessResponse is the /v1/assess reply.
 type AssessResponse struct {
 	Fingerprint string         `json:"fingerprint"`
@@ -246,10 +197,6 @@ type AssessResponse struct {
 	// CacheWarm reports whether the system model was already resident
 	// (the request skipped the model builds).
 	CacheWarm bool `json:"cache_warm"`
-	// Turnaround is the net-oracle section, present only when the
-	// request set model.turnaround = "net" — responses without the
-	// opt-in are byte-identical to before the oracle existed.
-	Turnaround *TurnaroundJSON `json:"turnaround,omitempty"`
 }
 
 // RecommendRequest runs a planner over the system.

@@ -46,9 +46,6 @@ func decodeItem(doc *wfjson.Document, model *ModelJSON, batchDefault ModelJSON) 
 		eff = *model
 	}
 	popts, err := eff.toOptions()
-	if err == nil {
-		err = rejectNetTurnaround(eff)
-	}
 	if err != nil {
 		return system{err: err}
 	}

@@ -36,20 +36,9 @@ type modelEntry struct {
 	analysis *perf.Analysis
 	ev       *performability.Evaluator
 
-	// collapsedTurn snapshots each flow's collapsed mean turnaround at
-	// build time; clampedStages is the build's stage-clamp diagnostic
-	// (how many collapsed subworkflows hit the Erlang stage cap).
-	collapsedTurn []float64
+	// clampedStages is the build's stage-clamp diagnostic (how many
+	// collapsed subworkflows hit the Erlang stage cap).
 	clampedStages int
-
-	// netOnce lazily memoizes the net-oracle turnaround section on the
-	// first model.turnaround="net" request over this entry — the exact
-	// expected execution times are pure functions of the system, so one
-	// marking-graph solve serves every later request. This is the only
-	// post-ready mutation of an entry, and the Once guards it.
-	netOnce sync.Once
-	netTurn *TurnaroundJSON
-	netErr  error
 
 	ready chan struct{} // closed once build finished (ok or not)
 	err   error         // build error, set before ready closes
@@ -297,9 +286,7 @@ func buildEntry(e *modelEntry, fingerprint string, env *spec.Environment, flows 
 	e.flows = flows
 	e.analysis = analysis
 	e.ev = ev
-	e.collapsedTurn = make([]float64, len(models))
-	for i, m := range models {
-		e.collapsedTurn[i] = m.Turnaround()
+	for _, m := range models {
 		e.clampedStages += m.ClampedStages()
 	}
 	return nil

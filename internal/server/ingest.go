@@ -90,12 +90,10 @@ func (st *ingestStream) currentBaseline() *stream.Baseline {
 
 // streamRegistry holds the per-fingerprint ingestion streams in a
 // bounded LRU (systems that stop sending events eventually age out),
-// the drift thresholds and estimator half-life they run under, and the
-// ingestion counters.
+// the drift thresholds they run under, and the ingestion counters.
 type streamRegistry struct {
 	max        int
 	thresholds stream.Thresholds
-	halfLife   float64
 
 	mu      sync.Mutex
 	ll      *list.List
@@ -104,14 +102,13 @@ type streamRegistry struct {
 	events, batches, invalidations atomic.Uint64
 }
 
-func newStreamRegistry(max int, thresholds stream.Thresholds, halfLife float64) *streamRegistry {
+func newStreamRegistry(max int, thresholds stream.Thresholds) *streamRegistry {
 	if max < 1 {
 		max = 1
 	}
 	return &streamRegistry{
 		max:        max,
 		thresholds: thresholds,
-		halfLife:   halfLife,
 		ll:         list.New(),
 		streams:    make(map[string]*list.Element),
 	}
@@ -142,7 +139,7 @@ func (r *streamRegistry) getOrCreate(fp string, base *modelEntry) *ingestStream 
 	}
 	st := &ingestStream{
 		fingerprint: fp,
-		est:         stream.NewEstimator(stream.Options{HalfLife: r.halfLife}),
+		est:         stream.NewEstimator(stream.Options{}),
 		baseline:    stream.NewBaseline(base.env, base.flows),
 	}
 	r.streams[fp] = r.ll.PushFront(st)

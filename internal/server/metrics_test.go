@@ -9,6 +9,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"performa/internal/spec"
+	"performa/internal/statechart"
+	"performa/internal/wfjson"
 )
 
 // TestHistogramQuantileBasics pins the conservative upper-bound estimate.
@@ -199,5 +203,79 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		if _, ok := series[fmt.Sprintf("wfmsd_request_duration_seconds_count{endpoint=%q}", name)]; !ok {
 			t.Errorf("route %s has no latency series", name)
 		}
+	}
+}
+
+// TestStatsClampedStages: building a system whose subworkflow collapse
+// clamps at the Erlang stage cap must surface in /v1/stats (the
+// near-deterministic-subworkflow diagnostic from the float→int clamp
+// bugfix).
+func TestStatsClampedStages(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	env, err := spec.NewEnvironment(spec.ServerType{
+		Name:                "srv",
+		MeanService:         0.1,
+		ServiceSecondMoment: 0.02,
+		FailureRate:         1.0 / 1000,
+		RepairRate:          1.0 / 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two Erlang-192 unit activities in sequence: subworkflow variance
+	// 2/192 → moment-matched k = 384 > the 256-stage cap.
+	sub := &statechart.Chart{
+		Name: "sub",
+		States: map[string]*statechart.State{
+			"init": {Name: "init"},
+			"s1":   {Name: "s1", Activity: "a1"},
+			"s2":   {Name: "s2", Activity: "a2"},
+			"fin":  {Name: "fin"},
+		},
+		Initial: "init",
+		Final:   "fin",
+		Transitions: []*statechart.Transition{
+			{From: "init", To: "s1", Prob: 1},
+			{From: "s1", To: "s2", Prob: 1},
+			{From: "s2", To: "fin", Prob: 1},
+		},
+	}
+	chart := &statechart.Chart{
+		Name: "parent",
+		States: map[string]*statechart.State{
+			"init": {Name: "init"},
+			"nest": {Name: "nest", Subcharts: []*statechart.Chart{sub}},
+			"fin":  {Name: "fin"},
+		},
+		Initial: "init",
+		Final:   "fin",
+		Transitions: []*statechart.Transition{
+			{From: "init", To: "nest", Prob: 1},
+			{From: "nest", To: "fin", Prob: 1},
+		},
+	}
+	w := &spec.Workflow{
+		Name:  "parent",
+		Chart: chart,
+		Profiles: map[string]spec.ActivityProfile{
+			"a1": {Name: "a1", MeanDuration: 1, DurationStages: 192, Load: map[string]float64{"srv": 0.2}},
+			"a2": {Name: "a2", MeanDuration: 1, DurationStages: 192, Load: map[string]float64{"srv": 0.2}},
+		},
+		ArrivalRate: 0.01,
+	}
+	doc, err := wfjson.ToDocument(env, []*spec.Workflow{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := AssessRequest{System: *doc, Config: []int{1}, Goals: GoalsJSON{MaxWaiting: 500, MaxUnavailability: 0.5}}
+	if code := postJSON(t, ts.URL+"/v1/assess", req, nil); code != http.StatusOK {
+		t.Fatalf("assess status %d", code)
+	}
+	var stats StatsResponse
+	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats status %d", code)
+	}
+	if stats.ClampedStages < 1 {
+		t.Fatalf("clamped_stages = %d, want >= 1", stats.ClampedStages)
 	}
 }

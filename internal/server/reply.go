@@ -62,16 +62,7 @@ func appendAssessment(w *jsonscan.Writer, prefix string, a *AssessmentJSON) {
 func (r AssessResponse) appendJSON(w *jsonscan.Writer) {
 	w.Str(`{"fingerprint":`, r.Fingerprint).Strs(`,"server_types":`, r.ServerTypes)
 	r.Assessment.appendJSON(w.Lit(`,"assessment":`))
-	w.Bool(`,"cache_warm":`, r.CacheWarm)
-	if r.Turnaround != nil {
-		// The opt-in net section is off the measured path.
-		raw, err := json.Marshal(r.Turnaround)
-		if err != nil && w.Err == nil {
-			w.Err = err
-		}
-		w.Lit(`,"turnaround":`).Buf = append(w.Buf, raw...)
-	}
-	w.Lit(`}`)
+	w.Bool(`,"cache_warm":`, r.CacheWarm).Lit(`}`)
 }
 
 func (t *TraceStepJSON) appendJSON(w *jsonscan.Writer) {

@@ -134,11 +134,6 @@ func (s *replySource) advisory() AdvisoryJSON {
 // replies draws one value of every appended type.
 func (s *replySource) replies() []appender {
 	assess := AssessResponse{Fingerprint: s.str(), ServerTypes: sliceOf(s, s.str), Assessment: s.assessment(), CacheWarm: s.flag()}
-	if s.flag() {
-		assess.Turnaround = &TurnaroundJSON{Model: s.str(), Workflows: sliceOf(s, func() WorkflowTurnaroundJSON {
-			return WorkflowTurnaroundJSON{Workflow: s.str(), Collapsed: Float(s.float()), Net: Float(s.float()), BiasRel: Float(s.float()), Markings: s.int()}
-		})}
-	}
 	recommend := &RecommendResponse{
 		Fingerprint: s.str(), Planner: s.str(), ServerTypes: sliceOf(s, s.str), Config: sliceOf(s, s.int),
 		Cost: s.int(), Evaluations: s.int(), Assessment: s.assessment(),

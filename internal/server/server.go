@@ -87,9 +87,6 @@ type Options struct {
 	// estimates invalidate a warm model; zero fields take
 	// stream.DefaultThresholds.
 	Drift stream.Thresholds
-	// StreamHalfLife enables exponential decay on the ingestion
-	// estimators (trail-time units); 0 keeps all history.
-	StreamHalfLife float64
 	// MaxStreams bounds the per-system ingestion streams (LRU);
 	// 0 means 64.
 	MaxStreams int
@@ -162,7 +159,7 @@ func New(opts Options) *Server {
 		endpoints: make(map[string]*endpointMetrics),
 		sem:       newSemaphore(opts.Workers),
 		models:    newModelCache(opts.CacheSize, opts.Logger),
-		streams:   newStreamRegistry(opts.MaxStreams, opts.Drift, opts.StreamHalfLife),
+		streams:   newStreamRegistry(opts.MaxStreams, opts.Drift),
 		ctrl:      newController(opts.Logger),
 	}
 	s.route("POST /v1/assess", s.handleAssess)
@@ -357,21 +354,12 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, statusForError(err), err)
 		return
 	}
-	resp := AssessResponse{
+	s.writeJSON(w, http.StatusOK, AssessResponse{
 		Fingerprint: entry.fingerprint,
 		ServerTypes: typeNames(entry.env),
 		Assessment:  assessmentJSON(as),
 		CacheWarm:   warm,
-	}
-	if req.Model.netRequested() {
-		nt, err := entry.netTurnarounds()
-		if err != nil {
-			s.writeError(w, r, statusForError(err), err)
-			return
-		}
-		resp.Turnaround = nt
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // planners are the searches /v1/recommend runs, by canonical name.
@@ -442,9 +430,6 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	popts, err := req.Model.toOptions()
-	if err == nil {
-		err = rejectNetTurnaround(req.Model)
-	}
 	var planner string
 	if err == nil {
 		planner, err = validatePlanner(req.Planner)

@@ -641,9 +641,147 @@ func TestCalibrateMatchesStreamedRecalibration(t *testing.T) {
 	}
 }
 
+// TestCalibrateThenRecommend runs the one-shot advisory as two daemon
+// calls: POST /v1/calibrate with an audit trail, then POST /v1/recommend
+// warm-started at the deployed configuration (constraints.start_from)
+// and, unless shrinking is allowed, bounded below by it
+// (min_replicas). Every reply equals config.GreedyContext run directly
+// on the system calibrate returned, and the verdict is the recommended
+// cost against the deployed one.
+func TestCalibrateThenRecommend(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	env := workload.PaperEnvironment()
+	system := func(rate float64) wfjson.Document {
+		doc, _ := systemOf(t, env, workload.EPWorkflow(rate))
+		return doc
+	}
+	// trail simulates the EP workflow at the true rate for horizon model
+	// minutes on (4,4,4).
+	trail := func(t *testing.T, rate, horizon float64) []audit.Record {
+		m, err := spec.Build(workload.EPWorkflow(rate), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := audit.NewTrail()
+		if _, err := sim.Run(sim.Params{
+			Env: env, Models: []*spec.Model{m}, Replicas: []int{4, 4, 4},
+			Horizon: horizon, Seed: 1, Trail: tr,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Records()
+	}
+	// advise recalibrates doc from recs (when given), re-plans from the
+	// deployed configuration and returns the verdict with the reply.
+	advise := func(t *testing.T, doc wfjson.Document, recs []audit.Record, deployed []int, goals GoalsJSON, allowShrink bool) (string, RecommendResponse) {
+		t.Helper()
+		if recs != nil {
+			var cal CalibrateResponse
+			if status := postJSON(t, ts.URL+"/v1/calibrate", CalibrateRequest{System: doc, Trail: recs}, &cal); status != http.StatusOK {
+				t.Fatalf("calibrate status = %d", status)
+			}
+			doc = cal.System
+		}
+		cons := ConstraintsJSON{StartFrom: deployed}
+		if !allowShrink {
+			cons.MinReplicas = deployed
+		}
+		var rec RecommendResponse
+		if status := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{System: doc, Goals: goals, Constraints: cons}, &rec); status != http.StatusOK {
+			t.Fatalf("recommend status = %d", status)
+		}
+
+		denv, flows, err := wfjson.FromDocument(&doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, a := systemOf(t, denv, flows...)
+		want, err := config.GreedyContext(context.Background(), a, goals.toGoals(), cons.toConstraints(), directOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !configsEqual(rec.Config, want.Config.Replicas) || rec.Cost != want.Cost || rec.Evaluations != want.Evaluations {
+			t.Errorf("recommend %v (cost %d, %d evaluations), direct %v (cost %d, %d evaluations)",
+				rec.Config, rec.Cost, rec.Evaluations, want.Config.Replicas, want.Cost, want.Evaluations)
+		}
+		assertAssessmentMatches(t, "recommend", rec.Assessment, want.Assessment)
+		if len(rec.Trace) != len(want.Trace) {
+			t.Errorf("trace length %d != %d", len(rec.Trace), len(want.Trace))
+		}
+
+		switch cost := (perf.Config{Replicas: deployed}).TotalServers(); {
+		case rec.Cost < cost:
+			return "shrink", rec
+		case rec.Cost > cost:
+			return "grow", rec
+		}
+		return "keep", rec
+	}
+
+	t.Run("Keep", func(t *testing.T) {
+		if verdict, rec := advise(t, system(1), nil, []int{2, 2, 3}, GoalsJSON{MaxWaiting: 0.01, MaxUnavailability: 1e-5}, false); verdict != "keep" {
+			t.Errorf("verdict %s (recommended %v), want keep", verdict, rec.Config)
+		}
+	})
+	t.Run("GrowOnAvailability", func(t *testing.T) {
+		// The known optimum from E1/E6: (2,2,3).
+		verdict, rec := advise(t, system(1), nil, []int{1, 1, 1}, GoalsJSON{MaxUnavailability: 1.5e-6}, false)
+		if verdict != "grow" || !configsEqual(rec.Config, []int{2, 2, 3}) || rec.Cost != 7 {
+			t.Errorf("verdict %s, recommended %v (%d servers); want grow to (2,2,3) (7 servers)", verdict, rec.Config, rec.Cost)
+		}
+	})
+	t.Run("ShrinkOnlyWhenAllowed", func(t *testing.T) {
+		goals := GoalsJSON{MaxUnavailability: 1e-4}
+		verdict, rec := advise(t, system(1), nil, []int{4, 4, 4}, goals, true)
+		if verdict != "shrink" || !configsEqual(rec.Config, []int{2, 2, 2}) || rec.Cost != 6 {
+			t.Errorf("verdict %s, recommended %v (%d servers); want shrink to (2,2,2) (6 servers)", verdict, rec.Config, rec.Cost)
+		}
+		// With min_replicas at the deployed configuration it is a keep.
+		if verdict, rec := advise(t, system(1), nil, []int{4, 4, 4}, goals, false); verdict != "keep" {
+			t.Errorf("verdict without shrinking %s (recommended %v), want keep", verdict, rec.Config)
+		}
+	})
+	t.Run("TrailFlipsDecision", func(t *testing.T) {
+		// The designer guessed 0.05 instances/min, under which one replica
+		// of each type meets the waiting goal; the observed trail (10/min)
+		// recalibrates the model and the same deployment must grow.
+		goals := GoalsJSON{MaxWaiting: 1e-5}
+		if verdict, _ := advise(t, system(0.05), nil, []int{1, 1, 1}, goals, false); verdict != "keep" {
+			t.Fatalf("designed model: verdict %s, want keep", verdict)
+		}
+		if verdict, rec := advise(t, system(0.05), trail(t, 10, 60), []int{1, 1, 1}, goals, false); verdict != "grow" {
+			t.Errorf("recalibrated model: verdict %s (recommended %v), want grow", verdict, rec.Config)
+		}
+	})
+	t.Run("RejectsSparseTrail", func(t *testing.T) {
+		// Five minutes at one instance a minute is below the default
+		// 50-instance trust threshold: no system to plan on.
+		if status := postJSON(t, ts.URL+"/v1/calibrate", CalibrateRequest{System: system(1), Trail: trail(t, 1, 5)}, nil); status != http.StatusUnprocessableEntity {
+			t.Errorf("sparse trail status = %d, want 422", status)
+		}
+	})
+	t.Run("RejectsWrongLengthConfig", func(t *testing.T) {
+		// A deployed configuration with one count for three server types
+		// is refused, as a warm start and as a lower bound.
+		for _, cons := range []ConstraintsJSON{{StartFrom: []int{1}}, {MinReplicas: []int{1}}} {
+			status := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{
+				System: system(1), Goals: GoalsJSON{MaxUnavailability: 1e-4}, Constraints: cons,
+			}, nil)
+			if status != http.StatusUnprocessableEntity {
+				t.Errorf("constraints %+v: status = %d, want 422", cons, status)
+			}
+		}
+	})
+}
+
 func TestBadRequests(t *testing.T) {
 	doc, _ := paperSystem(t)
 	_, ts := newTestServer(t, Options{Workers: 2})
+	// A chart activity without a profile is a decode-time refusal, not a
+	// planner crash.
+	unprofiled := doc
+	unprofiled.Workflows = append([]wfjson.Workflow(nil), doc.Workflows...)
+	unprofiled.Workflows[0].Activities = unprofiled.Workflows[0].Activities[1:]
 
 	cases := []struct {
 		name string
@@ -664,6 +802,9 @@ func TestBadRequests(t *testing.T) {
 		{"wrong config arity", "/v1/assess", mustJSON(t, AssessRequest{
 			System: doc, Config: []int{2}, Goals: GoalsJSON{MaxUnavailability: 1e-5},
 		}), http.StatusUnprocessableEntity},
+		{"activity without a profile", "/v1/recommend", mustJSON(t, RecommendRequest{
+			System: unprofiled, Goals: GoalsJSON{MaxUnavailability: 1e-5},
+		}), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -230,3 +230,37 @@ func TestRetiredJobsAndTenant(t *testing.T) {
 		}
 	}
 }
+
+// TestTurnaroundValidation: every request that carries a model refuses
+// model.turnaround as an unknown field, whatever its value, the old
+// default "collapse" included, identically on the split route, the
+// digest route over a resident model, and the whole-body route.
+func TestTurnaroundValidation(t *testing.T) {
+	valid := crashSeeds(t)[0]
+	split, whole := splitAndWhole()
+	warmSplit, warmWhole, _ := warmSplitAndWhole(t)
+	doc := valid[len(`{"system":`):strings.Index(valid, `,"config"`)]
+	for _, value := range []string{"net", "collapse", ""} {
+		model := `"model":{"turnaround":"` + value + `"}`
+		item := `{"system":` + doc + `,"config":[2,2,2],"goals":{}`
+		for _, c := range []struct{ path, body string }{
+			{"/v1/assess", strings.Replace(valid, `,"config"`, `,`+model+`,"config"`, 1)},
+			{"/v1/recommend", `{"system":` + doc + `,"goals":{},` + model + `}`},
+			{"/v1/assess-batch", `{"items":[` + item + `}],` + model + `}`},
+			{"/v1/assess-batch", `{"items":[` + item + `,` + model + `}]}`},
+			{"/v1/deployments", item + `,` + model + `}`},
+		} {
+			for _, pair := range [][2]http.Handler{{split, whole}, {warmSplit, warmWhole}} {
+				status, reply := postOn(pair[0], c.path, c.body)
+				if wholeStatus, wholeReply := postOn(pair[1], c.path, c.body); wholeStatus != status || wholeReply != reply {
+					t.Errorf("%s %s: split and whole routes differ: %d %s vs %d %s", c.path, model, status, reply, wholeStatus, wholeReply)
+				}
+				var e ErrorResponse
+				if err := json.Unmarshal([]byte(reply), &e); err != nil || status != http.StatusBadRequest ||
+					e.Code != "bad_request" || !strings.Contains(e.Error, `unknown field "turnaround"`) {
+					t.Errorf("%s %s: %d %s, want 400 bad_request naming the unknown field", c.path, model, status, reply)
+				}
+			}
+		}
+	}
+}

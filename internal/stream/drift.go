@@ -223,18 +223,10 @@ func (e *Estimator) ScoreAgainst(b *Baseline, t Thresholds) Score {
 	// drift.
 	for key, base := range b.Transitions {
 		dep := e.departures[[2]string{key.Chart, key.From}]
-		if dep == nil {
+		if dep == 0 || dep < t.MinDepartures {
 			continue
 		}
-		depN := roundWeight(dep.w)
-		if depN < t.MinDepartures {
-			continue
-		}
-		var cnt float64
-		if c := e.transitions[key]; c != nil {
-			cnt = c.w
-		}
-		observed := cnt / dep.w
+		observed := float64(e.transitions[key]) / float64(dep)
 		if change := relChange(observed, base, probFloor); change > 0 {
 			if change > s.Transition {
 				s.Transition = change
@@ -246,28 +238,28 @@ func (e *Estimator) ScoreAgainst(b *Baseline, t Thresholds) Score {
 	// Activity durations against the profile means baked into the model.
 	for act, base := range b.Activities {
 		m := e.activities[act]
-		if m == nil || roundWeight(m.w) < t.MinSamples || base <= 0 {
+		if m == nil || m.N < t.MinSamples || base <= 0 {
 			continue
 		}
-		if change := relChange(m.mean, base, 0); change > 0 {
+		if change := relChange(m.Mean, base, 0); change > 0 {
 			if change > s.Residence {
 				s.Residence = change
 			}
-			note("residence", act, base, m.mean, change)
+			note("residence", act, base, m.Mean, change)
 		}
 	}
 
 	// Service-time means against the environment's b_x.
 	for st, base := range b.Service {
 		sm := e.servers[st]
-		if sm == nil || roundWeight(sm.service.w) < t.MinSamples || base <= 0 {
+		if sm == nil || sm.service.N < t.MinSamples || base <= 0 {
 			continue
 		}
-		if change := relChange(sm.service.mean, base, 0); change > 0 {
+		if change := relChange(sm.service.Mean, base, 0); change > 0 {
 			if change > s.Service {
 				s.Service = change
 			}
-			note("service", st, base, sm.service.mean, change)
+			note("service", st, base, sm.service.Mean, change)
 		}
 	}
 

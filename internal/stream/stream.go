@@ -4,16 +4,15 @@
 // audit.Record at a time, so a long-running advisory service can ingest
 // a live event feed without ever re-reading or re-sorting history, and
 // a complete trail is just the same fold run to the end (FromTrail). The
-// estimators are concurrency-safe, allocation-conscious (per-event work
-// is map lookups and Welford updates — no sorting, no copying), and
-// optionally apply exponential-decay windows so old behavior ages out.
+// estimators are concurrency-safe and allocation-conscious: per-event
+// work is map lookups and running-mean updates, no sorting, no copying.
 // A drift detector (drift.go) compares the running estimates against
 // the parameters baked into a built model and scores the relative
 // change, the trigger for invalidating warm model caches.
 package stream
 
 import (
-	"math"
+	"maps"
 	"sync"
 
 	"performa/internal/audit"
@@ -23,11 +22,6 @@ import (
 
 // Options tunes an Estimator.
 type Options struct {
-	// HalfLife enables exponential decay: an observation's weight halves
-	// every HalfLife trail-time units, so the estimates track the recent
-	// past instead of the full history. Zero keeps all history: weights
-	// are exact integer counts and moments plain running means.
-	HalfLife float64
 	// MaxInFlight bounds the per-instance bookkeeping (start times,
 	// entered states, pending activity starts) kept for instances that
 	// have not completed yet, protecting the ingestion path against
@@ -42,52 +36,6 @@ func (o Options) withDefaults() Options {
 		o.MaxInFlight = 1 << 16
 	}
 	return o
-}
-
-// weightedCount is a decaying event counter. With no decay the weight is
-// an exact integer count.
-type weightedCount struct {
-	w    float64
-	last float64
-}
-
-// weightedMoments tracks a decaying sample mean and second raw moment.
-// With no decay the arithmetic is exactly a running mean over integer
-// counts (what calibrate.MomentPair carries).
-type weightedMoments struct {
-	w    float64
-	mean float64
-	m2   float64
-	last float64
-}
-
-const ln2 = 0.6931471805599453
-
-// decayFactor returns the weight multiplier for advancing from time
-// last to now under the given half-life. Time going backwards (slightly
-// out-of-order records) never inflates weights.
-func decayFactor(halfLife, last, now float64) float64 {
-	if halfLife <= 0 || now <= last {
-		return 1
-	}
-	return math.Exp(-ln2 * (now - last) / halfLife)
-}
-
-func (c *weightedCount) observe(halfLife, now float64) {
-	c.w = c.w*decayFactor(halfLife, c.last, now) + 1
-	if now > c.last {
-		c.last = now
-	}
-}
-
-func (m *weightedMoments) observe(halfLife, now, x float64) {
-	m.w *= decayFactor(halfLife, m.last, now)
-	m.w++
-	m.mean += (x - m.mean) / m.w
-	m.m2 += (x*x - m.m2) / m.w
-	if now > m.last {
-		m.last = now
-	}
 }
 
 // instChart keys per-instance, per-chart control-flow state.
@@ -118,7 +66,7 @@ type instAct struct {
 // serverMoments are one server type's service-request moments, kept in
 // one map entry so a service record costs one lookup.
 type serverMoments struct {
-	service, waiting weightedMoments
+	service, waiting calibrate.MomentPair
 }
 
 // arrivalTrack accumulates the per-workflow arrival statistics.
@@ -134,12 +82,12 @@ type Estimator struct {
 	mu   sync.Mutex
 	opts Options
 
-	transitions map[calibrate.TransitionKey]*weightedCount
-	departures  map[[2]string]*weightedCount
-	residence   map[[2]string]*weightedMoments
-	activities  map[string]*weightedMoments
+	transitions map[calibrate.TransitionKey]uint64
+	departures  map[[2]string]uint64
+	residence   map[[2]string]*calibrate.MomentPair
+	activities  map[string]*calibrate.MomentPair
 	servers     map[string]*serverMoments
-	turnarounds map[string]*weightedMoments
+	turnarounds map[string]*calibrate.MomentPair
 	starts      map[string]*arrivalTrack
 
 	// In-flight instance state, pruned on completion so a bounded
@@ -162,12 +110,12 @@ type Estimator struct {
 func NewEstimator(opts Options) *Estimator {
 	return &Estimator{
 		opts:         opts.withDefaults(),
-		transitions:  map[calibrate.TransitionKey]*weightedCount{},
-		departures:   map[[2]string]*weightedCount{},
-		residence:    map[[2]string]*weightedMoments{},
-		activities:   map[string]*weightedMoments{},
+		transitions:  map[calibrate.TransitionKey]uint64{},
+		departures:   map[[2]string]uint64{},
+		residence:    map[[2]string]*calibrate.MomentPair{},
+		activities:   map[string]*calibrate.MomentPair{},
 		servers:      map[string]*serverMoments{},
-		turnarounds:  map[string]*weightedMoments{},
+		turnarounds:  map[string]*calibrate.MomentPair{},
 		starts:       map[string]*arrivalTrack{},
 		flows:        map[instChart]chartFlow{},
 		actStart:     map[instAct][]float64{},
@@ -226,7 +174,6 @@ func (e *Estimator) observeLocked(r *audit.Record) {
 	if r.Time > e.last {
 		e.last = r.Time
 	}
-	hl := e.opts.HalfLife
 	switch r.Kind {
 	case audit.InstanceStarted:
 		a := e.starts[r.Workflow]
@@ -255,10 +202,10 @@ func (e *Estimator) observeLocked(r *audit.Record) {
 			}
 			mp := e.turnarounds[wf]
 			if mp == nil {
-				mp = &weightedMoments{}
+				mp = &calibrate.MomentPair{}
 				e.turnarounds[wf] = mp
 			}
-			mp.observe(hl, r.Time, r.Time-t0)
+			mp.Add(r.Time - t0)
 		}
 		e.pruneInstanceLocked(r.Instance)
 	case audit.StateEntered:
@@ -266,8 +213,8 @@ func (e *Estimator) observeLocked(r *audit.Record) {
 		e.noteChartLocked(r.Instance, r.Chart)
 		f := e.flows[key]
 		if f.hasLeft {
-			counterFor(e.transitions, calibrate.TransitionKey{Chart: r.Chart, From: f.lastLeft, To: r.State}).observe(hl, r.Time)
-			counterFor(e.departures, [2]string{r.Chart, f.lastLeft}).observe(hl, r.Time)
+			e.transitions[calibrate.TransitionKey{Chart: r.Chart, From: f.lastLeft, To: r.State}]++
+			e.departures[[2]string{r.Chart, f.lastLeft}]++
 		}
 		e.flows[key] = chartFlow{state: r.State, enteredAt: r.Time, inState: true}
 	case audit.StateLeft:
@@ -278,10 +225,10 @@ func (e *Estimator) observeLocked(r *audit.Record) {
 			sk := [2]string{r.Chart, r.State}
 			mp := e.residence[sk]
 			if mp == nil {
-				mp = &weightedMoments{}
+				mp = &calibrate.MomentPair{}
 				e.residence[sk] = mp
 			}
-			mp.observe(hl, r.Time, r.Time-f.enteredAt)
+			mp.Add(r.Time - f.enteredAt)
 			f.inState = false
 		}
 		f.lastLeft, f.hasLeft = r.State, true
@@ -297,10 +244,10 @@ func (e *Estimator) observeLocked(r *audit.Record) {
 		if starts := e.actStart[k]; len(starts) > 0 {
 			mp := e.activities[r.Activity]
 			if mp == nil {
-				mp = &weightedMoments{}
+				mp = &calibrate.MomentPair{}
 				e.activities[r.Activity] = mp
 			}
-			mp.observe(hl, r.Time, r.Time-starts[0])
+			mp.Add(r.Time - starts[0])
 			e.actStart[k] = starts[1:]
 		}
 	case audit.ServiceRequest:
@@ -309,19 +256,9 @@ func (e *Estimator) observeLocked(r *audit.Record) {
 			sm = &serverMoments{}
 			e.servers[r.ServerType] = sm
 		}
-		sm.service.observe(hl, r.Time, r.Service)
-		sm.waiting.observe(hl, r.Time, r.Waiting)
+		sm.service.Add(r.Service)
+		sm.waiting.Add(r.Waiting)
 	}
-}
-
-// counterFor returns the key's counter, making it on first sight.
-func counterFor[K comparable](m map[K]*weightedCount, k K) *weightedCount {
-	c := m[k]
-	if c == nil {
-		c = &weightedCount{}
-		m[k] = c
-	}
-	return c
 }
 
 // noteChartLocked remembers that the instance touched the chart, so its
@@ -349,22 +286,14 @@ func (e *Estimator) pruneInstanceLocked(instance uint64) {
 	delete(e.instWorkflow, instance)
 }
 
-// roundWeight converts a decayed weight to the integral observation
-// count calibrate.MomentPair carries. Without decay the weight is an
-// exact integer already.
-func roundWeight(w float64) uint64 {
-	if w <= 0 {
-		return 0
+// clonePairs copies each pair: the estimator keeps folding into its own.
+func clonePairs[K comparable](src map[K]*calibrate.MomentPair) map[K]*calibrate.MomentPair {
+	out := make(map[K]*calibrate.MomentPair, len(src))
+	for k, m := range src {
+		mp := *m
+		out[k] = &mp
 	}
-	n := uint64(w + 0.5)
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
-func momentsPair(m *weightedMoments) *calibrate.MomentPair {
-	return &calibrate.MomentPair{N: roundWeight(m.w), Mean: m.mean, SecondMoment: m.m2}
+	return out
 }
 
 // Snapshot materializes the running state as a calibrate.Estimates,
@@ -377,35 +306,21 @@ func (e *Estimator) Snapshot() (*calibrate.Estimates, error) {
 		return nil, wfmserr.New(wfmserr.CodeInvalidModel, "stream", "no events ingested: nothing to estimate from")
 	}
 	out := &calibrate.Estimates{
-		TransitionCounts:  make(map[calibrate.TransitionKey]uint64, len(e.transitions)),
-		Departures:        make(map[[2]string]uint64, len(e.departures)),
-		Residence:         make(map[[2]string]*calibrate.MomentPair, len(e.residence)),
-		ActivityDurations: make(map[string]*calibrate.MomentPair, len(e.activities)),
+		TransitionCounts:  maps.Clone(e.transitions),
+		Departures:        maps.Clone(e.departures),
+		Residence:         clonePairs(e.residence),
+		ActivityDurations: clonePairs(e.activities),
 		ServiceMoments:    make(map[string]*calibrate.MomentPair, len(e.servers)),
 		WaitingMoments:    make(map[string]*calibrate.MomentPair, len(e.servers)),
-		Turnarounds:       make(map[string]*calibrate.MomentPair, len(e.turnarounds)),
+		Turnarounds:       clonePairs(e.turnarounds),
 		ArrivalRates:      make(map[string]float64, len(e.starts)),
 		Starts:            make(map[string]uint64, len(e.starts)),
 		Window:            e.last - e.first,
 	}
-	for k, c := range e.transitions {
-		out.TransitionCounts[k] = roundWeight(c.w)
-	}
-	for k, c := range e.departures {
-		out.Departures[k] = roundWeight(c.w)
-	}
-	for k, m := range e.residence {
-		out.Residence[k] = momentsPair(m)
-	}
-	for k, m := range e.activities {
-		out.ActivityDurations[k] = momentsPair(m)
-	}
 	for k, sm := range e.servers {
-		out.ServiceMoments[k] = momentsPair(&sm.service)
-		out.WaitingMoments[k] = momentsPair(&sm.waiting)
-	}
-	for k, m := range e.turnarounds {
-		out.Turnarounds[k] = momentsPair(m)
+		service, waiting := sm.service, sm.waiting
+		out.ServiceMoments[k] = &service
+		out.WaitingMoments[k] = &waiting
 	}
 	// Arrival rate: (n−1) inter-arrival gaps over the start-to-start
 	// span. Dividing n by the full trail window would bias the estimate
@@ -420,7 +335,7 @@ func (e *Estimator) Snapshot() (*calibrate.Estimates, error) {
 }
 
 // FromTrail estimates from a complete trail: its records, in time order,
-// folded through a no-decay estimator whose in-flight bound is the trail
+// folded through an estimator whose in-flight bound is the trail
 // length, so no instance is ever dropped however many are open at once.
 // An empty trail returns Snapshot's typed invalid_model error.
 func FromTrail(trail *audit.Trail) (*calibrate.Estimates, error) {

@@ -256,9 +256,8 @@ func TestMaxInFlightDropsTracking(t *testing.T) {
 }
 
 func TestExponentialDecayTracksRecentPast(t *testing.T) {
-	// Service means: an old regime at 1.0, a recent regime at 2.0. With
-	// no decay the mean sits midway; with a short half-life it should be
-	// dominated by the recent regime.
+	// Service means: an old regime at 1.0, a recent regime at 2.0. The
+	// estimator keeps all history, so the mean sits midway.
 	var recs []audit.Record
 	for i := 0; i < 50; i++ {
 		recs = append(recs, audit.Record{Kind: audit.ServiceRequest, Time: float64(i), ServerType: "srv", Service: 1.0})
@@ -276,20 +275,34 @@ func TestExponentialDecayTracksRecentPast(t *testing.T) {
 	if m := fs.ServiceMoments["srv"].Mean; math.Abs(m-1.5) > 1e-9 {
 		t.Errorf("undecayed mean = %v, want 1.5", m)
 	}
+}
 
-	decayed := NewEstimator(Options{HalfLife: 5})
-	decayed.ObserveBatch(recs)
-	ds, err := decayed.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+// TestSnapshotIsACopy: a snapshot is the state at the time it was
+// taken. Records observed afterwards must not reach it through a moment
+// pair or a count map it shares with the estimator.
+func TestSnapshotIsACopy(t *testing.T) {
+	recs := syntheticTrail()
+	snapshot := func(est *Estimator) *calibrate.Estimates {
+		t.Helper()
+		snap, err := est.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	if m := ds.ServiceMoments["srv"].Mean; m < 1.95 {
-		t.Errorf("decayed mean = %v, want > 1.95 (recent regime dominates)", m)
+	est := NewEstimator(Options{})
+	est.ObserveBatch(recs[:10])
+	before := snapshot(est)
+	est.ObserveBatch(recs[10:])
+
+	// An estimator that stopped where the snapshot was taken.
+	stopped := NewEstimator(Options{})
+	stopped.ObserveBatch(recs[:10])
+	if want := snapshot(stopped); !reflect.DeepEqual(before, want) {
+		t.Errorf("a snapshot changed after more records were observed:\n got %+v\nwant %+v", before, want)
 	}
-	// The second moment stays consistent: variance must be nonnegative.
-	mp := ds.ServiceMoments["srv"]
-	if v := mp.SecondMoment - mp.Mean*mp.Mean; v < -1e-9 {
-		t.Errorf("decayed variance %v negative", v)
+	if n := snapshot(est).ServiceMoments["srv"].N; n != 2 {
+		t.Errorf("service samples after the second batch = %d, want 2", n)
 	}
 }
 
