@@ -124,6 +124,14 @@ func AppendArray[W interface{ Lit(string) *Writer }, T any](w W, s []T, elem fun
 	w.Lit(`]`)
 }
 
+// plainASCII marks the ASCII bytes AppendString copies as they are.
+var plainASCII = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
 // AppendString appends s quoted as json.Marshal quotes a string: HTML-safe
 // escapes for <, > and &, short escapes for \b \f \n \r \t " and \\,
 // \u00XX for the other control characters, U+FFFD for each byte of
@@ -135,7 +143,7 @@ func AppendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if plainASCII[c] {
 				i++
 				continue
 			}

@@ -14,6 +14,8 @@ import (
 	"performa/internal/audit"
 	"performa/internal/sim"
 	"performa/internal/spec"
+	"performa/internal/wfcommons"
+	"performa/internal/wfjson"
 	"performa/internal/wfmserr"
 	"performa/internal/workload"
 )
@@ -74,6 +76,58 @@ func TestWarmAssessAllocationCeiling(t *testing.T) {
 	}
 	if allocs, size := perRequest(t, s.Handler(), "/v1/assess", indented.Bytes()); allocs > 420 {
 		t.Errorf("a warm /v1/assess posted indented made %.0f allocations (%.0f B), want at most 420", allocs, size)
+	}
+}
+
+// TestColdAssessAllocationCeiling pins what a cold /v1/assess allocates:
+// cycles-60, a corpus system whose charts nest subcharts, posted in the
+// compact form json.Marshal writes to a server that has never seen it.
+// The parser cuts every string from one copy of the span; IsCanonical
+// certifies the span, so its digest is the fingerprint and the document
+// is not copied and hashed again; each chart is validated once by
+// FromDocument and once by spec.Build, over one index buffer: 278
+// allocations, where a string each, a canonical copy, a second hash and
+// validation with maps at every nesting level made 362.
+func TestColdAssessAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	const ceiling = 285
+	doc := corpusDocs(t)["cycles-60"]
+	env, flows, err := wfjson.FromDocument(&doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := wfjson.ToDocument(env, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas := make([]int, env.K())
+	for i := range replicas {
+		replicas[i] = wfcommons.DefaultReplicas
+	}
+	body, err := json.Marshal(AssessRequest{System: *canonical, Config: replicas, Goals: GoalsJSON{MaxUnavailability: 1e-3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var mallocs, bytes uint64
+	for range runs {
+		h := New(Options{Logger: testLogger()}).Handler()
+		req, rec := httptest.NewRequest(http.MethodPost, "/v1/assess", strings.NewReader(string(body))), httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%d %s", rec.Code, rec.Body)
+		}
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	if allocs := mallocs / runs; allocs > ceiling {
+		t.Errorf("a cold /v1/assess of cycles-60 made %d allocations (%d B), want at most %d", allocs, bytes/runs, ceiling)
 	}
 }
 

@@ -369,7 +369,8 @@ func (s *Server) stream(fp string) (*ingestStream, uint64) {
 // that built it (SHA-256 being collision-free, as every cache key
 // already assumes), and the entry answers without the span being
 // parsed. Any other span misses, costing a scan and a SHA-256 over it,
-// and is parsed and fingerprinted as a document.
+// and is parsed; if it is canonical (wfjson.IsCanonical, as a cold post
+// of what clients send is), that digest is its fingerprint.
 //
 // When the system's ingestion stream has detected drift, the entry key
 // carries the stream's rebuild generation and the build recalibrates
@@ -388,8 +389,12 @@ func (s *Server) resolve(ctx context.Context, sys *system) (*modelEntry, bool, e
 		if e, warm, err := s.models.getOrBuild(ctx, entryKey(digest, sys.popts, gen), nil); e != nil || err != nil {
 			return e, warm, err
 		}
+		span := sys.span
 		if err := sys.parse(); err != nil {
 			return nil, false, err
+		}
+		if wfjson.IsCanonical(span, sys.doc) {
+			sys.fp = digest
 		}
 	}
 	if sys.fp == "" {

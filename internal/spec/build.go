@@ -285,11 +285,15 @@ func buildChart(chart *statechart.Chart, profiles map[string]ActivityProfile, en
 	// Each state's load is added once per stage, l/k at a time, as the
 	// stage chain sums it: the request vector is then the same float on
 	// either chain, and the corpus files, whose arrival rates the
-	// importer scales by it, reproduce byte for byte.
+	// importer scales by it, reproduce byte for byte. A zero share adds
+	// +0 to a sum that starts at +0 and only grows: skipping it is exact.
 	requests := linalg.NewVector(env.K())
 	for x := range requests {
 		for i, k := range stages {
 			perStage := visits[i] * (load.At(x, i) / float64(k))
+			if perStage == 0 {
+				continue
+			}
 			for range k {
 				requests[x] += perStage
 			}

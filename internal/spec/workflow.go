@@ -78,6 +78,12 @@ func (w *Workflow) Validate(env *Environment) error {
 	if err := w.Chart.Validate(); err != nil {
 		return err
 	}
+	return w.ValidateParameters(env)
+}
+
+// ValidateParameters is Validate after the chart's own checks: the
+// arrival rate and the profile of every activity the chart references.
+func (w *Workflow) ValidateParameters(env *Environment) error {
 	if w.ArrivalRate < 0 {
 		return fmt.Errorf("spec: workflow %q: negative arrival rate %v", w.displayName(), w.ArrivalRate)
 	}

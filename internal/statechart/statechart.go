@@ -17,6 +17,7 @@ package statechart
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -130,18 +131,19 @@ func (t *Transition) ECA() string {
 //   - subcharts validate recursively, and chart names are unique along
 //     any nesting path (no recursive workflows).
 func (c *Chart) Validate() error {
-	return c.validate(map[string]bool{})
+	return c.validate(make([]string, 0, 8))
 }
 
-func (c *Chart) validate(onPath map[string]bool) error {
+// validate checks c inside the charts on onPath over its states indexed
+// in StateNames order, so an error's state does not depend on map order.
+func (c *Chart) validate(onPath []string) error {
 	if c.Name == "" {
 		return fmt.Errorf("statechart: chart has no name")
 	}
-	if onPath[c.Name] {
+	if slices.Contains(onPath, c.Name) {
 		return fmt.Errorf("statechart: chart %q nests itself (recursive workflows are not supported)", c.Name)
 	}
-	onPath[c.Name] = true
-	defer delete(onPath, c.Name)
+	onPath = append(onPath, c.Name)
 
 	if len(c.States) == 0 {
 		return fmt.Errorf("statechart: chart %q has no states", c.Name)
@@ -152,7 +154,8 @@ func (c *Chart) validate(onPath map[string]bool) error {
 	if _, ok := c.States[c.Final]; !ok {
 		return fmt.Errorf("statechart: chart %q final state %q not found", c.Name, c.Final)
 	}
-	checkState := func(name string) error {
+	names := c.StateNames()
+	for _, name := range names {
 		s := c.States[name]
 		if s.Name != name {
 			return fmt.Errorf("statechart: chart %q state keyed %q has Name %q", c.Name, name, s.Name)
@@ -165,19 +168,33 @@ func (c *Chart) validate(onPath map[string]bool) error {
 				return err
 			}
 		}
-		return nil
-	}
-	if err := c.eachState(checkState); err != nil {
-		return err
 	}
 
-	outProb := make(map[string]float64)
-	outCount := make(map[string]int)
+	final, mid := 0, names[1:]
+	if c.Final != c.Initial {
+		final, mid = len(names)-1, mid[:len(mid)-1]
+	}
+	index := func(name string) (int, bool) {
+		switch name {
+		case c.Initial:
+			return 0, true
+		case c.Final:
+			return final, true
+		}
+		i, ok := slices.BinarySearch(mid, name)
+		return i + 1, ok
+	}
+	// Transitions by source: head[i] is 1 + the last one leaving state i
+	// (0: none), next[t] 1 + the one before t; to[t] is t's target.
+	n, m := len(names), len(c.Transitions)
+	outProb, buf := make([]float64, n), make([]int, 3*n+2*m)
+	head, seen, next, to := buf[:n], buf[n:2*n], buf[2*n:2*n+m], buf[2*n+m:2*n+2*m]
 	for i, t := range c.Transitions {
-		if _, ok := c.States[t.From]; !ok {
+		from, ok := index(t.From)
+		if !ok {
 			return fmt.Errorf("statechart: chart %q transition %d: unknown source state %q", c.Name, i, t.From)
 		}
-		if _, ok := c.States[t.To]; !ok {
+		if to[i], ok = index(t.To); !ok {
 			return fmt.Errorf("statechart: chart %q transition %d: unknown target state %q", c.Name, i, t.To)
 		}
 		if t.From == c.Final {
@@ -189,65 +206,32 @@ func (c *Chart) validate(onPath map[string]bool) error {
 		if !(t.Prob > 0 && t.Prob <= 1) {
 			return fmt.Errorf("statechart: chart %q transition %q→%q has probability %v, want (0,1]", c.Name, t.From, t.To, t.Prob)
 		}
-		outProb[t.From] += t.Prob
-		outCount[t.From]++
+		outProb[from] += t.Prob
+		next[i], head[from] = head[from], i+1
 	}
-	checkOutgoing := func(name string) error {
-		if name == c.Final {
+	for i, name := range names {
+		switch {
+		case i == final:
+		case head[i] == 0:
+			return fmt.Errorf("statechart: chart %q state %q is a dead end (no outgoing transitions and not final)", c.Name, name)
+		case math.Abs(outProb[i]-1) > 1e-9:
+			return fmt.Errorf("statechart: chart %q state %q outgoing probabilities sum to %v, want 1", c.Name, name, outProb[i])
+		}
+	}
+	// Is the final state reachable? A walk over the index, O(S+T).
+	seen[0] = 1
+	for queue := append(buf[2*n+2*m:2*n+2*m], 0); len(queue) > 0; queue = queue[1:] {
+		if queue[0] == final {
 			return nil
 		}
-		if outCount[name] == 0 {
-			return fmt.Errorf("statechart: chart %q state %q is a dead end (no outgoing transitions and not final)", c.Name, name)
-		}
-		if math.Abs(outProb[name]-1) > 1e-9 {
-			return fmt.Errorf("statechart: chart %q state %q outgoing probabilities sum to %v, want 1", c.Name, name, outProb[name])
-		}
-		return nil
-	}
-	if err := c.eachState(checkOutgoing); err != nil {
-		return err
-	}
-	if !c.finalReachable() {
-		return fmt.Errorf("statechart: chart %q final state %q unreachable from initial state %q", c.Name, c.Final, c.Initial)
-	}
-	return nil
-}
-
-// eachState runs check on every state in map order, which costs a valid
-// chart nothing. Once a state fails, it reruns check in StateNames order,
-// the order the CTMC mapping reports in, and returns the first failure,
-// so the state an error names does not depend on map order.
-func (c *Chart) eachState(check func(name string) error) error {
-	for name := range c.States {
-		if check(name) == nil {
-			continue
-		}
-		for _, name := range c.StateNames() {
-			if err := check(name); err != nil {
-				return err
+		for t := head[queue[0]] - 1; t >= 0; t = next[t] - 1 {
+			if seen[to[t]] == 0 {
+				seen[to[t]] = 1
+				queue = append(queue, to[t])
 			}
 		}
 	}
-	return nil
-}
-
-func (c *Chart) finalReachable() bool {
-	seen := map[string]bool{c.Initial: true}
-	queue := []string{c.Initial}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		if s == c.Final {
-			return true
-		}
-		for _, t := range c.Transitions {
-			if t.From == s && !seen[t.To] {
-				seen[t.To] = true
-				queue = append(queue, t.To)
-			}
-		}
-	}
-	return false
+	return fmt.Errorf("statechart: chart %q final state %q unreachable from initial state %q", c.Name, c.Final, c.Initial)
 }
 
 // StateNames returns the chart's state names sorted with the initial
@@ -255,16 +239,14 @@ func (c *Chart) finalReachable() bool {
 // fixed order is what the CTMC mapping uses for state indices, making
 // model matrices reproducible.
 func (c *Chart) StateNames() []string {
-	var mid []string
+	out := make([]string, 1, len(c.States)+1)
+	out[0] = c.Initial
 	for name := range c.States {
 		if name != c.Initial && name != c.Final {
-			mid = append(mid, name)
+			out = append(out, name)
 		}
 	}
-	sort.Strings(mid)
-	out := make([]string, 0, len(c.States))
-	out = append(out, c.Initial)
-	out = append(out, mid...)
+	sort.Strings(out[1:])
 	if c.Final != c.Initial {
 		out = append(out, c.Final)
 	}
@@ -286,23 +268,19 @@ func (c *Chart) Outgoing(state string) []*Transition {
 // Activities returns the set of activity type names referenced anywhere
 // in the chart, including nested subcharts, sorted alphabetically.
 func (c *Chart) Activities() []string {
-	set := map[string]bool{}
-	c.collectActivities(set)
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
+	out := c.appendActivities(make([]string, 0, len(c.States)))
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func (c *Chart) collectActivities(set map[string]bool) {
+func (c *Chart) appendActivities(out []string) []string {
 	for _, s := range c.States {
 		if s.Activity != "" {
-			set[s.Activity] = true
+			out = append(out, s.Activity)
 		}
 		for _, sub := range s.Subcharts {
-			sub.collectActivities(set)
+			out = sub.appendActivities(out)
 		}
 	}
+	return out
 }

@@ -1,6 +1,7 @@
 package wfjson
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
@@ -22,6 +23,72 @@ func FingerprintDocument(doc *Document) (fp string, ok bool) {
 	}
 	fp, err := hashDocument(c)
 	return fp, err == nil
+}
+
+// IsCanonical reports whether b, which doc was decoded from, is the form
+// FingerprintDocument hashes, appendDocument(canonical(doc)), so that its
+// hex SHA-256 is doc's fingerprint. A document canonical would not change
+// (server types at their conversions' fixed point, states in StateNames
+// order, the activities the charts reference in name order, no empty
+// list) is compared as it is: nothing is copied or hashed again.
+func IsCanonical(b []byte, doc *Document) bool {
+	if !listed(doc.Environment.Types) || !listed(doc.Workflows) {
+		return false
+	}
+	for _, st := range doc.Environment.Types {
+		conv, err := serverTypeFromJSON(&st)
+		if err != nil || serverTypeToJSON(conv) != st {
+			return false
+		}
+	}
+	refs := make([]string, 0, 32)
+	for _, w := range doc.Workflows {
+		refs = refs[:0]
+		if !canonicalShape(&w.Chart, &refs) || !listed(w.Activities) {
+			return false
+		}
+		slices.Sort(refs)
+		if !slices.EqualFunc(slices.Compact(refs), w.Activities, func(ref string, a Activity) bool { return ref == a.Name }) {
+			return false
+		}
+	}
+	bp := canonicalBufs.Get().(*[]byte)
+	buf, err := appendDocument((*bp)[:0], doc)
+	same := err == nil && bytes.Equal(buf, b)
+	if cap(buf) <= 64<<10 {
+		*bp = buf
+		canonicalBufs.Put(bp)
+	}
+	return same
+}
+
+// canonicalShape reports whether canonicalChart keeps c as it is, and
+// appends the activities c's states name to refs.
+func canonicalShape(c *Chart, refs *[]string) bool {
+	if !listed(c.Transitions) {
+		return false
+	}
+	order := stateOrder{c.Initial, c.Final}
+	for i := range c.States {
+		s := &c.States[i]
+		if i > 0 && order.compare(c.States[i-1], *s) >= 0 {
+			return false
+		}
+		if s.Activity != "" {
+			*refs = append(*refs, s.Activity)
+		}
+		for j := range s.Subcharts {
+			if !canonicalShape(&s.Subcharts[j], refs) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// listed reports whether s is nil or not empty, as canonical leaves it.
+func listed[T any](s []T) bool {
+	return s == nil || len(s) > 0
 }
 
 // hashDocument is the hex SHA-256 of json.Marshal(doc).
@@ -100,24 +167,31 @@ func canonicalChart(c *Chart, refs *[]string) (Chart, bool) {
 		}
 		out.States[i] = s
 	}
-	rank := func(name string) int { // StateNames: initial, the rest by name, final
-		switch name {
-		case c.Initial:
-			return 0
-		case c.Final:
-			return 2
-		}
-		return 1
-	}
-	slices.SortFunc(out.States, func(a, b State) int {
-		return cmp.Or(cmp.Compare(rank(a.Name), rank(b.Name)), strings.Compare(a.Name, b.Name))
-	})
+	slices.SortFunc(out.States, stateOrder{c.Initial, c.Final}.compare)
 	for i := 1; i < len(out.States); i++ {
 		if out.States[i].Name == out.States[i-1].Name {
 			return Chart{}, false
 		}
 	}
 	return out, true
+}
+
+// stateOrder orders a chart's states as StateNames does: the initial
+// state, the rest by name, the final state.
+type stateOrder struct{ initial, final string }
+
+func (o stateOrder) compare(a, b State) int {
+	return cmp.Or(cmp.Compare(o.rank(a.Name), o.rank(b.Name)), strings.Compare(a.Name, b.Name))
+}
+
+func (o stateOrder) rank(name string) int {
+	switch name {
+	case o.initial:
+		return 0
+	case o.final:
+		return 2
+	}
+	return 1
 }
 
 // canonicalActivities is ToDocument's activity list for charts that

@@ -1,6 +1,7 @@
 package wfjson
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -36,7 +37,118 @@ func fingerprintSeeds(tb testing.TB) []string {
 	for _, doc := range corpusDocuments(tb) {
 		seeds = append(seeds, string(doc))
 	}
+	for _, doc := range certificationRefusals() {
+		seeds = append(seeds, doc)
+	}
 	return seeds
+}
+
+// certificationRefusals are canonical bytes (differentialSeeds' compact
+// document) each changed in one way the canonical form never has: the
+// parser reads every one, and IsCanonical must certify none.
+func certificationRefusals() map[string]string {
+	canonical := differentialSeeds()[len(decodeSeeds)]
+	swap := func(old, new string) string {
+		if !strings.Contains(canonical, old) {
+			panic("refusal edit does not apply: " + old)
+		}
+		return strings.Replace(canonical, old, new, 1)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(canonical), "", "  "); err != nil {
+		panic(err)
+	}
+	transitions := `[{"from":"i","to":"a","prob":1},{"from":"a","to":"f","prob":1,"event":"e","cond":"c","actions":[{"kind":"raise","target":"t"}]}]`
+	return map[string]string{
+		"indented":                 indented.String(),
+		"leading space":            " " + canonical,
+		"reordered keys":           swap(`"name":"x","kind":"engine"`, `"kind":"engine","name":"x"`),
+		"scv zero":                 swap(`"service_scv":0.5`, `"service_scv":0`),
+		"scv not shortest":         swap(`"service_scv":0.5`, `"service_scv":0.50`),
+		"scv off the fixed point":  swap(`"service_scv":0.5`, `"service_scv":0.30000000000000004`),
+		"mttf off the fixed point": swap(`"mttf":100`, `"mttf":0.9`), // 1/(1/0.9) is not 0.9,
+		"integer written as float": swap(`"mean_duration":1`, `"mean_duration":1.0`),
+		"exponent":                 swap(`"mean_duration":1`, `"mean_duration":1e0`),
+		"unknown kind":             swap(`"kind":"engine"`, `"kind":"database"`),
+		"load keys unsorted":       swap(`"load":{"x":1}`, `"load":{"y":1,"x":1}`),
+		"load key repeated":        swap(`"load":{"x":1}`, `"load":{"x":1,"x":1}`),
+		"load empty":               swap(`"load":{"x":1}`, `"load":{}`),
+		"transitions empty":        swap(`"transitions":`+transitions, `"transitions":[]`),
+		"actions empty":            swap(`"actions":[{"kind":"raise","target":"t"}]`, `"actions":[]`),
+		"subcharts empty":          swap(`{"name":"f"}`, `{"name":"f","subcharts":[]}`),
+		"interactive false":        swap(`"interactive":true`, `"interactive":false`),
+		"stages zero":              swap(`"stages":2`, `"stages":0`),
+		"activity empty":           swap(`{"name":"f"}`, `{"name":"f","activity":""}`),
+		"name with <":              swap(`"name":"w","arrival_rate"`, `"name":"w<","arrival_rate"`),
+		"name with U+2028":         swap(`"name":"w","arrival_rate"`, "\"name\":\"w\u2028\",\"arrival_rate\""),
+		"states out of order":      swap(`{"name":"i"},{"name":"a","activity":"A","interactive":true}`, `{"name":"a","activity":"A","interactive":true},{"name":"i"}`),
+		"unreferenced activity":    swap(`"load":{"x":1}}]`, `"load":{"x":1}},{"name":"B","mean_duration":1}]`),
+		"activities out of order":  swap(`"activities":[`, `"activities":[{"name":"@","mean_duration":1},`),
+		"member missing":           swap(`"prob":1,"event"`, `"event"`),
+		"member repeated":          swap(`"arrival_rate":1`, `"arrival_rate":1,"arrival_rate":1`),
+	}
+}
+
+// requireCertifiedDigest holds IsCanonical to what the server takes it
+// for: bytes it certifies, decoded by ParseDocument or else by
+// encoding/json, are the canonical form FingerprintDocument hashes, so
+// their digest is the fingerprint.
+func requireCertifiedDigest(t *testing.T, in []byte) (certified bool) {
+	t.Helper()
+	var doc Document
+	end, ok := ParseDocument(in, &doc)
+	if !ok {
+		var err error
+		var end64 int64
+		if doc, end64, err = referenceDocument(in); err != nil {
+			return false
+		}
+		end = int(end64)
+	}
+	if !IsCanonical(in[:end], &doc) {
+		return false
+	}
+	c, cok := canonical(&doc)
+	if !cok {
+		t.Fatalf("IsCanonical certified a document canonicalisation refuses:\n%s", in[:end])
+	}
+	want, err := appendDocument(nil, c)
+	if err != nil || !bytes.Equal(in[:end], want) {
+		t.Fatalf("IsCanonical certified bytes that are not canonical (%v):\n got: %s\nwant: %s", err, in[:end], want)
+	}
+	sum := sha256.Sum256(in[:end])
+	if fp, ok := FingerprintDocument(&doc); !ok || fp != hex.EncodeToString(sum[:]) {
+		t.Fatalf("certified bytes hash to %x, FingerprintDocument %q (ok %v)", sum, fp, ok)
+	}
+	return true
+}
+
+// TestCertification pins which bytes IsCanonical certifies: the compact
+// canonical document and the canonical bytes of every corpus system, and
+// none of certificationRefusals, though the parser reads each of them.
+func TestCertification(t *testing.T) {
+	canonicalDocs := map[string][]byte{"compact": []byte(differentialSeeds()[len(decodeSeeds)])}
+	for name, indented := range corpusDocuments(t) {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, indented); err != nil {
+			t.Fatal(err)
+		}
+		canonicalDocs[name] = compact.Bytes()
+	}
+	for name, in := range canonicalDocs {
+		if !requireCertifiedDigest(t, in) {
+			t.Errorf("%s: canonical bytes not certified", name)
+		}
+	}
+	for name, in := range certificationRefusals() {
+		var doc Document
+		if _, ok := ParseDocument([]byte(in), &doc); !ok {
+			t.Errorf("%s: the parser refused the document", name)
+		}
+		if requireCertifiedDigest(t, []byte(in)) {
+			t.Errorf("%s: certified:\n%s", name, in)
+		}
+	}
 }
 
 // requireFingerprintAgrees holds FingerprintDocument to its definition,
@@ -117,6 +229,7 @@ func FuzzFingerprintDocument(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
+		requireCertifiedDigest(t, []byte(in))
 		doc, _, err := referenceDocument([]byte(in))
 		if err != nil {
 			return

@@ -198,8 +198,8 @@ func TestFingerprintDocumentMatchesFingerprint(t *testing.T) {
 
 // TestCanonicalBytesAreTheirOwnFingerprint pins that the canonical form
 // is a fixed point: json.Marshal(ToDocument(...)) hashes to the
-// fingerprint, and those bytes, decoded by encoding/json or by
-// ParseDocument, fingerprint to it again. A server that finds a model by
+// fingerprint, IsCanonical certifies them, and decoded by encoding/json
+// or by ParseDocument they fingerprint to it again. A server that finds a model by
 // the digest of posted canonical bytes relies on this. It runs over the
 // corpus and 300 generated systems, each also with its server types'
 // numbers redrawn across many decades, where the reciprocal mttf/mttr
@@ -229,6 +229,9 @@ func TestCanonicalBytesAreTheirOwnFingerprint(t *testing.T) {
 		}
 		if n, ok := wfjson.ParseDocument(b, &viaParser); !ok || n != len(b) {
 			t.Fatalf("%s: ParseDocument refused canonical bytes", label)
+		}
+		if !wfjson.IsCanonical(b, &viaParser) {
+			t.Fatalf("%s: IsCanonical does not certify canonical bytes", label)
 		}
 		for route, d := range map[string]*wfjson.Document{"encoding/json": &viaJSON, "ParseDocument": &viaParser} {
 			if got, ok := wfjson.FingerprintDocument(d); !ok || got != fp {

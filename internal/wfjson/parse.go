@@ -32,7 +32,7 @@ const maxChartDepth = 16
 // which stays the definition of what a document means. On true doc is
 // what that decode would have produced, and no string in it aliases b.
 func ParseDocument(b []byte, doc *Document) (end int, ok bool) {
-	p := parser{b: b, i: jsonscan.SkipSpace(b, 0)}
+	p := parser{b: b, s: string(b), i: jsonscan.SkipSpace(b, 0)}
 	p.document(doc)
 	return p.i, !p.bad
 }
@@ -42,6 +42,7 @@ func ParseDocument(b []byte, doc *Document) (end int, ok bool) {
 // every later step fails at once, so the descent needs no error plumbing.
 type parser struct {
 	b     []byte
+	s     string // a copy of b, which the document's strings are cut from
 	i     int
 	bad   bool
 	depth int // charts open around the cursor
@@ -107,25 +108,26 @@ func (p *parser) str() string {
 		return ""
 	}
 	p.i = next
-	return string(val)
+	return p.s[next-1-len(val) : next-1] // val, up to its closing quote
 }
 
-// number returns the literal at the cursor, for the strconv call
-// encoding/json makes for the field's type; a literal that call refuses
-// ("1.0" for an int, "1e999") is the fallback's to report.
-func (p *parser) number() []byte {
-	end, _ := jsonscan.Number(p.b, p.i)
+// number returns the literal at the cursor and its digits, for the
+// conversion encoding/json makes (Decimal.Float is ParseFloat's); a literal
+// it refuses ("1.0" for an int, "1e999") is the fallback's to report.
+func (p *parser) number() ([]byte, jsonscan.Decimal) {
+	end, d := jsonscan.Number(p.b, p.i)
 	if end < 0 {
 		p.fail()
-		return nil
+		return nil, d
 	}
 	lit := p.b[p.i:end]
 	p.i = end
-	return lit
+	return lit, d
 }
 
 func (p *parser) float() float64 {
-	f, err := strconv.ParseFloat(string(p.number()), 64)
+	lit, d := p.number()
+	f, err := d.Float(lit)
 	if err != nil {
 		p.fail()
 	}
@@ -133,7 +135,8 @@ func (p *parser) float() float64 {
 }
 
 func (p *parser) integer() int {
-	n, err := strconv.Atoi(string(p.number()))
+	lit, _ := p.number()
+	n, err := strconv.Atoi(string(lit))
 	if err != nil {
 		p.fail()
 	}
@@ -321,8 +324,9 @@ func (p *parser) activity(a *Activity) {
 			}
 			a.Load = map[string]float64{}
 			for ok := p.open('{', '}'); ok; ok = p.more('}') {
-				serverType := string(p.key())
-				a.Load[serverType] = p.float()
+				start := p.i + 1
+				key := p.key()
+				a.Load[p.s[start:start+len(key)]] = p.float()
 			}
 		default:
 			p.fail()

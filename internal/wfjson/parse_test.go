@@ -36,6 +36,7 @@ func requireMatchesEncodingJSON(t *testing.T, in []byte) (accepted bool) {
 	t.Helper()
 	var got Document
 	end, ok := ParseDocument(in, &got)
+	requireCertifiedDigest(t, in)
 	if ok {
 		want, wantEnd, err := referenceDocument(in)
 		if err != nil {

@@ -209,6 +209,9 @@ func FromDocument(doc *Document) (*spec.Environment, []*spec.Workflow, error) {
 	var flows []*spec.Workflow
 	for _, w := range doc.Workflows {
 		chart, err := chartFromJSON(&w.Chart)
+		if err == nil {
+			err = chart.Validate()
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("wfjson: workflow %q: %w", w.Name, err)
 		}
@@ -239,7 +242,7 @@ func FromDocument(doc *Document) (*spec.Environment, []*spec.Workflow, error) {
 			Profiles:    profiles,
 			ArrivalRate: w.ArrivalRate,
 		}
-		if err := flow.Validate(env); err != nil {
+		if err := flow.ValidateParameters(env); err != nil {
 			return nil, nil, err
 		}
 		flows = append(flows, flow)
@@ -295,6 +298,7 @@ func serverTypeFromJSON(st *ServerType) (spec.ServerType, error) {
 	return out, nil
 }
 
+// chartFromJSON converts a chart and its subcharts; FromDocument validates.
 func chartFromJSON(c *Chart) (*statechart.Chart, error) {
 	out := &statechart.Chart{
 		Name:    c.Name,
@@ -336,9 +340,6 @@ func chartFromJSON(c *Chart) (*statechart.Chart, error) {
 			tr.Actions = append(tr.Actions, statechart.Action{Kind: kind, Target: a.Target})
 		}
 		out.Transitions = append(out.Transitions, tr)
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
