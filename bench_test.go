@@ -701,7 +701,7 @@ func BenchmarkSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := avail.NewModelWithSolver(params, avail.IndependentRepair, ctmc.SolverAuto)
+	model, err := avail.NewModel(params, avail.IndependentRepair)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -45,7 +45,6 @@ func main() {
 		faultName    = flag.String("fault", "service-moment", "fault injected by -mutate: arrival-rate, service-moment, drop-renormalisation, or collapse-bias (the last needs -net)")
 		replay       = flag.String("replay", "", "re-check a corpus file instead of generating systems")
 		corpusDir    = flag.String("corpus", "", "check every wfjson system under this directory's systems/ instead of generating")
-		solverDiff   = flag.Bool("solver-diff", false, "solver-differential mode: cross-check dense vs sparse steady-state solvers only (deterministic, no simulation)")
 		netDiff      = flag.Bool("net", false, "net-differential mode: collapsed analytic turnaround vs free-choice net oracle vs true-concurrency simulation")
 		noShrink     = flag.Bool("no-shrink", false, "skip shrinking failing systems")
 		verbose      = flag.Bool("v", false, "log every system, not just failures")
@@ -54,15 +53,6 @@ func main() {
 
 	opt := crossval.Options{Replications: *replications}
 	check := crossval.Check
-	if *solverDiff && *netDiff {
-		fatal(fmt.Errorf("-solver-diff and -net are mutually exclusive modes"))
-	}
-	if *solverDiff {
-		if *mutate {
-			fatal(fmt.Errorf("-solver-diff runs the analytic solvers against each other and cannot detect -mutate faults"))
-		}
-		check = crossval.CheckSolvers
-	}
 	if *netDiff {
 		check = crossval.CheckNet
 	}
@@ -110,8 +100,8 @@ type outcome struct {
 	err           error
 }
 
-// checkFn is the per-system check: the full multi-route Check, or the
-// deterministic CheckSolvers in -solver-diff mode.
+// checkFn is the per-system check: the full multi-route Check, or
+// CheckNet in -net mode.
 type checkFn func(*crossval.System, crossval.Options) ([]crossval.Disagreement, error)
 
 func run(w io.Writer, systems int, baseSeed uint64, workers int, out string, opt crossval.Options, check checkFn, noShrink, mutate, verbose bool) int {

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"performa/internal/ctmc"
 )
 
 // paperParams returns the Section 5.2 worked example: communication
@@ -289,7 +287,7 @@ func TestEvaluateEmpty(t *testing.T) {
 
 func TestNewModelRejectsErlang(t *testing.T) {
 	params := []TypeParams{{Replicas: 1, FailureRate: 1, RepairRate: 1, RepairStages: 2}}
-	if _, err := NewModelWithSolver(params, SingleCrew, ctmc.SolverAuto); err == nil {
+	if _, err := NewModel(params, SingleCrew); err == nil {
 		t.Error("joint model accepted Erlang stages")
 	}
 }

@@ -13,29 +13,35 @@ import (
 // downtime hours per year, the unit of the paper's worked example.
 const HoursPerYear = 8760.0
 
+// jointGTHStates is the largest live joint chain Evaluate solves by
+// GTH, whose cost is O(n·b²) with b the largest live stride. Above it
+// Evaluate returns the product of the per-type marginals: the types fail
+// and are repaired independently, so that product is the same
+// distribution exactly (DESIGN §11).
+const jointGTHStates = 512
+
 // Model is the availability model of one configuration: the system-state
 // CTMC over all (X_1, ..., X_k) with X ≤ Y.
 type Model struct {
 	params     []TypeParams
 	discipline RepairDiscipline
 	enc        *ctmc.StateEncoder
-	solver     ctmc.SolverStrategy
+	// live lists the types that fail and have replicas; the others are
+	// frozen at X = Y. liveEnc encodes the live dimensions only.
+	live    []int
+	liveEnc *ctmc.StateEncoder
 }
 
-// NewModelWithSolver builds the availability model with an explicit
-// steady-state solver strategy; ctmc.SolverAuto picks the direct GTH
-// solve for small joint chains and the sparse iterative pipeline
-// beyond that. The pre-flight budget depends on the
-// strategy: forcing the direct path keeps the MaxMatrixDim cap, while
-// the sparse strategies admit up to MaxStates joint states.
-func NewModelWithSolver(params []TypeParams, discipline RepairDiscipline, solver ctmc.SolverStrategy) (*Model, error) {
+// NewModel builds the availability model of one configuration. The
+// joint state space is pre-flighted against the state budget before
+// anything is allocated.
+func NewModel(params []TypeParams, discipline RepairDiscipline) (*Model, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("avail: model needs at least one server type")
 	}
-	if !solver.Valid() {
-		return nil, wfmserr.New(wfmserr.CodeInvalidModel, "avail", "unknown solver strategy %v", solver)
-	}
 	caps := make([]int, len(params))
+	m := &Model{params: append([]TypeParams(nil), params...), discipline: discipline}
+	var liveCaps []int
 	for x, p := range params {
 		if err := p.validate(); err != nil {
 			return nil, fmt.Errorf("avail: type %d: %w", x, err)
@@ -44,30 +50,23 @@ func NewModelWithSolver(params []TypeParams, discipline RepairDiscipline, solver
 			return nil, fmt.Errorf("avail: type %d: the exact joint model supports exponential repairs only; use the product-form path for Erlang stages", x)
 		}
 		caps[x] = p.Replicas
+		if p.Replicas > 0 && p.FailureRate > 0 {
+			m.live = append(m.live, x)
+			liveCaps = append(liveCaps, p.Replicas)
+		}
 	}
-	// Pre-flight before anything is allocated: the overflow check always,
-	// then the budget matching the solve path.
 	size, err := ctmc.StateSpaceSize(caps)
 	if err != nil {
 		return nil, err
 	}
-	if solver == ctmc.SolverDense {
-		if err := wfmserr.Default.CheckMatrixDim("avail", size); err != nil {
-			return nil, err
-		}
-	} else if err := wfmserr.Default.CheckStates("avail", size); err != nil {
+	if err := wfmserr.Default.CheckStates("avail", size); err != nil {
 		return nil, err
 	}
-	enc, err := ctmc.NewStateEncoderChecked(caps)
-	if err != nil {
+	if m.enc, err = ctmc.NewStateEncoderChecked(caps); err != nil {
 		return nil, err
 	}
-	return &Model{
-		params:     append([]TypeParams(nil), params...),
-		discipline: discipline,
-		enc:        enc,
-		solver:     solver,
-	}, nil
+	m.liveEnc = ctmc.NewStateEncoder(liveCaps)
+	return m, nil
 }
 
 // ParamsFromEnvironment extracts per-type availability parameters from an
@@ -91,105 +90,61 @@ func ParamsFromEnvironment(env *spec.Environment, replicas []int) ([]TypeParams,
 // Encoder returns the mixed-radix state encoder of the model.
 func (m *Model) Encoder() *ctmc.StateEncoder { return m.enc }
 
-// SteadyState solves the system-state CTMC exactly. Types that never
-// fail (λ = 0) pin their dimension at X = Y; their unreachable states get
-// probability zero by construction of the reachable subchain.
+// SteadyState solves the system-state CTMC exactly by GTH. Types that
+// never fail (λ = 0) or have no replicas are frozen at X = Y: the solve
+// runs over the live subchain, which is irreducible, and embeds it with
+// zero probability on the unreachable states. A live chain above
+// jointGTHStates is refused; Evaluate answers it in product form.
 func (m *Model) SteadyState() (linalg.Vector, error) {
-	// Dimensions that never fail or have no replicas are frozen at a
-	// single value; solving over the full encoding would make the chain
-	// reducible. Solve over the reachable subspace and embed.
-	frozen := make([]bool, len(m.params))
-	anyLive := false
-	for t, p := range m.params {
-		if p.Replicas == 0 || p.FailureRate == 0 {
-			frozen[t] = true
-		} else {
-			anyLive = true
-		}
+	n := m.liveEnc.Size()
+	if n > jointGTHStates {
+		return nil, wfmserr.New(wfmserr.CodeBudgetExceeded, "avail",
+			"joint chain of %d live states is above the GTH cutover; Evaluate answers it in product form", n).
+			With("limit", jointGTHStates)
 	}
-	if !anyLive {
-		// Deterministic system: all mass on the single reachable state.
-		pi := linalg.NewVector(m.enc.Size())
-		x := make([]int, len(m.params))
-		for t, p := range m.params {
-			x[t] = p.Replicas
-		}
-		pi[m.enc.Encode(x)] = 1
-		return pi, nil
+	// Each live type moves by ± its dimension's stride, so the band is
+	// the largest live stride: that of the last live dimension.
+	b := 0
+	if d := len(m.live); d > 0 {
+		b = n / (m.liveEnc.Cap(d-1) + 1)
 	}
-
-	liveIdx := make([]int, 0, len(m.params))
-	liveCaps := make([]int, 0, len(m.params))
-	for t, p := range m.params {
-		if !frozen[t] {
-			liveIdx = append(liveIdx, t)
-			liveCaps = append(liveCaps, p.Replicas)
-		}
-	}
-	liveEnc := ctmc.NewStateEncoder(liveCaps)
-	// Stream the transposed generator straight off the encoder: row i of
-	// Qᵀ lists the transitions INTO live state i, and the diagonal is
-	// state i's negated outflow. Only one CSR matrix ever exists — no
-	// dense Q, no forward copy — which is what lets the default budget
-	// admit multi-million-state joint chains.
-	x := make([]int, len(liveCaps))
-	at := ctmc.AdjointCSR(liveEnc.Size(), func(i int, emit func(j int, rate float64)) {
-		liveEnc.DecodeInto(x, i)
-		for li, t := range liveIdx {
+	x := make([]int, len(m.live))
+	livePi, err := ctmc.GTH(n, b, func(i int, emit func(j int, rate float64)) {
+		m.liveEnc.DecodeInto(x, i)
+		for li, t := range m.live {
 			p := m.params[t]
-			// Failure arrives from the state with one more available
-			// server: (X+1) servers each failing at rate λ.
-			if x[li] < p.Replicas {
-				x[li]++
-				from := liveEnc.Encode(x)
-				x[li]--
-				emit(from, float64(x[li]+1)*p.FailureRate)
-			}
-			// Repair arrives from the state with one fewer available
-			// server, which has (Y−X+1) servers in repair.
+			// Failure: each of the X available servers fails at rate λ.
 			if x[li] > 0 {
+				x[li]--
+				to := m.liveEnc.Encode(x)
+				x[li]++
+				emit(to, float64(x[li])*p.FailureRate)
+			}
+			// Repair: Y−X servers in repair at rate μ each, or one crew.
+			if x[li] < p.Replicas {
 				rate := p.RepairRate
 				if m.discipline == IndependentRepair {
-					rate *= float64(p.Replicas - x[li] + 1)
+					rate *= float64(p.Replicas - x[li])
 				}
-				x[li]--
-				from := liveEnc.Encode(x)
 				x[li]++
-				emit(from, rate)
+				to := m.liveEnc.Encode(x)
+				x[li]--
+				emit(to, rate)
 			}
 		}
-	}, func(i int) float64 {
-		liveEnc.DecodeInto(x, i)
-		var total float64
-		for li, t := range liveIdx {
-			p := m.params[t]
-			total += float64(x[li]) * p.FailureRate
-			if failed := p.Replicas - x[li]; failed > 0 {
-				if m.discipline == IndependentRepair {
-					total += float64(failed) * p.RepairRate
-				} else {
-					total += p.RepairRate
-				}
-			}
-		}
-		return total
 	})
-	// The live chain is irreducible by construction: every live dimension
-	// has λ > 0 and μ > 0, so every state reaches (and is reached from)
-	// the all-up corner.
-	livePi, err := ctmc.SteadyStateAdjoint(at, ctmc.SparseOptions{Strategy: m.solver, AssumeIrreducible: true})
 	if err != nil {
-		return nil, fmt.Errorf("avail: steady state of %d-state availability CTMC: %w", liveEnc.Size(), err)
+		return nil, fmt.Errorf("avail: steady state of %d-state availability CTMC: %w", n, err)
 	}
 
 	// Embed into the full encoding with frozen dimensions pinned.
 	pi := linalg.NewVector(m.enc.Size())
 	full := make([]int, len(m.params))
 	for t, p := range m.params {
-		full[t] = p.Replicas // frozen default
+		full[t] = p.Replicas
 	}
-	liveEnc.Each(func(code int, x []int) {
-		for li, t := range liveIdx {
+	m.liveEnc.Each(func(code int, x []int) {
+		for li, t := range m.live {
 			full[t] = x[li]
 		}
 		pi[m.enc.Encode(full)] = livePi[code]
@@ -238,25 +193,28 @@ func (r *Report) Downtime() string {
 
 // Evaluate solves the exact joint CTMC and derives the availability
 // report. The rates in params must share one time unit; availability is
-// unit-free.
+// unit-free. A live joint chain above jointGTHStates is answered by
+// EvaluateProductForm with the joint vector built: the same distribution,
+// exactly, at the cost of the marginals.
 func Evaluate(params []TypeParams, discipline RepairDiscipline) (*Report, error) {
-	return EvaluateSolver(params, discipline, ctmc.SolverAuto)
-}
-
-// EvaluateSolver is Evaluate with an explicit steady-state solver
-// strategy, the entry point of the solver-differential harness: the same
-// joint CTMC solved under different strategies must agree to solver
-// tolerance.
-func EvaluateSolver(params []TypeParams, discipline RepairDiscipline, solver ctmc.SolverStrategy) (*Report, error) {
-	m, err := NewModelWithSolver(params, discipline, solver)
+	m, err := NewModel(params, discipline)
 	if err != nil {
 		return nil, err
+	}
+	if m.liveEnc.Size() > jointGTHStates {
+		return EvaluateProductForm(params, discipline, true)
 	}
 	pi, err := m.SteadyState()
 	if err != nil {
 		return nil, err
 	}
 	return reportFromStateProbs(params, pi, m.enc), nil
+}
+
+// EvaluateSolver equals Evaluate: GTH is the one steady-state solve. It
+// stays because bench/ calls it by this signature.
+func EvaluateSolver(params []TypeParams, discipline RepairDiscipline, _ ctmc.SolverStrategy) (*Report, error) {
+	return Evaluate(params, discipline)
 }
 
 func reportFromStateProbs(params []TypeParams, pi linalg.Vector, enc *ctmc.StateEncoder) *Report {
@@ -302,8 +260,9 @@ func reportFromStateProbs(params []TypeParams, pi linalg.Vector, enc *ctmc.State
 // Erlang repair stages (with SingleCrew).
 //
 // If buildJoint is true, the full joint distribution over system states
-// is materialized (as the product of marginals) so the report can feed
-// the performability model; otherwise StateProbs is nil.
+// is materialized as the product of marginals; otherwise StateProbs is
+// nil. Evaluate returns this report, joint vector built, for live joint
+// chains above jointGTHStates.
 func EvaluateProductForm(params []TypeParams, discipline RepairDiscipline, buildJoint bool) (*Report, error) {
 	return EvaluateProductFormSolver(params, discipline, buildJoint, nil, ctmc.SolverAuto)
 }

@@ -6,7 +6,8 @@
 // Two solution paths are provided and cross-checked by tests:
 //
 //   - the exact joint CTMC the paper prescribes (Section 5.2), whose
-//     state space is the mixed-radix encoding of all X ≤ Y;
+//     state space is the mixed-radix encoding of all X ≤ Y, solved by
+//     GTH up to 512 live states;
 //   - a product-form path exploiting that failures and repairs of
 //     different server types are independent, so the joint steady state
 //     factorizes into per-type birth-death marginals. This path also

@@ -246,9 +246,9 @@ func (e *Estimates) MeasuredEnvironment(env *spec.Environment) (*spec.Environmen
 // rate are replaced by measured values in place (where observations
 // suffice), and the returned environment carries the measured
 // service-time moments. This is the one-call form of the paper's
-// feedback loop: wfmsd's drift-triggered rebuilds, POST /v1/calibrate
-// and examples/autopilot all go through it, so the same estimates
-// produce bit-identical models on every route.
+// feedback loop: wfmsd's drift-triggered rebuilds and POST
+// /v1/calibrate both go through it, so the same estimates produce
+// bit-identical models on either route.
 func (e *Estimates) ApplySystem(env *spec.Environment, flows []*spec.Workflow, opts Options) (*spec.Environment, error) {
 	for _, w := range flows {
 		if err := e.ApplyToWorkflow(w, env, opts); err != nil {

@@ -6,10 +6,12 @@ import (
 
 	"performa/internal/avail"
 	"performa/internal/des"
+	"performa/internal/linalg"
 	"performa/internal/perf"
 	"performa/internal/performability"
 	"performa/internal/sim"
 	"performa/internal/spec"
+	"performa/internal/wfmserr"
 )
 
 // Fault selects a deliberate perturbation of the analytic route's
@@ -123,6 +125,9 @@ var (
 	tolUnavail     = Tol{Z: 4, Rel: 0.10, Abs: 0.002}
 	tolExact       = Tol{Rel: 1e-9, Abs: 1e-12}
 	tolPerfy       = Tol{Rel: 1e-12}
+	// tolSolver bounds the Erlang leg: avail's GTH phase-chain marginals
+	// against an independent LU solve of the same chain.
+	tolSolver = Tol{Rel: 1e-8, Abs: 1e-10}
 )
 
 // minWaitingSamples is the expected request count below which the
@@ -187,10 +192,6 @@ func Check(sys *System, opt Options) ([]Disagreement, error) {
 		return nil, err
 	}
 	ds, err = performabilityRoute(ds, analytic, analysis, opt)
-	if err != nil {
-		return nil, err
-	}
-	ds, err = solverRoute(ds, analytic, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -421,10 +422,14 @@ func simulatedTurnarounds(ds []Disagreement, route string, sys *System, means []
 
 // availRoute compares steady-state unavailability four ways: simulated
 // (failures on, arrivals off), exact joint CTMC, product form, and the
-// birth–death closed form Π_x (1 − u_x^{Y_x}).
+// birth–death closed form Π_x (1 − u_x^{Y_x}); and it runs the Erlang
+// leg (erlangLeg).
 func availRoute(ds []Disagreement, sys, analytic *System, opt Options) ([]Disagreement, error) {
 	params, err := avail.ParamsFromEnvironment(analytic.Env, analytic.Replicas)
 	if err != nil {
+		return nil, err
+	}
+	if ds, err = erlangLeg(ds, analytic, params); err != nil {
 		return nil, err
 	}
 	exact, err := avail.Evaluate(params, avail.IndependentRepair)
@@ -489,6 +494,86 @@ func availRoute(ds []Disagreement, sys, analytic *System, opt Options) ([]Disagr
 	ds = compare(ds, "avail", "unavailability[sim-vs-exact]",
 		exact.Unavailability, tally.Mean(), tally.StdErr(), tolUnavail)
 	return ds, nil
+}
+
+// erlangLeg checks the one marginal that solves a chain instead of
+// evaluating a formula: the single-crew Erlang phase expansion, with 2–4
+// repair stages per type picked from the seed. avail's GTH marginals
+// are held to erlangReference, which solves the same phase chain on its
+// own.
+func erlangLeg(ds []Disagreement, sys *System, params []avail.TypeParams) ([]Disagreement, error) {
+	erlang := append([]avail.TypeParams(nil), params...)
+	for x := range erlang {
+		erlang[x].RepairStages = 2 + int((sys.Seed+uint64(x))%3)
+	}
+	pf, err := avail.EvaluateProductForm(erlang, avail.SingleCrew, false)
+	if err != nil {
+		return nil, fmt.Errorf("crossval: Erlang product form: %w", err)
+	}
+	refAvail := 1.0
+	for x, p := range erlang {
+		ref, err := erlangReference(p)
+		if err != nil {
+			return nil, fmt.Errorf("crossval: Erlang reference, type %d: %w", x, err)
+		}
+		refAvail *= 1 - ref[0]
+		var worst float64
+		for j, v := range ref {
+			worst = max(worst, math.Abs(v-pf.TypeMarginals[x][j]))
+		}
+		ds = compare(ds, "avail", fmt.Sprintf("erlang-marginal-maxdiff[type%d,gth-vs-lu]", x),
+			0, worst, 0, tolSolver)
+	}
+	return compare(ds, "avail", "erlang-unavailability[gth-vs-lu]",
+		1-refAvail, pf.Unavailability, 0, tolSolver), nil
+}
+
+// erlangReference solves one type's Erlang single-crew phase chain
+// independently of avail: states (j, ph) at j·k + ph − 1 with the full
+// state last, the balance equations Qᵀπ = 0 with the last one replaced
+// by Σπ = 1, solved by dense LU and summed over phases into P(X = j).
+func erlangReference(p avail.TypeParams) (linalg.Vector, error) {
+	y, k := p.Replicas, p.RepairStages
+	out := linalg.NewVector(y + 1)
+	if y == 0 || p.FailureRate == 0 {
+		out[y] = 1
+		return out, nil
+	}
+	full := y * k
+	if err := wfmserr.Default.CheckMatrixDim("crossval", full+1); err != nil {
+		return nil, err
+	}
+	at := linalg.NewMatrix(full+1, full+1)
+	move := func(i, j int, rate float64) {
+		at.Add(j, i, rate)
+		at.Add(i, i, -rate)
+	}
+	move(full, full-k, float64(y)*p.FailureRate)
+	for i := 0; i < full; i++ {
+		// A failure keeps the phase; a stage completion (the last one
+		// returns a server) is always the next state.
+		if j := i / k; j > 0 {
+			move(i, i-k, float64(j)*p.FailureRate)
+		}
+		move(i, i+1, float64(k)*p.RepairRate)
+	}
+	rhs := linalg.NewVector(full + 1)
+	for i := range rhs {
+		at.Set(full, i, 1)
+	}
+	rhs[full] = 1
+	lu, err := linalg.FactorLU(at)
+	if err != nil {
+		return nil, err
+	}
+	pi, err := lu.Solve(rhs)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range pi {
+		out[i/k] += v
+	}
+	return out, nil
 }
 
 // performabilityRoute compares the evaluator's per-type reduction of the

@@ -8,6 +8,17 @@ import (
 	"performa/internal/wfmserr"
 )
 
+// SolverStrategy survives only because bench/ passes SolverAuto by
+// name: GTH is the one steady-state solve, whatever the value.
+type SolverStrategy int
+
+// SolverAuto is the zero SolverStrategy.
+const SolverAuto SolverStrategy = 0
+
+// RateEmitter enumerates the transitions attached to state i as
+// (neighbor, rate) pairs with rate > 0.
+type RateEmitter func(i int, emit func(j int, rate float64))
+
 // SteadyState solves π Q = 0, Σ π_i = 1 for an ergodic CTMC given by its
 // infinitesimal generator matrix Q (Section 5.2): a GTH solve over the
 // full band, the dense reference the tests compare against.
@@ -86,6 +97,25 @@ func GTH(n, b int, out RateEmitter) (linalg.Vector, error) {
 		}
 	}
 	return cleanDistribution(pi)
+}
+
+// cleanDistribution clamps round-off negatives and renormalizes: the
+// last step of the GTH solve.
+func cleanDistribution(pi linalg.Vector) (linalg.Vector, error) {
+	for i, p := range pi {
+		if p < 0 {
+			if p < -1e-9 {
+				return nil, wfmserr.New(wfmserr.CodeInvalidModel, "ctmc",
+					"steady-state probability π[%d] = %v is negative; chain is likely not ergodic", i, p)
+			}
+			pi[i] = 0
+		}
+	}
+	out, err := pi.Normalized()
+	if err != nil {
+		return nil, wfmserr.Wrap(err, wfmserr.CodeInvalidModel, "ctmc", "steady-state distribution is degenerate")
+	}
+	return out, nil
 }
 
 // ValidateGenerator checks that q is a proper infinitesimal generator:

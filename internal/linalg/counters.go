@@ -3,10 +3,10 @@ package linalg
 import "sync"
 
 // SolverCounter aggregates the outcomes of solves routed through one
-// named solver ("lu", "gauss_seidel", "sparse_gauss_seidel"). Fallbacks
-// counts the solves where this solver ran because a preferred one failed —
-// previously those fallbacks were silent, which made "why is assessment
-// slow / why do results differ" undiagnosable from the outside.
+// named solver ("gauss_seidel" or "lu", the two legs of ctmc's
+// absorption solve). Fallbacks counts the solves where this solver ran
+// because a preferred one failed, so a slow or surprising assessment can
+// be diagnosed from the outside.
 type SolverCounter struct {
 	Solves     int64 `json:"solves"`
 	Iterations int64 `json:"iterations"`

@@ -87,8 +87,7 @@ func mulVec(m *Matrix, v Vector) Vector {
 	return out
 }
 
-// vecMul returns v*m (row vector times matrix), the dense reference for
-// the sparse and steady-state tests.
+// vecMul returns v*m (row vector times matrix).
 func vecMul(v Vector, m *Matrix) Vector {
 	out := NewVector(m.Cols())
 	for i, vi := range v {

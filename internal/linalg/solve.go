@@ -10,30 +10,6 @@ import (
 // singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
-// ErrNoConvergence is reported when an iterative solve fails to reach the
-// requested tolerance within its iteration budget.
-var ErrNoConvergence = errors.New("linalg: iteration did not converge")
-
-// GaussSeidelOptions controls the ones-row Gauss-Seidel iteration
-// (OnesRowGaussSeidel).
-type GaussSeidelOptions struct {
-	// Tol is the convergence tolerance on the infinity norm of the
-	// update between successive iterates. Zero means the default 1e-12.
-	Tol float64
-	// MaxIter bounds the number of sweeps. Zero means the default 10000.
-	MaxIter int
-}
-
-func (o GaussSeidelOptions) withDefaults() GaussSeidelOptions {
-	if o.Tol <= 0 {
-		o.Tol = 1e-12
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 10000
-	}
-	return o
-}
-
 // LU holds an LU factorization with partial pivoting of a square matrix,
 // suitable for repeated solves against different right-hand sides.
 type LU struct {

@@ -1,8 +1,8 @@
 // Package linalg provides the dense linear-algebra substrate used by the
-// Markov-chain models: vectors, matrices, a Gauss-Seidel iterative solver
-// (the method the paper prescribes for its linear systems), and an LU
-// direct solver with partial pivoting used as a cross-check and as a
-// fallback when the iteration does not converge.
+// Markov-chain models: vectors, matrices, an LU direct solver with
+// partial pivoting (the fallback of ctmc's Gauss-Seidel absorption solve
+// and an independent reference in tests), and the process-wide solver
+// counters.
 //
 // The package is intentionally self-contained and dependency-free; the
 // matrices arising from workflow CTMCs are small (tens to a few thousand

@@ -60,16 +60,13 @@ type Options struct {
 	PenaltyValue float64
 	// Discipline is the repair discipline of the availability model.
 	Discipline avail.RepairDiscipline
-	// Solver changes no answer (marginals are closed form or one GTH solve); kept, like avail's *Solver entry points, for the frozen bench/.
+	// Solver is ignored, like config's Workers: bench/ still sets it.
 	Solver ctmc.SolverStrategy
 }
 
 func (o Options) validate() error {
 	if o.Policy == Penalty && !(o.PenaltyValue > 0) {
 		return fmt.Errorf("performability: Penalty policy needs a positive PenaltyValue, got %v", o.PenaltyValue)
-	}
-	if !o.Solver.Valid() {
-		return fmt.Errorf("performability: unknown solver strategy %v", o.Solver)
 	}
 	return nil
 }

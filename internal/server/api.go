@@ -517,9 +517,10 @@ type StatsResponse struct {
 	// variance floor the collapsed chain enforces on a
 	// lower-variance-than-representable subworkflow (logged per build).
 	ClampedStages uint64 `json:"clamped_stages,omitempty"`
-	// Solvers reports the process-wide per-solver solve counters: how
-	// many steady-state and first-passage systems each linear solver
-	// handled, total iterations, and fallback counts.
+	// Solvers reports the process-wide counters of the absorption solve
+	// (first passage, visits): "gauss_seidel" sweeps and their "lu"
+	// fallbacks, with iterations and fallback counts. Steady states are
+	// closed forms or GTH and are not counted.
 	Solvers map[string]linalg.SolverCounter `json:"solvers,omitempty"`
 }
 

@@ -10,23 +10,22 @@ type Budget struct {
 	// availability levels Y_x + 1 (or phase expansion), or a joint
 	// availability space Π_x (Y_x + 1) where one is materialized.
 	MaxStates int
-	// MaxMatrixDim caps the dimension of any dense linear system
-	// (workflow-chart generators including Erlang stage expansion,
-	// exact joint availability models, single-crew repair chains).
+	// MaxMatrixDim caps the dimension of any dense linear system: a
+	// workflow chart's states including its Erlang stage expansion,
+	// whose absorption solve falls back to LU.
 	MaxMatrixDim int
 }
 
 // DefaultBudget returns the stock budget used by the daemon and CLIs.
 // The defaults admit every model in the paper's experiments with orders
-// of magnitude of headroom. MaxStates sizes the sparse steady-state
-// path, whose per-state cost is a handful of CSR entries (~16 bytes
-// each) and a few solution vectors: 2^23 states stay in the low
-// hundreds of MiB and solve in seconds with the iterative solvers.
-// MaxMatrixDim still caps the dense direct path, whose worst admissible
-// solve (2048³ ≈ 8.6e9 flops) is around a second of CPU.
+// of magnitude of headroom. MaxStates caps the vectors an availability
+// model enumerates: a joint vector of 2^23 states, built as the product
+// of the per-type marginals, is 64 MiB. MaxMatrixDim caps the dense
+// direct path, whose worst admissible solve (2048³ ≈ 8.6e9 flops) is
+// around a second of CPU.
 func DefaultBudget() Budget {
 	return Budget{
-		MaxStates:    1 << 23, // 8388608 states on the sparse path
+		MaxStates:    1 << 23, // 8388608 enumerated states
 		MaxMatrixDim: 2048,    // dense n×n systems
 	}
 }
