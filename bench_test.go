@@ -36,6 +36,7 @@ import (
 	"performa/internal/server"
 	"performa/internal/sim"
 	"performa/internal/spec"
+	"performa/internal/stream"
 	"performa/internal/wfjson"
 	"performa/internal/workload"
 )
@@ -498,6 +499,56 @@ func BenchmarkReadRecords(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkObserveBatch measures the fold layer of POST /v1/events on
+// the trail the ingest-steady workload posts: 100 batches of 2,000
+// records simulated from the EP workflow at (3,3,4), each decoded by
+// DecodeRecords before the timer starts, folded in order into a fresh
+// estimator per iteration by Estimator.ObserveBatch, as the server folds
+// one stream (ns/record, allocs/op).
+func BenchmarkObserveBatch(b *testing.B) {
+	const batches, records = 100, 2000
+	env := workload.PaperEnvironment()
+	m, err := spec.Build(workload.EPWorkflow(3), env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full := audit.NewTrail()
+	if _, err := sim.Run(sim.Params{
+		Env: env, Models: []*spec.Model{m},
+		Replicas: []int{3, 3, 4},
+		Seed:     1, Horizon: float64(batches*records) / 150,
+		Trail: full,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	all := full.Records()
+	if len(all) < batches*records {
+		b.Fatalf("simulated trail has %d records, want %d", len(all), batches*records)
+	}
+	decoded := make([][]audit.Record, batches)
+	for k := range decoded {
+		var lines bytes.Buffer
+		enc := json.NewEncoder(&lines)
+		for _, r := range all[k*records : (k+1)*records] {
+			if err := enc.Encode(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if decoded[k], err = audit.DecodeRecords(nil, lines.Bytes(), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est := stream.NewEstimator(stream.Options{})
+		for _, recs := range decoded {
+			est.ObserveBatch(recs)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches*records), "ns/record")
 }
 
 // BenchmarkDecodeFingerprint measures decode, FromDocument, Fingerprint:

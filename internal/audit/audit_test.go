@@ -298,3 +298,24 @@ func TestTrailMatchesSliceReference(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyMatchesFieldKeys holds key's inlined comparisons to fieldKeys:
+// each key and colon followed by a byte is its field, and the key with
+// nothing after it, or with any one byte replaced, is no field.
+func TestKeyMatchesFieldKeys(t *testing.T) {
+	for f, k := range fieldKeys {
+		if got := key([]byte(k + "0")); got != f {
+			t.Errorf("key(%s0) = %d, want %d", k, got, f)
+		}
+		if got := key([]byte(k)); got != -1 {
+			t.Errorf("key(%s) with no value = %d, want -1", k, got)
+		}
+		for i := range k {
+			b := []byte(k + "0")
+			b[i] = 'X'
+			if got := key(b); got != -1 {
+				t.Errorf("key(%s) = %d, want -1", b, got)
+			}
+		}
+	}
+}

@@ -11,8 +11,8 @@ import (
 
 // DecodeRecords splits a body of splitBytes or more (a 2,000-record
 // trail batch is ~240 KB) into piecesPerProc pieces per goroutine: a
-// helper starts 70–400 µs after its launch, and the caller decodes the
-// pieces a late helper would have had.
+// helper starts 90–560 µs (median ~450) after its launch when served,
+// and the caller decodes the pieces a late helper would have had.
 const splitBytes, piecesPerProc = 128 << 10, 8
 
 // cutPieces returns where n pieces of about equal size end in body, each
@@ -102,18 +102,52 @@ func decodeSplit(dst []Record, body []byte, ends []int, limit, procs int) ([]Rec
 }
 
 // fieldKeys are Record's JSON keys, each with its colon, in declaration
-// order: the order json.Encoder writes them in.
+// order: the order json.Encoder writes them in, and the field numbers of
+// key, line and setNumber.
 var fieldKeys = [...]string{`"kind":`, `"time":`, `"workflow":`, `"instance":`,
 	`"chart":`, `"state":`, `"activity":`, `"server_type":`, `"server":`,
 	`"waiting":`, `"service":`}
 
+// key returns the number of the field whose key and colon start r, with
+// a byte after them, or -1. It tests the byte after the quote and then
+// compares against a constant, which the compiler inlines (a compare
+// against fieldKeys[f] would call memequal).
+func key(r []byte) int {
+	switch n := len(r); {
+	case n < 8:
+		return -1
+	case r[1] == 'k' && string(r[:7]) == `"kind":`:
+		return 0
+	case r[1] == 't' && string(r[:7]) == `"time":`:
+		return 1
+	case r[1] == 'w' && n > 11 && string(r[:11]) == `"workflow":`:
+		return 2
+	case r[1] == 'i' && n > 11 && string(r[:11]) == `"instance":`:
+		return 3
+	case r[1] == 'c' && n > 8 && string(r[:8]) == `"chart":`:
+		return 4
+	case r[1] == 's' && n > 8 && string(r[:8]) == `"state":`:
+		return 5
+	case r[1] == 'a' && n > 11 && string(r[:11]) == `"activity":`:
+		return 6
+	case r[1] == 's' && n > 14 && string(r[:14]) == `"server_type":`:
+		return 7
+	case r[1] == 's' && n > 9 && string(r[:9]) == `"server":`:
+		return 8
+	case r[1] == 'w' && n > 10 && string(r[:10]) == `"waiting":`:
+		return 9
+	case r[1] == 's' && n > 10 && string(r[:10]) == `"service":`:
+		return 10
+	}
+	return -1
+}
+
 // lineDecoder decodes the line json.Encoder.Encode(Record) writes: a
 // flat object of Record's JSON keys, strings with no escape and valid
 // UTF-8, and strict JSON numbers that convert to the field's type as
-// encoding/json converts them. Keys are matched in declaration order (the
-// encoder's) from the one after the last; any order decodes, more slowly.
-// Strings are interned, first against the field's last, so none aliases
-// the body; a decoder lives for one body, which bounds what names holds.
+// encoding/json converts them. Keys may come in any order. Strings are
+// interned, first against the field's last, so none aliases the body; a
+// decoder lives for one body, which bounds what names holds.
 type lineDecoder struct {
 	names map[string]string
 	last  [len(fieldKeys)]string
@@ -134,17 +168,12 @@ func (d *lineDecoder) line(b []byte, rec *Record) bool {
 	}
 	strs := [len(fieldKeys)]*string{(*string)(&rec.Kind), nil, &rec.Workflow, nil,
 		&rec.Chart, &rec.State, &rec.Activity, &rec.ServerType} // the rest are numbers
-	for next := 0; ; {
-		f := -1
-		for n := next; n < next+len(fieldKeys) && f < 0; n++ {
-			if k := fieldKeys[n%len(fieldKeys)]; len(b)-i > len(k) && b[i+1] == k[1] && string(b[i:i+len(k)]) == k {
-				f, i = n%len(fieldKeys), i+len(k)
-			}
-		}
+	for {
+		f := key(b[i:])
 		if f < 0 {
 			return false
 		}
-		next, i = f+1, jsonscan.SkipSpace(b, i)
+		i = jsonscan.SkipSpace(b, i+len(fieldKeys[f]))
 		ok := false
 		if s := strs[f]; s == nil {
 			i, ok = setNumber(rec, f, b, i)

@@ -114,13 +114,22 @@ func (d *Decimal) digits(b []byte, i, step int) int {
 	return j
 }
 
+// pow5 holds 5^k for k ≤ 22, the powers whose 10^k is an exact float64.
+var pow5 = func() (t [23]uint64) {
+	for k, p := 0, uint64(1); k < len(t); k, p = k+1, 5*p {
+		t[k] = p
+	}
+	return t
+}()
+
 // Float returns what strconv.ParseFloat returns for lit, the literal d
 // was scanned from, without parsing lit again where the nearest float64
 // (ties to even) is cheap to get exactly. Powers of ten (and five) up to
 // 10^22 are exact float64s: one multiply rounds a mantissa below 2^53
 // times one, and m over 10^k is m·2^s/5^k over 2^(s+k), an integer
 // division whose 63- or 64-bit quotient float64 rounds once when a
-// nonzero remainder sets its lowest bit.
+// nonzero remainder sets its lowest bit. The quotient is at least 2^62,
+// its scale at least 2^-136: the product is normal, the scaling exact.
 func (d Decimal) Float(lit []byte) (float64, error) {
 	var f float64
 	switch {
@@ -130,13 +139,13 @@ func (d Decimal) Float(lit []byte) (float64, error) {
 		f = float64(d.mant) * math.Pow10(max(d.exp, 0))
 	default:
 		k, lm := -d.exp, bits.Len64(d.mant)
-		p := uint64(math.Ldexp(math.Pow10(k), -k)) // 5^k
+		p := pow5[k]
 		ld, m := bits.Len64(p), d.mant<<(64-lm)
 		q, r := bits.Div64(m>>(65-ld), m<<(ld-1), p)
 		if r != 0 {
 			q |= 1 // at least 10 bits below the rounding bit
 		}
-		f = math.Ldexp(float64(q), lm-ld-k-63)
+		f = float64(q) * math.Float64frombits(uint64(1023+lm-ld-k-63)<<52)
 	}
 	if d.neg {
 		f = -f

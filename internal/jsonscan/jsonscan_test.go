@@ -132,6 +132,23 @@ func TestNumberFloatMatchesParseFloat(t *testing.T) {
 			}
 		}
 	}
+	// Every 5^k of the division's table and every exact 10^k, at the
+	// mantissa extremes (1, 2^53 ± 1, the largest 19 digits): where the
+	// quotient's shift and the power-of-two scale are longest and
+	// shortest. Each is written with an exponent and as a fraction.
+	for k := 1; k <= 22; k++ {
+		for _, m := range []uint64{1, 1<<53 - 1, 1<<53 + 1, 9999999999999999999} {
+			s := strconv.FormatUint(m, 10)
+			frac := "0." + strings.Repeat("0", max(k-len(s), 0)) + s
+			if k < len(s) {
+				frac = s[:len(s)-k] + "." + s[len(s)-k:]
+			}
+			for _, lit := range []string{s + "e-" + strconv.Itoa(k), s + "e" + strconv.Itoa(k), frac} {
+				check(lit)
+				check("-" + lit)
+			}
+		}
+	}
 	if exact < 100000 {
 		t.Errorf("%d of the literals reach the exact paths, want most", exact)
 	}

@@ -1,8 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"performa/internal/calibrate"
 	"performa/internal/spec"
@@ -203,18 +204,23 @@ func relChange(observed, base, floor float64) float64 {
 // baseline under the given thresholds. The comparison runs directly on
 // the internal counters — no snapshot, no allocation proportional to
 // the stream — so it is cheap enough to run after every ingested batch.
+// A transition's name is built only if it is among the top changes.
 func (e *Estimator) ScoreAgainst(b *Baseline, t Thresholds) Score {
 	t = t.WithDefaults()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
 	var s Score
-	var contribs []Contribution
+	type scored struct {
+		Contribution
+		key calibrate.TransitionKey // a transition's, named once kept
+	}
+	contribs := make([]scored, 0, len(b.Transitions)+len(b.Activities)+len(b.Service)+len(b.Arrivals))
 	note := func(dim, param string, base, observed, change float64) {
-		contribs = append(contribs, Contribution{
+		contribs = append(contribs, scored{Contribution: Contribution{
 			Dimension: dim, Parameter: param,
 			Baseline: base, Observed: observed, Change: change,
-		})
+		}})
 	}
 
 	// Branch probabilities: observed count over observed departures from
@@ -231,7 +237,8 @@ func (e *Estimator) ScoreAgainst(b *Baseline, t Thresholds) Score {
 			if change > s.Transition {
 				s.Transition = change
 			}
-			note("transition", fmt.Sprintf("%s:%s→%s", key.Chart, key.From, key.To), base, observed, change)
+			note("transition", "", base, observed, change)
+			contribs[len(contribs)-1].key = key
 		}
 	}
 
@@ -284,10 +291,13 @@ func (e *Estimator) ScoreAgainst(b *Baseline, t Thresholds) Score {
 		}
 	}
 
-	sort.Slice(contribs, func(i, j int) bool { return contribs[i].Change > contribs[j].Change })
-	if len(contribs) > topContributions {
-		contribs = contribs[:topContributions]
+	slices.SortFunc(contribs, func(a, b scored) int { return cmp.Compare(b.Change, a.Change) })
+	s.Top = make([]Contribution, min(len(contribs), topContributions))
+	for i := range s.Top {
+		if s.Top[i] = contribs[i].Contribution; s.Top[i].Dimension == "transition" {
+			k := contribs[i].key
+			s.Top[i].Parameter = k.Chart + ":" + k.From + "→" + k.To
+		}
 	}
-	s.Top = contribs
 	return s
 }

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"performa/internal/audit"
@@ -315,5 +317,32 @@ func TestZeroBaselineTransitionScoresAgainstFloor(t *testing.T) {
 	}
 	if len(s.Top) == 0 || s.Top[0].Baseline != 0 {
 		t.Errorf("worst contribution should be the zero-baseline branch: %+v", s.Top)
+	}
+}
+
+// TestScoreAgainstNamesOnlyTheKept scores 32 drifted transitions, keeps
+// five, and holds ScoreAgainst to the candidates and Top, plus one name
+// per kept transition: each name must be the key of the baseline the
+// contribution carries.
+func TestScoreAgainstNamesOnlyTheKept(t *testing.T) {
+	est := NewEstimator(Options{})
+	est.ObserveBatch(driftTrail(100, 0.5))
+	base := baselineAB(0.9)
+	for i := range 30 {
+		base.Transitions[calibrate.TransitionKey{Chart: "wf", From: "init", To: fmt.Sprint("C", i)}] = 0.01 * float64(i+1)
+	}
+	var s Score
+	if n := testing.AllocsPerRun(20, func() { s = est.ScoreAgainst(base, Thresholds{}) }); n > 2+topContributions {
+		t.Errorf("ScoreAgainst allocates %v times, want at most %d", n, 2+topContributions)
+	}
+	if len(s.Top) != topContributions || s.Top[0].Parameter != "wf:init→B" {
+		t.Fatalf("top contributions %+v, want %d led by wf:init→B", s.Top, topContributions)
+	}
+	for _, c := range s.Top {
+		chart, rest, _ := strings.Cut(c.Parameter, ":")
+		from, to, _ := strings.Cut(rest, "→")
+		if got, ok := base.Transitions[calibrate.TransitionKey{Chart: chart, From: from, To: to}]; !ok || got != c.Baseline {
+			t.Errorf("%s carries baseline %v; the baseline's is %v (%v)", c.Parameter, c.Baseline, got, ok)
+		}
 	}
 }

@@ -4,8 +4,9 @@
 // audit.Record at a time, so a long-running advisory service can ingest
 // a live event feed without ever re-reading or re-sorting history, and
 // a complete trail is just the same fold run to the end (FromTrail). The
-// estimators are concurrency-safe and allocation-conscious: per-event
-// work is map lookups and running-mean updates, no sorting, no copying.
+// estimators are concurrency-safe and allocation-conscious: an event
+// costs one instance lookup, a scan of that instance's few charts or
+// activities, one map update and a running-mean update; nothing sorts.
 // A drift detector (drift.go) compares the running estimates against
 // the parameters baked into a built model and scores the relative
 // change, the trigger for invalidating warm model caches.
@@ -13,6 +14,7 @@ package stream
 
 import (
 	"maps"
+	"slices"
 	"sync"
 
 	"performa/internal/audit"
@@ -38,15 +40,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// instChart keys per-instance, per-chart control-flow state.
-type instChart struct {
-	instance uint64
-	chart    string
-}
-
-// chartFlow is where one instance stands in one chart. The zero value
-// is an instance that has neither entered nor left a state there.
+// chartFlow is where one instance stands in chart. With only chart set,
+// the instance has neither entered nor left a state there.
 type chartFlow struct {
+	chart string
 	// state was entered at enteredAt and not left since (inState).
 	state     string
 	enteredAt float64
@@ -57,15 +54,37 @@ type chartFlow struct {
 	hasLeft  bool
 }
 
-// instAct keys per-instance pending activity starts.
-type instAct struct {
-	instance uint64
+// instState is one instance's in-flight state: its start if tracked
+// (within MaxInFlight), where it stands in each chart it touched, and
+// the activities it started and has not completed, oldest first.
+type instState struct {
+	start    float64
+	workflow string
+	tracked  bool
+	charts   []chartFlow
+	acts     []actStart
+}
+
+type actStart struct {
 	activity string
+	at       float64
+}
+
+// flow returns where the instance stands in chart, adding the chart.
+func (st *instState) flow(chart string) *chartFlow {
+	for i := range st.charts {
+		if st.charts[i].chart == chart {
+			return &st.charts[i]
+		}
+	}
+	st.charts = append(st.charts, chartFlow{chart: chart})
+	return &st.charts[len(st.charts)-1]
 }
 
 // serverMoments are one server type's service-request moments, kept in
 // one map entry so a service record costs one lookup.
 type serverMoments struct {
+	name             string
 	service, waiting calibrate.MomentPair
 }
 
@@ -90,15 +109,17 @@ type Estimator struct {
 	turnarounds map[string]*calibrate.MomentPair
 	starts      map[string]*arrivalTrack
 
-	// In-flight instance state, pruned on completion so a bounded
+	// The first server types seen: a service request's type is looked
+	// for here before the map is hashed.
+	known []*serverMoments
+
+	// In-flight instance state, deleted on completion so a bounded
 	// instance population keeps memory bounded no matter how long the
-	// stream runs.
-	flows        map[instChart]chartFlow
-	actStart     map[instAct][]float64
-	instStart    map[uint64]float64
-	instWorkflow map[uint64]string
-	instCharts   map[uint64][]string
-	instActs     map[uint64][]string
+	// stream runs; tracked counts the entries with a tracked start. A
+	// deleted entry goes to free, to be reused with its slices' room.
+	insts   map[uint64]*instState
+	free    []*instState
+	tracked int
 
 	events      uint64
 	dropped     uint64
@@ -109,20 +130,15 @@ type Estimator struct {
 // NewEstimator returns an empty estimator.
 func NewEstimator(opts Options) *Estimator {
 	return &Estimator{
-		opts:         opts.withDefaults(),
-		transitions:  map[calibrate.TransitionKey]uint64{},
-		departures:   map[[2]string]uint64{},
-		residence:    map[[2]string]*calibrate.MomentPair{},
-		activities:   map[string]*calibrate.MomentPair{},
-		servers:      map[string]*serverMoments{},
-		turnarounds:  map[string]*calibrate.MomentPair{},
-		starts:       map[string]*arrivalTrack{},
-		flows:        map[instChart]chartFlow{},
-		actStart:     map[instAct][]float64{},
-		instStart:    map[uint64]float64{},
-		instWorkflow: map[uint64]string{},
-		instCharts:   map[uint64][]string{},
-		instActs:     map[uint64][]string{},
+		opts:        opts.withDefaults(),
+		transitions: map[calibrate.TransitionKey]uint64{},
+		departures:  map[[2]string]uint64{},
+		residence:   map[[2]string]*calibrate.MomentPair{},
+		activities:  map[string]*calibrate.MomentPair{},
+		servers:     map[string]*serverMoments{},
+		turnarounds: map[string]*calibrate.MomentPair{},
+		starts:      map[string]*arrivalTrack{},
+		insts:       map[uint64]*instState{},
 	}
 }
 
@@ -151,7 +167,7 @@ func (e *Estimator) Events() uint64 {
 func (e *Estimator) InFlight() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.instStart)
+	return e.tracked
 }
 
 // Dropped returns how many instance starts exceeded MaxInFlight and had
@@ -176,11 +192,7 @@ func (e *Estimator) observeLocked(r *audit.Record) {
 	}
 	switch r.Kind {
 	case audit.InstanceStarted:
-		a := e.starts[r.Workflow]
-		if a == nil {
-			a = &arrivalTrack{}
-			e.starts[r.Workflow] = a
-		}
+		a := entry(e.starts, r.Workflow)
 		if a.count == 0 || r.Time < a.first {
 			a.first = r.Time
 		}
@@ -188,102 +200,99 @@ func (e *Estimator) observeLocked(r *audit.Record) {
 			a.last = r.Time
 		}
 		a.count++
-		if len(e.instStart) >= e.opts.MaxInFlight {
+		if e.tracked >= e.opts.MaxInFlight {
 			e.dropped++
 			return
 		}
-		e.instStart[r.Instance] = r.Time
-		e.instWorkflow[r.Instance] = r.Workflow
+		st := e.instLocked(r.Instance)
+		if !st.tracked {
+			st.tracked = true
+			e.tracked++
+		}
+		st.start, st.workflow = r.Time, r.Workflow
 	case audit.InstanceCompleted:
-		if t0, ok := e.instStart[r.Instance]; ok {
+		st := e.insts[r.Instance]
+		if st == nil {
+			return
+		}
+		if st.tracked {
 			wf := r.Workflow
 			if wf == "" {
-				wf = e.instWorkflow[r.Instance]
+				wf = st.workflow
 			}
-			mp := e.turnarounds[wf]
-			if mp == nil {
-				mp = &calibrate.MomentPair{}
-				e.turnarounds[wf] = mp
-			}
-			mp.Add(r.Time - t0)
+			entry(e.turnarounds, wf).Add(r.Time - st.start)
+			e.tracked--
 		}
-		e.pruneInstanceLocked(r.Instance)
+		delete(e.insts, r.Instance)
+		*st = instState{charts: st.charts[:0], acts: st.acts[:0]}
+		e.free = append(e.free, st)
 	case audit.StateEntered:
-		key := instChart{r.Instance, r.Chart}
-		e.noteChartLocked(r.Instance, r.Chart)
-		f := e.flows[key]
+		f := e.instLocked(r.Instance).flow(r.Chart)
 		if f.hasLeft {
 			e.transitions[calibrate.TransitionKey{Chart: r.Chart, From: f.lastLeft, To: r.State}]++
 			e.departures[[2]string{r.Chart, f.lastLeft}]++
 		}
-		e.flows[key] = chartFlow{state: r.State, enteredAt: r.Time, inState: true}
+		*f = chartFlow{chart: f.chart, state: r.State, enteredAt: r.Time, inState: true}
 	case audit.StateLeft:
-		key := instChart{r.Instance, r.Chart}
-		e.noteChartLocked(r.Instance, r.Chart)
-		f := e.flows[key]
+		f := e.instLocked(r.Instance).flow(r.Chart)
 		if f.inState && f.state == r.State {
-			sk := [2]string{r.Chart, r.State}
-			mp := e.residence[sk]
-			if mp == nil {
-				mp = &calibrate.MomentPair{}
-				e.residence[sk] = mp
-			}
-			mp.Add(r.Time - f.enteredAt)
+			entry(e.residence, [2]string{r.Chart, r.State}).Add(r.Time - f.enteredAt)
 			f.inState = false
 		}
 		f.lastLeft, f.hasLeft = r.State, true
-		e.flows[key] = f
 	case audit.ActivityStarted:
-		k := instAct{r.Instance, r.Activity}
-		if _, ok := e.actStart[k]; !ok {
-			e.instActs[r.Instance] = append(e.instActs[r.Instance], r.Activity)
-		}
-		e.actStart[k] = append(e.actStart[k], r.Time)
+		st := e.instLocked(r.Instance)
+		st.acts = append(st.acts, actStart{r.Activity, r.Time})
 	case audit.ActivityCompleted:
-		k := instAct{r.Instance, r.Activity}
-		if starts := e.actStart[k]; len(starts) > 0 {
-			mp := e.activities[r.Activity]
-			if mp == nil {
-				mp = &calibrate.MomentPair{}
-				e.activities[r.Activity] = mp
+		if st := e.insts[r.Instance]; st != nil {
+			if i := slices.IndexFunc(st.acts, func(a actStart) bool { return a.activity == r.Activity }); i >= 0 {
+				entry(e.activities, r.Activity).Add(r.Time - st.acts[i].at)
+				st.acts = slices.Delete(st.acts, i, i+1)
 			}
-			mp.Add(r.Time - starts[0])
-			e.actStart[k] = starts[1:]
 		}
 	case audit.ServiceRequest:
-		sm := e.servers[r.ServerType]
-		if sm == nil {
-			sm = &serverMoments{}
-			e.servers[r.ServerType] = sm
-		}
+		sm := e.serverLocked(r.ServerType)
 		sm.service.Add(r.Service)
 		sm.waiting.Add(r.Waiting)
 	}
 }
 
-// noteChartLocked remembers that the instance touched the chart, so its
-// control-flow state can be pruned when the instance completes.
-func (e *Estimator) noteChartLocked(instance uint64, chart string) {
-	for _, c := range e.instCharts[instance] {
-		if c == chart {
-			return
+// serverLocked returns the server type's moments, adding them.
+func (e *Estimator) serverLocked(name string) *serverMoments {
+	for _, sm := range e.known {
+		if sm.name == name {
+			return sm
 		}
 	}
-	e.instCharts[instance] = append(e.instCharts[instance], chart)
+	sm := entry(e.servers, name)
+	if sm.name = name; len(e.known) < 8 {
+		e.known = append(e.known, sm)
+	}
+	return sm
 }
 
-// pruneInstanceLocked drops all in-flight state of a completed instance.
-func (e *Estimator) pruneInstanceLocked(instance uint64) {
-	for _, chart := range e.instCharts[instance] {
-		delete(e.flows, instChart{instance, chart})
+// instLocked returns the instance's in-flight state, adding an entry.
+func (e *Estimator) instLocked(instance uint64) *instState {
+	st := e.insts[instance]
+	if st == nil {
+		if n := len(e.free); n > 0 {
+			st, e.free = e.free[n-1], e.free[:n-1]
+		} else {
+			st = &instState{}
+		}
+		e.insts[instance] = st
 	}
-	delete(e.instCharts, instance)
-	for _, act := range e.instActs[instance] {
-		delete(e.actStart, instAct{instance, act})
+	return st
+}
+
+// entry returns m[k], adding a zero value.
+func entry[K comparable, V any](m map[K]*V, k K) *V {
+	v := m[k]
+	if v == nil {
+		v = new(V)
+		m[k] = v
 	}
-	delete(e.instActs, instance)
-	delete(e.instStart, instance)
-	delete(e.instWorkflow, instance)
+	return v
 }
 
 // clonePairs copies each pair: the estimator keeps folding into its own.

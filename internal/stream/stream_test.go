@@ -221,11 +221,8 @@ func TestInFlightPruning(t *testing.T) {
 	}
 	est.mu.Lock()
 	defer est.mu.Unlock()
-	if len(est.flows) != 0 || len(est.actStart) != 0 ||
-		len(est.instCharts) != 0 || len(est.instActs) != 0 || len(est.instWorkflow) != 0 {
-		t.Errorf("in-flight maps not pruned: flows=%d actStart=%d instCharts=%d instActs=%d instWorkflow=%d",
-			len(est.flows), len(est.actStart),
-			len(est.instCharts), len(est.instActs), len(est.instWorkflow))
+	if len(est.insts) != 0 {
+		t.Errorf("in-flight map not pruned: %d instances left", len(est.insts))
 	}
 }
 
